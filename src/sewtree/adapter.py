@@ -7,9 +7,11 @@ validated against the pattern inventory.
 
 from __future__ import annotations
 
+import http.client
+import json
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
-
-import requests
 
 from .labels import LabelError, parse_piece_label
 from .pipeline import PatternSpec, StepExtraction, extract_pieces_rule_based
@@ -38,14 +40,19 @@ def extract_via_adapter(
     """
     inventory = sorted(spec.inventory)
     payload = {"step": step, "inventory": [str(p) for p in inventory]}
+    body = json.dumps(payload).encode()
     last_error: Exception | None = None
     for _ in range(max(1, endpoint.retries + 1)):
         try:
-            response = requests.post(endpoint.url, json=payload, timeout=endpoint.timeout)
-            response.raise_for_status()
-            data = response.json()
+            # urlopen would also read file: and ftp: URLs; only HTTP is a backend.
+            if urllib.parse.urlsplit(endpoint.url).scheme not in ("http", "https"):
+                raise ValueError(f"not an http(s) URL: {endpoint.url!r}")
+            request = urllib.request.Request(endpoint.url, body, {"Content-Type": "application/json"})
+            # urlopen raises HTTPError (an OSError) on any non-2xx status.
+            with urllib.request.urlopen(request, timeout=endpoint.timeout) as response:
+                data = json.loads(response.read())
             break
-        except (requests.RequestException, ValueError) as exc:
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             last_error = exc
     else:
         if endpoint.fallback_to_rules:
@@ -55,7 +62,7 @@ def extract_via_adapter(
             )
         raise AdapterError(f"extraction backend unreachable: {last_error}") from last_error
 
-    raw = data.get("pieces")
+    raw = data.get("pieces") if isinstance(data, dict) else None
     if not isinstance(raw, list):
         raise AdapterError(f"backend response missing 'pieces' list: {data!r}")
     mentions = []

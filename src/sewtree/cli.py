@@ -9,7 +9,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .adapter import AdapterConfig, AdapterError, make_adapter_extractor
@@ -174,48 +173,36 @@ def cmd_score(args) -> int:
             ref = load_doc(path)
             refs[ref.pattern_id] = ref
 
-    gold_cache = {}
-
-    def gold_for(pattern_id: str):
-        if pattern_id not in gold_cache:
-            gold_cache[pattern_id] = enumerate_gold_trees(grammars[pattern_id], args.cap)
-        return gold_cache[pattern_id]
-
     extractor = _make_extractor(args)
+    gold = {}
     for doc in docs:
         if doc.pattern_id not in grammars:
             raise ConfigError(f"document {doc.doc_id}: no grammar for pattern {doc.pattern_id!r}")
         if doc.pattern_id not in specs:
             raise ConfigError(f"document {doc.doc_id}: no spec for pattern {doc.pattern_id!r}")
-        gold_for(doc.pattern_id)  # enumerate up front, single-threaded
-
-    def score_one(doc):
-        return score_document(
+        if doc.pattern_id not in gold:
+            gold[doc.pattern_id] = enumerate_gold_trees(grammars[doc.pattern_id], args.cap)
+    results = [
+        score_document(
             doc,
-            gold_for(doc.pattern_id),
+            gold[doc.pattern_id],
             specs[doc.pattern_id],
             reference=refs.get(doc.pattern_id),
             extractor=extractor,
         )
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(score_one, docs))
-    else:
-        results = [score_one(doc) for doc in docs]
+        for doc in docs
+    ]
 
     out_dir = Path(args.out)
     reports_dir = out_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for doc, (row, report) in zip(docs, results):
-        rows.append(row)
+    for doc, (_, report) in zip(docs, results):
         payload = {"doc_id": doc.doc_id, **report.to_json()}
         (reports_dir / f"{doc.doc_id}.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-    _write_csv(out_dir / "scores.csv", SCORE_COLUMNS, rows)
-    print(f"scored {len(rows)} documents -> {out_dir / 'scores.csv'}")
+    _write_csv(out_dir / "scores.csv", SCORE_COLUMNS, [row for row, _ in results])
+    print(f"scored {len(results)} documents -> {out_dir / 'scores.csv'}")
     return 0
 
 
@@ -336,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refs", help="directory of gold reference documents for BLEU/ROUGE")
     p.add_argument("--out", required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     _add_extractor_args(p)
     p.set_defaults(func=cmd_score)
 

@@ -3,7 +3,6 @@ round-trips, and rating aggregation."""
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .grammar import DEFAULT_CAP, GoldGrammar, enumerate_gold_trees
@@ -18,6 +17,7 @@ from .metrics import (
     tree_score,
 )
 from .pipeline import (
+    _MENTION_RE,
     BuildReport,
     InstructionDoc,
     PatternSpec,
@@ -59,7 +59,6 @@ def score_document(
         "bleu": bleu(join_steps(doc), join_steps(reference), cfg) if reference else None,
         "rouge_l": rouge_l(join_steps(doc), join_steps(reference), cfg) if reference else None,
         "diagnostics_count": len(report.diagnostics),
-        "bert_score": None,  # merged externally by doc_id when available
     }
     return row, report
 
@@ -75,7 +74,6 @@ SCORE_COLUMNS = [
     "bleu",
     "rouge_l",
     "diagnostics_count",
-    "bert_score",
 ]
 
 
@@ -105,9 +103,6 @@ class ErrorInjectionPlan:
     @property
     def total(self) -> int:
         return self.swap_adjacent + self.drop_step + self.wrong_piece
-
-
-_MENTION_RE = re.compile(r"\(([A-Za-z0-9]+)\)")
 
 
 def inject_errors(

@@ -23,6 +23,7 @@ from .labels import (
     LabelError,
     NodeLabel,
     PieceLabel,
+    attachment_violations,
     parse_node_label,
     parse_piece_label,
 )
@@ -58,24 +59,7 @@ class GrammarRule:
 
 def rule_violations(rule: GrammarRule) -> list[str]:
     """Local well-formedness: the label arithmetic of a single rule."""
-    out: list[str] = []
-    if len(rule.children) == 1:
-        child = rule.children[0]
-        if child.pieces != rule.parent.pieces:
-            out.append(f"{rule}: unary child must have the same pieces")
-        if child.self_attach != rule.parent.self_attach - 1:
-            out.append(f"{rule}: unary child counter must be parent's minus 1")
-    elif len(rule.children) == 2:
-        a, b = rule.children
-        if a.piece_set & b.piece_set:
-            out.append(f"{rule}: children share pieces")
-        elif a.piece_set | b.piece_set != rule.parent.piece_set:
-            out.append(f"{rule}: children's pieces do not cover the parent")
-        if rule.parent.self_attach != max(a.self_attach, b.self_attach):
-            out.append(f"{rule}: parent counter must be the children's max")
-    else:
-        out.append(f"{rule}: rules need 1 or 2 children")
-    return out
+    return [f"{rule}: {detail}" for _, detail in attachment_violations(rule.parent, rule.children)]
 
 
 @dataclass(frozen=True)
@@ -85,8 +69,12 @@ class GoldGrammar:
     roots: tuple[NodeLabel, ...]
     rules: tuple[GrammarRule, ...]
 
-    def rules_for(self, label: NodeLabel) -> tuple[GrammarRule, ...]:
-        return tuple(r for r in self.rules if r.parent == label)
+    def by_parent(self) -> dict[NodeLabel, list[GrammarRule]]:
+        """The rules of each expandable label, in rule order."""
+        index: dict[NodeLabel, list[GrammarRule]] = {}
+        for rule in self.rules:
+            index.setdefault(rule.parent, []).append(rule)
+        return index
 
 
 def _full_inventory_label(inventory: frozenset[PieceLabel], counter: int) -> NodeLabel:
@@ -225,9 +213,7 @@ def count_derivations(g: GoldGrammar) -> dict[NodeLabel, int]:
     children's counts.  Well-formed rules strictly shrink (pieces, counter),
     so the recursion terminates.
     """
-    by_parent: dict[NodeLabel, list[GrammarRule]] = {}
-    for rule in g.rules:
-        by_parent.setdefault(rule.parent, []).append(rule)
+    by_parent = g.by_parent()
     memo: dict[NodeLabel, int] = {}
 
     def count(label: NodeLabel) -> int:
@@ -263,9 +249,7 @@ def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[Assemb
     if total > cap:
         raise CapExceededError(total, cap)
 
-    by_parent: dict[NodeLabel, list[GrammarRule]] = {}
-    for rule in g.rules:
-        by_parent.setdefault(rule.parent, []).append(rule)
+    by_parent = g.by_parent()
     memo: dict[NodeLabel, tuple[AssemblyNode, ...]] = {}
 
     def expand(label: NodeLabel) -> tuple[AssemblyNode, ...]:

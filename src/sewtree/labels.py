@@ -165,3 +165,32 @@ def merge_labels(a: NodeLabel, b: NodeLabel) -> NodeLabel:
 def bump_self_attach(a: NodeLabel) -> NodeLabel:
     """Label after sewing the component to itself once."""
     return NodeLabel(a.pieces, a.self_attach + 1)
+
+
+def attachment_violations(
+    parent: NodeLabel, children: tuple[NodeLabel, ...]
+) -> list[tuple[str, str]]:
+    """Label arithmetic of one assembly step as ``(kind, detail)`` pairs.
+
+    A unary step sews a component to itself: same pieces, counter plus one.
+    A binary step joins two disjoint components that cover the parent, which
+    takes the larger counter.  Empty iff the step is valid.
+    """
+    out: list[tuple[str, str]] = []
+    if len(children) == 1:
+        (child,) = children
+        if child.pieces != parent.pieces:
+            out.append(("unary-pieces", "unary child must have the same pieces"))
+        if child.self_attach != parent.self_attach - 1:
+            out.append(("unary-counter", "unary child counter must be parent's minus 1"))
+    elif len(children) == 2:
+        a, b = children
+        if a.piece_set & b.piece_set:
+            out.append(("binary-disjoint", "children share pieces"))
+        elif a.piece_set | b.piece_set != parent.piece_set:
+            out.append(("binary-union", "children's pieces do not cover the parent"))
+        if parent.self_attach != max(a.self_attach, b.self_attach):
+            out.append(("binary-counter", "parent counter must be the children's max"))
+    else:
+        out.append(("arity", f"{len(children)} children, 1 or 2 allowed"))
+    return out

@@ -6,9 +6,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-
-from scipy.special import stdtr
+from dataclasses import dataclass
 
 from .tree import AssemblyNode, DepthOneSubtree, Forest, depth_one_subtrees
 
@@ -147,9 +145,30 @@ def rouge_l(candidate: str, reference: str, cfg: MetricConfig = DEFAULT_METRIC_C
     return (1 + beta_sq) * precision * recall / (recall + beta_sq * precision)
 
 
+def _t_two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with a positive integer ``df``.
+
+    One minus the finite series for A(t|df) in Abramowitz & Stegun 26.7.3
+    (odd df) and 26.7.4 (even df), with theta = atan(t / sqrt(df)): exact up
+    to rounding, with no iteration to convergence.
+    """
+    t = abs(t)
+    root_df = math.sqrt(df)
+    hyp = math.hypot(t, root_df)
+    sin_theta, cos_theta = t / hyp, root_df / hyp
+    term, series = 1.0, 0.0
+    for j in range(2 + df % 2, df + 1, 2):
+        series += term
+        term *= cos_theta * cos_theta * (j - 1) / j
+    central = sin_theta * series
+    if df % 2:
+        central = 2 / math.pi * (math.atan2(t, root_df) + cos_theta * central)
+    return max(0.0, 1.0 - central)
+
+
 def pearson(xs, ys) -> tuple[float, float, float]:
-    """Sample Pearson correlation with a t statistic and approximate
-    two-sided p from the t distribution (n - 2 degrees of freedom)."""
+    """Sample Pearson correlation with a t statistic and its two-sided p
+    from the t distribution (n - 2 degrees of freedom)."""
     xs = [float(x) for x in xs]
     ys = [float(y) for y in ys]
     if len(xs) != len(ys):
@@ -168,5 +187,4 @@ def pearson(xs, ys) -> tuple[float, float, float]:
     if abs(r) == 1.0:
         return r, math.inf if r > 0 else -math.inf, 0.0
     t = r * math.sqrt((n - 2) / (1 - r * r))
-    p = 2 * float(stdtr(n - 2, -abs(t)))
-    return r, t, p
+    return r, t, _t_two_sided_p(t, n - 2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .labels import (
     LabelError,
@@ -28,6 +28,20 @@ from .tree import (
     leaf,
     unary,
 )
+
+
+_JSON_TYPE_NAMES = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _field(data, key: str, kind: type):
+    """``data[key]``, checked to be of JSON type ``kind``; ValueError otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
+    if not isinstance(data[key], kind):
+        raise ValueError(f"field {key!r} must be {_JSON_TYPE_NAMES[kind]}")
+    return data[key]
 
 
 @dataclass(frozen=True)
@@ -50,8 +64,9 @@ class PatternSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "PatternSpec":
-        pieces = {parse_piece_label(k): v for k, v in data["pieces"].items()}
-        return cls(data["pattern_id"], pieces)
+        pattern_id = _field(data, "pattern_id", str)
+        pieces = {parse_piece_label(k): v for k, v in _field(data, "pieces", dict).items()}
+        return cls(pattern_id, pieces)
 
     def to_json(self) -> dict:
         return {
@@ -68,7 +83,10 @@ class InstructionDoc:
 
     @classmethod
     def from_json(cls, data: dict) -> "InstructionDoc":
-        return cls(data["pattern_id"], data["doc_id"], tuple(data["steps"]))
+        steps = _field(data, "steps", list)
+        if not all(isinstance(step, str) for step in steps):
+            raise ValueError("field 'steps' must be a list of strings")
+        return cls(_field(data, "pattern_id", str), _field(data, "doc_id", str), tuple(steps))
 
     def to_json(self) -> dict:
         return {"pattern_id": self.pattern_id, "doc_id": self.doc_id, "steps": list(self.steps)}
@@ -177,13 +195,6 @@ def extractions_to_json(doc: InstructionDoc, extractions: list[StepExtraction]) 
         "doc_id": doc.doc_id,
         "pieces_per_step": [[str(p) for p in x.mentions] for x in extractions],
     }
-
-
-def extractions_from_json(data: dict) -> list[StepExtraction]:
-    return [
-        StepExtraction(i, tuple(parse_piece_label(p) for p in pieces))
-        for i, pieces in enumerate(data["pieces_per_step"])
-    ]
 
 
 class AssemblyState:
@@ -328,11 +339,18 @@ def placeholder_spec(pattern_id: str, inventory) -> PatternSpec:
     return PatternSpec(pattern_id, {p: f"Piece {p}" for p in sorted(inventory)})
 
 
-def load_doc(path) -> InstructionDoc:
+def _load_json(path, from_json):
     with open(path, encoding="utf-8") as fh:
-        return InstructionDoc.from_json(json.load(fh))
+        data = json.load(fh)
+    try:
+        return from_json(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def load_doc(path) -> InstructionDoc:
+    return _load_json(path, InstructionDoc.from_json)
 
 
 def load_spec(path) -> PatternSpec:
-    with open(path, encoding="utf-8") as fh:
-        return PatternSpec.from_json(json.load(fh))
+    return _load_json(path, PatternSpec.from_json)

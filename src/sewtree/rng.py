@@ -2,7 +2,7 @@
 
 SplitMix64 keeps every experiment reproducible from a single 64-bit seed;
 per-document streams are derived by hashing the seed with string context, so
-parallel scoring never changes results.
+no document's draws depend on which other documents were processed.
 """
 
 from __future__ import annotations

@@ -9,12 +9,13 @@ zero counter.  Serialization uses bracket notation, e.g.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .labels import (
     LabelError,
     NodeLabel,
     PieceLabel,
+    attachment_violations,
     bump_self_attach,
     merge_labels,
     parse_node_label,
@@ -76,9 +77,6 @@ class Forest:
 
     trees: tuple[AssemblyNode, ...] = ()
 
-    def roots(self) -> tuple[AssemblyNode, ...]:
-        return self.trees
-
     def isolated_leaves(self) -> tuple[NodeLabel, ...]:
         return tuple(t.label for t in self.trees if t.is_leaf())
 
@@ -97,47 +95,16 @@ class Violation:
 
 def _check_node(node: AssemblyNode, out: list[Violation]) -> None:
     name = str(node.label)
-    n_children = len(node.children)
-    if n_children > 2:
-        out.append(Violation(name, "arity", f"{n_children} children, at most 2 allowed"))
-        return
-    if n_children == 0:
+    if not node.children:
         if len(node.label.pieces) != 1:
             out.append(Violation(name, "leaf-pieces", "leaf must be a single piece"))
         if node.label.self_attach != 0:
             out.append(Violation(name, "leaf-counter", "leaf counter must be 0"))
-    elif n_children == 1:
-        child = node.children[0]
-        if child.label.pieces != node.label.pieces:
-            out.append(
-                Violation(name, "unary-pieces", f"child {child.label} has different pieces")
-            )
-        if child.label.self_attach != node.label.self_attach - 1:
-            out.append(
-                Violation(
-                    name,
-                    "unary-counter",
-                    f"child counter {child.label.self_attach} is not parent's minus 1",
-                )
-            )
     else:
-        a, b = node.children
-        if a.label.piece_set & b.label.piece_set:
-            out.append(Violation(name, "binary-disjoint", "children share pieces"))
-        elif a.label.piece_set | b.label.piece_set != node.label.piece_set:
-            out.append(
-                Violation(name, "binary-union", "children's pieces do not cover parent")
-            )
-        expected = max(a.label.self_attach, b.label.self_attach)
-        if node.label.self_attach != expected:
-            out.append(
-                Violation(
-                    name,
-                    "binary-counter",
-                    f"counter {node.label.self_attach}, children's max is {expected}",
-                )
-            )
-        if a.label.pieces[0].sort_key() > b.label.pieces[0].sort_key():
+        kids = tuple(c.label for c in node.children)
+        for kind, detail in attachment_violations(node.label, kids):
+            out.append(Violation(name, kind, detail))
+        if len(kids) == 2 and kids[0].pieces[0].sort_key() > kids[1].pieces[0].sort_key():
             out.append(Violation(name, "child-order", "children out of canonical order"))
     for child in node.children:
         _check_node(child, out)
@@ -280,10 +247,3 @@ def forest_to_json(forest: Forest) -> dict:
         "trees": [canonical_serialize(t) for t in forest.trees if not t.is_leaf()],
         "isolated_leaves": [str(l) for l in forest.isolated_leaves()],
     }
-
-
-def forest_from_json(data: dict) -> Forest:
-    trees = [parse_serialized(t) for t in data.get("trees", [])]
-    trees.extend(AssemblyNode(parse_node_label(l)) for l in data.get("isolated_leaves", []))
-    trees.sort(key=canonical_serialize)
-    return Forest(tuple(trees))

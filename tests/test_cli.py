@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,6 +150,39 @@ class TestScore:
         assert union_rows[0]["tree_f1"] == union_rows[1]["tree_f1"] == "1.000000"
 
 
+class TestInputSchema:
+    @pytest.mark.parametrize(
+        "kind,payload,field",
+        [
+            ("doc", {"pattern_id": "skirt", "doc_id": "bad", "steps": "Sew (A) to (B)."}, "steps"),
+            ("doc", {"pattern_id": "skirt", "doc_id": "bad", "steps": ["Sew (A) to (B).", 3]}, "steps"),
+            ("doc", {"pattern_id": "skirt", "doc_id": "bad"}, "steps"),
+            ("spec", {"pattern_id": "skirt", "pieces": ["A", "B", "C"]}, "pieces"),
+        ],
+    )
+    def test_malformed_input_is_validation_error(
+        self, workspace, tmp_path, capsys, kind, payload, field
+    ):
+        specs = workspace["specs"]
+        if kind == "doc":
+            bad = workspace["corpus"] / "bad.json"
+        else:
+            specs = tmp_path / "specs"
+            shutil.copytree(workspace["specs"], specs)
+            bad = specs / "skirt.json"
+        bad.write_text(json.dumps(payload))
+        code = run(
+            "score",
+            "--corpus", workspace["corpus"],
+            "--grammars", workspace["grammars"],
+            "--specs", specs,
+            "--out", workspace["out"],
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and repr(field) in err
+
+
 class TestPermuteCli:
     def test_writes_k_docs(self, workspace, capsys):
         out = workspace["out"] / "perms"
@@ -243,9 +279,9 @@ class TestAggregateRatingsCli:
 
 
 class TestDeterminism:
-    def test_score_byte_identical_across_runs_and_workers(self, workspace, tmp_path, capsys):
+    def test_score_byte_identical_across_runs(self, workspace, tmp_path, capsys):
         outputs = []
-        for index, workers in enumerate((1, 3)):
+        for index in range(2):
             out = tmp_path / f"run{index}"
             run(
                 "score",
@@ -254,7 +290,6 @@ class TestDeterminism:
                 "--specs", workspace["specs"],
                 "--refs", workspace["refs"],
                 "--out", out,
-                "--workers", str(workers),
             )
             outputs.append((out / "scores.csv").read_bytes())
         assert outputs[0] == outputs[1]
@@ -270,3 +305,19 @@ class TestDeterminism:
             )
             blobs.append(b"".join(p.read_bytes() for p in sorted(out.glob("*.json"))))
         assert blobs[0] == blobs[1]
+
+
+def test_import_loads_no_third_party_modules():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = "import sys, sewtree.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "sewtree.cli" in loaded
+    assert loaded.isdisjoint({"scipy", "numpy", "requests", "urllib3"})

@@ -196,3 +196,86 @@ class TestPearson:
         assert r2 == pytest.approx(r1, abs=1e-6)
         r3, _, _ = pearson([-x for x in xs], ys)
         assert r3 == pytest.approx(-r1, abs=1e-6)
+
+
+# Two-sided p-values 2 * scipy.special.stdtr(df, -|t|) (scipy 1.17) for the t
+# of pearson(*_table_sample(df + 2, k)), k = -3, 15, -90.
+STDTR_P_VALUES = {
+    1: (0.9910226080717813, 0.6478405610946996, 0.20066778025925577),
+    2: (0.851003862531208, 0.37700392133360405, 0.052261779266945516),
+    3: (0.9660490498395509, 0.3737842653851665, 0.013052280529151491),
+    4: (0.8234525251138568, 0.36734513097901766, 0.0032501472995855522),
+    5: (0.9437342436521435, 0.20597997416723868, 0.001208952696301674),
+    6: (0.6687244522230781, 0.36861625350602845, 0.0003317293093618134),
+    7: (0.6738012793265848, 0.12242076667297308, 0.000582634228021768),
+    8: (0.8373090404541974, 0.3198133559280934, 0.0002173370696561592),
+    9: (0.826856137706317, 0.2892995548413163, 8.309049847182879e-05),
+    10: (0.49154536410475846, 0.5279015985094448, 2.5239140436475244e-05),
+    11: (0.9382707864019953, 0.20355165301001876, 8.052502128041509e-05),
+    12: (0.7768359025843671, 0.33566267891436646, 2.7739784776873304e-05),
+    13: (0.946406933464719, 0.2281646546705162, 1.964270660406776e-05),
+    14: (0.843591731133204, 0.25841743122654276, 7.728832403841916e-06),
+    15: (0.754106823934544, 0.2863064233115107, 3.0490868380734306e-06),
+    16: (0.9245897466240854, 0.19220197686086965, 2.3395356528453494e-06),
+    17: (0.668784854438773, 0.314566754655312, 7.976529384995529e-07),
+    18: (0.8381741335001532, 0.12366456012059382, 3.390661996010787e-06),
+    19: (0.8189675548132548, 0.2602862189511835, 1.237441460665335e-06),
+    20: (0.8142111998994458, 0.2477521549931437, 6.400251074398758e-07),
+    21: (0.5428191086673311, 0.4271767122365453, 2.178030271618598e-07),
+    22: (0.9856022437032954, 0.1896921025544245, 1.1036081069829058e-06),
+    23: (0.7638336273657244, 0.2924677028896925, 4.0869921560142755e-07),
+    24: (0.9021125717924564, 0.21329238081179938, 3.8549865182921617e-07),
+    25: (0.8241149488258237, 0.23963193325884133, 1.782521533660257e-07),
+    26: (0.7530092940438154, 0.26566281879012105, 8.27159786202801e-08),
+    27: (0.8907680888299659, 0.19268687549999128, 8.147873537222336e-08),
+    28: (0.6851462268602951, 0.2924665107334065, 2.981239404927174e-08),
+    29: (0.9082625714326442, 0.13077931876622811, 1.6461212921498348e-07),
+    30: (0.8133076633746272, 0.24289676130474894, 5.956955503150612e-08),
+    31: (0.8102245555972594, 0.2350573084935215, 3.565164222519067e-08),
+    32: (0.5766710193247979, 0.381877865183665, 1.2504684202598729e-08),
+    33: (0.950641851498445, 0.18679809528113756, 7.427177055864505e-08),
+    34: (0.7629916580330492, 0.2735533194669528, 2.8673523654957777e-08),
+    35: (0.882045481458438, 0.20828318806069832, 3.122002928495727e-08),
+    36: (0.8167695064582915, 0.23168189570847442, 1.586251890674137e-08),
+    37: (0.7559331507704182, 0.2553291754728121, 8.086067474074382e-09),
+    38: (0.874457323463834, 0.19377879445023777, 9.060579519542508e-09),
+    39: (0.6975383270281218, 0.27983667227720266, 3.462230929174114e-09),
+    40: (0.9491984050524283, 0.13679963333327033, 2.1013707437122196e-08),
+    41: (0.8105549248116639, 0.2346136910605065, 7.622472442531682e-09),
+    42: (0.8082734092243556, 0.22891687389986695, 4.991326332303737e-09),
+    43: (0.6001620857371964, 0.35536550027222, 1.7818150675470566e-09),
+    44: (0.9297895704446586, 0.1862557001147682, 1.1178535063880415e-08),
+    45: (0.7642270398662717, 0.2626930631210448, 4.45800475025245e-09),
+    46: (0.8702423225943395, 0.20600370296221548, 5.278954494365031e-09),
+    47: (0.813014734015952, 0.22725645904659705, 2.8621360011781146e-09),
+    48: (0.7589820941210345, 0.2489459295565703, 1.5562007195400919e-09),
+    49: (0.8645560068258836, 0.19479307381362315, 1.8816837313784245e-09),
+    50: (0.7068626263148007, 0.27148142939222897, 7.439956121912328e-10),
+    51: (0.9767616504168811, 0.14168119591724215, 4.6397434675659395e-09),
+    52: (0.8089270906199825, 0.22977007929392546, 1.6982937975703113e-09),
+    53: (0.807116150632288, 0.22529768794758961, 1.1831615409018867e-09),
+    54: (0.6175837988850317, 0.33765503053505597, 4.2916045785809286e-10),
+    55: (0.9156315231660289, 0.18645232039589912, 2.715885946878995e-09),
+    56: (0.7658497926396247, 0.2555552413907821, 1.1141419519483328e-09),
+    57: (0.8623197649698809, 0.20481337499961508, 1.3911624427272905e-09),
+    58: (0.8107658865286628, 0.2244275533017127, 7.919562396246125e-10),
+    59: (0.7616697303913414, 0.24454326976194127, 4.519322752022467e-10),
+    60: (0.8577771638984799, 0.1956688723034321, 5.734582857219224e-10),
+    97: (0.8050835882627446, 0.21898252380856192, 4.4110748877052846e-11),
+    200: (0.8322120218025221, 0.20371951650556758, 3.669866406092136e-12),
+    998: (0.8029287566004275, 0.21227808348781796, 1.5269631259205882e-13),
+    5000: (0.791703559859897, 0.21659587963313265, 6.774126136773653e-14),
+}
+
+
+def _table_sample(n, k):
+    xs = [float(i) for i in range(n)]
+    ys = [((i * i * 7 + 3 * i) % 11) - 5 + k * i / n**1.5 for i in range(n)]
+    return xs, ys
+
+
+@pytest.mark.parametrize("df", sorted(STDTR_P_VALUES))
+def test_pearson_p_matches_recorded_stdtr(df):
+    for k, expected in zip((-3, 15, -90), STDTR_P_VALUES[df]):
+        _, _, p = pearson(*_table_sample(df + 2, k))
+        assert p == pytest.approx(expected, abs=1e-9), (df, k)

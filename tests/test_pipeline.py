@@ -205,14 +205,19 @@ class _AdapterHandler(BaseHTTPRequestHandler):
             time.sleep(1.0)
         if self.behavior == "bad-label":
             payload = {"pieces": ["Q"]}
+        elif self.behavior == "list-reply":
+            payload = ["A"]
         else:
             # echo back labels present in the step text, in inventory order
             payload = {"pieces": [p for p in request["inventory"] if f"({p})" in request["step"]]}
         body = json.dumps(payload).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # a client that timed out has closed the connection
 
     def log_message(self, *args):
         pass
@@ -226,6 +231,7 @@ def adapter_server():
     _AdapterHandler.behavior = "ok"
     yield f"http://127.0.0.1:{server.server_address[1]}/extract"
     server.shutdown()
+    server.server_close()
 
 
 class TestAdapter:
@@ -241,6 +247,11 @@ class TestAdapter:
     def test_invalid_label_rejected(self, adapter_server, skirt_spec):
         _AdapterHandler.behavior = "bad-label"
         with pytest.raises(AdapterError, match="inventory"):
+            extract_via_adapter("Sew (A).", skirt_spec, AdapterConfig(adapter_server))
+
+    def test_non_object_reply_rejected(self, adapter_server, skirt_spec):
+        _AdapterHandler.behavior = "list-reply"
+        with pytest.raises(AdapterError, match="'pieces' list"):
             extract_via_adapter("Sew (A).", skirt_spec, AdapterConfig(adapter_server))
 
     def test_timeout_fails_by_default(self, adapter_server, skirt_spec):
