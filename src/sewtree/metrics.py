@@ -176,6 +176,10 @@ def pearson(xs, ys) -> tuple[float, float, float]:
     n = len(xs)
     if n < 3:
         raise ValueError("need at least 3 paired observations")
+    # Tested on the values themselves: the mean of equal floats can round
+    # away from them, leaving sxx or syy a tiny nonzero residue.
+    if min(xs) == max(xs) or min(ys) == max(ys):
+        raise ValueError("correlation undefined for a constant input")
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
     sxx = sum((x - mean_x) ** 2 for x in xs)

@@ -177,6 +177,13 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1, 1, 1], [1, 2, 3])
 
+    def test_constant_input_with_inexact_mean(self):
+        # The float mean of these equal values is not exactly the value.
+        with pytest.raises(ValueError):
+            pearson([25.626540053341827] * 5, [1, 2, 3, 4, 5])
+        with pytest.raises(ValueError):
+            pearson([1, 2, 3, 4, 5], [25.626540053341827] * 5)
+
     def test_too_short(self):
         with pytest.raises(ValueError):
             pearson([1, 2], [1, 2])
