@@ -28,6 +28,7 @@ from .grammar import (
     GoldGrammar,
     GrammarError,
     GrammarRule,
+    check_grammar,
     count_derivations,
     enumerate_gold_trees,
     parse_grammar,
@@ -48,6 +49,7 @@ from .metrics import (
     MetricConfig,
     ScoreBreakdown,
     bleu,
+    grammar_score,
     pearson,
     rouge_l,
     subtree_f1,

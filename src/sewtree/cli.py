@@ -23,7 +23,14 @@ from .experiments import (
     roundtrip_grammar,
     score_document,
 )
-from .grammar import DEFAULT_CAP, GrammarError, enumerate_gold_trees, parse_grammar, validate_grammar
+from .grammar import (
+    DEFAULT_CAP,
+    GrammarError,
+    check_grammar,
+    enumerate_gold_trees,
+    parse_grammar,
+    validate_grammar,
+)
 from .labels import LabelError
 from .pipeline import (
     build_forest,
@@ -174,18 +181,19 @@ def cmd_score(args) -> int:
             refs[ref.pattern_id] = ref
 
     extractor = _make_extractor(args)
-    gold = {}
+    checked = set()
     for doc in docs:
         if doc.pattern_id not in grammars:
             raise ConfigError(f"document {doc.doc_id}: no grammar for pattern {doc.pattern_id!r}")
         if doc.pattern_id not in specs:
             raise ConfigError(f"document {doc.doc_id}: no spec for pattern {doc.pattern_id!r}")
-        if doc.pattern_id not in gold:
-            gold[doc.pattern_id] = enumerate_gold_trees(grammars[doc.pattern_id], args.cap)
+        if doc.pattern_id not in checked:
+            check_grammar(grammars[doc.pattern_id])
+            checked.add(doc.pattern_id)
     results = [
         score_document(
             doc,
-            gold[doc.pattern_id],
+            grammars[doc.pattern_id],
             specs[doc.pattern_id],
             reference=refs.get(doc.pattern_id),
             extractor=extractor,
@@ -231,11 +239,19 @@ def cmd_inject_errors(args) -> int:
     return 0
 
 
+def _read_table(path, required: tuple[str, ...]) -> list[dict]:
+    """Rows of a CSV file that must have the ``required`` columns."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in required if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing column {missing[0]!r}")
+        return list(reader)
+
+
 def cmd_correlate(args) -> int:
-    with open(args.scores, encoding="utf-8", newline="") as fh:
-        scores_rows = list(csv.DictReader(fh))
-    with open(args.errors, encoding="utf-8", newline="") as fh:
-        errors_rows = list(csv.DictReader(fh))
+    scores_rows = _read_table(args.scores, ("doc_id", "n_steps"))
+    errors_rows = _read_table(args.errors, ("doc_id", "errors"))
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     results = correlate_scores(scores_rows, errors_rows, columns)
     out_columns = ["column", "n", "r", "t", "p"]
@@ -322,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--specs", required=True)
     p.add_argument("--refs", help="directory of gold reference documents for BLEU/ROUGE")
     p.add_argument("--out", required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     _add_extractor_args(p)
     p.set_defaults(func=cmd_score)
 
@@ -368,7 +383,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GrammarError, TreeError, LabelError, AdapterError, ValueError) as exc:

@@ -3,6 +3,8 @@ round-trips, and rating aggregation."""
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .grammar import DEFAULT_CAP, GoldGrammar, enumerate_gold_trees
@@ -12,6 +14,7 @@ from .metrics import (
     MetricConfig,
     ScoreBreakdown,
     bleu,
+    grammar_score,
     pearson,
     rouge_l,
     tree_score,
@@ -27,7 +30,7 @@ from .pipeline import (
     placeholder_spec,
 )
 from .rng import SplitMix64, derive_seed
-from .tree import canonical_serialize, depth_one_subtrees
+from .tree import AssemblyNode, canonical_serialize, depth_one_subtrees
 
 
 def join_steps(doc: InstructionDoc) -> str:
@@ -36,18 +39,28 @@ def join_steps(doc: InstructionDoc) -> str:
 
 def score_document(
     doc: InstructionDoc,
-    gold_trees,
+    gold: GoldGrammar | Sequence[AssemblyNode],
     spec: PatternSpec,
     reference: InstructionDoc | None = None,
     extractor=None,
     cfg: MetricConfig = DEFAULT_METRIC_CONFIG,
 ) -> tuple[dict, BuildReport]:
-    """One scores-CSV row (as a dict) plus the underlying build report."""
+    """One scores-CSV row (as a dict) plus the underlying build report.
+
+    ``gold`` is a valid grammar, scored with :func:`grammar_score`, or a
+    sequence of gold trees, scored with :func:`tree_score`; both give the
+    same row.
+    """
     if not doc.steps:
         raise ValueError(f"document {doc.doc_id} has no steps")
     extractions = extract_document(doc, spec, extractor)
     report = build_forest(doc, extractions, spec)
-    breakdown = tree_score(report.forest, gold_trees)
+    if isinstance(gold, GoldGrammar):
+        breakdown = grammar_score(report.forest, gold)
+        best_gold_tree = breakdown.best_gold_tree
+    else:
+        breakdown = tree_score(report.forest, gold)
+        best_gold_tree = canonical_serialize(gold[breakdown.best_gold_index])
     row = {
         "doc_id": doc.doc_id,
         "pattern_id": doc.pattern_id,
@@ -55,7 +68,7 @@ def score_document(
         "tree_f1": breakdown.f1,
         "tree_precision": breakdown.precision,
         "tree_recall": breakdown.recall,
-        "best_gold_index": breakdown.best_gold_index,
+        "best_gold_tree": best_gold_tree,
         "bleu": bleu(join_steps(doc), join_steps(reference), cfg) if reference else None,
         "rouge_l": rouge_l(join_steps(doc), join_steps(reference), cfg) if reference else None,
         "diagnostics_count": len(report.diagnostics),
@@ -70,7 +83,7 @@ SCORE_COLUMNS = [
     "tree_f1",
     "tree_precision",
     "tree_recall",
-    "best_gold_index",
+    "best_gold_tree",
     "bleu",
     "rouge_l",
     "diagnostics_count",
@@ -176,7 +189,7 @@ def roundtrip_grammar(
             continue
         extractions = extract_document(doc, spec)
         report = build_forest(doc, extractions, spec)
-        breakdown = tree_score(report.forest, gold_trees)
+        breakdown = grammar_score(report.forest, grammar)
         if breakdown.f1 != 1.0:
             failures.append(
                 f"{grammar.pattern_id} tree {index} ({canonical_serialize(tree)}): "
@@ -229,18 +242,31 @@ def aggregate_ratings(records) -> list[dict]:
     return rows
 
 
+def _number(row: dict, column: str) -> float:
+    """``row[column]`` as a finite float; ValueError naming the document."""
+    try:
+        value = float(row[column])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{row['doc_id']}: {column} must be a number, got {row[column]!r}")
+    return value
+
+
 def correlate_scores(scores_rows, errors_rows, columns) -> list[dict]:
     """Pearson correlation of score columns against errors per step.
 
     ``scores_rows`` are scores-CSV rows; ``errors_rows`` carry ``doc_id`` and
     ``errors``; the join key is ``doc_id``.
     """
-    errors_by_doc = {row["doc_id"]: float(row["errors"]) for row in errors_rows}
+    errors_by_doc = {row["doc_id"]: _number(row, "errors") for row in errors_rows}
     joined: list[tuple[dict, float]] = []
     for row in scores_rows:
         if row["doc_id"] in errors_by_doc:
-            rate = errors_by_doc[row["doc_id"]] / float(row["n_steps"])
-            joined.append((row, rate))
+            n_steps = _number(row, "n_steps")
+            if n_steps <= 0:
+                raise ValueError(f"{row['doc_id']}: n_steps must be positive, got {row['n_steps']!r}")
+            joined.append((row, errors_by_doc[row["doc_id"]] / n_steps))
     if len(joined) < 3:
         raise ValueError(f"only {len(joined)} documents joined; need at least 3")
     out: list[dict] = []
@@ -249,7 +275,7 @@ def correlate_scores(scores_rows, errors_rows, columns) -> list[dict]:
         for row, _ in joined:
             if row.get(column) in (None, ""):
                 raise ValueError(f"column {column!r} missing for {row['doc_id']}")
-            values.append(float(row[column]))
+            values.append(_number(row, column))
         rates = [rate for _, rate in joined]
         r, t, p = pearson(values, rates)
         out.append({"column": column, "n": len(joined), "r": r, "t": t, "p": p})

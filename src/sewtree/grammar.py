@@ -17,7 +17,10 @@ counter ``n``, unless S itself is an inventory piece.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .labels import (
     LabelError,
@@ -62,6 +65,19 @@ def rule_violations(rule: GrammarRule) -> list[str]:
     return [f"{rule}: {detail}" for _, detail in attachment_violations(rule.parent, rule.children)]
 
 
+class RuleGraph(NamedTuple):
+    """The rule table as a DAG over the labels the roots reach, children
+    before parents, so a DP over derivations is one pass over ``labels``."""
+
+    labels: tuple[NodeLabel, ...]
+    names: tuple[str, ...]  # str() of each label
+    position: dict[NodeLabel, int]  # labels[position[label]] == label
+    # Per label, the child positions of each of its rules in rule order;
+    # empty for a label no rule expands (a leaf).
+    expansions: tuple[tuple[tuple[int, ...], ...], ...]
+    roots: tuple[int, ...]  # positions of GoldGrammar.roots
+
+
 @dataclass(frozen=True)
 class GoldGrammar:
     pattern_id: str
@@ -69,12 +85,36 @@ class GoldGrammar:
     roots: tuple[NodeLabel, ...]
     rules: tuple[GrammarRule, ...]
 
-    def by_parent(self) -> dict[NodeLabel, list[GrammarRule]]:
-        """The rules of each expandable label, in rule order."""
-        index: dict[NodeLabel, list[GrammarRule]] = {}
+    @cached_property
+    def rule_graph(self) -> RuleGraph:
+        """Built once per grammar and shared by every caller: never mutate it.
+
+        Well-formed rules strictly shrink (pieces, counter), so the labels
+        form a DAG and the depth-first walk terminates.
+        """
+        by_parent: dict[NodeLabel, list[GrammarRule]] = {}
         for rule in self.rules:
-            index.setdefault(rule.parent, []).append(rule)
-        return index
+            by_parent.setdefault(rule.parent, []).append(rule)
+        labels: list[NodeLabel] = []
+        position: dict[NodeLabel, int] = {}
+        expansions: list[tuple[tuple[int, ...], ...]] = []
+
+        def visit(label: NodeLabel) -> int:
+            if label not in position:
+                kids = tuple(
+                    tuple(visit(c) for c in rule.children) for rule in by_parent.get(label, ())
+                )
+                position[label] = len(labels)
+                labels.append(label)
+                expansions.append(kids)
+            return position[label]
+
+        roots = tuple(visit(root) for root in self.roots)
+        # visit refers to itself through its closure; breaking that cycle frees
+        # the walk's temporaries now rather than at the next garbage collection.
+        del visit
+        names = tuple(str(label) for label in labels)
+        return RuleGraph(tuple(labels), names, position, tuple(expansions), roots)
 
 
 def _full_inventory_label(inventory: frozenset[PieceLabel], counter: int) -> NodeLabel:
@@ -161,7 +201,7 @@ def parse_grammar(text: str) -> GoldGrammar:
     for token in roots_text.split():
         body, _, counter = token.partition("_")
         if body == "S" and PieceLabel("S") not in inv:
-            if counter and not counter.isdigit():
+            if counter and not (counter.isascii() and counter.isdigit()):
                 raise GrammarError(f"line {lineno}: malformed root {token!r}")
             roots.append(_full_inventory_label(inv, int(counter) if counter else 0))
             continue
@@ -206,33 +246,27 @@ def validate_grammar(g: GoldGrammar) -> list[str]:
     return out
 
 
+def check_grammar(g: GoldGrammar) -> None:
+    """Raise :class:`GrammarError` naming the first violations, if any."""
+    problems = validate_grammar(g)
+    if problems:
+        raise GrammarError("invalid grammar: " + "; ".join(problems[:3]))
+
+
 def count_derivations(g: GoldGrammar) -> dict[NodeLabel, int]:
-    """Derivation count per root via memoized DP over the rule table.
+    """Derivation count per root via a DP over the rule graph.
 
     count(leaf) = 1; count(label) = sum over its rules of the product of the
-    children's counts.  Well-formed rules strictly shrink (pieces, counter),
-    so the recursion terminates.
+    children's counts; an unexpandable label that is not a leaf counts 0.
     """
-    by_parent = g.by_parent()
-    memo: dict[NodeLabel, int] = {}
-
-    def count(label: NodeLabel) -> int:
-        if label in memo:
-            return memo[label]
-        rules = by_parent.get(label)
-        if rules is None:
-            total = 1 if len(label.pieces) == 1 and label.self_attach == 0 else 0
+    graph = g.rule_graph
+    counts: list[int] = []
+    for label, expansions in zip(graph.labels, graph.expansions):
+        if expansions:
+            counts.append(sum(math.prod(counts[c] for c in kids) for kids in expansions))
         else:
-            total = 0
-            for rule in rules:
-                product = 1
-                for child in rule.children:
-                    product *= count(child)
-                total += product
-        memo[label] = total
-        return total
-
-    return {root: count(root) for root in g.roots}
+            counts.append(1 if len(label.pieces) == 1 and label.self_attach == 0 else 0)
+    return {root: counts[p] for root, p in zip(g.roots, graph.roots)}
 
 
 def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[AssemblyNode, ...]:
@@ -241,35 +275,26 @@ def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[Assemb
     Counts first and raises :class:`CapExceededError` rather than enumerating
     past ``cap``.
     """
-    problems = validate_grammar(g)
-    if problems:
-        raise GrammarError("invalid grammar: " + "; ".join(problems[:3]))
+    check_grammar(g)
     counts = count_derivations(g)
     total = sum(counts.values())
     if total > cap:
         raise CapExceededError(total, cap)
 
-    by_parent = g.by_parent()
-    memo: dict[NodeLabel, tuple[AssemblyNode, ...]] = {}
-
-    def expand(label: NodeLabel) -> tuple[AssemblyNode, ...]:
-        if label in memo:
-            return memo[label]
-        rules = by_parent.get(label)
-        if rules is None:
-            trees: tuple[AssemblyNode, ...] = (AssemblyNode(label),)
-        else:
-            built: list[AssemblyNode] = []
-            for rule in rules:
-                child_options = [expand(c) for c in rule.children]
-                for combo in itertools.product(*child_options):
-                    built.append(AssemblyNode(label, tuple(combo)))
-            trees = tuple(built)
-        memo[label] = trees
-        return trees
+    graph = g.rule_graph
+    trees: list[tuple[AssemblyNode, ...]] = []
+    for label, expansions in zip(graph.labels, graph.expansions):
+        if not expansions:
+            trees.append((AssemblyNode(label),))
+            continue
+        trees.append(tuple(
+            AssemblyNode(label, combo)
+            for kids in expansions
+            for combo in itertools.product(*(trees[c] for c in kids))
+        ))
 
     seen: dict[str, AssemblyNode] = {}
-    for root in g.roots:
-        for tree in expand(root):
+    for root in graph.roots:
+        for tree in trees[root]:
             seen.setdefault(canonical_serialize(tree), tree)
     return tuple(seen[k] for k in sorted(seen))

@@ -129,7 +129,7 @@ def parse_node_label(text: str) -> NodeLabel:
     if not text:
         raise LabelError("empty node label")
     body, sep, counter_text = text.partition("_")
-    if sep and not counter_text.isdigit():
+    if sep and not (counter_text.isascii() and counter_text.isdigit()):
         raise LabelError(f"malformed self-attachment counter in {text!r}")
     counter = int(counter_text) if sep else 0
 

@@ -3,11 +3,13 @@ Pearson utilities for baseline comparison and analysis."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
 
+from .grammar import GoldGrammar
 from .tree import AssemblyNode, DepthOneSubtree, Forest, depth_one_subtrees
 
 BLEU_EPSILON = 1e-9
@@ -36,6 +38,7 @@ class ScoreBreakdown:
     f1: float
     best_gold_index: int | None = None
     matched: frozenset[DepthOneSubtree] = frozenset()
+    best_gold_tree: str | None = None
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -67,6 +70,72 @@ def tree_score(predicted: Forest | AssemblyNode, gold_set) -> ScoreBreakdown:
                 breakdown.precision, breakdown.recall, breakdown.f1, index, breakdown.matched
             )
     return best
+
+
+def grammar_score(predicted: Forest | AssemblyNode, grammar: GoldGrammar) -> ScoreBreakdown:
+    """:func:`tree_score` over every tree ``grammar`` derives, without
+    enumerating them; the grammar must pass ``validate_grammar``.
+
+    Node labels are unique within a tree, so a gold tree with g internal
+    nodes, m of whose rules are predicted subtrees, scores F1 = 2m/(|P| + g).
+    A max-plus DP over the rule graph keeps, per label and per g, the
+    largest m and the smallest canonical serialization reaching it
+    (serializations of one label are never prefixes of each other, so the
+    smallest tree takes the smallest child serializations).  At the roots
+    the best F1, computed with ``tree_score``'s float expression, wins; ties
+    go to the smallest serialization, which is the lowest index in the
+    sorted enumeration.  ``best_gold_tree`` holds that serialization.
+    """
+    graph = grammar.rule_graph
+    pred = depth_one_subtrees(predicted)
+    # Predicted subtrees keyed like the rules: (parent, child positions).
+    hits: dict[tuple[int, tuple[int, ...]], DepthOneSubtree] = {}
+    for subtree in pred:
+        found = [graph.position.get(label) for label in (subtree.parent, *subtree.children)]
+        if None not in found:
+            hits[found[0], tuple(found[1:])] = subtree
+
+    # tables[p]: g -> (max m, smallest serialization, (child positions,
+    # child g values) of the rule that built it, None for a leaf).
+    tables: list[dict[int, tuple[int, str, tuple | None]]] = []
+    for p, (name, expansions) in enumerate(zip(graph.names, graph.expansions)):
+        if not expansions:
+            tables.append({0: (0, name, None)})
+            continue
+        table: dict[int, tuple[int, str, tuple | None]] = {}
+        head = f"({name} "
+        for kids in expansions:
+            hit = int((p, kids) in hits)
+            for parts in itertools.product(*(tables[k].items() for k in kids)):
+                g = 1 + sum(g_kid for g_kid, _ in parts)
+                m = hit + sum(entry[0] for _, entry in parts)
+                current = table.get(g)
+                if current is not None and m < current[0]:
+                    continue
+                text = head + " ".join(entry[1] for _, entry in parts) + ")"
+                if current is None or m > current[0] or text < current[1]:
+                    table[g] = (m, text, (kids, tuple(g_kid for g_kid, _ in parts)))
+        tables.append(table)
+
+    ranked = []
+    for root in graph.roots:
+        for g, (m, text, _) in tables[root].items():
+            precision = m / len(pred) if pred else 0.0
+            recall = m / g if g else 0.0
+            ranked.append((-_f1(precision, recall), text, precision, recall, root, g))
+    neg_f1, text, precision, recall, root, g = min(ranked)
+
+    matched = []
+    stack = [(root, g)]
+    while stack:
+        p, g = stack.pop()
+        built = tables[p][g][2]
+        if built is not None:
+            kids, kid_gs = built
+            if (p, kids) in hits:
+                matched.append(hits[p, kids])
+            stack.extend(zip(kids, kid_gs))
+    return ScoreBreakdown(precision, recall, -neg_f1, None, frozenset(matched), text)
 
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")

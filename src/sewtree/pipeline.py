@@ -340,8 +340,14 @@ def placeholder_spec(pattern_id: str, inventory) -> PatternSpec:
 
 
 def _load_json(path, from_json):
+    """``from_json`` of a JSON file; errors name the file.  Text that is not
+    JSON stays a ``JSONDecodeError`` (an I/O error), a bad schema a
+    ``ValueError`` (a validation error)."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
     try:
         return from_json(data)
     except ValueError as exc:

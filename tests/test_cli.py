@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import shutil
@@ -8,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
+import sewtree.cli
+import sewtree.grammar
 from sewtree.cli import main
+from sewtree.grammar import DEFAULT_CAP, count_derivations, parse_grammar
+from sewtree.labels import parse_piece_label
+from sewtree.pipeline import linearize_gold_tree, placeholder_spec
+from sewtree.tree import binary, leaf
 
 from conftest import FIXTURES
 
@@ -149,6 +156,88 @@ class TestScore:
         assert [r["doc_id"] for r in union_rows] == ["skirt-demo", "skirt-demo-copy"]
         assert union_rows[0]["tree_f1"] == union_rows[1]["tree_f1"] == "1.000000"
 
+    def score_args(self, workspace, **paths):
+        dirs = {k: workspace[k] for k in ("corpus", "grammars", "specs", "out")}
+        dirs.update(paths)
+        return ["score", *(arg for k, v in dirs.items() for arg in (f"--{k}", v))]
+
+    def test_never_enumerates_gold_trees(self, workspace, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("score enumerated the gold trees")
+
+        monkeypatch.setattr(sewtree.cli, "enumerate_gold_trees", refuse)
+        monkeypatch.setattr(sewtree.grammar, "enumerate_gold_trees", refuse)
+        assert run(*self.score_args(workspace)) == 0
+        with open(workspace["out"] / "scores.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["best_gold_tree"] == "(ABC_1 (AB_1 (AB A B)) C)"
+
+    def test_grammar_past_enumeration_cap(self, tmp_path, capsys):
+        # Five blocks of four pieces, each block assembled in any of its 15
+        # binary trees, then the blocks joined in a fixed chain: 15**5
+        # derivations, far past the cap, from 129 rules.
+        pieces = [chr(ord("A") + i) for i in range(20)]
+        blocks = [pieces[i:i + 4] for i in range(0, 20, 4)]
+        lines = ["pattern: wide", "pieces: " + " ".join(pieces), "roots: " + "".join(pieces)]
+        for block in blocks:
+            for size in (2, 3, 4):
+                for first, *others in itertools.combinations(block, size):
+                    # every split of the subset into two parts, once each
+                    for k in range(size - 1):
+                        for rest in itertools.combinations(others, k):
+                            right = "".join(p for p in others if p not in rest)
+                            lines.append(f"{first}{''.join(others)} -> {first}{''.join(rest)} {right}")
+        for i in range(1, len(blocks)):
+            joined = "".join(p for b in blocks[:i] for p in b)
+            lines.append(f"{joined}{''.join(blocks[i])} -> {joined} {''.join(blocks[i])}")
+        text = "\n".join(lines) + "\n"
+        grammar = parse_grammar(text)
+        assert sum(count_derivations(grammar).values()) == 15**5 > DEFAULT_CAP
+
+        for name in ("corpus", "grammars", "specs"):
+            (tmp_path / name).mkdir()
+        (tmp_path / "grammars" / "wide.grammar").write_text(text)
+        spec = placeholder_spec("wide", grammar.inventory)
+        (tmp_path / "specs" / "wide.json").write_text(json.dumps(spec.to_json()))
+        tree = None
+        for block in blocks:
+            sub = leaf(parse_piece_label(block[0]))
+            for piece in block[1:]:
+                sub = binary(sub, leaf(parse_piece_label(piece)))
+            tree = sub if tree is None else binary(tree, sub)
+        doc = linearize_gold_tree(tree, spec)
+        (tmp_path / "corpus" / "wide.json").write_text(json.dumps(doc.to_json()))
+
+        code = run("score", "--corpus", tmp_path / "corpus", "--grammars", tmp_path / "grammars",
+                   "--specs", tmp_path / "specs", "--out", tmp_path / "out")
+        assert code == 0, capsys.readouterr().err
+        with open(tmp_path / "out" / "scores.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["tree_f1"] == "1.000000"
+
+    def test_invalid_grammar_is_validation_error(self, workspace, tmp_path, capsys):
+        grammars = tmp_path / "grammars"
+        grammars.mkdir()
+        (grammars / "skirt.grammar").write_text("pattern: skirt\npieces: A B C\nroots: AB\nAB -> A B\n")
+        assert run(*self.score_args(workspace, grammars=grammars)) == 1
+        assert "invalid grammar: root AB" in capsys.readouterr().err
+
+    def test_cap_option_removed(self, workspace):
+        with pytest.raises(SystemExit) as exc:
+            run(*self.score_args(workspace), "--cap", "10")
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("kind", ["corpus", "specs", "refs"])
+    def test_file_that_is_not_json_is_named(self, workspace, tmp_path, capsys, kind):
+        directory = workspace[kind] if kind != "specs" else tmp_path / "bad-specs"
+        if kind == "specs":
+            shutil.copytree(workspace["specs"], directory)
+        bad = directory / "skirt.json"
+        bad.write_text("{\n  'pattern_id': 'skirt'\n}\n")
+        assert run(*self.score_args(workspace, **{kind: directory})) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "line 2 column 3" in err
+
 
 class TestInputSchema:
     @pytest.mark.parametrize(
@@ -248,6 +337,36 @@ class TestCorrelateCli:
         code = run("correlate", "--scores", scores, "--errors", errors, "--columns", "tree_f1")
         assert code == 0
         assert "r=-1.0000" in capsys.readouterr().out
+
+    def write_csv(self, path, header, rows):
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+        return path
+
+    @pytest.mark.parametrize("n_steps", ["0", "ten"])
+    def test_bad_step_count_names_document(self, tmp_path, capsys, n_steps):
+        scores = self.write_csv(tmp_path / "scores.csv", ["doc_id", "n_steps", "tree_f1"],
+                                [["d0", 10, 1.0], ["d1", n_steps, 0.5], ["d2", 10, 0.2]])
+        errors = self.write_csv(tmp_path / "errors.csv", ["doc_id", "errors"],
+                                [["d0", 0], ["d1", 1], ["d2", 2]])
+        assert run("correlate", "--scores", scores, "--errors", errors) == 1
+        err = capsys.readouterr().err
+        assert "d1: n_steps" in err
+
+    def test_missing_column_names_file_and_column(self, tmp_path, capsys):
+        scores = self.write_csv(tmp_path / "scores.csv", ["doc_id", "n_steps", "tree_f1"],
+                                [[f"d{i}", 10, i / 4] for i in range(3)])
+        errors = self.write_csv(tmp_path / "errors.csv", ["doc_id", "count"],
+                                [[f"d{i}", i] for i in range(3)])
+        assert run("correlate", "--scores", scores, "--errors", errors) == 1
+        err = capsys.readouterr().err
+        assert str(errors) in err and "'errors'" in err
+
+    def test_missing_file_is_config_error(self, tmp_path, capsys):
+        errors = self.write_csv(tmp_path / "errors.csv", ["doc_id", "errors"], [["d0", 0]])
+        assert run("correlate", "--scores", tmp_path / "absent.csv", "--errors", errors) == 2
 
 
 class TestRoundtripCli:

@@ -168,6 +168,14 @@ class TestCorrelate:
         with pytest.raises(ValueError, match="joined"):
             correlate_scores(scores, errors, ["tree_f1"])
 
+    @pytest.mark.parametrize("n_steps", [0, "", None, "nan"])
+    def test_bad_step_count_names_document(self, n_steps):
+        scores = [{"doc_id": f"d{i}", "n_steps": 5, "tree_f1": i / 4} for i in range(4)]
+        scores[2]["n_steps"] = n_steps
+        errors = [{"doc_id": f"d{i}", "errors": i} for i in range(4)]
+        with pytest.raises(ValueError, match="d2: n_steps"):
+            correlate_scores(scores, errors, ["tree_f1"])
+
     def test_missing_column(self):
         scores = [{"doc_id": f"d{i}", "n_steps": 5, "tree_f1": i / 4} for i in range(4)]
         errors = [{"doc_id": f"d{i}", "errors": i} for i in range(4)]

@@ -39,6 +39,12 @@ class TestParseGrammar:
         with pytest.raises(GrammarError, match="duplicate"):
             parse_grammar("pattern: x\npieces: A\npieces: A\nroots: A\n")
 
+    @pytest.mark.parametrize("line", ["roots: S_\u00b2", "roots: AB_\u00b2", "AB_\u00b2 -> AB"])
+    def test_non_ascii_digit_counter(self, line):
+        # "\u00b2" passes str.isdigit() but int() rejects it.
+        with pytest.raises(GrammarError, match="malformed"):
+            parse_grammar(f"pattern: x\npieces: A B\n{line}\n")
+
     def test_comments_and_blanks_ignored(self):
         g = parse_grammar("# top\npattern: x\n\npieces: A B  # inline\nroots: AB\nAB -> A B\n")
         assert len(g.rules) == 1
