@@ -27,7 +27,6 @@ from .grammar import (
     CapExceededError,
     GoldGrammar,
     GrammarError,
-    GrammarRule,
     check_grammar,
     count_derivations,
     enumerate_gold_trees,

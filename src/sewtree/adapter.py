@@ -28,6 +28,12 @@ class AdapterConfig:
     retries: int = 1
     fallback_to_rules: bool = False
 
+    def __post_init__(self) -> None:
+        if not self.timeout > 0:
+            raise ValueError(f"adapter timeout must be positive, got {self.timeout}")
+        if self.retries < 0:
+            raise ValueError(f"adapter retries must be >= 0, got {self.retries}")
+
 
 def extract_via_adapter(
     step: str, spec: PatternSpec, endpoint: AdapterConfig, step_index: int = 0
@@ -42,7 +48,7 @@ def extract_via_adapter(
     payload = {"step": step, "inventory": [str(p) for p in inventory]}
     body = json.dumps(payload).encode()
     last_error: Exception | None = None
-    for _ in range(max(1, endpoint.retries + 1)):
+    for _ in range(endpoint.retries + 1):
         try:
             # urlopen would also read file: and ftp: URLs; only HTTP is a backend.
             if urllib.parse.urlsplit(endpoint.url).scheme not in ("http", "https"):

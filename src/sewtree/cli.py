@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
 
 from .adapter import AdapterConfig, AdapterError, make_adapter_extractor
 from .experiments import (
+    RATING_QUESTIONS,
     SCORE_COLUMNS,
     ErrorInjectionPlan,
     RatingRecord,
@@ -38,6 +40,7 @@ from .pipeline import (
     extractions_to_json,
     load_doc,
     load_spec,
+    read_text,
 )
 from .tree import TreeError, canonical_serialize
 
@@ -62,9 +65,19 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
             writer.writerow([_fmt(row.get(c)) for c in columns])
 
 
+def _write_json(payload, path=None) -> None:
+    """``payload`` as indented JSON with sorted keys, to the file ``path``
+    or, without one, to stdout."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 def _load_grammar_file(path: Path):
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read grammar {path}: {exc}") from exc
     return parse_grammar(text)
@@ -114,11 +127,7 @@ def cmd_gen_gold(args) -> int:
         "pattern_id": grammar.pattern_id,
         "trees": [canonical_serialize(t) for t in trees],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_json(payload, args.out)
     return 0
 
 
@@ -141,11 +150,7 @@ def cmd_extract(args) -> int:
     doc = load_doc(args.doc)
     spec = load_spec(args.spec)
     extractions = extract_document(doc, spec, _make_extractor(args))
-    text = json.dumps(extractions_to_json(doc, extractions), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_json(extractions_to_json(doc, extractions), args.out)
     return 0
 
 
@@ -154,12 +159,7 @@ def cmd_build(args) -> int:
     spec = load_spec(args.spec)
     extractions = extract_document(doc, spec, _make_extractor(args))
     report = build_forest(doc, extractions, spec)
-    payload = {"doc_id": doc.doc_id, **report.to_json()}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_json({"doc_id": doc.doc_id, **report.to_json()}, args.out)
     return 0
 
 
@@ -205,10 +205,7 @@ def cmd_score(args) -> int:
     reports_dir = out_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
     for doc, (_, report) in zip(docs, results):
-        payload = {"doc_id": doc.doc_id, **report.to_json()}
-        (reports_dir / f"{doc.doc_id}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json({"doc_id": doc.doc_id, **report.to_json()}, reports_dir / f"{doc.doc_id}.json")
     _write_csv(out_dir / "scores.csv", SCORE_COLUMNS, [row for row, _ in results])
     print(f"scored {len(results)} documents -> {out_dir / 'scores.csv'}")
     return 0
@@ -219,10 +216,7 @@ def cmd_permute(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for permuted in permute_doc(doc, args.seed, args.k):
-        path = out_dir / f"{permuted.doc_id}.json"
-        path.write_text(
-            json.dumps(permuted.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(permuted.to_json(), out_dir / f"{permuted.doc_id}.json")
     print(f"wrote {args.k} permutations to {out_dir}")
     return 0
 
@@ -232,21 +226,18 @@ def cmd_inject_errors(args) -> int:
     spec = load_spec(args.spec)
     plan = ErrorInjectionPlan(args.swap, args.drop, args.wrong_piece)
     corrupted, applied = inject_errors(doc, plan, args.seed, spec)
-    Path(args.out).write_text(
-        json.dumps(corrupted.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(corrupted.to_json(), args.out)
     print(f"applied {applied} edits -> {args.out}")
     return 0
 
 
 def _read_table(path, required: tuple[str, ...]) -> list[dict]:
     """Rows of a CSV file that must have the ``required`` columns."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in required if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: missing column {missing[0]!r}")
-        return list(reader)
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    missing = [c for c in required if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{path}: missing column {missing[0]!r}")
+    return list(reader)
 
 
 def cmd_correlate(args) -> int:
@@ -279,22 +270,21 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_aggregate_ratings(args) -> int:
     records = []
-    with open(args.ratings, encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            try:
-                records.append(
-                    RatingRecord(
-                        row["doc_id"],
-                        int(row["step_index"]),
-                        row["question"],
-                        int(row["rating"]),
-                    )
+    for lineno, row in enumerate(_read_table(args.ratings, ()), start=2):
+        try:
+            records.append(
+                RatingRecord(
+                    row["doc_id"],
+                    int(row["step_index"]),
+                    row["question"],
+                    int(row["rating"]),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{args.ratings} line {lineno}: {exc}") from exc
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{args.ratings} line {lineno}: {exc}") from exc
     rows = aggregate_ratings(records)
     columns = ["doc_id"]
-    for question in ("S1", "S2", "S3", "S4", "S5"):
+    for question in RATING_QUESTIONS:
         columns += [f"{question}_mean", f"{question}_above3", f"{question}_below3"]
     _write_csv(Path(args.out), columns, rows)
     print(f"aggregated {len(records)} ratings -> {args.out}")

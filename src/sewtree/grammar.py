@@ -30,7 +30,7 @@ from .labels import (
     parse_node_label,
     parse_piece_label,
 )
-from .tree import AssemblyNode, canonical_serialize
+from .tree import AssemblyNode, DepthOneSubtree, canonical_serialize
 
 
 class GrammarError(ValueError):
@@ -49,41 +49,27 @@ class CapExceededError(GrammarError):
 DEFAULT_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class GrammarRule:
-    """One rewrite: a parent component into one or two child components."""
-
-    parent: NodeLabel
-    children: tuple[NodeLabel, ...]
-
-    def __str__(self) -> str:
-        return f"{self.parent} -> {' '.join(str(c) for c in self.children)}"
-
-
-def rule_violations(rule: GrammarRule) -> list[str]:
-    """Local well-formedness: the label arithmetic of a single rule."""
-    return [f"{rule}: {detail}" for _, detail in attachment_violations(rule.parent, rule.children)]
-
-
 class RuleGraph(NamedTuple):
     """The rule table as a DAG over the labels the roots reach, children
     before parents, so a DP over derivations is one pass over ``labels``."""
 
     labels: tuple[NodeLabel, ...]
     names: tuple[str, ...]  # str() of each label
-    position: dict[NodeLabel, int]  # labels[position[label]] == label
-    # Per label, the child positions of each of its rules in rule order;
-    # empty for a label no rule expands (a leaf).
-    expansions: tuple[tuple[tuple[int, ...], ...], ...]
+    # Per label, each of its rules in rule order with the positions of the
+    # rule's children in ``labels``; empty for a label no rule expands (a leaf).
+    expansions: tuple[tuple[tuple[DepthOneSubtree, tuple[int, ...]], ...], ...]
     roots: tuple[int, ...]  # positions of GoldGrammar.roots
 
 
 @dataclass(frozen=True)
 class GoldGrammar:
+    """A pattern's gold trees as rules, each a depth-1 subtree that is a valid
+    assembly step over the inventory, as :func:`parse_grammar` checks."""
+
     pattern_id: str
     inventory: frozenset[PieceLabel]
     roots: tuple[NodeLabel, ...]
-    rules: tuple[GrammarRule, ...]
+    rules: tuple[DepthOneSubtree, ...]
 
     @cached_property
     def rule_graph(self) -> RuleGraph:
@@ -92,17 +78,18 @@ class GoldGrammar:
         Well-formed rules strictly shrink (pieces, counter), so the labels
         form a DAG and the depth-first walk terminates.
         """
-        by_parent: dict[NodeLabel, list[GrammarRule]] = {}
+        by_parent: dict[NodeLabel, list[DepthOneSubtree]] = {}
         for rule in self.rules:
             by_parent.setdefault(rule.parent, []).append(rule)
         labels: list[NodeLabel] = []
         position: dict[NodeLabel, int] = {}
-        expansions: list[tuple[tuple[int, ...], ...]] = []
+        expansions: list[tuple[tuple[DepthOneSubtree, tuple[int, ...]], ...]] = []
 
         def visit(label: NodeLabel) -> int:
             if label not in position:
                 kids = tuple(
-                    tuple(visit(c) for c in rule.children) for rule in by_parent.get(label, ())
+                    (rule, tuple(visit(c) for c in rule.children))
+                    for rule in by_parent.get(label, ())
                 )
                 position[label] = len(labels)
                 labels.append(label)
@@ -114,7 +101,7 @@ class GoldGrammar:
         # the walk's temporaries now rather than at the next garbage collection.
         del visit
         names = tuple(str(label) for label in labels)
-        return RuleGraph(tuple(labels), names, position, tuple(expansions), roots)
+        return RuleGraph(tuple(labels), names, tuple(expansions), roots)
 
 
 def _full_inventory_label(inventory: frozenset[PieceLabel], counter: int) -> NodeLabel:
@@ -122,12 +109,15 @@ def _full_inventory_label(inventory: frozenset[PieceLabel], counter: int) -> Nod
 
 
 def parse_grammar(text: str) -> GoldGrammar:
-    """Parse and locally check a grammar file; raises with line numbers."""
+    """Parse a grammar file, checking each rule as it is read: 1 or 2
+    children, pieces from the inventory and valid label arithmetic.  Raises
+    :class:`GrammarError` with the line number."""
     pattern_id: str | None = None
-    inventory: list[PieceLabel] | None = None
+    inv: frozenset[PieceLabel] | None = None
     roots_line: tuple[int, str] | None = None
-    rules: list[GrammarRule] = []
-    seen_rules: set[GrammarRule] = set()
+    rules: dict[DepthOneSubtree, None] = {}
+    # Label texts recur across rules; each distinct one is parsed once.
+    labels: dict[str, NodeLabel] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -142,15 +132,16 @@ def parse_grammar(text: str) -> GoldGrammar:
             pattern_id = value
             continue
         if line.startswith("pieces:"):
-            if inventory is not None:
+            if inv is not None:
                 raise GrammarError(f"line {lineno}: duplicate pieces header")
             try:
-                inventory = [parse_piece_label(t) for t in line[len("pieces:"):].split()]
+                pieces = [parse_piece_label(t) for t in line[len("pieces:"):].split()]
             except LabelError as exc:
                 raise GrammarError(f"line {lineno}: {exc}") from exc
-            if not inventory:
+            if not pieces:
                 raise GrammarError(f"line {lineno}: empty piece inventory")
-            if len(set(inventory)) != len(inventory):
+            inv = frozenset(pieces)
+            if len(inv) != len(pieces):
                 raise GrammarError(f"line {lineno}: duplicate pieces in inventory")
             continue
         if line.startswith("roots:"):
@@ -160,14 +151,16 @@ def parse_grammar(text: str) -> GoldGrammar:
             continue
         if "->" in line:
             lhs, rhs = line.split("->", 1)
-            if inventory is None:
+            if inv is None:
                 raise GrammarError(f"line {lineno}: rule before pieces header")
-            inv = frozenset(inventory)
+            tokens = [lhs.strip(), *rhs.split()]
             try:
-                parent = parse_node_label(lhs.strip())
-                children = [parse_node_label(t) for t in rhs.split()]
+                for token in tokens:
+                    if token not in labels:
+                        labels[token] = parse_node_label(token)
             except LabelError as exc:
                 raise GrammarError(f"line {lineno}: {exc}") from exc
+            parent, *children = (labels[token] for token in tokens)
             if not 1 <= len(children) <= 2:
                 raise GrammarError(f"line {lineno}: rules need 1 or 2 children")
             for label in (parent, *children):
@@ -178,24 +171,21 @@ def parse_grammar(text: str) -> GoldGrammar:
             # Child order in the file is presentational; canonicalize it.
             if len(children) == 2:
                 children.sort(key=lambda l: l.pieces[0].sort_key())
-            rule = GrammarRule(parent, tuple(children))
-            problems = rule_violations(rule)
+            rule = DepthOneSubtree(parent, tuple(children))
+            problems = attachment_violations(rule.parent, rule.children)
             if problems:
-                raise GrammarError(f"line {lineno}: {problems[0]}")
-            if rule not in seen_rules:
-                seen_rules.add(rule)
-                rules.append(rule)
+                raise GrammarError(f"line {lineno}: {rule}: {problems[0][1]}")
+            rules[rule] = None
             continue
         raise GrammarError(f"line {lineno}: unrecognized line {line!r}")
 
     if pattern_id is None:
         raise GrammarError("missing pattern header")
-    if inventory is None:
+    if inv is None:
         raise GrammarError("missing pieces header")
     if roots_line is None:
         raise GrammarError("missing roots header")
 
-    inv = frozenset(inventory)
     lineno, roots_text = roots_line
     roots: list[NodeLabel] = []
     for token in roots_text.split():
@@ -220,14 +210,9 @@ def parse_grammar(text: str) -> GoldGrammar:
 
 
 def validate_grammar(g: GoldGrammar) -> list[str]:
-    """All violations; empty iff every rule is well-formed and roots expand to leaves."""
+    """Violations of the grammar as a whole (each rule was checked when it
+    was parsed): non-leaf labels no rule expands, roots missing pieces."""
     out: list[str] = []
-    for rule in g.rules:
-        out.extend(rule_violations(rule))
-        for label in (rule.parent, *rule.children):
-            if label.piece_set - g.inventory:
-                out.append(f"{rule}: pieces outside the inventory")
-
     expandable = {r.parent for r in g.rules}
     mentioned = set(g.roots)
     for rule in g.rules:
@@ -263,7 +248,7 @@ def count_derivations(g: GoldGrammar) -> dict[NodeLabel, int]:
     counts: list[int] = []
     for label, expansions in zip(graph.labels, graph.expansions):
         if expansions:
-            counts.append(sum(math.prod(counts[c] for c in kids) for kids in expansions))
+            counts.append(sum(math.prod(counts[c] for c in kids) for _, kids in expansions))
         else:
             counts.append(1 if len(label.pieces) == 1 and label.self_attach == 0 else 0)
     return {root: counts[p] for root, p in zip(g.roots, graph.roots)}
@@ -289,7 +274,7 @@ def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[Assemb
             continue
         trees.append(tuple(
             AssemblyNode(label, combo)
-            for kids in expansions
+            for _, kids in expansions
             for combo in itertools.product(*(trees[c] for c in kids))
         ))
 

@@ -88,24 +88,18 @@ def grammar_score(predicted: Forest | AssemblyNode, grammar: GoldGrammar) -> Sco
     """
     graph = grammar.rule_graph
     pred = depth_one_subtrees(predicted)
-    # Predicted subtrees keyed like the rules: (parent, child positions).
-    hits: dict[tuple[int, tuple[int, ...]], DepthOneSubtree] = {}
-    for subtree in pred:
-        found = [graph.position.get(label) for label in (subtree.parent, *subtree.children)]
-        if None not in found:
-            hits[found[0], tuple(found[1:])] = subtree
 
-    # tables[p]: g -> (max m, smallest serialization, (child positions,
+    # tables[p]: g -> (max m, smallest serialization, (rule, child positions,
     # child g values) of the rule that built it, None for a leaf).
     tables: list[dict[int, tuple[int, str, tuple | None]]] = []
-    for p, (name, expansions) in enumerate(zip(graph.names, graph.expansions)):
+    for name, expansions in zip(graph.names, graph.expansions):
         if not expansions:
             tables.append({0: (0, name, None)})
             continue
         table: dict[int, tuple[int, str, tuple | None]] = {}
         head = f"({name} "
-        for kids in expansions:
-            hit = int((p, kids) in hits)
+        for rule, kids in expansions:
+            hit = int(rule in pred)
             for parts in itertools.product(*(tables[k].items() for k in kids)):
                 g = 1 + sum(g_kid for g_kid, _ in parts)
                 m = hit + sum(entry[0] for _, entry in parts)
@@ -114,7 +108,7 @@ def grammar_score(predicted: Forest | AssemblyNode, grammar: GoldGrammar) -> Sco
                     continue
                 text = head + " ".join(entry[1] for _, entry in parts) + ")"
                 if current is None or m > current[0] or text < current[1]:
-                    table[g] = (m, text, (kids, tuple(g_kid for g_kid, _ in parts)))
+                    table[g] = (m, text, (rule, kids, tuple(g_kid for g_kid, _ in parts)))
         tables.append(table)
 
     ranked = []
@@ -131,9 +125,9 @@ def grammar_score(predicted: Forest | AssemblyNode, grammar: GoldGrammar) -> Sco
         p, g = stack.pop()
         built = tables[p][g][2]
         if built is not None:
-            kids, kid_gs = built
-            if (p, kids) in hits:
-                matched.append(hits[p, kids])
+            rule, kids, kid_gs = built
+            if rule in pred:
+                matched.append(rule)
             stack.extend(zip(kids, kid_gs))
     return ScoreBreakdown(precision, recall, -neg_f1, None, frozenset(matched), text)
 
@@ -235,6 +229,16 @@ def _t_two_sided_p(t: float, df: int) -> float:
     return max(0.0, 1.0 - central)
 
 
+def _deviations(values: list[float]) -> list[float]:
+    """Deviations from the mean, less their own mean: the corrected two-pass
+    algorithm (Chan, Golub and LeVeque, 1983).  Values a few ulps apart have
+    a float mean whose rounding error is as large as their spread."""
+    mean = sum(values) / len(values)
+    deviations = [v - mean for v in values]
+    residue = sum(deviations) / len(values)
+    return [d - residue for d in deviations]
+
+
 def pearson(xs, ys) -> tuple[float, float, float]:
     """Sample Pearson correlation with a t statistic and its two-sided p
     from the t distribution (n - 2 degrees of freedom)."""
@@ -249,13 +253,13 @@ def pearson(xs, ys) -> tuple[float, float, float]:
     # away from them, leaving sxx or syy a tiny nonzero residue.
     if min(xs) == max(xs) or min(ys) == max(ys):
         raise ValueError("correlation undefined for a constant input")
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    syy = sum((y - mean_y) ** 2 for y in ys)
+    dxs = _deviations(xs)
+    dys = _deviations(ys)
+    sxx = sum(dx * dx for dx in dxs)
+    syy = sum(dy * dy for dy in dys)
     if sxx == 0 or syy == 0:
         raise ValueError("correlation undefined for a constant input")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    sxy = sum(dx * dy for dx, dy in zip(dxs, dys))
     r = max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
     if abs(r) == 1.0:
         return r, math.inf if r > 0 else -math.inf, 0.0

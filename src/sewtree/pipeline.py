@@ -339,15 +339,26 @@ def placeholder_spec(pattern_id: str, inventory) -> PatternSpec:
     return PatternSpec(pattern_id, {p: f"Piece {p}" for p in sorted(inventory)})
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file, line endings as they are.  Bytes that are
+    not UTF-8 raise an ``OSError`` naming the file: like a file that cannot
+    be opened, an I/O error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8: {exc}") from None
+
+
 def _load_json(path, from_json):
     """``from_json`` of a JSON file; errors name the file.  Text that is not
     JSON stays a ``JSONDecodeError`` (an I/O error), a bad schema a
     ``ValueError`` (a validation error)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+    try:
+        data = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
     try:
         return from_json(data)
     except ValueError as exc:

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import string
 
-from .grammar import GoldGrammar, GrammarRule
+from .grammar import GoldGrammar
 from .labels import COPY, LEFT, RIGHT, NodeLabel, PieceLabel
 from .rng import SplitMix64
-from .tree import AssemblyNode, binary, leaf, subtrees_of, unary
+from .tree import AssemblyNode, DepthOneSubtree, binary, leaf, subtrees_of, unary
 
 
 def random_inventory(rng: SplitMix64, n_pieces: int) -> list[PieceLabel]:
@@ -68,14 +68,13 @@ def random_tree(
 
 def grammar_from_trees(pattern_id: str, trees) -> GoldGrammar:
     """The grammar whose rules are exactly the depth-1 subtrees of the trees."""
-    rules: dict[GrammarRule, None] = {}
+    rules: dict[DepthOneSubtree, None] = {}
     roots: dict[NodeLabel, None] = {}
     inventory: set[PieceLabel] = set()
     for tree in trees:
         roots[tree.label] = None
         inventory.update(tree.label.pieces)
-        for st in subtrees_of(tree):
-            rules[GrammarRule(st.parent, st.children)] = None
+        rules.update(dict.fromkeys(subtrees_of(tree)))
     return GoldGrammar(pattern_id, frozenset(inventory), tuple(roots), tuple(rules))
 
 

@@ -78,6 +78,13 @@ class TestValidateGrammar:
         assert run("validate-grammar", bad) == 1
         assert "INVALID" in capsys.readouterr().out
 
+    def test_grammar_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.grammar"
+        bad.write_bytes(b"pattern: x\npieces: A B\nroots: AB\nAB -> A B # \xff\n")
+        assert run("validate-grammar", bad) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "can't decode byte 0xff" in err
+
 
 class TestExtractAndBuild:
     def test_extract(self, tmp_path, capsys):
@@ -227,16 +234,27 @@ class TestScore:
             run(*self.score_args(workspace), "--cap", "10")
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("kind", ["corpus", "specs", "refs"])
-    def test_file_that_is_not_json_is_named(self, workspace, tmp_path, capsys, kind):
+    @pytest.mark.parametrize(
+        "kind,content,message",
+        [
+            *(pytest.param(kind, b"{\n  'pattern_id': 'skirt'\n}\n", "line 2 column 3", id=kind)
+              for kind in ("corpus", "specs", "refs")),
+            *(pytest.param(kind, b'{"pattern_id": "skirt\xff"}\n', "can't decode byte 0xff",
+                           id=f"{kind}-not-utf8")
+              for kind in ("corpus", "specs", "refs")),
+        ],
+    )
+    def test_file_that_is_not_json_is_named(
+        self, workspace, tmp_path, capsys, kind, content, message
+    ):
         directory = workspace[kind] if kind != "specs" else tmp_path / "bad-specs"
         if kind == "specs":
             shutil.copytree(workspace["specs"], directory)
         bad = directory / "skirt.json"
-        bad.write_text("{\n  'pattern_id': 'skirt'\n}\n")
+        bad.write_bytes(content)
         assert run(*self.score_args(workspace, **{kind: directory})) == 2
         err = capsys.readouterr().err
-        assert str(bad) in err and "line 2 column 3" in err
+        assert str(bad) in err and message in err
 
 
 class TestInputSchema:
@@ -270,6 +288,24 @@ class TestInputSchema:
         assert code == 1
         err = capsys.readouterr().err
         assert str(bad) in err and repr(field) in err
+
+
+class TestAdapterOptions:
+    @pytest.mark.parametrize(
+        "option",
+        [("--adapter-timeout", "-1"), ("--adapter-timeout", "0"), ("--adapter-retries", "-3")],
+        ids=["negative-timeout", "zero-timeout", "negative-retries"],
+    )
+    def test_bad_value_is_rejected_not_fallen_back_from(self, capsys, option):
+        code = run(
+            "build",
+            "--doc", FIXTURES / "docs" / "skirt-demo.json",
+            "--spec", FIXTURES / "specs" / "skirt.json",
+            "--extractor", "adapter", "--adapter-url", "http://127.0.0.1:1/none",
+            "--adapter-fallback", *option,
+        )
+        assert code == 1
+        assert option[0].removeprefix("--").replace("-", " ") in capsys.readouterr().err
 
 
 class TestPermuteCli:
@@ -367,6 +403,20 @@ class TestCorrelateCli:
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         errors = self.write_csv(tmp_path / "errors.csv", ["doc_id", "errors"], [["d0", 0]])
         assert run("correlate", "--scores", tmp_path / "absent.csv", "--errors", errors) == 2
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("correlate", "--scores"), ("aggregate-ratings", "--ratings")],
+        ids=["correlate", "aggregate-ratings"],
+    )
+    def test_csv_that_is_not_utf8_is_named(self, tmp_path, capsys, command, flag):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"doc_id,n_steps,tree_f1\nd\xff,10,1.0\n")
+        errors = self.write_csv(tmp_path / "errors.csv", ["doc_id", "errors"], [["d0", 0]])
+        other = ("--errors", errors) if command == "correlate" else ("--out", tmp_path / "o.csv")
+        assert run(command, flag, bad, *other) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "can't decode byte 0xff" in err
 
 
 class TestRoundtripCli:

@@ -184,6 +184,13 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1, 2, 3, 4, 5], [25.626540053341827] * 5)
 
+    def test_exact_line_a_few_ulps_wide(self):
+        # The mean of the ys rounds to 1.0, an error as large as their spread.
+        xs = [0.0, 0.0, 0.0, 2**-52]
+        ys = [2 * x + 1 for x in xs]
+        assert pearson(xs, ys)[0] == 1.0
+        assert pearson([x + 1 for x in xs], ys)[0] == 1.0
+
     def test_too_short(self):
         with pytest.raises(ValueError):
             pearson([1, 2], [1, 2])

@@ -18,6 +18,7 @@ from sewtree.labels import (
     RIGHT,
     NodeLabel,
     PieceLabel,
+    attachment_violations,
     format_node_label,
     parse_node_label,
 )
@@ -94,10 +95,9 @@ def grammar_lines():
 @given(hs.integers(0, 2**64 - 1), hs.integers(1, 6), grammar_lines(), hs.data())
 def test_parse_grammar_rejects_or_keeps_every_rule_valid(seed, n_pieces, noise, data):
     """On a synthetic grammar file with lines added and deleted,
-    parse_grammar raises GrammarError or returns a grammar in which
-    validate_grammar finds no defect of a single rule; what it may still
-    report is a label that no rule expands or a root that misses pieces,
-    which only validate_grammar checks."""
+    parse_grammar raises GrammarError or returns a grammar whose every rule
+    is a valid assembly step over its inventory; a label that no rule
+    expands or a root that misses pieces is left to validate_grammar."""
     rng = SplitMix64(seed)
     grammar = grammar_from_trees("fuzz", [random_tree(rng, random_inventory(rng, n_pieces))])
     lines = grammar_to_text(grammar).splitlines()
@@ -111,5 +111,30 @@ def test_parse_grammar_rejects_or_keeps_every_rule_valid(seed, n_pieces, noise, 
         parsed = parse_grammar("\n".join(l for i, l in enumerate(lines) if i not in dropped))
     except GrammarError:
         return
-    global_kinds = ("no rule expands this non-leaf label", "does not cover the full piece inventory")
-    assert all(v.endswith(global_kinds) for v in validate_grammar(parsed))
+    for rule in parsed.rules:
+        assert attachment_violations(rule.parent, rule.children) == []
+        for label in (rule.parent, *rule.children):
+            assert label.piece_set <= parsed.inventory
+
+
+@given(hs.sets(piece_labels, min_size=1, max_size=6), hs.integers(1, 2), hs.data())
+def test_parse_grammar_accepts_a_rule_iff_it_is_a_valid_step(inventory, n_children, data):
+    """A one-rule grammar over labels from the inventory parses iff the
+    rule's label arithmetic holds."""
+    pieces = sorted(inventory)
+
+    def draw_label(name):
+        chosen = data.draw(hs.sets(hs.sampled_from(pieces), min_size=1), label=name)
+        return NodeLabel(tuple(sorted(chosen)), data.draw(hs.integers(0, 2), label=f"{name} counter"))
+
+    parent = draw_label("parent")
+    children = tuple(draw_label(f"child {i}") for i in range(n_children))
+    text = (f"pattern: p\npieces: {' '.join(map(str, pieces))}\nroots: S\n"
+            f"{parent} -> {' '.join(map(str, children))}\n")
+    try:
+        parse_grammar(text)
+    except GrammarError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == (attachment_violations(parent, children) == [])
