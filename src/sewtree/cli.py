@@ -75,23 +75,29 @@ def _write_json(payload, path=None) -> None:
         sys.stdout.write(text)
 
 
+def _load_keyed(paths, load, key: str) -> dict:
+    """``load`` of each file in ``paths``, by its ``key`` attribute; two
+    files with one key are a ``ConfigError`` naming both."""
+    items, origins = {}, {}
+    for path in paths:
+        item = load(path)
+        value = getattr(item, key)
+        if value in origins:
+            raise ConfigError(f"{origins[value]} and {path} have the same {key} {value!r}")
+        items[value] = item
+        origins[value] = path
+    return items
+
+
 def _load_grammar_file(path: Path):
-    try:
-        text = read_text(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read grammar {path}: {exc}") from exc
-    return parse_grammar(text)
+    return parse_grammar(read_text(path))
 
 
 def _load_grammar_dir(directory: Path) -> dict:
-    grammars = {}
     files = sorted(directory.glob("*.grammar")) + sorted(directory.glob("*.txt"))
     if not files:
         raise ConfigError(f"no grammar files in {directory}")
-    for path in files:
-        g = _load_grammar_file(path)
-        grammars[g.pattern_id] = g
-    return grammars
+    return _load_keyed(files, _load_grammar_file, "pattern_id")
 
 
 def _make_extractor(args):
@@ -165,20 +171,15 @@ def cmd_build(args) -> int:
 
 def cmd_score(args) -> int:
     corpus = Path(args.corpus)
-    docs = [load_doc(p) for p in sorted(corpus.glob("*.json"))]
-    if not docs:
+    by_id = _load_keyed(sorted(corpus.glob("*.json")), load_doc, "doc_id")
+    if not by_id:
         raise ConfigError(f"no documents in {corpus}")
-    docs.sort(key=lambda d: d.doc_id)
+    docs = [by_id[doc_id] for doc_id in sorted(by_id)]
     grammars = _load_grammar_dir(Path(args.grammars))
-    specs = {}
-    for path in sorted(Path(args.specs).glob("*.json")):
-        spec = load_spec(path)
-        specs[spec.pattern_id] = spec
+    specs = _load_keyed(sorted(Path(args.specs).glob("*.json")), load_spec, "pattern_id")
     refs = {}
     if args.refs:
-        for path in sorted(Path(args.refs).glob("*.json")):
-            ref = load_doc(path)
-            refs[ref.pattern_id] = ref
+        refs = _load_keyed(sorted(Path(args.refs).glob("*.json")), load_doc, "pattern_id")
 
     extractor = _make_extractor(args)
     checked = set()
@@ -231,18 +232,26 @@ def cmd_inject_errors(args) -> int:
     return 0
 
 
-def _read_table(path, required: tuple[str, ...]) -> list[dict]:
-    """Rows of a CSV file that must have the ``required`` columns."""
+def _read_table(path, required: tuple[str, ...], unique: str | None = None) -> list[dict]:
+    """Rows of a CSV file that must have the ``required`` columns and, if
+    given, no value twice in the column ``unique``."""
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     missing = [c for c in required if c not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"{path}: missing column {missing[0]!r}")
-    return list(reader)
+    rows = list(reader)
+    if unique is not None:
+        seen = set()
+        for row in rows:
+            if row[unique] in seen:
+                raise ValueError(f"{path}: {unique} {row[unique]!r} appears more than once")
+            seen.add(row[unique])
+    return rows
 
 
 def cmd_correlate(args) -> int:
-    scores_rows = _read_table(args.scores, ("doc_id", "n_steps"))
-    errors_rows = _read_table(args.errors, ("doc_id", "errors"))
+    scores_rows = _read_table(args.scores, ("doc_id", "n_steps"), unique="doc_id")
+    errors_rows = _read_table(args.errors, ("doc_id", "errors"), unique="doc_id")
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     results = correlate_scores(scores_rows, errors_rows, columns)
     out_columns = ["column", "n", "r", "t", "p"]

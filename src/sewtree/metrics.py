@@ -141,13 +141,10 @@ def tokenize(text: str) -> list[str]:
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
-def ngram_precisions(candidate: str, reference: str, max_n: int = 4) -> list[float]:
-    """Modified (clipped) n-gram precisions for n = 1..max_n, unsmoothed."""
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
+def _clipped_precisions(cand: list[str], ref: list[str], max_n: int) -> list[float]:
     precisions: list[float] = []
     for n in range(1, max_n + 1):
         cand_grams = _ngrams(cand, n)
@@ -155,10 +152,14 @@ def ngram_precisions(candidate: str, reference: str, max_n: int = 4) -> list[flo
         if total == 0:
             precisions.append(0.0)
             continue
-        ref_grams = _ngrams(ref, n)
-        clipped = sum(min(count, ref_grams[gram]) for gram, count in cand_grams.items())
+        clipped = sum((cand_grams & _ngrams(ref, n)).values())
         precisions.append(clipped / total)
     return precisions
+
+
+def ngram_precisions(candidate: str, reference: str, max_n: int = 4) -> list[float]:
+    """Modified (clipped) n-gram precisions for n = 1..max_n, unsmoothed."""
+    return _clipped_precisions(tokenize(candidate), tokenize(reference), max_n)
 
 
 def bleu(candidate: str, reference: str, cfg: MetricConfig = DEFAULT_METRIC_CONFIG) -> float:
@@ -168,9 +169,8 @@ def bleu(candidate: str, reference: str, cfg: MetricConfig = DEFAULT_METRIC_CONF
     ref = tokenize(reference)
     if not cand:
         return 0.0
-    precisions = ngram_precisions(candidate, reference, cfg.bleu_max_n)
     log_sum = 0.0
-    for p in precisions:
+    for p in _clipped_precisions(cand, ref, cfg.bleu_max_n):
         if p == 0.0:
             if not cfg.bleu_smoothing:
                 return 0.0
@@ -182,15 +182,22 @@ def bleu(candidate: str, reference: str, cfg: MetricConfig = DEFAULT_METRIC_CONF
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    """Length of a longest common subsequence, bit-parallel over ``b``
+    (Allison and Dix, IPL 1986; Hyyrö, AWOCA 2004).
+
+    Bit j of ``v`` is 0 where row i of the LCS table steps up at column j, so
+    the zeros of ``v`` count the LCS of ``a[:i]`` and ``b``.  Python ints
+    are as wide as ``b``: each token of ``a`` costs O(|b|/w) word operations.
+    """
+    masks: dict[str, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: str, reference: str, cfg: MetricConfig = DEFAULT_METRIC_CONFIG) -> float:

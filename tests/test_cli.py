@@ -62,8 +62,9 @@ class TestGenGold:
         code = run("gen-gold", FIXTURES / "grammars" / "pants_combined.grammar", "--cap", "3")
         assert code == 1
 
-    def test_missing_file_is_config_error(self):
+    def test_missing_file_is_config_error(self, capsys):
         assert run("gen-gold", "/nonexistent/x.grammar") == 2
+        assert capsys.readouterr().err.count("/nonexistent/x.grammar") == 1
 
 
 class TestValidateGrammar:
@@ -83,7 +84,7 @@ class TestValidateGrammar:
         bad.write_bytes(b"pattern: x\npieces: A B\nroots: AB\nAB -> A B # \xff\n")
         assert run("validate-grammar", bad) == 2
         err = capsys.readouterr().err
-        assert str(bad) in err and "can't decode byte 0xff" in err
+        assert err.count(str(bad)) == 1 and "can't decode byte 0xff" in err
 
 
 class TestExtractAndBuild:
@@ -256,6 +257,21 @@ class TestScore:
         err = capsys.readouterr().err
         assert str(bad) in err and message in err
 
+    @pytest.mark.parametrize("kind", ["corpus", "specs", "refs", "grammars"])
+    def test_two_files_with_one_key_are_rejected(self, workspace, tmp_path, capsys, kind):
+        directory = tmp_path / f"dup-{kind}"
+        shutil.copytree(workspace[kind], directory)
+        name = {"corpus": "skirt-demo.json", "specs": "skirt.json",
+                "refs": "skirt.json", "grammars": "skirt.grammar"}[kind]
+        first = directory / name
+        second = directory / f"zz-{name}"
+        shutil.copy(first, second)
+        paths = {"refs": workspace["refs"], kind: directory}
+        assert run(*self.score_args(workspace, **paths)) == 2
+        err = capsys.readouterr().err
+        assert str(first) in err and str(second) in err
+        assert not (workspace["out"] / "scores.csv").exists()
+
 
 class TestInputSchema:
     @pytest.mark.parametrize(
@@ -400,6 +416,23 @@ class TestCorrelateCli:
         err = capsys.readouterr().err
         assert str(errors) in err and "'errors'" in err
 
+    @pytest.mark.parametrize("repeated", ["scores", "errors"])
+    def test_repeated_doc_id_is_rejected(self, tmp_path, capsys, repeated):
+        scores_rows = [[f"d{i}", 10, i / 4] for i in range(3)]
+        errors_rows = [[f"d{i}", i] for i in range(3)]
+        if repeated == "scores":
+            scores_rows += [["d1", 10, 0.9]]
+        else:
+            errors_rows = [["a", i] for i in range(10)] + errors_rows
+        scores = self.write_csv(tmp_path / "scores.csv", ["doc_id", "n_steps", "tree_f1"],
+                                scores_rows)
+        errors = self.write_csv(tmp_path / "errors.csv", ["doc_id", "errors"], errors_rows)
+        assert run("correlate", "--scores", scores, "--errors", errors) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        bad, doc_id = (scores, "'d1'") if repeated == "scores" else (errors, "'a'")
+        assert str(bad) in captured.err and doc_id in captured.err
+
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         errors = self.write_csv(tmp_path / "errors.csv", ["doc_id", "errors"], [["d0", 0]])
         assert run("correlate", "--scores", tmp_path / "absent.csv", "--errors", errors) == 2
@@ -424,6 +457,16 @@ class TestRoundtripCli:
         assert run("roundtrip", "--grammars", FIXTURES / "grammars") == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 6 and "FAIL" not in out
+
+    def test_two_grammars_with_one_pattern_are_rejected(self, tmp_path, capsys):
+        grammars = tmp_path / "grammars"
+        shutil.copytree(FIXTURES / "grammars", grammars)
+        shutil.copy(grammars / "skirt.grammar", grammars / "skirt-copy.txt")
+        assert run("roundtrip", "--grammars", grammars) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(grammars / "skirt.grammar") in captured.err
+        assert str(grammars / "skirt-copy.txt") in captured.err
 
 
 class TestAggregateRatingsCli:

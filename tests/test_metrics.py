@@ -1,12 +1,14 @@
 import math
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hs
 
 from sewtree.metrics import (
     BLEU_EPSILON,
     MetricConfig,
+    _lcs_length,
     bleu,
     ngram_precisions,
     pearson,
@@ -150,6 +152,95 @@ class TestRougeL:
     @given(hs.text(alphabet="abc d", min_size=1).filter(lambda s: s.strip()))
     def test_self_similarity_one(self, text):
         assert rouge_l(text, text) == pytest.approx(1.0)
+
+
+def quadratic_lcs_length(a, b):
+    """The O(|a|·|b|) LCS table, row by row: the oracle for ``_lcs_length``."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def sliced_ngram_precisions(candidate, reference, max_n=4):
+    """Clipped n-gram precisions with one tuple slice per position: the
+    oracle for ``ngram_precisions``."""
+
+    def ngrams(tokens, n):
+        return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+    cand = tokenize(candidate)
+    ref = tokenize(reference)
+    precisions = []
+    for n in range(1, max_n + 1):
+        cand_grams = ngrams(cand, n)
+        total = sum(cand_grams.values())
+        if total == 0:
+            precisions.append(0.0)
+            continue
+        ref_grams = ngrams(ref, n)
+        clipped = sum(min(count, ref_grams[gram]) for gram, count in cand_grams.items())
+        precisions.append(clipped / total)
+    return precisions
+
+
+def sliced_bleu(candidate, reference, cfg):
+    """BLEU over :func:`sliced_ngram_precisions`: the oracle for ``bleu``."""
+    cand = tokenize(candidate)
+    ref = tokenize(reference)
+    if not cand:
+        return 0.0
+    log_sum = 0.0
+    for p in sliced_ngram_precisions(candidate, reference, cfg.bleu_max_n):
+        if p == 0.0:
+            if not cfg.bleu_smoothing:
+                return 0.0
+            p = BLEU_EPSILON
+        log_sum += math.log(p)
+    geo_mean = math.exp(log_sum / cfg.bleu_max_n)
+    brevity = 1.0 if len(cand) >= len(ref) else math.exp(1 - len(ref) / len(cand))
+    return brevity * geo_mean
+
+
+@hs.composite
+def token_pairs(draw):
+    """Two token lists over one small alphabet of Unicode tokens, each of
+    0 to 200 tokens: across the 64- and 128-bit word boundaries."""
+    alphabet = draw(hs.lists(hs.text(min_size=1, max_size=3), min_size=1, max_size=5, unique=True))
+    sides = []
+    for _ in range(2):
+        n = draw(hs.integers(0, 200))
+        sides.append(draw(hs.lists(hs.sampled_from(alphabet), min_size=n, max_size=n)))
+    return sides
+
+
+WORDS = ["sew", "the", "(A)", "(B)", "to", "itself", ".", ",", "Ärmel", "袖", "\n"]
+texts = hs.lists(hs.sampled_from(WORDS), max_size=120).map(" ".join)
+
+
+class TestFastPathsMatchReference:
+    @given(token_pairs())
+    @example([[], ["a"]])
+    @example([["a"] * 65, []])
+    @example([["x", "y"] * 64, ["y", "x"] * 65])
+    def test_lcs_length_matches_quadratic_table(self, pair):
+        a, b = pair
+        expected = quadratic_lcs_length(a, b)
+        assert _lcs_length(a, b) == expected
+        assert _lcs_length(b, a) == expected
+
+    @given(texts, texts, hs.integers(1, 6), hs.booleans())
+    def test_bleu_matches_sliced_ngrams(self, candidate, reference, max_n, smoothing):
+        cfg = MetricConfig(bleu_max_n=max_n, bleu_smoothing=smoothing)
+        assert ngram_precisions(candidate, reference, max_n) == sliced_ngram_precisions(
+            candidate, reference, max_n
+        )
+        assert bleu(candidate, reference, cfg) == sliced_bleu(candidate, reference, cfg)
 
 
 class TestPearson:

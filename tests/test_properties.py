@@ -92,29 +92,62 @@ def grammar_lines():
     return hs.lists(hs.one_of(rule, header, hs.text(max_size=12)), max_size=8)
 
 
+@hs.composite
+def perturbed_rules(draw, grammar):
+    """Rules of ``grammar`` with a counter changed, or a child replaced,
+    dropped or joined by another of its labels: every line parses and uses
+    known pieces, and most break the label arithmetic."""
+    rules = sorted(grammar.rules, key=str)
+    if not rules:
+        return []
+    labels = sorted({label for rule in rules for label in (rule.parent, *rule.children)}, key=str)
+    lines = []
+    for _ in range(draw(hs.integers(0, 4), label="perturbed rules")):
+        rule = draw(hs.sampled_from(rules))
+        nodes = [rule.parent, *rule.children]
+        change = draw(hs.sampled_from(["counter", "replace", "drop" if len(nodes) == 3 else "add"]))
+        if change == "counter":
+            at = draw(hs.integers(0, len(nodes) - 1))
+            nodes[at] = NodeLabel(nodes[at].pieces, draw(hs.integers(0, 3)))
+        elif change == "replace":
+            nodes[draw(hs.integers(0, len(nodes) - 1))] = draw(hs.sampled_from(labels))
+        elif change == "drop":
+            del nodes[draw(hs.integers(1, 2))]
+        else:
+            nodes.append(draw(hs.sampled_from(labels)))
+        lines.append(f"{nodes[0]} -> {' '.join(map(str, nodes[1:]))}")
+    return lines
+
+
 @given(hs.integers(0, 2**64 - 1), hs.integers(1, 6), grammar_lines(), hs.data())
 def test_parse_grammar_rejects_or_keeps_every_rule_valid(seed, n_pieces, noise, data):
     """On a synthetic grammar file with lines added and deleted,
     parse_grammar raises GrammarError or returns a grammar whose every rule
     is a valid assembly step over its inventory; a label that no rule
-    expands or a root that misses pieces is left to validate_grammar."""
+    expands or a root that misses pieces is left to validate_grammar.  The
+    added lines are fuzz and perturbed copies of the grammar's own rules."""
     rng = SplitMix64(seed)
     grammar = grammar_from_trees("fuzz", [random_tree(rng, random_inventory(rng, n_pieces))])
     lines = grammar_to_text(grammar).splitlines()
     assert parse_grammar("\n".join(lines)) == grammar
     assert validate_grammar(grammar) == []
 
-    for line in noise:
+    perturbed = data.draw(perturbed_rules(grammar), label="perturbed")
+    # The perturbed rules also go, alone, after the headers: among the fuzz
+    # lines most files fail on a fuzz line before any rule is checked.
+    clean = "\n".join(lines + perturbed)
+    for line in noise + perturbed:
         lines.insert(data.draw(hs.integers(0, len(lines)), label="at"), line)
     dropped = data.draw(hs.sets(hs.integers(0, len(lines) - 1)), label="dropped")
-    try:
-        parsed = parse_grammar("\n".join(l for i, l in enumerate(lines) if i not in dropped))
-    except GrammarError:
-        return
-    for rule in parsed.rules:
-        assert attachment_violations(rule.parent, rule.children) == []
-        for label in (rule.parent, *rule.children):
-            assert label.piece_set <= parsed.inventory
+    for text in ("\n".join(l for i, l in enumerate(lines) if i not in dropped), clean):
+        try:
+            parsed = parse_grammar(text)
+        except GrammarError:
+            continue
+        for rule in parsed.rules:
+            assert attachment_violations(rule.parent, rule.children) == []
+            for label in (rule.parent, *rule.children):
+                assert label.piece_set <= parsed.inventory
 
 
 @given(hs.sets(piece_labels, min_size=1, max_size=6), hs.integers(1, 2), hs.data())
