@@ -90,7 +90,11 @@ def _load_keyed(paths, load, key: str) -> dict:
 
 
 def _load_grammar_file(path: Path):
-    return parse_grammar(read_text(path))
+    text = read_text(path)
+    try:
+        return parse_grammar(text)
+    except GrammarError as exc:
+        raise GrammarError(f"{path}: {exc}") from exc
 
 
 def _load_grammar_dir(directory: Path) -> dict:
@@ -140,8 +144,11 @@ def cmd_gen_gold(args) -> int:
 def cmd_validate_grammar(args) -> int:
     failed = False
     for path in args.grammars:
-        grammar = _load_grammar_file(Path(path))
-        violations = validate_grammar(grammar)
+        text = read_text(path)
+        try:
+            violations = validate_grammar(parse_grammar(text))
+        except GrammarError as exc:
+            violations = [str(exc)]
         if violations:
             failed = True
             print(f"{path}: INVALID")

@@ -55,12 +55,8 @@ def score_document(
         raise ValueError(f"document {doc.doc_id} has no steps")
     extractions = extract_document(doc, spec, extractor)
     report = build_forest(doc, extractions, spec)
-    if isinstance(gold, GoldGrammar):
-        breakdown = grammar_score(report.forest, gold)
-        best_gold_tree = breakdown.best_gold_tree
-    else:
-        breakdown = tree_score(report.forest, gold)
-        best_gold_tree = canonical_serialize(gold[breakdown.best_gold_index])
+    scorer = grammar_score if isinstance(gold, GoldGrammar) else tree_score
+    breakdown = scorer(report.forest, gold)
     row = {
         "doc_id": doc.doc_id,
         "pattern_id": doc.pattern_id,
@@ -68,7 +64,7 @@ def score_document(
         "tree_f1": breakdown.f1,
         "tree_precision": breakdown.precision,
         "tree_recall": breakdown.recall,
-        "best_gold_tree": best_gold_tree,
+        "best_gold_tree": breakdown.best_gold_tree,
         "bleu": bleu(join_steps(doc), join_steps(reference), cfg) if reference else None,
         "rouge_l": rouge_l(join_steps(doc), join_steps(reference), cfg) if reference else None,
         "diagnostics_count": len(report.diagnostics),

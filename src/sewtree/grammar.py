@@ -27,6 +27,7 @@ from .labels import (
     NodeLabel,
     PieceLabel,
     attachment_violations,
+    child_order_key,
     parse_node_label,
     parse_piece_label,
 )
@@ -170,7 +171,7 @@ def parse_grammar(text: str) -> GoldGrammar:
                     raise GrammarError(f"line {lineno}: unknown pieces {names}")
             # Child order in the file is presentational; canonicalize it.
             if len(children) == 2:
-                children.sort(key=lambda l: l.pieces[0].sort_key())
+                children.sort(key=child_order_key)
             rule = DepthOneSubtree(parent, tuple(children))
             problems = attachment_violations(rule.parent, rule.children)
             if problems:

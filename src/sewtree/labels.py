@@ -162,6 +162,12 @@ def merge_labels(a: NodeLabel, b: NodeLabel) -> NodeLabel:
     return NodeLabel(pieces, max(a.self_attach, b.self_attach))
 
 
+def child_order_key(label: NodeLabel) -> tuple[str, int, int]:
+    """Sort key that puts the two children of a merge in canonical order:
+    by their first piece."""
+    return label.pieces[0].sort_key()
+
+
 def bump_self_attach(a: NodeLabel) -> NodeLabel:
     """Label after sewing the component to itself once."""
     return NodeLabel(a.pieces, a.self_attach + 1)

@@ -7,10 +7,10 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .grammar import GoldGrammar
-from .tree import AssemblyNode, DepthOneSubtree, Forest, depth_one_subtrees
+from .tree import AssemblyNode, DepthOneSubtree, Forest, canonical_serialize, depth_one_subtrees
 
 BLEU_EPSILON = 1e-9
 
@@ -36,7 +36,6 @@ class ScoreBreakdown:
     precision: float
     recall: float
     f1: float
-    best_gold_index: int | None = None
     matched: frozenset[DepthOneSubtree] = frozenset()
     best_gold_tree: str | None = None
 
@@ -54,22 +53,20 @@ def subtree_f1(predicted: Forest | AssemblyNode, gold: AssemblyNode) -> ScoreBre
     matched = pred & gold_set
     precision = len(matched) / len(pred) if pred else 0.0
     recall = len(matched) / len(gold_set) if gold_set else 0.0
-    return ScoreBreakdown(precision, recall, _f1(precision, recall), None, frozenset(matched))
+    return ScoreBreakdown(precision, recall, _f1(precision, recall), frozenset(matched))
 
 
 def tree_score(predicted: Forest | AssemblyNode, gold_set) -> ScoreBreakdown:
-    """The best subtree F1 over all gold trees; ties go to the lowest index."""
-    gold_list = list(gold_set)
-    if not gold_list:
-        raise ValueError("gold set must be non-empty")
+    """The best subtree F1 over all gold trees; ties go to the lowest index.
+    ``best_gold_tree`` holds the best tree's canonical serialization."""
     best: ScoreBreakdown | None = None
-    for index, gold in enumerate(gold_list):
+    for gold in gold_set:
         breakdown = subtree_f1(predicted, gold)
         if best is None or breakdown.f1 > best.f1:
-            best = ScoreBreakdown(
-                breakdown.precision, breakdown.recall, breakdown.f1, index, breakdown.matched
-            )
-    return best
+            best, best_tree = breakdown, gold
+    if best is None:
+        raise ValueError("gold set must be non-empty")
+    return replace(best, best_gold_tree=canonical_serialize(best_tree))
 
 
 def grammar_score(predicted: Forest | AssemblyNode, grammar: GoldGrammar) -> ScoreBreakdown:
@@ -129,7 +126,7 @@ def grammar_score(predicted: Forest | AssemblyNode, grammar: GoldGrammar) -> Sco
             if rule in pred:
                 matched.append(rule)
             stack.extend(zip(kids, kid_gs))
-    return ScoreBreakdown(precision, recall, -neg_f1, None, frozenset(matched), text)
+    return ScoreBreakdown(precision, recall, -neg_f1, frozenset(matched), text)
 
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")

@@ -16,17 +16,18 @@ from .labels import (
     LabelError,
     NodeLabel,
     PieceLabel,
+    bump_self_attach,
+    child_order_key,
+    merge_labels,
     parse_piece_label,
 )
 from .tree import (
     AssemblyNode,
     DepthOneSubtree,
     Forest,
-    binary,
     canonical_serialize,
     forest_to_json,
     leaf,
-    unary,
 )
 
 
@@ -139,20 +140,15 @@ _SENTENCE_SPLIT_RE = re.compile(r"[.!?;]")
 _WORD_RE = re.compile(r"[a-z]+")
 
 
-def _has_attachment_verb(sentence: str, verbs: frozenset[str]) -> bool:
+def _has_attachment_verb(sentence: str) -> bool:
     for word in _WORD_RE.findall(sentence.lower()):
-        for verb in verbs:
+        for verb in DEFAULT_ATTACHMENT_VERBS:
             if word.startswith(verb):
                 return True
     return False
 
 
-def extract_pieces_rule_based(
-    step: str,
-    spec: PatternSpec,
-    step_index: int = 0,
-    verbs: frozenset[str] = DEFAULT_ATTACHMENT_VERBS,
-) -> StepExtraction:
+def extract_pieces_rule_based(step: str, spec: PatternSpec, step_index: int = 0) -> StepExtraction:
     """Collect parenthesized piece labels from a step, gated by attachment verbs.
 
     Mentions only count when some sentence contains both a known piece label
@@ -176,7 +172,7 @@ def extract_pieces_rule_based(
                     mentions.append(piece)
             elif token not in unknown:
                 unknown.append(token)
-        if sentence_has_mention and _has_attachment_verb(sentence, verbs):
+        if sentence_has_mention and _has_attachment_verb(sentence):
             gate_open = True
     if gate_open:
         return StepExtraction(step_index, tuple(mentions), tuple(unknown))
@@ -197,61 +193,34 @@ def extractions_to_json(doc: InstructionDoc, extractions: list[StepExtraction]) 
     }
 
 
-class AssemblyState:
-    """Mutable build state: which component currently contains each piece."""
+def resolve_components(
+    x: StepExtraction, component_of: dict[PieceLabel, NodeLabel]
+) -> list[NodeLabel]:
+    """Map each mention to its containing component, then deduplicate.
 
-    def __init__(self) -> None:
-        self.component_of: dict[PieceLabel, NodeLabel] = {}
-        self.built: dict[NodeLabel, AssemblyNode] = {}
-
-    def node_for(self, label: NodeLabel) -> AssemblyNode:
-        node = self.built.get(label)
-        if node is None:
-            if len(label.pieces) != 1 or label.self_attach != 0:
-                raise ValueError(f"component {label} was never built")
-            node = leaf(label.pieces[0])
-            self.built[label] = node
-        return node
-
-    def current_components(self) -> list[NodeLabel]:
-        return list(dict.fromkeys(self.component_of.values()))
-
-
-def resolve_components(x: StepExtraction, state: AssemblyState) -> list[NodeLabel]:
-    """Map each mention to its containing component, then deduplicate."""
+    ``component_of`` maps each piece attached so far to the label of the
+    component that now contains it; an unattached piece is its own leaf.
+    """
     resolved: list[NodeLabel] = []
     for piece in x.mentions:
-        label = state.component_of.get(piece, NodeLabel((piece,), 0))
+        label = component_of.get(piece, NodeLabel((piece,), 0))
         if label not in resolved:
             resolved.append(label)
     return resolved
 
 
 def apply_step(
-    state: AssemblyState, resolved: list[NodeLabel], step_index: int
+    component_of: dict[PieceLabel, NodeLabel], resolved: list[NodeLabel], step_index: int
 ) -> tuple[list[DepthOneSubtree], list[Diagnostic]]:
-    """Fold one step's resolved components into the state.
+    """Fold one step's resolved components into ``component_of``.
 
     One component self-attaches, two merge, three or more left-fold into a
-    chain of merges with a diagnostic.  Mutates ``state``.
+    chain of merges with a diagnostic.  Mutates ``component_of``.
     """
     subtrees: list[DepthOneSubtree] = []
     diagnostics: list[Diagnostic] = []
     if not resolved:
         return subtrees, diagnostics
-
-    def register(node: AssemblyNode) -> None:
-        state.built[node.label] = node
-        for piece in node.label.pieces:
-            state.component_of[piece] = node.label
-
-    if len(resolved) == 1:
-        child = state.node_for(resolved[0])
-        node = unary(child)
-        register(node)
-        subtrees.append(DepthOneSubtree(node.label, (child.label,)))
-        return subtrees, diagnostics
-
     if len(resolved) > 2:
         diagnostics.append(
             Diagnostic(
@@ -260,23 +229,27 @@ def apply_step(
                 f"{len(resolved)} components in one step, folding left to right",
             )
         )
-    acc = state.node_for(resolved[0])
+    acc = resolved[0]
+    if len(resolved) == 1:
+        acc = bump_self_attach(acc)
+        subtrees.append(DepthOneSubtree(acc, (resolved[0],)))
     for label in resolved[1:]:
-        other = state.node_for(label)
-        node = binary(acc, other)
-        subtrees.append(DepthOneSubtree(node.label, tuple(c.label for c in node.children)))
-        acc = node
-    register(acc)
+        children = tuple(sorted((acc, label), key=child_order_key))
+        acc = merge_labels(acc, label)
+        subtrees.append(DepthOneSubtree(acc, children))
+    for piece in acc.pieces:
+        component_of[piece] = acc
     return subtrees, diagnostics
 
 
 def build_forest(
     doc: InstructionDoc, extractions: list[StepExtraction], spec: PatternSpec
 ) -> BuildReport:
-    """Thread the state through all steps and assemble the predicted forest."""
+    """Fold the steps into depth-1 subtrees, then assemble the predicted
+    forest from them."""
     if len(extractions) != len(doc.steps):
         raise ValueError("one extraction per step required")
-    state = AssemblyState()
+    component_of: dict[PieceLabel, NodeLabel] = {}
     trace: list[tuple[int, DepthOneSubtree]] = []
     diagnostics: list[Diagnostic] = []
     for x in extractions:
@@ -293,14 +266,20 @@ def build_forest(
             diagnostics.append(
                 Diagnostic(x.step_index, "adapter-fallback", "adapter failed, used rule-based extraction")
             )
-        resolved = resolve_components(x, state)
-        subtrees, step_diags = apply_step(state, resolved, x.step_index)
+        resolved = resolve_components(x, component_of)
+        subtrees, step_diags = apply_step(component_of, resolved, x.step_index)
         trace.extend((x.step_index, st) for st in subtrees)
         diagnostics.extend(step_diags)
 
-    roots = [state.built[label] for label in state.current_components()]
-    touched = set(state.component_of)
-    roots.extend(leaf(p) for p in sorted(spec.inventory) if p not in touched)
+    # The trace lists children before parents and each label is the child
+    # of at most one subtree, so its one parent pops each built child; the
+    # nodes left over are the roots.
+    nodes: dict[NodeLabel, AssemblyNode] = {}
+    for _, st in trace:
+        kids = tuple(nodes.pop(c) if c in nodes else AssemblyNode(c) for c in st.children)
+        nodes[st.parent] = AssemblyNode(st.parent, kids)
+    roots = list(nodes.values())
+    roots.extend(leaf(p) for p in sorted(spec.inventory) if p not in component_of)
     roots.sort(key=canonical_serialize)
     return BuildReport(Forest(tuple(roots)), tuple(trace), tuple(diagnostics))
 

@@ -17,6 +17,7 @@ from .labels import (
     PieceLabel,
     attachment_violations,
     bump_self_attach,
+    child_order_key,
     merge_labels,
     parse_node_label,
 )
@@ -38,9 +39,11 @@ class AssemblyNode:
 
     def walk(self):
         """Yield this node and all descendants, parent first."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 def leaf(piece: PieceLabel) -> AssemblyNode:
@@ -55,7 +58,7 @@ def unary(child: AssemblyNode) -> AssemblyNode:
 def binary(a: AssemblyNode, b: AssemblyNode) -> AssemblyNode:
     """Attachment node joining two disjoint components, children in canonical order."""
     label = merge_labels(a.label, b.label)
-    children = tuple(sorted((a, b), key=lambda n: n.label.pieces[0].sort_key()))
+    children = tuple(sorted((a, b), key=lambda n: child_order_key(n.label)))
     return AssemblyNode(label, children)
 
 
@@ -104,7 +107,7 @@ def _check_node(node: AssemblyNode, out: list[Violation]) -> None:
         kids = tuple(c.label for c in node.children)
         for kind, detail in attachment_violations(node.label, kids):
             out.append(Violation(name, kind, detail))
-        if len(kids) == 2 and kids[0].pieces[0].sort_key() > kids[1].pieces[0].sort_key():
+        if len(kids) == 2 and child_order_key(kids[0]) > child_order_key(kids[1]):
             out.append(Violation(name, "child-order", "children out of canonical order"))
     for child in node.children:
         _check_node(child, out)
@@ -153,11 +156,21 @@ def depth_one_subtrees(forest: Forest | AssemblyNode) -> frozenset[DepthOneSubtr
 
 
 def canonical_serialize(root: AssemblyNode) -> str:
-    """Deterministic bracket form; equal trees have equal serializations."""
-    if root.is_leaf():
-        return str(root.label)
-    inner = " ".join(canonical_serialize(c) for c in root.children)
-    return f"({root.label} {inner})"
+    """Deterministic bracket form; equal trees have equal serializations.
+    Iterative, so a tree of any depth serializes."""
+    tokens: list[str] = []
+    stack: list = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            tokens[-1] += item  # a node's ")" closes its last token
+        elif item.children:
+            tokens.append(f"({item.label}")
+            stack.append(")")
+            stack.extend(reversed(item.children))
+        else:
+            tokens.append(str(item.label))
+    return " ".join(tokens)
 
 
 _TOKEN_RE = re.compile(r"[()]|[^\s()]+")

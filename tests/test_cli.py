@@ -52,6 +52,23 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+UNPARSABLE_MESSAGE = "line 4: AB -> A A: children share pieces"
+
+
+def write_unparsable_grammar(directory: Path) -> Path:
+    """A grammar file whose fourth line fails to parse with UNPARSABLE_MESSAGE."""
+    path = directory / "bad.grammar"
+    path.write_text("pattern: bad\npieces: A B\nroots: AB\nAB -> A A\n")
+    return path
+
+
+def grammars_with_an_unparsable_one(tmp_path: Path) -> tuple[Path, Path]:
+    """The fixture grammars plus an unparsable one: (directory, bad file)."""
+    grammars = tmp_path / "grammars"
+    shutil.copytree(FIXTURES / "grammars", grammars)
+    return grammars, write_unparsable_grammar(grammars)
+
+
 class TestGenGold:
     def test_skirt(self, tmp_path, capsys):
         assert run("gen-gold", FIXTURES / "grammars" / "skirt.grammar") == 0
@@ -66,6 +83,11 @@ class TestGenGold:
         assert run("gen-gold", "/nonexistent/x.grammar") == 2
         assert capsys.readouterr().err.count("/nonexistent/x.grammar") == 1
 
+    def test_unparsable_grammar_is_named(self, tmp_path, capsys):
+        bad = write_unparsable_grammar(tmp_path)
+        assert run("gen-gold", bad) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {UNPARSABLE_MESSAGE}\n"
+
 
 class TestValidateGrammar:
     def test_fixtures_ok(self, capsys):
@@ -79,12 +101,29 @@ class TestValidateGrammar:
         assert run("validate-grammar", bad) == 1
         assert "INVALID" in capsys.readouterr().out
 
+    def test_unparsable_grammar_is_invalid_and_the_rest_are_checked(self, tmp_path, capsys):
+        skirt = FIXTURES / "grammars" / "skirt.grammar"
+        bad = write_unparsable_grammar(tmp_path)
+        assert run("validate-grammar", skirt, bad, skirt) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            f"{skirt}: OK\n{bad}: INVALID\n  {UNPARSABLE_MESSAGE}\n{skirt}: OK\n"
+        )
+        assert captured.err == ""
+
     def test_grammar_that_is_not_utf8_is_named(self, tmp_path, capsys):
         bad = tmp_path / "bad.grammar"
         bad.write_bytes(b"pattern: x\npieces: A B\nroots: AB\nAB -> A B # \xff\n")
         assert run("validate-grammar", bad) == 2
         err = capsys.readouterr().err
         assert err.count(str(bad)) == 1 and "can't decode byte 0xff" in err
+
+
+def deep_skirt_doc(n_steps: int) -> dict:
+    """One merge, then ``n_steps - 1`` self-attachments of the merged panels."""
+    steps = ["Sew the Over Skirt (A) to the Under Skirt (B)."]
+    steps += ["Sew the component containing the Over Skirt (A) to itself."] * (n_steps - 1)
+    return {"pattern_id": "skirt", "doc_id": "deep", "steps": steps}
 
 
 class TestExtractAndBuild:
@@ -111,6 +150,16 @@ class TestExtractAndBuild:
         )
         payload = json.loads(capsys.readouterr().out)
         assert payload["forest"]["trees"] == ["(ABC_1 (AB_1 (AB A B)) C)"]
+
+    def test_thousand_step_document(self, tmp_path, capsys):
+        # Deeper than the interpreter's recursion limit.
+        doc = tmp_path / "deep.json"
+        doc.write_text(json.dumps(deep_skirt_doc(1000)))
+        assert run("build", "--doc", doc, "--spec", FIXTURES / "specs" / "skirt.json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        (tree,) = payload["forest"]["trees"]
+        assert tree.startswith("(AB_999 (AB_998 ") and tree.endswith(" (AB A B)" + ")" * 999)
+        assert payload["forest"]["isolated_leaves"] == ["C"]
 
 
 class TestScore:
@@ -229,6 +278,23 @@ class TestScore:
         (grammars / "skirt.grammar").write_text("pattern: skirt\npieces: A B C\nroots: AB\nAB -> A B\n")
         assert run(*self.score_args(workspace, grammars=grammars)) == 1
         assert "invalid grammar: root AB" in capsys.readouterr().err
+
+    def test_thousand_step_document(self, workspace, capsys):
+        # Deeper than the interpreter's recursion limit.
+        (workspace["corpus"] / "skirt-demo.json").unlink()
+        (workspace["corpus"] / "deep.json").write_text(json.dumps(deep_skirt_doc(1000)))
+        assert run(*self.score_args(workspace)) == 0, capsys.readouterr().err
+        with open(workspace["out"] / "scores.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        # AB -> A B and AB_1 -> AB match, of 1,000 predicted and 3 gold rules.
+        assert (row["n_steps"], row["tree_precision"], row["tree_recall"]) == (
+            "1000", "0.002000", "0.666667"
+        )
+
+    def test_unparsable_grammar_is_named(self, workspace, tmp_path, capsys):
+        grammars, bad = grammars_with_an_unparsable_one(tmp_path)
+        assert run(*self.score_args(workspace, grammars=grammars)) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {UNPARSABLE_MESSAGE}\n"
 
     def test_cap_option_removed(self, workspace):
         with pytest.raises(SystemExit) as exc:
@@ -467,6 +533,13 @@ class TestRoundtripCli:
         assert captured.out == ""
         assert str(grammars / "skirt.grammar") in captured.err
         assert str(grammars / "skirt-copy.txt") in captured.err
+
+    def test_unparsable_grammar_is_named(self, tmp_path, capsys):
+        grammars, bad = grammars_with_an_unparsable_one(tmp_path)
+        assert run("roundtrip", "--grammars", grammars) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: {UNPARSABLE_MESSAGE}\n"
 
 
 class TestAggregateRatingsCli:

@@ -61,12 +61,18 @@ class TestTreeScore:
         ]
         pred = parse_serialized(SKIRT)
         b = tree_score(pred, golds)
-        assert b.f1 == 1.0 and b.best_gold_index == 1
+        assert b.f1 == 1.0 and b.best_gold_tree == SKIRT
 
     def test_tie_lowest_index(self):
-        golds = [parse_serialized("(AB A B)"), parse_serialized("(AB A B)")]
-        b = tree_score(parse_serialized("(AB A B)"), golds)
-        assert b.best_gold_index == 0
+        # Each gold tree matches one of the two predicted subtrees in three
+        # rules (F1 = 0.4); the first listed wins, not the smaller text.
+        pred = Forest((parse_serialized("(AB A B)"), parse_serialized("(CD C D)")))
+        first = "(ABCD A (BCD B (CD C D)))"
+        second = "(ABCD (ABC (AB A B) C) D)"
+        for golds in ([first, second], [second, first]):
+            b = tree_score(pred, [parse_serialized(t) for t in golds])
+            assert b.f1 == 0.4
+            assert b.best_gold_tree == golds[0]
 
     def test_adding_gold_never_decreases(self):
         pred = parse_serialized(SKIRT)

@@ -4,12 +4,15 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from sewtree.adapter import AdapterConfig, AdapterError, extract_via_adapter
 from sewtree.grammar import enumerate_gold_trees
-from sewtree.labels import parse_node_label, parse_piece_label
+from sewtree.labels import NodeLabel, PieceLabel, parse_node_label, parse_piece_label
 from sewtree.pipeline import (
-    AssemblyState,
+    BuildReport,
+    Diagnostic,
     InstructionDoc,
     PatternSpec,
     StepExtraction,
@@ -21,7 +24,17 @@ from sewtree.pipeline import (
     placeholder_spec,
     resolve_components,
 )
-from sewtree.tree import canonical_serialize, depth_one_subtrees, glue_subtrees
+from sewtree.tree import (
+    AssemblyNode,
+    DepthOneSubtree,
+    Forest,
+    binary,
+    canonical_serialize,
+    depth_one_subtrees,
+    glue_subtrees,
+    leaf,
+    unary,
+)
 
 from conftest import GRAMMAR_NAMES, load_grammar
 
@@ -81,25 +94,25 @@ class TestRuleBasedExtraction:
 
 class TestResolveComponents:
     def test_identity_on_fresh_state(self):
-        state = AssemblyState()
+        state = {}
         x = StepExtraction(0, (P("A"), P("B")))
         assert resolve_components(x, state) == [N("A"), N("B")]
 
     def test_resolution_then_dedup(self):
-        state = AssemblyState()
+        state = {}
         apply_step(state, [N("A"), N("B")], 0)
         x = StepExtraction(1, (P("A"), P("B")))
         assert resolve_components(x, state) == [N("AB")]
 
     def test_mixed_resolution(self):
-        state = AssemblyState()
+        state = {}
         apply_step(state, [N("A"), N("B")], 0)
         apply_step(state, [N("AB")], 1)
         x = StepExtraction(2, (P("C"), P("A"), P("B")))
         assert resolve_components(x, state) == [N("C"), N("AB_1")]
 
     def test_idempotent_on_component_labels(self):
-        state = AssemblyState()
+        state = {}
         apply_step(state, [N("A"), N("B")], 0)
         x = StepExtraction(1, (P("A"),))
         resolved = resolve_components(x, state)
@@ -108,25 +121,25 @@ class TestResolveComponents:
 
 class TestApplyStep:
     def test_binary(self):
-        state = AssemblyState()
+        state = {}
         subtrees, diags = apply_step(state, [N("A"), N("B")], 0)
         assert [str(s) for s in subtrees] == ["AB -> A B"]
         assert diags == []
-        assert state.component_of[P("A")] == N("AB")
+        assert state[P("A")] == N("AB")
 
     def test_unary(self):
-        state = AssemblyState()
+        state = {}
         apply_step(state, [N("A"), N("B")], 0)
         subtrees, _ = apply_step(state, [N("AB")], 1)
         assert [str(s) for s in subtrees] == ["AB_1 -> AB"]
 
     def test_empty(self):
-        state = AssemblyState()
+        state = {}
         subtrees, diags = apply_step(state, [], 0)
         assert subtrees == [] and diags == []
 
     def test_three_components_fold_with_diagnostic(self):
-        state = AssemblyState()
+        state = {}
         subtrees, diags = apply_step(state, [N("A"), N("B"), N("C")], 0)
         assert [str(s) for s in subtrees] == ["AB -> A B", "ABC -> AB C"]
         assert [d.kind for d in diags] == ["multi-component"]
@@ -167,6 +180,130 @@ class TestBuildForest:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+class ReferenceState:
+    """The reference build: it keeps the tree node of every component built
+    so far, next to which component contains each piece."""
+
+    def __init__(self) -> None:
+        self.component_of: dict[PieceLabel, NodeLabel] = {}
+        self.built: dict[NodeLabel, AssemblyNode] = {}
+
+    def node_for(self, label: NodeLabel) -> AssemblyNode:
+        node = self.built.get(label)
+        if node is None:
+            if len(label.pieces) != 1 or label.self_attach != 0:
+                raise ValueError(f"component {label} was never built")
+            node = leaf(label.pieces[0])
+            self.built[label] = node
+        return node
+
+    def apply_step(self, resolved, step_index):
+        subtrees, diagnostics = [], []
+        if not resolved:
+            return subtrees, diagnostics
+
+        def register(node: AssemblyNode) -> None:
+            self.built[node.label] = node
+            for piece in node.label.pieces:
+                self.component_of[piece] = node.label
+
+        if len(resolved) == 1:
+            child = self.node_for(resolved[0])
+            node = unary(child)
+            register(node)
+            subtrees.append(DepthOneSubtree(node.label, (child.label,)))
+            return subtrees, diagnostics
+        if len(resolved) > 2:
+            diagnostics.append(
+                Diagnostic(
+                    step_index,
+                    "multi-component",
+                    f"{len(resolved)} components in one step, folding left to right",
+                )
+            )
+        acc = self.node_for(resolved[0])
+        for label in resolved[1:]:
+            node = binary(acc, self.node_for(label))
+            subtrees.append(DepthOneSubtree(node.label, tuple(c.label for c in node.children)))
+            acc = node
+        register(acc)
+        return subtrees, diagnostics
+
+
+def reference_build_forest(extractions, spec) -> BuildReport:
+    """``build_forest`` as it was when it built the tree nodes step by step."""
+    state = ReferenceState()
+    trace, diagnostics = [], []
+    for x in extractions:
+        for token in x.unknown:
+            diagnostics.append(
+                Diagnostic(x.step_index, "unknown-label", f"({token}) is not in the inventory")
+            )
+        if x.dropped:
+            names = ", ".join(str(p) for p in x.dropped)
+            diagnostics.append(
+                Diagnostic(x.step_index, "no-attachment-verb", f"ignored mentions [{names}]")
+            )
+        if x.source == "fallback":
+            diagnostics.append(
+                Diagnostic(x.step_index, "adapter-fallback", "adapter failed, used rule-based extraction")
+            )
+        resolved = []
+        for piece in x.mentions:
+            label = state.component_of.get(piece, NodeLabel((piece,), 0))
+            if label not in resolved:
+                resolved.append(label)
+        subtrees, step_diags = state.apply_step(resolved, x.step_index)
+        trace.extend((x.step_index, st) for st in subtrees)
+        diagnostics.extend(step_diags)
+    components = dict.fromkeys(state.component_of.values())
+    roots = [state.built[label] for label in components]
+    roots.extend(leaf(p) for p in sorted(spec.inventory) if p not in state.component_of)
+    roots.sort(key=canonical_serialize)
+    return BuildReport(Forest(tuple(roots)), tuple(trace), tuple(diagnostics))
+
+
+@hs.composite
+def extraction_sequences(draw):
+    """A 2-7 piece spec and one extraction per step.  Steps may be empty,
+    mention a piece twice or several pieces of one component (which then
+    self-attaches, leaf or not), or join three or more components; some
+    carry unknown tokens, dropped mentions or an adapter fallback."""
+    letters = draw(hs.sets(hs.sampled_from("ABCDEFG"), min_size=2, max_size=7))
+    pieces = [PieceLabel(letter) for letter in sorted(letters)]
+    extractions = []
+    for index in range(draw(hs.integers(0, 12))):
+        extractions.append(StepExtraction(
+            index,
+            tuple(draw(hs.lists(hs.sampled_from(pieces), max_size=len(pieces) + 1))),
+            tuple(draw(hs.lists(hs.sampled_from(["Q", "Z9", "Xl"]), max_size=2))),
+            tuple(draw(hs.lists(hs.sampled_from(pieces), max_size=2))),
+            draw(hs.sampled_from(["rule", "adapter", "fallback"])),
+        ))
+    return placeholder_spec("p", pieces), extractions
+
+
+class TestBuildMatchesReference:
+    @given(extraction_sequences())
+    def test_random_extraction_sequences(self, case):
+        spec, extractions = case
+        doc = InstructionDoc("p", "d", ("",) * len(extractions))
+        report = build_forest(doc, extractions, spec)
+        reference = reference_build_forest(extractions, spec)
+        assert report.forest == reference.forest
+        assert report.subtree_trace == reference.subtree_trace
+        assert report.diagnostics == reference.diagnostics
+
+    @pytest.mark.parametrize("name", GRAMMAR_NAMES)
+    def test_linearized_gold_trees(self, name):
+        grammar = load_grammar(name)
+        spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
+        for tree in enumerate_gold_trees(grammar):
+            doc = linearize_gold_tree(tree, spec)
+            extractions = extract_document(doc, spec)
+            assert build_forest(doc, extractions, spec) == reference_build_forest(extractions, spec)
 
 
 class TestLinearization:

@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from sewtree.labels import parse_node_label, parse_piece_label
+from sewtree.rng import SplitMix64
+from sewtree.synth import random_inventory, random_tree
 from sewtree.tree import (
     AssemblyNode,
     DepthOneSubtree,
@@ -101,6 +105,40 @@ class TestSerialization:
     def test_malformed(self, bad):
         with pytest.raises(TreeError):
             parse_serialized(bad)
+
+
+def recursive_walk(node):
+    """The recursive preorder walk: the reference for ``AssemblyNode.walk``."""
+    yield node
+    for child in node.children:
+        yield from recursive_walk(child)
+
+
+def recursive_serialize(root):
+    """The recursive bracket form: the reference for ``canonical_serialize``."""
+    if root.is_leaf():
+        return str(root.label)
+    inner = " ".join(recursive_serialize(c) for c in root.children)
+    return f"({root.label} {inner})"
+
+
+@given(
+    hs.integers(0, 2**64 - 1),
+    hs.integers(1, 10),
+    hs.integers(0, 80),
+    hs.booleans(),
+    hs.integers(0, 150),
+)
+def test_walk_and_serialize_match_recursive_reference(seed, n_pieces, unary_percent, chain, extra):
+    """Same preorder and same bytes as the recursive versions, on random
+    trees with unary chains inside (``unary_percent``) and on top (``extra``
+    more self-attachments of the root)."""
+    rng = SplitMix64(seed)
+    tree = random_tree(rng, random_inventory(rng, n_pieces), unary_percent, chain=chain)
+    for _ in range(extra):
+        tree = unary(tree)
+    assert [id(n) for n in tree.walk()] == [id(n) for n in recursive_walk(tree)]
+    assert canonical_serialize(tree) == recursive_serialize(tree)
 
 
 class TestGlue:
