@@ -14,7 +14,6 @@ from .labels import (
 from .tree import (
     AssemblyNode,
     DepthOneSubtree,
-    Forest,
     TreeError,
     canonical_serialize,
     depth_one_subtrees,

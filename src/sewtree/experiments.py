@@ -10,9 +10,6 @@ from dataclasses import dataclass
 from .grammar import DEFAULT_CAP, GoldGrammar, enumerate_gold_trees
 from .labels import LabelError, PieceLabel, parse_piece_label
 from .metrics import (
-    DEFAULT_METRIC_CONFIG,
-    MetricConfig,
-    ScoreBreakdown,
     bleu,
     grammar_score,
     pearson,
@@ -43,7 +40,6 @@ def score_document(
     spec: PatternSpec,
     reference: InstructionDoc | None = None,
     extractor=None,
-    cfg: MetricConfig = DEFAULT_METRIC_CONFIG,
 ) -> tuple[dict, BuildReport]:
     """One scores-CSV row (as a dict) plus the underlying build report.
 
@@ -56,7 +52,7 @@ def score_document(
     extractions = extract_document(doc, spec, extractor)
     report = build_forest(doc, extractions, spec)
     scorer = grammar_score if isinstance(gold, GoldGrammar) else tree_score
-    breakdown = scorer(report.forest, gold)
+    breakdown = scorer(report.subtrees(), gold)
     row = {
         "doc_id": doc.doc_id,
         "pattern_id": doc.pattern_id,
@@ -65,8 +61,8 @@ def score_document(
         "tree_precision": breakdown.precision,
         "tree_recall": breakdown.recall,
         "best_gold_tree": breakdown.best_gold_tree,
-        "bleu": bleu(join_steps(doc), join_steps(reference), cfg) if reference else None,
-        "rouge_l": rouge_l(join_steps(doc), join_steps(reference), cfg) if reference else None,
+        "bleu": bleu(join_steps(doc), join_steps(reference)) if reference else None,
+        "rouge_l": rouge_l(join_steps(doc), join_steps(reference)) if reference else None,
         "diagnostics_count": len(report.diagnostics),
     }
     return row, report
@@ -184,14 +180,14 @@ def roundtrip_grammar(
             # single-leaf gold tree linearizes to zero steps; nothing to check
             continue
         extractions = extract_document(doc, spec)
-        report = build_forest(doc, extractions, spec)
-        breakdown = grammar_score(report.forest, grammar)
+        predicted = build_forest(doc, extractions, spec).subtrees()
+        breakdown = grammar_score(predicted, grammar)
         if breakdown.f1 != 1.0:
             failures.append(
                 f"{grammar.pattern_id} tree {index} ({canonical_serialize(tree)}): "
                 f"round-trip F1 {breakdown.f1:.4f}"
             )
-        elif report.subtrees() != depth_one_subtrees(tree):
+        elif predicted != depth_one_subtrees(tree):
             failures.append(
                 f"{grammar.pattern_id} tree {index}: rebuilt subtree set differs"
             )

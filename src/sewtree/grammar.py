@@ -77,7 +77,8 @@ class GoldGrammar:
         """Built once per grammar and shared by every caller: never mutate it.
 
         Well-formed rules strictly shrink (pieces, counter), so the labels
-        form a DAG and the depth-first walk terminates.
+        form a DAG and the depth-first walk terminates.  The walk keeps its
+        own stack: a label is placed once all the children of its rules are.
         """
         by_parent: dict[NodeLabel, list[DepthOneSubtree]] = {}
         for rule in self.rules:
@@ -86,21 +87,28 @@ class GoldGrammar:
         position: dict[NodeLabel, int] = {}
         expansions: list[tuple[tuple[DepthOneSubtree, tuple[int, ...]], ...]] = []
 
-        def visit(label: NodeLabel) -> int:
-            if label not in position:
-                kids = tuple(
-                    (rule, tuple(visit(c) for c in rule.children))
-                    for rule in by_parent.get(label, ())
-                )
-                position[label] = len(labels)
-                labels.append(label)
-                expansions.append(kids)
-            return position[label]
+        def enter(label: NodeLabel):
+            rules = by_parent.get(label, ())
+            return label, rules, (c for rule in rules for c in rule.children)
 
-        roots = tuple(visit(root) for root in self.roots)
-        # visit refers to itself through its closure; breaking that cycle frees
-        # the walk's temporaries now rather than at the next garbage collection.
-        del visit
+        for root in self.roots:
+            if root in position:
+                continue
+            stack = [enter(root)]
+            while stack:
+                label, rules, kids = stack[-1]
+                for child in kids:
+                    if child not in position:
+                        stack.append(enter(child))
+                        break
+                else:
+                    stack.pop()
+                    position[label] = len(labels)
+                    labels.append(label)
+                    expansions.append(tuple(
+                        (rule, tuple(position[c] for c in rule.children)) for rule in rules
+                    ))
+        roots = tuple(position[root] for root in self.roots)
         names = tuple(str(label) for label in labels)
         return RuleGraph(tuple(labels), names, tuple(expansions), roots)
 
@@ -256,7 +264,8 @@ def count_derivations(g: GoldGrammar) -> dict[NodeLabel, int]:
 
 
 def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[AssemblyNode, ...]:
-    """All distinct derivation trees from all roots, deduplicated.
+    """All derivation trees from all roots, sorted by serialization.  Rules
+    and roots are distinct, so distinct derivations are distinct trees.
 
     Counts first and raises :class:`CapExceededError` rather than enumerating
     past ``cap``.
@@ -279,8 +288,4 @@ def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[Assemb
             for combo in itertools.product(*(trees[c] for c in kids))
         ))
 
-    seen: dict[str, AssemblyNode] = {}
-    for root in graph.roots:
-        for tree in trees[root]:
-            seen.setdefault(canonical_serialize(tree), tree)
-    return tuple(seen[k] for k in sorted(seen))
+    return tuple(sorted((t for root in graph.roots for t in trees[root]), key=canonical_serialize))

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .grammar import GoldGrammar
-from .tree import AssemblyNode, DepthOneSubtree, Forest, canonical_serialize, depth_one_subtrees
+from .tree import AssemblyNode, DepthOneSubtree, bracket, canonical_serialize, depth_one_subtrees
 
 BLEU_EPSILON = 1e-9
 
@@ -46,9 +46,8 @@ def _f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def subtree_f1(predicted: Forest | AssemblyNode, gold: AssemblyNode) -> ScoreBreakdown:
-    """Exact-match F1 over the depth-1 subtree sets of prediction and gold."""
-    pred = depth_one_subtrees(predicted)
+def subtree_f1(pred: frozenset[DepthOneSubtree], gold: AssemblyNode) -> ScoreBreakdown:
+    """Exact-match F1 of the predicted depth-1 subtree set against gold's."""
     gold_set = depth_one_subtrees(gold)
     matched = pred & gold_set
     precision = len(matched) / len(pred) if pred else 0.0
@@ -56,12 +55,12 @@ def subtree_f1(predicted: Forest | AssemblyNode, gold: AssemblyNode) -> ScoreBre
     return ScoreBreakdown(precision, recall, _f1(precision, recall), frozenset(matched))
 
 
-def tree_score(predicted: Forest | AssemblyNode, gold_set) -> ScoreBreakdown:
+def tree_score(pred: frozenset[DepthOneSubtree], gold_set) -> ScoreBreakdown:
     """The best subtree F1 over all gold trees; ties go to the lowest index.
     ``best_gold_tree`` holds the best tree's canonical serialization."""
     best: ScoreBreakdown | None = None
     for gold in gold_set:
-        breakdown = subtree_f1(predicted, gold)
+        breakdown = subtree_f1(pred, gold)
         if best is None or breakdown.f1 > best.f1:
             best, best_tree = breakdown, gold
     if best is None:
@@ -69,7 +68,7 @@ def tree_score(predicted: Forest | AssemblyNode, gold_set) -> ScoreBreakdown:
     return replace(best, best_gold_tree=canonical_serialize(best_tree))
 
 
-def grammar_score(predicted: Forest | AssemblyNode, grammar: GoldGrammar) -> ScoreBreakdown:
+def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> ScoreBreakdown:
     """:func:`tree_score` over every tree ``grammar`` derives, without
     enumerating them; the grammar must pass ``validate_grammar``.
 
@@ -84,7 +83,6 @@ def grammar_score(predicted: Forest | AssemblyNode, grammar: GoldGrammar) -> Sco
     sorted enumeration.  ``best_gold_tree`` holds that serialization.
     """
     graph = grammar.rule_graph
-    pred = depth_one_subtrees(predicted)
 
     # tables[p]: g -> (max m, smallest serialization, (rule, child positions,
     # child g values) of the rule that built it, None for a leaf).
@@ -94,7 +92,6 @@ def grammar_score(predicted: Forest | AssemblyNode, grammar: GoldGrammar) -> Sco
             tables.append({0: (0, name, None)})
             continue
         table: dict[int, tuple[int, str, tuple | None]] = {}
-        head = f"({name} "
         for rule, kids in expansions:
             hit = int(rule in pred)
             for parts in itertools.product(*(tables[k].items() for k in kids)):
@@ -103,7 +100,7 @@ def grammar_score(predicted: Forest | AssemblyNode, grammar: GoldGrammar) -> Sco
                 current = table.get(g)
                 if current is not None and m < current[0]:
                     continue
-                text = head + " ".join(entry[1] for _, entry in parts) + ")"
+                text = bracket(name, [entry[1] for _, entry in parts])
                 if current is None or m > current[0] or text < current[1]:
                     table[g] = (m, text, (rule, kids, tuple(g_kid for g_kid, _ in parts)))
         tables.append(table)

@@ -3,7 +3,8 @@
 Walks a document step by step, mapping mentioned pieces to the intermediate
 component currently containing them, and folds each step into a growing
 forest: two resolved components merge, one resolved component self-attaches,
-none leaves the state untouched.
+none leaves the state untouched.  The forest is written as text, each tree
+in canonical bracket form, from the depth-1 subtrees the steps emit.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from .labels import (
     merge_labels,
     parse_piece_label,
 )
-from .tree import (
-    AssemblyNode,
-    DepthOneSubtree,
-    Forest,
-    canonical_serialize,
-    forest_to_json,
-    leaf,
-)
+from .tree import AssemblyNode, DepthOneSubtree, bracket
 
 
 _JSON_TYPE_NAMES = {str: "a string", list: "a list", dict: "an object"}
@@ -116,7 +110,8 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class BuildReport:
-    forest: Forest
+    # Each root's canonical serialization, sorted; an isolated leaf is its label.
+    forest: tuple[str, ...]
     subtree_trace: tuple[tuple[int, DepthOneSubtree], ...]
     diagnostics: tuple[Diagnostic, ...]
 
@@ -125,7 +120,10 @@ class BuildReport:
 
     def to_json(self) -> dict:
         return {
-            "forest": forest_to_json(self.forest),
+            "forest": {
+                "trees": [t for t in self.forest if t.startswith("(")],
+                "isolated_leaves": [t for t in self.forest if not t.startswith("(")],
+            },
             "subtree_trace": [[i, str(st)] for i, st in self.subtree_trace],
             "diagnostics": [[d.step_index, d.kind, d.message] for d in self.diagnostics],
         }
@@ -245,8 +243,8 @@ def apply_step(
 def build_forest(
     doc: InstructionDoc, extractions: list[StepExtraction], spec: PatternSpec
 ) -> BuildReport:
-    """Fold the steps into depth-1 subtrees, then assemble the predicted
-    forest from them."""
+    """Fold the steps into depth-1 subtrees, then write the predicted
+    forest from them as text."""
     if len(extractions) != len(doc.steps):
         raise ValueError("one extraction per step required")
     component_of: dict[PieceLabel, NodeLabel] = {}
@@ -272,16 +270,17 @@ def build_forest(
         diagnostics.extend(step_diags)
 
     # The trace lists children before parents and each label is the child
-    # of at most one subtree, so its one parent pops each built child; the
-    # nodes left over are the roots.
-    nodes: dict[NodeLabel, AssemblyNode] = {}
+    # of at most one subtree, so its one parent pops each built child's
+    # text; the texts left over are the roots'.
+    texts: dict[NodeLabel, str] = {}
     for _, st in trace:
-        kids = tuple(nodes.pop(c) if c in nodes else AssemblyNode(c) for c in st.children)
-        nodes[st.parent] = AssemblyNode(st.parent, kids)
-    roots = list(nodes.values())
-    roots.extend(leaf(p) for p in sorted(spec.inventory) if p not in component_of)
-    roots.sort(key=canonical_serialize)
-    return BuildReport(Forest(tuple(roots)), tuple(trace), tuple(diagnostics))
+        texts[st.parent] = bracket(
+            st.parent, [texts.pop(c) if c in texts else str(c) for c in st.children]
+        )
+    roots = list(texts.values())
+    roots.extend(str(p) for p in spec.inventory if p not in component_of)
+    roots.sort()
+    return BuildReport(tuple(roots), tuple(trace), tuple(diagnostics))
 
 
 def linearize_gold_tree(tree: AssemblyNode, spec: PatternSpec) -> InstructionDoc:
@@ -290,7 +289,6 @@ def linearize_gold_tree(tree: AssemblyNode, spec: PatternSpec) -> InstructionDoc
     Each component is referred to by the name and label of its first piece;
     resolution maps that piece back to the component while rebuilding.
     """
-    steps: list[str] = []
 
     def mention(node: AssemblyNode) -> str:
         piece = node.label.pieces[0]
@@ -299,17 +297,23 @@ def linearize_gold_tree(tree: AssemblyNode, spec: PatternSpec) -> InstructionDoc
             return f"{name} ({piece})"
         return f"component containing the {name} ({piece})"
 
-    def emit(node: AssemblyNode) -> None:
-        for child in node.children:
-            emit(child)
+    # Parents before children, right before left: the reverse of the
+    # children-first, left-to-right order the steps go in.
+    internal: list[AssemblyNode] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.children:
+            internal.append(node)
+            stack.extend(node.children)
+    steps: list[str] = []
+    for node in reversed(internal):
         if len(node.children) == 2:
             a, b = node.children
             steps.append(f"Sew the {mention(a)} to the {mention(b)}.")
-        elif len(node.children) == 1:
+        else:
             steps.append(f"Sew the {mention(node.children[0])} to itself.")
-
-    emit(tree)
-    doc_id = f"{spec.pattern_id}-{canonical_serialize(tree).count('(')}steps"
+    doc_id = f"{spec.pattern_id}-{len(steps)}steps"
     return InstructionDoc(spec.pattern_id, doc_id, tuple(steps))
 
 

@@ -1,4 +1,4 @@
-"""Assembly trees, forests, and depth-1 subtree extraction.
+"""Assembly trees and depth-1 subtree extraction.
 
 Trees are unary/binary: a binary node joins two disjoint components, a unary
 node is one self-attachment of its child, and leaves are single pieces with a
@@ -75,16 +75,6 @@ class DepthOneSubtree:
 
 
 @dataclass(frozen=True)
-class Forest:
-    """Trees plus isolated never-attached leaves; node labels unique throughout."""
-
-    trees: tuple[AssemblyNode, ...] = ()
-
-    def isolated_leaves(self) -> tuple[NodeLabel, ...]:
-        return tuple(t.label for t in self.trees if t.is_leaf())
-
-
-@dataclass(frozen=True)
 class Violation:
     """One broken tree constraint, naming the offending node."""
 
@@ -96,29 +86,23 @@ class Violation:
         return f"{self.node}: {self.rule}: {self.detail}"
 
 
-def _check_node(node: AssemblyNode, out: list[Violation]) -> None:
-    name = str(node.label)
-    if not node.children:
-        if len(node.label.pieces) != 1:
-            out.append(Violation(name, "leaf-pieces", "leaf must be a single piece"))
-        if node.label.self_attach != 0:
-            out.append(Violation(name, "leaf-counter", "leaf counter must be 0"))
-    else:
-        kids = tuple(c.label for c in node.children)
-        for kind, detail in attachment_violations(node.label, kids):
-            out.append(Violation(name, kind, detail))
-        if len(kids) == 2 and child_order_key(kids[0]) > child_order_key(kids[1]):
-            out.append(Violation(name, "child-order", "children out of canonical order"))
-    for child in node.children:
-        _check_node(child, out)
-
-
 def validate_tree(root: AssemblyNode) -> list[Violation]:
     """All constraint violations in the tree; empty iff the tree is valid."""
     out: list[Violation] = []
-    _check_node(root, out)
     seen: dict[NodeLabel, int] = {}
     for node in root.walk():
+        name = str(node.label)
+        if not node.children:
+            if len(node.label.pieces) != 1:
+                out.append(Violation(name, "leaf-pieces", "leaf must be a single piece"))
+            if node.label.self_attach != 0:
+                out.append(Violation(name, "leaf-counter", "leaf counter must be 0"))
+        else:
+            kids = tuple(c.label for c in node.children)
+            for kind, detail in attachment_violations(node.label, kids):
+                out.append(Violation(name, kind, detail))
+            if len(kids) == 2 and child_order_key(kids[0]) > child_order_key(kids[1]):
+                out.append(Violation(name, "child-order", "children out of canonical order"))
         seen[node.label] = seen.get(node.label, 0) + 1
     for label, count in seen.items():
         if count > 1:
@@ -126,10 +110,11 @@ def validate_tree(root: AssemblyNode) -> list[Violation]:
     return out
 
 
-def validate_forest(forest: Forest) -> list[Violation]:
+def validate_forest(trees: tuple[AssemblyNode, ...]) -> list[Violation]:
+    """Each tree's violations, then labels shared between trees."""
     out: list[Violation] = []
     seen: dict[NodeLabel, int] = {}
-    for tree in forest.trees:
+    for tree in trees:
         out.extend(validate_tree(tree))
         for node in tree.walk():
             seen[node.label] = seen.get(node.label, 0) + 1
@@ -146,13 +131,15 @@ def subtrees_of(root: AssemblyNode):
             yield DepthOneSubtree(node.label, tuple(c.label for c in node.children))
 
 
-def depth_one_subtrees(forest: Forest | AssemblyNode) -> frozenset[DepthOneSubtree]:
-    """The set of depth-1 subtrees of a forest (leaves contribute nothing)."""
-    roots = (forest,) if isinstance(forest, AssemblyNode) else forest.trees
-    result: set[DepthOneSubtree] = set()
-    for root in roots:
-        result.update(subtrees_of(root))
-    return frozenset(result)
+def depth_one_subtrees(root: AssemblyNode) -> frozenset[DepthOneSubtree]:
+    """The set of depth-1 subtrees of a tree (leaves contribute nothing)."""
+    return frozenset(subtrees_of(root))
+
+
+def bracket(label: NodeLabel | str, kid_texts: list[str]) -> str:
+    """The bracket text of a node labelled ``label`` over its children's
+    texts: ``(AB A B)``."""
+    return f"({label} {' '.join(kid_texts)})"
 
 
 def canonical_serialize(root: AssemblyNode) -> str:
@@ -224,11 +211,12 @@ def parse_serialized(text: str) -> AssemblyNode:
 
 def glue_subtrees(
     subtrees, isolated: tuple[NodeLabel, ...] = ()
-) -> Forest:
-    """Rebuild a forest from depth-1 subtrees by gluing equal labels.
+) -> tuple[AssemblyNode, ...]:
+    """Rebuild a forest, its trees sorted by serialization, from depth-1
+    subtrees by gluing equal labels.
 
     Labels that never appear as a parent become leaves; labels that never
-    appear as a child become roots.
+    appear as a child become roots; ``isolated`` labels become one-leaf trees.
     """
     children_of: dict[NodeLabel, tuple[NodeLabel, ...]] = {}
     child_labels: set[NodeLabel] = set()
@@ -251,12 +239,4 @@ def glue_subtrees(
     trees = [build(r, frozenset()) for r in roots]
     trees.extend(AssemblyNode(l) for l in isolated)
     trees.sort(key=canonical_serialize)
-    return Forest(tuple(trees))
-
-
-def forest_to_json(forest: Forest) -> dict:
-    """JSON form: serialized trees plus the isolated-leaf labels."""
-    return {
-        "trees": [canonical_serialize(t) for t in forest.trees if not t.is_leaf()],
-        "isolated_leaves": [str(l) for l in forest.isolated_leaves()],
-    }
+    return tuple(trees)

@@ -1,6 +1,7 @@
 """Shared checks for the randomized-grammar property suite."""
 
 from sewtree.grammar import GoldGrammar, count_derivations, enumerate_gold_trees, validate_grammar
+from sewtree.labels import parse_node_label
 from sewtree.pipeline import linearize_gold_tree, placeholder_spec
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import random_grammar
@@ -39,11 +40,11 @@ def check_grammar_properties(g: GoldGrammar, cap: int = 50_000) -> None:
     assert validate_grammar(g) == [], f"{g.pattern_id}: invalid grammar"
     trees = enumerate_gold_trees(g, cap)
     counts = count_derivations(g)
-    assert sum(counts.values()) >= len(trees) > 0
+    assert sum(counts.values()) == len(trees) > 0
     for tree in trees:
         assert validate_tree(tree) == [], f"{g.pattern_id}: invalid enumerated tree"
         glued = glue_subtrees(subtrees_of(tree))
-        assert glued.trees == (tree,), f"{g.pattern_id}: subtree set not lossless"
+        assert glued == (tree,), f"{g.pattern_id}: subtree set not lossless"
         for node in tree.walk():
             leaf_pieces = frozenset(
                 p for n in node.walk() if n.is_leaf() for p in n.label.pieces
@@ -55,3 +56,11 @@ def check_grammar_properties(g: GoldGrammar, cap: int = 50_000) -> None:
     a = {canonical_serialize(t) for t in trees}
     b = {canonical_serialize(t) for t in enumerate_gold_trees(reversed_rules, cap)}
     assert a == b, f"{g.pattern_id}: enumeration depends on rule order"
+
+
+def glued_forest(report) -> tuple[str, ...]:
+    """The report's trace and isolated leaves glued back into trees by
+    ``glue_subtrees``, serialized: the oracle for ``report.forest``."""
+    isolated = tuple(parse_node_label(t) for t in report.forest if not t.startswith("("))
+    glued = glue_subtrees((st for _, st in report.subtree_trace), isolated)
+    return tuple(canonical_serialize(t) for t in glued)

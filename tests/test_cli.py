@@ -12,7 +12,7 @@ import pytest
 import sewtree.cli
 import sewtree.grammar
 from sewtree.cli import main
-from sewtree.grammar import DEFAULT_CAP, count_derivations, parse_grammar
+from sewtree.grammar import DEFAULT_CAP, count_derivations, enumerate_gold_trees, parse_grammar
 from sewtree.labels import parse_piece_label
 from sewtree.pipeline import linearize_gold_tree, placeholder_spec
 from sewtree.tree import binary, leaf
@@ -540,6 +540,55 @@ class TestRoundtripCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {bad}: {UNPARSABLE_MESSAGE}\n"
+
+
+CHAIN_LENGTH = 1200
+
+
+def write_chain_grammar(directory: Path) -> Path:
+    """Pieces A B and root AB_1200: ``AB -> A B`` under a chain of 1,200
+    self-attachments, deeper than the interpreter's recursion limit."""
+    lines = ["pattern: chain", "pieces: A B", f"roots: AB_{CHAIN_LENGTH}", "AB -> A B", "AB_1 -> AB"]
+    lines += [f"AB_{i} -> AB_{i - 1}" for i in range(2, CHAIN_LENGTH + 1)]
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / "chain.grammar"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestUnaryChain:
+    def test_gen_gold(self, tmp_path, capsys):
+        assert run("gen-gold", write_chain_grammar(tmp_path)) == 0
+        (tree,) = json.loads(capsys.readouterr().out)["trees"]
+        assert tree.startswith(f"(AB_{CHAIN_LENGTH} (AB_{CHAIN_LENGTH - 1} ")
+        assert tree.endswith(" (AB A B)" + ")" * CHAIN_LENGTH)
+
+    def test_roundtrip(self, tmp_path, capsys):
+        write_chain_grammar(tmp_path / "grammars")
+        assert run("roundtrip", "--grammars", tmp_path / "grammars") == 0
+        assert capsys.readouterr().out == "chain: PASS\n"
+
+    def test_score_linearized_document(self, tmp_path, capsys):
+        grammar_path = write_chain_grammar(tmp_path / "grammars")
+        grammar = parse_grammar(grammar_path.read_text())
+        spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
+        (tree,) = enumerate_gold_trees(grammar)
+        doc = linearize_gold_tree(tree, spec)
+        assert len(doc.steps) == CHAIN_LENGTH + 1
+        for name, payload in (("corpus", doc.to_json()), ("specs", spec.to_json())):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "chain.json").write_text(json.dumps(payload))
+        code = run(
+            "score",
+            "--corpus", tmp_path / "corpus",
+            "--grammars", tmp_path / "grammars",
+            "--specs", tmp_path / "specs",
+            "--out", tmp_path / "out",
+        )
+        assert code == 0, capsys.readouterr().err
+        with open(tmp_path / "out" / "scores.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert (row["n_steps"], row["tree_f1"]) == (str(CHAIN_LENGTH + 1), "1.000000")
 
 
 class TestAggregateRatingsCli:

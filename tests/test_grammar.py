@@ -3,6 +3,7 @@ import pytest
 from sewtree.grammar import (
     CapExceededError,
     GrammarError,
+    RuleGraph,
     count_derivations,
     enumerate_gold_trees,
     parse_grammar,
@@ -10,6 +11,9 @@ from sewtree.grammar import (
 )
 from sewtree.labels import parse_node_label
 from sewtree.tree import canonical_serialize, validate_tree
+
+from sewtree.rng import SplitMix64, derive_seed
+from sewtree.synth import random_grammar
 
 from conftest import GRAMMAR_NAMES, load_grammar
 
@@ -127,3 +131,37 @@ class TestEnumeration:
         assert count_derivations(g) == {N("AB_1"): 0}
         with pytest.raises(GrammarError):
             enumerate_gold_trees(g)
+
+
+def recursive_rule_graph(g):
+    """``GoldGrammar.rule_graph`` by a recursive depth-first walk: the
+    reference for its explicit stack."""
+    by_parent = {}
+    for rule in g.rules:
+        by_parent.setdefault(rule.parent, []).append(rule)
+    labels, position, expansions = [], {}, []
+
+    def visit(label):
+        if label not in position:
+            kids = tuple(
+                (rule, tuple(visit(c) for c in rule.children))
+                for rule in by_parent.get(label, ())
+            )
+            position[label] = len(labels)
+            labels.append(label)
+            expansions.append(kids)
+        return position[label]
+
+    roots = tuple(visit(root) for root in g.roots)
+    return RuleGraph(tuple(labels), tuple(map(str, labels)), tuple(expansions), roots)
+
+
+def test_rule_graph_matches_recursive_reference():
+    grammars = [load_grammar(name) for name in GRAMMAR_NAMES]
+    for index in range(60):
+        rng = SplitMix64(derive_seed(31, "rule-graph", str(index)))
+        grammars.append(
+            random_grammar(rng, f"g{index}", 2 + rng.randrange(7), 1 + rng.randrange(6))
+        )
+    for g in grammars:
+        assert g.rule_graph == recursive_rule_graph(g), g.pattern_id

@@ -10,7 +10,6 @@ from hypothesis import strategies as hs
 
 from sewtree.experiments import ErrorInjectionPlan, inject_errors, permute_doc, score_document
 from sewtree.grammar import enumerate_gold_trees, parse_grammar
-from sewtree.labels import PieceLabel
 from sewtree.metrics import grammar_score, tree_score
 from sewtree.pipeline import (
     InstructionDoc,
@@ -21,7 +20,7 @@ from sewtree.pipeline import (
 )
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import grammar_from_trees, random_grammar, random_inventory, random_tree
-from sewtree.tree import AssemblyNode, Forest, canonical_serialize, leaf, parse_serialized
+from sewtree.tree import AssemblyNode, canonical_serialize, depth_one_subtrees, parse_serialized
 
 from conftest import GRAMMAR_NAMES, load_grammar
 
@@ -41,8 +40,8 @@ def assert_matches_oracle(predicted, grammar, gold):
     assert dp.matched == oracle.matched
 
 
-def corpus_forests(grammar, gold, seed: int, extra_trees=(), plans=PLANS):
-    """Forests of the first gold trees and of other trees over the same
+def corpus_predictions(grammar, gold, seed: int, extra_trees=(), plans=PLANS):
+    """Predicted subtree sets of the first gold trees and of other trees over the same
     pieces, each linearized as written, permuted and error-injected."""
     spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
     for index, tree in enumerate((*gold[:2], *extra_trees)):
@@ -54,7 +53,7 @@ def corpus_forests(grammar, gold, seed: int, extra_trees=(), plans=PLANS):
             if plan.drop_step + plan.swap_adjacent < len(doc.steps):
                 docs.append(inject_errors(doc, plan, derive_seed(seed, str(index)), spec)[0])
         for variant in docs:
-            yield build_forest(variant, extract_document(variant, spec), spec).forest
+            yield build_forest(variant, extract_document(variant, spec), spec).subtrees()
 
 
 @pytest.mark.parametrize("name", GRAMMAR_NAMES)
@@ -63,9 +62,9 @@ def test_fixture_grammars_match_oracle(name):
     gold = enumerate_gold_trees(grammar)
     rng = SplitMix64(derive_seed(3, name))
     others = [random_tree(rng, sorted(grammar.inventory)) for _ in range(3)]
-    for forest in corpus_forests(grammar, gold, 11, others):
-        assert_matches_oracle(forest, grammar, gold)
-    assert_matches_oracle(Forest(), grammar, gold)
+    for predicted in corpus_predictions(grammar, gold, 11, others):
+        assert_matches_oracle(predicted, grammar, gold)
+    assert_matches_oracle(frozenset(), grammar, gold)
 
 
 @pytest.mark.parametrize("block", range(6))
@@ -78,8 +77,8 @@ def test_synthetic_grammars_match_oracle(block):
         gold = enumerate_gold_trees(grammar)
         other = random_tree(rng, sorted(grammar.inventory))
         plans = (PLANS[index % 2], PLANS[2 + index % 2])
-        for forest in corpus_forests(grammar, gold, index, [other], plans):
-            assert_matches_oracle(forest, grammar, gold)
+        for predicted in corpus_predictions(grammar, gold, index, [other], plans):
+            assert_matches_oracle(predicted, grammar, gold)
 
 
 TIE_GRAMMAR = """\
@@ -103,7 +102,7 @@ def test_tie_on_f1_with_different_precision_and_recall():
     # oracle keeps the first in sorted order, the short tree.
     grammar = parse_grammar(TIE_GRAMMAR)
     gold = enumerate_gold_trees(grammar)
-    predicted = Forest((parse_serialized("(AB_1 (AB A B))"), leaf(PieceLabel("C"))))
+    predicted = depth_one_subtrees(parse_serialized("(AB_1 (AB A B))"))
     short = "(ABC (AB A B) C)"
     assert [canonical_serialize(t) for t in gold][0] == short
     assert [tree_score(predicted, (t,)).f1 for t in gold] == [0.5, 0.5]
@@ -161,6 +160,6 @@ def test_f1_invariant_under_tree_respecting_permutations(seed, n_pieces, n_gold)
     permuted = InstructionDoc(doc.pattern_id, doc.doc_id, tuple(doc.steps[i] for i in order))
 
     def score(d):
-        return grammar_score(build_forest(d, extract_document(d, spec), spec).forest, grammar)
+        return grammar_score(build_forest(d, extract_document(d, spec), spec).subtrees(), grammar)
 
     assert score(permuted) == score(doc)

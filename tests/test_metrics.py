@@ -17,7 +17,7 @@ from sewtree.metrics import (
     tokenize,
     tree_score,
 )
-from sewtree.tree import Forest, parse_serialized
+from sewtree.tree import depth_one_subtrees, parse_serialized
 
 SKIRT = "(ABC_1 (AB_1 (AB A B)) C)"
 
@@ -25,31 +25,31 @@ SKIRT = "(ABC_1 (AB_1 (AB A B)) C)"
 class TestSubtreeF1:
     def test_identity(self):
         t = parse_serialized(SKIRT)
-        assert subtree_f1(t, t).f1 == 1.0
+        assert subtree_f1(depth_one_subtrees(t), t).f1 == 1.0
 
     def test_partial_overlap(self):
         pred = parse_serialized("(AB A B)")
         gold = parse_serialized("(ABC (AB A B) C)")
-        b = subtree_f1(Forest((pred,)), gold)
+        b = subtree_f1(depth_one_subtrees(pred), gold)
         assert (b.precision, b.recall) == (1.0, 0.5)
         assert b.f1 == pytest.approx(2 / 3)
 
     def test_disjoint(self):
         pred = parse_serialized("(AB A B)")
         gold = parse_serialized("(CD C D)")
-        assert subtree_f1(Forest((pred,)), gold).f1 == 0.0
+        assert subtree_f1(depth_one_subtrees(pred), gold).f1 == 0.0
 
     def test_empty_prediction_zero(self):
         from sewtree.labels import parse_piece_label
         from sewtree.tree import leaf
 
-        pred = Forest((leaf(parse_piece_label("A")),))
+        pred = depth_one_subtrees(leaf(parse_piece_label("A")))
         assert subtree_f1(pred, parse_serialized(SKIRT)).f1 == 0.0
 
     def test_symmetric_for_single_trees(self):
         a = parse_serialized("(ABC (AB A B) C)")
         b = parse_serialized(SKIRT)
-        assert subtree_f1(a, b).f1 == subtree_f1(b, a).f1
+        assert subtree_f1(depth_one_subtrees(a), b).f1 == subtree_f1(depth_one_subtrees(b), a).f1
 
 
 class TestTreeScore:
@@ -59,14 +59,16 @@ class TestTreeScore:
             parse_serialized(SKIRT),
             parse_serialized("(ABC A (BC B C))"),
         ]
-        pred = parse_serialized(SKIRT)
+        pred = depth_one_subtrees(parse_serialized(SKIRT))
         b = tree_score(pred, golds)
         assert b.f1 == 1.0 and b.best_gold_tree == SKIRT
 
     def test_tie_lowest_index(self):
         # Each gold tree matches one of the two predicted subtrees in three
         # rules (F1 = 0.4); the first listed wins, not the smaller text.
-        pred = Forest((parse_serialized("(AB A B)"), parse_serialized("(CD C D)")))
+        pred = depth_one_subtrees(parse_serialized("(AB A B)")) | depth_one_subtrees(
+            parse_serialized("(CD C D)")
+        )
         first = "(ABCD A (BCD B (CD C D)))"
         second = "(ABCD (ABC (AB A B) C) D)"
         for golds in ([first, second], [second, first]):
@@ -75,7 +77,7 @@ class TestTreeScore:
             assert b.best_gold_tree == golds[0]
 
     def test_adding_gold_never_decreases(self):
-        pred = parse_serialized(SKIRT)
+        pred = depth_one_subtrees(parse_serialized(SKIRT))
         golds = [parse_serialized("(ABC (AB A B) C)")]
         before = tree_score(pred, golds).f1
         golds.append(parse_serialized(SKIRT))
@@ -83,7 +85,7 @@ class TestTreeScore:
 
     def test_empty_gold_set_rejected(self):
         with pytest.raises(ValueError):
-            tree_score(parse_serialized(SKIRT), [])
+            tree_score(depth_one_subtrees(parse_serialized(SKIRT)), [])
 
 
 class TestTokenize:

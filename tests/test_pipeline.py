@@ -24,19 +24,20 @@ from sewtree.pipeline import (
     placeholder_spec,
     resolve_components,
 )
+from sewtree.rng import SplitMix64
+from sewtree.synth import random_inventory, random_tree
 from sewtree.tree import (
     AssemblyNode,
     DepthOneSubtree,
-    Forest,
     binary,
     canonical_serialize,
     depth_one_subtrees,
-    glue_subtrees,
     leaf,
     unary,
 )
 
 from conftest import GRAMMAR_NAMES, load_grammar
+from helpers import glued_forest
 
 
 def P(text):
@@ -149,30 +150,23 @@ class TestBuildForest:
     def test_skirt_demo_full_pipeline(self, skirt_doc, skirt_spec):
         extractions = extract_document(skirt_doc, skirt_spec)
         report = build_forest(skirt_doc, extractions, skirt_spec)
-        assert [canonical_serialize(t) for t in report.forest.trees] == [
-            "(ABC_1 (AB_1 (AB A B)) C)"
-        ]
-        assert report.forest.isolated_leaves() == ()
+        assert report.forest == ("(ABC_1 (AB_1 (AB A B)) C)",)
 
     def test_isolated_leaf_for_untouched_piece(self, skirt_spec):
         doc = InstructionDoc("skirt", "d", ("Sew the Over Skirt (A) to the Under Skirt (B).",))
         report = build_forest(doc, extract_document(doc, skirt_spec), skirt_spec)
-        assert report.forest.isolated_leaves() == (N("C"),)
-        assert len(report.forest.trees) == 2
+        assert report.forest == ("(AB A B)", "C")
 
     def test_empty_mentions_all_isolated(self, skirt_spec):
         doc = InstructionDoc("skirt", "d", ("Press everything.",))
         report = build_forest(doc, extract_document(doc, skirt_spec), skirt_spec)
-        assert len(report.forest.isolated_leaves()) == 3
+        assert report.forest == ("A", "B", "C")
         assert report.subtree_trace == ()
 
     def test_glue_equivalence(self, skirt_doc, skirt_spec):
         extractions = extract_document(skirt_doc, skirt_spec)
         report = build_forest(skirt_doc, extractions, skirt_spec)
-        glued = glue_subtrees(
-            (st for _, st in report.subtree_trace), report.forest.isolated_leaves()
-        )
-        assert glued == report.forest
+        assert glued_forest(report) == report.forest
 
     def test_determinism(self, skirt_doc, skirt_spec):
         runs = [
@@ -233,7 +227,8 @@ class ReferenceState:
 
 
 def reference_build_forest(extractions, spec) -> BuildReport:
-    """``build_forest`` as it was when it built the tree nodes step by step."""
+    """``build_forest`` as it was when it built the tree nodes step by step;
+    its roots, serialized, are the forest."""
     state = ReferenceState()
     trace, diagnostics = [], []
     for x in extractions:
@@ -261,8 +256,8 @@ def reference_build_forest(extractions, spec) -> BuildReport:
     components = dict.fromkeys(state.component_of.values())
     roots = [state.built[label] for label in components]
     roots.extend(leaf(p) for p in sorted(spec.inventory) if p not in state.component_of)
-    roots.sort(key=canonical_serialize)
-    return BuildReport(Forest(tuple(roots)), tuple(trace), tuple(diagnostics))
+    forest = tuple(sorted(canonical_serialize(root) for root in roots))
+    return BuildReport(forest, tuple(trace), tuple(diagnostics))
 
 
 @hs.composite
@@ -306,6 +301,32 @@ class TestBuildMatchesReference:
             assert build_forest(doc, extractions, spec) == reference_build_forest(extractions, spec)
 
 
+def recursive_linearization(tree, spec) -> InstructionDoc:
+    """``linearize_gold_tree`` emitting its steps in a recursion: the
+    reference for its loop."""
+    steps = []
+
+    def mention(node):
+        piece = node.label.pieces[0]
+        name = spec.name_of(piece)
+        if node.is_leaf():
+            return f"{name} ({piece})"
+        return f"component containing the {name} ({piece})"
+
+    def emit(node):
+        for child in node.children:
+            emit(child)
+        if len(node.children) == 2:
+            a, b = node.children
+            steps.append(f"Sew the {mention(a)} to the {mention(b)}.")
+        elif len(node.children) == 1:
+            steps.append(f"Sew the {mention(node.children[0])} to itself.")
+
+    emit(tree)
+    doc_id = f"{spec.pattern_id}-{canonical_serialize(tree).count('(')}steps"
+    return InstructionDoc(spec.pattern_id, doc_id, tuple(steps))
+
+
 class TestLinearization:
     @pytest.mark.parametrize("name", GRAMMAR_NAMES)
     def test_roundtrip_every_gold_tree(self, name):
@@ -315,14 +336,30 @@ class TestLinearization:
             doc = linearize_gold_tree(tree, spec)
             report = build_forest(doc, extract_document(doc, spec), spec)
             assert report.subtrees() == depth_one_subtrees(tree)
-            assert [canonical_serialize(t) for t in report.forest.trees] == [
-                canonical_serialize(tree)
-            ]
+            assert report.forest == (canonical_serialize(tree),)
 
     def test_step_count_equals_non_leaf_nodes(self, skirt_grammar, skirt_spec):
         (tree,) = enumerate_gold_trees(skirt_grammar)
         doc = linearize_gold_tree(tree, skirt_spec)
         assert len(doc.steps) == 3
+
+    @given(
+        hs.integers(0, 2**64 - 1),
+        hs.integers(1, 10),
+        hs.integers(0, 80),
+        hs.booleans(),
+        hs.integers(0, 150),
+    )
+    def test_matches_recursive_reference(self, seed, n_pieces, unary_percent, chain, extra):
+        """The same steps and document id as the recursive emit, on random
+        trees with unary chains inside and on top."""
+        rng = SplitMix64(seed)
+        pieces = random_inventory(rng, n_pieces)
+        tree = random_tree(rng, pieces, unary_percent, chain=chain)
+        for _ in range(extra):
+            tree = unary(tree)
+        spec = placeholder_spec("p", pieces)
+        assert linearize_gold_tree(tree, spec) == recursive_linearization(tree, spec)
 
     def test_single_leaf_zero_steps(self):
         spec = placeholder_spec("one", [P("A")])

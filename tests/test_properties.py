@@ -26,9 +26,9 @@ from sewtree.pipeline import build_forest, extract_document, linearize_gold_tree
 from sewtree.grammar import GrammarError, enumerate_gold_trees, parse_grammar, validate_grammar
 from sewtree.rng import SplitMix64
 from sewtree.synth import grammar_from_trees, grammar_to_text, random_inventory, random_tree
-from sewtree.tree import canonical_serialize, depth_one_subtrees, glue_subtrees, parse_serialized
+from sewtree.tree import canonical_serialize, depth_one_subtrees, parse_serialized
 
-from helpers import check_grammar_properties, make_random_grammar
+from helpers import check_grammar_properties, glued_forest, make_random_grammar
 
 
 @pytest.mark.parametrize("index", range(100))
@@ -51,10 +51,7 @@ def test_build_glue_equivalence_on_random_docs(index):
     if not doc.steps:
         return
     report = build_forest(doc, extract_document(doc, spec), spec)
-    glued = glue_subtrees(
-        (st for _, st in report.subtree_trace), report.forest.isolated_leaves()
-    )
-    assert glued == report.forest
+    assert glued_forest(report) == report.forest
     assert report.subtrees() == depth_one_subtrees(trees[0])
 
 

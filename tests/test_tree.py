@@ -2,14 +2,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
 
-from sewtree.labels import parse_node_label, parse_piece_label
+from sewtree.labels import (
+    NodeLabel,
+    attachment_violations,
+    child_order_key,
+    parse_node_label,
+    parse_piece_label,
+)
 from sewtree.rng import SplitMix64
 from sewtree.synth import random_inventory, random_tree
 from sewtree.tree import (
     AssemblyNode,
     DepthOneSubtree,
-    Forest,
     TreeError,
+    Violation,
     binary,
     canonical_serialize,
     depth_one_subtrees,
@@ -80,10 +86,6 @@ class TestDepthOneSubtrees:
     def test_single_leaf(self):
         assert depth_one_subtrees(leaf(parse_piece_label("A"))) == frozenset()
 
-    def test_forest_of_two(self):
-        f = Forest((parse_serialized("(AB A B)"), parse_serialized("(CD C D)")))
-        assert len(depth_one_subtrees(f)) == 2
-
     def test_count_equals_non_leaf_nodes(self):
         t = parse_serialized(SKIRT)
         non_leaves = sum(1 for n in t.walk() if n.children)
@@ -141,18 +143,86 @@ def test_walk_and_serialize_match_recursive_reference(seed, n_pieces, unary_perc
     assert canonical_serialize(tree) == recursive_serialize(tree)
 
 
+def recursive_violations(root):
+    """``validate_tree`` checking node by node in a recursion: the reference
+    for its one loop over ``walk()``."""
+    out = []
+
+    def check(node):
+        name = str(node.label)
+        if not node.children:
+            if len(node.label.pieces) != 1:
+                out.append(Violation(name, "leaf-pieces", "leaf must be a single piece"))
+            if node.label.self_attach != 0:
+                out.append(Violation(name, "leaf-counter", "leaf counter must be 0"))
+        else:
+            kids = tuple(c.label for c in node.children)
+            for kind, detail in attachment_violations(node.label, kids):
+                out.append(Violation(name, kind, detail))
+            if len(kids) == 2 and child_order_key(kids[0]) > child_order_key(kids[1]):
+                out.append(Violation(name, "child-order", "children out of canonical order"))
+        for child in node.children:
+            check(child)
+
+    check(root)
+    seen = {}
+    for node in recursive_walk(root):
+        seen[node.label] = seen.get(node.label, 0) + 1
+    for label, count in seen.items():
+        if count > 1:
+            out.append(Violation(str(label), "unique-labels", f"label occurs {count} times"))
+    return out
+
+
+def corrupted(tree, rng, percent):
+    """``tree`` with about ``percent``% of its nodes broken: a counter
+    bumped, two children swapped or the first child dropped."""
+    nodes = list(tree.walk())
+    new = {}
+    for node in reversed(nodes):  # every node after its descendants
+        label = node.label
+        kids = tuple(new[id(c)] for c in node.children)
+        if rng.randrange(100) < percent:
+            kind = rng.randrange(3)
+            if kind == 0:
+                label = NodeLabel(label.pieces, label.self_attach + 1)
+            else:
+                kids = kids[::-1] if kind == 1 else kids[1:]
+        new[id(node)] = AssemblyNode(label, kids)
+    return new[id(tree)]
+
+
+@given(
+    hs.integers(0, 2**64 - 1),
+    hs.integers(1, 10),
+    hs.integers(0, 80),
+    hs.booleans(),
+    hs.integers(0, 150),
+    hs.integers(0, 30),
+)
+def test_validate_tree_matches_recursive_reference(seed, n_pieces, unary_percent, chain, extra, broken):
+    """The same violations in the same order as the recursive check, on
+    random trees with unary chains inside and on top, some nodes broken."""
+    rng = SplitMix64(seed)
+    tree = random_tree(rng, random_inventory(rng, n_pieces), unary_percent, chain=chain)
+    for _ in range(extra):
+        tree = unary(tree)
+    tree = corrupted(tree, rng, broken)
+    assert validate_tree(tree) == recursive_violations(tree)
+
+
 class TestGlue:
     def test_rebuild_from_subtrees(self):
         t = parse_serialized(SKIRT)
         glued = glue_subtrees(subtrees_of(t))
-        assert glued.trees == (t,)
+        assert glued == (t,)
 
     def test_isolated_leaves_kept(self):
         t = parse_serialized("(AB A B)")
         f = glue_subtrees(subtrees_of(t), (N("C"),))
-        assert f.isolated_leaves() == (N("C"),)
-        assert len(f.trees) == 2
+        assert tuple(tree.label for tree in f if tree.is_leaf()) == (N("C"),)
+        assert len(f) == 2
 
     def test_forest_duplicate_labels_flagged(self):
-        f = Forest((parse_serialized("(AB A B)"), parse_serialized("(AB A B)")))
+        f = (parse_serialized("(AB A B)"), parse_serialized("(AB A B)"))
         assert any(v.rule == "forest-unique-labels" for v in validate_forest(f))
