@@ -5,7 +5,6 @@ from .labels import (
     NodeLabel,
     PieceLabel,
     bump_self_attach,
-    compare_piece_labels,
     format_node_label,
     merge_labels,
     parse_node_label,
@@ -19,7 +18,6 @@ from .tree import (
     depth_one_subtrees,
     glue_subtrees,
     parse_serialized,
-    validate_forest,
     validate_tree,
 )
 from .grammar import (

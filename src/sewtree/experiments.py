@@ -27,7 +27,7 @@ from .pipeline import (
     placeholder_spec,
 )
 from .rng import SplitMix64, derive_seed
-from .tree import AssemblyNode, canonical_serialize, depth_one_subtrees
+from .tree import depth_one_subtrees, parse_serialized
 
 
 def join_steps(doc: InstructionDoc) -> str:
@@ -36,16 +36,16 @@ def join_steps(doc: InstructionDoc) -> str:
 
 def score_document(
     doc: InstructionDoc,
-    gold: GoldGrammar | Sequence[AssemblyNode],
+    gold: GoldGrammar | Sequence[str],
     spec: PatternSpec,
     reference: InstructionDoc | None = None,
     extractor=None,
 ) -> tuple[dict, BuildReport]:
     """One scores-CSV row (as a dict) plus the underlying build report.
 
-    ``gold`` is a valid grammar, scored with :func:`grammar_score`, or a
-    sequence of gold trees, scored with :func:`tree_score`; both give the
-    same row.
+    ``gold`` is a valid grammar, scored with :func:`grammar_score`, or the
+    sorted canonical texts of its gold trees, scored with :func:`tree_score`;
+    both give the same row.
     """
     if not doc.steps:
         raise ValueError(f"document {doc.doc_id} has no steps")
@@ -167,9 +167,9 @@ def roundtrip_grammar(
     rebuilding (negative control).
     """
     failures: list[str] = []
-    gold_trees = enumerate_gold_trees(grammar, cap)
     spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
-    for index, tree in enumerate(gold_trees):
+    for index, text in enumerate(enumerate_gold_trees(grammar, cap)):
+        tree = parse_serialized(text)
         doc = linearize_gold_tree(tree, spec)
         doc = InstructionDoc(doc.pattern_id, f"{doc.doc_id}-{index}", doc.steps)
         steps = list(doc.steps)
@@ -184,7 +184,7 @@ def roundtrip_grammar(
         breakdown = grammar_score(predicted, grammar)
         if breakdown.f1 != 1.0:
             failures.append(
-                f"{grammar.pattern_id} tree {index} ({canonical_serialize(tree)}): "
+                f"{grammar.pattern_id} tree {index} ({text}): "
                 f"round-trip F1 {breakdown.f1:.4f}"
             )
         elif predicted != depth_one_subtrees(tree):
@@ -245,15 +245,28 @@ def _number(row: dict, column: str) -> float:
     return value
 
 
+def _by_doc_id(rows, name: str) -> dict[str, dict]:
+    """``rows`` by ``doc_id``, in order; a repeated ``doc_id`` is a
+    ValueError naming it and the input ``name``."""
+    out: dict[str, dict] = {}
+    for row in rows:
+        if row["doc_id"] in out:
+            raise ValueError(f"{name} rows: doc_id {row['doc_id']!r} appears more than once")
+        out[row["doc_id"]] = row
+    return out
+
+
 def correlate_scores(scores_rows, errors_rows, columns) -> list[dict]:
     """Pearson correlation of score columns against errors per step.
 
     ``scores_rows`` are scores-CSV rows; ``errors_rows`` carry ``doc_id`` and
-    ``errors``; the join key is ``doc_id``.
+    ``errors``; the join key is ``doc_id``, which neither input may repeat.
     """
-    errors_by_doc = {row["doc_id"]: _number(row, "errors") for row in errors_rows}
+    errors_by_doc = {
+        doc_id: _number(row, "errors") for doc_id, row in _by_doc_id(errors_rows, "errors").items()
+    }
     joined: list[tuple[dict, float]] = []
-    for row in scores_rows:
+    for row in _by_doc_id(scores_rows, "scores").values():
         if row["doc_id"] in errors_by_doc:
             n_steps = _number(row, "n_steps")
             if n_steps <= 0:

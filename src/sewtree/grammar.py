@@ -31,7 +31,7 @@ from .labels import (
     parse_node_label,
     parse_piece_label,
 )
-from .tree import AssemblyNode, DepthOneSubtree, canonical_serialize
+from .tree import DepthOneSubtree, bracket
 
 
 class GrammarError(ValueError):
@@ -263,12 +263,15 @@ def count_derivations(g: GoldGrammar) -> dict[NodeLabel, int]:
     return {root: counts[p] for root, p in zip(g.roots, graph.roots)}
 
 
-def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[AssemblyNode, ...]:
-    """All derivation trees from all roots, sorted by serialization.  Rules
-    and roots are distinct, so distinct derivations are distinct trees.
+def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, ...]:
+    """The canonical serializations of all derivation trees from all roots,
+    sorted.  Rules and roots are distinct, so distinct derivations are
+    distinct trees.
 
     Counts first and raises :class:`CapExceededError` rather than enumerating
-    past ``cap``.
+    past ``cap``.  The texts are composed over the rule graph, children
+    first: a leaf is its label, and a rule brackets every combination of its
+    children's texts (the derivation semiring over strings).
     """
     check_grammar(g)
     counts = count_derivations(g)
@@ -277,15 +280,27 @@ def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[Assemb
         raise CapExceededError(total, cap)
 
     graph = g.rule_graph
-    trees: list[tuple[AssemblyNode, ...]] = []
-    for label, expansions in zip(graph.labels, graph.expansions):
-        if not expansions:
-            trees.append((AssemblyNode(label),))
-            continue
-        trees.append(tuple(
-            AssemblyNode(label, combo)
-            for _, kids in expansions
-            for combo in itertools.product(*(trees[c] for c in kids))
-        ))
-
-    return tuple(sorted((t for root in graph.roots for t in trees[root]), key=canonical_serialize))
+    # A label's texts are dropped once its last parent is placed: on a unary
+    # chain each label's texts contain its child's, and keeping them all
+    # would hold characters quadratic in the chain's length.
+    last_parent = {c: p for p, rules in enumerate(graph.expansions) for _, kids in rules for c in kids}
+    roots = set(graph.roots)
+    texts: list[list[str] | None] = []
+    gold: list[str] = []
+    for p, (name, expansions) in enumerate(zip(graph.names, graph.expansions)):
+        if expansions:
+            level = [
+                bracket(name, combo)
+                for _, kids in expansions
+                for combo in itertools.product(*(texts[c] for c in kids))
+            ]
+        else:
+            level = [name]
+        texts.append(level)
+        if p in roots:
+            gold.extend(level)
+        for _, kids in expansions:
+            for c in kids:
+                if last_parent[c] == p:
+                    texts[c] = None
+    return tuple(sorted(gold))

@@ -85,12 +85,6 @@ def parse_piece_label(text: str) -> PieceLabel:
     return PieceLabel(base, COPY, index)
 
 
-def compare_piece_labels(a: PieceLabel, b: PieceLabel) -> int:
-    """Total order over pieces: -1, 0, or 1."""
-    ka, kb = a.sort_key(), b.sort_key()
-    return (ka > kb) - (ka < kb)
-
-
 @dataclass(frozen=True)
 class NodeLabel:
     """A component label: sorted distinct pieces plus a self-attachment counter."""

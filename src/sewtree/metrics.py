@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .grammar import GoldGrammar
-from .tree import AssemblyNode, DepthOneSubtree, bracket, canonical_serialize, depth_one_subtrees
+from .tree import AssemblyNode, DepthOneSubtree, bracket, depth_one_subtrees, parse_serialized
 
 BLEU_EPSILON = 1e-9
 
@@ -55,17 +55,18 @@ def subtree_f1(pred: frozenset[DepthOneSubtree], gold: AssemblyNode) -> ScoreBre
     return ScoreBreakdown(precision, recall, _f1(precision, recall), frozenset(matched))
 
 
-def tree_score(pred: frozenset[DepthOneSubtree], gold_set) -> ScoreBreakdown:
-    """The best subtree F1 over all gold trees; ties go to the lowest index.
-    ``best_gold_tree`` holds the best tree's canonical serialization."""
+def tree_score(pred: frozenset[DepthOneSubtree], gold_texts) -> ScoreBreakdown:
+    """The best subtree F1 over the gold trees, given as canonical
+    serializations; ties go to the lowest index.  ``best_gold_tree`` holds
+    the best tree's text."""
     best: ScoreBreakdown | None = None
-    for gold in gold_set:
-        breakdown = subtree_f1(pred, gold)
+    for text in gold_texts:
+        breakdown = subtree_f1(pred, parse_serialized(text))
         if best is None or breakdown.f1 > best.f1:
-            best, best_tree = breakdown, gold
+            best, best_text = breakdown, text
     if best is None:
         raise ValueError("gold set must be non-empty")
-    return replace(best, best_gold_tree=canonical_serialize(best_tree))
+    return replace(best, best_gold_tree=best_text)
 
 
 def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> ScoreBreakdown:

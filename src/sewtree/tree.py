@@ -9,6 +9,7 @@ zero counter.  Serialization uses bracket notation, e.g.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .labels import (
@@ -110,20 +111,6 @@ def validate_tree(root: AssemblyNode) -> list[Violation]:
     return out
 
 
-def validate_forest(trees: tuple[AssemblyNode, ...]) -> list[Violation]:
-    """Each tree's violations, then labels shared between trees."""
-    out: list[Violation] = []
-    seen: dict[NodeLabel, int] = {}
-    for tree in trees:
-        out.extend(validate_tree(tree))
-        for node in tree.walk():
-            seen[node.label] = seen.get(node.label, 0) + 1
-    for label, count in seen.items():
-        if count > 1:
-            out.append(Violation(str(label), "forest-unique-labels", f"label occurs {count} times"))
-    return out
-
-
 def subtrees_of(root: AssemblyNode):
     """Yield the depth-1 subtree of every non-leaf node."""
     for node in root.walk():
@@ -136,7 +123,7 @@ def depth_one_subtrees(root: AssemblyNode) -> frozenset[DepthOneSubtree]:
     return frozenset(subtrees_of(root))
 
 
-def bracket(label: NodeLabel | str, kid_texts: list[str]) -> str:
+def bracket(label: NodeLabel | str, kid_texts: Iterable[str]) -> str:
     """The bracket text of a node labelled ``label`` over its children's
     texts: ``(AB A B)``."""
     return f"({label} {' '.join(kid_texts)})"
@@ -163,50 +150,52 @@ def canonical_serialize(root: AssemblyNode) -> str:
 _TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 
 
+def _parse_label(token: str) -> NodeLabel:
+    try:
+        return parse_node_label(token)
+    except LabelError as exc:
+        raise TreeError(str(exc)) from exc
+
+
 def parse_serialized(text: str) -> AssemblyNode:
-    """Parse bracket notation back into a validated tree."""
+    """Parse bracket notation back into a validated tree.  Iterative, so a
+    tree of any depth parses."""
     tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise TreeError("empty tree text")
+    # The open brackets, outermost first: each node's label and the
+    # children parsed so far.
+    open_nodes: list[tuple[NodeLabel, list[AssemblyNode]]] = []
     pos = 0
-
-    def parse_node() -> AssemblyNode:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise TreeError("unexpected end of input")
+    while True:
+        if pos == len(tokens):
+            raise TreeError("missing ')'")
         tok = tokens[pos]
         pos += 1
+        if tok == "(":
+            if pos == len(tokens) or tokens[pos] in "()":
+                raise TreeError("expected node label after '('")
+            open_nodes.append((_parse_label(tokens[pos]), []))
+            pos += 1
+            continue
         if tok == ")":
-            raise TreeError("unexpected ')'")
-        if tok != "(":
-            try:
-                return AssemblyNode(parse_node_label(tok))
-            except LabelError as exc:
-                raise TreeError(str(exc)) from exc
-        if pos >= len(tokens) or tokens[pos] in "()":
-            raise TreeError("expected node label after '('")
-        try:
-            label = parse_node_label(tokens[pos])
-        except LabelError as exc:
-            raise TreeError(str(exc)) from exc
-        pos += 1
-        children: list[AssemblyNode] = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            children.append(parse_node())
-        if pos >= len(tokens):
-            raise TreeError("missing ')'")
-        pos += 1
-        if not children:
-            raise TreeError(f"bracketed node {label} has no children")
-        return AssemblyNode(label, tuple(children))
-
-    root = parse_node()
+            if not open_nodes:
+                raise TreeError("unexpected ')'")
+            label, children = open_nodes.pop()
+            if not children:
+                raise TreeError(f"bracketed node {label} has no children")
+            node = AssemblyNode(label, tuple(children))
+        else:
+            node = AssemblyNode(_parse_label(tok))
+        if not open_nodes:
+            break
+        open_nodes[-1][1].append(node)
     if pos != len(tokens):
         raise TreeError(f"trailing input after tree: {tokens[pos]!r}")
-    violations = validate_tree(root)
+    violations = validate_tree(node)
     if violations:
         raise TreeError("; ".join(str(v) for v in violations))
-    return root
+    return node
 
 
 def glue_subtrees(

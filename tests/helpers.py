@@ -1,11 +1,58 @@
 """Shared checks for the randomized-grammar property suite."""
 
-from sewtree.grammar import GoldGrammar, count_derivations, enumerate_gold_trees, validate_grammar
+import itertools
+
+from sewtree.grammar import (
+    DEFAULT_CAP,
+    CapExceededError,
+    GoldGrammar,
+    check_grammar,
+    count_derivations,
+    enumerate_gold_trees,
+    validate_grammar,
+)
 from sewtree.labels import parse_node_label
 from sewtree.pipeline import linearize_gold_tree, placeholder_spec
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import random_grammar
-from sewtree.tree import canonical_serialize, glue_subtrees, subtrees_of, validate_tree
+from sewtree.tree import (
+    AssemblyNode,
+    canonical_serialize,
+    glue_subtrees,
+    subtrees_of,
+    validate_tree,
+)
+
+
+def gold_tree_oracle(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[AssemblyNode, ...]:
+    """Every derivation of ``g`` built as an ``AssemblyNode`` tree, sorted by
+    serialization: the reference for ``enumerate_gold_trees``'s texts, and
+    the gold trees of tests that need trees."""
+    check_grammar(g)
+    total = sum(count_derivations(g).values())
+    if total > cap:
+        raise CapExceededError(total, cap)
+    graph = g.rule_graph
+    trees: list[tuple[AssemblyNode, ...]] = []
+    for label, expansions in zip(graph.labels, graph.expansions):
+        if not expansions:
+            trees.append((AssemblyNode(label),))
+            continue
+        trees.append(tuple(
+            AssemblyNode(label, combo)
+            for _, kids in expansions
+            for combo in itertools.product(*(trees[c] for c in kids))
+        ))
+    return tuple(sorted((t for root in graph.roots for t in trees[root]), key=canonical_serialize))
+
+
+def check_enumeration(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, ...]:
+    """``enumerate_gold_trees(g)``, checked against the tree oracle and
+    against the derivation count: derivations and trees are in bijection."""
+    texts = enumerate_gold_trees(g, cap)
+    assert texts == tuple(canonical_serialize(t) for t in gold_tree_oracle(g, cap)), g.pattern_id
+    assert len(set(texts)) == len(texts) == sum(count_derivations(g).values()), g.pattern_id
+    return texts
 
 
 def make_random_grammar(seed: int, index: int) -> GoldGrammar:
@@ -20,7 +67,7 @@ def make_chain_corpus():
 
     Chain shape means exactly one valid assembly order, so permutation and
     error-injection experiments have maximal headroom.  Returns
-    (grammar, spec, gold_trees, linearized_doc) tuples.
+    (grammar, spec, gold_texts, linearized_doc) tuples.
     """
     corpus = []
     for i in range(22):
@@ -30,7 +77,7 @@ def make_chain_corpus():
         )
         spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
         gold = enumerate_gold_trees(grammar)
-        doc = linearize_gold_tree(gold[0], spec)
+        doc = linearize_gold_tree(gold_tree_oracle(grammar)[0], spec)
         assert len(doc.steps) >= 4
         corpus.append((grammar, spec, gold, doc))
     return corpus
@@ -38,9 +85,9 @@ def make_chain_corpus():
 
 def check_grammar_properties(g: GoldGrammar, cap: int = 50_000) -> None:
     assert validate_grammar(g) == [], f"{g.pattern_id}: invalid grammar"
-    trees = enumerate_gold_trees(g, cap)
-    counts = count_derivations(g)
-    assert sum(counts.values()) == len(trees) > 0
+    texts = check_enumeration(g, cap)
+    trees = gold_tree_oracle(g, cap)
+    assert len(trees) > 0
     for tree in trees:
         assert validate_tree(tree) == [], f"{g.pattern_id}: invalid enumerated tree"
         glued = glue_subtrees(subtrees_of(tree))
@@ -53,9 +100,9 @@ def check_grammar_properties(g: GoldGrammar, cap: int = 50_000) -> None:
 
     # enumeration must not depend on the order rules are listed in
     reversed_rules = GoldGrammar(g.pattern_id, g.inventory, g.roots, tuple(reversed(g.rules)))
-    a = {canonical_serialize(t) for t in trees}
-    b = {canonical_serialize(t) for t in enumerate_gold_trees(reversed_rules, cap)}
-    assert a == b, f"{g.pattern_id}: enumeration depends on rule order"
+    assert enumerate_gold_trees(reversed_rules, cap) == texts, (
+        f"{g.pattern_id}: enumeration depends on rule order"
+    )
 
 
 def glued_forest(report) -> tuple[str, ...]:

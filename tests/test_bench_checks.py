@@ -1,7 +1,7 @@
 """The benchmark checks each ``score`` run against
 ``perfbench/checks.py::rule_based_tree_columns``: the tree columns of
-``score_document`` over the enumerated gold trees, which ``tree_score``
-scores.  On the same documents they must equal the columns of
+``score_document`` over the enumerated gold texts, which ``tree_score``
+parses and scores.  On the same documents they must equal the columns of
 ``score_document`` over the grammar, which ``grammar_score``'s DP scores
 and the CLI writes."""
 
@@ -12,6 +12,7 @@ from pathlib import Path
 from sewtree.experiments import ErrorInjectionPlan, inject_errors, permute_doc, score_document
 from sewtree.grammar import enumerate_gold_trees
 from sewtree.pipeline import InstructionDoc, PatternSpec, linearize_gold_tree, placeholder_spec
+from sewtree.tree import parse_serialized
 
 from conftest import FIXTURES, GRAMMAR_NAMES, load_grammar
 
@@ -43,8 +44,8 @@ def fixture_workload() -> types.SimpleNamespace:
         else:
             spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
         patterns.append(types.SimpleNamespace(grammar=grammar, spec=spec))
-        for index, tree in enumerate(enumerate_gold_trees(grammar)[:3]):
-            lin = linearize_gold_tree(tree, spec)
+        for index, text in enumerate(enumerate_gold_trees(grammar)[:3]):
+            lin = linearize_gold_tree(parse_serialized(text), spec)
             lin = InstructionDoc(lin.pattern_id, f"{lin.doc_id}-{index}", lin.steps)
             docs += [lin, *permute_doc(lin, index, 1)]
             for k, plan in enumerate(PLANS):

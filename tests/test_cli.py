@@ -11,13 +11,15 @@ import pytest
 
 import sewtree.cli
 import sewtree.grammar
+import sewtree.tree
 from sewtree.cli import main
-from sewtree.grammar import DEFAULT_CAP, count_derivations, enumerate_gold_trees, parse_grammar
+from sewtree.grammar import DEFAULT_CAP, count_derivations, parse_grammar
 from sewtree.labels import parse_piece_label
 from sewtree.pipeline import linearize_gold_tree, placeholder_spec
 from sewtree.tree import binary, leaf
 
 from conftest import FIXTURES
+from helpers import gold_tree_oracle
 
 
 @pytest.fixture()
@@ -74,6 +76,17 @@ class TestGenGold:
         assert run("gen-gold", FIXTURES / "grammars" / "skirt.grammar") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["trees"] == ["(ABC_1 (AB_1 (AB A B)) C)"]
+
+    def test_builds_and_serializes_no_tree(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("gen-gold built or serialized a tree")
+
+        for module in (sewtree.tree, sewtree.grammar, sewtree.cli):
+            for name in ("AssemblyNode", "canonical_serialize"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert run("gen-gold", FIXTURES / "grammars" / "pants_combined.grammar") == 0
+        trees = json.loads(capsys.readouterr().out)["trees"]
+        assert len(trees) == 4 and trees == sorted(trees)
 
     def test_cap_exceeded_exit_code(self, capsys):
         code = run("gen-gold", FIXTURES / "grammars" / "pants_combined.grammar", "--cap", "3")
@@ -572,7 +585,7 @@ class TestUnaryChain:
         grammar_path = write_chain_grammar(tmp_path / "grammars")
         grammar = parse_grammar(grammar_path.read_text())
         spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
-        (tree,) = enumerate_gold_trees(grammar)
+        (tree,) = gold_tree_oracle(grammar)
         doc = linearize_gold_tree(tree, spec)
         assert len(doc.steps) == CHAIN_LENGTH + 1
         for name, payload in (("corpus", doc.to_json()), ("specs", spec.to_json())):

@@ -88,7 +88,7 @@ class TestInjectErrors:
         from sewtree.pipeline import linearize_gold_tree
 
         gold = enumerate_gold_trees(skirt_grammar)
-        doc = linearize_gold_tree(gold[0], skirt_spec)
+        doc = linearize_gold_tree(helpers.gold_tree_oracle(skirt_grammar)[0], skirt_spec)
         base_row, _ = score_document(doc, gold, skirt_spec)
         corrupted, _ = inject_errors(
             doc, ErrorInjectionPlan(swap_adjacent=1, wrong_piece=1), 3, skirt_spec
@@ -160,6 +160,21 @@ class TestCorrelate:
         scores = [{"doc_id": f"d{i}", "n_steps": 5, "tree_f1": 0.5} for i in range(4)]
         errors = [{"doc_id": f"d{i}", "errors": i} for i in range(4)]
         with pytest.raises(ValueError, match="constant"):
+            correlate_scores(scores, errors, ["tree_f1"])
+
+    REPEATED = (("d0", 9), ("d0", 0), ("d1", 1), ("d2", 2))
+
+    def test_repeated_doc_id_in_errors_is_rejected(self):
+        # Keeping the last d0 row would give r = 1.0 with no error.
+        scores = [{"doc_id": f"d{i}", "n_steps": 1, "tree_f1": i} for i in range(3)]
+        errors = [{"doc_id": d, "errors": e} for d, e in self.REPEATED]
+        with pytest.raises(ValueError, match="^errors rows: doc_id 'd0' appears more than once$"):
+            correlate_scores(scores, errors, ["tree_f1"])
+
+    def test_repeated_doc_id_in_scores_is_rejected(self):
+        scores = [{"doc_id": d, "n_steps": 1, "tree_f1": f} for d, f in self.REPEATED]
+        errors = [{"doc_id": f"d{i}", "errors": i} for i in range(3)]
+        with pytest.raises(ValueError, match="^scores rows: doc_id 'd0' appears more than once$"):
             correlate_scores(scores, errors, ["tree_f1"])
 
     def test_too_few_joined_rows(self):

@@ -1,4 +1,4 @@
-"""grammar_score against its oracle, tree_score over the enumerated gold set.
+"""grammar_score against its oracle, tree_score over the enumerated gold texts.
 
 Precision, recall and F1 must be equal with ``==``: the DP computes them
 with the same float expression as the oracle, so any difference is a bug.
@@ -20,9 +20,10 @@ from sewtree.pipeline import (
 )
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import grammar_from_trees, random_grammar, random_inventory, random_tree
-from sewtree.tree import AssemblyNode, canonical_serialize, depth_one_subtrees, parse_serialized
+from sewtree.tree import AssemblyNode, depth_one_subtrees, parse_serialized
 
 from conftest import GRAMMAR_NAMES, load_grammar
+from helpers import gold_tree_oracle
 
 PLANS = (
     ErrorInjectionPlan(swap_adjacent=1),
@@ -40,11 +41,11 @@ def assert_matches_oracle(predicted, grammar, gold):
     assert dp.matched == oracle.matched
 
 
-def corpus_predictions(grammar, gold, seed: int, extra_trees=(), plans=PLANS):
+def corpus_predictions(grammar, seed: int, extra_trees=(), plans=PLANS):
     """Predicted subtree sets of the first gold trees and of other trees over the same
     pieces, each linearized as written, permuted and error-injected."""
     spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
-    for index, tree in enumerate((*gold[:2], *extra_trees)):
+    for index, tree in enumerate((*gold_tree_oracle(grammar)[:2], *extra_trees)):
         doc = linearize_gold_tree(tree, spec)
         if not doc.steps:
             continue
@@ -62,7 +63,7 @@ def test_fixture_grammars_match_oracle(name):
     gold = enumerate_gold_trees(grammar)
     rng = SplitMix64(derive_seed(3, name))
     others = [random_tree(rng, sorted(grammar.inventory)) for _ in range(3)]
-    for predicted in corpus_predictions(grammar, gold, 11, others):
+    for predicted in corpus_predictions(grammar, 11, others):
         assert_matches_oracle(predicted, grammar, gold)
     assert_matches_oracle(frozenset(), grammar, gold)
 
@@ -77,7 +78,7 @@ def test_synthetic_grammars_match_oracle(block):
         gold = enumerate_gold_trees(grammar)
         other = random_tree(rng, sorted(grammar.inventory))
         plans = (PLANS[index % 2], PLANS[2 + index % 2])
-        for predicted in corpus_predictions(grammar, gold, index, [other], plans):
+        for predicted in corpus_predictions(grammar, index, [other], plans):
             assert_matches_oracle(predicted, grammar, gold)
 
 
@@ -104,7 +105,7 @@ def test_tie_on_f1_with_different_precision_and_recall():
     gold = enumerate_gold_trees(grammar)
     predicted = depth_one_subtrees(parse_serialized("(AB_1 (AB A B))"))
     short = "(ABC (AB A B) C)"
-    assert [canonical_serialize(t) for t in gold][0] == short
+    assert gold[0] == short
     assert [tree_score(predicted, (t,)).f1 for t in gold] == [0.5, 0.5]
 
     result = grammar_score(predicted, grammar)

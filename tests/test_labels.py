@@ -11,7 +11,6 @@ from sewtree.labels import (
     NodeLabel,
     PieceLabel,
     bump_self_attach,
-    compare_piece_labels,
     format_node_label,
     merge_labels,
     parse_node_label,
@@ -54,13 +53,16 @@ class TestParsePieceLabel:
 
 class TestPieceOrdering:
     def test_base_letter_first(self):
-        assert compare_piece_labels(P("A"), P("Bl")) == -1
+        assert P("A") < P("Bl")
+        assert sorted([P("Bl"), P("A")]) == [P("A"), P("Bl")]
 
     def test_left_before_right(self):
-        assert compare_piece_labels(P("Bl"), P("Br")) == -1
+        assert P("Bl") < P("Br")
+        assert sorted([P("Br"), P("Bl")]) == [P("Bl"), P("Br")]
 
     def test_copy_numeric_order(self):
-        assert compare_piece_labels(P("B2"), P("B10")) == -1
+        assert P("B2") < P("B10")
+        assert sorted([P("B10"), P("B2")]) == [P("B2"), P("B10")]
 
     def test_plain_before_suffixed(self):
         assert P("B") < P("Bl") < P("Br") < P("B1")
@@ -70,8 +72,9 @@ class TestPieceOrdering:
         pieces = hs.sampled_from([P(t) for t in ["A", "Al", "Ar", "A1", "A2", "B", "Bl", "C3"]])
         a, b, c = data.draw(pieces), data.draw(pieces), data.draw(pieces)
         # antisymmetry and totality
-        assert (compare_piece_labels(a, b) == 0) == (a == b)
-        assert compare_piece_labels(a, b) == -compare_piece_labels(b, a)
+        assert (not a < b and not b < a) == (a == b)
+        assert not (a < b and b < a)
+        assert sorted([a, b]) == sorted([b, a])
         # transitivity
         if a < b and b < c:
             assert a < c

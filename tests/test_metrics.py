@@ -54,11 +54,7 @@ class TestSubtreeF1:
 
 class TestTreeScore:
     def test_max_attains_identity(self):
-        golds = [
-            parse_serialized("(ABC (AB A B) C)"),
-            parse_serialized(SKIRT),
-            parse_serialized("(ABC A (BC B C))"),
-        ]
+        golds = ["(ABC (AB A B) C)", SKIRT, "(ABC A (BC B C))"]
         pred = depth_one_subtrees(parse_serialized(SKIRT))
         b = tree_score(pred, golds)
         assert b.f1 == 1.0 and b.best_gold_tree == SKIRT
@@ -72,15 +68,15 @@ class TestTreeScore:
         first = "(ABCD A (BCD B (CD C D)))"
         second = "(ABCD (ABC (AB A B) C) D)"
         for golds in ([first, second], [second, first]):
-            b = tree_score(pred, [parse_serialized(t) for t in golds])
+            b = tree_score(pred, golds)
             assert b.f1 == 0.4
             assert b.best_gold_tree == golds[0]
 
     def test_adding_gold_never_decreases(self):
         pred = depth_one_subtrees(parse_serialized(SKIRT))
-        golds = [parse_serialized("(ABC (AB A B) C)")]
+        golds = ["(ABC (AB A B) C)"]
         before = tree_score(pred, golds).f1
-        golds.append(parse_serialized(SKIRT))
+        golds.append(SKIRT)
         assert tree_score(pred, golds).f1 >= before
 
     def test_empty_gold_set_rejected(self):

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as hs
 
 from sewtree.adapter import AdapterConfig, AdapterError, extract_via_adapter
-from sewtree.grammar import enumerate_gold_trees
 from sewtree.labels import NodeLabel, PieceLabel, parse_node_label, parse_piece_label
 from sewtree.pipeline import (
     BuildReport,
@@ -37,7 +36,7 @@ from sewtree.tree import (
 )
 
 from conftest import GRAMMAR_NAMES, load_grammar
-from helpers import glued_forest
+from helpers import glued_forest, gold_tree_oracle
 
 
 def P(text):
@@ -295,7 +294,7 @@ class TestBuildMatchesReference:
     def test_linearized_gold_trees(self, name):
         grammar = load_grammar(name)
         spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
-        for tree in enumerate_gold_trees(grammar):
+        for tree in gold_tree_oracle(grammar):
             doc = linearize_gold_tree(tree, spec)
             extractions = extract_document(doc, spec)
             assert build_forest(doc, extractions, spec) == reference_build_forest(extractions, spec)
@@ -332,14 +331,14 @@ class TestLinearization:
     def test_roundtrip_every_gold_tree(self, name):
         grammar = load_grammar(name)
         spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
-        for tree in enumerate_gold_trees(grammar):
+        for tree in gold_tree_oracle(grammar):
             doc = linearize_gold_tree(tree, spec)
             report = build_forest(doc, extract_document(doc, spec), spec)
             assert report.subtrees() == depth_one_subtrees(tree)
             assert report.forest == (canonical_serialize(tree),)
 
     def test_step_count_equals_non_leaf_nodes(self, skirt_grammar, skirt_spec):
-        (tree,) = enumerate_gold_trees(skirt_grammar)
+        (tree,) = gold_tree_oracle(skirt_grammar)
         doc = linearize_gold_tree(tree, skirt_spec)
         assert len(doc.steps) == 3
 

@@ -23,12 +23,12 @@ from sewtree.labels import (
     parse_node_label,
 )
 from sewtree.pipeline import build_forest, extract_document, linearize_gold_tree, placeholder_spec
-from sewtree.grammar import GrammarError, enumerate_gold_trees, parse_grammar, validate_grammar
+from sewtree.grammar import GrammarError, parse_grammar, validate_grammar
 from sewtree.rng import SplitMix64
 from sewtree.synth import grammar_from_trees, grammar_to_text, random_inventory, random_tree
 from sewtree.tree import canonical_serialize, depth_one_subtrees, parse_serialized
 
-from helpers import check_grammar_properties, glued_forest, make_random_grammar
+from helpers import check_grammar_properties, glued_forest, gold_tree_oracle, make_random_grammar
 
 
 @pytest.mark.parametrize("index", range(100))
@@ -46,7 +46,7 @@ def test_random_grammar_roundtrip(index):
 def test_build_glue_equivalence_on_random_docs(index):
     grammar = make_random_grammar(55, index)
     spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
-    trees = enumerate_gold_trees(grammar, cap=50_000)
+    trees = gold_tree_oracle(grammar, cap=50_000)
     doc = linearize_gold_tree(trees[0], spec)
     if not doc.steps:
         return

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as hs
 
 from sewtree.labels import (
+    LabelError,
     NodeLabel,
     attachment_violations,
     child_order_key,
@@ -12,6 +13,7 @@ from sewtree.labels import (
 from sewtree.rng import SplitMix64
 from sewtree.synth import random_inventory, random_tree
 from sewtree.tree import (
+    _TOKEN_RE,
     AssemblyNode,
     DepthOneSubtree,
     TreeError,
@@ -24,7 +26,6 @@ from sewtree.tree import (
     parse_serialized,
     subtrees_of,
     unary,
-    validate_forest,
     validate_tree,
 )
 
@@ -107,6 +108,111 @@ class TestSerialization:
     def test_malformed(self, bad):
         with pytest.raises(TreeError):
             parse_serialized(bad)
+
+
+def recursive_parse(text):
+    """The recursive descent parser: the reference for ``parse_serialized``'s
+    explicit stack."""
+    tokens = _TOKEN_RE.findall(text)
+    if not tokens:
+        raise TreeError("empty tree text")
+    pos = 0
+
+    def label_of(tok):
+        try:
+            return parse_node_label(tok)
+        except LabelError as exc:
+            raise TreeError(str(exc)) from exc
+
+    def parse_node():
+        nonlocal pos
+        if pos >= len(tokens):
+            raise TreeError("unexpected end of input")
+        tok = tokens[pos]
+        pos += 1
+        if tok == ")":
+            raise TreeError("unexpected ')'")
+        if tok != "(":
+            return AssemblyNode(label_of(tok))
+        if pos >= len(tokens) or tokens[pos] in "()":
+            raise TreeError("expected node label after '('")
+        label = label_of(tokens[pos])
+        pos += 1
+        children = []
+        while pos < len(tokens) and tokens[pos] != ")":
+            children.append(parse_node())
+        if pos >= len(tokens):
+            raise TreeError("missing ')'")
+        pos += 1
+        if not children:
+            raise TreeError(f"bracketed node {label} has no children")
+        return AssemblyNode(label, tuple(children))
+
+    root = parse_node()
+    if pos != len(tokens):
+        raise TreeError(f"trailing input after tree: {tokens[pos]!r}")
+    violations = validate_tree(root)
+    if violations:
+        raise TreeError("; ".join(str(v) for v in violations))
+    return root
+
+
+def parse_outcome(parse, text):
+    """The tree ``parse`` returns for ``text``, or the message it raises."""
+    try:
+        return parse(text)
+    except TreeError as exc:
+        return f"TreeError: {exc}"
+
+
+@given(
+    hs.integers(0, 2**64 - 1),
+    hs.integers(1, 10),
+    hs.integers(0, 80),
+    hs.booleans(),
+    hs.integers(0, 150),
+    hs.lists(hs.tuples(hs.integers(0, 3), hs.integers(0, 2**16)), max_size=3),
+)
+def test_parse_matches_recursive_reference(seed, n_pieces, unary_percent, chain, extra, edits):
+    """The same tree, or the same error message, as the recursive parser on
+    random trees with unary chains inside and on top, their token streams
+    then edited: a token dropped, a bracket inserted or a token repeated."""
+    rng = SplitMix64(seed)
+    tree = random_tree(rng, random_inventory(rng, n_pieces), unary_percent, chain=chain)
+    for _ in range(extra):
+        tree = unary(tree)
+    text = canonical_serialize(tree)
+    if not edits:
+        assert parse_serialized(text) == recursive_parse(text) == tree
+    tokens = _TOKEN_RE.findall(text)
+    for kind, where in edits:
+        at = where % (len(tokens) + 1)
+        if kind == 0:
+            del tokens[at:at + 1]
+        elif kind == 3:
+            tokens[at:at] = tokens[at - 1:at]
+        else:
+            tokens.insert(at, "()"[kind - 1])
+    text = " ".join(tokens)
+    assert parse_outcome(parse_serialized, text) == parse_outcome(recursive_parse, text)
+
+
+SOUP = ["(", ")", "A", "B", "C", "AB", "AB_1", "ABC", "A_1", "a", "BA"]
+
+
+@given(hs.lists(hs.sampled_from(SOUP), max_size=12))
+def test_parse_token_soup_matches_recursive_reference(tokens):
+    """Short streams of brackets and good and bad labels reach every error."""
+    text = " ".join(tokens)
+    assert parse_outcome(parse_serialized, text) == parse_outcome(recursive_parse, text)
+
+
+def test_parse_five_thousand_deep_chain():
+    depth = 5000
+    text = "".join(f"(AB_{i} " for i in range(depth, 0, -1)) + "(AB A B)" + ")" * depth
+    tree = parse_serialized(text)
+    assert tree.label == N(f"AB_{depth}")
+    assert canonical_serialize(tree) == text
 
 
 def recursive_walk(node):
@@ -222,7 +328,3 @@ class TestGlue:
         f = glue_subtrees(subtrees_of(t), (N("C"),))
         assert tuple(tree.label for tree in f if tree.is_leaf()) == (N("C"),)
         assert len(f) == 2
-
-    def test_forest_duplicate_labels_flagged(self):
-        f = (parse_serialized("(AB A B)"), parse_serialized("(AB A B)"))
-        assert any(v.rule == "forest-unique-labels" for v in validate_forest(f))
