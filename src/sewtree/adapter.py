@@ -7,10 +7,7 @@ validated against the pattern inventory.
 
 from __future__ import annotations
 
-import http.client
 import json
-import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 
 from .labels import LabelError, parse_piece_label
@@ -44,6 +41,12 @@ def extract_via_adapter(
     either fails the document or, with ``fallback_to_rules``, degrades to the
     rule-based extractor with a diagnostic marker.
     """
+    # Imported here, not at module load: only an adapter run needs the HTTP
+    # stack (with email and ssl, a large share of importing sewtree.cli).
+    import http.client
+    import urllib.parse
+    import urllib.request
+
     inventory = sorted(spec.inventory)
     payload = {"step": step, "inventory": [str(p) for p in inventory]}
     body = json.dumps(payload).encode()

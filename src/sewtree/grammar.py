@@ -125,8 +125,6 @@ def parse_grammar(text: str) -> GoldGrammar:
     inv: frozenset[PieceLabel] | None = None
     roots_line: tuple[int, str] | None = None
     rules: dict[DepthOneSubtree, None] = {}
-    # Label texts recur across rules; each distinct one is parsed once.
-    labels: dict[str, NodeLabel] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -162,20 +160,15 @@ def parse_grammar(text: str) -> GoldGrammar:
             lhs, rhs = line.split("->", 1)
             if inv is None:
                 raise GrammarError(f"line {lineno}: rule before pieces header")
-            tokens = [lhs.strip(), *rhs.split()]
             try:
-                for token in tokens:
-                    if token not in labels:
-                        labels[token] = parse_node_label(token)
+                parent, *children = map(parse_node_label, [lhs.strip(), *rhs.split()])
             except LabelError as exc:
                 raise GrammarError(f"line {lineno}: {exc}") from exc
-            parent, *children = (labels[token] for token in tokens)
             if not 1 <= len(children) <= 2:
                 raise GrammarError(f"line {lineno}: rules need 1 or 2 children")
             for label in (parent, *children):
-                unknown = label.piece_set - inv
-                if unknown:
-                    names = ", ".join(sorted(str(p) for p in unknown))
+                if not inv.issuperset(label.pieces):
+                    names = ", ".join(sorted(str(p) for p in label.piece_set - inv))
                     raise GrammarError(f"line {lineno}: unknown pieces {names}")
             # Child order in the file is presentational; canonicalize it.
             if len(children) == 2:

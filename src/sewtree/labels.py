@@ -11,8 +11,8 @@ displayed as a ``_n`` suffix and omitted when the counter is zero
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import total_ordering
+from dataclasses import dataclass, field
+from functools import lru_cache, total_ordering
 
 
 class LabelError(ValueError):
@@ -30,14 +30,26 @@ _VARIANT_SUFFIX = {PLAIN: "", LEFT: "l", RIGHT: "r"}
 _PIECE_RE = re.compile(r"([A-Z])(l|r|[0-9]+)?")
 
 
+# Labels are hashed on every set and dict lookup of a rule, so each one
+# hashes once, at construction, from ints only: an int tuple hashes the same
+# in every process, so a pickled or ``dataclasses.replace``d label keeps a
+# valid hash whatever PYTHONHASHSEED is.  Slots keep a label no larger than
+# it was without the cached hash.
+
+# Distinct texts each label parser remembers; bounded, so a long run of
+# varied labels cannot grow the memo without end.
+_LABEL_MEMO_SIZE = 4096
+
+
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PieceLabel:
     """One pattern piece: a base letter plus a mirror/copy variant."""
 
     base: str
     variant: str = PLAIN
     copy_index: int = 0
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.base) != 1 or not "A" <= self.base <= "Z":
@@ -49,6 +61,12 @@ class PieceLabel:
                 raise LabelError(f"copy index must be >= 1, got {self.copy_index}")
         elif self.copy_index != 0:
             raise LabelError("copy_index is only meaningful for the copy variant")
+        object.__setattr__(
+            self, "_hash", hash((ord(self.base), _VARIANT_RANK[self.variant], self.copy_index))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sort_key(self) -> tuple[str, int, int]:
         # Base letter first; l/r and copy numbers only break ties within a base.
@@ -65,8 +83,10 @@ class PieceLabel:
         return f"{self.base}{_VARIANT_SUFFIX[self.variant]}"
 
 
+@lru_cache(maxsize=_LABEL_MEMO_SIZE)
 def parse_piece_label(text: str) -> PieceLabel:
-    """Parse one piece label; inverse of :func:`str` on :class:`PieceLabel`."""
+    """Parse one piece label; inverse of :func:`str` on :class:`PieceLabel`.
+    Memoized: equal texts give one shared label (a bad text raises each time)."""
     if not text:
         raise LabelError("empty piece label")
     m = _PIECE_RE.fullmatch(text)
@@ -85,12 +105,13 @@ def parse_piece_label(text: str) -> PieceLabel:
     return PieceLabel(base, COPY, index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeLabel:
     """A component label: sorted distinct pieces plus a self-attachment counter."""
 
     pieces: tuple[PieceLabel, ...]
     self_attach: int = 0
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.pieces:
@@ -102,6 +123,12 @@ class NodeLabel:
                 raise LabelError(
                     f"pieces must be strictly sorted, got {prev} before {cur}"
                 )
+        object.__setattr__(
+            self, "_hash", hash((*(p._hash for p in self.pieces), self.self_attach))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def piece_set(self) -> frozenset[PieceLabel]:
@@ -118,8 +145,10 @@ def format_node_label(label: NodeLabel) -> str:
     return body
 
 
+@lru_cache(maxsize=_LABEL_MEMO_SIZE)
 def parse_node_label(text: str) -> NodeLabel:
-    """Parse a concatenated node label such as ``ABlBr`` or ``BlBrFlFr_2``."""
+    """Parse a concatenated node label such as ``ABlBr`` or ``BlBrFlFr_2``.
+    Memoized like :func:`parse_piece_label`."""
     if not text:
         raise LabelError("empty node label")
     body, sep, counter_text = text.partition("_")

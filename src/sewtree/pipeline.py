@@ -22,7 +22,7 @@ from .labels import (
     merge_labels,
     parse_piece_label,
 )
-from .tree import AssemblyNode, DepthOneSubtree, bracket
+from .tree import AssemblyNode, DepthOneSubtree, serialize_labels
 
 
 _JSON_TYPE_NAMES = {str: "a string", list: "a list", dict: "an object"}
@@ -201,7 +201,9 @@ def resolve_components(
     """
     resolved: list[NodeLabel] = []
     for piece in x.mentions:
-        label = component_of.get(piece, NodeLabel((piece,), 0))
+        label = component_of.get(piece)
+        if label is None:
+            label = NodeLabel((piece,), 0)
         if label not in resolved:
             resolved.append(label)
     return resolved
@@ -269,15 +271,14 @@ def build_forest(
         trace.extend((x.step_index, st) for st in subtrees)
         diagnostics.extend(step_diags)
 
-    # The trace lists children before parents and each label is the child
-    # of at most one subtree, so its one parent pops each built child's
-    # text; the texts left over are the roots'.
-    texts: dict[NodeLabel, str] = {}
-    for _, st in trace:
-        texts[st.parent] = bracket(
-            st.parent, [texts.pop(c) if c in texts else str(c) for c in st.children]
-        )
-    roots = list(texts.values())
+    # Each label is the parent of at most one subtree and the child of at
+    # most one, so the final components are the roots and each root's text
+    # is written once, top down: a child's text is never copied into its
+    # parent's, which on a long chain would copy characters quadratic in
+    # its length.
+    children_of = {st.parent: st.children for _, st in trace}
+    components = dict.fromkeys(component_of.values())
+    roots = [serialize_labels(label, children_of) for label in components]
     roots.extend(str(p) for p in spec.inventory if p not in component_of)
     roots.sort()
     return BuildReport(tuple(roots), tuple(trace), tuple(diagnostics))

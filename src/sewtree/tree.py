@@ -9,8 +9,8 @@ zero counter.  Serialization uses bracket notation, e.g.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, field
 
 from .labels import (
     LabelError,
@@ -63,12 +63,22 @@ def binary(a: AssemblyNode, b: AssemblyNode) -> AssemblyNode:
     return AssemblyNode(label, children)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DepthOneSubtree:
-    """A parent label together with its immediate children's labels."""
+    """A parent label together with its immediate children's labels.
+    Hashed once, from its labels' hashes, like the labels themselves."""
 
     parent: NodeLabel
     children: tuple[NodeLabel, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.parent._hash, *(c._hash for c in self.children)))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         kids = " ".join(str(c) for c in self.children)
@@ -145,6 +155,27 @@ def canonical_serialize(root: AssemblyNode) -> str:
         else:
             tokens.append(str(item.label))
     return " ".join(tokens)
+
+
+def serialize_labels(root: NodeLabel, children_of: Mapping[NodeLabel, tuple[NodeLabel, ...]]) -> str:
+    """The canonical serialization of the tree under ``root`` when each
+    label has one node, given each internal label's children; a label
+    without an entry is a leaf.  Iterative, and each token is written
+    once, so the time is linear in the text however deep the tree."""
+    parts: list[str] = []
+    stack: list = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item in children_of:
+            parts.append(f"({item}")
+            stack.append(")")
+            for kid in reversed(children_of[item]):
+                stack += (kid, " ")
+        else:
+            parts.append(str(item))
+    return "".join(parts)
 
 
 _TOKEN_RE = re.compile(r"[()]|[^\s()]+")

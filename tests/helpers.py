@@ -1,6 +1,10 @@
 """Shared checks for the randomized-grammar property suite."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from sewtree.grammar import (
     DEFAULT_CAP,
@@ -111,3 +115,16 @@ def glued_forest(report) -> tuple[str, ...]:
     isolated = tuple(parse_node_label(t) for t in report.forest if not t.startswith("("))
     glued = glue_subtrees((st for _, st in report.subtree_trace), isolated)
     return tuple(canonical_serialize(t) for t in glued)
+
+
+def run_fresh(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this checkout,
+    with ``env`` added to the environment."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )

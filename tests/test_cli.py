@@ -1,10 +1,7 @@
 import csv
 import itertools
 import json
-import os
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +16,7 @@ from sewtree.pipeline import linearize_gold_tree, placeholder_spec
 from sewtree.tree import binary, leaf
 
 from conftest import FIXTURES
-from helpers import gold_tree_oracle
+from helpers import gold_tree_oracle, run_fresh
 
 
 @pytest.fixture()
@@ -655,16 +652,28 @@ class TestDeterminism:
 
 
 def test_import_loads_no_third_party_modules():
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    code = "import sys, sewtree.cli; print(' '.join(sorted(sys.modules)))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        check=True,
-    )
+    proc = run_fresh("-c", "import sys, sewtree.cli; print(' '.join(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "sewtree.cli" in loaded
     assert loaded.isdisjoint({"scipy", "numpy", "requests", "urllib3"})
+    # Only an adapter run needs the HTTP stack.
+    assert loaded.isdisjoint({"http.client", "urllib.request", "email", "ssl"})
+
+
+@pytest.mark.parametrize(
+    "url,message",
+    [("http://127.0.0.1:1/none", "unreachable"), ("file:///dev/null", "not an http(s) URL")],
+    ids=["refused", "file-url"],
+)
+def test_failing_adapter_exits_1_without_fallback(url, message):
+    proc = run_fresh(
+        "-m", "sewtree.cli", "build",
+        "--doc", str(FIXTURES / "docs" / "skirt-demo.json"),
+        "--spec", str(FIXTURES / "specs" / "skirt.json"),
+        "--extractor", "adapter", "--adapter-url", url,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -1,3 +1,7 @@
+import dataclasses
+import json
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
@@ -16,6 +20,10 @@ from sewtree.labels import (
     parse_node_label,
     parse_piece_label,
 )
+from sewtree.pipeline import InstructionDoc, StepExtraction, build_forest, placeholder_spec
+from sewtree.tree import DepthOneSubtree, binary, canonical_serialize, leaf, parse_serialized, unary
+
+from helpers import run_fresh
 
 
 def P(text):
@@ -162,3 +170,101 @@ class TestBumpSelfAttach:
     def test_from_table_examples(self):
         assert bump_self_attach(N("AB")) == N("AB_1")
         assert bump_self_attach(N("BlFl")) == N("BlFl_1")
+
+
+piece_labels = hs.one_of(
+    hs.builds(PieceLabel, hs.sampled_from("ABCDEFG"), hs.sampled_from([PLAIN, LEFT, RIGHT])),
+    hs.builds(PieceLabel, hs.sampled_from("ABCDEFG"), hs.just(COPY), hs.integers(1, 12)),
+)
+node_labels = hs.builds(
+    lambda pieces, counter: NodeLabel(tuple(sorted(pieces)), counter),
+    hs.sets(piece_labels, min_size=1, max_size=6),
+    hs.integers(0, 6),
+)
+
+
+def equal_labels_built_every_way(label: NodeLabel) -> list[NodeLabel]:
+    """``label`` rebuilt from its text, by label arithmetic, from a parsed
+    tree text and from a build's trace."""
+    first, *rest = label.pieces
+    counter = label.self_attach
+    bumped = NodeLabel(label.pieces, 0)
+    for _ in range(counter):
+        bumped = bump_self_attach(bumped)
+    out = [parse_node_label(str(label)), NodeLabel(tuple(label.pieces), counter), bumped]
+    if rest:
+        out.append(merge_labels(NodeLabel(tuple(rest), counter), NodeLabel((first,), 0)))
+
+    node = leaf(first)
+    for piece in rest:
+        node = binary(node, leaf(piece))
+    for _ in range(counter):
+        node = unary(node)
+    out.append(parse_serialized(canonical_serialize(node)).label)
+
+    steps = [StepExtraction(0, label.pieces)] if rest else []
+    steps += [StepExtraction(len(steps) + i, (first,)) for i in range(counter)]
+    if steps:
+        report = build_forest(
+            InstructionDoc("p", "d", ("",) * len(steps)), steps, placeholder_spec("p", label.pieces)
+        )
+        out.append(report.subtree_trace[-1][1].parent)
+    return out
+
+
+class TestLabelIdentity:
+    @given(node_labels)
+    def test_equal_labels_built_different_ways_hash_equal(self, label):
+        for other in equal_labels_built_every_way(label):
+            assert other == label
+            assert hash(other) == hash(label)
+
+    def test_equal_texts_parse_to_one_label(self):
+        assert parse_node_label("ABlBr_2") is parse_node_label("ABlBr_2")
+        assert parse_piece_label("X3") is parse_piece_label("X3")
+
+    @given(node_labels)
+    def test_pickle_and_replace_keep_equality_and_hash(self, label):
+        subtree = DepthOneSubtree(bump_self_attach(label), (label,))
+        for value in (label, label.pieces[0], subtree):
+            for copy in (pickle.loads(pickle.dumps(value)), dataclasses.replace(value)):
+                assert copy == value
+                assert hash(copy) == hash(value)
+        replaced = dataclasses.replace(label, self_attach=label.self_attach + 1)
+        assert replaced == subtree.parent
+        assert hash(replaced) == hash(subtree.parent)
+
+    def test_hash_is_the_same_in_every_process(self):
+        texts = ["A", "ABlBr", "BlBrFlFr_2", "X3Y12_7"]
+        code = (
+            "import json, sys\n"
+            "from sewtree.labels import parse_node_label, parse_piece_label\n"
+            "from sewtree.tree import DepthOneSubtree\n"
+            "labels = [parse_node_label(t) for t in sys.argv[1:]]\n"
+            "hashes = [hash(l) for l in labels] + [hash(parse_piece_label('Bl'))]\n"
+            "hashes.append(hash(DepthOneSubtree(labels[1], (labels[0],))))\n"
+            "print(json.dumps(hashes))\n"
+        )
+        outputs = []
+        for seed in ("0", "123"):
+            proc = run_fresh("-c", code, *texts, PYTHONHASHSEED=seed)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(json.loads(proc.stdout))
+        labels = [parse_node_label(t) for t in texts]
+        here = [hash(l) for l in labels] + [hash(parse_piece_label("Bl"))]
+        here.append(hash(DepthOneSubtree(labels[1], (labels[0],))))
+        assert outputs == [here, here]
+
+    @pytest.mark.parametrize("parse", [parse_piece_label, parse_node_label])
+    def test_memo_is_bounded(self, parse):
+        assert parse.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize(
+        "parse,bad",
+        [(parse_piece_label, "A0"), (parse_piece_label, "ab"), (parse_node_label, "BA"),
+         (parse_node_label, "AA"), (parse_node_label, "AB_x"), (parse_node_label, "")],
+    )
+    def test_malformed_label_raises_on_every_call(self, parse, bad):
+        for _ in range(3):
+            with pytest.raises(LabelError):
+                parse(bad)

@@ -30,6 +30,7 @@ from sewtree.tree import (
     DepthOneSubtree,
     binary,
     canonical_serialize,
+    bracket,
     depth_one_subtrees,
     leaf,
     unary,
@@ -298,6 +299,44 @@ class TestBuildMatchesReference:
             doc = linearize_gold_tree(tree, spec)
             extractions = extract_document(doc, spec)
             assert build_forest(doc, extractions, spec) == reference_build_forest(extractions, spec)
+
+
+def folded_forest(trace, spec) -> tuple[str, ...]:
+    """``build_forest``'s texts as it once wrote them: folded over the trace,
+    children first, each parent's text copied from its children's."""
+    texts: dict[NodeLabel, str] = {}
+    for _, st in trace:
+        texts[st.parent] = bracket(
+            st.parent, [texts.pop(c) if c in texts else str(c) for c in st.children]
+        )
+    touched = {piece for _, st in trace for piece in st.parent.pieces}
+    roots = list(texts.values())
+    roots.extend(str(p) for p in spec.inventory if p not in touched)
+    return tuple(sorted(roots))
+
+
+def chain_extractions(n: int) -> list[StepExtraction]:
+    """One merge of A and B, then n - 1 self-attachments of their component."""
+    merge = StepExtraction(0, (P("A"), P("B")))
+    return [merge, *(StepExtraction(i, (P("A"),)) for i in range(1, n))]
+
+
+class TestForestTextMatchesFold:
+    @given(extraction_sequences())
+    def test_random_extraction_sequences(self, case):
+        spec, extractions = case
+        doc = InstructionDoc("p", "d", ("",) * len(extractions))
+        report = build_forest(doc, extractions, spec)
+        assert report.forest == folded_forest(report.subtree_trace, spec)
+
+    def test_sixteen_thousand_step_chain(self, skirt_spec):
+        extractions = chain_extractions(16_000)
+        doc = InstructionDoc("skirt", "chain", ("",) * len(extractions))
+        report = build_forest(doc, extractions, skirt_spec)
+        assert report.forest == folded_forest(report.subtree_trace, skirt_spec)
+        tree, isolated = report.forest
+        assert tree.startswith("(AB_15999 (AB_15998 ") and tree.endswith(" (AB A B)" + ")" * 15_999)
+        assert isolated == "C"
 
 
 def recursive_linearization(tree, spec) -> InstructionDoc:
