@@ -16,7 +16,6 @@ from .tree import (
     TreeError,
     canonical_serialize,
     depth_one_subtrees,
-    glue_subtrees,
     parse_serialized,
     validate_tree,
 )
@@ -42,7 +41,6 @@ from .pipeline import (
     resolve_components,
 )
 from .metrics import (
-    MetricConfig,
     ScoreBreakdown,
     bleu,
     grammar_score,

@@ -18,6 +18,11 @@ class AdapterError(RuntimeError):
     """The extraction backend failed or returned an invalid response."""
 
 
+# socket.settimeout holds a timeout as 64-bit nanoseconds and overflows past
+# about 9.2e9 s; no backend call needs more than this.
+MAX_TIMEOUT_S = 1e9
+
+
 @dataclass(frozen=True)
 class AdapterConfig:
     url: str
@@ -26,8 +31,10 @@ class AdapterConfig:
     fallback_to_rules: bool = False
 
     def __post_init__(self) -> None:
-        if not self.timeout > 0:
-            raise ValueError(f"adapter timeout must be positive, got {self.timeout}")
+        if not 0 < self.timeout <= MAX_TIMEOUT_S:
+            raise ValueError(
+                f"adapter timeout must be positive and at most {MAX_TIMEOUT_S:g} s, got {self.timeout}"
+            )
         if self.retries < 0:
             raise ValueError(f"adapter retries must be >= 0, got {self.retries}")
 

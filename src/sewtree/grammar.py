@@ -30,6 +30,7 @@ from .labels import (
     child_order_key,
     parse_node_label,
     parse_piece_label,
+    split_counter,
 )
 from .tree import DepthOneSubtree, bracket
 
@@ -191,14 +192,12 @@ def parse_grammar(text: str) -> GoldGrammar:
     lineno, roots_text = roots_line
     roots: list[NodeLabel] = []
     for token in roots_text.split():
-        body, _, counter = token.partition("_")
-        if body == "S" and PieceLabel("S") not in inv:
-            if counter and not (counter.isascii() and counter.isdigit()):
-                raise GrammarError(f"line {lineno}: malformed root {token!r}")
-            roots.append(_full_inventory_label(inv, int(counter) if counter else 0))
-            continue
         try:
-            roots.append(parse_node_label(token))
+            body, counter = split_counter(token)
+            if body == "S" and PieceLabel("S") not in inv:
+                roots.append(_full_inventory_label(inv, counter))
+            else:
+                roots.append(parse_node_label(token))
         except LabelError as exc:
             raise GrammarError(f"line {lineno}: {exc}") from exc
     if not roots:

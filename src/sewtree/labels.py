@@ -145,16 +145,22 @@ def format_node_label(label: NodeLabel) -> str:
     return body
 
 
+def split_counter(text: str) -> tuple[str, int]:
+    """``text`` split at its ``_n`` self-attachment suffix: the text before
+    it and n, or ``text`` and 0 without one."""
+    body, sep, counter_text = text.partition("_")
+    if sep and not (counter_text.isascii() and counter_text.isdigit()):
+        raise LabelError(f"malformed self-attachment counter in {text!r}")
+    return body, int(counter_text) if sep else 0
+
+
 @lru_cache(maxsize=_LABEL_MEMO_SIZE)
 def parse_node_label(text: str) -> NodeLabel:
     """Parse a concatenated node label such as ``ABlBr`` or ``BlBrFlFr_2``.
     Memoized like :func:`parse_piece_label`."""
     if not text:
         raise LabelError("empty node label")
-    body, sep, counter_text = text.partition("_")
-    if sep and not (counter_text.isascii() and counter_text.isdigit()):
-        raise LabelError(f"malformed self-attachment counter in {text!r}")
-    counter = int(counter_text) if sep else 0
+    body, counter = split_counter(text)
 
     pieces: list[PieceLabel] = []
     pos = 0

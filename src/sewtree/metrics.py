@@ -12,23 +12,8 @@ from dataclasses import dataclass, replace
 from .grammar import GoldGrammar
 from .tree import AssemblyNode, DepthOneSubtree, bracket, depth_one_subtrees, parse_serialized
 
+BLEU_MAX_N = 4
 BLEU_EPSILON = 1e-9
-
-
-@dataclass(frozen=True)
-class MetricConfig:
-    bleu_max_n: int = 4
-    bleu_smoothing: bool = True
-    rouge_beta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.bleu_max_n < 1:
-            raise ValueError("bleu_max_n must be >= 1")
-        if self.rouge_beta <= 0:
-            raise ValueError("rouge_beta must be positive")
-
-
-DEFAULT_METRIC_CONFIG = MetricConfig()
 
 
 @dataclass(frozen=True)
@@ -152,26 +137,22 @@ def _clipped_precisions(cand: list[str], ref: list[str], max_n: int) -> list[flo
     return precisions
 
 
-def ngram_precisions(candidate: str, reference: str, max_n: int = 4) -> list[float]:
+def ngram_precisions(candidate: str, reference: str, max_n: int = BLEU_MAX_N) -> list[float]:
     """Modified (clipped) n-gram precisions for n = 1..max_n, unsmoothed."""
     return _clipped_precisions(tokenize(candidate), tokenize(reference), max_n)
 
 
-def bleu(candidate: str, reference: str, cfg: MetricConfig = DEFAULT_METRIC_CONFIG) -> float:
-    """Document-level BLEU: geometric mean of clipped n-gram precisions times
-    the brevity penalty; zero counts floored at epsilon when smoothing is on."""
+def bleu(candidate: str, reference: str) -> float:
+    """Document-level BLEU-4: geometric mean of clipped n-gram precisions
+    times the brevity penalty; a zero precision is floored at epsilon."""
     cand = tokenize(candidate)
     ref = tokenize(reference)
     if not cand:
         return 0.0
     log_sum = 0.0
-    for p in _clipped_precisions(cand, ref, cfg.bleu_max_n):
-        if p == 0.0:
-            if not cfg.bleu_smoothing:
-                return 0.0
-            p = BLEU_EPSILON
-        log_sum += math.log(p)
-    geo_mean = math.exp(log_sum / cfg.bleu_max_n)
+    for p in _clipped_precisions(cand, ref, BLEU_MAX_N):
+        log_sum += math.log(p or BLEU_EPSILON)
+    geo_mean = math.exp(log_sum / BLEU_MAX_N)
     brevity = 1.0 if len(cand) >= len(ref) else math.exp(1 - len(ref) / len(cand))
     return brevity * geo_mean
 
@@ -195,19 +176,14 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return len(b) - v.bit_count()
 
 
-def rouge_l(candidate: str, reference: str, cfg: MetricConfig = DEFAULT_METRIC_CONFIG) -> float:
-    """Token-level LCS F-measure with configurable beta."""
+def rouge_l(candidate: str, reference: str) -> float:
+    """Token-level LCS F1."""
     cand = tokenize(candidate)
     ref = tokenize(reference)
     if not cand or not ref:
         return 0.0
     lcs = _lcs_length(cand, ref)
-    if lcs == 0:
-        return 0.0
-    precision = lcs / len(cand)
-    recall = lcs / len(ref)
-    beta_sq = cfg.rouge_beta**2
-    return (1 + beta_sq) * precision * recall / (recall + beta_sq * precision)
+    return _f1(lcs / len(cand), lcs / len(ref))
 
 
 def _t_two_sided_p(t: float, df: int) -> float:

@@ -81,7 +81,12 @@ class InstructionDoc:
         steps = _field(data, "steps", list)
         if not all(isinstance(step, str) for step in steps):
             raise ValueError("field 'steps' must be a list of strings")
-        return cls(_field(data, "pattern_id", str), _field(data, "doc_id", str), tuple(steps))
+        pattern_id = _field(data, "pattern_id", str)
+        doc_id = _field(data, "doc_id", str)
+        # Reports are written to <doc_id>.json, so the id must be a file name.
+        if doc_id in ("", ".", "..") or any(c in doc_id for c in "/\\\0"):
+            raise ValueError(f"field 'doc_id' must be a file name, got {doc_id!r}")
+        return cls(pattern_id, doc_id, tuple(steps))
 
     def to_json(self) -> dict:
         return {"pattern_id": self.pattern_id, "doc_id": self.doc_id, "steps": list(self.steps)}

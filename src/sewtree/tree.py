@@ -227,36 +227,3 @@ def parse_serialized(text: str) -> AssemblyNode:
     if violations:
         raise TreeError("; ".join(str(v) for v in violations))
     return node
-
-
-def glue_subtrees(
-    subtrees, isolated: tuple[NodeLabel, ...] = ()
-) -> tuple[AssemblyNode, ...]:
-    """Rebuild a forest, its trees sorted by serialization, from depth-1
-    subtrees by gluing equal labels.
-
-    Labels that never appear as a parent become leaves; labels that never
-    appear as a child become roots; ``isolated`` labels become one-leaf trees.
-    """
-    children_of: dict[NodeLabel, tuple[NodeLabel, ...]] = {}
-    child_labels: set[NodeLabel] = set()
-    for st in subtrees:
-        if st.parent in children_of and children_of[st.parent] != st.children:
-            raise TreeError(f"conflicting subtrees for parent {st.parent}")
-        children_of[st.parent] = st.children
-        child_labels.update(st.children)
-
-    def build(label: NodeLabel, pending: frozenset[NodeLabel]) -> AssemblyNode:
-        if label in pending:
-            raise TreeError(f"cycle through label {label}")
-        kids = children_of.get(label)
-        if kids is None:
-            return AssemblyNode(label)
-        pending = pending | {label}
-        return AssemblyNode(label, tuple(build(k, pending) for k in kids))
-
-    roots = [p for p in children_of if p not in child_labels]
-    trees = [build(r, frozenset()) for r in roots]
-    trees.extend(AssemblyNode(l) for l in isolated)
-    trees.sort(key=canonical_serialize)
-    return tuple(trees)

@@ -13,16 +13,26 @@ from sewtree.grammar import (
     check_grammar,
     count_derivations,
     enumerate_gold_trees,
+    parse_grammar,
     validate_grammar,
 )
-from sewtree.labels import parse_node_label
-from sewtree.pipeline import linearize_gold_tree, placeholder_spec
+from sewtree.labels import NodeLabel, parse_node_label
+from sewtree.metrics import grammar_score
+from sewtree.pipeline import (
+    InstructionDoc,
+    build_forest,
+    extract_document,
+    linearize_gold_tree,
+    placeholder_spec,
+)
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import random_grammar
 from sewtree.tree import (
     AssemblyNode,
+    TreeError,
     canonical_serialize,
-    glue_subtrees,
+    depth_one_subtrees,
+    parse_serialized,
     subtrees_of,
     validate_tree,
 )
@@ -57,6 +67,13 @@ def check_enumeration(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, ...]
     assert texts == tuple(canonical_serialize(t) for t in gold_tree_oracle(g, cap)), g.pattern_id
     assert len(set(texts)) == len(texts) == sum(count_derivations(g).values()), g.pattern_id
     return texts
+
+
+def chain_grammar(length: int) -> GoldGrammar:
+    """``AB`` and then ``length`` self-attachments, ``AB_i -> AB_(i-1)``."""
+    lines = ["pattern: chain", "pieces: A B", f"roots: AB_{length}", "AB -> A B", "AB_1 -> AB"]
+    lines += [f"AB_{i} -> AB_{i - 1}" for i in range(2, length + 1)]
+    return parse_grammar("\n".join(lines))
 
 
 def make_random_grammar(seed: int, index: int) -> GoldGrammar:
@@ -107,6 +124,66 @@ def check_grammar_properties(g: GoldGrammar, cap: int = 50_000) -> None:
     assert enumerate_gold_trees(reversed_rules, cap) == texts, (
         f"{g.pattern_id}: enumeration depends on rule order"
     )
+
+
+def scored_roundtrip(grammar: GoldGrammar, cap: int = DEFAULT_CAP) -> list[str]:
+    """The round-trip that scores each rebuilt tree against the whole
+    grammar and then compares subtree sets: the oracle for
+    ``roundtrip_grammar``, whose failing tree indices it must match."""
+    failures: list[str] = []
+    spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
+    for index, text in enumerate(enumerate_gold_trees(grammar, cap)):
+        tree = parse_serialized(text)
+        doc = linearize_gold_tree(tree, spec)
+        doc = InstructionDoc(doc.pattern_id, f"{doc.doc_id}-{index}", doc.steps)
+        if not doc.steps:
+            continue
+        extractions = extract_document(doc, spec)
+        predicted = build_forest(doc, extractions, spec).subtrees()
+        breakdown = grammar_score(predicted, grammar)
+        if breakdown.f1 != 1.0:
+            failures.append(
+                f"{grammar.pattern_id} tree {index} ({text}): "
+                f"round-trip F1 {breakdown.f1:.4f}"
+            )
+        elif predicted != depth_one_subtrees(tree):
+            failures.append(
+                f"{grammar.pattern_id} tree {index}: rebuilt subtree set differs"
+            )
+    return failures
+
+
+def glue_subtrees(
+    subtrees, isolated: tuple[NodeLabel, ...] = ()
+) -> tuple[AssemblyNode, ...]:
+    """Rebuild a forest, its trees sorted by serialization, from depth-1
+    subtrees by gluing equal labels.
+
+    Labels that never appear as a parent become leaves; labels that never
+    appear as a child become roots; ``isolated`` labels become one-leaf trees.
+    """
+    children_of: dict[NodeLabel, tuple[NodeLabel, ...]] = {}
+    child_labels: set[NodeLabel] = set()
+    for st in subtrees:
+        if st.parent in children_of and children_of[st.parent] != st.children:
+            raise TreeError(f"conflicting subtrees for parent {st.parent}")
+        children_of[st.parent] = st.children
+        child_labels.update(st.children)
+
+    def build(label: NodeLabel, pending: frozenset[NodeLabel]) -> AssemblyNode:
+        if label in pending:
+            raise TreeError(f"cycle through label {label}")
+        kids = children_of.get(label)
+        if kids is None:
+            return AssemblyNode(label)
+        pending = pending | {label}
+        return AssemblyNode(label, tuple(build(k, pending) for k in kids))
+
+    roots = [p for p in children_of if p not in child_labels]
+    trees = [build(r, frozenset()) for r in roots]
+    trees.extend(AssemblyNode(l) for l in isolated)
+    trees.sort(key=canonical_serialize)
+    return tuple(trees)
 
 
 def glued_forest(report) -> tuple[str, ...]:

@@ -9,6 +9,7 @@ import pytest
 import sewtree.cli
 import sewtree.grammar
 import sewtree.tree
+from sewtree.adapter import MAX_TIMEOUT_S
 from sewtree.cli import main
 from sewtree.grammar import DEFAULT_CAP, count_derivations, parse_grammar
 from sewtree.labels import parse_piece_label
@@ -382,11 +383,64 @@ class TestInputSchema:
         assert str(bad) in err and repr(field) in err
 
 
+class TestUnsafeDocId:
+    """A report is written to ``<doc_id>.json``, so a ``doc_id`` that is not
+    a file name is a validation error, raised before anything is written."""
+
+    BAD_IDS = ["../escaped", "sub/dir", "", ".", "..", "back\\slash", "nul\0"]
+
+    def write_doc(self, path: Path, doc_id: str) -> Path:
+        path.write_text(json.dumps({"pattern_id": "skirt", "doc_id": doc_id, "steps": ["Sew (A) to (B)."]}))
+        return path
+
+    @pytest.mark.parametrize("doc_id", BAD_IDS)
+    def test_score_writes_nothing(self, workspace, capsys, doc_id):
+        bad = self.write_doc(workspace["corpus"] / "zz-bad.json", doc_id)
+        code = run(
+            "score",
+            "--corpus", workspace["corpus"],
+            "--grammars", workspace["grammars"],
+            "--specs", workspace["specs"],
+            "--out", workspace["out"],
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "'doc_id'" in err
+        assert sorted(p.name for p in workspace["out"].parent.iterdir()) == ["corpus", "refs"]
+
+    @pytest.mark.parametrize("doc_id", BAD_IDS)
+    def test_permute_writes_nothing(self, tmp_path, capsys, doc_id):
+        bad = self.write_doc(tmp_path / "bad.json", doc_id)
+        assert run("permute", "--doc", bad, "--seed", "1", "--k", "2", "--out", tmp_path / "out") == 1
+        assert str(bad) in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    @pytest.mark.parametrize("doc_id", ["skirt-demo", "a.b", "..a", "doc 1", "ärmel"])
+    def test_file_names_are_accepted(self, tmp_path, capsys, doc_id):
+        doc = self.write_doc(tmp_path / "doc.json", doc_id)
+        assert run("permute", "--doc", doc, "--seed", "1", "--out", tmp_path / "out") == 0
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [f"{doc_id}-perm1.json"]
+
+
 class TestAdapterOptions:
     @pytest.mark.parametrize(
         "option",
-        [("--adapter-timeout", "-1"), ("--adapter-timeout", "0"), ("--adapter-retries", "-3")],
-        ids=["negative-timeout", "zero-timeout", "negative-retries"],
+        [
+            ("--adapter-timeout", "-1"),
+            ("--adapter-timeout", "0"),
+            ("--adapter-retries", "-3"),
+            ("--adapter-timeout", "inf"),
+            ("--adapter-timeout", "1e300"),
+            ("--adapter-timeout", "nan"),
+        ],
+        ids=[
+            "negative-timeout",
+            "zero-timeout",
+            "negative-retries",
+            "infinite-timeout",
+            "huge-timeout",
+            "nan-timeout",
+        ],
     )
     def test_bad_value_is_rejected_not_fallen_back_from(self, capsys, option):
         code = run(
@@ -397,7 +451,19 @@ class TestAdapterOptions:
             "--adapter-fallback", *option,
         )
         assert code == 1
-        assert option[0].removeprefix("--").replace("-", " ") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and option[0].removeprefix("--").replace("-", " ") in err
+
+    def test_largest_timeout_is_accepted(self, capsys):
+        # Refused at once, so the timeout is only handed to the socket.
+        code = run(
+            "build",
+            "--doc", FIXTURES / "docs" / "skirt-demo.json",
+            "--spec", FIXTURES / "specs" / "skirt.json",
+            "--extractor", "adapter", "--adapter-url", "http://127.0.0.1:1/none",
+            "--adapter-fallback", "--adapter-timeout", str(MAX_TIMEOUT_S),
+        )
+        assert code == 0, capsys.readouterr().err
 
 
 class TestPermuteCli:

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+import sewtree.experiments
 from sewtree.experiments import (
     ErrorInjectionPlan,
     RatingRecord,
@@ -11,7 +14,7 @@ from sewtree.experiments import (
     score_document,
 )
 from sewtree.grammar import enumerate_gold_trees
-from sewtree.pipeline import InstructionDoc, build_forest, extract_document
+from sewtree.pipeline import InstructionDoc, linearize_gold_tree
 from sewtree.rng import SplitMix64, derive_seed
 
 import helpers
@@ -85,8 +88,6 @@ class TestInjectErrors:
             inject_errors(doc, ErrorInjectionPlan(drop_step=1), 1, skirt_spec)
 
     def test_corrupted_doc_scores_lower(self, skirt_spec, skirt_grammar):
-        from sewtree.pipeline import linearize_gold_tree
-
         gold = enumerate_gold_trees(skirt_grammar)
         doc = linearize_gold_tree(helpers.gold_tree_oracle(skirt_grammar)[0], skirt_spec)
         base_row, _ = score_document(doc, gold, skirt_spec)
@@ -97,17 +98,59 @@ class TestInjectErrors:
         assert bad_row["tree_f1"] < base_row["tree_f1"] == 1.0
 
 
+# Corruptions of a linearized document's steps (negative controls).
+MUTATIONS = {
+    "drop-first": lambda steps: steps[1:],
+    "drop-last": lambda steps: steps[:-1],
+    "swap-first-two": lambda steps: steps[1:2] + steps[:1] + steps[2:],
+    "duplicate-last": lambda steps: steps + steps[-1:],
+}
+
+
+def mutate_linearization(monkeypatch, mutate) -> None:
+    """Make the round-trip and its oracle rebuild ``mutate`` of each tree's
+    steps."""
+
+    def linearize(tree, spec):
+        doc = linearize_gold_tree(tree, spec)
+        return InstructionDoc(doc.pattern_id, doc.doc_id, tuple(mutate(list(doc.steps))))
+
+    monkeypatch.setattr(sewtree.experiments, "linearize_gold_tree", linearize)
+    monkeypatch.setattr(helpers, "linearize_gold_tree", linearize)
+
+
+def failed_trees(failures: list[str]) -> list[int]:
+    return [int(re.match(r"\S+ tree (\d+)", message).group(1)) for message in failures]
+
+
 class TestRoundtrip:
     @pytest.mark.parametrize("name", GRAMMAR_NAMES)
-    def test_fixture_grammars_pass(self, name):
+    def test_fixture_grammars_pass(self, name, monkeypatch):
+        # One text comparison per tree decides it; the grammar DP never runs.
+        def refuse(*args):
+            raise AssertionError("roundtrip called grammar_score")
+
+        monkeypatch.setattr(sewtree.experiments, "grammar_score", refuse)
         assert roundtrip_grammar(load_grammar(name)) == []
 
-    def test_corrupted_linearization_reported(self, skirt_grammar):
-        def drop_first(steps):
-            return steps[1:]
+    def test_failure_names_gold_text_and_rebuilt_forest(self, skirt_grammar, monkeypatch):
+        mutate_linearization(monkeypatch, MUTATIONS["drop-first"])
+        assert roundtrip_grammar(skirt_grammar) == [
+            "skirt tree 0 ((ABC_1 (AB_1 (AB A B)) C)): rebuilt as (AC_1 (A_1 A) C) B"
+        ]
 
-        failures = roundtrip_grammar(skirt_grammar, mutate_steps=drop_first)
-        assert failures and "F1" in failures[0]
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_fails_the_trees_the_scored_oracle_fails(self, mutation, monkeypatch):
+        mutate_linearization(monkeypatch, MUTATIONS[mutation])
+        grammars = [load_grammar(name) for name in GRAMMAR_NAMES]
+        grammars.append(helpers.chain_grammar(1200))
+        grammars += [helpers.make_random_grammar(31, index) for index in range(100)]
+        failing = 0
+        for grammar in grammars:
+            expected = failed_trees(helpers.scored_roundtrip(grammar, cap=50_000))
+            assert failed_trees(roundtrip_grammar(grammar, cap=50_000)) == expected, grammar.pattern_id
+            failing += bool(expected)
+        assert failing > len(grammars) // 2
 
 
 class TestAggregateRatings:

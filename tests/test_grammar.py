@@ -18,7 +18,7 @@ from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import random_grammar
 
 from conftest import GRAMMAR_NAMES, load_grammar
-from helpers import check_enumeration
+from helpers import chain_grammar, check_enumeration
 
 
 def N(text):
@@ -62,6 +62,14 @@ class TestParseGrammar:
 
     def test_s_alias_expands_to_full_inventory(self, grammars):
         assert set(grammars["jumpsuit"].roots) == {N("ABCD_1"), N("ABCD_2")}
+
+    @pytest.mark.parametrize("root", ["S_", "S_x", "AB_"])
+    def test_malformed_root_counter(self, root):
+        # The S shorthand takes its counter by the node-label rule: S_ is
+        # not S_0.
+        with pytest.raises(GrammarError) as exc:
+            parse_grammar(f"pattern: x\npieces: A B\nroots: {root}\nAB -> A B\n")
+        assert str(exc.value) == f"line 3: malformed self-attachment counter in {root!r}"
 
 
 class TestValidateGrammar:
@@ -149,13 +157,6 @@ def test_synthetic_enumeration_matches_tree_oracle(block):
             unary_prob_percent=(0, 25, 60, 85)[index % 4], chain=index % 3 == 0,
         )
         check_enumeration(g)
-
-
-def chain_grammar(length: int):
-    """``AB`` and then ``length`` self-attachments, ``AB_i -> AB_(i-1)``."""
-    lines = ["pattern: chain", "pieces: A B", f"roots: AB_{length}", "AB -> A B", "AB_1 -> AB"]
-    lines += [f"AB_{i} -> AB_{i - 1}" for i in range(2, length + 1)]
-    return parse_grammar("\n".join(lines))
 
 
 def test_unary_chain_enumeration_matches_tree_oracle():

@@ -7,7 +7,7 @@ from hypothesis import strategies as hs
 
 from sewtree.metrics import (
     BLEU_EPSILON,
-    MetricConfig,
+    _f1,
     _lcs_length,
     bleu,
     ngram_precisions,
@@ -118,14 +118,9 @@ class TestBleu:
         )
 
     def test_brevity_penalty(self):
-        # candidate is a 2-token prefix of a 4-token reference: p1 = p2 = 1
-        expected = math.exp(1 - 4 / 2)
-        cfg = MetricConfig(bleu_max_n=2)
-        assert bleu("a b", "a b c d", cfg) == pytest.approx(expected)
-
-    def test_no_smoothing_zeroes_out(self):
-        cfg = MetricConfig(bleu_smoothing=False)
-        assert bleu("a b c d", "a b c e", cfg) == 0.0
+        # candidate is a 4-token prefix of an 8-token reference: p1..p4 = 1
+        expected = math.exp(1 - 8 / 4)
+        assert bleu("a b c d", "a b c d e f g h") == pytest.approx(expected)
 
     def test_unigram_invariant_under_permutation(self):
         ref = "sew a to b\nsew c to d\nsew e to f"
@@ -147,11 +142,6 @@ class TestRougeL:
     def test_empty(self):
         assert rouge_l("", "a b") == 0.0
         assert rouge_l("a b", "") == 0.0
-
-    def test_beta_weighting(self):
-        # beta -> recall-heavy: with P=1, R=0.5, beta=2: F = 5*0.5/(0.5+4) = 5/9
-        cfg = MetricConfig(rouge_beta=2.0)
-        assert rouge_l("a c", "a b c d", cfg) == pytest.approx(5 * 1 * 0.5 / (0.5 + 4 * 1))
 
     @given(hs.text(alphabet="abc d", min_size=1).filter(lambda s: s.strip()))
     def test_self_similarity_one(self, text):
@@ -193,22 +183,32 @@ def sliced_ngram_precisions(candidate, reference, max_n=4):
     return precisions
 
 
-def sliced_bleu(candidate, reference, cfg):
-    """BLEU over :func:`sliced_ngram_precisions`: the oracle for ``bleu``."""
+def sliced_bleu(candidate, reference):
+    """BLEU-4 with epsilon smoothing over :func:`sliced_ngram_precisions`:
+    the oracle for ``bleu``."""
     cand = tokenize(candidate)
     ref = tokenize(reference)
     if not cand:
         return 0.0
     log_sum = 0.0
-    for p in sliced_ngram_precisions(candidate, reference, cfg.bleu_max_n):
+    for p in sliced_ngram_precisions(candidate, reference, 4):
         if p == 0.0:
-            if not cfg.bleu_smoothing:
-                return 0.0
             p = BLEU_EPSILON
         log_sum += math.log(p)
-    geo_mean = math.exp(log_sum / cfg.bleu_max_n)
+    geo_mean = math.exp(log_sum / 4)
     brevity = 1.0 if len(cand) >= len(ref) else math.exp(1 - len(ref) / len(cand))
     return brevity * geo_mean
+
+
+def f_beta(lcs, n_cand, n_ref, beta=1.0):
+    """The LCS F-measure with weight ``beta``, written out; at beta = 1 the
+    oracle for ``rouge_l``'s F1."""
+    if lcs == 0:
+        return 0.0
+    precision = lcs / n_cand
+    recall = lcs / n_ref
+    beta_sq = beta**2
+    return (1 + beta_sq) * precision * recall / (recall + beta_sq * precision)
 
 
 @hs.composite
@@ -238,13 +238,23 @@ class TestFastPathsMatchReference:
         assert _lcs_length(a, b) == expected
         assert _lcs_length(b, a) == expected
 
-    @given(texts, texts, hs.integers(1, 6), hs.booleans())
-    def test_bleu_matches_sliced_ngrams(self, candidate, reference, max_n, smoothing):
-        cfg = MetricConfig(bleu_max_n=max_n, bleu_smoothing=smoothing)
+    @given(texts, texts, hs.integers(1, 6))
+    def test_bleu_matches_sliced_ngrams(self, candidate, reference, max_n):
         assert ngram_precisions(candidate, reference, max_n) == sliced_ngram_precisions(
             candidate, reference, max_n
         )
-        assert bleu(candidate, reference, cfg) == sliced_bleu(candidate, reference, cfg)
+        assert bleu(candidate, reference) == sliced_bleu(candidate, reference)
+
+    @given(texts, texts)
+    def test_rouge_l_matches_beta_formula(self, candidate, reference):
+        cand, ref = tokenize(candidate), tokenize(reference)
+        expected = f_beta(quadratic_lcs_length(cand, ref), len(cand), len(ref)) if cand and ref else 0.0
+        assert rouge_l(candidate, reference) == expected
+
+    @given(hs.integers(1, 10**6), hs.integers(1, 10**6), hs.data())
+    def test_f1_is_the_beta_formula_bit_for_bit(self, n_cand, n_ref, data):
+        lcs = data.draw(hs.integers(0, min(n_cand, n_ref)))
+        assert _f1(lcs / n_cand, lcs / n_ref) == f_beta(lcs, n_cand, n_ref)
 
 
 class TestPearson:

@@ -21,13 +21,14 @@ from sewtree.tree import (
     binary,
     canonical_serialize,
     depth_one_subtrees,
-    glue_subtrees,
     leaf,
     parse_serialized,
     subtrees_of,
     unary,
     validate_tree,
 )
+
+from helpers import glue_subtrees
 
 SKIRT = "(ABC_1 (AB_1 (AB A B)) C)"
 
