@@ -11,13 +11,10 @@ from .labels import (
     parse_piece_label,
 )
 from .tree import (
-    AssemblyNode,
     DepthOneSubtree,
     TreeError,
     canonical_serialize,
-    depth_one_subtrees,
     parse_serialized,
-    validate_tree,
 )
 from .grammar import (
     CapExceededError,
@@ -46,7 +43,6 @@ from .metrics import (
     grammar_score,
     pearson,
     rouge_l,
-    subtree_f1,
     tokenize,
     tree_score,
 )

@@ -76,9 +76,10 @@ def _write_json(payload, path=None) -> None:
         sys.stdout.write(text)
 
 
-def _load_keyed(paths, load, key: str) -> dict:
-    """``load`` of each file in ``paths``, by its ``key`` attribute; two
-    files with one key are a ``ConfigError`` naming both."""
+def _load_keyed(paths, load, key: str) -> tuple[dict, dict]:
+    """``load`` of each file in ``paths``, by its ``key`` attribute, and
+    the file of each key; two files with one key are a ``ConfigError``
+    naming both."""
     items, origins = {}, {}
     for path in paths:
         item = load(path)
@@ -87,7 +88,7 @@ def _load_keyed(paths, load, key: str) -> dict:
             raise ConfigError(f"{origins[value]} and {path} have the same {key} {value!r}")
         items[value] = item
         origins[value] = path
-    return items
+    return items, origins
 
 
 def _load_grammar_file(path: Path):
@@ -98,7 +99,7 @@ def _load_grammar_file(path: Path):
         raise GrammarError(f"{path}: {exc}") from exc
 
 
-def _load_grammar_dir(directory: Path) -> dict:
+def _load_grammar_dir(directory: Path) -> tuple[dict, dict]:
     files = sorted(directory.glob("*.grammar")) + sorted(directory.glob("*.txt"))
     if not files:
         raise ConfigError(f"no grammar files in {directory}")
@@ -178,15 +179,15 @@ def cmd_build(args) -> int:
 
 def cmd_score(args) -> int:
     corpus = Path(args.corpus)
-    by_id = _load_keyed(sorted(corpus.glob("*.json")), load_doc, "doc_id")
+    by_id, _ = _load_keyed(sorted(corpus.glob("*.json")), load_doc, "doc_id")
     if not by_id:
         raise ConfigError(f"no documents in {corpus}")
     docs = [by_id[doc_id] for doc_id in sorted(by_id)]
-    grammars = _load_grammar_dir(Path(args.grammars))
-    specs = _load_keyed(sorted(Path(args.specs).glob("*.json")), load_spec, "pattern_id")
+    grammars, _ = _load_grammar_dir(Path(args.grammars))
+    specs, _ = _load_keyed(sorted(Path(args.specs).glob("*.json")), load_spec, "pattern_id")
     refs = {}
     if args.refs:
-        refs = _load_keyed(sorted(Path(args.refs).glob("*.json")), load_doc, "pattern_id")
+        refs, _ = _load_keyed(sorted(Path(args.refs).glob("*.json")), load_doc, "pattern_id")
 
     extractor = _make_extractor(args)
     checked = set()
@@ -270,10 +271,13 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    grammars = _load_grammar_dir(Path(args.grammars))
+    grammars, paths = _load_grammar_dir(Path(args.grammars))
     failed = False
     for pattern_id in sorted(grammars):
-        failures = roundtrip_grammar(grammars[pattern_id], args.cap)
+        try:
+            failures = roundtrip_grammar(grammars[pattern_id], args.cap)
+        except GrammarError as exc:
+            raise GrammarError(f"{paths[pattern_id]}: pattern {pattern_id!r}: {exc}") from exc
         if failures:
             failed = True
             print(f"{pattern_id}: FAIL")
@@ -286,7 +290,8 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_aggregate_ratings(args) -> int:
     records = []
-    for lineno, row in enumerate(_read_table(args.ratings, ()), start=2):
+    required = ("doc_id", "step_index", "question", "rating")
+    for lineno, row in enumerate(_read_table(args.ratings, required), start=2):
         try:
             records.append(
                 RatingRecord(
@@ -296,7 +301,7 @@ def cmd_aggregate_ratings(args) -> int:
                     int(row["rating"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{args.ratings} line {lineno}: {exc}") from exc
     rows = aggregate_ratings(records)
     columns = ["doc_id"]

@@ -7,10 +7,10 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .grammar import GoldGrammar
-from .tree import AssemblyNode, DepthOneSubtree, bracket, depth_one_subtrees, parse_serialized
+from .tree import DepthOneSubtree, bracket, parse_serialized
 
 BLEU_MAX_N = 4
 BLEU_EPSILON = 1e-9
@@ -31,27 +31,23 @@ def _f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def subtree_f1(pred: frozenset[DepthOneSubtree], gold: AssemblyNode) -> ScoreBreakdown:
-    """Exact-match F1 of the predicted depth-1 subtree set against gold's."""
-    gold_set = depth_one_subtrees(gold)
-    matched = pred & gold_set
-    precision = len(matched) / len(pred) if pred else 0.0
-    recall = len(matched) / len(gold_set) if gold_set else 0.0
-    return ScoreBreakdown(precision, recall, _f1(precision, recall), frozenset(matched))
-
-
 def tree_score(pred: frozenset[DepthOneSubtree], gold_texts) -> ScoreBreakdown:
-    """The best subtree F1 over the gold trees, given as canonical
-    serializations; ties go to the lowest index.  ``best_gold_tree`` holds
-    the best tree's text."""
+    """The best exact-match F1 of the predicted depth-1 subtree set against
+    a gold tree's, over gold trees given as canonical serializations; ties
+    go to the lowest index.  ``best_gold_tree`` holds the best tree's text."""
     best: ScoreBreakdown | None = None
     for text in gold_texts:
-        breakdown = subtree_f1(pred, parse_serialized(text))
-        if best is None or breakdown.f1 > best.f1:
-            best, best_text = breakdown, text
+        _, children_of = parse_serialized(text)
+        gold = frozenset(DepthOneSubtree(p, kids) for p, kids in children_of.items())
+        matched = gold & pred
+        precision = len(matched) / len(pred) if pred else 0.0
+        recall = len(matched) / len(gold) if gold else 0.0
+        f1 = _f1(precision, recall)
+        if best is None or f1 > best.f1:
+            best = ScoreBreakdown(precision, recall, f1, matched, text)
     if best is None:
         raise ValueError("gold set must be non-empty")
-    return replace(best, best_gold_tree=best_text)
+    return best
 
 
 def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> ScoreBreakdown:

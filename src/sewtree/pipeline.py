@@ -22,7 +22,7 @@ from .labels import (
     merge_labels,
     parse_piece_label,
 )
-from .tree import AssemblyNode, DepthOneSubtree, serialize_labels
+from .tree import DepthOneSubtree, canonical_serialize
 
 
 _JSON_TYPE_NAMES = {str: "a string", list: "a list", dict: "an object"}
@@ -283,42 +283,44 @@ def build_forest(
     # its length.
     children_of = {st.parent: st.children for _, st in trace}
     components = dict.fromkeys(component_of.values())
-    roots = [serialize_labels(label, children_of) for label in components]
+    roots = [canonical_serialize(label, children_of) for label in components]
     roots.extend(str(p) for p in spec.inventory if p not in component_of)
     roots.sort()
     return BuildReport(tuple(roots), tuple(trace), tuple(diagnostics))
 
 
-def linearize_gold_tree(tree: AssemblyNode, spec: PatternSpec) -> InstructionDoc:
-    """Emit templated steps, bottom-up, that rebuild exactly this tree.
+def linearize_gold_tree(tree, spec: PatternSpec) -> InstructionDoc:
+    """Emit templated steps, bottom-up, that rebuild exactly ``tree``, a
+    ``(root, children_of)`` pair.
 
     Each component is referred to by the name and label of its first piece;
     resolution maps that piece back to the component while rebuilding.
     """
+    root, children_of = tree
 
-    def mention(node: AssemblyNode) -> str:
-        piece = node.label.pieces[0]
+    def mention(label: NodeLabel) -> str:
+        piece = label.pieces[0]
         name = spec.name_of(piece)
-        if node.is_leaf():
+        if label not in children_of:
             return f"{name} ({piece})"
         return f"component containing the {name} ({piece})"
 
     # Parents before children, right before left: the reverse of the
     # children-first, left-to-right order the steps go in.
-    internal: list[AssemblyNode] = []
-    stack = [tree]
+    internal: list[NodeLabel] = []
+    stack = [root]
     while stack:
-        node = stack.pop()
-        if node.children:
-            internal.append(node)
-            stack.extend(node.children)
+        label = stack.pop()
+        if label in children_of:
+            internal.append(label)
+            stack.extend(children_of[label])
     steps: list[str] = []
-    for node in reversed(internal):
-        if len(node.children) == 2:
-            a, b = node.children
-            steps.append(f"Sew the {mention(a)} to the {mention(b)}.")
+    for label in reversed(internal):
+        kids = children_of[label]
+        if len(kids) == 2:
+            steps.append(f"Sew the {mention(kids[0])} to the {mention(kids[1])}.")
         else:
-            steps.append(f"Sew the {mention(node.children[0])} to itself.")
+            steps.append(f"Sew the {mention(kids[0])} to itself.")
     doc_id = f"{spec.pattern_id}-{len(steps)}steps"
     return InstructionDoc(spec.pattern_id, doc_id, tuple(steps))
 

@@ -5,9 +5,18 @@ from __future__ import annotations
 import string
 
 from .grammar import GoldGrammar
-from .labels import COPY, LEFT, RIGHT, NodeLabel, PieceLabel
+from .labels import (
+    COPY,
+    LEFT,
+    RIGHT,
+    NodeLabel,
+    PieceLabel,
+    bump_self_attach,
+    child_order_key,
+    merge_labels,
+)
 from .rng import SplitMix64
-from .tree import AssemblyNode, DepthOneSubtree, binary, leaf, subtrees_of, unary
+from .tree import DepthOneSubtree, subtrees_of
 
 
 def random_inventory(rng: SplitMix64, n_pieces: int) -> list[PieceLabel]:
@@ -34,46 +43,47 @@ def random_tree(
     pieces,
     unary_prob_percent: int = 25,
     chain: bool = False,
-) -> AssemblyNode:
-    """A random valid assembly tree over the given pieces.
+) -> tuple[NodeLabel, dict[NodeLabel, tuple[NodeLabel, ...]]]:
+    """A random valid assembly tree over the given pieces, as its root
+    label and the map from each internal label to its children.
 
     ``chain=True`` builds a caterpillar (each merge extends one growing
     component), which admits exactly one assembly order; useful for
     permutation experiments where reordered steps must actually break.
     """
-    nodes = [leaf(p) for p in pieces]
-    rng.shuffle(nodes)
-
-    def maybe_self_attach(node: AssemblyNode) -> AssemblyNode:
-        while rng.randrange(100) < unary_prob_percent:
-            node = unary(node)
-        return node
-
-    while len(nodes) > 1:
+    labels = [NodeLabel((p,), 0) for p in pieces]
+    rng.shuffle(labels)
+    children_of: dict[NodeLabel, tuple[NodeLabel, ...]] = {}
+    while len(labels) > 1:
         if chain:
             i, j = 0, 1
         else:
-            i = rng.randrange(len(nodes))
-            j = rng.randrange(len(nodes) - 1)
+            i = rng.randrange(len(labels))
+            j = rng.randrange(len(labels) - 1)
             if j >= i:
                 j += 1
-        a = nodes[i]
-        b = nodes[j]
+        a = labels[i]
+        b = labels[j]
         for idx in sorted((i, j), reverse=True):
-            del nodes[idx]
-        merged = maybe_self_attach(binary(a, b))
-        nodes.insert(0, merged)
-    return nodes[0]
+            del labels[idx]
+        label = merge_labels(a, b)
+        children_of[label] = tuple(sorted((a, b), key=child_order_key))
+        while rng.randrange(100) < unary_prob_percent:
+            child, label = label, bump_self_attach(label)
+            children_of[label] = (child,)
+        labels.insert(0, label)
+    return labels[0], children_of
 
 
 def grammar_from_trees(pattern_id: str, trees) -> GoldGrammar:
-    """The grammar whose rules are exactly the depth-1 subtrees of the trees."""
+    """The grammar whose rules are exactly the depth-1 subtrees of the
+    ``(root, children_of)`` trees."""
     rules: dict[DepthOneSubtree, None] = {}
     roots: dict[NodeLabel, None] = {}
     inventory: set[PieceLabel] = set()
     for tree in trees:
-        roots[tree.label] = None
-        inventory.update(tree.label.pieces)
+        roots[tree[0]] = None
+        inventory.update(tree[0].pieces)
         rules.update(dict.fromkeys(subtrees_of(tree)))
     return GoldGrammar(pattern_id, frozenset(inventory), tuple(roots), tuple(rules))
 

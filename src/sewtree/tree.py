@@ -1,9 +1,11 @@
-"""Assembly trees and depth-1 subtree extraction.
+"""Assembly trees as label maps, their text form, and depth-1 subtrees.
 
 Trees are unary/binary: a binary node joins two disjoint components, a unary
 node is one self-attachment of its child, and leaves are single pieces with a
-zero counter.  Serialization uses bracket notation, e.g.
-``(ABC_1 (AB_1 (AB A B)) C)``.
+zero counter.  Labels are unique within a valid tree, so a tree is the pair
+``(root, children_of)``: its root label and a map from each internal label
+to its children's labels; a label without an entry is a leaf.
+Serialization uses bracket notation, e.g. ``(ABC_1 (AB_1 (AB A B)) C)``.
 """
 
 from __future__ import annotations
@@ -15,52 +17,14 @@ from dataclasses import dataclass, field
 from .labels import (
     LabelError,
     NodeLabel,
-    PieceLabel,
     attachment_violations,
-    bump_self_attach,
     child_order_key,
-    merge_labels,
     parse_node_label,
 )
 
 
 class TreeError(ValueError):
     """A serialized tree could not be parsed or violates tree constraints."""
-
-
-@dataclass(frozen=True)
-class AssemblyNode:
-    """One node of an assembly tree with 0, 1, or 2 children."""
-
-    label: NodeLabel
-    children: tuple["AssemblyNode", ...] = ()
-
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def walk(self):
-        """Yield this node and all descendants, parent first."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-
-def leaf(piece: PieceLabel) -> AssemblyNode:
-    return AssemblyNode(NodeLabel((piece,), 0))
-
-
-def unary(child: AssemblyNode) -> AssemblyNode:
-    """Self-attachment node over ``child``."""
-    return AssemblyNode(bump_self_attach(child.label), (child,))
-
-
-def binary(a: AssemblyNode, b: AssemblyNode) -> AssemblyNode:
-    """Attachment node joining two disjoint components, children in canonical order."""
-    label = merge_labels(a.label, b.label)
-    children = tuple(sorted((a, b), key=lambda n: child_order_key(n.label)))
-    return AssemblyNode(label, children)
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,52 +49,17 @@ class DepthOneSubtree:
         return f"{self.parent} -> {kids}"
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One broken tree constraint, naming the offending node."""
-
-    node: str
-    rule: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.node}: {self.rule}: {self.detail}"
-
-
-def validate_tree(root: AssemblyNode) -> list[Violation]:
-    """All constraint violations in the tree; empty iff the tree is valid."""
-    out: list[Violation] = []
-    seen: dict[NodeLabel, int] = {}
-    for node in root.walk():
-        name = str(node.label)
-        if not node.children:
-            if len(node.label.pieces) != 1:
-                out.append(Violation(name, "leaf-pieces", "leaf must be a single piece"))
-            if node.label.self_attach != 0:
-                out.append(Violation(name, "leaf-counter", "leaf counter must be 0"))
-        else:
-            kids = tuple(c.label for c in node.children)
-            for kind, detail in attachment_violations(node.label, kids):
-                out.append(Violation(name, kind, detail))
-            if len(kids) == 2 and child_order_key(kids[0]) > child_order_key(kids[1]):
-                out.append(Violation(name, "child-order", "children out of canonical order"))
-        seen[node.label] = seen.get(node.label, 0) + 1
-    for label, count in seen.items():
-        if count > 1:
-            out.append(Violation(str(label), "unique-labels", f"label occurs {count} times"))
-    return out
-
-
-def subtrees_of(root: AssemblyNode):
-    """Yield the depth-1 subtree of every non-leaf node."""
-    for node in root.walk():
-        if node.children:
-            yield DepthOneSubtree(node.label, tuple(c.label for c in node.children))
-
-
-def depth_one_subtrees(root: AssemblyNode) -> frozenset[DepthOneSubtree]:
-    """The set of depth-1 subtrees of a tree (leaves contribute nothing)."""
-    return frozenset(subtrees_of(root))
+def subtrees_of(tree: tuple[NodeLabel, Mapping[NodeLabel, tuple[NodeLabel, ...]]]):
+    """Yield the depth-1 subtree of every internal label of ``tree``, a
+    ``(root, children_of)`` pair: parent first, children left to right."""
+    root, children_of = tree
+    stack = [root]
+    while stack:
+        label = stack.pop()
+        kids = children_of.get(label)
+        if kids:
+            yield DepthOneSubtree(label, kids)
+            stack.extend(reversed(kids))
 
 
 def bracket(label: NodeLabel | str, kid_texts: Iterable[str]) -> str:
@@ -139,29 +68,10 @@ def bracket(label: NodeLabel | str, kid_texts: Iterable[str]) -> str:
     return f"({label} {' '.join(kid_texts)})"
 
 
-def canonical_serialize(root: AssemblyNode) -> str:
-    """Deterministic bracket form; equal trees have equal serializations.
-    Iterative, so a tree of any depth serializes."""
-    tokens: list[str] = []
-    stack: list = [root]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            tokens[-1] += item  # a node's ")" closes its last token
-        elif item.children:
-            tokens.append(f"({item.label}")
-            stack.append(")")
-            stack.extend(reversed(item.children))
-        else:
-            tokens.append(str(item.label))
-    return " ".join(tokens)
-
-
-def serialize_labels(root: NodeLabel, children_of: Mapping[NodeLabel, tuple[NodeLabel, ...]]) -> str:
-    """The canonical serialization of the tree under ``root`` when each
-    label has one node, given each internal label's children; a label
-    without an entry is a leaf.  Iterative, and each token is written
-    once, so the time is linear in the text however deep the tree."""
+def canonical_serialize(root: NodeLabel, children_of: Mapping[NodeLabel, tuple[NodeLabel, ...]]) -> str:
+    """The canonical serialization of the tree ``(root, children_of)``;
+    equal trees have equal serializations.  Iterative, and each token is
+    written once, so the time is linear in the text however deep the tree."""
     parts: list[str] = []
     stack: list = [root]
     while stack:
@@ -188,15 +98,37 @@ def _parse_label(token: str) -> NodeLabel:
         raise TreeError(str(exc)) from exc
 
 
-def parse_serialized(text: str) -> AssemblyNode:
-    """Parse bracket notation back into a validated tree.  Iterative, so a
-    tree of any depth parses."""
+def _violations(nodes: list[tuple[NodeLabel, list[NodeLabel]]]) -> list[str]:
+    """Every broken constraint of a tree given as its ``(label, kids)``
+    nodes in pre-order, node by node, then each repeated label."""
+    out: list[str] = []
+    seen: dict[NodeLabel, int] = {}
+    for label, kids in nodes:
+        if not kids:
+            if len(label.pieces) != 1:
+                out.append(f"{label}: leaf-pieces: leaf must be a single piece")
+            if label.self_attach != 0:
+                out.append(f"{label}: leaf-counter: leaf counter must be 0")
+        else:
+            for kind, detail in attachment_violations(label, tuple(kids)):
+                out.append(f"{label}: {kind}: {detail}")
+            if len(kids) == 2 and child_order_key(kids[0]) > child_order_key(kids[1]):
+                out.append(f"{label}: child-order: children out of canonical order")
+        seen[label] = seen.get(label, 0) + 1
+    out.extend(f"{label}: unique-labels: label occurs {n} times" for label, n in seen.items() if n > 1)
+    return out
+
+
+def parse_serialized(text: str) -> tuple[NodeLabel, dict[NodeLabel, tuple[NodeLabel, ...]]]:
+    """Parse bracket notation into a validated ``(root, children_of)`` pair.
+    Iterative, so a tree of any depth parses."""
     tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise TreeError("empty tree text")
-    # The open brackets, outermost first: each node's label and the
-    # children parsed so far.
-    open_nodes: list[tuple[NodeLabel, list[AssemblyNode]]] = []
+    # Every node in pre-order, as its label and the children parsed so far,
+    # and the indices of the open brackets' nodes, outermost first.
+    nodes: list[tuple[NodeLabel, list[NodeLabel]]] = []
+    open_nodes: list[int] = []
     pos = 0
     while True:
         if pos == len(tokens):
@@ -206,24 +138,25 @@ def parse_serialized(text: str) -> AssemblyNode:
         if tok == "(":
             if pos == len(tokens) or tokens[pos] in "()":
                 raise TreeError("expected node label after '('")
-            open_nodes.append((_parse_label(tokens[pos]), []))
+            open_nodes.append(len(nodes))
+            nodes.append((_parse_label(tokens[pos]), []))
             pos += 1
             continue
         if tok == ")":
             if not open_nodes:
                 raise TreeError("unexpected ')'")
-            label, children = open_nodes.pop()
+            label, children = nodes[open_nodes.pop()]
             if not children:
                 raise TreeError(f"bracketed node {label} has no children")
-            node = AssemblyNode(label, tuple(children))
         else:
-            node = AssemblyNode(_parse_label(tok))
+            label = _parse_label(tok)
+            nodes.append((label, []))
         if not open_nodes:
             break
-        open_nodes[-1][1].append(node)
+        nodes[open_nodes[-1]][1].append(label)
     if pos != len(tokens):
         raise TreeError(f"trailing input after tree: {tokens[pos]!r}")
-    violations = validate_tree(node)
+    violations = _violations(nodes)
     if violations:
-        raise TreeError("; ".join(str(v) for v in violations))
-    return node
+        raise TreeError("; ".join(violations))
+    return nodes[0][0], {label: tuple(kids) for label, kids in nodes if kids}

@@ -1,9 +1,13 @@
-"""Shared checks for the randomized-grammar property suite."""
+"""Shared checks for the randomized-grammar property suite, and the
+node-tree oracles: ``AssemblyNode`` trees with their validator, parser,
+serializer, generator and linearization, the references that the
+label-map code in ``sewtree`` is tested against."""
 
 import itertools
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from sewtree.grammar import (
@@ -16,10 +20,20 @@ from sewtree.grammar import (
     parse_grammar,
     validate_grammar,
 )
-from sewtree.labels import NodeLabel, parse_node_label
+from sewtree.labels import (
+    LabelError,
+    NodeLabel,
+    PieceLabel,
+    attachment_violations,
+    bump_self_attach,
+    child_order_key,
+    merge_labels,
+    parse_node_label,
+)
 from sewtree.metrics import grammar_score
 from sewtree.pipeline import (
     InstructionDoc,
+    PatternSpec,
     build_forest,
     extract_document,
     linearize_gold_tree,
@@ -27,15 +41,212 @@ from sewtree.pipeline import (
 )
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import random_grammar
-from sewtree.tree import (
-    AssemblyNode,
-    TreeError,
-    canonical_serialize,
-    depth_one_subtrees,
-    parse_serialized,
-    subtrees_of,
-    validate_tree,
-)
+from sewtree.tree import _TOKEN_RE, TreeError, parse_serialized, subtrees_of
+
+
+@dataclass(frozen=True)
+class AssemblyNode:
+    """One node of an assembly tree with 0, 1, or 2 children."""
+
+    label: NodeLabel
+    children: tuple["AssemblyNode", ...] = ()
+
+    def is_leaf(self) -> bool:
+        return not self.children
+
+    def walk(self):
+        """Yield this node and all descendants, parent first."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
+
+def leaf(piece: PieceLabel) -> AssemblyNode:
+    return AssemblyNode(NodeLabel((piece,), 0))
+
+
+def unary(child: AssemblyNode) -> AssemblyNode:
+    """Self-attachment node over ``child``."""
+    return AssemblyNode(bump_self_attach(child.label), (child,))
+
+
+def binary(a: AssemblyNode, b: AssemblyNode) -> AssemblyNode:
+    """Attachment node joining two disjoint components, children in canonical order."""
+    label = merge_labels(a.label, b.label)
+    children = tuple(sorted((a, b), key=lambda n: child_order_key(n.label)))
+    return AssemblyNode(label, children)
+
+
+def as_pair(root: AssemblyNode) -> tuple[NodeLabel, dict[NodeLabel, tuple[NodeLabel, ...]]]:
+    """The ``(root, children_of)`` pair of a node tree with unique labels."""
+    return root.label, {
+        n.label: tuple(c.label for c in n.children) for n in root.walk() if n.children
+    }
+
+
+def serialize_node(root: AssemblyNode) -> str:
+    """Deterministic bracket form of a node tree.  Iterative, so a tree of
+    any depth serializes."""
+    tokens: list[str] = []
+    stack: list = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            tokens[-1] += item  # a node's ")" closes its last token
+        elif item.children:
+            tokens.append(f"({item.label}")
+            stack.append(")")
+            stack.extend(reversed(item.children))
+        else:
+            tokens.append(str(item.label))
+    return " ".join(tokens)
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One broken tree constraint, naming the offending node."""
+
+    node: str
+    rule: str
+    detail: str
+
+    def __str__(self) -> str:
+        return f"{self.node}: {self.rule}: {self.detail}"
+
+
+def validate_tree(root: AssemblyNode) -> list[Violation]:
+    """All constraint violations in the tree; empty iff the tree is valid:
+    the reference for the checks ``parse_serialized`` runs."""
+    out: list[Violation] = []
+    seen: dict[NodeLabel, int] = {}
+    for node in root.walk():
+        name = str(node.label)
+        if not node.children:
+            if len(node.label.pieces) != 1:
+                out.append(Violation(name, "leaf-pieces", "leaf must be a single piece"))
+            if node.label.self_attach != 0:
+                out.append(Violation(name, "leaf-counter", "leaf counter must be 0"))
+        else:
+            kids = tuple(c.label for c in node.children)
+            for kind, detail in attachment_violations(node.label, kids):
+                out.append(Violation(name, kind, detail))
+            if len(kids) == 2 and child_order_key(kids[0]) > child_order_key(kids[1]):
+                out.append(Violation(name, "child-order", "children out of canonical order"))
+        seen[node.label] = seen.get(node.label, 0) + 1
+    for label, count in seen.items():
+        if count > 1:
+            out.append(Violation(str(label), "unique-labels", f"label occurs {count} times"))
+    return out
+
+
+def recursive_parse(text: str) -> AssemblyNode:
+    """The recursive descent parser into a node tree, checked by
+    ``validate_tree``: the reference for ``parse_serialized``."""
+    tokens = _TOKEN_RE.findall(text)
+    if not tokens:
+        raise TreeError("empty tree text")
+    pos = 0
+
+    def label_of(tok):
+        try:
+            return parse_node_label(tok)
+        except LabelError as exc:
+            raise TreeError(str(exc)) from exc
+
+    def parse_node():
+        nonlocal pos
+        if pos >= len(tokens):
+            raise TreeError("unexpected end of input")
+        tok = tokens[pos]
+        pos += 1
+        if tok == ")":
+            raise TreeError("unexpected ')'")
+        if tok != "(":
+            return AssemblyNode(label_of(tok))
+        if pos >= len(tokens) or tokens[pos] in "()":
+            raise TreeError("expected node label after '('")
+        label = label_of(tokens[pos])
+        pos += 1
+        children = []
+        while pos < len(tokens) and tokens[pos] != ")":
+            children.append(parse_node())
+        if pos >= len(tokens):
+            raise TreeError("missing ')'")
+        pos += 1
+        if not children:
+            raise TreeError(f"bracketed node {label} has no children")
+        return AssemblyNode(label, tuple(children))
+
+    root = parse_node()
+    if pos != len(tokens):
+        raise TreeError(f"trailing input after tree: {tokens[pos]!r}")
+    violations = validate_tree(root)
+    if violations:
+        raise TreeError("; ".join(str(v) for v in violations))
+    return root
+
+
+def random_node_tree(
+    rng: SplitMix64, pieces, unary_prob_percent: int = 25, chain: bool = False
+) -> AssemblyNode:
+    """The node-building generator: the reference for ``synth.random_tree``,
+    which must draw the same tree from the same stream."""
+    nodes = [leaf(p) for p in pieces]
+    rng.shuffle(nodes)
+
+    def maybe_self_attach(node: AssemblyNode) -> AssemblyNode:
+        while rng.randrange(100) < unary_prob_percent:
+            node = unary(node)
+        return node
+
+    while len(nodes) > 1:
+        if chain:
+            i, j = 0, 1
+        else:
+            i = rng.randrange(len(nodes))
+            j = rng.randrange(len(nodes) - 1)
+            if j >= i:
+                j += 1
+        a = nodes[i]
+        b = nodes[j]
+        for idx in sorted((i, j), reverse=True):
+            del nodes[idx]
+        nodes.insert(0, maybe_self_attach(binary(a, b)))
+    return nodes[0]
+
+
+def recursive_linearization(tree: AssemblyNode, spec: PatternSpec) -> InstructionDoc:
+    """``linearize_gold_tree`` on a node tree, emitting its steps in a
+    recursion: the reference for the label-map walk."""
+
+    def mention(node):
+        piece = node.label.pieces[0]
+        name = spec.name_of(piece)
+        if node.is_leaf():
+            return f"{name} ({piece})"
+        return f"component containing the {name} ({piece})"
+
+    steps = []
+
+    def emit(node):
+        for child in node.children:
+            emit(child)
+        if len(node.children) == 2:
+            a, b = node.children
+            steps.append(f"Sew the {mention(a)} to the {mention(b)}.")
+        elif node.children:
+            steps.append(f"Sew the {mention(node.children[0])} to itself.")
+
+    emit(tree)
+    doc_id = f"{spec.pattern_id}-{serialize_node(tree).count('(')}steps"
+    return InstructionDoc(spec.pattern_id, doc_id, tuple(steps))
+
+
+def subtree_set(text: str) -> frozenset:
+    """The depth-1 subtrees of the tree serialized as ``text``."""
+    return frozenset(subtrees_of(parse_serialized(text)))
 
 
 def gold_tree_oracle(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[AssemblyNode, ...]:
@@ -57,14 +268,14 @@ def gold_tree_oracle(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[AssemblyNo
             for _, kids in expansions
             for combo in itertools.product(*(trees[c] for c in kids))
         ))
-    return tuple(sorted((t for root in graph.roots for t in trees[root]), key=canonical_serialize))
+    return tuple(sorted((t for root in graph.roots for t in trees[root]), key=serialize_node))
 
 
 def check_enumeration(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, ...]:
     """``enumerate_gold_trees(g)``, checked against the tree oracle and
     against the derivation count: derivations and trees are in bijection."""
     texts = enumerate_gold_trees(g, cap)
-    assert texts == tuple(canonical_serialize(t) for t in gold_tree_oracle(g, cap)), g.pattern_id
+    assert texts == tuple(serialize_node(t) for t in gold_tree_oracle(g, cap)), g.pattern_id
     assert len(set(texts)) == len(texts) == sum(count_derivations(g).values()), g.pattern_id
     return texts
 
@@ -98,7 +309,7 @@ def make_chain_corpus():
         )
         spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
         gold = enumerate_gold_trees(grammar)
-        doc = linearize_gold_tree(gold_tree_oracle(grammar)[0], spec)
+        doc = linearize_gold_tree(as_pair(gold_tree_oracle(grammar)[0]), spec)
         assert len(doc.steps) >= 4
         corpus.append((grammar, spec, gold, doc))
     return corpus
@@ -111,7 +322,7 @@ def check_grammar_properties(g: GoldGrammar, cap: int = 50_000) -> None:
     assert len(trees) > 0
     for tree in trees:
         assert validate_tree(tree) == [], f"{g.pattern_id}: invalid enumerated tree"
-        glued = glue_subtrees(subtrees_of(tree))
+        glued = glue_subtrees(subtrees_of(as_pair(tree)))
         assert glued == (tree,), f"{g.pattern_id}: subtree set not lossless"
         for node in tree.walk():
             leaf_pieces = frozenset(
@@ -146,7 +357,7 @@ def scored_roundtrip(grammar: GoldGrammar, cap: int = DEFAULT_CAP) -> list[str]:
                 f"{grammar.pattern_id} tree {index} ({text}): "
                 f"round-trip F1 {breakdown.f1:.4f}"
             )
-        elif predicted != depth_one_subtrees(tree):
+        elif predicted != frozenset(subtrees_of(tree)):
             failures.append(
                 f"{grammar.pattern_id} tree {index}: rebuilt subtree set differs"
             )
@@ -182,7 +393,7 @@ def glue_subtrees(
     roots = [p for p in children_of if p not in child_labels]
     trees = [build(r, frozenset()) for r in roots]
     trees.extend(AssemblyNode(l) for l in isolated)
-    trees.sort(key=canonical_serialize)
+    trees.sort(key=serialize_node)
     return tuple(trees)
 
 
@@ -191,7 +402,7 @@ def glued_forest(report) -> tuple[str, ...]:
     ``glue_subtrees``, serialized: the oracle for ``report.forest``."""
     isolated = tuple(parse_node_label(t) for t in report.forest if not t.startswith("("))
     glued = glue_subtrees((st for _, st in report.subtree_trace), isolated)
-    return tuple(canonical_serialize(t) for t in glued)
+    return tuple(serialize_node(t) for t in glued)
 
 
 def run_fresh(*args: str, **env: str) -> subprocess.CompletedProcess:

@@ -3,11 +3,18 @@
 ``score_document`` over the enumerated gold texts, which ``tree_score``
 parses and scores.  On the same documents they must equal the columns of
 ``score_document`` over the grammar, which ``grammar_score``'s DP scores
-and the CLI writes."""
+and the CLI writes.
+
+The benchmark's inputs come from ``perfbench/workloads.py``, which draws
+them through ``synth`` and ``linearize_gold_tree``; at seed 1 they must
+hash to the digests recorded in ``perfbench/expected.json``."""
 
 import json
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 from sewtree.experiments import ErrorInjectionPlan, inject_errors, permute_doc, score_document
 from sewtree.grammar import enumerate_gold_trees
@@ -16,7 +23,7 @@ from sewtree.tree import parse_serialized
 
 from conftest import FIXTURES, GRAMMAR_NAMES, load_grammar
 
-CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PLANS = (
     ErrorInjectionPlan(swap_adjacent=1),
@@ -25,10 +32,16 @@ PLANS = (
 )
 
 
-def load_checks() -> types.ModuleType:
-    """``perfbench/checks.py``, run from its source: nothing is written beside it."""
-    module = types.ModuleType("checks")
-    exec(compile(CHECKS.read_text(encoding="utf-8"), str(CHECKS), "exec"), module.__dict__)
+def load_perfbench(name: str) -> types.ModuleType:
+    """``perfbench/<name>.py``, run from its source: nothing is written beside it."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    # ``dataclass`` looks the defining module up by name while it runs.
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
     return module
 
 
@@ -57,7 +70,7 @@ def fixture_workload() -> types.SimpleNamespace:
 
 
 def test_rule_based_tree_columns_equal_the_grammar_dp():
-    checks = load_checks()
+    checks = load_perfbench("checks")
     workload = fixture_workload()
     columns = checks.rule_based_tree_columns(workload)
     assert set(columns) == {doc.doc_id for doc in workload.docs}
@@ -68,3 +81,13 @@ def test_rule_based_tree_columns_equal_the_grammar_dp():
         assert columns[doc.doc_id] == {c: row[c] for c in checks.TREE_COLUMNS}, doc.doc_id
     f1s = [c["tree_f1"] for c in columns.values()]
     assert 1.0 in f1s and min(f1s) < 1.0
+
+
+RECORDED = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
+WORKLOADS = load_perfbench("workloads")
+
+
+@pytest.mark.parametrize("name", WORKLOADS.WORKLOADS)
+def test_generated_inputs_match_recorded_digest(name):
+    assert RECORDED["seed"] == 1
+    assert WORKLOADS.generate(name, 1).digest == RECORDED["workloads"][name]["inputs_sha256"]

@@ -14,10 +14,9 @@ from sewtree.cli import main
 from sewtree.grammar import DEFAULT_CAP, count_derivations, parse_grammar
 from sewtree.labels import parse_piece_label
 from sewtree.pipeline import linearize_gold_tree, placeholder_spec
-from sewtree.tree import binary, leaf
 
 from conftest import FIXTURES
-from helpers import gold_tree_oracle, run_fresh
+from helpers import as_pair, binary, gold_tree_oracle, leaf, run_fresh
 
 
 @pytest.fixture()
@@ -80,7 +79,7 @@ class TestGenGold:
             raise AssertionError("gen-gold built or serialized a tree")
 
         for module in (sewtree.tree, sewtree.grammar, sewtree.cli):
-            for name in ("AssemblyNode", "canonical_serialize"):
+            for name in ("parse_serialized", "canonical_serialize"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         assert run("gen-gold", FIXTURES / "grammars" / "pants_combined.grammar") == 0
         trees = json.loads(capsys.readouterr().out)["trees"]
@@ -273,7 +272,7 @@ class TestScore:
             for piece in block[1:]:
                 sub = binary(sub, leaf(parse_piece_label(piece)))
             tree = sub if tree is None else binary(tree, sub)
-        doc = linearize_gold_tree(tree, spec)
+        doc = linearize_gold_tree(as_pair(tree), spec)
         (tmp_path / "corpus" / "wide.json").write_text(json.dumps(doc.to_json()))
 
         code = run("score", "--corpus", tmp_path / "corpus", "--grammars", tmp_path / "grammars",
@@ -617,6 +616,30 @@ class TestRoundtripCli:
         assert captured.out == ""
         assert captured.err == f"error: {bad}: {UNPARSABLE_MESSAGE}\n"
 
+    def test_grammar_over_the_cap_is_named(self, capsys):
+        grammars = FIXTURES / "grammars"
+        assert run("roundtrip", "--grammars", grammars, "--cap", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # jumpsuit sorts first, and derives 4 trees
+        assert captured.err == (
+            f"error: {grammars / 'jumpsuit.grammar'}: pattern 'jumpsuit': "
+            "grammar derives 4 trees, cap is 1\n"
+        )
+
+    def test_invalid_grammar_is_named(self, tmp_path, capsys):
+        grammars = tmp_path / "grammars"
+        grammars.mkdir()
+        shutil.copy(FIXTURES / "grammars" / "skirt.grammar", grammars)
+        bad = grammars / "bad.grammar"
+        bad.write_text("pattern: bad\npieces: A B C\nroots: ABC\nABC -> AB C\n")
+        assert run("roundtrip", "--grammars", grammars) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {bad}: pattern 'bad': invalid grammar: "
+            "AB: no rule expands this non-leaf label\n"
+        )
+
 
 CHAIN_LENGTH = 1200
 
@@ -649,7 +672,7 @@ class TestUnaryChain:
         grammar = parse_grammar(grammar_path.read_text())
         spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
         (tree,) = gold_tree_oracle(grammar)
-        doc = linearize_gold_tree(tree, spec)
+        doc = linearize_gold_tree(as_pair(tree), spec)
         assert len(doc.steps) == CHAIN_LENGTH + 1
         for name, payload in (("corpus", doc.to_json()), ("specs", spec.to_json())):
             (tmp_path / name).mkdir()
@@ -686,6 +709,22 @@ class TestAggregateRatingsCli:
         ratings = tmp_path / "ratings.csv"
         ratings.write_text("doc_id,step_index,question,rating\nd,0,S1,9\n")
         assert run("aggregate-ratings", "--ratings", ratings, "--out", tmp_path / "o.csv") == 1
+
+    @pytest.mark.parametrize("text", ["x,y\n", ""], ids=["other-columns", "empty"])
+    def test_file_without_its_columns_is_rejected(self, tmp_path, capsys, text):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text(text)
+        out = tmp_path / "o.csv"
+        assert run("aggregate-ratings", "--ratings", ratings, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"error: {ratings}: missing column 'doc_id'\n"
+
+    def test_header_missing_one_column_names_it(self, tmp_path, capsys):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("doc_id,step_index,rating\nd,0,4\n")
+        assert run("aggregate-ratings", "--ratings", ratings, "--out", tmp_path / "o.csv") == 1
+        assert capsys.readouterr().err == f"error: {ratings}: missing column 'question'\n"
 
 
 class TestDeterminism:

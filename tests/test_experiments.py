@@ -89,7 +89,7 @@ class TestInjectErrors:
 
     def test_corrupted_doc_scores_lower(self, skirt_spec, skirt_grammar):
         gold = enumerate_gold_trees(skirt_grammar)
-        doc = linearize_gold_tree(helpers.gold_tree_oracle(skirt_grammar)[0], skirt_spec)
+        doc = linearize_gold_tree(helpers.as_pair(helpers.gold_tree_oracle(skirt_grammar)[0]), skirt_spec)
         base_row, _ = score_document(doc, gold, skirt_spec)
         corrupted, _ = inject_errors(
             doc, ErrorInjectionPlan(swap_adjacent=1, wrong_piece=1), 3, skirt_spec

@@ -20,10 +20,9 @@ from sewtree.pipeline import (
 )
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import grammar_from_trees, random_grammar, random_inventory, random_tree
-from sewtree.tree import AssemblyNode, depth_one_subtrees, parse_serialized
 
 from conftest import GRAMMAR_NAMES, load_grammar
-from helpers import gold_tree_oracle
+from helpers import as_pair, gold_tree_oracle, subtree_set
 
 PLANS = (
     ErrorInjectionPlan(swap_adjacent=1),
@@ -45,7 +44,7 @@ def corpus_predictions(grammar, seed: int, extra_trees=(), plans=PLANS):
     """Predicted subtree sets of the first gold trees and of other trees over the same
     pieces, each linearized as written, permuted and error-injected."""
     spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
-    for index, tree in enumerate((*gold_tree_oracle(grammar)[:2], *extra_trees)):
+    for index, tree in enumerate((*map(as_pair, gold_tree_oracle(grammar)[:2]), *extra_trees)):
         doc = linearize_gold_tree(tree, spec)
         if not doc.steps:
             continue
@@ -103,7 +102,7 @@ def test_tie_on_f1_with_different_precision_and_recall():
     # oracle keeps the first in sorted order, the short tree.
     grammar = parse_grammar(TIE_GRAMMAR)
     gold = enumerate_gold_trees(grammar)
-    predicted = depth_one_subtrees(parse_serialized("(AB_1 (AB A B))"))
+    predicted = subtree_set("(AB_1 (AB A B))")
     short = "(ABC (AB A B) C)"
     assert gold[0] == short
     assert [tree_score(predicted, (t,)).f1 for t in gold] == [0.5, 0.5]
@@ -121,32 +120,42 @@ def test_score_document_same_row_for_grammar_and_tree_list(skirt_grammar, skirt_
     assert by_grammar["best_gold_tree"] == "(ABC_1 (AB_1 (AB A B)) C)"
 
 
-def post_order(tree: AssemblyNode) -> list[AssemblyNode]:
-    """Internal nodes in the order linearize_gold_tree emits their steps."""
+def post_order(tree) -> list:
+    """The internal labels of a ``(root, children_of)`` tree in the order
+    linearize_gold_tree emits their steps."""
+    root, children_of = tree
     out = []
-    for child in tree.children:
-        out.extend(post_order(child))
-    if tree.children:
-        out.append(tree)
+
+    def visit(label):
+        for kid in children_of.get(label, ()):
+            visit(kid)
+        if label in children_of:
+            out.append(label)
+
+    visit(root)
     return out
 
 
-def tree_respecting_order(tree: AssemblyNode, rng: SplitMix64) -> list[int]:
-    """A random order of the internal nodes (as post-order indices) in which
-    every node comes after its children."""
-    nodes = post_order(tree)
-    index = {id(node): i for i, node in enumerate(nodes)}
-    done: set[int] = set()
+def tree_respecting_order(tree, rng: SplitMix64) -> list[int]:
+    """A random order of the internal labels (as post-order indices) in
+    which every label comes after its children."""
+    children_of = tree[1]
+    labels = post_order(tree)
+    done: set = set()
     order: list[int] = []
-    while len(order) < len(nodes):
+    while len(order) < len(labels):
         ready = [
-            i for i, node in enumerate(nodes)
-            if i not in done and all(c.is_leaf() or index[id(c)] in done for c in node.children)
+            i for i, label in enumerate(labels)
+            if label not in done and all(k in done or k not in children_of for k in children_of[label])
         ]
         pick = ready[rng.randrange(len(ready))]
-        done.add(pick)
+        done.add(labels[pick])
         order.append(pick)
     return order
+
+
+def score_linearization(doc, spec, grammar):
+    return grammar_score(build_forest(doc, extract_document(doc, spec), spec).subtrees(), grammar)
 
 
 @given(hs.integers(0, 2**64 - 1), hs.integers(2, 9), hs.integers(1, 5))
@@ -159,8 +168,41 @@ def test_f1_invariant_under_tree_respecting_permutations(seed, n_pieces, n_gold)
     doc = linearize_gold_tree(source, spec)
     order = tree_respecting_order(source, rng)
     permuted = InstructionDoc(doc.pattern_id, doc.doc_id, tuple(doc.steps[i] for i in order))
+    assert score_linearization(permuted, spec, grammar) == score_linearization(doc, spec, grammar)
 
-    def score(d):
-        return grammar_score(build_forest(d, extract_document(d, spec), spec).subtrees(), grammar)
 
-    assert score(permuted) == score(doc)
+def descendants(tree, label) -> set:
+    """The internal labels below ``label``."""
+    children_of = tree[1]
+    out, stack = set(), list(children_of[label])
+    while stack:
+        kid = stack.pop()
+        if kid in children_of:
+            out.add(kid)
+            stack.extend(children_of[kid])
+    return out
+
+
+@given(hs.integers(0, 2**64 - 1), hs.integers(3, 10), hs.integers(0, 60))
+def test_f1_below_one_when_a_step_precedes_a_step_it_depends_on(seed, n_pieces, unary_percent):
+    """One gold tree, linearized; one step moved in front of a step it
+    depends on (one that builds a component below its own).  When that
+    changes the document, it no longer rebuilds the tree: tree F1 < 1."""
+    rng = SplitMix64(seed)
+    tree = random_tree(rng, random_inventory(rng, n_pieces), unary_percent)
+    grammar = grammar_from_trees("order", [tree])
+    spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
+    doc = linearize_gold_tree(tree, spec)
+    assert score_linearization(doc, spec, grammar).f1 == 1.0
+    labels = post_order(tree)  # step i builds labels[i]
+    moves = [
+        (labels.index(below), j)
+        for j, label in enumerate(labels)
+        for below in sorted(descendants(tree, label), key=labels.index)
+    ]
+    before, j = moves[rng.randrange(len(moves))]
+    steps = list(doc.steps)
+    steps.insert(before, steps.pop(j))
+    moved = InstructionDoc(doc.pattern_id, doc.doc_id, tuple(steps))
+    if moved.steps != doc.steps:
+        assert score_linearization(moved, spec, grammar).f1 < 1.0

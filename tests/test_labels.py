@@ -21,9 +21,9 @@ from sewtree.labels import (
     parse_piece_label,
 )
 from sewtree.pipeline import InstructionDoc, StepExtraction, build_forest, placeholder_spec
-from sewtree.tree import DepthOneSubtree, binary, canonical_serialize, leaf, parse_serialized, unary
+from sewtree.tree import DepthOneSubtree, parse_serialized
 
-from helpers import run_fresh
+from helpers import binary, leaf, run_fresh, serialize_node, unary
 
 
 def P(text):
@@ -200,7 +200,7 @@ def equal_labels_built_every_way(label: NodeLabel) -> list[NodeLabel]:
         node = binary(node, leaf(piece))
     for _ in range(counter):
         node = unary(node)
-    out.append(parse_serialized(canonical_serialize(node)).label)
+    out.append(parse_serialized(serialize_node(node))[0])
 
     steps = [StepExtraction(0, label.pieces)] if rest else []
     steps += [StepExtraction(len(steps) + i, (first,)) for i in range(counter)]

@@ -13,58 +13,52 @@ from sewtree.metrics import (
     ngram_precisions,
     pearson,
     rouge_l,
-    subtree_f1,
     tokenize,
     tree_score,
 )
-from sewtree.tree import depth_one_subtrees, parse_serialized
+
+from helpers import subtree_set
 
 SKIRT = "(ABC_1 (AB_1 (AB A B)) C)"
 
 
 class TestSubtreeF1:
+    """``tree_score`` against one gold tree: exact-match F1 of the
+    predicted subtree set against that tree's."""
+
     def test_identity(self):
-        t = parse_serialized(SKIRT)
-        assert subtree_f1(depth_one_subtrees(t), t).f1 == 1.0
+        b = tree_score(subtree_set(SKIRT), [SKIRT])
+        assert b.f1 == 1.0 and b.matched == subtree_set(SKIRT) and b.best_gold_tree == SKIRT
 
     def test_partial_overlap(self):
-        pred = parse_serialized("(AB A B)")
-        gold = parse_serialized("(ABC (AB A B) C)")
-        b = subtree_f1(depth_one_subtrees(pred), gold)
+        b = tree_score(subtree_set("(AB A B)"), ["(ABC (AB A B) C)"])
         assert (b.precision, b.recall) == (1.0, 0.5)
         assert b.f1 == pytest.approx(2 / 3)
+        assert b.matched == subtree_set("(AB A B)")
 
     def test_disjoint(self):
-        pred = parse_serialized("(AB A B)")
-        gold = parse_serialized("(CD C D)")
-        assert subtree_f1(depth_one_subtrees(pred), gold).f1 == 0.0
+        assert tree_score(subtree_set("(AB A B)"), ["(CD C D)"]).f1 == 0.0
 
     def test_empty_prediction_zero(self):
-        from sewtree.labels import parse_piece_label
-        from sewtree.tree import leaf
-
-        pred = depth_one_subtrees(leaf(parse_piece_label("A")))
-        assert subtree_f1(pred, parse_serialized(SKIRT)).f1 == 0.0
+        b = tree_score(subtree_set("A"), [SKIRT])
+        assert (b.precision, b.recall, b.f1) == (0.0, 0.0, 0.0)
 
     def test_symmetric_for_single_trees(self):
-        a = parse_serialized("(ABC (AB A B) C)")
-        b = parse_serialized(SKIRT)
-        assert subtree_f1(depth_one_subtrees(a), b).f1 == subtree_f1(depth_one_subtrees(b), a).f1
+        a, b = "(ABC (AB A B) C)", SKIRT
+        assert tree_score(subtree_set(a), [b]).f1 == tree_score(subtree_set(b), [a]).f1
 
 
 class TestTreeScore:
     def test_max_attains_identity(self):
         golds = ["(ABC (AB A B) C)", SKIRT, "(ABC A (BC B C))"]
-        pred = depth_one_subtrees(parse_serialized(SKIRT))
+        pred = subtree_set(SKIRT)
         b = tree_score(pred, golds)
         assert b.f1 == 1.0 and b.best_gold_tree == SKIRT
 
     def test_tie_lowest_index(self):
         # Each gold tree matches one of the two predicted subtrees in three
         # rules (F1 = 0.4); the first listed wins, not the smaller text.
-        pred = depth_one_subtrees(parse_serialized("(AB A B)")) | depth_one_subtrees(
-            parse_serialized("(CD C D)")
-        )
+        pred = subtree_set("(AB A B)") | subtree_set("(CD C D)")
         first = "(ABCD A (BCD B (CD C D)))"
         second = "(ABCD (ABC (AB A B) C) D)"
         for golds in ([first, second], [second, first]):
@@ -73,7 +67,7 @@ class TestTreeScore:
             assert b.best_gold_tree == golds[0]
 
     def test_adding_gold_never_decreases(self):
-        pred = depth_one_subtrees(parse_serialized(SKIRT))
+        pred = subtree_set(SKIRT)
         golds = ["(ABC (AB A B) C)"]
         before = tree_score(pred, golds).f1
         golds.append(SKIRT)
@@ -81,7 +75,7 @@ class TestTreeScore:
 
     def test_empty_gold_set_rejected(self):
         with pytest.raises(ValueError):
-            tree_score(depth_one_subtrees(parse_serialized(SKIRT)), [])
+            tree_score(subtree_set(SKIRT), [])
 
 
 class TestTokenize:

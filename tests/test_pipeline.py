@@ -24,20 +24,22 @@ from sewtree.pipeline import (
     resolve_components,
 )
 from sewtree.rng import SplitMix64
-from sewtree.synth import random_inventory, random_tree
-from sewtree.tree import (
-    AssemblyNode,
-    DepthOneSubtree,
-    binary,
-    canonical_serialize,
-    bracket,
-    depth_one_subtrees,
-    leaf,
-    unary,
-)
+from sewtree.synth import random_inventory
+from sewtree.tree import DepthOneSubtree, bracket, canonical_serialize, subtrees_of
 
 from conftest import GRAMMAR_NAMES, load_grammar
-from helpers import glued_forest, gold_tree_oracle
+from helpers import (
+    AssemblyNode,
+    as_pair,
+    binary,
+    glued_forest,
+    gold_tree_oracle,
+    leaf,
+    random_node_tree,
+    recursive_linearization,
+    serialize_node,
+    unary,
+)
 
 
 def P(text):
@@ -256,7 +258,7 @@ def reference_build_forest(extractions, spec) -> BuildReport:
     components = dict.fromkeys(state.component_of.values())
     roots = [state.built[label] for label in components]
     roots.extend(leaf(p) for p in sorted(spec.inventory) if p not in state.component_of)
-    forest = tuple(sorted(canonical_serialize(root) for root in roots))
+    forest = tuple(sorted(serialize_node(root) for root in roots))
     return BuildReport(forest, tuple(trace), tuple(diagnostics))
 
 
@@ -296,7 +298,7 @@ class TestBuildMatchesReference:
         grammar = load_grammar(name)
         spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
         for tree in gold_tree_oracle(grammar):
-            doc = linearize_gold_tree(tree, spec)
+            doc = linearize_gold_tree(as_pair(tree), spec)
             extractions = extract_document(doc, spec)
             assert build_forest(doc, extractions, spec) == reference_build_forest(extractions, spec)
 
@@ -339,46 +341,21 @@ class TestForestTextMatchesFold:
         assert isolated == "C"
 
 
-def recursive_linearization(tree, spec) -> InstructionDoc:
-    """``linearize_gold_tree`` emitting its steps in a recursion: the
-    reference for its loop."""
-    steps = []
-
-    def mention(node):
-        piece = node.label.pieces[0]
-        name = spec.name_of(piece)
-        if node.is_leaf():
-            return f"{name} ({piece})"
-        return f"component containing the {name} ({piece})"
-
-    def emit(node):
-        for child in node.children:
-            emit(child)
-        if len(node.children) == 2:
-            a, b = node.children
-            steps.append(f"Sew the {mention(a)} to the {mention(b)}.")
-        elif len(node.children) == 1:
-            steps.append(f"Sew the {mention(node.children[0])} to itself.")
-
-    emit(tree)
-    doc_id = f"{spec.pattern_id}-{canonical_serialize(tree).count('(')}steps"
-    return InstructionDoc(spec.pattern_id, doc_id, tuple(steps))
-
-
 class TestLinearization:
     @pytest.mark.parametrize("name", GRAMMAR_NAMES)
     def test_roundtrip_every_gold_tree(self, name):
         grammar = load_grammar(name)
         spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
-        for tree in gold_tree_oracle(grammar):
+        for node in gold_tree_oracle(grammar):
+            tree = as_pair(node)
             doc = linearize_gold_tree(tree, spec)
             report = build_forest(doc, extract_document(doc, spec), spec)
-            assert report.subtrees() == depth_one_subtrees(tree)
-            assert report.forest == (canonical_serialize(tree),)
+            assert report.subtrees() == frozenset(subtrees_of(tree))
+            assert report.forest == (canonical_serialize(*tree),) == (serialize_node(node),)
 
     def test_step_count_equals_non_leaf_nodes(self, skirt_grammar, skirt_spec):
         (tree,) = gold_tree_oracle(skirt_grammar)
-        doc = linearize_gold_tree(tree, skirt_spec)
+        doc = linearize_gold_tree(as_pair(tree), skirt_spec)
         assert len(doc.steps) == 3
 
     @given(
@@ -389,21 +366,20 @@ class TestLinearization:
         hs.integers(0, 150),
     )
     def test_matches_recursive_reference(self, seed, n_pieces, unary_percent, chain, extra):
-        """The same steps and document id as the recursive emit, on random
-        trees with unary chains inside and on top."""
+        """The same steps and document id on a tree's label map as the
+        recursive emit on its nodes, on random trees with unary chains
+        inside and on top."""
         rng = SplitMix64(seed)
         pieces = random_inventory(rng, n_pieces)
-        tree = random_tree(rng, pieces, unary_percent, chain=chain)
+        tree = random_node_tree(rng, pieces, unary_percent, chain=chain)
         for _ in range(extra):
             tree = unary(tree)
         spec = placeholder_spec("p", pieces)
-        assert linearize_gold_tree(tree, spec) == recursive_linearization(tree, spec)
+        assert linearize_gold_tree(as_pair(tree), spec) == recursive_linearization(tree, spec)
 
     def test_single_leaf_zero_steps(self):
         spec = placeholder_spec("one", [P("A")])
-        from sewtree.tree import leaf
-
-        doc = linearize_gold_tree(leaf(P("A")), spec)
+        doc = linearize_gold_tree((N("A"), {}), spec)
         assert doc.steps == ()
 
 

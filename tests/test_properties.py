@@ -26,9 +26,9 @@ from sewtree.pipeline import build_forest, extract_document, linearize_gold_tree
 from sewtree.grammar import GrammarError, parse_grammar, validate_grammar
 from sewtree.rng import SplitMix64
 from sewtree.synth import grammar_from_trees, grammar_to_text, random_inventory, random_tree
-from sewtree.tree import canonical_serialize, depth_one_subtrees, parse_serialized
+from sewtree.tree import canonical_serialize, parse_serialized, subtrees_of
 
-from helpers import check_grammar_properties, glued_forest, gold_tree_oracle, make_random_grammar
+from helpers import as_pair, check_grammar_properties, glued_forest, gold_tree_oracle, make_random_grammar
 
 
 @pytest.mark.parametrize("index", range(100))
@@ -46,13 +46,13 @@ def test_random_grammar_roundtrip(index):
 def test_build_glue_equivalence_on_random_docs(index):
     grammar = make_random_grammar(55, index)
     spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
-    trees = gold_tree_oracle(grammar, cap=50_000)
-    doc = linearize_gold_tree(trees[0], spec)
+    tree = as_pair(gold_tree_oracle(grammar, cap=50_000)[0])
+    doc = linearize_gold_tree(tree, spec)
     if not doc.steps:
         return
     report = build_forest(doc, extract_document(doc, spec), spec)
     assert glued_forest(report) == report.forest
-    assert report.subtrees() == depth_one_subtrees(trees[0])
+    assert report.subtrees() == frozenset(subtrees_of(tree))
 
 
 letters = hs.sampled_from(string.ascii_uppercase)
@@ -72,7 +72,7 @@ def test_node_label_format_parse_roundtrip(pieces, counter):
 def test_serialize_parse_roundtrip(seed, n_pieces, unary_percent, chain):
     rng = SplitMix64(seed)
     tree = random_tree(rng, random_inventory(rng, n_pieces), unary_percent, chain=chain)
-    assert parse_serialized(canonical_serialize(tree)) == tree
+    assert parse_serialized(canonical_serialize(*tree)) == tree
 
 
 # Labels and headers that reach every branch of parse_grammar: the S root

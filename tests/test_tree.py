@@ -2,33 +2,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
 
-from sewtree.labels import (
-    LabelError,
-    NodeLabel,
-    attachment_violations,
-    child_order_key,
-    parse_node_label,
-    parse_piece_label,
-)
+from sewtree.labels import NodeLabel, parse_node_label, parse_piece_label
 from sewtree.rng import SplitMix64
 from sewtree.synth import random_inventory, random_tree
 from sewtree.tree import (
     _TOKEN_RE,
-    AssemblyNode,
     DepthOneSubtree,
     TreeError,
-    Violation,
-    binary,
     canonical_serialize,
-    depth_one_subtrees,
-    leaf,
     parse_serialized,
     subtrees_of,
+)
+
+from helpers import (
+    AssemblyNode,
+    as_pair,
+    binary,
+    glue_subtrees,
+    leaf,
+    random_node_tree,
+    recursive_parse,
+    serialize_node,
     unary,
     validate_tree,
 )
-
-from helpers import glue_subtrees
 
 SKIRT = "(ABC_1 (AB_1 (AB A B)) C)"
 
@@ -41,69 +38,81 @@ def node(label, *children):
     return AssemblyNode(N(label), tuple(children))
 
 
+def broken_rules(tree: AssemblyNode) -> set[str]:
+    """The rules ``tree`` breaks, as ``parse_serialized`` reports them on
+    its text: the message is ``validate_tree``'s, violation for violation,
+    and a valid tree parses to its own pair."""
+    text = serialize_node(tree)
+    violations = validate_tree(tree)
+    if not violations:
+        assert parse_serialized(text) == as_pair(tree)
+        return set()
+    with pytest.raises(TreeError) as exc:
+        parse_serialized(text)
+    assert str(exc.value) == "; ".join(str(v) for v in violations)
+    return {v.rule for v in violations}
+
+
 class TestValidateTree:
     def test_simple_binary_valid(self):
         t = binary(leaf(parse_piece_label("A")), leaf(parse_piece_label("B")))
-        assert validate_tree(t) == []
+        assert broken_rules(t) == set()
 
     def test_skirt_tree_valid(self):
-        assert validate_tree(parse_serialized(SKIRT)) == []
+        assert parse_serialized(SKIRT) == (
+            N("ABC_1"),
+            {N("ABC_1"): (N("AB_1"), N("C")), N("AB_1"): (N("AB"),), N("AB"): (N("A"), N("B"))},
+        )
 
     def test_counter_must_be_max(self):
         t = node("ABCD_3", node("AB_2", node("AB_1", node("AB", node("A"), node("B")))),
                  node("CD_2", node("CD_1", node("CD", node("C"), node("D")))))
-        rules = {v.rule for v in validate_tree(t)}
-        assert "binary-counter" in rules
+        assert "binary-counter" in broken_rules(t)
 
     def test_union_mismatch(self):
         t = AssemblyNode(N("AB"), (node("A"), node("C")))
-        rules = {v.rule for v in validate_tree(t)}
-        assert "binary-union" in rules
+        assert "binary-union" in broken_rules(t)
 
     def test_unary_counter(self):
         t = AssemblyNode(N("AB_2"), (node("AB"),))
-        rules = {v.rule for v in validate_tree(t)}
-        assert "unary-counter" in rules
+        assert "unary-counter" in broken_rules(t)
 
     def test_leaf_constraints(self):
-        assert {v.rule for v in validate_tree(node("AB"))} == {"leaf-pieces"}
-        assert {v.rule for v in validate_tree(node("A_1"))} == {"leaf-counter"}
+        assert broken_rules(node("AB")) == {"leaf-pieces"}
+        assert broken_rules(node("A_1")) == {"leaf-counter"}
 
     def test_child_order(self):
         t = AssemblyNode(N("AB"), (node("B"), node("A")))
-        rules = {v.rule for v in validate_tree(t)}
-        assert "child-order" in rules
+        assert "child-order" in broken_rules(t)
 
 
 class TestDepthOneSubtrees:
     def test_skirt_tree(self):
-        t = parse_serialized(SKIRT)
-        expected = {
-            DepthOneSubtree(N("AB"), (N("A"), N("B"))),
-            DepthOneSubtree(N("AB_1"), (N("AB"),)),
+        expected = [
             DepthOneSubtree(N("ABC_1"), (N("AB_1"), N("C"))),
-        }
-        assert depth_one_subtrees(t) == expected
+            DepthOneSubtree(N("AB_1"), (N("AB"),)),
+            DepthOneSubtree(N("AB"), (N("A"), N("B"))),
+        ]
+        assert list(subtrees_of(parse_serialized(SKIRT))) == expected
 
     def test_single_leaf(self):
-        assert depth_one_subtrees(leaf(parse_piece_label("A"))) == frozenset()
+        assert list(subtrees_of((N("A"), {}))) == []
 
     def test_count_equals_non_leaf_nodes(self):
-        t = parse_serialized(SKIRT)
-        non_leaves = sum(1 for n in t.walk() if n.children)
-        assert len(depth_one_subtrees(t)) == non_leaves
+        tree = parse_serialized(SKIRT)
+        assert len(list(subtrees_of(tree))) == len(tree[1]) == SKIRT.count("(")
 
 
 class TestSerialization:
     def test_leaf(self):
-        assert canonical_serialize(leaf(parse_piece_label("A"))) == "A"
+        assert canonical_serialize(N("A"), {}) == "A"
 
     @pytest.mark.parametrize(
         "text",
         [SKIRT, "A", "(AB A B)", "(BlBrFlFr_1 (BlFl_1 (BlFl Bl Fl)) (BrFr_1 (BrFr Br Fr)))"],
     )
     def test_roundtrip(self, text):
-        assert canonical_serialize(parse_serialized(text)) == text
+        assert canonical_serialize(*parse_serialized(text)) == text
 
     @pytest.mark.parametrize("bad", ["", "(AB A", "(AB A B))", "(AB)", "()", "(BA B A)", "(AB A C)"])
     def test_malformed(self, bad):
@@ -111,59 +120,17 @@ class TestSerialization:
             parse_serialized(bad)
 
 
-def recursive_parse(text):
-    """The recursive descent parser: the reference for ``parse_serialized``'s
-    explicit stack."""
-    tokens = _TOKEN_RE.findall(text)
-    if not tokens:
-        raise TreeError("empty tree text")
-    pos = 0
-
-    def label_of(tok):
-        try:
-            return parse_node_label(tok)
-        except LabelError as exc:
-            raise TreeError(str(exc)) from exc
-
-    def parse_node():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise TreeError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
-        if tok == ")":
-            raise TreeError("unexpected ')'")
-        if tok != "(":
-            return AssemblyNode(label_of(tok))
-        if pos >= len(tokens) or tokens[pos] in "()":
-            raise TreeError("expected node label after '('")
-        label = label_of(tokens[pos])
-        pos += 1
-        children = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            children.append(parse_node())
-        if pos >= len(tokens):
-            raise TreeError("missing ')'")
-        pos += 1
-        if not children:
-            raise TreeError(f"bracketed node {label} has no children")
-        return AssemblyNode(label, tuple(children))
-
-    root = parse_node()
-    if pos != len(tokens):
-        raise TreeError(f"trailing input after tree: {tokens[pos]!r}")
-    violations = validate_tree(root)
-    if violations:
-        raise TreeError("; ".join(str(v) for v in violations))
-    return root
-
-
 def parse_outcome(parse, text):
-    """The tree ``parse`` returns for ``text``, or the message it raises."""
+    """The pair ``parse`` returns for ``text``, or the message it raises."""
     try:
         return parse(text)
     except TreeError as exc:
         return f"TreeError: {exc}"
+
+
+def reference_parse(text):
+    """The recursive parser's node tree as a pair."""
+    return as_pair(recursive_parse(text))
 
 
 @given(
@@ -175,16 +142,16 @@ def parse_outcome(parse, text):
     hs.lists(hs.tuples(hs.integers(0, 3), hs.integers(0, 2**16)), max_size=3),
 )
 def test_parse_matches_recursive_reference(seed, n_pieces, unary_percent, chain, extra, edits):
-    """The same tree, or the same error message, as the recursive parser on
+    """The same pair, or the same error message, as the recursive parser on
     random trees with unary chains inside and on top, their token streams
     then edited: a token dropped, a bracket inserted or a token repeated."""
     rng = SplitMix64(seed)
-    tree = random_tree(rng, random_inventory(rng, n_pieces), unary_percent, chain=chain)
+    tree = random_node_tree(rng, random_inventory(rng, n_pieces), unary_percent, chain=chain)
     for _ in range(extra):
         tree = unary(tree)
-    text = canonical_serialize(tree)
+    text = serialize_node(tree)
     if not edits:
-        assert parse_serialized(text) == recursive_parse(text) == tree
+        assert parse_serialized(text) == reference_parse(text) == as_pair(tree)
     tokens = _TOKEN_RE.findall(text)
     for kind, where in edits:
         at = where % (len(tokens) + 1)
@@ -195,7 +162,7 @@ def test_parse_matches_recursive_reference(seed, n_pieces, unary_percent, chain,
         else:
             tokens.insert(at, "()"[kind - 1])
     text = " ".join(tokens)
-    assert parse_outcome(parse_serialized, text) == parse_outcome(recursive_parse, text)
+    assert parse_outcome(parse_serialized, text) == parse_outcome(reference_parse, text)
 
 
 SOUP = ["(", ")", "A", "B", "C", "AB", "AB_1", "ABC", "A_1", "a", "BA"]
@@ -205,19 +172,19 @@ SOUP = ["(", ")", "A", "B", "C", "AB", "AB_1", "ABC", "A_1", "a", "BA"]
 def test_parse_token_soup_matches_recursive_reference(tokens):
     """Short streams of brackets and good and bad labels reach every error."""
     text = " ".join(tokens)
-    assert parse_outcome(parse_serialized, text) == parse_outcome(recursive_parse, text)
+    assert parse_outcome(parse_serialized, text) == parse_outcome(reference_parse, text)
 
 
 def test_parse_five_thousand_deep_chain():
     depth = 5000
     text = "".join(f"(AB_{i} " for i in range(depth, 0, -1)) + "(AB A B)" + ")" * depth
-    tree = parse_serialized(text)
-    assert tree.label == N(f"AB_{depth}")
-    assert canonical_serialize(tree) == text
+    root, children_of = parse_serialized(text)
+    assert root == N(f"AB_{depth}")
+    assert canonical_serialize(root, children_of) == text
 
 
 def recursive_walk(node):
-    """The recursive preorder walk: the reference for ``AssemblyNode.walk``."""
+    """The recursive preorder walk: the reference for ``subtrees_of``'s order."""
     yield node
     for child in node.children:
         yield from recursive_walk(child)
@@ -239,46 +206,35 @@ def recursive_serialize(root):
     hs.integers(0, 150),
 )
 def test_walk_and_serialize_match_recursive_reference(seed, n_pieces, unary_percent, chain, extra):
-    """Same preorder and same bytes as the recursive versions, on random
-    trees with unary chains inside (``unary_percent``) and on top (``extra``
-    more self-attachments of the root)."""
+    """On a tree's label map, ``subtrees_of`` visits parents in the
+    recursive preorder (parent first, children left to right) and
+    ``canonical_serialize`` writes the recursive bytes, on random trees with
+    unary chains inside (``unary_percent``) and on top (``extra`` more
+    self-attachments of the root)."""
     rng = SplitMix64(seed)
-    tree = random_tree(rng, random_inventory(rng, n_pieces), unary_percent, chain=chain)
+    tree = random_node_tree(rng, random_inventory(rng, n_pieces), unary_percent, chain=chain)
     for _ in range(extra):
         tree = unary(tree)
-    assert [id(n) for n in tree.walk()] == [id(n) for n in recursive_walk(tree)]
-    assert canonical_serialize(tree) == recursive_serialize(tree)
+    pair = as_pair(tree)
+    assert list(subtrees_of(pair)) == [
+        DepthOneSubtree(n.label, tuple(c.label for c in n.children))
+        for n in recursive_walk(tree)
+        if n.children
+    ]
+    assert canonical_serialize(*pair) == recursive_serialize(tree) == serialize_node(tree)
 
 
-def recursive_violations(root):
-    """``validate_tree`` checking node by node in a recursion: the reference
-    for its one loop over ``walk()``."""
-    out = []
-
-    def check(node):
-        name = str(node.label)
-        if not node.children:
-            if len(node.label.pieces) != 1:
-                out.append(Violation(name, "leaf-pieces", "leaf must be a single piece"))
-            if node.label.self_attach != 0:
-                out.append(Violation(name, "leaf-counter", "leaf counter must be 0"))
-        else:
-            kids = tuple(c.label for c in node.children)
-            for kind, detail in attachment_violations(node.label, kids):
-                out.append(Violation(name, kind, detail))
-            if len(kids) == 2 and child_order_key(kids[0]) > child_order_key(kids[1]):
-                out.append(Violation(name, "child-order", "children out of canonical order"))
-        for child in node.children:
-            check(child)
-
-    check(root)
-    seen = {}
-    for node in recursive_walk(root):
-        seen[node.label] = seen.get(node.label, 0) + 1
-    for label, count in seen.items():
-        if count > 1:
-            out.append(Violation(str(label), "unique-labels", f"label occurs {count} times"))
-    return out
+@given(hs.integers(0, 2**64 - 1), hs.integers(1, 12), hs.integers(0, 80), hs.booleans())
+def test_random_tree_matches_node_generator(seed, n_pieces, unary_percent, chain):
+    """Label arithmetic draws the tree the node-building generator draws
+    from the same stream, and leaves the stream where it left it."""
+    pieces = random_inventory(SplitMix64(seed), n_pieces)
+    rng, node_rng = SplitMix64(seed), SplitMix64(seed)
+    tree = random_tree(rng, pieces, unary_percent, chain=chain)
+    reference = random_node_tree(node_rng, pieces, unary_percent, chain=chain)
+    assert canonical_serialize(*tree) == serialize_node(reference)
+    assert tree == as_pair(reference)
+    assert rng.state == node_rng.state
 
 
 def corrupted(tree, rng, percent):
@@ -308,24 +264,27 @@ def corrupted(tree, rng, percent):
     hs.integers(0, 30),
 )
 def test_validate_tree_matches_recursive_reference(seed, n_pieces, unary_percent, chain, extra, broken):
-    """The same violations in the same order as the recursive check, on
-    random trees with unary chains inside and on top, some nodes broken."""
+    """``parse_serialized`` checks the nodes it collects as ``validate_tree``
+    checks the node tree: the same violations in the same order, repeated
+    labels included, on random trees with unary chains inside and on top,
+    some nodes broken."""
     rng = SplitMix64(seed)
-    tree = random_tree(rng, random_inventory(rng, n_pieces), unary_percent, chain=chain)
+    tree = random_node_tree(rng, random_inventory(rng, n_pieces), unary_percent, chain=chain)
     for _ in range(extra):
         tree = unary(tree)
     tree = corrupted(tree, rng, broken)
-    assert validate_tree(tree) == recursive_violations(tree)
+    text = serialize_node(tree)
+    violations = validate_tree(tree)
+    expected = f"TreeError: {'; '.join(str(v) for v in violations)}" if violations else as_pair(tree)
+    assert parse_outcome(parse_serialized, text) == expected
 
 
 class TestGlue:
     def test_rebuild_from_subtrees(self):
-        t = parse_serialized(SKIRT)
-        glued = glue_subtrees(subtrees_of(t))
-        assert glued == (t,)
+        glued = glue_subtrees(subtrees_of(parse_serialized(SKIRT)))
+        assert glued == (recursive_parse(SKIRT),)
 
     def test_isolated_leaves_kept(self):
-        t = parse_serialized("(AB A B)")
-        f = glue_subtrees(subtrees_of(t), (N("C"),))
+        f = glue_subtrees(subtrees_of(parse_serialized("(AB A B)")), (N("C"),))
         assert tuple(tree.label for tree in f if tree.is_leaf()) == (N("C"),)
         assert len(f) == 2
