@@ -8,7 +8,6 @@ validated against the pattern inventory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .labels import LabelError, parse_piece_label
 from .pipeline import PatternSpec, StepExtraction, extract_pieces_rule_based
@@ -23,20 +22,20 @@ class AdapterError(RuntimeError):
 MAX_TIMEOUT_S = 1e9
 
 
-@dataclass(frozen=True)
 class AdapterConfig:
-    url: str
-    timeout: float = 10.0
-    retries: int = 1
-    fallback_to_rules: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0 < self.timeout <= MAX_TIMEOUT_S:
+    def __init__(
+        self, url: str, timeout: float = 10.0, retries: int = 1, fallback_to_rules: bool = False
+    ) -> None:
+        if not 0 < timeout <= MAX_TIMEOUT_S:
             raise ValueError(
-                f"adapter timeout must be positive and at most {MAX_TIMEOUT_S:g} s, got {self.timeout}"
+                f"adapter timeout must be positive and at most {MAX_TIMEOUT_S:g} s, got {timeout}"
             )
-        if self.retries < 0:
-            raise ValueError(f"adapter retries must be >= 0, got {self.retries}")
+        if retries < 0:
+            raise ValueError(f"adapter retries must be >= 0, got {retries}")
+        self.url = url
+        self.timeout = timeout
+        self.retries = retries
+        self.fallback_to_rules = fallback_to_rules
 
 
 def extract_via_adapter(

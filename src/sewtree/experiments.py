@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .grammar import DEFAULT_CAP, GoldGrammar, enumerate_gold_trees
 from .labels import LabelError, PieceLabel, parse_piece_label
@@ -95,15 +94,13 @@ def permute_doc(doc: InstructionDoc, seed: int, k: int) -> list[InstructionDoc]:
     return out
 
 
-@dataclass(frozen=True)
 class ErrorInjectionPlan:
-    swap_adjacent: int = 0
-    drop_step: int = 0
-    wrong_piece: int = 0
-
-    def __post_init__(self) -> None:
-        if min(self.swap_adjacent, self.drop_step, self.wrong_piece) < 0:
+    def __init__(self, swap_adjacent: int = 0, drop_step: int = 0, wrong_piece: int = 0) -> None:
+        if min(swap_adjacent, drop_step, wrong_piece) < 0:
             raise ValueError("error counts must be non-negative")
+        self.swap_adjacent = swap_adjacent
+        self.drop_step = drop_step
+        self.wrong_piece = wrong_piece
 
     @property
     def total(self) -> int:
@@ -180,18 +177,16 @@ def roundtrip_grammar(grammar: GoldGrammar, cap: int = DEFAULT_CAP) -> list[str]
     return failures
 
 
-@dataclass(frozen=True)
 class RatingRecord:
-    doc_id: str
-    step_index: int
-    question: str
-    rating: int
-
-    def __post_init__(self) -> None:
-        if self.question not in RATING_QUESTIONS:
-            raise ValueError(f"unknown question {self.question!r}")
-        if self.rating not in (1, 2, 3, 4, 5):
-            raise ValueError(f"rating must be 1..5, got {self.rating}")
+    def __init__(self, doc_id: str, step_index: int, question: str, rating: int) -> None:
+        if question not in RATING_QUESTIONS:
+            raise ValueError(f"unknown question {question!r}")
+        if rating not in (1, 2, 3, 4, 5):
+            raise ValueError(f"rating must be 1..5, got {rating}")
+        self.doc_id = doc_id
+        self.step_index = step_index
+        self.question = question
+        self.rating = rating
 
 
 RATING_QUESTIONS = ("S1", "S2", "S3", "S4", "S5")

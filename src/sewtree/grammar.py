@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .labels import (
     LabelError,
@@ -51,27 +50,38 @@ class CapExceededError(GrammarError):
 DEFAULT_CAP = 100_000
 
 
-class RuleGraph(NamedTuple):
-    """The rule table as a DAG over the labels the roots reach, children
-    before parents, so a DP over derivations is one pass over ``labels``."""
-
-    labels: tuple[NodeLabel, ...]
-    names: tuple[str, ...]  # str() of each label
-    # Per label, each of its rules in rule order with the positions of the
-    # rule's children in ``labels``; empty for a label no rule expands (a leaf).
-    expansions: tuple[tuple[tuple[DepthOneSubtree, tuple[int, ...]], ...], ...]
-    roots: tuple[int, ...]  # positions of GoldGrammar.roots
+# The rule table as a DAG over the labels the roots reach, children before
+# parents, so a DP over derivations is one pass over ``labels``:
+# - ``names``: str() of each label;
+# - ``expansions``: per label, each of its rules in rule order with the
+#   positions of the rule's children in ``labels``; empty for a label no
+#   rule expands (a leaf);
+# - ``roots``: positions of GoldGrammar.roots.
+RuleGraph = namedtuple("RuleGraph", ["labels", "names", "expansions", "roots"])
 
 
-@dataclass(frozen=True)
 class GoldGrammar:
     """A pattern's gold trees as rules, each a depth-1 subtree that is a valid
     assembly step over the inventory, as :func:`parse_grammar` checks."""
 
-    pattern_id: str
-    inventory: frozenset[PieceLabel]
-    roots: tuple[NodeLabel, ...]
-    rules: tuple[DepthOneSubtree, ...]
+    def __init__(
+        self,
+        pattern_id: str,
+        inventory: frozenset[PieceLabel],
+        roots: tuple[NodeLabel, ...],
+        rules: tuple[DepthOneSubtree, ...],
+    ) -> None:
+        self.pattern_id = pattern_id
+        self.inventory = inventory
+        self.roots = roots
+        self.rules = rules
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.pattern_id, self.inventory, self.roots, self.rules) == (
+                other.pattern_id, other.inventory, other.roots, other.rules
+            )
+        return NotImplemented
 
     @cached_property
     def rule_graph(self) -> RuleGraph:

@@ -11,8 +11,7 @@ displayed as a ``_n`` suffix and omitted when the counter is zero
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 
 class LabelError(ValueError):
@@ -32,61 +31,107 @@ _PIECE_RE = re.compile(r"([A-Z])(l|r|[0-9]+)?")
 
 # Labels are hashed on every set and dict lookup of a rule, so each one
 # hashes once, at construction, from ints only: an int tuple hashes the same
-# in every process, so a pickled or ``dataclasses.replace``d label keeps a
-# valid hash whatever PYTHONHASHSEED is.  Slots keep a label no larger than
-# it was without the cached hash.
+# in every process, so a pickled or copied label keeps a valid hash whatever
+# PYTHONHASHSEED is.  Slots keep a label small.  The label types are written
+# out by hand rather than as dataclasses: importing ``dataclasses`` and
+# running its decorators took over half of ``import sewtree.cli``.
 
 # Distinct texts each label parser remembers; bounded, so a long run of
 # varied labels cannot grow the memo without end.
 _LABEL_MEMO_SIZE = 4096
 
 
-@total_ordering
-@dataclass(frozen=True, slots=True)
-class PieceLabel:
+class _Frozen:
+    """Base of the immutable value types: ``__init__`` sets the slots with
+    ``object.__setattr__``, and assignment or deletion afterwards raises
+    :class:`AttributeError`.  Each subclass pickles (and copies) by calling
+    its constructor again, through ``__reduce__``, since restoring the slots
+    one by one would assign to them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PieceLabel(_Frozen):
     """One pattern piece: a base letter plus a mirror/copy variant."""
 
-    base: str
-    variant: str = PLAIN
-    copy_index: int = 0
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("base", "variant", "copy_index", "_key", "_hash")
 
-    def __post_init__(self) -> None:
-        if len(self.base) != 1 or not "A" <= self.base <= "Z":
-            raise LabelError(f"piece base must be one letter A-Z, got {self.base!r}")
-        if self.variant not in _VARIANT_RANK:
-            raise LabelError(f"unknown piece variant {self.variant!r}")
-        if self.variant == COPY:
-            if self.copy_index < 1:
-                raise LabelError(f"copy index must be >= 1, got {self.copy_index}")
-        elif self.copy_index != 0:
+    def __init__(self, base: str, variant: str = PLAIN, copy_index: int = 0) -> None:
+        if len(base) != 1 or not "A" <= base <= "Z":
+            raise LabelError(f"piece base must be one letter A-Z, got {base!r}")
+        rank = _VARIANT_RANK.get(variant)
+        if rank is None:
+            raise LabelError(f"unknown piece variant {variant!r}")
+        if variant == COPY:
+            if copy_index < 1:
+                raise LabelError(f"copy index must be >= 1, got {copy_index}")
+        elif copy_index != 0:
             raise LabelError("copy_index is only meaningful for the copy variant")
-        object.__setattr__(
-            self, "_hash", hash((ord(self.base), _VARIANT_RANK[self.variant], self.copy_index))
-        )
+        set_slot = object.__setattr__
+        set_slot(self, "base", base)
+        set_slot(self, "variant", variant)
+        set_slot(self, "copy_index", copy_index)
+        # Base letter first; l/r and copy numbers only break ties within a base.
+        set_slot(self, "_key", (base, rank, copy_index))
+        set_slot(self, "_hash", hash((ord(base), rank, copy_index)))
+
+    def __reduce__(self):
+        return self.__class__, (self.base, self.variant, self.copy_index)
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
     def sort_key(self) -> tuple[str, int, int]:
-        # Base letter first; l/r and copy numbers only break ties within a base.
-        return (self.base, _VARIANT_RANK[self.variant], self.copy_index)
+        return self._key
 
     def __lt__(self, other: "PieceLabel") -> bool:
         if not isinstance(other, PieceLabel):
             return NotImplemented
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
+
+    def __le__(self, other: "PieceLabel") -> bool:
+        if not isinstance(other, PieceLabel):
+            return NotImplemented
+        return self._key <= other._key
+
+    def __gt__(self, other: "PieceLabel") -> bool:
+        if not isinstance(other, PieceLabel):
+            return NotImplemented
+        return self._key > other._key
+
+    def __ge__(self, other: "PieceLabel") -> bool:
+        if not isinstance(other, PieceLabel):
+            return NotImplemented
+        return self._key >= other._key
 
     def __str__(self) -> str:
         if self.variant == COPY:
             return f"{self.base}{self.copy_index}"
         return f"{self.base}{_VARIANT_SUFFIX[self.variant]}"
 
+    def __repr__(self) -> str:
+        return (
+            f"PieceLabel(base={self.base!r}, variant={self.variant!r}, "
+            f"copy_index={self.copy_index!r})"
+        )
+
 
 @lru_cache(maxsize=_LABEL_MEMO_SIZE)
 def parse_piece_label(text: str) -> PieceLabel:
-    """Parse one piece label; inverse of :func:`str` on :class:`PieceLabel`.
-    Memoized: equal texts give one shared label (a bad text raises each time)."""
+    """Parse one piece label; inverse of :func:`str` on :class:`PieceLabel`,
+    so a copy index with a leading zero is refused.  Memoized: equal texts
+    give one shared label (a bad text raises each time)."""
     if not text:
         raise LabelError("empty piece label")
     m = _PIECE_RE.fullmatch(text)
@@ -102,33 +147,41 @@ def parse_piece_label(text: str) -> PieceLabel:
     index = int(suffix)
     if index < 1:
         raise LabelError(f"copy index must be >= 1 in {text!r}")
+    if suffix[0] == "0":
+        raise LabelError(f"copy index has a leading zero in {text!r}")
     return PieceLabel(base, COPY, index)
 
 
-@dataclass(frozen=True, slots=True)
-class NodeLabel:
+class NodeLabel(_Frozen):
     """A component label: sorted distinct pieces plus a self-attachment counter."""
 
-    pieces: tuple[PieceLabel, ...]
-    self_attach: int = 0
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("pieces", "self_attach", "_hash")
 
-    def __post_init__(self) -> None:
-        if not self.pieces:
+    def __init__(self, pieces: tuple[PieceLabel, ...], self_attach: int = 0) -> None:
+        if not pieces:
             raise LabelError("node label needs at least one piece")
-        if self.self_attach < 0:
-            raise LabelError(f"negative self-attachment counter {self.self_attach}")
-        for prev, cur in zip(self.pieces, self.pieces[1:]):
-            if not prev < cur:
+        if self_attach < 0:
+            raise LabelError(f"negative self-attachment counter {self_attach}")
+        for prev, cur in zip(pieces, pieces[1:]):
+            if not prev._key < cur._key:
                 raise LabelError(
                     f"pieces must be strictly sorted, got {prev} before {cur}"
                 )
-        object.__setattr__(
-            self, "_hash", hash((*(p._hash for p in self.pieces), self.self_attach))
-        )
+        set_slot = object.__setattr__
+        set_slot(self, "pieces", pieces)
+        set_slot(self, "self_attach", self_attach)
+        set_slot(self, "_hash", hash((*(p._hash for p in pieces), self_attach)))
+
+    def __reduce__(self):
+        return self.__class__, (self.pieces, self.self_attach)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.self_attach == other.self_attach and self.pieces == other.pieces
+        return NotImplemented
 
     @property
     def piece_set(self) -> frozenset[PieceLabel]:
@@ -136,6 +189,9 @@ class NodeLabel:
 
     def __str__(self) -> str:
         return format_node_label(self)
+
+    def __repr__(self) -> str:
+        return f"NodeLabel(pieces={self.pieces!r}, self_attach={self.self_attach!r})"
 
 
 def format_node_label(label: NodeLabel) -> str:
@@ -147,17 +203,25 @@ def format_node_label(label: NodeLabel) -> str:
 
 def split_counter(text: str) -> tuple[str, int]:
     """``text`` split at its ``_n`` self-attachment suffix: the text before
-    it and n, or ``text`` and 0 without one."""
+    it and n, or ``text`` and 0 without one.  n is positive and written
+    without leading zeros."""
     body, sep, counter_text = text.partition("_")
-    if sep and not (counter_text.isascii() and counter_text.isdigit()):
+    if not sep:
+        return text, 0
+    if not (counter_text.isascii() and counter_text.isdigit()):
         raise LabelError(f"malformed self-attachment counter in {text!r}")
-    return body, int(counter_text) if sep else 0
+    # A zero counter is written as no suffix, and a counter as its digits
+    # alone: any other text would not be what ``str`` gives the label.
+    if counter_text[0] == "0":
+        raise LabelError(f"self-attachment counter is 0 or has a leading zero in {text!r}")
+    return body, int(counter_text)
 
 
 @lru_cache(maxsize=_LABEL_MEMO_SIZE)
 def parse_node_label(text: str) -> NodeLabel:
-    """Parse a concatenated node label such as ``ABlBr`` or ``BlBrFlFr_2``.
-    Memoized like :func:`parse_piece_label`."""
+    """Parse a concatenated node label such as ``ABlBr`` or ``BlBrFlFr_2``;
+    inverse of :func:`str` on :class:`NodeLabel`.  Memoized like
+    :func:`parse_piece_label`."""
     if not text:
         raise LabelError("empty node label")
     body, counter = split_counter(text)
@@ -194,7 +258,7 @@ def merge_labels(a: NodeLabel, b: NodeLabel) -> NodeLabel:
 def child_order_key(label: NodeLabel) -> tuple[str, int, int]:
     """Sort key that puts the two children of a merge in canonical order:
     by their first piece."""
-    return label.pieces[0].sort_key()
+    return label.pieces[0]._key
 
 
 def bump_self_attach(a: NodeLabel) -> NodeLabel:

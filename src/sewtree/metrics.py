@@ -7,7 +7,6 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 from .grammar import GoldGrammar
 from .tree import DepthOneSubtree, bracket, parse_serialized
@@ -16,13 +15,25 @@ BLEU_MAX_N = 4
 BLEU_EPSILON = 1e-9
 
 
-@dataclass(frozen=True)
 class ScoreBreakdown:
-    precision: float
-    recall: float
-    f1: float
-    matched: frozenset[DepthOneSubtree] = frozenset()
-    best_gold_tree: str | None = None
+    def __init__(
+        self,
+        precision: float,
+        recall: float,
+        f1: float,
+        matched: frozenset[DepthOneSubtree] = frozenset(),
+        best_gold_tree: str | None = None,
+    ) -> None:
+        self.precision = precision
+        self.recall = recall
+        self.f1 = f1
+        self.matched = matched
+        self.best_gold_tree = best_gold_tree
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
 
 
 def _f1(precision: float, recall: float) -> float:

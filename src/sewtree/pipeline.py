@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 
 from .labels import (
     LabelError,
@@ -39,16 +38,14 @@ def _field(data, key: str, kind: type):
     return data[key]
 
 
-@dataclass(frozen=True)
 class PatternSpec:
     """Piece inventory of one pattern with human-readable piece names."""
 
-    pattern_id: str
-    pieces: dict[PieceLabel, str]
-
-    def __post_init__(self) -> None:
-        if not self.pieces:
-            raise ValueError(f"pattern {self.pattern_id!r} has no pieces")
+    def __init__(self, pattern_id: str, pieces: dict[PieceLabel, str]) -> None:
+        if not pieces:
+            raise ValueError(f"pattern {pattern_id!r} has no pieces")
+        self.pattern_id = pattern_id
+        self.pieces = pieces
 
     @property
     def inventory(self) -> frozenset[PieceLabel]:
@@ -70,11 +67,16 @@ class PatternSpec:
         }
 
 
-@dataclass(frozen=True)
 class InstructionDoc:
-    pattern_id: str
-    doc_id: str
-    steps: tuple[str, ...]
+    def __init__(self, pattern_id: str, doc_id: str, steps: tuple[str, ...]) -> None:
+        self.pattern_id = pattern_id
+        self.doc_id = doc_id
+        self.steps = steps
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
 
     @classmethod
     def from_json(cls, data: dict) -> "InstructionDoc":
@@ -92,33 +94,55 @@ class InstructionDoc:
         return {"pattern_id": self.pattern_id, "doc_id": self.doc_id, "steps": list(self.steps)}
 
 
-@dataclass(frozen=True)
 class StepExtraction:
     """Pieces mentioned in one step, in first-mention order, deduplicated."""
 
-    step_index: int
-    mentions: tuple[PieceLabel, ...]
-    unknown: tuple[str, ...] = ()
-    dropped: tuple[PieceLabel, ...] = ()
-    source: str = "rule"
+    def __init__(
+        self,
+        step_index: int,
+        mentions: tuple[PieceLabel, ...],
+        unknown: tuple[str, ...] = (),
+        dropped: tuple[PieceLabel, ...] = (),
+        source: str = "rule",
+    ) -> None:
+        self.step_index = step_index
+        self.mentions = mentions
+        self.unknown = unknown
+        self.dropped = dropped
+        self.source = source
 
 
-@dataclass(frozen=True)
 class Diagnostic:
-    step_index: int
-    kind: str
-    message: str
+    def __init__(self, step_index: int, kind: str, message: str) -> None:
+        self.step_index = step_index
+        self.kind = kind
+        self.message = message
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"step {self.step_index}: {self.kind}: {self.message}"
 
 
-@dataclass(frozen=True)
 class BuildReport:
-    # Each root's canonical serialization, sorted; an isolated leaf is its label.
-    forest: tuple[str, ...]
-    subtree_trace: tuple[tuple[int, DepthOneSubtree], ...]
-    diagnostics: tuple[Diagnostic, ...]
+    def __init__(
+        self,
+        forest: tuple[str, ...],
+        subtree_trace: tuple[tuple[int, DepthOneSubtree], ...],
+        diagnostics: tuple[Diagnostic, ...],
+    ) -> None:
+        # Each root's canonical serialization, sorted; an isolated leaf is its label.
+        self.forest = forest
+        self.subtree_trace = subtree_trace
+        self.diagnostics = diagnostics
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
 
     def subtrees(self) -> frozenset[DepthOneSubtree]:
         return frozenset(st for _, st in self.subtree_trace)

@@ -7,8 +7,6 @@ no document's draws depend on which other documents were processed.
 
 from __future__ import annotations
 
-import hashlib
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -47,6 +45,10 @@ class SplitMix64:
 
 def derive_seed(seed: int, *context: str) -> int:
     """A 64-bit seed deterministically derived from (seed, context strings)."""
+    # Imported here, not at module load: only the experiment commands derive
+    # seeds, and hashlib's OpenSSL binding is a noticeable share of start-up.
+    import hashlib
+
     digest = hashlib.sha256()
     digest.update(str(seed & _MASK64).encode())
     for part in context:

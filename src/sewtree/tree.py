@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
 
 from .labels import (
     LabelError,
     NodeLabel,
+    _Frozen,
     attachment_violations,
     child_order_key,
     parse_node_label,
@@ -27,26 +27,35 @@ class TreeError(ValueError):
     """A serialized tree could not be parsed or violates tree constraints."""
 
 
-@dataclass(frozen=True, slots=True)
-class DepthOneSubtree:
+class DepthOneSubtree(_Frozen):
     """A parent label together with its immediate children's labels.
     Hashed once, from its labels' hashes, like the labels themselves."""
 
-    parent: NodeLabel
-    children: tuple[NodeLabel, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("parent", "children", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_hash", hash((self.parent._hash, *(c._hash for c in self.children)))
-        )
+    def __init__(self, parent: NodeLabel, children: tuple[NodeLabel, ...]) -> None:
+        set_slot = object.__setattr__
+        set_slot(self, "parent", parent)
+        set_slot(self, "children", children)
+        set_slot(self, "_hash", hash((parent._hash, *(c._hash for c in children))))
+
+    def __reduce__(self):
+        return self.__class__, (self.parent, self.children)
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.parent == other.parent and self.children == other.children
+        return NotImplemented
+
     def __str__(self) -> str:
         kids = " ".join(str(c) for c in self.children)
         return f"{self.parent} -> {kids}"
+
+    def __repr__(self) -> str:
+        return f"DepthOneSubtree(parent={self.parent!r}, children={self.children!r})"
 
 
 def subtrees_of(tree: tuple[NodeLabel, Mapping[NodeLabel, tuple[NodeLabel, ...]]]):

@@ -381,6 +381,28 @@ class TestInputSchema:
         err = capsys.readouterr().err
         assert str(bad) in err and repr(field) in err
 
+    def test_spec_with_a_non_canonical_piece_name_is_validation_error(
+        self, workspace, tmp_path, capsys
+    ):
+        # A01 and A1 would otherwise name one piece, and one name be lost.
+        specs = tmp_path / "specs"
+        shutil.copytree(workspace["specs"], specs)
+        bad = specs / "skirt.json"
+        bad.write_text(json.dumps(
+            {"pattern_id": "skirt", "pieces": {"A01": "Over Skirt", "A1": "Lining", "B": "Under Skirt"}}
+        ))
+        code = run(
+            "score",
+            "--corpus", workspace["corpus"],
+            "--grammars", workspace["grammars"],
+            "--specs", specs,
+            "--out", workspace["out"],
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'A01'" in err
+        assert not workspace["out"].exists()
+
 
 class TestUnsafeDocId:
     """A report is written to ``<doc_id>.json``, so a ``doc_id`` that is not
@@ -756,14 +778,25 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+# Start-up cost of modules that ``import sewtree.cli`` does not need: the
+# dataclass machinery (with inspect, ast, dis and tokenize) and hashlib,
+# which only seed derivation uses.
+SLOW_STDLIB_MODULES = {"dataclasses", "inspect", "hashlib", "_hashlib"}
+
+
 def test_import_loads_no_third_party_modules():
-    proc = run_fresh("-c", "import sys, sewtree.cli; print(' '.join(sorted(sys.modules)))")
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert "sewtree.cli" in loaded
-    assert loaded.isdisjoint({"scipy", "numpy", "requests", "urllib3"})
-    # Only an adapter run needs the HTTP stack.
-    assert loaded.isdisjoint({"http.client", "urllib.request", "email", "ssl"})
+    for flags in [(), ("-S",)]:
+        proc = run_fresh(*flags, "-c", "import sys, sewtree.cli; print(' '.join(sorted(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "sewtree.cli" in loaded
+        assert loaded.isdisjoint({"scipy", "numpy", "requests", "urllib3"})
+        # Only an adapter run needs the HTTP stack.
+        assert loaded.isdisjoint({"http.client", "urllib.request", "email", "ssl"})
+        assert loaded.isdisjoint(SLOW_STDLIB_MODULES), flags
+        if flags:
+            # Without site, no .pth file has loaded typing before sewtree does.
+            assert "typing" not in loaded
 
 
 @pytest.mark.parametrize(

@@ -71,6 +71,13 @@ class TestParseGrammar:
             parse_grammar(f"pattern: x\npieces: A B\nroots: {root}\nAB -> A B\n")
         assert str(exc.value) == f"line 3: malformed self-attachment counter in {root!r}"
 
+    @pytest.mark.parametrize("root", ["S_0", "S_01", "AB_0", "AB_01"])
+    def test_non_canonical_root_counter(self, root):
+        # S_0 would otherwise be the root written S, S_01 the one written S_1.
+        with pytest.raises(GrammarError) as exc:
+            parse_grammar(f"pattern: x\npieces: A B\nroots: {root}\nAB -> A B\nAB_1 -> AB\n")
+        assert str(exc.value).startswith("line 3: ") and repr(root) in str(exc.value)
+
 
 class TestValidateGrammar:
     @pytest.mark.parametrize("name", GRAMMAR_NAMES)

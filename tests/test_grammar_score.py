@@ -4,15 +4,20 @@ Precision, recall and F1 must be equal with ``==``: the DP computes them
 with the same float expression as the oracle, so any difference is a bug.
 """
 
+import re
+import string
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
 
 from sewtree.experiments import ErrorInjectionPlan, inject_errors, permute_doc, score_document
-from sewtree.grammar import enumerate_gold_trees, parse_grammar
+from sewtree.grammar import GoldGrammar, enumerate_gold_trees, parse_grammar
+from sewtree.labels import NodeLabel, PieceLabel, child_order_key, parse_piece_label
 from sewtree.metrics import grammar_score, tree_score
 from sewtree.pipeline import (
     InstructionDoc,
+    PatternSpec,
     build_forest,
     extract_document,
     linearize_gold_tree,
@@ -20,6 +25,7 @@ from sewtree.pipeline import (
 )
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import grammar_from_trees, random_grammar, random_inventory, random_tree
+from sewtree.tree import DepthOneSubtree, canonical_serialize, parse_serialized
 
 from conftest import GRAMMAR_NAMES, load_grammar
 from helpers import as_pair, gold_tree_oracle, subtree_set
@@ -206,3 +212,75 @@ def test_f1_below_one_when_a_step_precedes_a_step_it_depends_on(seed, n_pieces, 
     moved = InstructionDoc(doc.pattern_id, doc.doc_id, tuple(steps))
     if moved.steps != doc.steps:
         assert score_linearization(moved, spec, grammar).f1 < 1.0
+
+
+def renamed_piece(piece: PieceLabel, letters: dict) -> PieceLabel:
+    return PieceLabel(letters[piece.base], piece.variant, piece.copy_index)
+
+
+def renamed_label(label: NodeLabel, letters: dict) -> NodeLabel:
+    return NodeLabel(tuple(sorted(renamed_piece(p, letters) for p in label.pieces)), label.self_attach)
+
+
+def renamed_step(parent: NodeLabel, kids, letters: dict) -> DepthOneSubtree:
+    """One rule or tree node renamed, its children back in canonical order."""
+    new_kids = sorted((renamed_label(k, letters) for k in kids), key=child_order_key)
+    return DepthOneSubtree(renamed_label(parent, letters), tuple(new_kids))
+
+
+def renamed_grammar(grammar: GoldGrammar, letters: dict) -> GoldGrammar:
+    return GoldGrammar(
+        grammar.pattern_id,
+        frozenset(renamed_piece(p, letters) for p in grammar.inventory),
+        tuple(renamed_label(r, letters) for r in grammar.roots),
+        tuple(renamed_step(r.parent, r.children, letters) for r in grammar.rules),
+    )
+
+
+def renamed_tree_text(text: str, letters: dict) -> str:
+    root, children_of = parse_serialized(text)
+    steps = [renamed_step(p, kids, letters) for p, kids in children_of.items()]
+    return canonical_serialize(renamed_label(root, letters), {s.parent: s.children for s in steps})
+
+
+def renamed_doc(doc: InstructionDoc, letters: dict) -> InstructionDoc:
+    def rename(m):
+        return f"({renamed_piece(parse_piece_label(m[1]), letters)})"
+
+    steps = tuple(re.sub(r"\(([A-Z][0-9lr]*)\)", rename, step) for step in doc.steps)
+    return InstructionDoc(doc.pattern_id, doc.doc_id, steps)
+
+
+@given(hs.integers(0, 2**64 - 1), hs.integers(2, 9), hs.integers(1, 5), hs.booleans())
+def test_tree_columns_invariant_under_renaming(seed, n_pieces, n_gold, order_preserving):
+    """Renaming pieces consistently in the grammar, spec and document (each
+    letter to another, keeping every mirror or copy variant) leaves tree F1
+    as it was.  A renaming that keeps the letters' order also keeps
+    precision and recall and renames the best gold tree; any other may move
+    the tie-break between gold trees of equal F1."""
+    rng = SplitMix64(seed)
+    inventory = random_inventory(rng, n_pieces)
+    grammar = grammar_from_trees("rename", [random_tree(rng, inventory) for _ in range(n_gold)])
+    spec = PatternSpec("rename", {p: f"Panel {i}" for i, p in enumerate(inventory)})
+    doc = linearize_gold_tree(random_tree(rng, inventory, 40), spec)
+    plan = PLANS[rng.randrange(len(PLANS))]
+    if rng.randrange(2) and plan.drop_step + plan.swap_adjacent < len(doc.steps):
+        doc = inject_errors(doc, plan, seed, spec)[0]
+
+    used = sorted({p.base for p in inventory})
+    targets = list(string.ascii_uppercase)
+    rng.shuffle(targets)
+    targets = targets[:len(used)]
+    if order_preserving:
+        targets.sort()
+    letters = dict(zip(used, targets))
+    new_spec = PatternSpec("rename", {renamed_piece(p, letters): n for p, n in spec.pieces.items()})
+
+    row, _ = score_document(doc, grammar, spec)
+    new_row, _ = score_document(renamed_doc(doc, letters), renamed_grammar(grammar, letters), new_spec)
+    assert new_row["tree_f1"] == row["tree_f1"]
+    if order_preserving:
+        assert (new_row["tree_precision"], new_row["tree_recall"]) == (
+            row["tree_precision"], row["tree_recall"]
+        )
+        assert new_row["best_gold_tree"] == renamed_tree_text(row["best_gold_tree"], letters)

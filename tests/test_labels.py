@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import json
 import pickle
 
@@ -51,6 +51,12 @@ class TestParsePieceLabel:
 
     @pytest.mark.parametrize("bad", ["", "ab", "a", "AB", "A0", "Al2", "1A", "A-1", "Ax"])
     def test_invalid(self, bad):
+        with pytest.raises(LabelError):
+            parse_piece_label(bad)
+
+    @pytest.mark.parametrize("bad", ["A01", "A00", "X010", "Z007"])
+    def test_copy_index_with_leading_zero_is_refused(self, bad):
+        # A01 would otherwise be the label written A1.
         with pytest.raises(LabelError):
             parse_piece_label(bad)
 
@@ -108,6 +114,12 @@ class TestNodeLabel:
         with pytest.raises(LabelError):
             N(bad)
 
+    @pytest.mark.parametrize("bad", ["AB_0", "AB_01", "A_00", "A01B", "AB2_010"])
+    def test_non_canonical_text_is_refused(self, bad):
+        # AB_0 would otherwise be the label written AB, AB_01 the one written AB_1.
+        with pytest.raises(LabelError):
+            N(bad)
+
     def test_format_omits_zero_counter(self):
         assert format_node_label(N("AB")) == "AB"
         assert format_node_label(N("AB_1")) == "AB_1"
@@ -124,6 +136,27 @@ class TestNodeLabel:
     def test_format_parse_roundtrip(self, piece_texts, counter):
         label = NodeLabel(tuple(sorted(P(t) for t in piece_texts)), counter)
         assert parse_node_label(format_node_label(label)) == label
+
+
+# Texts near labels: letters, suffixes, digit runs with and without
+# leading zeros, counters.
+label_like_texts = hs.one_of(
+    hs.from_regex(r"[A-C](l|r|0*[0-9]{0,2})?", fullmatch=True),
+    hs.from_regex(r"([A-C](l|r|0*[0-9]{0,2})?){1,3}(_0*[0-9]{0,2})?", fullmatch=True),
+    hs.text(alphabet="ABClr0129_", max_size=9),
+)
+
+
+@pytest.mark.parametrize("parse", [parse_piece_label, parse_node_label])
+@given(label_like_texts)
+def test_every_accepted_text_is_the_labels_own(parse, text):
+    """The parsers are the inverse of ``str``: two different texts never
+    give one label."""
+    try:
+        label = parse(text)
+    except LabelError:
+        return
+    assert str(label) == text
 
 
 class TestMergeLabels:
@@ -226,13 +259,56 @@ class TestLabelIdentity:
     @given(node_labels)
     def test_pickle_and_replace_keep_equality_and_hash(self, label):
         subtree = DepthOneSubtree(bump_self_attach(label), (label,))
-        for value in (label, label.pieces[0], subtree):
-            for copy in (pickle.loads(pickle.dumps(value)), dataclasses.replace(value)):
-                assert copy == value
-                assert hash(copy) == hash(value)
-        replaced = dataclasses.replace(label, self_attach=label.self_attach + 1)
-        assert replaced == subtree.parent
-        assert hash(replaced) == hash(subtree.parent)
+        piece = label.pieces[0]
+        rebuilt = [
+            (label, NodeLabel(label.pieces, label.self_attach)),
+            (piece, PieceLabel(piece.base, piece.variant, piece.copy_index)),
+            (subtree, DepthOneSubtree(subtree.parent, subtree.children)),
+        ]
+        for value, built in rebuilt:
+            for other in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value), built):
+                assert other == value
+                assert hash(other) == hash(value)
+        bumped = NodeLabel(label.pieces, self_attach=label.self_attach + 1)
+        assert bumped == subtree.parent
+        assert hash(bumped) == hash(subtree.parent)
+
+    @pytest.mark.parametrize(
+        "value,field",
+        [(PieceLabel("A"), "base"), (PieceLabel("X", COPY, 3), "copy_index"),
+         (NodeLabel((PieceLabel("A"),), 1), "self_attach"), (NodeLabel((PieceLabel("A"),)), "pieces"),
+         (DepthOneSubtree(NodeLabel((PieceLabel("A"),), 1), (NodeLabel((PieceLabel("A"),)),)), "parent"),
+         (PieceLabel("A"), "_hash")],
+    )
+    def test_fields_cannot_be_assigned_or_deleted(self, value, field):
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, before)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.new_field = 1
+        assert getattr(value, field) == before
+
+    def test_hash_values_are_pinned(self):
+        # Recorded (64-bit CPython) when the labels were dataclasses: set
+        # and dict order over labels follows these values, so they must
+        # not change.
+        pieces = {"A": -8106389567439634915, "Bl": 5808282632552977127,
+                  "Br": -7186670172176554565, "X3": -3841759103925802898,
+                  "Z12": -8383257180274286201}
+        nodes = {"A": -2004518817575257537, "AB_1": 6367332764960557605,
+                 "ABlBr": 4850574509383860923, "BlBrFlFr_2": 5397783538776168086,
+                 "X3Y12_7": -3481288177973403176}
+        subtrees = {("AB", "A B"): 4452306862240095665, ("AB_1", "AB"): 7953972255112099730,
+                    ("ABlBr_2", "ABlBr_1"): -1842331895786858656,
+                    ("ABCDlDr", "ABC DlDr"): 7500801053723699139}
+        assert {t: hash(P(t)) for t in pieces} == pieces
+        assert {t: hash(N(t)) for t in nodes} == nodes
+        assert {
+            (parent, kids): hash(DepthOneSubtree(N(parent), tuple(N(k) for k in kids.split())))
+            for parent, kids in subtrees
+        } == subtrees
 
     def test_hash_is_the_same_in_every_process(self):
         texts = ["A", "ABlBr", "BlBrFlFr_2", "X3Y12_7"]
