@@ -3,13 +3,18 @@
 Wire protocol: POST ``{"step": str, "inventory": [str]}`` to the configured
 endpoint; the backend answers ``{"pieces": [str]}``.  Returned labels are
 validated against the pattern inventory.
+
+The backend is taken to be a function of its request: within one run, the
+extractor from :func:`make_adapter_extractor` posts each distinct step and
+inventory once, so identical steps of one pattern are extracted identically,
+as the rule-based extractor guarantees.
 """
 
 from __future__ import annotations
 
 import json
 
-from .labels import LabelError, parse_piece_label
+from .labels import LabelError, PieceLabel, parse_piece_label
 from .pipeline import PatternSpec, StepExtraction, extract_pieces_rule_based
 
 
@@ -32,6 +37,12 @@ class AdapterConfig:
             )
         if retries < 0:
             raise ValueError(f"adapter retries must be >= 0, got {retries}")
+        from urllib.parse import urlsplit
+
+        # urlopen would also read file: and ftp: URLs; only HTTP is a backend.
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"adapter url is not an http(s) URL with a host: {url!r}")
         self.url = url
         self.timeout = timeout
         self.retries = retries
@@ -50,7 +61,6 @@ def extract_via_adapter(
     # Imported here, not at module load: only an adapter run needs the HTTP
     # stack (with email and ssl, a large share of importing sewtree.cli).
     import http.client
-    import urllib.parse
     import urllib.request
 
     inventory = sorted(spec.inventory)
@@ -59,9 +69,6 @@ def extract_via_adapter(
     last_error: Exception | None = None
     for _ in range(endpoint.retries + 1):
         try:
-            # urlopen would also read file: and ftp: URLs; only HTTP is a backend.
-            if urllib.parse.urlsplit(endpoint.url).scheme not in ("http", "https"):
-                raise ValueError(f"not an http(s) URL: {endpoint.url!r}")
             request = urllib.request.Request(endpoint.url, body, {"Content-Type": "application/json"})
             # urlopen raises HTTPError (an OSError) on any non-2xx status.
             with urllib.request.urlopen(request, timeout=endpoint.timeout) as response:
@@ -94,9 +101,23 @@ def extract_via_adapter(
 
 
 def make_adapter_extractor(endpoint: AdapterConfig):
-    """An extractor callable with the same signature as the rule-based one."""
+    """An extractor callable with the same signature as the rule-based one.
+
+    It keeps the validated mentions of each backend reply, keyed by the
+    request posted (step text and inventory), and answers a repeat from them
+    with its own ``step_index``.  A fallback is not kept, so the next
+    occurrence of that step asks the backend again.
+    """
+    replies: dict[tuple[str, frozenset[PieceLabel]], tuple[PieceLabel, ...]] = {}
 
     def extractor(step: str, spec: PatternSpec, step_index: int = 0) -> StepExtraction:
-        return extract_via_adapter(step, spec, endpoint, step_index=step_index)
+        key = (step, spec.inventory)
+        mentions = replies.get(key)
+        if mentions is not None:
+            return StepExtraction(step_index, mentions, source="adapter")
+        extraction = extract_via_adapter(step, spec, endpoint, step_index=step_index)
+        if extraction.source == "adapter":
+            replies[key] = extraction.mentions
+        return extraction
 
     return extractor

@@ -1,4 +1,7 @@
 import json
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,73 @@ def skirt_spec():
 def skirt_doc():
     data = json.loads((FIXTURES / "docs" / "skirt-demo.json").read_text())
     return InstructionDoc.from_json(data)
+
+
+class _AdapterHandler(BaseHTTPRequestHandler):
+    """Stub extraction backend shared by the pipeline and CLI tests.
+
+    ``behavior`` picks the reply; every request body it reads is appended
+    to ``bodies`` under ``lock`` (see :func:`posted_requests`).
+    """
+
+    behavior = "ok"
+    bodies: list[bytes] = []
+    lock = threading.Lock()
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        data = self.rfile.read(length)
+        with self.lock:
+            self.bodies.append(data)
+        request = json.loads(data)
+        if self.behavior == "slow":
+            time.sleep(1.0)
+        if self.behavior == "bad-label":
+            payload = {"pieces": ["Q"]}
+        elif self.behavior == "list-reply":
+            payload = ["A"]
+        else:
+            # echo back labels present in the step text, in inventory order
+            payload = {"pieces": [p for p in request["inventory"] if f"({p})" in request["step"]]}
+        body = json.dumps(payload).encode()
+        try:
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # a client that timed out has closed the connection
+
+    def log_message(self, *args):
+        pass
+
+
+def posted_requests() -> list[tuple[str, tuple[str, ...]]]:
+    """``(step, inventory)`` of every request the stub has read, in order."""
+    with _AdapterHandler.lock:
+        bodies = list(_AdapterHandler.bodies)
+    return [(r["step"], tuple(r["inventory"])) for r in map(json.loads, bodies)]
+
+
+def wait_for_posts(count: int, deadline_s: float = 5.0) -> list[tuple[str, tuple[str, ...]]]:
+    """:func:`posted_requests` once it holds ``count`` requests.  A client
+    that timed out may return before the stub has read its request."""
+    end = time.monotonic() + deadline_s
+    while len(posted := posted_requests()) < count and time.monotonic() < end:
+        time.sleep(0.01)
+    return posted
+
+
+@pytest.fixture()
+def adapter_server():
+    """URL of a fresh stub backend answering "ok" with an empty log."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _AdapterHandler)
+    # A short poll interval lets shutdown() return promptly.
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    _AdapterHandler.behavior = "ok"
+    with _AdapterHandler.lock:
+        _AdapterHandler.bodies.clear()
+    yield f"http://127.0.0.1:{server.server_address[1]}/extract"
+    server.shutdown()
+    server.server_close()

@@ -1,7 +1,8 @@
 """Shared checks for the randomized-grammar property suite, and the
 node-tree oracles: ``AssemblyNode`` trees with their validator, parser,
 serializer, generator and linearization, the references that the
-label-map code in ``sewtree`` is tested against."""
+label-map code in ``sewtree`` is tested against; and the per-step adapter
+extractor, the reference for the memoized one."""
 
 import itertools
 import os
@@ -10,6 +11,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from sewtree.adapter import extract_via_adapter
 from sewtree.grammar import (
     DEFAULT_CAP,
     CapExceededError,
@@ -403,6 +405,16 @@ def glued_forest(report) -> tuple[str, ...]:
     isolated = tuple(parse_node_label(t) for t in report.forest if not t.startswith("("))
     glued = glue_subtrees((st for _, st in report.subtree_trace), isolated)
     return tuple(serialize_node(t) for t in glued)
+
+
+def per_step_adapter_extractor(endpoint):
+    """The adapter extractor without its memo: one backend request for
+    every step, the reference the memoized extractor is tested against."""
+
+    def extractor(step, spec, step_index=0):
+        return extract_via_adapter(step, spec, endpoint, step_index=step_index)
+
+    return extractor
 
 
 def run_fresh(*args: str, **env: str) -> subprocess.CompletedProcess:

@@ -11,12 +11,21 @@ import sewtree.grammar
 import sewtree.tree
 from sewtree.adapter import MAX_TIMEOUT_S
 from sewtree.cli import main
-from sewtree.grammar import DEFAULT_CAP, count_derivations, parse_grammar
+from sewtree.experiments import ErrorInjectionPlan, inject_errors, permute_doc
+from sewtree.grammar import DEFAULT_CAP, count_derivations, enumerate_gold_trees, parse_grammar
 from sewtree.labels import parse_piece_label
-from sewtree.pipeline import linearize_gold_tree, placeholder_spec
+from sewtree.pipeline import InstructionDoc, linearize_gold_tree, load_doc, load_spec, placeholder_spec
+from sewtree.tree import parse_serialized
 
-from conftest import FIXTURES
-from helpers import as_pair, binary, gold_tree_oracle, leaf, run_fresh
+from conftest import FIXTURES, _AdapterHandler, load_grammar, posted_requests, wait_for_posts
+from helpers import (
+    as_pair,
+    binary,
+    gold_tree_oracle,
+    leaf,
+    per_step_adapter_extractor,
+    run_fresh,
+)
 
 
 @pytest.fixture()
@@ -453,6 +462,9 @@ class TestAdapterOptions:
             ("--adapter-timeout", "inf"),
             ("--adapter-timeout", "1e300"),
             ("--adapter-timeout", "nan"),
+            ("--adapter-url", "file:"),
+            ("--adapter-url", "htp://x"),
+            ("--adapter-url", "http://"),
         ],
         ids=[
             "negative-timeout",
@@ -461,6 +473,9 @@ class TestAdapterOptions:
             "infinite-timeout",
             "huge-timeout",
             "nan-timeout",
+            "file-url",
+            "misspelt-scheme",
+            "no-host",
         ],
     )
     def test_bad_value_is_rejected_not_fallen_back_from(self, capsys, option):
@@ -485,6 +500,114 @@ class TestAdapterOptions:
             "--adapter-fallback", "--adapter-timeout", str(MAX_TIMEOUT_S),
         )
         assert code == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("fallback", [(), ("--adapter-fallback",)], ids=["strict", "fallback"])
+    def test_non_http_url_writes_nothing(self, workspace, capsys, fallback):
+        code = run(
+            "score",
+            "--corpus", workspace["corpus"],
+            "--grammars", workspace["grammars"],
+            "--specs", workspace["specs"],
+            "--out", workspace["out"],
+            "--extractor", "adapter", "--adapter-url", "file:///dev/null", *fallback,
+        )
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "not an http(s) URL" in err
+        assert out == "" and not workspace["out"].exists()
+
+
+def write_repeating_corpus(corpus: Path) -> int:
+    """The fixture doc and a linearization of every skirt and shirt gold
+    tree, each with a permuted and an error-injected copy, so most step
+    texts occur in several documents.  Returns the number of steps."""
+    corpus.mkdir()
+    specs = {name: load_spec(FIXTURES / "specs" / f"{name}.json") for name in ("skirt", "shirt")}
+    docs = [load_doc(FIXTURES / "docs" / "skirt-demo.json")]
+    for name, spec in specs.items():
+        for index, text in enumerate(enumerate_gold_trees(load_grammar(name))):
+            steps = linearize_gold_tree(parse_serialized(text), spec).steps
+            docs.append(InstructionDoc(name, f"{name}-gold{index}", steps))
+    plan = ErrorInjectionPlan(swap_adjacent=1, wrong_piece=1)
+    for doc in list(docs):
+        docs.extend(permute_doc(doc, 7, 1))
+        corrupted, _ = inject_errors(doc, plan, 7, specs[doc.pattern_id])
+        docs.append(InstructionDoc(doc.pattern_id, f"{doc.doc_id}-err", corrupted.steps))
+    for doc in docs:
+        (corpus / f"{doc.doc_id}.json").write_text(json.dumps(doc.to_json()))
+    return sum(len(doc.steps) for doc in docs)
+
+
+class TestAdapterMemo:
+    STEP = "Sew the Over Skirt (A) to the Under Skirt (B)."
+
+    def build(self, tmp_path: Path, steps: list[str], url: str, *options) -> int:
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"pattern_id": "skirt", "doc_id": "doc", "steps": steps}))
+        return run(
+            "build",
+            "--doc", doc,
+            "--spec", FIXTURES / "specs" / "skirt.json",
+            "--extractor", "adapter", "--adapter-url", url, *options,
+        )
+
+    def test_outputs_match_one_request_per_step(self, tmp_path, adapter_server, monkeypatch, capsys):
+        corpus = tmp_path / "corpus"
+        n_steps = write_repeating_corpus(corpus)
+
+        def score(out: Path) -> dict[str, bytes]:
+            code = run(
+                "score",
+                "--corpus", corpus,
+                "--grammars", FIXTURES / "grammars",
+                "--specs", FIXTURES / "specs",
+                "--out", out,
+                "--extractor", "adapter", "--adapter-url", adapter_server,
+            )
+            assert code == 0, capsys.readouterr().err
+            return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        memoized = score(tmp_path / "memo")
+        posted = posted_requests()
+        monkeypatch.setattr(sewtree.cli, "make_adapter_extractor", per_step_adapter_extractor)
+        reference = score(tmp_path / "reference")
+
+        assert memoized == reference
+        assert len(reference) == 1 + len(list(corpus.iterdir()))
+        per_step = posted_requests()[len(posted):]
+        assert len(per_step) == n_steps
+        assert len(posted) == len(set(posted)) < n_steps
+        assert set(posted) == set(per_step)
+
+    def test_repeated_step_keeps_its_own_step_index(self, tmp_path, adapter_server, capsys):
+        steps = [self.STEP, "Sew the Waistband (C) to the Over Skirt (A).", self.STEP]
+        assert self.build(tmp_path, steps, adapter_server) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["subtree_trace"] == [
+            [0, "AB -> A B"],
+            [1, "ABC -> AB C"],
+            [2, "ABC_1 -> ABC"],
+        ]
+        assert len(posted_requests()) == 2
+
+    def test_timed_out_step_is_posted_again_under_fallback(self, tmp_path, adapter_server, capsys):
+        _AdapterHandler.behavior = "slow"
+        code = self.build(
+            tmp_path, [self.STEP, self.STEP], adapter_server,
+            "--adapter-fallback", "--adapter-timeout", "0.1", "--adapter-retries", "0",
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [d[:2] for d in report["diagnostics"]] == [[0, "adapter-fallback"], [1, "adapter-fallback"]]
+        assert wait_for_posts(2) == [(self.STEP, ("A", "B", "C"))] * 2
+
+    def test_malformed_reply_exits_1_on_first_occurrence(self, tmp_path, adapter_server, capsys):
+        _AdapterHandler.behavior = "bad-label"
+        assert self.build(tmp_path, [self.STEP, self.STEP], adapter_server) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "not in the inventory" in err
+        assert out == ""
+        assert len(posted_requests()) == 1
 
 
 class TestPermuteCli:

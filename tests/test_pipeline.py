@@ -1,13 +1,8 @@
-import json
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
 
-from sewtree.adapter import AdapterConfig, AdapterError, extract_via_adapter
+from sewtree.adapter import AdapterConfig, AdapterError, extract_via_adapter, make_adapter_extractor
 from sewtree.labels import NodeLabel, PieceLabel, parse_node_label, parse_piece_label
 from sewtree.pipeline import (
     BuildReport,
@@ -27,7 +22,7 @@ from sewtree.rng import SplitMix64
 from sewtree.synth import random_inventory
 from sewtree.tree import DepthOneSubtree, bracket, canonical_serialize, subtrees_of
 
-from conftest import GRAMMAR_NAMES, load_grammar
+from conftest import GRAMMAR_NAMES, _AdapterHandler, load_grammar, posted_requests, wait_for_posts
 from helpers import (
     AssemblyNode,
     as_pair,
@@ -383,45 +378,6 @@ class TestLinearization:
         assert doc.steps == ()
 
 
-class _AdapterHandler(BaseHTTPRequestHandler):
-    behavior = "ok"
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        request = json.loads(self.rfile.read(length))
-        if self.behavior == "slow":
-            time.sleep(1.0)
-        if self.behavior == "bad-label":
-            payload = {"pieces": ["Q"]}
-        elif self.behavior == "list-reply":
-            payload = ["A"]
-        else:
-            # echo back labels present in the step text, in inventory order
-            payload = {"pieces": [p for p in request["inventory"] if f"({p})" in request["step"]]}
-        body = json.dumps(payload).encode()
-        try:
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # a client that timed out has closed the connection
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def adapter_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _AdapterHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _AdapterHandler.behavior = "ok"
-    yield f"http://127.0.0.1:{server.server_address[1]}/extract"
-    server.shutdown()
-    server.server_close()
-
-
 class TestAdapter:
     def test_passthrough(self, adapter_server, skirt_spec):
         x = extract_via_adapter(
@@ -461,3 +417,41 @@ class TestAdapter:
         config = AdapterConfig("http://127.0.0.1:1/none", timeout=0.2, retries=0)
         with pytest.raises(AdapterError):
             extract_via_adapter("Sew (A).", skirt_spec, config)
+
+    @pytest.mark.parametrize(
+        "url", ["file:", "file:///dev/null", "htp://x", "http://", "https:///extract", "ftp://host/x"]
+    )
+    def test_non_http_url_is_refused_at_construction(self, url):
+        with pytest.raises(ValueError, match=r"not an http\(s\) URL"):
+            AdapterConfig(url, fallback_to_rules=True)
+
+
+class TestAdapterMemo:
+    STEP = "Sew the Over Skirt (A) to the Under Skirt (B)."
+
+    def test_same_step_under_two_inventories_is_posted_twice(self, adapter_server, skirt_spec):
+        narrow = PatternSpec("skirt", {P("A"): "Over Skirt", P("B"): "Under Skirt"})
+        extractor = make_adapter_extractor(AdapterConfig(adapter_server))
+        for spec in [skirt_spec, narrow, skirt_spec, narrow]:
+            assert labels(extractor(self.STEP, spec)) == ["A", "B"]
+        assert posted_requests() == [
+            (self.STEP, ("A", "B", "C")),
+            (self.STEP, ("A", "B")),
+        ]
+
+    def test_two_extractors_share_no_memo(self, adapter_server, skirt_spec):
+        config = AdapterConfig(adapter_server)
+        for extractor in [make_adapter_extractor(config), make_adapter_extractor(config)]:
+            extractor(self.STEP, skirt_spec)
+            extractor(self.STEP, skirt_spec)
+        assert len(posted_requests()) == 2
+
+    def test_fallback_is_not_kept(self, adapter_server, skirt_spec):
+        _AdapterHandler.behavior = "slow"
+        config = AdapterConfig(adapter_server, timeout=0.1, retries=0, fallback_to_rules=True)
+        extractor = make_adapter_extractor(config)
+        assert [extractor(self.STEP, skirt_spec, i).source for i in range(2)] == ["fallback"] * 2
+        _AdapterHandler.behavior = "ok"
+        assert extractor(self.STEP, skirt_spec, 2).source == "adapter"
+        assert extractor(self.STEP, skirt_spec, 3).source == "adapter"
+        assert wait_for_posts(3) == [(self.STEP, ("A", "B", "C"))] * 3
