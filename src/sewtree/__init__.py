@@ -5,7 +5,6 @@ from .labels import (
     NodeLabel,
     PieceLabel,
     bump_self_attach,
-    format_node_label,
     merge_labels,
     parse_node_label,
     parse_piece_label,

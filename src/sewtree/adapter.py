@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 
-from .labels import LabelError, PieceLabel, parse_piece_label
-from .pipeline import PatternSpec, StepExtraction, extract_pieces_rule_based
+from .labels import LabelError, parse_piece_label
+from .pipeline import PatternSpec, StepExtraction, extract_once_per_run, extract_pieces_rule_based
 
 
 class AdapterError(RuntimeError):
@@ -101,23 +101,15 @@ def extract_via_adapter(
 
 
 def make_adapter_extractor(endpoint: AdapterConfig):
-    """An extractor callable with the same signature as the rule-based one.
-
-    It keeps the validated mentions of each backend reply, keyed by the
-    request posted (step text and inventory), and answers a repeat from them
-    with its own ``step_index``.  A fallback is not kept, so the next
-    occurrence of that step asks the backend again.
+    """An extractor callable with the same signature as the rule-based one,
+    built on :func:`~sewtree.pipeline.extract_once_per_run`: each distinct
+    request (step text and inventory) is posted once per run and a repeat
+    is answered from the validated reply with its own ``step_index``.  A
+    fallback is not kept, so the next occurrence of that step asks the
+    backend again.
     """
-    replies: dict[tuple[str, frozenset[PieceLabel]], tuple[PieceLabel, ...]] = {}
 
-    def extractor(step: str, spec: PatternSpec, step_index: int = 0) -> StepExtraction:
-        key = (step, spec.inventory)
-        mentions = replies.get(key)
-        if mentions is not None:
-            return StepExtraction(step_index, mentions, source="adapter")
-        extraction = extract_via_adapter(step, spec, endpoint, step_index=step_index)
-        if extraction.source == "adapter":
-            replies[key] = extraction.mentions
-        return extraction
+    def extract(step: str, spec: PatternSpec, step_index: int = 0) -> StepExtraction:
+        return extract_via_adapter(step, spec, endpoint, step_index=step_index)
 
-    return extractor
+    return extract_once_per_run(extract)

@@ -37,6 +37,8 @@ from .labels import LabelError
 from .pipeline import (
     build_forest,
     extract_document,
+    extract_once_per_run,
+    extract_pieces_rule_based,
     extractions_to_json,
     load_doc,
     load_spec,
@@ -117,7 +119,7 @@ def _make_extractor(args):
             fallback_to_rules=args.adapter_fallback,
         )
         return make_adapter_extractor(config)
-    return None
+    return extract_once_per_run(extract_pieces_rule_based)
 
 
 def _add_extractor_args(parser) -> None:
@@ -188,6 +190,8 @@ def cmd_score(args) -> int:
     refs = {}
     if args.refs:
         refs, _ = _load_keyed(sorted(Path(args.refs).glob("*.json")), load_doc, "pattern_id")
+        if not refs:
+            raise ConfigError(f"no references in {args.refs}")
 
     extractor = _make_extractor(args)
     checked = set()
@@ -196,6 +200,8 @@ def cmd_score(args) -> int:
             raise ConfigError(f"document {doc.doc_id}: no grammar for pattern {doc.pattern_id!r}")
         if doc.pattern_id not in specs:
             raise ConfigError(f"document {doc.doc_id}: no spec for pattern {doc.pattern_id!r}")
+        if refs and doc.pattern_id not in refs:
+            raise ConfigError(f"document {doc.doc_id}: no reference for pattern {doc.pattern_id!r}")
         if doc.pattern_id not in checked:
             check_grammar(grammars[doc.pattern_id])
             checked.add(doc.pattern_id)

@@ -32,9 +32,12 @@ _PIECE_RE = re.compile(r"([A-Z])(l|r|[0-9]+)?")
 # Labels are hashed on every set and dict lookup of a rule, so each one
 # hashes once, at construction, from ints only: an int tuple hashes the same
 # in every process, so a pickled or copied label keeps a valid hash whatever
-# PYTHONHASHSEED is.  Slots keep a label small.  The label types are written
-# out by hand rather than as dataclasses: importing ``dataclasses`` and
-# running its decorators took over half of ``import sewtree.cli``.
+# PYTHONHASHSEED is.  Each one also writes its text once, at construction
+# (a node label from its pieces' texts), since every tree text and report
+# is written from label texts.  Slots keep a label small.  The label types
+# are written out by hand rather than as dataclasses: importing
+# ``dataclasses`` and running its decorators took over half of
+# ``import sewtree.cli``.
 
 # Distinct texts each label parser remembers; bounded, so a long run of
 # varied labels cannot grow the memo without end.
@@ -60,7 +63,7 @@ class _Frozen:
 class PieceLabel(_Frozen):
     """One pattern piece: a base letter plus a mirror/copy variant."""
 
-    __slots__ = ("base", "variant", "copy_index", "_key", "_hash")
+    __slots__ = ("base", "variant", "copy_index", "_key", "_hash", "_text")
 
     def __init__(self, base: str, variant: str = PLAIN, copy_index: int = 0) -> None:
         if len(base) != 1 or not "A" <= base <= "Z":
@@ -80,6 +83,8 @@ class PieceLabel(_Frozen):
         # Base letter first; l/r and copy numbers only break ties within a base.
         set_slot(self, "_key", (base, rank, copy_index))
         set_slot(self, "_hash", hash((ord(base), rank, copy_index)))
+        suffix = str(copy_index) if variant == COPY else _VARIANT_SUFFIX[variant]
+        set_slot(self, "_text", base + suffix)
 
     def __reduce__(self):
         return self.__class__, (self.base, self.variant, self.copy_index)
@@ -116,9 +121,7 @@ class PieceLabel(_Frozen):
         return self._key >= other._key
 
     def __str__(self) -> str:
-        if self.variant == COPY:
-            return f"{self.base}{self.copy_index}"
-        return f"{self.base}{_VARIANT_SUFFIX[self.variant]}"
+        return self._text
 
     def __repr__(self) -> str:
         return (
@@ -155,7 +158,7 @@ def parse_piece_label(text: str) -> PieceLabel:
 class NodeLabel(_Frozen):
     """A component label: sorted distinct pieces plus a self-attachment counter."""
 
-    __slots__ = ("pieces", "self_attach", "_hash")
+    __slots__ = ("pieces", "self_attach", "_hash", "_text")
 
     def __init__(self, pieces: tuple[PieceLabel, ...], self_attach: int = 0) -> None:
         if not pieces:
@@ -170,7 +173,10 @@ class NodeLabel(_Frozen):
         set_slot = object.__setattr__
         set_slot(self, "pieces", pieces)
         set_slot(self, "self_attach", self_attach)
-        set_slot(self, "_hash", hash((*(p._hash for p in pieces), self_attach)))
+        set_slot(self, "_hash", hash((*[p._hash for p in pieces], self_attach)))
+        # A zero counter is written as no suffix.
+        body = "".join([p._text for p in pieces])
+        set_slot(self, "_text", f"{body}_{self_attach}" if self_attach else body)
 
     def __reduce__(self):
         return self.__class__, (self.pieces, self.self_attach)
@@ -188,17 +194,10 @@ class NodeLabel(_Frozen):
         return frozenset(self.pieces)
 
     def __str__(self) -> str:
-        return format_node_label(self)
+        return self._text
 
     def __repr__(self) -> str:
         return f"NodeLabel(pieces={self.pieces!r}, self_attach={self.self_attach!r})"
-
-
-def format_node_label(label: NodeLabel) -> str:
-    body = "".join(str(p) for p in label.pieces)
-    if label.self_attach:
-        return f"{body}_{label.self_attach}"
-    return body
 
 
 def split_counter(text: str) -> tuple[str, int]:

@@ -7,6 +7,7 @@ import itertools
 import math
 import re
 from collections import Counter
+from functools import lru_cache
 
 from .grammar import GoldGrammar
 from .tree import DepthOneSubtree, bracket, parse_serialized
@@ -127,69 +128,100 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
+def _ngrams(tokens, n: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
-def _clipped_precisions(cand: list[str], ref: list[str], max_n: int) -> list[float]:
+def _lcs_masks(tokens) -> dict[str, int]:
+    """Bit j of a token's mask is set where ``tokens[j]`` is that token."""
+    masks: dict[str, int] = {}
+    for j, y in enumerate(tokens):
+        masks[y] = masks.get(y, 0) | 1 << j
+    return masks
+
+
+# Distinct reference texts whose prepared form the text metrics remember.
+# A run compares many candidates with the reference of each pattern, so a
+# few dozen entries cover it; bounded, so a long run of varied references
+# cannot grow the memo without end.
+_REFERENCE_MEMO_SIZE = 32
+
+
+@lru_cache(maxsize=_REFERENCE_MEMO_SIZE)
+def _reference(text: str) -> tuple[tuple[str, ...], tuple[Counter, ...], dict[str, int]]:
+    """The reference side of :func:`bleu` and :func:`rouge_l`, prepared
+    once per distinct text: its tokens, its n-gram counts for
+    n = 1..BLEU_MAX_N and the LCS bit masks of its tokens.  Every caller
+    shares these values, so none may mutate them."""
+    tokens = tuple(tokenize(text))
+    grams = tuple(_ngrams(tokens, n) for n in range(1, BLEU_MAX_N + 1))
+    return tokens, grams, _lcs_masks(tokens)
+
+
+def _clipped_precisions(cand: list[str], ref_grams) -> list[float]:
+    """Clipped n-gram precisions of ``cand`` for n = 1, 2, ... against the
+    reference's n-gram counts ``ref_grams``, one per n."""
     precisions: list[float] = []
-    for n in range(1, max_n + 1):
-        cand_grams = _ngrams(cand, n)
-        total = sum(cand_grams.values())
-        if total == 0:
+    for n, ref_counts in enumerate(ref_grams, start=1):
+        total = len(cand) - n + 1
+        if total <= 0:
             precisions.append(0.0)
             continue
-        clipped = sum((cand_grams & _ngrams(ref, n)).values())
+        clipped = 0
+        for gram, count in _ngrams(cand, n).items():
+            ref_count = ref_counts.get(gram)
+            if ref_count:
+                clipped += count if count < ref_count else ref_count
         precisions.append(clipped / total)
     return precisions
 
 
 def ngram_precisions(candidate: str, reference: str, max_n: int = BLEU_MAX_N) -> list[float]:
     """Modified (clipped) n-gram precisions for n = 1..max_n, unsmoothed."""
-    return _clipped_precisions(tokenize(candidate), tokenize(reference), max_n)
+    ref = tokenize(reference)
+    return _clipped_precisions(tokenize(candidate), [_ngrams(ref, n) for n in range(1, max_n + 1)])
 
 
 def bleu(candidate: str, reference: str) -> float:
     """Document-level BLEU-4: geometric mean of clipped n-gram precisions
     times the brevity penalty; a zero precision is floored at epsilon."""
     cand = tokenize(candidate)
-    ref = tokenize(reference)
+    ref, ref_grams, _ = _reference(reference)
     if not cand:
         return 0.0
     log_sum = 0.0
-    for p in _clipped_precisions(cand, ref, BLEU_MAX_N):
+    for p in _clipped_precisions(cand, ref_grams):
         log_sum += math.log(p or BLEU_EPSILON)
     geo_mean = math.exp(log_sum / BLEU_MAX_N)
     brevity = 1.0 if len(cand) >= len(ref) else math.exp(1 - len(ref) / len(cand))
     return brevity * geo_mean
 
 
-def _lcs_length(a: list[str], b: list[str]) -> int:
-    """Length of a longest common subsequence, bit-parallel over ``b``
+def _lcs_length(a, masks: dict[str, int], width: int) -> int:
+    """Length of a longest common subsequence of ``a`` and the ``width``
+    tokens whose :func:`_lcs_masks` are ``masks``, bit-parallel over them
     (Allison and Dix, IPL 1986; Hyyrö, AWOCA 2004).
 
     Bit j of ``v`` is 0 where row i of the LCS table steps up at column j, so
-    the zeros of ``v`` count the LCS of ``a[:i]`` and ``b``.  Python ints
-    are as wide as ``b``: each token of ``a`` costs O(|b|/w) word operations.
+    the zeros of ``v`` count the LCS of ``a[:i]`` and the other side.  Python
+    ints are ``width`` bits wide: each token of ``a`` costs O(width/w) word
+    operations.
     """
-    masks: dict[str, int] = {}
-    for j, y in enumerate(b):
-        masks[y] = masks.get(y, 0) | 1 << j
-    full = (1 << len(b)) - 1
+    full = (1 << width) - 1
     v = full
     for x in a:
         u = v & masks.get(x, 0)
         v = ((v + u) | (v - u)) & full
-    return len(b) - v.bit_count()
+    return width - v.bit_count()
 
 
 def rouge_l(candidate: str, reference: str) -> float:
     """Token-level LCS F1."""
     cand = tokenize(candidate)
-    ref = tokenize(reference)
+    ref, _, masks = _reference(reference)
     if not cand or not ref:
         return 0.0
-    lcs = _lcs_length(cand, ref)
+    lcs = _lcs_length(cand, masks, len(ref))
     return _f1(lcs / len(cand), lcs / len(ref))
 
 

@@ -46,10 +46,7 @@ class PatternSpec:
             raise ValueError(f"pattern {pattern_id!r} has no pieces")
         self.pattern_id = pattern_id
         self.pieces = pieces
-
-    @property
-    def inventory(self) -> frozenset[PieceLabel]:
-        return frozenset(self.pieces)
+        self.inventory = frozenset(pieces)
 
     def name_of(self, piece: PieceLabel) -> str:
         return self.pieces.get(piece, f"Piece {piece}")
@@ -204,6 +201,28 @@ def extract_pieces_rule_based(step: str, spec: PatternSpec, step_index: int = 0)
     if gate_open:
         return StepExtraction(step_index, tuple(mentions), tuple(unknown))
     return StepExtraction(step_index, (), tuple(unknown), dropped=tuple(mentions))
+
+
+def extract_once_per_run(extract):
+    """An extractor with ``extract``'s signature that calls ``extract`` once
+    per distinct step text and inventory, for its own lifetime (one run),
+    and answers a repeat from the kept extraction under the repeat's own
+    ``step_index``.  A fallback is not kept, so the next occurrence of that
+    step is extracted again.  ``extract`` must be a function of the step
+    text and the inventory."""
+    kept: dict[tuple[str, frozenset[PieceLabel]], StepExtraction] = {}
+
+    def extractor(step: str, spec: PatternSpec, step_index: int = 0) -> StepExtraction:
+        key = (step, spec.inventory)
+        x = kept.get(key)
+        if x is not None:
+            return StepExtraction(step_index, x.mentions, x.unknown, x.dropped, x.source)
+        x = extract(step, spec, step_index=step_index)
+        if x.source != "fallback":
+            kept[key] = x
+        return x
+
+    return extractor
 
 
 def extract_document(doc: InstructionDoc, spec: PatternSpec, extractor=None) -> list[StepExtraction]:

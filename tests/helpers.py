@@ -1,13 +1,17 @@
 """Shared checks for the randomized-grammar property suite, and the
 node-tree oracles: ``AssemblyNode`` trees with their validator, parser,
 serializer, generator and linearization, the references that the
-label-map code in ``sewtree`` is tested against; and the per-step adapter
-extractor, the reference for the memoized one."""
+label-map code in ``sewtree`` is tested against; the per-step adapter
+extractor, the reference for the memoized one; the label formatter, the
+reference for the texts labels write once; and BLEU and ROUGE-L computed
+afresh per call, the references for the metrics' prepared reference side."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +27,10 @@ from sewtree.grammar import (
     validate_grammar,
 )
 from sewtree.labels import (
+    COPY,
+    LEFT,
+    PLAIN,
+    RIGHT,
     LabelError,
     NodeLabel,
     PieceLabel,
@@ -32,7 +40,7 @@ from sewtree.labels import (
     merge_labels,
     parse_node_label,
 )
-from sewtree.metrics import grammar_score
+from sewtree.metrics import BLEU_EPSILON, BLEU_MAX_N, _f1, grammar_score, tokenize
 from sewtree.pipeline import (
     InstructionDoc,
     PatternSpec,
@@ -415,6 +423,68 @@ def per_step_adapter_extractor(endpoint):
         return extract_via_adapter(step, spec, endpoint, step_index=step_index)
 
     return extractor
+
+
+def label_text(value) -> str:
+    """The text of a piece label, node label or depth-1 subtree, written
+    from its fields on every call: the oracle for ``str``, which returns
+    the text each label composed once."""
+    if isinstance(value, PieceLabel):
+        if value.variant == COPY:
+            return f"{value.base}{value.copy_index}"
+        return value.base + {PLAIN: "", LEFT: "l", RIGHT: "r"}[value.variant]
+    if isinstance(value, NodeLabel):
+        body = "".join(label_text(p) for p in value.pieces)
+        if value.self_attach:
+            return f"{body}_{value.self_attach}"
+        return body
+    return f"{label_text(value.parent)} -> {' '.join(label_text(c) for c in value.children)}"
+
+
+def quadratic_lcs_length(a, b):
+    """The O(|a|·|b|) LCS table, row by row: the oracle for ``_lcs_length``."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def _counter_ngrams(tokens, n):
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def counter_bleu(candidate: str, reference: str) -> float:
+    """BLEU-4 with both sides tokenized and counted on every call, clipped
+    by ``Counter`` intersection: the oracle for ``bleu``."""
+    cand = tokenize(candidate)
+    ref = tokenize(reference)
+    if not cand:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, BLEU_MAX_N + 1):
+        cand_grams = _counter_ngrams(cand, n)
+        total = sum(cand_grams.values())
+        p = sum((cand_grams & _counter_ngrams(ref, n)).values()) / total if total else 0.0
+        log_sum += math.log(p or BLEU_EPSILON)
+    geo_mean = math.exp(log_sum / BLEU_MAX_N)
+    brevity = 1.0 if len(cand) >= len(ref) else math.exp(1 - len(ref) / len(cand))
+    return brevity * geo_mean
+
+
+def quadratic_rouge_l(candidate: str, reference: str) -> float:
+    """ROUGE-L F1 with both sides tokenized on every call and the LCS from
+    :func:`quadratic_lcs_length`: the oracle for ``rouge_l``."""
+    cand = tokenize(candidate)
+    ref = tokenize(reference)
+    if not cand or not ref:
+        return 0.0
+    lcs = quadratic_lcs_length(cand, ref)
+    return _f1(lcs / len(cand), lcs / len(ref))
 
 
 def run_fresh(*args: str, **env: str) -> subprocess.CompletedProcess:

@@ -1,12 +1,24 @@
 """The benchmark's tracer wraps functions by module and name.  A name that
 no longer resolves is skipped there and its per-layer metric reads 0, so a
-rename in ``sewtree`` must fail here instead."""
+rename in ``sewtree`` must fail here instead; so must a change of what the
+wrapped functions take, which the tracer's count hooks read."""
 
 import importlib
+import json
+import shutil
 import types
 from pathlib import Path
 
 import pytest
+
+from sewtree.experiments import join_steps
+from sewtree.grammar import enumerate_gold_trees
+from sewtree.metrics import tokenize
+from sewtree.pipeline import InstructionDoc, linearize_gold_tree, load_doc, load_spec
+from sewtree.tree import parse_serialized
+
+from conftest import FIXTURES, load_grammar
+from helpers import run_fresh
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
 
@@ -32,3 +44,42 @@ def wrap_targets() -> list[tuple[str, str]]:
 @pytest.mark.parametrize("module,name", wrap_targets())
 def test_wrap_target_resolves(module, name):
     assert callable(getattr(importlib.import_module(module), name, None))
+
+
+def test_traced_score_run_sees_every_layer(tmp_path):
+    """A traced ``score --refs`` run on the fixtures, in a fresh
+    interpreter: every target resolves, the text metrics and extraction
+    take time, and the counts match the inputs."""
+    corpus, refs = tmp_path / "corpus", tmp_path / "refs"
+    corpus.mkdir()
+    refs.mkdir()
+    shutil.copy(FIXTURES / "docs" / "skirt-demo.json", corpus)
+    pairs = []
+    for name in ("skirt", "shirt"):
+        spec = load_spec(FIXTURES / "specs" / f"{name}.json")
+        texts = enumerate_gold_trees(load_grammar(name))
+        ref = linearize_gold_tree(parse_serialized(texts[0]), spec)
+        (refs / f"{name}.json").write_text(json.dumps(ref.to_json()))
+        doc = linearize_gold_tree(parse_serialized(texts[-1]), spec)
+        doc = InstructionDoc(name, f"{name}-last", doc.steps)
+        (corpus / f"{doc.doc_id}.json").write_text(json.dumps(doc.to_json()))
+    docs = [load_doc(path) for path in sorted(corpus.iterdir())]
+    references = {ref.pattern_id: ref for ref in map(load_doc, refs.iterdir())}
+
+    report = tmp_path / "trace.json"
+    proc = run_fresh(
+        str(TRACED), "--trace", "1", "--report", str(report), "--",
+        "score", "--corpus", str(corpus), "--grammars", str(FIXTURES / "grammars"),
+        "--specs", str(FIXTURES / "specs"), "--refs", str(refs), "--out", str(tmp_path / "out"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(report.read_text(encoding="utf-8"))
+    assert result["exit"] == 0 and result["absent"] == []
+    layers = result["layers"]
+    for layer in ("metrics.bleu_s", "metrics.rouge_l_s", "pipeline.extract_s"):
+        assert layers[layer] > 0, layer
+    assert layers["pipeline.steps"] == sum(len(doc.steps) for doc in docs)
+    assert layers["metrics.rouge_lcs_cells"] == sum(
+        len(tokenize(join_steps(doc))) * len(tokenize(join_steps(references[doc.pattern_id])))
+        for doc in docs
+    )

@@ -358,6 +358,41 @@ class TestScore:
         assert not (workspace["out"] / "scores.csv").exists()
 
 
+class TestReferences:
+    """With ``--refs``, every document needs its pattern's reference, or
+    nothing is written."""
+
+    def score(self, workspace, refs):
+        return run(
+            "score",
+            "--corpus", workspace["corpus"],
+            "--grammars", workspace["grammars"],
+            "--specs", workspace["specs"],
+            "--refs", refs,
+            "--out", workspace["out"],
+        )
+
+    @pytest.mark.parametrize("kind", ["missing", "empty"])
+    def test_directory_without_references_is_config_error(self, workspace, tmp_path, capsys, kind):
+        refs = tmp_path / "no-refs"
+        if kind == "empty":
+            refs.mkdir()
+        assert self.score(workspace, refs) == 2
+        assert capsys.readouterr().err == f"error: no references in {refs}\n"
+        assert not workspace["out"].exists()
+
+    def test_document_without_a_reference_is_named(self, workspace, capsys):
+        spec = load_spec(FIXTURES / "specs" / "shirt.json")
+        text = enumerate_gold_trees(load_grammar("shirt"))[0]
+        doc = linearize_gold_tree(parse_serialized(text), spec)
+        (workspace["corpus"] / "shirt.json").write_text(json.dumps(doc.to_json()))
+        assert self.score(workspace, workspace["refs"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: document {doc.doc_id}: no reference for pattern 'shirt'\n"
+        )
+        assert not workspace["out"].exists()
+
+
 class TestInputSchema:
     @pytest.mark.parametrize(
         "kind,payload,field",
@@ -608,6 +643,62 @@ class TestAdapterMemo:
         assert err.startswith("error: ") and "not in the inventory" in err
         assert out == ""
         assert len(posted_requests()) == 1
+
+
+class TestRuleBasedMemo:
+    """``score`` extracts each distinct (step, inventory) once per run with
+    the rule-based extractor too."""
+
+    def test_outputs_match_one_extraction_per_step(self, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "corpus"
+        n_steps = write_repeating_corpus(corpus)
+        calls = []
+        extract = sewtree.cli.extract_pieces_rule_based
+
+        def counted(step, spec, step_index=0):
+            calls.append((step, spec.inventory))
+            return extract(step, spec, step_index=step_index)
+
+        def score(out: Path) -> dict[str, bytes]:
+            code = run(
+                "score",
+                "--corpus", corpus,
+                "--grammars", FIXTURES / "grammars",
+                "--specs", FIXTURES / "specs",
+                "--out", out,
+            )
+            assert code == 0, capsys.readouterr().err
+            return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        monkeypatch.setattr(sewtree.cli, "extract_pieces_rule_based", counted)
+        memoized = score(tmp_path / "memo")
+        memo_calls = list(calls)
+        monkeypatch.setattr(sewtree.cli, "extract_once_per_run", lambda extract: extract)
+        reference = score(tmp_path / "reference")
+
+        assert memoized == reference
+        assert len(reference) == 1 + len(list(corpus.iterdir()))
+        assert len(calls) - len(memo_calls) == n_steps
+        assert len(memo_calls) == len(set(memo_calls)) < n_steps
+        assert set(memo_calls) == set(calls[len(memo_calls):])
+
+    def test_repeated_step_keeps_its_own_index_and_diagnostics(self, tmp_path, capsys):
+        press = "Press the Over Skirt (A) and the Lining (Q) flat."
+        sew = "Sew the Over Skirt (A) to the Under Skirt (B)."
+        doc = tmp_path / "doc.json"
+        steps = [press, sew, press, sew]
+        doc.write_text(json.dumps({"pattern_id": "skirt", "doc_id": "doc", "steps": steps}))
+        assert run("build", "--doc", doc, "--spec", FIXTURES / "specs" / "skirt.json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["subtree_trace"] == [[1, "AB -> A B"], [3, "AB_1 -> AB"]]
+        assert report["diagnostics"] == [
+            [i, kind, message]
+            for i in (0, 2)
+            for kind, message in [
+                ("unknown-label", "(Q) is not in the inventory"),
+                ("no-attachment-verb", "ignored mentions [A]"),
+            ]
+        ]
 
 
 class TestPermuteCli:

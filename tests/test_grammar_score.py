@@ -5,6 +5,7 @@ with the same float expression as the oracle, so any difference is a bug.
 """
 
 import re
+import statistics
 import string
 
 import pytest
@@ -284,3 +285,44 @@ def test_tree_columns_invariant_under_renaming(seed, n_pieces, n_gold, order_pre
             row["tree_precision"], row["tree_recall"]
         )
         assert new_row["best_gold_tree"] == renamed_tree_text(row["best_gold_tree"], letters)
+
+
+@pytest.mark.parametrize(
+    "plan,medians",
+    [
+        pytest.param(
+            ErrorInjectionPlan(swap_adjacent=1),
+            {"tree_f1": 0.8153409090909092, "bleu": 1.0, "rouge_l": 0.9455046649703138},
+            id="swap_adjacent",
+        ),
+        pytest.param(
+            ErrorInjectionPlan(wrong_piece=1),
+            {"tree_f1": 0.6666666666666666, "bleu": 0.9841991615311813,
+             "rouge_l": 0.9937689261588633},
+            id="wrong_piece",
+        ),
+    ],
+)
+def test_counterfactuals_keep_bleu_and_lose_tree_f1(plan, medians):
+    """The paper's claim as a seeded known answer: one edit of a gold
+    linearization keeps the text close to it (median BLEU >= 0.95) while
+    the tree metric sees the assembly break (median tree F1 <= 0.9).  Each
+    of 100 one-tree ``synth`` grammars of 6-11 pieces is scored against its
+    own uncorrupted linearization as the reference; the medians are
+    recorded exactly."""
+    seed = 6
+    columns = {"tree_f1": [], "bleu": [], "rouge_l": []}
+    for i in range(100):
+        rng = SplitMix64(derive_seed(seed, f"counterfactual{i}"))
+        tree = random_tree(rng, random_inventory(rng, 6 + rng.randrange(6)))
+        grammar = grammar_from_trees(f"cf{i}", [tree])
+        spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
+        doc = linearize_gold_tree(tree, spec)
+        corrupted, applied = inject_errors(doc, plan, seed, spec)
+        assert applied == 1
+        row, _ = score_document(corrupted, grammar, spec, reference=doc)
+        for column, values in columns.items():
+            values.append(row[column])
+    found = {column: statistics.median(values) for column, values in columns.items()}
+    assert found["bleu"] >= 0.95 and found["tree_f1"] <= 0.9
+    assert found == medians

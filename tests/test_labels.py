@@ -15,7 +15,6 @@ from sewtree.labels import (
     NodeLabel,
     PieceLabel,
     bump_self_attach,
-    format_node_label,
     merge_labels,
     parse_node_label,
     parse_piece_label,
@@ -23,7 +22,7 @@ from sewtree.labels import (
 from sewtree.pipeline import InstructionDoc, StepExtraction, build_forest, placeholder_spec
 from sewtree.tree import DepthOneSubtree, parse_serialized
 
-from helpers import binary, leaf, run_fresh, serialize_node, unary
+from helpers import binary, label_text, leaf, run_fresh, serialize_node, unary
 
 
 def P(text):
@@ -121,8 +120,8 @@ class TestNodeLabel:
             N(bad)
 
     def test_format_omits_zero_counter(self):
-        assert format_node_label(N("AB")) == "AB"
-        assert format_node_label(N("AB_1")) == "AB_1"
+        assert str(N("AB")) == "AB"
+        assert str(N("AB_1")) == "AB_1"
 
     @given(
         hs.lists(
@@ -135,7 +134,7 @@ class TestNodeLabel:
     )
     def test_format_parse_roundtrip(self, piece_texts, counter):
         label = NodeLabel(tuple(sorted(P(t) for t in piece_texts)), counter)
-        assert parse_node_label(format_node_label(label)) == label
+        assert parse_node_label(str(label)) == label
 
 
 # Texts near labels: letters, suffixes, digit runs with and without
@@ -278,7 +277,8 @@ class TestLabelIdentity:
         [(PieceLabel("A"), "base"), (PieceLabel("X", COPY, 3), "copy_index"),
          (NodeLabel((PieceLabel("A"),), 1), "self_attach"), (NodeLabel((PieceLabel("A"),)), "pieces"),
          (DepthOneSubtree(NodeLabel((PieceLabel("A"),), 1), (NodeLabel((PieceLabel("A"),)),)), "parent"),
-         (PieceLabel("A"), "_hash")],
+         (PieceLabel("A"), "_hash"), (PieceLabel("B", LEFT), "_text"),
+         (NodeLabel((PieceLabel("A"), PieceLabel("B")), 2), "_text")],
     )
     def test_fields_cannot_be_assigned_or_deleted(self, value, field):
         before = getattr(value, field)
@@ -289,6 +289,19 @@ class TestLabelIdentity:
         with pytest.raises(AttributeError):
             value.new_field = 1
         assert getattr(value, field) == before
+
+    @given(node_labels)
+    def test_text_is_the_formatters_also_after_pickle_and_copy(self, label):
+        subtree = DepthOneSubtree(bump_self_attach(label), (label,))
+        values = [label, subtree, *label.pieces]
+        if len(label.pieces) > 1:
+            halves = NodeLabel(label.pieces[:1], 0), NodeLabel(label.pieces[1:], label.self_attach)
+            values.append(DepthOneSubtree(merge_labels(*halves), halves))
+        for value in values:
+            expected = label_text(value)
+            for other in (value, pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+                assert str(other) == expected
+                assert f"{other}" == expected
 
     def test_hash_values_are_pinned(self):
         # Recorded (64-bit CPython) when the labels were dataclasses: set

@@ -8,7 +8,9 @@ from hypothesis import strategies as hs
 from sewtree.metrics import (
     BLEU_EPSILON,
     _f1,
+    _reference,
     _lcs_length,
+    _lcs_masks,
     bleu,
     ngram_precisions,
     pearson,
@@ -17,7 +19,7 @@ from sewtree.metrics import (
     tree_score,
 )
 
-from helpers import subtree_set
+from helpers import counter_bleu, quadratic_lcs_length, quadratic_rouge_l, subtree_set
 
 SKIRT = "(ABC_1 (AB_1 (AB A B)) C)"
 
@@ -142,19 +144,6 @@ class TestRougeL:
         assert rouge_l(text, text) == pytest.approx(1.0)
 
 
-def quadratic_lcs_length(a, b):
-    """The O(|a|·|b|) LCS table, row by row: the oracle for ``_lcs_length``."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
-
-
 def sliced_ngram_precisions(candidate, reference, max_n=4):
     """Clipped n-gram precisions with one tuple slice per position: the
     oracle for ``ngram_precisions``."""
@@ -229,8 +218,8 @@ class TestFastPathsMatchReference:
     def test_lcs_length_matches_quadratic_table(self, pair):
         a, b = pair
         expected = quadratic_lcs_length(a, b)
-        assert _lcs_length(a, b) == expected
-        assert _lcs_length(b, a) == expected
+        assert _lcs_length(a, _lcs_masks(b), len(b)) == expected
+        assert _lcs_length(b, _lcs_masks(a), len(a)) == expected
 
     @given(texts, texts, hs.integers(1, 6))
     def test_bleu_matches_sliced_ngrams(self, candidate, reference, max_n):
@@ -249,6 +238,57 @@ class TestFastPathsMatchReference:
     def test_f1_is_the_beta_formula_bit_for_bit(self, n_cand, n_ref, data):
         lcs = data.draw(hs.integers(0, min(n_cand, n_ref)))
         assert _f1(lcs / n_cand, lcs / n_ref) == f_beta(lcs, n_cand, n_ref)
+
+
+# Few distinct tokens, so short texts repeat tokens and n-grams.
+short_texts = hs.lists(hs.sampled_from(["a", "b", "(A)", "."]), max_size=8).map(" ".join)
+
+
+class TestPreparedReference:
+    """``bleu`` and ``rouge_l`` take the reference side from a bounded memo;
+    every value must equal a fresh computation of both sides."""
+
+    @given(hs.one_of(texts, short_texts), hs.one_of(texts, short_texts))
+    @example("", "")
+    @example("", "a b")
+    @example("a b", "")
+    @example("a", "a b c d e")
+    @example("a a a", "a a b b")
+    @example("a a a a a", "a a")
+    @example("sew the (A) . sew the (A) .", "sew the (A) .")
+    def test_equal_to_the_counter_and_table_oracles(self, candidate, reference):
+        assert bleu(candidate, reference) == counter_bleu(candidate, reference)
+        assert rouge_l(candidate, reference) == quadratic_rouge_l(candidate, reference)
+
+    @given(hs.lists(hs.one_of(texts, short_texts), min_size=2, max_size=8), texts, hs.randoms())
+    def test_many_candidates_in_any_order_see_an_unchanged_reference(
+        self, candidates, reference, random
+    ):
+        expected = {c: (counter_bleu(c, reference), quadratic_rouge_l(c, reference)) for c in candidates}
+        shuffled = list(candidates)
+        random.shuffle(shuffled)
+        for order in (candidates, shuffled, candidates):
+            for candidate in order:
+                assert (bleu(candidate, reference), rouge_l(candidate, reference)) == expected[candidate]
+
+    def test_one_reference_is_prepared_once(self):
+        reference = "sew the (A) to the (B) . sew the (A) to itself ."
+        bleu("sew", reference)
+        hits = _reference.cache_info().hits
+        for candidate in ("sew the (A)", "the (B) to", "itself ."):
+            bleu(candidate, reference)
+            rouge_l(candidate, reference)
+        assert _reference.cache_info().hits == hits + 6
+
+    def test_memo_is_bounded(self):
+        bound = _reference.cache_info().maxsize
+        assert bound is not None
+        for i in range(bound + 10):
+            reference = f"sew piece {i} to piece {i + 1}"
+            candidate = f"sew piece {i}"
+            assert bleu(candidate, reference) == counter_bleu(candidate, reference)
+            assert rouge_l(candidate, reference) == quadratic_rouge_l(candidate, reference)
+        assert _reference.cache_info().currsize <= bound
 
 
 class TestPearson:
