@@ -185,7 +185,7 @@ def cmd_score(args) -> int:
     if not by_id:
         raise ConfigError(f"no documents in {corpus}")
     docs = [by_id[doc_id] for doc_id in sorted(by_id)]
-    grammars, _ = _load_grammar_dir(Path(args.grammars))
+    grammars, grammar_paths = _load_grammar_dir(Path(args.grammars))
     specs, _ = _load_keyed(sorted(Path(args.specs).glob("*.json")), load_spec, "pattern_id")
     refs = {}
     if args.refs:
@@ -203,7 +203,12 @@ def cmd_score(args) -> int:
         if refs and doc.pattern_id not in refs:
             raise ConfigError(f"document {doc.doc_id}: no reference for pattern {doc.pattern_id!r}")
         if doc.pattern_id not in checked:
-            check_grammar(grammars[doc.pattern_id])
+            try:
+                check_grammar(grammars[doc.pattern_id])
+            except GrammarError as exc:
+                raise GrammarError(
+                    f"{grammar_paths[doc.pattern_id]}: pattern {doc.pattern_id!r}: {exc}"
+                ) from exc
             checked.add(doc.pattern_id)
     results = [
         score_document(

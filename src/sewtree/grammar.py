@@ -16,7 +16,6 @@ counter ``n``, unless S itself is an inventory piece.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from functools import cached_property
@@ -131,11 +130,33 @@ def _full_inventory_label(inventory: frozenset[PieceLabel], counter: int) -> Nod
 def parse_grammar(text: str) -> GoldGrammar:
     """Parse a grammar file, checking each rule as it is read: 1 or 2
     children, pieces from the inventory and valid label arithmetic.  Raises
-    :class:`GrammarError` with the line number."""
+    :class:`GrammarError` with the line number.
+
+    Each inventory piece gets one bit, in sorted order, and each distinct
+    label text is parsed once per call into its label and the mask of its
+    pieces (None when a piece is not in the inventory).  A rule is checked
+    on the masks and counters; :func:`attachment_violations` writes the
+    message of a rule that fails."""
     pattern_id: str | None = None
     inv: frozenset[PieceLabel] | None = None
+    bits: dict[PieceLabel, int] = {}
+    known: dict[str, tuple[NodeLabel, int | None]] = {}
     roots_line: tuple[int, str] | None = None
     rules: dict[DepthOneSubtree, None] = {}
+
+    def label_of(text: str) -> tuple[NodeLabel, int | None]:
+        entry = known.get(text)
+        if entry is None:
+            label = parse_node_label(text)
+            mask = 0
+            for piece in label.pieces:
+                bit = bits.get(piece)
+                if bit is None:
+                    mask = None
+                    break
+                mask |= bit
+            entry = known[text] = (label, mask)
+        return entry
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -161,6 +182,7 @@ def parse_grammar(text: str) -> GoldGrammar:
             inv = frozenset(pieces)
             if len(inv) != len(pieces):
                 raise GrammarError(f"line {lineno}: duplicate pieces in inventory")
+            bits = {piece: 1 << i for i, piece in enumerate(sorted(inv))}
             continue
         if line.startswith("roots:"):
             if roots_line is not None:
@@ -172,21 +194,37 @@ def parse_grammar(text: str) -> GoldGrammar:
             if inv is None:
                 raise GrammarError(f"line {lineno}: rule before pieces header")
             try:
-                parent, *children = map(parse_node_label, [lhs.strip(), *rhs.split()])
+                parsed = [label_of(t) for t in (lhs.strip(), *rhs.split())]
             except LabelError as exc:
                 raise GrammarError(f"line {lineno}: {exc}") from exc
-            if not 1 <= len(children) <= 2:
+            if not 2 <= len(parsed) <= 3:
                 raise GrammarError(f"line {lineno}: rules need 1 or 2 children")
-            for label in (parent, *children):
-                if not inv.issuperset(label.pieces):
+            for label, mask in parsed:
+                if mask is None:
                     names = ", ".join(sorted(str(p) for p in label.piece_set - inv))
                     raise GrammarError(f"line {lineno}: unknown pieces {names}")
-            # Child order in the file is presentational; canonicalize it.
-            if len(children) == 2:
-                children.sort(key=child_order_key)
-            rule = DepthOneSubtree(parent, tuple(children))
-            problems = attachment_violations(rule.parent, rule.children)
-            if problems:
+            (parent, parent_mask), *kids = parsed
+            if len(kids) == 1:
+                ((child, child_mask),) = kids
+                children = (child,)
+                valid = (
+                    child_mask == parent_mask
+                    and child.self_attach == parent.self_attach - 1
+                )
+            else:
+                (a, a_mask), (b, b_mask) = kids
+                # Child order in the file is presentational; canonicalize it.
+                if child_order_key(b) < child_order_key(a):
+                    a, b = b, a
+                children = (a, b)
+                valid = (
+                    not a_mask & b_mask
+                    and (a_mask | b_mask) == parent_mask
+                    and parent.self_attach == max(a.self_attach, b.self_attach)
+                )
+            rule = DepthOneSubtree(parent, children)
+            if not valid:
+                problems = attachment_violations(parent, children)
                 raise GrammarError(f"line {lineno}: {rule}: {problems[0][1]}")
             rules[rule] = None
             continue
@@ -207,7 +245,7 @@ def parse_grammar(text: str) -> GoldGrammar:
             if body == "S" and PieceLabel("S") not in inv:
                 roots.append(_full_inventory_label(inv, counter))
             else:
-                roots.append(parse_node_label(token))
+                roots.append(label_of(token)[0])
         except LabelError as exc:
             raise GrammarError(f"line {lineno}: {exc}") from exc
     if not roots:
@@ -291,11 +329,13 @@ def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, .
     gold: list[str] = []
     for p, (name, expansions) in enumerate(zip(graph.names, graph.expansions)):
         if expansions:
-            level = [
-                bracket(name, combo)
-                for _, kids in expansions
-                for combo in itertools.product(*(texts[c] for c in kids))
-            ]
+            level = []
+            for _, kids in expansions:
+                if len(kids) == 1:
+                    level += [bracket(name, (t,)) for t in texts[kids[0]]]
+                else:
+                    a, b = kids
+                    level += [bracket(name, (ta, tb)) for ta in texts[a] for tb in texts[b]]
         else:
             level = [name]
         texts.append(level)

@@ -27,6 +27,7 @@ _VARIANT_RANK = {PLAIN: 0, LEFT: 1, RIGHT: 2, COPY: 3}
 _VARIANT_SUFFIX = {PLAIN: "", LEFT: "l", RIGHT: "r"}
 
 _PIECE_RE = re.compile(r"([A-Z])(l|r|[0-9]+)?")
+_PIECE_TEXT_RE = re.compile(r"[A-Z](?:l|r|[0-9]+)?")
 
 
 # Labels are hashed on every set and dict lookup of a rule, so each one
@@ -225,18 +226,18 @@ def parse_node_label(text: str) -> NodeLabel:
         raise LabelError("empty node label")
     body, counter = split_counter(text)
 
-    pieces: list[PieceLabel] = []
-    pos = 0
-    while pos < len(body):
-        m = _PIECE_RE.match(body, pos)
-        if m is None:
-            raise LabelError(f"malformed node label {text!r} at position {pos}")
-        pieces.append(parse_piece_label(m.group(0)))
-        pos = m.end()
-    if not pieces:
+    # The matches tile the body iff their lengths add up to it; else the
+    # scan finds the first position no piece starts at.
+    piece_texts = _PIECE_TEXT_RE.findall(body)
+    if sum(map(len, piece_texts)) != len(body):
+        pos = 0
+        while (m := _PIECE_RE.match(body, pos)) is not None:
+            pos = m.end()
+        raise LabelError(f"malformed node label {text!r} at position {pos}")
+    if not piece_texts:
         raise LabelError(f"node label {text!r} has no pieces")
     try:
-        return NodeLabel(tuple(pieces), counter)
+        return NodeLabel(tuple(map(parse_piece_label, piece_texts)), counter)
     except LabelError as exc:
         raise LabelError(f"{text!r}: {exc}") from exc
 

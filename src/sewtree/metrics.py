@@ -3,7 +3,6 @@ Pearson utilities for baseline comparison and analysis."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from collections import Counter
@@ -88,15 +87,29 @@ def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> Sco
         table: dict[int, tuple[int, str, tuple | None]] = {}
         for rule, kids in expansions:
             hit = int(rule in pred)
-            for parts in itertools.product(*(tables[k].items() for k in kids)):
-                g = 1 + sum(g_kid for g_kid, _ in parts)
-                m = hit + sum(entry[0] for _, entry in parts)
-                current = table.get(g)
-                if current is not None and m < current[0]:
-                    continue
-                text = bracket(name, [entry[1] for _, entry in parts])
-                if current is None or m > current[0] or text < current[1]:
-                    table[g] = (m, text, (rule, kids, tuple(g_kid for g_kid, _ in parts)))
+            if len(kids) == 1:
+                for g_kid, (m_kid, text_kid, _) in tables[kids[0]].items():
+                    g = g_kid + 1
+                    m = hit + m_kid
+                    current = table.get(g)
+                    if current is not None and m < current[0]:
+                        continue
+                    text = bracket(name, (text_kid,))
+                    if current is None or m > current[0] or text < current[1]:
+                        table[g] = (m, text, (rule, kids, (g_kid,)))
+            else:
+                a, b = kids
+                b_items = tables[b].items()
+                for g_a, (m_a, text_a, _) in tables[a].items():
+                    for g_b, (m_b, text_b, _) in b_items:
+                        g = 1 + g_a + g_b
+                        m = hit + m_a + m_b
+                        current = table.get(g)
+                        if current is not None and m < current[0]:
+                            continue
+                        text = bracket(name, (text_a, text_b))
+                        if current is None or m > current[0] or text < current[1]:
+                            table[g] = (m, text, (rule, kids, (g_a, g_b)))
         tables.append(table)
 
     ranked = []

@@ -3,8 +3,10 @@ node-tree oracles: ``AssemblyNode`` trees with their validator, parser,
 serializer, generator and linearization, the references that the
 label-map code in ``sewtree`` is tested against; the per-step adapter
 extractor, the reference for the memoized one; the label formatter, the
-reference for the texts labels write once; and BLEU and ROUGE-L computed
-afresh per call, the references for the metrics' prepared reference side."""
+reference for the texts labels write once; BLEU and ROUGE-L computed
+afresh per call, the references for the metrics' prepared reference side;
+and the rule check on label sets, the reference for the grammar parser's
+piece masks."""
 
 import itertools
 import math
@@ -20,6 +22,7 @@ from sewtree.grammar import (
     DEFAULT_CAP,
     CapExceededError,
     GoldGrammar,
+    GrammarError,
     check_grammar,
     count_derivations,
     enumerate_gold_trees,
@@ -51,7 +54,7 @@ from sewtree.pipeline import (
 )
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import random_grammar
-from sewtree.tree import _TOKEN_RE, TreeError, parse_serialized, subtrees_of
+from sewtree.tree import _TOKEN_RE, DepthOneSubtree, TreeError, parse_serialized, subtrees_of
 
 
 @dataclass(frozen=True)
@@ -288,6 +291,33 @@ def check_enumeration(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, ...]
     assert texts == tuple(serialize_node(t) for t in gold_tree_oracle(g, cap)), g.pattern_id
     assert len(set(texts)) == len(texts) == sum(count_derivations(g).values()), g.pattern_id
     return texts
+
+
+def rule_oracle(lineno: int, line: str, inventory: frozenset[PieceLabel]) -> DepthOneSubtree:
+    """The rule on grammar line ``lineno``, a stripped ``->`` line over
+    ``inventory``, checked on its own with set operations: every label
+    parsed, then ``issuperset`` on each label's pieces, then
+    ``attachment_violations`` on the children in canonical order.  Raises
+    :class:`GrammarError` with ``parse_grammar``'s message: the reference
+    for its label memo and piece masks."""
+    lhs, rhs = line.split("->", 1)
+    try:
+        parent, *children = map(parse_node_label, [lhs.strip(), *rhs.split()])
+    except LabelError as exc:
+        raise GrammarError(f"line {lineno}: {exc}") from exc
+    if not 1 <= len(children) <= 2:
+        raise GrammarError(f"line {lineno}: rules need 1 or 2 children")
+    for label in (parent, *children):
+        if not inventory.issuperset(label.pieces):
+            names = ", ".join(sorted(str(p) for p in label.piece_set - inventory))
+            raise GrammarError(f"line {lineno}: unknown pieces {names}")
+    if len(children) == 2:
+        children.sort(key=child_order_key)
+    rule = DepthOneSubtree(parent, tuple(children))
+    problems = attachment_violations(rule.parent, rule.children)
+    if problems:
+        raise GrammarError(f"line {lineno}: {rule}: {problems[0][1]}")
+    return rule
 
 
 def chain_grammar(length: int) -> GoldGrammar:

@@ -298,6 +298,20 @@ class TestScore:
         assert run(*self.score_args(workspace, grammars=grammars)) == 1
         assert "invalid grammar: root AB" in capsys.readouterr().err
 
+    def test_grammar_that_fails_validation_is_named(self, workspace, tmp_path, capsys):
+        # Every rule parses, but BC_2 is a non-leaf label no rule expands.
+        grammars = tmp_path / "grammars"
+        shutil.copytree(FIXTURES / "grammars", grammars)
+        bad = grammars / "skirt.grammar"
+        bad.write_text(bad.read_text() + "BC -> B C\nABC_2 -> A BC_2\n")
+        assert run(*self.score_args(workspace, grammars=grammars)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {bad}: pattern 'skirt': invalid grammar: "
+            "BC_2: no rule expands this non-leaf label\n"
+        )
+
     def test_thousand_step_document(self, workspace, capsys):
         # Deeper than the interpreter's recursion limit.
         (workspace["corpus"] / "skirt-demo.json").unlink()

@@ -1,7 +1,9 @@
 import tracemalloc
+from collections import Counter
 
 import pytest
 
+import sewtree.grammar
 from sewtree.grammar import (
     CapExceededError,
     GrammarError,
@@ -11,7 +13,7 @@ from sewtree.grammar import (
     parse_grammar,
     validate_grammar,
 )
-from sewtree.labels import parse_node_label
+from sewtree.labels import _LABEL_MEMO_SIZE, parse_node_label
 from sewtree.tree import canonical_serialize, parse_serialized
 
 from sewtree.rng import SplitMix64, derive_seed
@@ -77,6 +79,24 @@ class TestParseGrammar:
         with pytest.raises(GrammarError) as exc:
             parse_grammar(f"pattern: x\npieces: A B\nroots: {root}\nAB -> A B\nAB_1 -> AB\n")
         assert str(exc.value).startswith("line 3: ") and repr(root) in str(exc.value)
+
+
+def test_each_label_text_is_parsed_once_per_parse(monkeypatch):
+    # A, B, AB and AB_1 to AB_5000: more texts than the label parser's own
+    # bounded memo holds, each on two rule lines but parsed once.
+    parsed = Counter()
+
+    def counting_parse(text):
+        parsed[text] += 1
+        return parse_node_label(text)
+
+    monkeypatch.setattr(sewtree.grammar, "parse_node_label", counting_parse)
+    first = chain_grammar(5000)
+    assert len(parsed) == 5003 > _LABEL_MEMO_SIZE
+    assert set(parsed.values()) == {1}
+    parsed.clear()
+    assert chain_grammar(5000) == first
+    assert len(parsed) == 5003 and set(parsed.values()) == {1}
 
 
 class TestValidateGrammar:

@@ -25,7 +25,13 @@ from sewtree.pipeline import (
     placeholder_spec,
 )
 from sewtree.rng import SplitMix64, derive_seed
-from sewtree.synth import grammar_from_trees, random_grammar, random_inventory, random_tree
+from sewtree.synth import (
+    grammar_from_trees,
+    grammar_to_text,
+    random_grammar,
+    random_inventory,
+    random_tree,
+)
 from sewtree.tree import DepthOneSubtree, canonical_serialize, parse_serialized
 
 from conftest import GRAMMAR_NAMES, load_grammar
@@ -86,6 +92,27 @@ def test_synthetic_grammars_match_oracle(block):
         plans = (PLANS[index % 2], PLANS[2 + index % 2])
         for predicted in corpus_predictions(grammar, index, [other], plans):
             assert_matches_oracle(predicted, grammar, gold)
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_rule_order_is_presentation(block):
+    """A grammar file with its rule lines shuffled and the children of its
+    binary rules swapped parses to the same rules, scores every document
+    the same and enumerates the same trees."""
+    for index in range(20 * block, 20 * (block + 1)):
+        rng = SplitMix64(derive_seed(15, "presentation", str(index)))
+        grammar = random_grammar(rng, f"g{index}", 2 + rng.randrange(7), 1 + rng.randrange(6))
+        text = grammar_to_text(grammar)
+        # Reversing every rule's children swaps those of the binary rules.
+        rule_lines = [str(DepthOneSubtree(r.parent, r.children[::-1])) for r in grammar.rules]
+        rng.shuffle(rule_lines)
+        original = parse_grammar(text)
+        reordered = parse_grammar("\n".join(text.splitlines()[:3] + rule_lines))
+        assert set(reordered.rules) == set(original.rules)
+        assert enumerate_gold_trees(reordered) == enumerate_gold_trees(original)
+        other = random_tree(rng, sorted(grammar.inventory))
+        for predicted in corpus_predictions(original, index, [other], PLANS[:2]):
+            assert grammar_score(predicted, reordered) == grammar_score(predicted, original)
 
 
 TIE_GRAMMAR = """\

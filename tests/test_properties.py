@@ -7,7 +7,7 @@ acceptance suite.
 import string
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hs
 
 from sewtree.experiments import roundtrip_grammar
@@ -20,6 +20,7 @@ from sewtree.labels import (
     PieceLabel,
     attachment_violations,
     parse_node_label,
+    parse_piece_label,
 )
 from sewtree.pipeline import build_forest, extract_document, linearize_gold_tree, placeholder_spec
 from sewtree.grammar import GrammarError, parse_grammar, validate_grammar
@@ -27,7 +28,14 @@ from sewtree.rng import SplitMix64
 from sewtree.synth import grammar_from_trees, grammar_to_text, random_inventory, random_tree
 from sewtree.tree import canonical_serialize, parse_serialized, subtrees_of
 
-from helpers import as_pair, check_grammar_properties, glued_forest, gold_tree_oracle, make_random_grammar
+from helpers import (
+    as_pair,
+    check_grammar_properties,
+    glued_forest,
+    gold_tree_oracle,
+    make_random_grammar,
+    rule_oracle,
+)
 
 
 @pytest.mark.parametrize("index", range(100))
@@ -167,3 +175,94 @@ def test_parse_grammar_accepts_a_rule_iff_it_is_a_valid_step(inventory, n_childr
     else:
         accepted = True
     assert accepted == (attachment_violations(parent, children) == [])
+
+
+# The differential test's inventory, a mirrored pair among plain pieces so
+# that child order depends on variants too; Q is the piece outside it.  The
+# prelude's valid rules come first, so the drawn line meets labels that the
+# parser has already seen in other roles.
+RULE_INVENTORY = ("A", "B", "C", "Dl", "Dr")
+RULE_PRELUDE = ("AB -> A B", "CDlDr_1 -> CDlDr")
+MALFORMED_LABELS = ("BA", "AA", "A_0", "AB_01", "a", "_1", "A0")
+
+
+def node_text(pieces, counter: int) -> str:
+    return str(NodeLabel(tuple(sorted(map(parse_piece_label, pieces))), counter))
+
+
+@hs.composite
+def rule_lines(draw):
+    """A rule line over RULE_INVENTORY and Q: a unary or binary step, often
+    broken by one change to its pieces or counters and with its children
+    possibly reversed, or labels drawn at random, malformed ones among
+    them, for 0 to 3 children."""
+    known = hs.sampled_from(RULE_INVENTORY)
+    pool = hs.sampled_from(RULE_INVENTORY + ("Q",))
+    counters = hs.integers(0, 3)
+    parent = draw(hs.sets(known, min_size=1, max_size=4), label="parent")
+    if draw(hs.integers(0, 9), label="unknown parent piece") == 0:
+        parent.add("Q")
+    top = draw(counters, label="parent counter")
+    shape = draw(hs.sampled_from(["unary", "binary", "random"]), label="shape")
+    if shape == "unary":
+        low = draw(hs.sampled_from([top - 1, top - 1, top, top + 1]), label="child counter")
+        kids = [node_text(parent, max(low, 0))]
+    elif shape == "binary" and len(parent) > 1:
+        order = sorted(parent)
+        left = set(draw(hs.sets(hs.sampled_from(order), min_size=1, max_size=len(order) - 1)))
+        right = set(order) - left
+        change = draw(hs.sampled_from(["none", "none", "share", "drop", "extra"]), label="change")
+        if change == "share":
+            right.add(draw(hs.sampled_from(sorted(left))))
+        elif change == "drop" and len(right) > 1:
+            right.remove(draw(hs.sampled_from(sorted(right))))
+        elif change == "extra":
+            right.add(draw(pool))
+        low, high = draw(counters), draw(counters)
+        if draw(hs.integers(0, 3), label="counter not the max") != 0:
+            top = max(low, high)
+        kids = [node_text(left, low), node_text(right, high)]
+        if draw(hs.booleans(), label="reversed"):
+            kids.reverse()
+    else:
+        any_label = hs.one_of(
+            hs.builds(node_text, hs.sets(pool, min_size=1, max_size=4), counters),
+            hs.sampled_from(MALFORMED_LABELS),
+        )
+        kids = draw(hs.lists(any_label, max_size=3), label="children")
+        if draw(hs.integers(0, 9), label="malformed parent") == 0:
+            return f"{draw(hs.sampled_from(MALFORMED_LABELS))} -> {' '.join(kids)}".strip()
+    return f"{node_text(parent, top)} -> {' '.join(kids)}".strip()
+
+
+@given(rule_lines())
+@example("AB -> A Q")  # an unknown piece in a child
+@example("AQ -> A Q")  # and in the parent, reported first
+@example("AB ->")  # 0 children
+@example("ABC -> A B C")  # 3 children
+@example("ABC -> AB BC")  # children share B
+@example("ABC -> AB AC")  # and their first piece: kept in file order
+@example("ABC -> A B")  # the union misses C
+@example("ABC -> AB Dl")  # the union is not the parent's pieces
+@example("AB_2 -> AB")  # unary counter off by two
+@example("AB_1 -> AB_1")  # unary counter unchanged
+@example("ABC -> ABC")
+@example("AB_1 -> A B")  # binary counter above the max
+@example("AB -> A_1 B")  # and below it
+@example("ABC_1 -> C AB_1")  # reversed child order
+@example("DlDr -> Dr Dl")
+@example("AB -> BA Q_0")  # a malformed label before any piece check
+@example("AB_1 -> A")  # a unary child with other pieces
+def test_parse_grammar_checks_rules_like_the_oracle(line):
+    """Each rule line gives the oracle's rule, or its error message."""
+    inventory = frozenset(map(parse_piece_label, RULE_INVENTORY))
+    lines = [*RULE_PRELUDE, line]
+    text = f"pattern: p\npieces: {' '.join(RULE_INVENTORY)}\nroots: S\n" + "\n".join(lines)
+    try:
+        expected = [rule_oracle(lineno, l, inventory) for lineno, l in enumerate(lines, start=4)]
+    except GrammarError as exc:
+        with pytest.raises(GrammarError) as got:
+            parse_grammar(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert parse_grammar(text).rules == tuple(dict.fromkeys(expected))
