@@ -286,7 +286,7 @@ def cmd_roundtrip(args) -> int:
     failed = False
     for pattern_id in sorted(grammars):
         try:
-            failures = roundtrip_grammar(grammars[pattern_id], args.cap)
+            failures = roundtrip_grammar(grammars[pattern_id])
         except GrammarError as exc:
             raise GrammarError(f"{paths[pattern_id]}: pattern {pattern_id!r}: {exc}") from exc
         if failures:
@@ -387,9 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("roundtrip", help="linearize-and-rebuild every gold tree")
+    p = sub.add_parser("roundtrip", help="linearize-and-rebuild every rule of each grammar")
     p.add_argument("--grammars", required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("aggregate-ratings", help="summarize step-level ratings per document")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .grammar import DEFAULT_CAP, GoldGrammar, enumerate_gold_trees
+from .grammar import GoldGrammar, check_grammar
 from .labels import LabelError, PieceLabel, parse_piece_label
 from .metrics import (
     bleu,
@@ -20,13 +20,15 @@ from .pipeline import (
     BuildReport,
     InstructionDoc,
     PatternSpec,
+    apply_step,
     build_forest,
     extract_document,
-    linearize_gold_tree,
+    extract_pieces_rule_based,
     placeholder_spec,
+    resolve_components,
+    write_step,
 )
 from .rng import SplitMix64, derive_seed
-from .tree import parse_serialized
 
 
 def join_steps(doc: InstructionDoc) -> str:
@@ -155,25 +157,31 @@ def inject_errors(
     return InstructionDoc(doc.pattern_id, doc.doc_id, tuple(steps)), applied
 
 
-def roundtrip_grammar(grammar: GoldGrammar, cap: int = DEFAULT_CAP) -> list[str]:
-    """Linearize every gold tree and rebuild it; returns failure messages.
+def roundtrip_grammar(grammar: GoldGrammar) -> list[str]:
+    """Check that every rule the roots reach survives linearize, extract
+    and rebuild; returns failure messages.
 
-    A tree passes when the rebuilt forest is its own text alone.  A
-    canonical text fixes the tree, so an equal text is an equal subtree set:
-    the rebuilt tree is this gold tree, and it scores F1 = 1.
+    A linearized step is a function of its rule alone, and the rebuild
+    folds the steps in order, so a gold tree round-trips exactly when each
+    of its rules does with the rule's children preset as components.  A
+    rule passes when its step emits that rule alone and leaves every piece
+    of the parent in the parent's component.
     """
+    check_grammar(grammar)
     failures: list[str] = []
     spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
-    for index, text in enumerate(enumerate_gold_trees(grammar, cap)):
-        doc = linearize_gold_tree(parse_serialized(text), spec)
-        if not doc.steps:
-            # single-leaf gold tree linearizes to zero steps; nothing to check
-            continue
-        forest = build_forest(doc, extract_document(doc, spec), spec).forest
-        if forest != (text,):
-            failures.append(
-                f"{grammar.pattern_id} tree {index} ({text}): rebuilt as {' '.join(forest)}"
-            )
+    for expansions in grammar.rule_graph.expansions:
+        for rule, _ in expansions:
+            component_of = {p: c for c in rule.children for p in c.pieces}
+            x = extract_pieces_rule_based(write_step(rule.children, spec), spec)
+            emitted, _ = apply_step(component_of, resolve_components(x, component_of), 0)
+            left_in = [component_of[p] for p in rule.parent.pieces]
+            if emitted != [rule] or any(c != rule.parent for c in left_in):
+                subtrees = ", ".join(str(st) for st in emitted)
+                pieces = " ".join(f"{p}={c}" for p, c in zip(rule.parent.pieces, left_in))
+                failures.append(
+                    f"{grammar.pattern_id} rule {rule}: emitted [{subtrees}], pieces in {pieces}"
+                )
     return failures
 
 
@@ -242,7 +250,13 @@ def correlate_scores(scores_rows, errors_rows, columns) -> list[dict]:
 
     ``scores_rows`` are scores-CSV rows; ``errors_rows`` carry ``doc_id`` and
     ``errors``; the join key is ``doc_id``, which neither input may repeat.
+    ``columns`` must name at least one column, none twice.
     """
+    if not columns:
+        raise ValueError("no columns to correlate")
+    for index, column in enumerate(columns):
+        if column in columns[:index]:
+            raise ValueError(f"column {column!r} named more than once")
     errors_by_doc = {
         doc_id: _number(row, "errors") for doc_id, row in _by_doc_id(errors_rows, "errors").items()
     }

@@ -26,6 +26,7 @@ from .labels import (
     PieceLabel,
     attachment_violations,
     child_order_key,
+    is_leaf,
     parse_node_label,
     parse_piece_label,
     split_counter,
@@ -270,7 +271,7 @@ def validate_grammar(g: GoldGrammar) -> list[str]:
     for label in sorted(mentioned, key=str):
         if label in expandable:
             continue
-        if len(label.pieces) == 1 and label.self_attach == 0 and label.pieces[0] in g.inventory:
+        if is_leaf(label) and label.pieces[0] in g.inventory:
             continue
         out.append(f"{label}: no rule expands this non-leaf label")
 
@@ -299,7 +300,7 @@ def count_derivations(g: GoldGrammar) -> dict[NodeLabel, int]:
         if expansions:
             counts.append(sum(math.prod(counts[c] for c in kids) for _, kids in expansions))
         else:
-            counts.append(1 if len(label.pieces) == 1 and label.self_attach == 0 else 0)
+            counts.append(1 if is_leaf(label) else 0)
     return {root: counts[p] for root, p in zip(g.roots, graph.roots)}
 
 

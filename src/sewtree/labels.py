@@ -201,6 +201,11 @@ class NodeLabel(_Frozen):
         return f"NodeLabel(pieces={self.pieces!r}, self_attach={self.self_attach!r})"
 
 
+def is_leaf(label: NodeLabel) -> bool:
+    """Whether ``label`` is a leaf label: one piece, counter 0."""
+    return len(label.pieces) == 1 and label.self_attach == 0
+
+
 def split_counter(text: str) -> tuple[str, int]:
     """``text`` split at its ``_n`` self-attachment suffix: the text before
     it and n, or ``text`` and 0 without one.  n is positive and written

@@ -18,6 +18,7 @@ from .labels import (
     PieceLabel,
     bump_self_attach,
     child_order_key,
+    is_leaf,
     merge_labels,
     parse_piece_label,
 )
@@ -332,22 +333,32 @@ def build_forest(
     return BuildReport(tuple(roots), tuple(trace), tuple(diagnostics))
 
 
+def _mention(label: NodeLabel, spec: PatternSpec) -> str:
+    piece = label.pieces[0]
+    name = spec.name_of(piece)
+    if is_leaf(label):
+        return f"{name} ({piece})"
+    return f"component containing the {name} ({piece})"
+
+
+def write_step(children: tuple[NodeLabel, ...], spec: PatternSpec) -> str:
+    """The templated step that sews a rule's one or two ``children`` into
+    its parent.
+
+    Each child is referred to by the name and label of its first piece;
+    resolution maps that piece back to the child's component while
+    rebuilding.  The text is a function of the children alone.
+    """
+    if len(children) == 2:
+        return f"Sew the {_mention(children[0], spec)} to the {_mention(children[1], spec)}."
+    return f"Sew the {_mention(children[0], spec)} to itself."
+
+
 def linearize_gold_tree(tree, spec: PatternSpec) -> InstructionDoc:
     """Emit templated steps, bottom-up, that rebuild exactly ``tree``, a
-    ``(root, children_of)`` pair.
-
-    Each component is referred to by the name and label of its first piece;
-    resolution maps that piece back to the component while rebuilding.
+    ``(root, children_of)`` pair: one :func:`write_step` per internal label.
     """
     root, children_of = tree
-
-    def mention(label: NodeLabel) -> str:
-        piece = label.pieces[0]
-        name = spec.name_of(piece)
-        if label not in children_of:
-            return f"{name} ({piece})"
-        return f"component containing the {name} ({piece})"
-
     # Parents before children, right before left: the reverse of the
     # children-first, left-to-right order the steps go in.
     internal: list[NodeLabel] = []
@@ -357,13 +368,7 @@ def linearize_gold_tree(tree, spec: PatternSpec) -> InstructionDoc:
         if label in children_of:
             internal.append(label)
             stack.extend(children_of[label])
-    steps: list[str] = []
-    for label in reversed(internal):
-        kids = children_of[label]
-        if len(kids) == 2:
-            steps.append(f"Sew the {mention(kids[0])} to the {mention(kids[1])}.")
-        else:
-            steps.append(f"Sew the {mention(kids[0])} to itself.")
+    steps = [write_step(children_of[label], spec) for label in reversed(internal)]
     doc_id = f"{spec.pattern_id}-{len(steps)}steps"
     return InstructionDoc(spec.pattern_id, doc_id, tuple(steps))
 

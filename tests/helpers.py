@@ -5,8 +5,9 @@ label-map code in ``sewtree`` is tested against; the per-step adapter
 extractor, the reference for the memoized one; the label formatter, the
 reference for the texts labels write once; BLEU and ROUGE-L computed
 afresh per call, the references for the metrics' prepared reference side;
-and the rule check on label sets, the reference for the grammar parser's
-piece masks."""
+the rule check on label sets, the reference for the grammar parser's
+piece masks; and the per-tree round-trip, the reference for the per-rule
+one."""
 
 import itertools
 import math
@@ -377,31 +378,54 @@ def check_grammar_properties(g: GoldGrammar, cap: int = 50_000) -> None:
     )
 
 
-def scored_roundtrip(grammar: GoldGrammar, cap: int = DEFAULT_CAP) -> list[str]:
-    """The round-trip that scores each rebuilt tree against the whole
-    grammar and then compares subtree sets: the oracle for
-    ``roundtrip_grammar``, whose failing tree indices it must match."""
+def tree_roundtrip(grammar: GoldGrammar, cap: int = DEFAULT_CAP) -> list[str]:
+    """Linearize every gold tree and rebuild it; returns a failure message
+    per failing tree.  A tree passes when the rebuilt forest is its own text
+    alone and the rebuilt subtrees score F1 = 1 against the grammar: the
+    per-tree oracle for ``roundtrip_grammar``'s per-rule verdict."""
     failures: list[str] = []
     spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
     for index, text in enumerate(enumerate_gold_trees(grammar, cap)):
-        tree = parse_serialized(text)
-        doc = linearize_gold_tree(tree, spec)
-        doc = InstructionDoc(doc.pattern_id, f"{doc.doc_id}-{index}", doc.steps)
+        doc = linearize_gold_tree(parse_serialized(text), spec)
         if not doc.steps:
+            # single-leaf gold tree linearizes to zero steps; nothing to check
             continue
-        extractions = extract_document(doc, spec)
-        predicted = build_forest(doc, extractions, spec).subtrees()
-        breakdown = grammar_score(predicted, grammar)
-        if breakdown.f1 != 1.0:
+        report = build_forest(doc, extract_document(doc, spec), spec)
+        if report.forest != (text,):
             failures.append(
-                f"{grammar.pattern_id} tree {index} ({text}): "
-                f"round-trip F1 {breakdown.f1:.4f}"
+                f"{grammar.pattern_id} tree {index} ({text}): rebuilt as {' '.join(report.forest)}"
             )
-        elif predicted != frozenset(subtrees_of(tree)):
-            failures.append(
-                f"{grammar.pattern_id} tree {index}: rebuilt subtree set differs"
-            )
+        elif grammar_score(report.subtrees(), grammar).f1 != 1.0:
+            failures.append(f"{grammar.pattern_id} tree {index} ({text}): round-trip F1 below 1")
     return failures
+
+
+def wide_grammar() -> tuple[str, AssemblyNode]:
+    """The text of grammar ``wide`` and one of its gold trees.  Five blocks
+    of four pieces, each block assembled in any of its 15 binary trees, then
+    the blocks joined in a fixed chain: 15**5 = 759,375 derivations, far
+    past the enumeration cap, from 129 rules."""
+    pieces = [chr(ord("A") + i) for i in range(20)]
+    blocks = [pieces[i:i + 4] for i in range(0, 20, 4)]
+    lines = ["pattern: wide", "pieces: " + " ".join(pieces), "roots: " + "".join(pieces)]
+    for block in blocks:
+        for size in (2, 3, 4):
+            for first, *others in itertools.combinations(block, size):
+                # every split of the subset into two parts, once each
+                for k in range(size - 1):
+                    for rest in itertools.combinations(others, k):
+                        right = "".join(p for p in others if p not in rest)
+                        lines.append(f"{first}{''.join(others)} -> {first}{''.join(rest)} {right}")
+    for i in range(1, len(blocks)):
+        joined = "".join(p for b in blocks[:i] for p in b)
+        lines.append(f"{joined}{''.join(blocks[i])} -> {joined} {''.join(blocks[i])}")
+    tree = None
+    for block in blocks:
+        sub = leaf(PieceLabel(block[0]))
+        for piece in block[1:]:
+            sub = binary(sub, leaf(PieceLabel(piece)))
+        tree = sub if tree is None else binary(tree, sub)
+    return "\n".join(lines) + "\n", tree
 
 
 def glue_subtrees(

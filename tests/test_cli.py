@@ -1,7 +1,7 @@
 import csv
-import itertools
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,18 +13,16 @@ from sewtree.adapter import MAX_TIMEOUT_S
 from sewtree.cli import main
 from sewtree.experiments import ErrorInjectionPlan, inject_errors, permute_doc
 from sewtree.grammar import DEFAULT_CAP, count_derivations, enumerate_gold_trees, parse_grammar
-from sewtree.labels import parse_piece_label
 from sewtree.pipeline import InstructionDoc, linearize_gold_tree, load_doc, load_spec, placeholder_spec
 from sewtree.tree import parse_serialized
 
 from conftest import FIXTURES, _AdapterHandler, load_grammar, posted_requests, wait_for_posts
 from helpers import (
     as_pair,
-    binary,
     gold_tree_oracle,
-    leaf,
     per_step_adapter_extractor,
     run_fresh,
+    wide_grammar,
 )
 
 
@@ -249,24 +247,7 @@ class TestScore:
         assert row["best_gold_tree"] == "(ABC_1 (AB_1 (AB A B)) C)"
 
     def test_grammar_past_enumeration_cap(self, tmp_path, capsys):
-        # Five blocks of four pieces, each block assembled in any of its 15
-        # binary trees, then the blocks joined in a fixed chain: 15**5
-        # derivations, far past the cap, from 129 rules.
-        pieces = [chr(ord("A") + i) for i in range(20)]
-        blocks = [pieces[i:i + 4] for i in range(0, 20, 4)]
-        lines = ["pattern: wide", "pieces: " + " ".join(pieces), "roots: " + "".join(pieces)]
-        for block in blocks:
-            for size in (2, 3, 4):
-                for first, *others in itertools.combinations(block, size):
-                    # every split of the subset into two parts, once each
-                    for k in range(size - 1):
-                        for rest in itertools.combinations(others, k):
-                            right = "".join(p for p in others if p not in rest)
-                            lines.append(f"{first}{''.join(others)} -> {first}{''.join(rest)} {right}")
-        for i in range(1, len(blocks)):
-            joined = "".join(p for b in blocks[:i] for p in b)
-            lines.append(f"{joined}{''.join(blocks[i])} -> {joined} {''.join(blocks[i])}")
-        text = "\n".join(lines) + "\n"
+        text, tree = wide_grammar()
         grammar = parse_grammar(text)
         assert sum(count_derivations(grammar).values()) == 15**5 > DEFAULT_CAP
 
@@ -275,12 +256,6 @@ class TestScore:
         (tmp_path / "grammars" / "wide.grammar").write_text(text)
         spec = placeholder_spec("wide", grammar.inventory)
         (tmp_path / "specs" / "wide.json").write_text(json.dumps(spec.to_json()))
-        tree = None
-        for block in blocks:
-            sub = leaf(parse_piece_label(block[0]))
-            for piece in block[1:]:
-                sub = binary(sub, leaf(parse_piece_label(piece)))
-            tree = sub if tree is None else binary(tree, sub)
         doc = linearize_gold_tree(as_pair(tree), spec)
         (tmp_path / "corpus" / "wide.json").write_text(json.dumps(doc.to_json()))
 
@@ -824,6 +799,30 @@ class TestCorrelateCli:
         bad, doc_id = (scores, "'d1'") if repeated == "scores" else (errors, "'a'")
         assert str(bad) in captured.err and doc_id in captured.err
 
+    @pytest.mark.parametrize(
+        "columns,message",
+        [
+            (",", "no columns to correlate"),
+            ("", "no columns to correlate"),
+            ("tree_f1,tree_f1", "column 'tree_f1' named more than once"),
+            ("tree_f1, bleu ,tree_f1", "column 'tree_f1' named more than once"),
+        ],
+        ids=["comma", "empty", "repeated", "repeated-apart"],
+    )
+    def test_no_column_or_a_repeated_one_is_rejected(self, tmp_path, capsys, columns, message):
+        scores = self.write_csv(tmp_path / "scores.csv", ["doc_id", "n_steps", "tree_f1", "bleu"],
+                                [[f"d{i}", 10, i / 4, i / 5] for i in range(5)])
+        errors = self.write_csv(tmp_path / "errors.csv", ["doc_id", "errors"],
+                                [[f"d{i}", i] for i in range(5)])
+        out = tmp_path / "r.csv"
+        code = run("correlate", "--scores", scores, "--errors", errors, "--columns", columns,
+                   "--out", out)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         errors = self.write_csv(tmp_path / "errors.csv", ["doc_id", "errors"], [["d0", 0]])
         assert run("correlate", "--scores", tmp_path / "absent.csv", "--errors", errors) == 2
@@ -866,15 +865,29 @@ class TestRoundtripCli:
         assert captured.out == ""
         assert captured.err == f"error: {bad}: {UNPARSABLE_MESSAGE}\n"
 
-    def test_grammar_over_the_cap_is_named(self, capsys):
-        grammars = FIXTURES / "grammars"
-        assert run("roundtrip", "--grammars", grammars, "--cap", "1") == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""  # jumpsuit sorts first, and derives 4 trees
-        assert captured.err == (
-            f"error: {grammars / 'jumpsuit.grammar'}: pattern 'jumpsuit': "
-            "grammar derives 4 trees, cap is 1\n"
-        )
+    def test_cap_option_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            run("roundtrip", "--grammars", FIXTURES / "grammars", "--cap", "1")
+        assert exc.value.code == 2
+
+    def test_grammar_past_enumeration_cap_passes(self, tmp_path, capsys):
+        grammars = tmp_path / "grammars"
+        grammars.mkdir()
+        (grammars / "wide.grammar").write_text(wide_grammar()[0])
+        assert run("roundtrip", "--grammars", grammars) == 0
+        assert capsys.readouterr().out == "wide: PASS\n"
+
+    def test_never_enumerates_or_parses_gold_trees(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("roundtrip enumerated or parsed gold trees")
+
+        # In every sewtree module that holds either name, imported or defined.
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "sewtree"]:
+            for name in ("enumerate_gold_trees", "parse_serialized"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert run("roundtrip", "--grammars", FIXTURES / "grammars") == 0
+        assert capsys.readouterr().out.count(": PASS\n") == 6
 
     def test_invalid_grammar_is_named(self, tmp_path, capsys):
         grammars = tmp_path / "grammars"

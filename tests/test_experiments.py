@@ -1,8 +1,7 @@
-import re
-
 import pytest
 
 import sewtree.experiments
+import sewtree.pipeline
 from sewtree.experiments import (
     ErrorInjectionPlan,
     RatingRecord,
@@ -98,59 +97,103 @@ class TestInjectErrors:
         assert bad_row["tree_f1"] < base_row["tree_f1"] == 1.0
 
 
-# Corruptions of a linearized document's steps (negative controls).
-MUTATIONS = {
-    "drop-first": lambda steps: steps[1:],
-    "drop-last": lambda steps: steps[:-1],
-    "swap-first-two": lambda steps: steps[1:2] + steps[:1] + steps[2:],
-    "duplicate-last": lambda steps: steps + steps[-1:],
+def patch_pipeline(monkeypatch, name: str, replacement) -> None:
+    """Replace ``sewtree.pipeline``'s function ``name`` in that module and
+    in ``sewtree.experiments``, which imported it."""
+    for module in (sewtree.pipeline, sewtree.experiments):
+        monkeypatch.setattr(module, name, replacement)
+
+
+def skip_unary_update(monkeypatch) -> None:
+    """``apply_step`` leaves the components as they were after a unary step."""
+    original = sewtree.pipeline.apply_step
+
+    def apply_step(component_of, resolved, step_index):
+        if len(resolved) == 1:
+            component_of = dict(component_of)
+        return original(component_of, resolved, step_index)
+
+    patch_pipeline(monkeypatch, "apply_step", apply_step)
+
+
+def drop_unary_subtree(monkeypatch) -> None:
+    """``apply_step`` updates the components after a unary step but emits
+    no subtree for it."""
+    original = sewtree.pipeline.apply_step
+
+    def apply_step(component_of, resolved, step_index):
+        subtrees, diagnostics = original(component_of, resolved, step_index)
+        return (subtrees if len(resolved) != 1 else []), diagnostics
+
+    patch_pipeline(monkeypatch, "apply_step", apply_step)
+
+
+def resolve_to_leaves(monkeypatch) -> None:
+    """``resolve_components`` ignores the components built so far."""
+    original = sewtree.pipeline.resolve_components
+    patch_pipeline(monkeypatch, "resolve_components", lambda x, component_of: original(x, {}))
+
+
+def repeat_first_child(monkeypatch) -> None:
+    """``write_step`` names a binary step's first child twice."""
+    original = sewtree.pipeline.write_step
+    patch_pipeline(
+        monkeypatch, "write_step", lambda children, spec: original(children[:1] * len(children), spec)
+    )
+
+
+# The pipeline broken by monkeypatch (negative controls).
+MUTANTS = {
+    "skip-unary-update": skip_unary_update,
+    "drop-unary-subtree": drop_unary_subtree,
+    "resolve-to-leaves": resolve_to_leaves,
+    "repeat-first-child": repeat_first_child,
 }
 
 
-def mutate_linearization(monkeypatch, mutate) -> None:
-    """Make the round-trip and its oracle rebuild ``mutate`` of each tree's
-    steps."""
-
-    def linearize(tree, spec):
-        doc = linearize_gold_tree(tree, spec)
-        return InstructionDoc(doc.pattern_id, doc.doc_id, tuple(mutate(list(doc.steps))))
-
-    monkeypatch.setattr(sewtree.experiments, "linearize_gold_tree", linearize)
-    monkeypatch.setattr(helpers, "linearize_gold_tree", linearize)
-
-
-def failed_trees(failures: list[str]) -> list[int]:
-    return [int(re.match(r"\S+ tree (\d+)", message).group(1)) for message in failures]
+@pytest.fixture(scope="module")
+def differential_grammars():
+    grammars = [load_grammar(name) for name in GRAMMAR_NAMES]
+    grammars.append(helpers.chain_grammar(1200))
+    grammars += [helpers.make_random_grammar(31, index) for index in range(100)]
+    return grammars
 
 
 class TestRoundtrip:
     @pytest.mark.parametrize("name", GRAMMAR_NAMES)
     def test_fixture_grammars_pass(self, name, monkeypatch):
-        # One text comparison per tree decides it; the grammar DP never runs.
+        # Each rule is checked on its own; the grammar DP never runs.
         def refuse(*args):
             raise AssertionError("roundtrip called grammar_score")
 
         monkeypatch.setattr(sewtree.experiments, "grammar_score", refuse)
         assert roundtrip_grammar(load_grammar(name)) == []
 
-    def test_failure_names_gold_text_and_rebuilt_forest(self, skirt_grammar, monkeypatch):
-        mutate_linearization(monkeypatch, MUTATIONS["drop-first"])
+    def test_failure_names_rule_emitted_subtrees_and_components(self, skirt_grammar, monkeypatch):
+        repeat_first_child(monkeypatch)
         assert roundtrip_grammar(skirt_grammar) == [
-            "skirt tree 0 ((ABC_1 (AB_1 (AB A B)) C)): rebuilt as (AC_1 (A_1 A) C) B"
+            "skirt rule AB -> A B: emitted [A_1 -> A], pieces in A=A_1 B=B",
+            "skirt rule ABC_1 -> AB_1 C: emitted [AB_2 -> AB_1], pieces in A=AB_2 B=AB_2 C=C",
         ]
 
-    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
-    def test_fails_the_trees_the_scored_oracle_fails(self, mutation, monkeypatch):
-        mutate_linearization(monkeypatch, MUTATIONS[mutation])
-        grammars = [load_grammar(name) for name in GRAMMAR_NAMES]
-        grammars.append(helpers.chain_grammar(1200))
-        grammars += [helpers.make_random_grammar(31, index) for index in range(100)]
-        failing = 0
-        for grammar in grammars:
-            expected = failed_trees(helpers.scored_roundtrip(grammar, cap=50_000))
-            assert failed_trees(roundtrip_grammar(grammar, cap=50_000)) == expected, grammar.pattern_id
-            failing += bool(expected)
-        assert failing > len(grammars) // 2
+    def test_unary_failure_names_the_stale_components(self, skirt_grammar, monkeypatch):
+        skip_unary_update(monkeypatch)
+        assert roundtrip_grammar(skirt_grammar) == [
+            "skirt rule AB_1 -> AB: emitted [AB_1 -> AB], pieces in A=AB B=AB"
+        ]
+
+    @pytest.mark.parametrize("mutant", [None, *MUTANTS])
+    def test_verdict_matches_per_tree_oracle(self, mutant, differential_grammars, monkeypatch):
+        if mutant is not None:
+            MUTANTS[mutant](monkeypatch)
+        expected = [bool(helpers.tree_roundtrip(g, cap=50_000)) for g in differential_grammars]
+        verdicts = [bool(roundtrip_grammar(g)) for g in differential_grammars]
+        ids = [g.pattern_id for g in differential_grammars]
+        assert list(zip(ids, verdicts)) == list(zip(ids, expected))
+        if mutant is None:
+            assert not any(expected)
+        else:
+            assert sum(expected) > len(differential_grammars) // 2
 
 
 class TestAggregateRatings:

@@ -15,6 +15,7 @@ from sewtree.labels import (
     NodeLabel,
     PieceLabel,
     bump_self_attach,
+    is_leaf,
     merge_labels,
     parse_node_label,
     parse_piece_label,
@@ -118,6 +119,10 @@ class TestNodeLabel:
         # AB_0 would otherwise be the label written AB, AB_01 the one written AB_1.
         with pytest.raises(LabelError):
             N(bad)
+
+    @pytest.mark.parametrize("text,leaf", [("A", True), ("D12", True), ("A_1", False), ("AB", False)])
+    def test_is_leaf_is_one_piece_with_counter_zero(self, text, leaf):
+        assert is_leaf(N(text)) is leaf
 
     def test_format_omits_zero_counter(self):
         assert str(N("AB")) == "AB"

@@ -46,7 +46,7 @@ def test_random_grammar_properties(index):
 @pytest.mark.parametrize("index", range(25))
 def test_random_grammar_roundtrip(index):
     grammar = make_random_grammar(77, index)
-    assert roundtrip_grammar(grammar, cap=50_000) == []
+    assert roundtrip_grammar(grammar) == []
 
 
 @pytest.mark.parametrize("index", range(25))
