@@ -13,6 +13,7 @@ as the rule-based extractor guarantees.
 from __future__ import annotations
 
 import json
+import re
 
 from .labels import LabelError, parse_piece_label
 from .pipeline import PatternSpec, StepExtraction, extract_once_per_run, extract_pieces_rule_based
@@ -39,14 +40,102 @@ class AdapterConfig:
             raise ValueError(f"adapter retries must be >= 0, got {retries}")
         from urllib.parse import urlsplit
 
-        # urlopen would also read file: and ftp: URLs; only HTTP is a backend.
-        parts = urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError(f"adapter url is not an http(s) URL with a host: {url!r}")
+        # Only HTTP is a backend.  The URL goes into the request line and the
+        # Host header as it is, so it must be printable ASCII without spaces,
+        # and user info would be dropped without a word.
+        try:
+            parts = urlsplit(url)
+            parts.port  # raises ValueError unless an integer in 0-65535
+            valid = (
+                parts.scheme in ("http", "https")
+                and bool(parts.hostname)
+                and "@" not in parts.netloc
+                and url.isascii()
+                and url.isprintable()
+                and " " not in url
+            )
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ValueError(
+                "adapter url is not an http(s) URL with a host, a port in 0-65535, "
+                f"no user info and no spaces or control characters: {url!r}"
+            )
         self.url = url
+        self.parts = parts
         self.timeout = timeout
         self.retries = retries
         self.fallback_to_rules = fallback_to_rules
+
+
+# Longest reply head (status line and headers) read before giving up.
+MAX_HEAD_BYTES = 65536
+
+# Matched through re's cache, so only an adapter run compiles it.
+_STATUS_2XX = rb"HTTP/1\.\d 2\d\d(?: |$)"
+
+
+def _post(endpoint: AdapterConfig, body: bytes) -> bytes:
+    """POST ``body`` as JSON over one HTTP/1.0 connection (RFC 1945) and
+    return the reply body.
+
+    A 1.0 client gets no chunked reply, and the server closes the connection
+    after it, so the body ends at ``Content-Length`` or else at EOF.  Any
+    other reply (not 2xx, cut short, with a ``Transfer-Encoding``) raises
+    ``ValueError``; a transport failure raises ``OSError``.
+    """
+    # Imported here, not at module load: only an adapter run needs them.
+    import socket
+
+    parts = endpoint.parts
+    https = parts.scheme == "https"
+    port = parts.port if parts.port is not None else 443 if https else 80
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    head = (
+        f"POST {target} HTTP/1.0\r\nHost: {parts.netloc}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+    )
+    sock = socket.create_connection((parts.hostname, port), endpoint.timeout)
+    try:
+        if https:
+            import ssl
+
+            # Verifies the certificate and host name, as urlopen does.
+            sock = ssl.create_default_context().wrap_socket(sock, server_hostname=parts.hostname)
+        sock.sendall(head.encode("ascii") + body)
+        reply = b""
+        while (end := reply.find(b"\r\n\r\n")) < 0:
+            if len(reply) > MAX_HEAD_BYTES:
+                raise ValueError(f"reply head longer than {MAX_HEAD_BYTES} bytes")
+            chunk = sock.recv(65536)
+            if not chunk:
+                raise ValueError(f"reply ends before the end of its headers: {reply[:80]!r}")
+            reply += chunk
+        status, *fields = reply[:end].split(b"\r\n")
+        if not re.match(_STATUS_2XX, status):
+            raise ValueError(f"backend replied {status.decode('latin-1')!r}")
+        length = None
+        for field in fields:
+            name, _, value = field.partition(b":")
+            name = name.strip().lower()
+            if name == b"transfer-encoding":
+                raise ValueError(f"reply has a transfer coding: {field!r}")
+            if name == b"content-length":
+                value = value.strip()
+                if not value.isdigit() or length not in (None, int(value)):
+                    raise ValueError(f"reply has a bad Content-Length: {field!r}")
+                length = int(value)
+        data = bytearray(reply[end + 4 :])
+        while length is None or len(data) < length:
+            chunk = sock.recv(65536)
+            if not chunk:
+                if length is None:
+                    break
+                raise ValueError(f"reply body ends after {len(data)} of {length} bytes")
+            data += chunk
+        return bytes(data[:length])
+    finally:
+        sock.close()
 
 
 def extract_via_adapter(
@@ -58,23 +147,15 @@ def extract_via_adapter(
     either fails the document or, with ``fallback_to_rules``, degrades to the
     rule-based extractor with a diagnostic marker.
     """
-    # Imported here, not at module load: only an adapter run needs the HTTP
-    # stack (with email and ssl, a large share of importing sewtree.cli).
-    import http.client
-    import urllib.request
-
     inventory = sorted(spec.inventory)
     payload = {"step": step, "inventory": [str(p) for p in inventory]}
     body = json.dumps(payload).encode()
     last_error: Exception | None = None
     for _ in range(endpoint.retries + 1):
         try:
-            request = urllib.request.Request(endpoint.url, body, {"Content-Type": "application/json"})
-            # urlopen raises HTTPError (an OSError) on any non-2xx status.
-            with urllib.request.urlopen(request, timeout=endpoint.timeout) as response:
-                data = json.loads(response.read())
+            data = json.loads(_post(endpoint, body))
             break
-        except (OSError, http.client.HTTPException, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             last_error = exc
     else:
         if endpoint.fallback_to_rules:

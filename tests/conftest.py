@@ -1,4 +1,5 @@
 import json
+import socketserver
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -106,5 +107,66 @@ def adapter_server():
     with _AdapterHandler.lock:
         _AdapterHandler.bodies.clear()
     yield f"http://127.0.0.1:{server.server_address[1]}/extract"
+    server.shutdown()
+    server.server_close()
+
+
+class _ScriptedHandler(socketserver.BaseRequestHandler):
+    """Reads one whole request, logs it and answers with the server's next
+    scripted reply, byte for byte."""
+
+    def handle(self):
+        request = b""
+        while b"\r\n\r\n" not in request:
+            chunk = self.request.recv(65536)
+            if not chunk:
+                return
+            request += chunk
+        head, _, body = request.partition(b"\r\n\r\n")
+        length = next(
+            int(line.split(b":", 1)[1])
+            for line in head.split(b"\r\n")
+            if line.lower().startswith(b"content-length:")
+        )
+        while len(body) < length and (chunk := self.request.recv(65536)):
+            body += chunk
+        server = self.server
+        with server.lock:
+            server.requests.append(head + b"\r\n\r\n" + body)
+            # The last reply answers every request after it.
+            reply = server.replies.pop(0) if len(server.replies) > 1 else server.replies[0]
+        self.request.sendall(reply)
+        if server.hold_open:
+            server.released.wait(10.0)
+
+
+class ScriptedServer(socketserver.ThreadingTCPServer):
+    """A raw-socket backend: the n-th connection gets ``replies[n]`` (the
+    last one from then on) and, with ``hold_open``, is kept open until the
+    test ends.  ``requests`` holds every request read, head and body."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _ScriptedHandler)
+        self.replies: list[bytes] = []
+        self.hold_open = False
+        self.requests: list[bytes] = []
+        self.lock = threading.Lock()
+        self.released = threading.Event()
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.server_address[1]}/extract"
+
+
+@pytest.fixture()
+def scripted_server():
+    """A fresh :class:`ScriptedServer`; set its ``replies`` before posting."""
+    server = ScriptedServer()
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.released.set()
     server.shutdown()
     server.server_close()

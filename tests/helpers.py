@@ -2,12 +2,13 @@
 node-tree oracles: ``AssemblyNode`` trees with their validator, parser,
 serializer, generator and linearization, the references that the
 label-map code in ``sewtree`` is tested against; the per-step adapter
-extractor, the reference for the memoized one; the label formatter, the
-reference for the texts labels write once; BLEU and ROUGE-L computed
-afresh per call, the references for the metrics' prepared reference side;
-the rule check on label sets, the reference for the grammar parser's
-piece masks; and the per-tree round-trip, the reference for the per-rule
-one."""
+extractor, the reference for the memoized one; the ``urllib.request``
+post, the reference for the adapter's HTTP/1.0 client; the label
+formatter, the reference for the texts labels write once; BLEU and
+ROUGE-L computed afresh per call, the references for the metrics'
+prepared reference side; the rule check on label sets, the reference for
+the grammar parser's piece masks; and the per-tree round-trip, the
+reference for the per-rule one."""
 
 import itertools
 import math
@@ -477,6 +478,17 @@ def per_step_adapter_extractor(endpoint):
         return extract_via_adapter(step, spec, endpoint, step_index=step_index)
 
     return extractor
+
+
+def urllib_post(endpoint, body: bytes) -> bytes:
+    """POST ``body`` through ``urllib.request``, the transport that
+    ``adapter._post`` replaced: the reference for its requests and replies
+    on a backend that answers."""
+    import urllib.request
+
+    request = urllib.request.Request(endpoint.url, body, {"Content-Type": "application/json"})
+    with urllib.request.urlopen(request, timeout=endpoint.timeout) as response:
+        return response.read()
 
 
 def label_text(value) -> str:

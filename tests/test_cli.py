@@ -2,10 +2,12 @@ import csv
 import json
 import shutil
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import sewtree.adapter
 import sewtree.cli
 import sewtree.grammar
 import sewtree.tree
@@ -22,6 +24,7 @@ from helpers import (
     gold_tree_oracle,
     per_step_adapter_extractor,
     run_fresh,
+    urllib_post,
     wide_grammar,
 )
 
@@ -527,18 +530,24 @@ class TestAdapterOptions:
 
     @pytest.mark.parametrize("fallback", [(), ("--adapter-fallback",)], ids=["strict", "fallback"])
     def test_non_http_url_writes_nothing(self, workspace, capsys, fallback):
-        code = run(
-            "score",
-            "--corpus", workspace["corpus"],
-            "--grammars", workspace["grammars"],
-            "--specs", workspace["specs"],
-            "--out", workspace["out"],
-            "--extractor", "adapter", "--adapter-url", "file:///dev/null", *fallback,
-        )
-        assert code == 1
-        out, err = capsys.readouterr()
-        assert err.startswith("error: ") and "not an http(s) URL" in err
-        assert out == "" and not workspace["out"].exists()
+        for url in [
+            "file:///dev/null",
+            "http://127.0.0.1:abc/x",
+            "http://127.0.0.1:99999/x",
+            "http://u:p@127.0.0.1/x",
+        ]:
+            code = run(
+                "score",
+                "--corpus", workspace["corpus"],
+                "--grammars", workspace["grammars"],
+                "--specs", workspace["specs"],
+                "--out", workspace["out"],
+                "--extractor", "adapter", "--adapter-url", url, *fallback,
+            )
+            assert code == 1, url
+            out, err = capsys.readouterr()
+            assert err.startswith("error: ") and "not an http(s) URL" in err
+            assert out == "" and not workspace["out"].exists()
 
 
 def write_repeating_corpus(corpus: Path) -> int:
@@ -562,39 +571,43 @@ def write_repeating_corpus(corpus: Path) -> int:
     return sum(len(doc.steps) for doc in docs)
 
 
+STEP = "Sew the Over Skirt (A) to the Under Skirt (B)."
+
+
+def build_with_adapter(tmp_path: Path, steps: list[str], url: str, *options) -> int:
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"pattern_id": "skirt", "doc_id": "doc", "steps": steps}))
+    return run(
+        "build",
+        "--doc", doc,
+        "--spec", FIXTURES / "specs" / "skirt.json",
+        "--extractor", "adapter", "--adapter-url", url, *options,
+    )
+
+
+def score_with_adapter(corpus: Path, out: Path, url: str, capsys) -> dict[str, bytes]:
+    """``score`` of ``corpus`` through the backend at ``url``: every output
+    file's bytes by its path under ``out``."""
+    code = run(
+        "score",
+        "--corpus", corpus,
+        "--grammars", FIXTURES / "grammars",
+        "--specs", FIXTURES / "specs",
+        "--out", out,
+        "--extractor", "adapter", "--adapter-url", url,
+    )
+    assert code == 0, capsys.readouterr().err
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
 class TestAdapterMemo:
-    STEP = "Sew the Over Skirt (A) to the Under Skirt (B)."
-
-    def build(self, tmp_path: Path, steps: list[str], url: str, *options) -> int:
-        doc = tmp_path / "doc.json"
-        doc.write_text(json.dumps({"pattern_id": "skirt", "doc_id": "doc", "steps": steps}))
-        return run(
-            "build",
-            "--doc", doc,
-            "--spec", FIXTURES / "specs" / "skirt.json",
-            "--extractor", "adapter", "--adapter-url", url, *options,
-        )
-
     def test_outputs_match_one_request_per_step(self, tmp_path, adapter_server, monkeypatch, capsys):
         corpus = tmp_path / "corpus"
         n_steps = write_repeating_corpus(corpus)
-
-        def score(out: Path) -> dict[str, bytes]:
-            code = run(
-                "score",
-                "--corpus", corpus,
-                "--grammars", FIXTURES / "grammars",
-                "--specs", FIXTURES / "specs",
-                "--out", out,
-                "--extractor", "adapter", "--adapter-url", adapter_server,
-            )
-            assert code == 0, capsys.readouterr().err
-            return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
-
-        memoized = score(tmp_path / "memo")
+        memoized = score_with_adapter(corpus, tmp_path / "memo", adapter_server, capsys)
         posted = posted_requests()
         monkeypatch.setattr(sewtree.cli, "make_adapter_extractor", per_step_adapter_extractor)
-        reference = score(tmp_path / "reference")
+        reference = score_with_adapter(corpus, tmp_path / "reference", adapter_server, capsys)
 
         assert memoized == reference
         assert len(reference) == 1 + len(list(corpus.iterdir()))
@@ -604,8 +617,8 @@ class TestAdapterMemo:
         assert set(posted) == set(per_step)
 
     def test_repeated_step_keeps_its_own_step_index(self, tmp_path, adapter_server, capsys):
-        steps = [self.STEP, "Sew the Waistband (C) to the Over Skirt (A).", self.STEP]
-        assert self.build(tmp_path, steps, adapter_server) == 0
+        steps = [STEP, "Sew the Waistband (C) to the Over Skirt (A).", STEP]
+        assert build_with_adapter(tmp_path, steps, adapter_server) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["subtree_trace"] == [
             [0, "AB -> A B"],
@@ -616,22 +629,127 @@ class TestAdapterMemo:
 
     def test_timed_out_step_is_posted_again_under_fallback(self, tmp_path, adapter_server, capsys):
         _AdapterHandler.behavior = "slow"
-        code = self.build(
-            tmp_path, [self.STEP, self.STEP], adapter_server,
+        code = build_with_adapter(
+            tmp_path, [STEP, STEP], adapter_server,
             "--adapter-fallback", "--adapter-timeout", "0.1", "--adapter-retries", "0",
         )
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert [d[:2] for d in report["diagnostics"]] == [[0, "adapter-fallback"], [1, "adapter-fallback"]]
-        assert wait_for_posts(2) == [(self.STEP, ("A", "B", "C"))] * 2
+        assert wait_for_posts(2) == [(STEP, ("A", "B", "C"))] * 2
 
     def test_malformed_reply_exits_1_on_first_occurrence(self, tmp_path, adapter_server, capsys):
         _AdapterHandler.behavior = "bad-label"
-        assert self.build(tmp_path, [self.STEP, self.STEP], adapter_server) == 1
+        assert build_with_adapter(tmp_path, [STEP, STEP], adapter_server) == 1
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and "not in the inventory" in err
         assert out == ""
         assert len(posted_requests()) == 1
+
+
+def http_reply(status: bytes, *headers: bytes, body: bytes = b"") -> bytes:
+    return b"\r\n".join([b"HTTP/1.0 " + status, *headers, b"", body])
+
+
+AB_BODY = b'{"pieces": ["A", "B"]}'
+AB_REPLY = http_reply(b"200 OK", b"Content-Length: %d" % len(AB_BODY), body=AB_BODY)
+FALLBACK = [(), ("--adapter-fallback",)]
+
+
+def assert_failed_attempt(code: int, capsys, fallback, reason: str = "") -> None:
+    """The step's only attempt failed: exit 1 with ``reason`` in the
+    message, or a fallback diagnostic."""
+    out, err = capsys.readouterr()
+    if fallback:
+        assert code == 0, err
+        assert [d[:2] for d in json.loads(out)["diagnostics"]] == [[0, "adapter-fallback"]]
+    else:
+        assert code == 1
+        assert err.startswith("error: extraction backend unreachable") and reason in err
+        assert out == ""
+
+
+class TestAdapterTransport:
+    """The HTTP/1.0 client against the ``urllib.request`` transport it
+    replaced, and against a backend that replies with given bytes."""
+
+    def test_outputs_and_requests_match_urllib(self, tmp_path, adapter_server, monkeypatch, capsys):
+        corpus = tmp_path / "corpus"
+        write_repeating_corpus(corpus)
+        raw = score_with_adapter(corpus, tmp_path / "raw", adapter_server, capsys)
+        posted = posted_requests()
+        monkeypatch.setattr(sewtree.adapter, "_post", urllib_post)
+        reference = score_with_adapter(corpus, tmp_path / "reference", adapter_server, capsys)
+        assert raw == reference
+        assert posted_requests()[len(posted):] == posted
+
+    @pytest.mark.parametrize(
+        "replies,options",
+        [
+            (
+                [http_reply(b"503 Service Unavailable", b"Content-Length: 0"), AB_REPLY],
+                ("--adapter-retries", "1"),
+            ),
+            ([http_reply(b"200 OK", body=AB_BODY)], ()),
+        ],
+        ids=["503-then-200", "200-to-eof"],
+    )
+    def test_reply_is_read(self, tmp_path, scripted_server, capsys, replies, options):
+        scripted_server.replies = list(replies)
+        assert build_with_adapter(tmp_path, [STEP], scripted_server.url, *options) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["subtree_trace"] == [[0, "AB -> A B"]] and report["diagnostics"] == []
+        assert len(scripted_server.requests) == len(replies)
+        head = scripted_server.requests[0].split(b"\r\n\r\n")[0].split(b"\r\n")
+        assert head[0] == b"POST /extract HTTP/1.0"
+        assert b"Content-Type: application/json" in head[1:]
+
+    @pytest.mark.parametrize("fallback", FALLBACK, ids=["strict", "fallback"])
+    @pytest.mark.parametrize(
+        "reply,reason",
+        [
+            (http_reply(b"302 Found", b"Location: /elsewhere", b"Content-Length: 0"), "302 Found"),
+            (http_reply(b"200 OK", b"Content-Length: 40", body=AB_BODY), "22 of 40 bytes"),
+            (
+                http_reply(
+                    b"200 OK",
+                    b"Transfer-Encoding: chunked",
+                    body=b"16\r\n" + AB_BODY + b"\r\n0\r\n\r\n",
+                ),
+                "transfer coding",
+            ),
+            (http_reply(b"200 OK", b"Content-Length: -1", body=AB_BODY), "bad Content-Length"),
+            (b"HTTP/1.0 200 OK\r\nContent-Length: 22\r\n", "before the end of its headers"),
+        ],
+        ids=["redirect", "short-body", "chunked", "bad-length", "no-blank-line"],
+    )
+    def test_bad_reply_is_a_failed_attempt(
+        self, tmp_path, scripted_server, capsys, reply, reason, fallback
+    ):
+        scripted_server.replies = [reply]
+        code = build_with_adapter(
+            tmp_path, [STEP], scripted_server.url, "--adapter-retries", "0", *fallback
+        )
+        assert_failed_attempt(code, capsys, fallback, reason)
+        assert len(scripted_server.requests) == 1
+
+    @pytest.mark.parametrize("fallback", FALLBACK, ids=["strict", "fallback"])
+    def test_https_to_plain_http_is_a_failed_attempt(
+        self, tmp_path, adapter_server, capsys, fallback
+    ):
+        url = adapter_server.replace("http://", "https://", 1)
+        code = build_with_adapter(
+            tmp_path, [STEP], url, "--adapter-retries", "0", "--adapter-timeout", "1", *fallback
+        )
+        assert_failed_attempt(code, capsys, fallback)
+
+    def test_reply_with_length_ends_before_the_connection(self, tmp_path, scripted_server, capsys):
+        scripted_server.replies = [AB_REPLY]
+        scripted_server.hold_open = True
+        start = time.monotonic()
+        code = build_with_adapter(tmp_path, [STEP], scripted_server.url, "--adapter-timeout", "5")
+        assert code == 0, capsys.readouterr().err
+        assert time.monotonic() - start < 2.5
 
 
 class TestRuleBasedMemo:
@@ -1032,12 +1150,28 @@ def test_import_loads_no_third_party_modules():
         loaded = set(proc.stdout.split())
         assert "sewtree.cli" in loaded
         assert loaded.isdisjoint({"scipy", "numpy", "requests", "urllib3"})
-        # Only an adapter run needs the HTTP stack.
-        assert loaded.isdisjoint({"http.client", "urllib.request", "email", "ssl"})
+        # Only an adapter run needs a socket.
+        assert loaded.isdisjoint({"socket", "http.client", "urllib.request", "email", "ssl"})
         assert loaded.isdisjoint(SLOW_STDLIB_MODULES), flags
         if flags:
             # Without site, no .pth file has loaded typing before sewtree does.
             assert "typing" not in loaded
+
+
+def test_adapter_run_loads_no_http_stack(adapter_server):
+    proc = run_fresh(
+        "-c",
+        "import sys; from sewtree.cli import main; code = main(sys.argv[1:]); "
+        "print(' '.join(sorted(sys.modules)), file=sys.stderr); sys.exit(code)",
+        "build",
+        "--doc", str(FIXTURES / "docs" / "skirt-demo.json"),
+        "--spec", str(FIXTURES / "specs" / "skirt.json"),
+        "--extractor", "adapter", "--adapter-url", adapter_server,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert "socket" in loaded
+    assert loaded.isdisjoint({"http.client", "urllib.request", "email", "ssl"})
 
 
 @pytest.mark.parametrize(

@@ -419,7 +419,21 @@ class TestAdapter:
             extract_via_adapter("Sew (A).", skirt_spec, config)
 
     @pytest.mark.parametrize(
-        "url", ["file:", "file:///dev/null", "htp://x", "http://", "https:///extract", "ftp://host/x"]
+        "url",
+        [
+            "file:",
+            "file:///dev/null",
+            "htp://x",
+            "http://",
+            "https:///extract",
+            "ftp://host/x",
+            "http://127.0.0.1:abc/x",
+            "http://127.0.0.1:99999/x",
+            "http://u:p@127.0.0.1/x",
+            "http://127.0.0.1/a b",
+            "http://127.0.0.1/a\x01b",
+            "http://bücher.example/x",
+        ],
     )
     def test_non_http_url_is_refused_at_construction(self, url):
         with pytest.raises(ValueError, match=r"not an http\(s\) URL"):
