@@ -138,9 +138,7 @@ def _post(endpoint: AdapterConfig, body: bytes) -> bytes:
         sock.close()
 
 
-def extract_via_adapter(
-    step: str, spec: PatternSpec, endpoint: AdapterConfig, step_index: int = 0
-) -> StepExtraction:
+def extract_via_adapter(step: str, spec: PatternSpec, endpoint: AdapterConfig) -> StepExtraction:
     """Extract pieces for one step through the HTTP backend.
 
     Transport failures are retried ``retries`` times; after that the step
@@ -159,10 +157,8 @@ def extract_via_adapter(
             last_error = exc
     else:
         if endpoint.fallback_to_rules:
-            rule = extract_pieces_rule_based(step, spec, step_index=step_index)
-            return StepExtraction(
-                step_index, rule.mentions, rule.unknown, rule.dropped, source="fallback"
-            )
+            rule = extract_pieces_rule_based(step, spec)
+            return StepExtraction(rule.mentions, rule.unknown, rule.dropped, source="fallback")
         raise AdapterError(f"extraction backend unreachable: {last_error}") from last_error
 
     raw = data.get("pieces") if isinstance(data, dict) else None
@@ -178,19 +174,19 @@ def extract_via_adapter(
             raise AdapterError(f"backend returned {token!r}, not in the inventory")
         if piece not in mentions:
             mentions.append(piece)
-    return StepExtraction(step_index, tuple(mentions), source="adapter")
+    return StepExtraction(tuple(mentions), source="adapter")
 
 
 def make_adapter_extractor(endpoint: AdapterConfig):
-    """An extractor callable with the same signature as the rule-based one,
-    built on :func:`~sewtree.pipeline.extract_once_per_run`: each distinct
-    request (step text and inventory) is posted once per run and a repeat
-    is answered from the validated reply with its own ``step_index``.  A
-    fallback is not kept, so the next occurrence of that step asks the
-    backend again.
+    """An extractor ``(step, spec) -> StepExtraction``, like the rule-based
+    one, built on :func:`~sewtree.pipeline.extract_once_per_run`: each
+    distinct request (step text and inventory) is posted once per run and
+    every repeat gets the one extraction made from the validated reply,
+    shared, so it must not be mutated.  A fallback is not kept, so the next
+    occurrence of that step asks the backend again.
     """
 
-    def extract(step: str, spec: PatternSpec, step_index: int = 0) -> StepExtraction:
-        return extract_via_adapter(step, spec, endpoint, step_index=step_index)
+    def extract(step: str, spec: PatternSpec) -> StepExtraction:
+        return extract_via_adapter(step, spec, endpoint)
 
     return extract_once_per_run(extract)

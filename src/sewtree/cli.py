@@ -162,17 +162,28 @@ def cmd_validate_grammar(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_extract(args) -> int:
+def _load_doc_and_spec(args):
+    """The ``--doc`` and ``--spec`` of a one-document command; a document
+    for another pattern than the spec's is a ``ConfigError``."""
     doc = load_doc(args.doc)
     spec = load_spec(args.spec)
+    if doc.pattern_id != spec.pattern_id:
+        raise ConfigError(
+            f"document {doc.doc_id} is for pattern {doc.pattern_id!r}, "
+            f"but {args.spec} is the spec of pattern {spec.pattern_id!r}"
+        )
+    return doc, spec
+
+
+def cmd_extract(args) -> int:
+    doc, spec = _load_doc_and_spec(args)
     extractions = extract_document(doc, spec, _make_extractor(args))
     _write_json(extractions_to_json(doc, extractions), args.out)
     return 0
 
 
 def cmd_build(args) -> int:
-    doc = load_doc(args.doc)
-    spec = load_spec(args.spec)
+    doc, spec = _load_doc_and_spec(args)
     extractions = extract_document(doc, spec, _make_extractor(args))
     report = build_forest(doc, extractions, spec)
     _write_json({"doc_id": doc.doc_id, **report.to_json()}, args.out)
@@ -242,8 +253,7 @@ def cmd_permute(args) -> int:
 
 
 def cmd_inject_errors(args) -> int:
-    doc = load_doc(args.doc)
-    spec = load_spec(args.spec)
+    doc, spec = _load_doc_and_spec(args)
     plan = ErrorInjectionPlan(args.swap, args.drop, args.wrong_piece)
     corrupted, applied = inject_errors(doc, plan, args.seed, spec)
     _write_json(corrupted.to_json(), args.out)

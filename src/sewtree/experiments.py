@@ -7,7 +7,7 @@ import math
 from collections.abc import Sequence
 
 from .grammar import GoldGrammar, check_grammar
-from .labels import LabelError, PieceLabel, parse_piece_label
+from .labels import PieceLabel
 from .metrics import (
     bleu,
     grammar_score,
@@ -16,7 +16,6 @@ from .metrics import (
     tree_score,
 )
 from .pipeline import (
-    _MENTION_RE,
     BuildReport,
     InstructionDoc,
     PatternSpec,
@@ -24,6 +23,7 @@ from .pipeline import (
     build_forest,
     extract_document,
     extract_pieces_rule_based,
+    piece_mentions,
     placeholder_spec,
     resolve_components,
     write_step,
@@ -136,11 +136,7 @@ def inject_errors(
     for _ in range(plan.wrong_piece):
         sites: list[tuple[int, int, int, PieceLabel]] = []
         for step_index, step in enumerate(steps):
-            for m in _MENTION_RE.finditer(step):
-                try:
-                    piece = parse_piece_label(m.group(1))
-                except LabelError:
-                    continue
+            for piece, m in piece_mentions(step):
                 if piece in spec.inventory:
                     sites.append((step_index, m.start(), m.end(), piece))
         if not sites:
@@ -174,7 +170,7 @@ def roundtrip_grammar(grammar: GoldGrammar) -> list[str]:
         for rule, _ in expansions:
             component_of = {p: c for c in rule.children for p in c.pieces}
             x = extract_pieces_rule_based(write_step(rule.children, spec), spec)
-            emitted, _ = apply_step(component_of, resolve_components(x, component_of), 0)
+            emitted = apply_step(component_of, resolve_components(x.mentions, component_of))
             left_in = [component_of[p] for p in rule.parent.pieces]
             if emitted != [rule] or any(c != rule.parent for c in left_in):
                 subtrees = ", ".join(str(st) for st in emitted)

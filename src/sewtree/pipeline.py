@@ -1,10 +1,18 @@
 """Instruction ingestion: piece extraction, resolution, and forest building.
 
-Walks a document step by step, mapping mentioned pieces to the intermediate
-component currently containing them, and folds each step into a growing
-forest: two resolved components merge, one resolved component self-attaches,
-none leaves the state untouched.  The forest is written as text, each tree
-in canonical bracket form, from the depth-1 subtrees the steps emit.
+An extractor is a callable ``(step, spec) -> StepExtraction``: a function
+of the step's text and the pattern's inventory alone, never of where the
+step stands in its document.  :func:`extract_once_per_run` therefore
+answers every repeat of a step with the one extraction it kept, so an
+extraction is shared and must not be mutated.
+
+:func:`build_forest` walks a document's extractions in order, mapping
+mentioned pieces to the intermediate component currently containing them,
+and folds each step into a growing forest: two resolved components merge,
+one resolved component self-attaches, none leaves the state untouched.  It
+alone numbers the steps, and writes every diagnostic and trace entry from
+that position.  The forest is written as text, each tree in canonical
+bracket form, from the depth-1 subtrees the steps emit.
 """
 
 from __future__ import annotations
@@ -55,7 +63,11 @@ class PatternSpec:
     @classmethod
     def from_json(cls, data: dict) -> "PatternSpec":
         pattern_id = _field(data, "pattern_id", str)
-        pieces = {parse_piece_label(k): v for k, v in _field(data, "pieces", dict).items()}
+        pieces = {}
+        for key, name in _field(data, "pieces", dict).items():
+            if not isinstance(name, str):
+                raise ValueError(f"piece {key!r}: name must be a string, got {json.dumps(name)}")
+            pieces[parse_piece_label(key)] = name
         return cls(pattern_id, pieces)
 
     def to_json(self) -> dict:
@@ -93,17 +105,17 @@ class InstructionDoc:
 
 
 class StepExtraction:
-    """Pieces mentioned in one step, in first-mention order, deduplicated."""
+    """Pieces mentioned in one step, in first-mention order, deduplicated.
+    A run shares one extraction among all repeats of a step, so it is never
+    mutated."""
 
     def __init__(
         self,
-        step_index: int,
         mentions: tuple[PieceLabel, ...],
         unknown: tuple[str, ...] = (),
         dropped: tuple[PieceLabel, ...] = (),
         source: str = "rule",
     ) -> None:
-        self.step_index = step_index
         self.mentions = mentions
         self.unknown = unknown
         self.dropped = dropped
@@ -173,7 +185,18 @@ def _has_attachment_verb(sentence: str) -> bool:
     return False
 
 
-def extract_pieces_rule_based(step: str, spec: PatternSpec, step_index: int = 0) -> StepExtraction:
+def piece_mentions(text: str):
+    """Each parenthesized token of ``text`` that parses as a piece label, as
+    ``(piece, match)`` in text order; parenthetical prose is skipped."""
+    for m in _MENTION_RE.finditer(text):
+        try:
+            piece = parse_piece_label(m.group(1))
+        except LabelError:
+            continue  # parenthetical prose, not a label
+        yield piece, m
+
+
+def extract_pieces_rule_based(step: str, spec: PatternSpec) -> StepExtraction:
     """Collect parenthesized piece labels from a step, gated by attachment verbs.
 
     Mentions only count when some sentence contains both a known piece label
@@ -186,41 +209,34 @@ def extract_pieces_rule_based(step: str, spec: PatternSpec, step_index: int = 0)
     gate_open = False
     for sentence in _SENTENCE_SPLIT_RE.split(step):
         sentence_has_mention = False
-        for token in _MENTION_RE.findall(sentence):
-            try:
-                piece = parse_piece_label(token)
-            except LabelError:
-                continue  # parenthetical prose, not a label
+        for piece, m in piece_mentions(sentence):
             if piece in inventory:
                 sentence_has_mention = True
                 if piece not in mentions:
                     mentions.append(piece)
-            elif token not in unknown:
-                unknown.append(token)
+            elif m.group(1) not in unknown:
+                unknown.append(m.group(1))
         if sentence_has_mention and _has_attachment_verb(sentence):
             gate_open = True
     if gate_open:
-        return StepExtraction(step_index, tuple(mentions), tuple(unknown))
-    return StepExtraction(step_index, (), tuple(unknown), dropped=tuple(mentions))
+        return StepExtraction(tuple(mentions), tuple(unknown))
+    return StepExtraction((), tuple(unknown), dropped=tuple(mentions))
 
 
 def extract_once_per_run(extract):
-    """An extractor with ``extract``'s signature that calls ``extract`` once
-    per distinct step text and inventory, for its own lifetime (one run),
-    and answers a repeat from the kept extraction under the repeat's own
-    ``step_index``.  A fallback is not kept, so the next occurrence of that
-    step is extracted again.  ``extract`` must be a function of the step
-    text and the inventory."""
+    """An extractor that calls the extractor ``extract`` once per distinct
+    step text and inventory, for its own lifetime (one run), and answers a
+    repeat with the extraction it kept, shared.  A fallback is not kept, so
+    the next occurrence of that step is extracted again."""
     kept: dict[tuple[str, frozenset[PieceLabel]], StepExtraction] = {}
 
-    def extractor(step: str, spec: PatternSpec, step_index: int = 0) -> StepExtraction:
+    def extractor(step: str, spec: PatternSpec) -> StepExtraction:
         key = (step, spec.inventory)
         x = kept.get(key)
-        if x is not None:
-            return StepExtraction(step_index, x.mentions, x.unknown, x.dropped, x.source)
-        x = extract(step, spec, step_index=step_index)
-        if x.source != "fallback":
-            kept[key] = x
+        if x is None:
+            x = extract(step, spec)
+            if x.source != "fallback":
+                kept[key] = x
         return x
 
     return extractor
@@ -230,7 +246,7 @@ def extract_document(doc: InstructionDoc, spec: PatternSpec, extractor=None) -> 
     """Run an extractor over every step; defaults to the rule-based one."""
     if extractor is None:
         extractor = extract_pieces_rule_based
-    return [extractor(step, spec, step_index=i) for i, step in enumerate(doc.steps)]
+    return [extractor(step, spec) for step in doc.steps]
 
 
 def extractions_to_json(doc: InstructionDoc, extractions: list[StepExtraction]) -> dict:
@@ -241,7 +257,7 @@ def extractions_to_json(doc: InstructionDoc, extractions: list[StepExtraction]) 
 
 
 def resolve_components(
-    x: StepExtraction, component_of: dict[PieceLabel, NodeLabel]
+    mentions: tuple[PieceLabel, ...], component_of: dict[PieceLabel, NodeLabel]
 ) -> list[NodeLabel]:
     """Map each mention to its containing component, then deduplicate.
 
@@ -249,7 +265,7 @@ def resolve_components(
     component that now contains it; an unattached piece is its own leaf.
     """
     resolved: list[NodeLabel] = []
-    for piece in x.mentions:
+    for piece in mentions:
         label = component_of.get(piece)
         if label is None:
             label = NodeLabel((piece,), 0)
@@ -259,25 +275,17 @@ def resolve_components(
 
 
 def apply_step(
-    component_of: dict[PieceLabel, NodeLabel], resolved: list[NodeLabel], step_index: int
-) -> tuple[list[DepthOneSubtree], list[Diagnostic]]:
-    """Fold one step's resolved components into ``component_of``.
+    component_of: dict[PieceLabel, NodeLabel], resolved: list[NodeLabel]
+) -> list[DepthOneSubtree]:
+    """Fold one step's resolved components into ``component_of`` and return
+    the subtrees the step emits.
 
     One component self-attaches, two merge, three or more left-fold into a
-    chain of merges with a diagnostic.  Mutates ``component_of``.
+    chain of merges.  Mutates ``component_of``.
     """
     subtrees: list[DepthOneSubtree] = []
-    diagnostics: list[Diagnostic] = []
     if not resolved:
-        return subtrees, diagnostics
-    if len(resolved) > 2:
-        diagnostics.append(
-            Diagnostic(
-                step_index,
-                "multi-component",
-                f"{len(resolved)} components in one step, folding left to right",
-            )
-        )
+        return subtrees
     acc = resolved[0]
     if len(resolved) == 1:
         acc = bump_self_attach(acc)
@@ -288,7 +296,7 @@ def apply_step(
         subtrees.append(DepthOneSubtree(acc, children))
     for piece in acc.pieces:
         component_of[piece] = acc
-    return subtrees, diagnostics
+    return subtrees
 
 
 def build_forest(
@@ -301,24 +309,25 @@ def build_forest(
     component_of: dict[PieceLabel, NodeLabel] = {}
     trace: list[tuple[int, DepthOneSubtree]] = []
     diagnostics: list[Diagnostic] = []
-    for x in extractions:
+    for step_index, x in enumerate(extractions):
         for token in x.unknown:
             diagnostics.append(
-                Diagnostic(x.step_index, "unknown-label", f"({token}) is not in the inventory")
+                Diagnostic(step_index, "unknown-label", f"({token}) is not in the inventory")
             )
         if x.dropped:
             names = ", ".join(str(p) for p in x.dropped)
             diagnostics.append(
-                Diagnostic(x.step_index, "no-attachment-verb", f"ignored mentions [{names}]")
+                Diagnostic(step_index, "no-attachment-verb", f"ignored mentions [{names}]")
             )
         if x.source == "fallback":
             diagnostics.append(
-                Diagnostic(x.step_index, "adapter-fallback", "adapter failed, used rule-based extraction")
+                Diagnostic(step_index, "adapter-fallback", "adapter failed, used rule-based extraction")
             )
-        resolved = resolve_components(x, component_of)
-        subtrees, step_diags = apply_step(component_of, resolved, x.step_index)
-        trace.extend((x.step_index, st) for st in subtrees)
-        diagnostics.extend(step_diags)
+        resolved = resolve_components(x.mentions, component_of)
+        if len(resolved) > 2:
+            message = f"{len(resolved)} components in one step, folding left to right"
+            diagnostics.append(Diagnostic(step_index, "multi-component", message))
+        trace.extend((step_index, st) for st in apply_step(component_of, resolved))
 
     # Each label is the parent of at most one subtree and the child of at
     # most one, so the final components are the roots and each root's text

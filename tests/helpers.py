@@ -474,8 +474,8 @@ def per_step_adapter_extractor(endpoint):
     """The adapter extractor without its memo: one backend request for
     every step, the reference the memoized extractor is tested against."""
 
-    def extractor(step, spec, step_index=0):
-        return extract_via_adapter(step, spec, endpoint, step_index=step_index)
+    def extractor(step, spec):
+        return extract_via_adapter(step, spec, endpoint)
 
     return extractor
 

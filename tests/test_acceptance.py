@@ -7,8 +7,6 @@ summary lines.  Each test prints exactly one PASS/FAIL line.
 import contextlib
 import math
 import shutil
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -175,12 +173,8 @@ def test_criterion_8_determinism(tmp_path):
         spec_path = FIXTURES / "specs" / "skirt.json"
 
         def run(*argv):
-            proc = subprocess.run(
-                [sys.executable, "-m", "sewtree.cli", *map(str, argv)],
-                capture_output=True,
-                cwd=Path(__file__).resolve().parent.parent,
-            )
-            assert proc.returncode == 0, proc.stderr.decode()
+            proc = helpers.run_fresh("-m", "sewtree.cli", *map(str, argv))
+            assert proc.returncode == 0, proc.stderr
             return proc.stdout
 
         for run_id in ("a", "b"):

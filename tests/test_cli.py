@@ -393,6 +393,7 @@ class TestInputSchema:
             ("doc", {"pattern_id": "skirt", "doc_id": "bad", "steps": ["Sew (A) to (B).", 3]}, "steps"),
             ("doc", {"pattern_id": "skirt", "doc_id": "bad"}, "steps"),
             ("spec", {"pattern_id": "skirt", "pieces": ["A", "B", "C"]}, "pieces"),
+            ("spec", {"pattern_id": "skirt", "pieces": {"A": "Over Skirt", "B": 5, "C": "Waistband"}}, "B"),
         ],
     )
     def test_malformed_input_is_validation_error(
@@ -762,9 +763,9 @@ class TestRuleBasedMemo:
         calls = []
         extract = sewtree.cli.extract_pieces_rule_based
 
-        def counted(step, spec, step_index=0):
+        def counted(step, spec):
             calls.append((step, spec.inventory))
-            return extract(step, spec, step_index=step_index)
+            return extract(step, spec)
 
         def score(out: Path) -> dict[str, bytes]:
             code = run(
@@ -806,6 +807,70 @@ class TestRuleBasedMemo:
                 ("no-attachment-verb", "ignored mentions [A]"),
             ]
         ]
+
+
+class TestRepeatedMultiComponentStep:
+    """A repeat of a three-component step gets the kept extraction, and
+    each occurrence's subtrees and diagnostics carry its own position."""
+
+    THREE = "Sew the Over Skirt (A), the Under Skirt (B) and the Waistband (C) to the Lining (Q)."
+    STEPS = ["Press the fabric.", THREE, THREE]
+    TRACE = [[1, "AB -> A B"], [1, "ABC -> AB C"], [2, "ABC_1 -> ABC"]]
+    MULTI = [1, "multi-component", "3 components in one step, folding left to right"]
+
+    def test_rule_based(self, tmp_path, capsys):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"pattern_id": "skirt", "doc_id": "doc", "steps": self.STEPS}))
+        assert run("build", "--doc", doc, "--spec", FIXTURES / "specs" / "skirt.json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["subtree_trace"] == self.TRACE
+        unknown = "(Q) is not in the inventory"
+        assert report["diagnostics"] == [
+            [1, "unknown-label", unknown], self.MULTI, [2, "unknown-label", unknown]
+        ]
+
+    def test_adapter(self, tmp_path, adapter_server, capsys):
+        assert build_with_adapter(tmp_path, self.STEPS, adapter_server) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["subtree_trace"] == self.TRACE
+        assert report["diagnostics"] == [self.MULTI]
+        assert posted_requests() == [(step, ("A", "B", "C")) for step in self.STEPS[:2]]
+
+
+ONE_DOC_COMMANDS = ["extract", "build", "inject-errors"]
+
+
+def run_one_doc(command: str, doc: Path, spec: Path, out: Path) -> int:
+    """``command``, one of ``ONE_DOC_COMMANDS``, on ``doc`` and ``spec``,
+    writing to ``out``."""
+    plan = ("--seed", "7", "--wrong-piece", "1") if command == "inject-errors" else ()
+    return run(command, "--doc", doc, "--spec", spec, "--out", out, *plan)
+
+
+class TestOneDocumentCommands:
+    @pytest.mark.parametrize("command", ONE_DOC_COMMANDS)
+    def test_doc_for_another_pattern_is_config_error(self, tmp_path, capsys, command):
+        doc = tmp_path / "hat-1.json"
+        doc.write_text(json.dumps(
+            {"pattern_id": "hat", "doc_id": "hat-1", "steps": ["Sew the Over Skirt (A) to the Under Skirt (B)."]}
+        ))
+        spec = FIXTURES / "specs" / "skirt.json"
+        out = tmp_path / "out.json"
+        assert run_one_doc(command, doc, spec, out) == 2
+        printed, err = capsys.readouterr()
+        assert err.startswith("error: document hat-1 ") and "'hat'" in err
+        assert str(spec) in err and "'skirt'" in err
+        assert printed == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ONE_DOC_COMMANDS)
+    def test_spec_piece_name_that_is_not_a_string_is_validation_error(self, tmp_path, capsys, command):
+        spec = tmp_path / "skirt.json"
+        spec.write_text(json.dumps({"pattern_id": "skirt", "pieces": {"A": 5, "B": None, "C": ["x"]}}))
+        out = tmp_path / "out.json"
+        assert run_one_doc(command, FIXTURES / "docs" / "skirt-demo.json", spec, out) == 1
+        printed, err = capsys.readouterr()
+        assert err.startswith(f"error: {spec}: piece 'A': ")
+        assert printed == "" and not out.exists()
 
 
 class TestPermuteCli:

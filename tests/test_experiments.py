@@ -108,10 +108,10 @@ def skip_unary_update(monkeypatch) -> None:
     """``apply_step`` leaves the components as they were after a unary step."""
     original = sewtree.pipeline.apply_step
 
-    def apply_step(component_of, resolved, step_index):
+    def apply_step(component_of, resolved):
         if len(resolved) == 1:
             component_of = dict(component_of)
-        return original(component_of, resolved, step_index)
+        return original(component_of, resolved)
 
     patch_pipeline(monkeypatch, "apply_step", apply_step)
 
@@ -121,9 +121,9 @@ def drop_unary_subtree(monkeypatch) -> None:
     no subtree for it."""
     original = sewtree.pipeline.apply_step
 
-    def apply_step(component_of, resolved, step_index):
-        subtrees, diagnostics = original(component_of, resolved, step_index)
-        return (subtrees if len(resolved) != 1 else []), diagnostics
+    def apply_step(component_of, resolved):
+        subtrees = original(component_of, resolved)
+        return subtrees if len(resolved) != 1 else []
 
     patch_pipeline(monkeypatch, "apply_step", apply_step)
 
@@ -131,7 +131,7 @@ def drop_unary_subtree(monkeypatch) -> None:
 def resolve_to_leaves(monkeypatch) -> None:
     """``resolve_components`` ignores the components built so far."""
     original = sewtree.pipeline.resolve_components
-    patch_pipeline(monkeypatch, "resolve_components", lambda x, component_of: original(x, {}))
+    patch_pipeline(monkeypatch, "resolve_components", lambda mentions, component_of: original(mentions, {}))
 
 
 def repeat_first_child(monkeypatch) -> None:

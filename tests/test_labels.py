@@ -239,8 +239,8 @@ def equal_labels_built_every_way(label: NodeLabel) -> list[NodeLabel]:
         node = unary(node)
     out.append(parse_serialized(serialize_node(node))[0])
 
-    steps = [StepExtraction(0, label.pieces)] if rest else []
-    steps += [StepExtraction(len(steps) + i, (first,)) for i in range(counter)]
+    steps = [StepExtraction(label.pieces)] if rest else []
+    steps += [StepExtraction((first,)) for _ in range(counter)]
     if steps:
         report = build_forest(
             InstructionDoc("p", "d", ("",) * len(steps)), steps, placeholder_spec("p", label.pieces)

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
@@ -13,6 +15,7 @@ from sewtree.pipeline import (
     apply_step,
     build_forest,
     extract_document,
+    extract_once_per_run,
     extract_pieces_rule_based,
     linearize_gold_tree,
     placeholder_spec,
@@ -93,54 +96,58 @@ class TestRuleBasedExtraction:
 class TestResolveComponents:
     def test_identity_on_fresh_state(self):
         state = {}
-        x = StepExtraction(0, (P("A"), P("B")))
-        assert resolve_components(x, state) == [N("A"), N("B")]
+        assert resolve_components((P("A"), P("B")), state) == [N("A"), N("B")]
 
     def test_resolution_then_dedup(self):
         state = {}
-        apply_step(state, [N("A"), N("B")], 0)
-        x = StepExtraction(1, (P("A"), P("B")))
-        assert resolve_components(x, state) == [N("AB")]
+        apply_step(state, [N("A"), N("B")])
+        assert resolve_components((P("A"), P("B")), state) == [N("AB")]
 
     def test_mixed_resolution(self):
         state = {}
-        apply_step(state, [N("A"), N("B")], 0)
-        apply_step(state, [N("AB")], 1)
-        x = StepExtraction(2, (P("C"), P("A"), P("B")))
-        assert resolve_components(x, state) == [N("C"), N("AB_1")]
+        apply_step(state, [N("A"), N("B")])
+        apply_step(state, [N("AB")])
+        assert resolve_components((P("C"), P("A"), P("B")), state) == [N("C"), N("AB_1")]
 
     def test_idempotent_on_component_labels(self):
         state = {}
-        apply_step(state, [N("A"), N("B")], 0)
-        x = StepExtraction(1, (P("A"),))
-        resolved = resolve_components(x, state)
+        apply_step(state, [N("A"), N("B")])
+        resolved = resolve_components((P("A"),), state)
         assert resolved == [N("AB")]
+
+
+def build_mentions(*steps: tuple[PieceLabel, ...]) -> BuildReport:
+    """``build_forest`` over pieces A-C, one extraction per tuple of mentions."""
+    extractions = [StepExtraction(mentions) for mentions in steps]
+    doc = InstructionDoc("p", "d", ("",) * len(extractions))
+    return build_forest(doc, extractions, placeholder_spec("p", [P("A"), P("B"), P("C")]))
 
 
 class TestApplyStep:
     def test_binary(self):
         state = {}
-        subtrees, diags = apply_step(state, [N("A"), N("B")], 0)
+        subtrees = apply_step(state, [N("A"), N("B")])
         assert [str(s) for s in subtrees] == ["AB -> A B"]
-        assert diags == []
+        assert build_mentions((P("A"), P("B"))).diagnostics == ()
         assert state[P("A")] == N("AB")
 
     def test_unary(self):
         state = {}
-        apply_step(state, [N("A"), N("B")], 0)
-        subtrees, _ = apply_step(state, [N("AB")], 1)
+        apply_step(state, [N("A"), N("B")])
+        subtrees = apply_step(state, [N("AB")])
         assert [str(s) for s in subtrees] == ["AB_1 -> AB"]
 
     def test_empty(self):
         state = {}
-        subtrees, diags = apply_step(state, [], 0)
-        assert subtrees == [] and diags == []
+        subtrees = apply_step(state, [])
+        assert subtrees == [] and build_mentions(()).diagnostics == ()
 
     def test_three_components_fold_with_diagnostic(self):
         state = {}
-        subtrees, diags = apply_step(state, [N("A"), N("B"), N("C")], 0)
+        subtrees = apply_step(state, [N("A"), N("B"), N("C")])
         assert [str(s) for s in subtrees] == ["AB -> A B", "ABC -> AB C"]
-        assert [d.kind for d in diags] == ["multi-component"]
+        report = build_mentions((), (P("A"), P("B"), P("C")))
+        assert [(d.step_index, d.kind) for d in report.diagnostics] == [(1, "multi-component")]
 
 
 class TestBuildForest:
@@ -228,27 +235,27 @@ def reference_build_forest(extractions, spec) -> BuildReport:
     its roots, serialized, are the forest."""
     state = ReferenceState()
     trace, diagnostics = [], []
-    for x in extractions:
+    for step_index, x in enumerate(extractions):
         for token in x.unknown:
             diagnostics.append(
-                Diagnostic(x.step_index, "unknown-label", f"({token}) is not in the inventory")
+                Diagnostic(step_index, "unknown-label", f"({token}) is not in the inventory")
             )
         if x.dropped:
             names = ", ".join(str(p) for p in x.dropped)
             diagnostics.append(
-                Diagnostic(x.step_index, "no-attachment-verb", f"ignored mentions [{names}]")
+                Diagnostic(step_index, "no-attachment-verb", f"ignored mentions [{names}]")
             )
         if x.source == "fallback":
             diagnostics.append(
-                Diagnostic(x.step_index, "adapter-fallback", "adapter failed, used rule-based extraction")
+                Diagnostic(step_index, "adapter-fallback", "adapter failed, used rule-based extraction")
             )
         resolved = []
         for piece in x.mentions:
             label = state.component_of.get(piece, NodeLabel((piece,), 0))
             if label not in resolved:
                 resolved.append(label)
-        subtrees, step_diags = state.apply_step(resolved, x.step_index)
-        trace.extend((x.step_index, st) for st in subtrees)
+        subtrees, step_diags = state.apply_step(resolved, step_index)
+        trace.extend((step_index, st) for st in subtrees)
         diagnostics.extend(step_diags)
     components = dict.fromkeys(state.component_of.values())
     roots = [state.built[label] for label in components]
@@ -266,9 +273,8 @@ def extraction_sequences(draw):
     letters = draw(hs.sets(hs.sampled_from("ABCDEFG"), min_size=2, max_size=7))
     pieces = [PieceLabel(letter) for letter in sorted(letters)]
     extractions = []
-    for index in range(draw(hs.integers(0, 12))):
+    for _ in range(draw(hs.integers(0, 12))):
         extractions.append(StepExtraction(
-            index,
             tuple(draw(hs.lists(hs.sampled_from(pieces), max_size=len(pieces) + 1))),
             tuple(draw(hs.lists(hs.sampled_from(["Q", "Z9", "Xl"]), max_size=2))),
             tuple(draw(hs.lists(hs.sampled_from(pieces), max_size=2))),
@@ -314,8 +320,8 @@ def folded_forest(trace, spec) -> tuple[str, ...]:
 
 def chain_extractions(n: int) -> list[StepExtraction]:
     """One merge of A and B, then n - 1 self-attachments of their component."""
-    merge = StepExtraction(0, (P("A"), P("B")))
-    return [merge, *(StepExtraction(i, (P("A"),)) for i in range(1, n))]
+    merge = StepExtraction((P("A"), P("B")))
+    return [merge, *(StepExtraction((P("A"),)) for _ in range(1, n))]
 
 
 class TestForestTextMatchesFold:
@@ -440,6 +446,34 @@ class TestAdapter:
             AdapterConfig(url, fallback_to_rules=True)
 
 
+class TestExtractorProtocol:
+    def test_extractors_take_step_and_spec(self):
+        config = AdapterConfig("http://127.0.0.1:1/none")
+        extractors = [
+            extract_pieces_rule_based,
+            extract_once_per_run(extract_pieces_rule_based),
+            make_adapter_extractor(config),
+        ]
+        plain = inspect.Parameter.POSITIONAL_OR_KEYWORD
+        for extractor in extractors:
+            params = inspect.signature(extractor).parameters.values()
+            assert [(p.name, p.kind, p.default) for p in params] == [
+                ("step", plain, inspect.Parameter.empty),
+                ("spec", plain, inspect.Parameter.empty),
+            ]
+
+    @pytest.mark.parametrize("kind", ["rule-based", "adapter"])
+    def test_repeat_gets_the_kept_extraction(self, request, skirt_spec, kind):
+        if kind == "adapter":
+            extractor = make_adapter_extractor(AdapterConfig(request.getfixturevalue("adapter_server")))
+        else:
+            extractor = extract_once_per_run(extract_pieces_rule_based)
+        three = "Sew the Over Skirt (A), the Under Skirt (B) and the Waistband (C) together."
+        doc = InstructionDoc("skirt", "d", ("Press the fabric.", three, three))
+        _, x, repeat = extract_document(doc, skirt_spec, extractor)
+        assert repeat is x and labels(x) == ["A", "B", "C"]
+
+
 class TestAdapterMemo:
     STEP = "Sew the Over Skirt (A) to the Under Skirt (B)."
 
@@ -464,8 +498,8 @@ class TestAdapterMemo:
         _AdapterHandler.behavior = "slow"
         config = AdapterConfig(adapter_server, timeout=0.1, retries=0, fallback_to_rules=True)
         extractor = make_adapter_extractor(config)
-        assert [extractor(self.STEP, skirt_spec, i).source for i in range(2)] == ["fallback"] * 2
+        assert [extractor(self.STEP, skirt_spec).source for _ in range(2)] == ["fallback"] * 2
         _AdapterHandler.behavior = "ok"
-        assert extractor(self.STEP, skirt_spec, 2).source == "adapter"
-        assert extractor(self.STEP, skirt_spec, 3).source == "adapter"
+        assert extractor(self.STEP, skirt_spec).source == "adapter"
+        assert extractor(self.STEP, skirt_spec).source == "adapter"
         assert wait_for_posts(3) == [(self.STEP, ("A", "B", "C"))] * 3
