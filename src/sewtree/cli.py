@@ -134,11 +134,23 @@ def _add_extractor_args(parser) -> None:
     )
 
 
+def _grammar_call(path, grammar, fn, *args):
+    """``fn(grammar, *args)``, whose :class:`GrammarError` names the
+    grammar's file and pattern."""
+    try:
+        return fn(grammar, *args)
+    except GrammarError as exc:
+        raise GrammarError(f"{path}: pattern {grammar.pattern_id!r}: {exc}") from exc
+
+
 def cmd_gen_gold(args) -> int:
-    grammar = _load_grammar_file(Path(args.grammar))
+    if args.cap < 1:
+        raise ValueError(f"--cap must be >= 1, got {args.cap}")
+    path = Path(args.grammar)
+    grammar = _load_grammar_file(path)
     payload = {
         "pattern_id": grammar.pattern_id,
-        "trees": list(enumerate_gold_trees(grammar, args.cap)),
+        "trees": list(_grammar_call(path, grammar, enumerate_gold_trees, args.cap)),
     }
     _write_json(payload, args.out)
     return 0
@@ -190,6 +202,21 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _check_inventories(spec_path, spec, grammar_path, grammar) -> None:
+    """A spec whose pieces are not its grammar's is a ``ConfigError``
+    naming both files and the pieces found in only one of them."""
+    if spec.inventory == grammar.inventory:
+        return
+    only = [
+        f"only in the {kind}: " + ", ".join(str(p) for p in sorted(pieces))
+        for kind, pieces in (("spec", spec.inventory - grammar.inventory),
+                             ("grammar", grammar.inventory - spec.inventory))
+        if pieces
+    ]
+    raise ConfigError(f"{spec_path} and {grammar_path} have different pieces "
+                      f"for pattern {spec.pattern_id!r}: " + "; ".join(only))
+
+
 def cmd_score(args) -> int:
     corpus = Path(args.corpus)
     by_id, _ = _load_keyed(sorted(corpus.glob("*.json")), load_doc, "doc_id")
@@ -197,7 +224,7 @@ def cmd_score(args) -> int:
         raise ConfigError(f"no documents in {corpus}")
     docs = [by_id[doc_id] for doc_id in sorted(by_id)]
     grammars, grammar_paths = _load_grammar_dir(Path(args.grammars))
-    specs, _ = _load_keyed(sorted(Path(args.specs).glob("*.json")), load_spec, "pattern_id")
+    specs, spec_paths = _load_keyed(sorted(Path(args.specs).glob("*.json")), load_spec, "pattern_id")
     refs = {}
     if args.refs:
         refs, _ = _load_keyed(sorted(Path(args.refs).glob("*.json")), load_doc, "pattern_id")
@@ -214,12 +241,9 @@ def cmd_score(args) -> int:
         if refs and doc.pattern_id not in refs:
             raise ConfigError(f"document {doc.doc_id}: no reference for pattern {doc.pattern_id!r}")
         if doc.pattern_id not in checked:
-            try:
-                check_grammar(grammars[doc.pattern_id])
-            except GrammarError as exc:
-                raise GrammarError(
-                    f"{grammar_paths[doc.pattern_id]}: pattern {doc.pattern_id!r}: {exc}"
-                ) from exc
+            _check_inventories(spec_paths[doc.pattern_id], specs[doc.pattern_id],
+                               grammar_paths[doc.pattern_id], grammars[doc.pattern_id])
+            _grammar_call(grammar_paths[doc.pattern_id], grammars[doc.pattern_id], check_grammar)
             checked.add(doc.pattern_id)
     results = [
         score_document(
@@ -295,10 +319,7 @@ def cmd_roundtrip(args) -> int:
     grammars, paths = _load_grammar_dir(Path(args.grammars))
     failed = False
     for pattern_id in sorted(grammars):
-        try:
-            failures = roundtrip_grammar(grammars[pattern_id])
-        except GrammarError as exc:
-            raise GrammarError(f"{paths[pattern_id]}: pattern {pattern_id!r}: {exc}") from exc
+        failures = _grammar_call(paths[pattern_id], grammars[pattern_id], roundtrip_grammar)
         if failures:
             failed = True
             print(f"{pattern_id}: FAIL")

@@ -24,9 +24,9 @@ from .labels import (
     LabelError,
     NodeLabel,
     PieceLabel,
-    attachment_violations,
     child_order_key,
     is_leaf,
+    node_violations,
     parse_node_label,
     parse_piece_label,
     split_counter,
@@ -130,34 +130,27 @@ def _full_inventory_label(inventory: frozenset[PieceLabel], counter: int) -> Nod
 
 def parse_grammar(text: str) -> GoldGrammar:
     """Parse a grammar file, checking each rule as it is read: 1 or 2
-    children, pieces from the inventory and valid label arithmetic.  Raises
-    :class:`GrammarError` with the line number.
+    children, pieces from the inventory and valid label arithmetic
+    (:func:`node_violations`).  Raises :class:`GrammarError` with the line
+    number.
 
-    Each inventory piece gets one bit, in sorted order, and each distinct
-    label text is parsed once per call into its label and the mask of its
-    pieces (None when a piece is not in the inventory).  A rule is checked
-    on the masks and counters; :func:`attachment_violations` writes the
-    message of a rule that fails."""
+    Each distinct label text is parsed once per call, and checked against
+    the inventory once: ``outside`` holds the labels with a piece the
+    inventory lacks."""
     pattern_id: str | None = None
     inv: frozenset[PieceLabel] | None = None
-    bits: dict[PieceLabel, int] = {}
-    known: dict[str, tuple[NodeLabel, int | None]] = {}
+    known: dict[str, NodeLabel] = {}
+    outside: set[NodeLabel] = set()
     roots_line: tuple[int, str] | None = None
     rules: dict[DepthOneSubtree, None] = {}
 
-    def label_of(text: str) -> tuple[NodeLabel, int | None]:
-        entry = known.get(text)
-        if entry is None:
-            label = parse_node_label(text)
-            mask = 0
-            for piece in label.pieces:
-                bit = bits.get(piece)
-                if bit is None:
-                    mask = None
-                    break
-                mask |= bit
-            entry = known[text] = (label, mask)
-        return entry
+    def label_of(text: str) -> NodeLabel:
+        label = known.get(text)
+        if label is None:
+            label = known[text] = parse_node_label(text)
+            if not inv.issuperset(label.pieces):
+                outside.add(label)
+        return label
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -183,7 +176,6 @@ def parse_grammar(text: str) -> GoldGrammar:
             inv = frozenset(pieces)
             if len(inv) != len(pieces):
                 raise GrammarError(f"line {lineno}: duplicate pieces in inventory")
-            bits = {piece: 1 << i for i, piece in enumerate(sorted(inv))}
             continue
         if line.startswith("roots:"):
             if roots_line is not None:
@@ -200,32 +192,17 @@ def parse_grammar(text: str) -> GoldGrammar:
                 raise GrammarError(f"line {lineno}: {exc}") from exc
             if not 2 <= len(parsed) <= 3:
                 raise GrammarError(f"line {lineno}: rules need 1 or 2 children")
-            for label, mask in parsed:
-                if mask is None:
+            for label in parsed:
+                if label in outside:
                     names = ", ".join(sorted(str(p) for p in label.piece_set - inv))
                     raise GrammarError(f"line {lineno}: unknown pieces {names}")
-            (parent, parent_mask), *kids = parsed
-            if len(kids) == 1:
-                ((child, child_mask),) = kids
-                children = (child,)
-                valid = (
-                    child_mask == parent_mask
-                    and child.self_attach == parent.self_attach - 1
-                )
-            else:
-                (a, a_mask), (b, b_mask) = kids
-                # Child order in the file is presentational; canonicalize it.
-                if child_order_key(b) < child_order_key(a):
-                    a, b = b, a
-                children = (a, b)
-                valid = (
-                    not a_mask & b_mask
-                    and (a_mask | b_mask) == parent_mask
-                    and parent.self_attach == max(a.self_attach, b.self_attach)
-                )
-            rule = DepthOneSubtree(parent, children)
-            if not valid:
-                problems = attachment_violations(parent, children)
+            parent, *children = parsed
+            # Child order in the file is presentational; canonicalize it.
+            if len(children) == 2 and child_order_key(children[1]) < child_order_key(children[0]):
+                children.reverse()
+            rule = DepthOneSubtree(parent, tuple(children))
+            problems = node_violations(parent, rule.children)
+            if problems:
                 raise GrammarError(f"line {lineno}: {rule}: {problems[0][1]}")
             rules[rule] = None
             continue
@@ -246,7 +223,7 @@ def parse_grammar(text: str) -> GoldGrammar:
             if body == "S" and PieceLabel("S") not in inv:
                 roots.append(_full_inventory_label(inv, counter))
             else:
-                roots.append(label_of(token)[0])
+                roots.append(label_of(token))
         except LabelError as exc:
             raise GrammarError(f"line {lineno}: {exc}") from exc
     if not roots:

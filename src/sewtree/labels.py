@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import attrgetter
 
 
 class LabelError(ValueError):
@@ -202,8 +203,9 @@ class NodeLabel(_Frozen):
 
 
 def is_leaf(label: NodeLabel) -> bool:
-    """Whether ``label`` is a leaf label: one piece, counter 0."""
-    return len(label.pieces) == 1 and label.self_attach == 0
+    """Whether ``label`` is a leaf label: one piece, counter 0, as
+    :func:`node_violations` checks a node without children."""
+    return not node_violations(label, ())
 
 
 def split_counter(text: str) -> tuple[str, int]:
@@ -247,17 +249,28 @@ def parse_node_label(text: str) -> NodeLabel:
         raise LabelError(f"{text!r}: {exc}") from exc
 
 
-def merge_labels(a: NodeLabel, b: NodeLabel) -> NodeLabel:
-    """Label of the component formed by attaching two disjoint components.
+# Pieces sort by their keys, a C-level lookup, rather than through
+# ``PieceLabel.__lt__``.
+_piece_key = attrgetter("_key")
 
-    The pieces are the sorted union; the counter is the larger of the two.
-    """
-    overlap = a.piece_set & b.piece_set
-    if overlap:
-        shared = ", ".join(sorted(str(p) for p in overlap))
-        raise LabelError(f"cannot merge {a} and {b}: shared pieces {shared}")
-    pieces = tuple(sorted(a.pieces + b.pieces))
-    return NodeLabel(pieces, max(a.self_attach, b.self_attach))
+
+def _join(a: NodeLabel, b: NodeLabel) -> tuple[tuple[PieceLabel, ...], int]:
+    """The pieces and counter of a binary step over ``a`` and ``b``: both
+    children's pieces in one sorted tuple, where a shared piece occurs
+    twice, and the larger counter."""
+    return tuple(sorted(a.pieces + b.pieces, key=_piece_key)), max(a.self_attach, b.self_attach)
+
+
+def merge_labels(a: NodeLabel, b: NodeLabel) -> NodeLabel:
+    """Label of the component formed by attaching two disjoint components:
+    the binary step of :func:`node_violations`."""
+    pieces, counter = _join(a, b)
+    try:
+        # A shared piece occurs twice, so the pieces are not strictly sorted.
+        return NodeLabel(pieces, counter)
+    except LabelError:
+        shared = ", ".join(sorted(str(p) for p in a.piece_set & b.piece_set))
+        raise LabelError(f"cannot merge {a} and {b}: shared pieces {shared}") from None
 
 
 def child_order_key(label: NodeLabel) -> tuple[str, int, int]:
@@ -271,30 +284,41 @@ def bump_self_attach(a: NodeLabel) -> NodeLabel:
     return NodeLabel(a.pieces, a.self_attach + 1)
 
 
-def attachment_violations(
-    parent: NodeLabel, children: tuple[NodeLabel, ...]
+def node_violations(
+    label: NodeLabel, children: tuple[NodeLabel, ...]
 ) -> list[tuple[str, str]]:
-    """Label arithmetic of one assembly step as ``(kind, detail)`` pairs.
+    """The label arithmetic of one node of a tree or grammar, as ``(kind,
+    detail)`` pairs; empty iff the node is valid.
 
-    A unary step sews a component to itself: same pieces, counter plus one.
-    A binary step joins two disjoint components that cover the parent, which
-    takes the larger counter.  Empty iff the step is valid.
+    A leaf (no children) is one piece at counter 0.  A unary step sews a
+    component to itself: same pieces, counter plus one.  A binary step joins
+    two disjoint components that cover the parent, which takes the larger
+    counter, and its children are in canonical order.
     """
     out: list[tuple[str, str]] = []
-    if len(children) == 1:
+    if not children:
+        if len(label.pieces) != 1:
+            out.append(("leaf-pieces", "leaf must be a single piece"))
+        if label.self_attach != 0:
+            out.append(("leaf-counter", "leaf counter must be 0"))
+    elif len(children) == 1:
         (child,) = children
-        if child.pieces != parent.pieces:
+        if child.pieces != label.pieces:
             out.append(("unary-pieces", "unary child must have the same pieces"))
-        if child.self_attach != parent.self_attach - 1:
+        if child.self_attach != label.self_attach - 1:
             out.append(("unary-counter", "unary child counter must be parent's minus 1"))
     elif len(children) == 2:
         a, b = children
-        if a.piece_set & b.piece_set:
-            out.append(("binary-disjoint", "children share pieces"))
-        elif a.piece_set | b.piece_set != parent.piece_set:
-            out.append(("binary-union", "children's pieces do not cover the parent"))
-        if parent.self_attach != max(a.self_attach, b.self_attach):
+        pieces, counter = _join(a, b)
+        if pieces != label.pieces:
+            if a.piece_set & b.piece_set:
+                out.append(("binary-disjoint", "children share pieces"))
+            else:
+                out.append(("binary-union", "children's pieces do not cover the parent"))
+        if label.self_attach != counter:
             out.append(("binary-counter", "parent counter must be the children's max"))
+        if child_order_key(a) > child_order_key(b):
+            out.append(("child-order", "children out of canonical order"))
     else:
         out.append(("arity", f"{len(children)} children, 1 or 2 allowed"))
     return out

@@ -17,8 +17,7 @@ from .labels import (
     LabelError,
     NodeLabel,
     _Frozen,
-    attachment_violations,
-    child_order_key,
+    node_violations,
     parse_node_label,
 )
 
@@ -113,16 +112,7 @@ def _violations(nodes: list[tuple[NodeLabel, list[NodeLabel]]]) -> list[str]:
     out: list[str] = []
     seen: dict[NodeLabel, int] = {}
     for label, kids in nodes:
-        if not kids:
-            if len(label.pieces) != 1:
-                out.append(f"{label}: leaf-pieces: leaf must be a single piece")
-            if label.self_attach != 0:
-                out.append(f"{label}: leaf-counter: leaf counter must be 0")
-        else:
-            for kind, detail in attachment_violations(label, tuple(kids)):
-                out.append(f"{label}: {kind}: {detail}")
-            if len(kids) == 2 and child_order_key(kids[0]) > child_order_key(kids[1]):
-                out.append(f"{label}: child-order: children out of canonical order")
+        out.extend(f"{label}: {kind}: {detail}" for kind, detail in node_violations(label, tuple(kids)))
         seen[label] = seen.get(label, 0) + 1
     out.extend(f"{label}: unique-labels: label occurs {n} times" for label, n in seen.items() if n > 1)
     return out

@@ -6,9 +6,10 @@ extractor, the reference for the memoized one; the ``urllib.request``
 post, the reference for the adapter's HTTP/1.0 client; the label
 formatter, the reference for the texts labels write once; BLEU and
 ROUGE-L computed afresh per call, the references for the metrics'
-prepared reference side; the rule check on label sets, the reference for
-the grammar parser's piece masks; and the per-tree round-trip, the
-reference for the per-rule one."""
+prepared reference side; the node check on piece sets, the reference
+for ``node_violations``; the rule check, the reference for the grammar
+parser's label memo; and the per-tree round-trip, the reference for the
+per-rule one."""
 
 import itertools
 import math
@@ -39,7 +40,6 @@ from sewtree.labels import (
     LabelError,
     NodeLabel,
     PieceLabel,
-    attachment_violations,
     bump_self_attach,
     child_order_key,
     merge_labels,
@@ -131,24 +131,46 @@ class Violation:
         return f"{self.node}: {self.rule}: {self.detail}"
 
 
+def node_oracle(label: NodeLabel, children) -> list[tuple[str, str]]:
+    """The label arithmetic of one node on piece sets, as ``(kind, detail)``
+    pairs, every kind and message written out: the reference for
+    ``node_violations``."""
+    out: list[tuple[str, str]] = []
+    if not children:
+        if len(label.piece_set) != 1:
+            out.append(("leaf-pieces", "leaf must be a single piece"))
+        if label.self_attach != 0:
+            out.append(("leaf-counter", "leaf counter must be 0"))
+    elif len(children) == 1:
+        (child,) = children
+        if child.piece_set != label.piece_set:
+            out.append(("unary-pieces", "unary child must have the same pieces"))
+        if child.self_attach != label.self_attach - 1:
+            out.append(("unary-counter", "unary child counter must be parent's minus 1"))
+    elif len(children) == 2:
+        a, b = children
+        if a.piece_set & b.piece_set:
+            out.append(("binary-disjoint", "children share pieces"))
+        elif a.piece_set | b.piece_set != label.piece_set:
+            out.append(("binary-union", "children's pieces do not cover the parent"))
+        if label.self_attach != max(a.self_attach, b.self_attach):
+            out.append(("binary-counter", "parent counter must be the children's max"))
+        if min(a.piece_set) > min(b.piece_set):
+            out.append(("child-order", "children out of canonical order"))
+    else:
+        out.append(("arity", f"{len(children)} children, 1 or 2 allowed"))
+    return out
+
+
 def validate_tree(root: AssemblyNode) -> list[Violation]:
     """All constraint violations in the tree; empty iff the tree is valid:
     the reference for the checks ``parse_serialized`` runs."""
     out: list[Violation] = []
     seen: dict[NodeLabel, int] = {}
     for node in root.walk():
-        name = str(node.label)
-        if not node.children:
-            if len(node.label.pieces) != 1:
-                out.append(Violation(name, "leaf-pieces", "leaf must be a single piece"))
-            if node.label.self_attach != 0:
-                out.append(Violation(name, "leaf-counter", "leaf counter must be 0"))
-        else:
-            kids = tuple(c.label for c in node.children)
-            for kind, detail in attachment_violations(node.label, kids):
-                out.append(Violation(name, kind, detail))
-            if len(kids) == 2 and child_order_key(kids[0]) > child_order_key(kids[1]):
-                out.append(Violation(name, "child-order", "children out of canonical order"))
+        kids = tuple(c.label for c in node.children)
+        for kind, detail in node_oracle(node.label, kids):
+            out.append(Violation(str(node.label), kind, detail))
         seen[node.label] = seen.get(node.label, 0) + 1
     for label, count in seen.items():
         if count > 1:
@@ -299,9 +321,9 @@ def rule_oracle(lineno: int, line: str, inventory: frozenset[PieceLabel]) -> Dep
     """The rule on grammar line ``lineno``, a stripped ``->`` line over
     ``inventory``, checked on its own with set operations: every label
     parsed, then ``issuperset`` on each label's pieces, then
-    ``attachment_violations`` on the children in canonical order.  Raises
+    :func:`node_oracle` on the children in canonical order.  Raises
     :class:`GrammarError` with ``parse_grammar``'s message: the reference
-    for its label memo and piece masks."""
+    for its label memo."""
     lhs, rhs = line.split("->", 1)
     try:
         parent, *children = map(parse_node_label, [lhs.strip(), *rhs.split()])
@@ -316,7 +338,7 @@ def rule_oracle(lineno: int, line: str, inventory: frozenset[PieceLabel]) -> Dep
     if len(children) == 2:
         children.sort(key=child_order_key)
     rule = DepthOneSubtree(parent, tuple(children))
-    problems = attachment_violations(rule.parent, rule.children)
+    problems = node_oracle(rule.parent, rule.children)
     if problems:
         raise GrammarError(f"line {lineno}: {rule}: {problems[0][1]}")
     return rule

@@ -96,8 +96,28 @@ class TestGenGold:
         assert len(trees) == 4 and trees == sorted(trees)
 
     def test_cap_exceeded_exit_code(self, capsys):
-        code = run("gen-gold", FIXTURES / "grammars" / "pants_combined.grammar", "--cap", "3")
-        assert code == 1
+        path = FIXTURES / "grammars" / "pants_combined.grammar"
+        assert run("gen-gold", path, "--cap", "3") == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: pattern 'pants-combined': grammar derives 4 trees, cap is 3\n"
+        )
+
+    def test_invalid_grammar_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.grammar"
+        bad.write_text("pattern: bad\npieces: A B\nroots: AB\nAB_1 -> AB\n")
+        assert run("gen-gold", bad) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: pattern 'bad': invalid grammar: AB: no rule expands this non-leaf label\n"
+        )
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_is_refused(self, tmp_path, capsys, cap):
+        out = tmp_path / "gold.json"
+        path = FIXTURES / "grammars" / "skirt.grammar"
+        assert run("gen-gold", path, "--cap", cap, "--out", out) == 1
+        printed, err = capsys.readouterr()
+        assert err == f"error: --cap must be >= 1, got {cap}\n"
+        assert printed == "" and not out.exists()
 
     def test_missing_file_is_config_error(self, capsys):
         assert run("gen-gold", "/nonexistent/x.grammar") == 2
@@ -214,6 +234,31 @@ class TestScore:
         )
         assert code == 2
         assert "hat-1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change,only",
+        [({"D": "Pocket"}, "only in the spec: D"), ({"C": None}, "only in the grammar: C")],
+    )
+    def test_spec_with_other_pieces_than_its_grammar_is_config_error(
+        self, workspace, tmp_path, capsys, change, only
+    ):
+        specs = tmp_path / "specs"
+        specs.mkdir()
+        spec = json.loads((FIXTURES / "specs" / "skirt.json").read_text())
+        for piece, name in change.items():
+            if name is None:
+                del spec["pieces"][piece]
+            else:
+                spec["pieces"][piece] = name
+        (specs / "skirt.json").write_text(json.dumps(spec))
+        assert run(*self.score_args(workspace, specs=specs)) == 2
+        printed, err = capsys.readouterr()
+        grammar = workspace["grammars"] / "skirt.grammar"
+        assert err == (
+            f"error: {specs / 'skirt.json'} and {grammar} have different pieces "
+            f"for pattern 'skirt': {only}\n"
+        )
+        assert printed == "" and not workspace["out"].exists()
 
     def test_union_equals_concatenation(self, workspace, tmp_path, capsys):
         # scoring two docs together equals scoring them separately

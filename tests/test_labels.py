@@ -3,7 +3,7 @@ import json
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hs
 
 from sewtree.labels import (
@@ -17,13 +17,14 @@ from sewtree.labels import (
     bump_self_attach,
     is_leaf,
     merge_labels,
+    node_violations,
     parse_node_label,
     parse_piece_label,
 )
 from sewtree.pipeline import InstructionDoc, StepExtraction, build_forest, placeholder_spec
 from sewtree.tree import DepthOneSubtree, parse_serialized
 
-from helpers import binary, label_text, leaf, run_fresh, serialize_node, unary
+from helpers import binary, label_text, leaf, node_oracle, run_fresh, serialize_node, unary
 
 
 def P(text):
@@ -163,6 +164,81 @@ def test_every_accepted_text_is_the_labels_own(parse, text):
     assert str(label) == text
 
 
+# A mirrored pair and numbered copies, so that string order and piece order
+# differ (C10 before C2 as text, after it as a piece).
+NODE_INVENTORY = ("A", "Bl", "Br", "C1", "C2", "C10", "D")
+
+
+def label_over(texts, counter: int) -> NodeLabel:
+    return NodeLabel(tuple(sorted(map(P, texts))), counter)
+
+
+@hs.composite
+def nodes(draw):
+    """A label and 0 to 3 children over NODE_INVENTORY, counters 0 to 2:
+    a unary child with the parent's pieces, two children that split the
+    parent's pieces with a piece shared, missing or added, or children drawn
+    at random; any two children in either order."""
+    piece_sets = hs.sets(hs.sampled_from(NODE_INVENTORY), min_size=1, max_size=4)
+    counters = hs.integers(0, 2)
+    parent = draw(piece_sets, label="parent")
+    shape = draw(hs.sampled_from(["unary", "split", "random"]), label="shape")
+    if shape == "unary":
+        kids = [parent]
+    elif shape == "split" and len(parent) > 1:
+        order = sorted(parent)
+        left = draw(hs.sets(hs.sampled_from(order), min_size=1, max_size=len(order) - 1))
+        right = set(order) - left
+        change = draw(hs.sampled_from(["none", "share", "drop", "add"]), label="change")
+        if change == "share":
+            right.add(draw(hs.sampled_from(sorted(left))))
+        elif change == "drop" and len(right) > 1:
+            right.remove(draw(hs.sampled_from(sorted(right))))
+        elif change == "add":
+            right.add(draw(hs.sampled_from(NODE_INVENTORY)))
+        kids = [left, right]
+    else:
+        kids = draw(hs.lists(piece_sets, max_size=3), label="children")
+    if draw(hs.booleans(), label="reversed"):
+        kids.reverse()
+    return label_over(parent, draw(counters)), tuple(label_over(k, draw(counters)) for k in kids)
+
+
+class TestNodeViolations:
+    @given(nodes())
+    @example((N("A"), (N("A"), N("A"))))  # one piece, shared
+    @example((N("ABlBr_1"), (N("BlBr_1"), N("A"))))  # reversed children
+    def test_equals_the_set_oracle(self, node):
+        label, children = node
+        assert node_violations(label, children) == node_oracle(label, children)
+
+    @pytest.mark.parametrize(
+        "label,children,kinds",
+        [
+            ("A", [], []),
+            ("C10", [], []),
+            ("AB", [], ["leaf-pieces"]),
+            ("A_1", [], ["leaf-counter"]),
+            ("AB_1", [], ["leaf-pieces", "leaf-counter"]),
+            ("AB_1", ["AB"], []),
+            ("AB_1", ["AC"], ["unary-pieces"]),
+            ("AB_2", ["AB"], ["unary-counter"]),
+            ("ABlBr_1", ["A_1", "BlBr"], []),
+            ("ABlBr", ["BlBr", "A"], ["child-order"]),
+            ("ABC", ["AB", "BC"], ["binary-disjoint"]),
+            ("A", ["A", "A"], ["binary-disjoint"]),
+            ("ABC", ["A", "B"], ["binary-union"]),
+            ("AB", ["A", "BC"], ["binary-union"]),
+            ("AB_1", ["A", "B"], ["binary-counter"]),
+            ("ABC_1", ["BC", "A"], ["binary-counter", "child-order"]),
+            ("ABC", ["A", "B", "C"], ["arity"]),
+        ],
+    )
+    def test_kinds(self, label, children, kinds):
+        found = node_violations(N(label), tuple(map(N, children)))
+        assert [kind for kind, _ in found] == kinds
+
+
 class TestMergeLabels:
     @pytest.mark.parametrize(
         "a,b,expected",
@@ -176,8 +252,9 @@ class TestMergeLabels:
         assert merge_labels(N(a), N(b)) == N(expected)
 
     def test_overlap_rejected(self):
-        with pytest.raises(LabelError):
+        with pytest.raises(LabelError) as exc:
             merge_labels(N("AB"), N("BC"))
+        assert str(exc.value) == "cannot merge AB and BC: shared pieces B"
 
     @given(
         hs.sets(hs.sampled_from(["A", "B", "C", "Dl", "Dr", "E"]), min_size=1, max_size=5),
@@ -195,6 +272,22 @@ class TestMergeLabels:
         assert merged == merge_labels(b, a)
         assert merged.self_attach == max(na, nb)
         assert len(merged.pieces) == len(a.pieces) + len(b.pieces)
+
+    @given(hs.sets(hs.sampled_from(NODE_INVENTORY), min_size=1, max_size=4),
+           hs.sets(hs.sampled_from(NODE_INVENTORY), min_size=1, max_size=4),
+           hs.integers(0, 2), hs.integers(0, 2))
+    @example({"A", "C2", "C10"}, {"C2", "C10", "D"}, 1, 0)  # shared pieces named in text order
+    def test_is_the_sorted_union_of_disjoint_labels(self, left, right, na, nb):
+        a, b = label_over(left, na), label_over(right, nb)
+        shared = a.piece_set & b.piece_set
+        if shared:
+            names = ", ".join(sorted(str(p) for p in shared))
+            with pytest.raises(LabelError) as exc:
+                merge_labels(a, b)
+            assert str(exc.value) == f"cannot merge {a} and {b}: shared pieces {names}"
+        else:
+            union = NodeLabel(tuple(sorted(a.piece_set | b.piece_set)), max(na, nb))
+            assert merge_labels(a, b) == union
 
 
 class TestBumpSelfAttach:

@@ -18,7 +18,7 @@ from sewtree.labels import (
     RIGHT,
     NodeLabel,
     PieceLabel,
-    attachment_violations,
+    child_order_key,
     parse_node_label,
     parse_piece_label,
 )
@@ -34,6 +34,7 @@ from helpers import (
     glued_forest,
     gold_tree_oracle,
     make_random_grammar,
+    node_oracle,
     rule_oracle,
 )
 
@@ -149,7 +150,7 @@ def test_parse_grammar_rejects_or_keeps_every_rule_valid(seed, n_pieces, noise, 
         except GrammarError:
             continue
         for rule in parsed.rules:
-            assert attachment_violations(rule.parent, rule.children) == []
+            assert node_oracle(rule.parent, rule.children) == []
             for label in (rule.parent, *rule.children):
                 assert label.piece_set <= parsed.inventory
 
@@ -157,7 +158,8 @@ def test_parse_grammar_rejects_or_keeps_every_rule_valid(seed, n_pieces, noise, 
 @given(hs.sets(piece_labels, min_size=1, max_size=6), hs.integers(1, 2), hs.data())
 def test_parse_grammar_accepts_a_rule_iff_it_is_a_valid_step(inventory, n_children, data):
     """A one-rule grammar over labels from the inventory parses iff the
-    rule's label arithmetic holds."""
+    rule's label arithmetic holds, its children in canonical order (the
+    parser puts them in that order)."""
     pieces = sorted(inventory)
 
     def draw_label(name):
@@ -174,7 +176,7 @@ def test_parse_grammar_accepts_a_rule_iff_it_is_a_valid_step(inventory, n_childr
         accepted = False
     else:
         accepted = True
-    assert accepted == (attachment_violations(parent, children) == [])
+    assert accepted == (node_oracle(parent, sorted(children, key=child_order_key)) == [])
 
 
 # The differential test's inventory, a mirrored pair among plain pieces so
