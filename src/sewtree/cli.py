@@ -33,7 +33,6 @@ from .grammar import (
     parse_grammar,
     validate_grammar,
 )
-from .labels import LabelError
 from .pipeline import (
     build_forest,
     extract_document,
@@ -44,7 +43,6 @@ from .pipeline import (
     load_spec,
     read_text,
 )
-from .tree import TreeError
 from .tree import canonical_serialize  # noqa: F401  (unused; perfbench/traced.py wraps it by name)
 
 
@@ -438,7 +436,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GrammarError, TreeError, LabelError, AdapterError, ValueError) as exc:
+    except (AdapterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -154,8 +154,8 @@ def inject_errors(
 
 
 def roundtrip_grammar(grammar: GoldGrammar) -> list[str]:
-    """Check that every rule the roots reach survives linearize, extract
-    and rebuild; returns failure messages.
+    """Check that every rule survives linearize, extract and rebuild, in
+    file order; returns failure messages.
 
     A linearized step is a function of its rule alone, and the rebuild
     folds the steps in order, so a gold tree round-trips exactly when each
@@ -166,18 +166,17 @@ def roundtrip_grammar(grammar: GoldGrammar) -> list[str]:
     check_grammar(grammar)
     failures: list[str] = []
     spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
-    for expansions in grammar.rule_graph.expansions:
-        for rule, _ in expansions:
-            component_of = {p: c for c in rule.children for p in c.pieces}
-            x = extract_pieces_rule_based(write_step(rule.children, spec), spec)
-            emitted = apply_step(component_of, resolve_components(x.mentions, component_of))
-            left_in = [component_of[p] for p in rule.parent.pieces]
-            if emitted != [rule] or any(c != rule.parent for c in left_in):
-                subtrees = ", ".join(str(st) for st in emitted)
-                pieces = " ".join(f"{p}={c}" for p, c in zip(rule.parent.pieces, left_in))
-                failures.append(
-                    f"{grammar.pattern_id} rule {rule}: emitted [{subtrees}], pieces in {pieces}"
-                )
+    for rule in grammar.rules:
+        component_of = {p: c for c in rule.children for p in c.pieces}
+        x = extract_pieces_rule_based(write_step(rule.children, spec), spec)
+        emitted = apply_step(component_of, resolve_components(x.mentions, component_of))
+        left_in = [component_of[p] for p in rule.parent.pieces]
+        if emitted != [rule] or any(c != rule.parent for c in left_in):
+            subtrees = ", ".join(str(st) for st in emitted)
+            pieces = " ".join(f"{p}={c}" for p, c in zip(rule.parent.pieces, left_in))
+            failures.append(
+                f"{grammar.pattern_id} rule {rule}: emitted [{subtrees}], pieces in {pieces}"
+            )
     return failures
 
 

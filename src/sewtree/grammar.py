@@ -50,13 +50,19 @@ class CapExceededError(GrammarError):
 DEFAULT_CAP = 100_000
 
 
-# The rule table as a DAG over the labels the roots reach, children before
-# parents, so a DP over derivations is one pass over ``labels``:
+# The rule table as a DAG over every label the roots and rules mention,
+# children before parents, so a DP over derivations is one pass over
+# ``labels``:
+# - ``labels``: sorted by (piece count, counter, text).  Well-formed rules
+#   strictly shrink (pieces, then counter), so each child sorts before its
+#   parents, whatever the order of the rules;
 # - ``names``: str() of each label;
 # - ``expansions``: per label, each of its rules in rule order with the
 #   positions of the rule's children in ``labels``; empty for a label no
 #   rule expands (a leaf);
 # - ``roots``: positions of GoldGrammar.roots.
+# A grammar that passes :func:`validate_grammar` has no label the roots do
+# not reach.
 RuleGraph = namedtuple("RuleGraph", ["labels", "names", "expansions", "roots"])
 
 
@@ -85,43 +91,24 @@ class GoldGrammar:
 
     @cached_property
     def rule_graph(self) -> RuleGraph:
-        """Built once per grammar and shared by every caller: never mutate it.
-
-        Well-formed rules strictly shrink (pieces, counter), so the labels
-        form a DAG and the depth-first walk terminates.  The walk keeps its
-        own stack: a label is placed once all the children of its rules are.
-        """
+        """Built once per grammar and shared by every caller: never mutate it."""
         by_parent: dict[NodeLabel, list[DepthOneSubtree]] = {}
         for rule in self.rules:
             by_parent.setdefault(rule.parent, []).append(rule)
-        labels: list[NodeLabel] = []
-        position: dict[NodeLabel, int] = {}
-        expansions: list[tuple[tuple[DepthOneSubtree, tuple[int, ...]], ...]] = []
-
-        def enter(label: NodeLabel):
-            rules = by_parent.get(label, ())
-            return label, rules, (c for rule in rules for c in rule.children)
-
-        for root in self.roots:
-            if root in position:
-                continue
-            stack = [enter(root)]
-            while stack:
-                label, rules, kids = stack[-1]
-                for child in kids:
-                    if child not in position:
-                        stack.append(enter(child))
-                        break
-                else:
-                    stack.pop()
-                    position[label] = len(labels)
-                    labels.append(label)
-                    expansions.append(tuple(
-                        (rule, tuple(position[c] for c in rule.children)) for rule in rules
-                    ))
+        mentioned = {*self.roots, *by_parent, *(c for rule in self.rules for c in rule.children)}
+        labels = tuple(sorted(
+            mentioned, key=lambda label: (len(label.pieces), label.self_attach, str(label))
+        ))
+        position = {label: p for p, label in enumerate(labels)}
+        expansions = tuple(
+            tuple(
+                (rule, tuple(position[c] for c in rule.children))
+                for rule in by_parent.get(label, ())
+            )
+            for label in labels
+        )
         roots = tuple(position[root] for root in self.roots)
-        names = tuple(str(label) for label in labels)
-        return RuleGraph(tuple(labels), names, tuple(expansions), roots)
+        return RuleGraph(labels, tuple(map(str, labels)), expansions, roots)
 
 
 def _full_inventory_label(inventory: frozenset[PieceLabel], counter: int) -> NodeLabel:
@@ -238,20 +225,27 @@ def parse_grammar(text: str) -> GoldGrammar:
 
 def validate_grammar(g: GoldGrammar) -> list[str]:
     """Violations of the grammar as a whole (each rule was checked when it
-    was parsed): non-leaf labels no rule expands, roots missing pieces."""
-    out: list[str] = []
-    expandable = {r.parent for r in g.rules}
-    mentioned = set(g.roots)
-    for rule in g.rules:
-        mentioned.update(rule.children)
-        mentioned.add(rule.parent)
-    for label in sorted(mentioned, key=str):
-        if label in expandable:
-            continue
-        if is_leaf(label) and label.pieces[0] in g.inventory:
-            continue
-        out.append(f"{label}: no rule expands this non-leaf label")
-
+    was parsed): non-leaf labels no rule expands, by name; rules whose
+    parent no root reaches, in file order; roots missing pieces."""
+    graph = g.rule_graph
+    # Children sit below their parents, so one pass down the positions
+    # marks every label a root reaches.
+    reached = [False] * len(graph.labels)
+    for p in graph.roots:
+        reached[p] = True
+    for p in reversed(range(len(reached))):
+        if reached[p]:
+            for _, kids in graph.expansions[p]:
+                for c in kids:
+                    reached[c] = True
+    unexpanded = [
+        name
+        for label, name, expansions in zip(graph.labels, graph.names, graph.expansions)
+        if not expansions and not (is_leaf(label) and label.pieces[0] in g.inventory)
+    ]
+    out = [f"{name}: no rule expands this non-leaf label" for name in sorted(unexpanded)]
+    unreached = {label for label, r in zip(graph.labels, reached) if not r}
+    out += [f"{rule}: no root reaches this rule" for rule in g.rules if rule.parent in unreached]
     for root in g.roots:
         if root.piece_set != g.inventory:
             out.append(f"root {root}: does not cover the full piece inventory")

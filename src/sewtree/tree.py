@@ -36,7 +36,7 @@ class DepthOneSubtree(_Frozen):
         set_slot = object.__setattr__
         set_slot(self, "parent", parent)
         set_slot(self, "children", children)
-        set_slot(self, "_hash", hash((parent._hash, *(c._hash for c in children))))
+        set_slot(self, "_hash", hash((parent._hash, *[c._hash for c in children])))
 
     def __reduce__(self):
         return self.__class__, (self.parent, self.children)

@@ -8,8 +8,9 @@ formatter, the reference for the texts labels write once; BLEU and
 ROUGE-L computed afresh per call, the references for the metrics'
 prepared reference side; the node check on piece sets, the reference
 for ``node_violations``; the rule check, the reference for the grammar
-parser's label memo; and the per-tree round-trip, the reference for the
-per-rule one."""
+parser's label memo; the per-tree round-trip, the reference for the
+per-rule one; and the grammar check on label sets with a recursive walk
+from the roots, the reference for the one that reads the rule graph."""
 
 import itertools
 import math
@@ -342,6 +343,63 @@ def rule_oracle(lineno: int, line: str, inventory: frozenset[PieceLabel]) -> Dep
     if problems:
         raise GrammarError(f"line {lineno}: {rule}: {problems[0][1]}")
     return rule
+
+
+def check_rule_graph(g):
+    """``g.rule_graph`` against its contract: every label the roots and
+    rules mention, each child below its parents, each label's rules in rule
+    order with their children's positions, and labels that do not depend on
+    the order of the rules."""
+    graph = g.rule_graph
+    mentioned = {*g.roots, *(label for rule in g.rules for label in (rule.parent, *rule.children))}
+    assert len(graph.labels) == len(mentioned) and set(graph.labels) == mentioned
+    assert graph.names == tuple(map(str, graph.labels))
+    position = {label: p for p, label in enumerate(graph.labels)}
+    for p, (label, expansions) in enumerate(zip(graph.labels, graph.expansions)):
+        assert [rule for rule, _ in expansions] == [rule for rule in g.rules if rule.parent == label]
+        for rule, kids in expansions:
+            assert kids == tuple(position[c] for c in rule.children)
+            assert all(c < p for c in kids)
+    assert graph.roots == tuple(position[root] for root in g.roots)
+    reversed_rules = GoldGrammar(g.pattern_id, g.inventory, g.roots, tuple(reversed(g.rules)))
+    assert reversed_rules.rule_graph.labels == graph.labels
+
+
+def validate_grammar_oracle(g: GoldGrammar) -> list[str]:
+    """``validate_grammar`` from label sets built from the rules and a
+    recursive walk from the roots: the reference for the one that reads
+    the rule graph."""
+    out: list[str] = []
+    expandable = {r.parent for r in g.rules}
+    mentioned = set(g.roots)
+    for rule in g.rules:
+        mentioned.update(rule.children)
+        mentioned.add(rule.parent)
+    for label in sorted(mentioned, key=str):
+        if label in expandable:
+            continue
+        if not node_oracle(label, ()) and label.pieces[0] in g.inventory:
+            continue
+        out.append(f"{label}: no rule expands this non-leaf label")
+
+    reached: set[NodeLabel] = set()
+
+    def visit(label: NodeLabel) -> None:
+        if label not in reached:
+            reached.add(label)
+            for rule in g.rules:
+                if rule.parent == label:
+                    for child in rule.children:
+                        visit(child)
+
+    for root in g.roots:
+        visit(root)
+    out += [f"{rule}: no root reaches this rule" for rule in g.rules if rule.parent not in reached]
+
+    for root in g.roots:
+        if root.piece_set != g.inventory:
+            out.append(f"root {root}: does not cover the full piece inventory")
+    return out
 
 
 def chain_grammar(length: int) -> GoldGrammar:

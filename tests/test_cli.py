@@ -14,9 +14,16 @@ import sewtree.tree
 from sewtree.adapter import MAX_TIMEOUT_S
 from sewtree.cli import main
 from sewtree.experiments import ErrorInjectionPlan, inject_errors, permute_doc
-from sewtree.grammar import DEFAULT_CAP, count_derivations, enumerate_gold_trees, parse_grammar
+from sewtree.grammar import (
+    DEFAULT_CAP,
+    GrammarError,
+    count_derivations,
+    enumerate_gold_trees,
+    parse_grammar,
+)
+from sewtree.labels import LabelError
 from sewtree.pipeline import InstructionDoc, linearize_gold_tree, load_doc, load_spec, placeholder_spec
-from sewtree.tree import parse_serialized
+from sewtree.tree import TreeError, parse_serialized
 
 from conftest import FIXTURES, _AdapterHandler, load_grammar, posted_requests, wait_for_posts
 from helpers import (
@@ -107,7 +114,8 @@ class TestGenGold:
         bad.write_text("pattern: bad\npieces: A B\nroots: AB\nAB_1 -> AB\n")
         assert run("gen-gold", bad) == 1
         assert capsys.readouterr().err == (
-            f"error: {bad}: pattern 'bad': invalid grammar: AB: no rule expands this non-leaf label\n"
+            f"error: {bad}: pattern 'bad': invalid grammar: "
+            "AB: no rule expands this non-leaf label; AB_1 -> AB: no root reaches this rule\n"
         )
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -157,6 +165,42 @@ class TestValidateGrammar:
         assert run("validate-grammar", bad) == 2
         err = capsys.readouterr().err
         assert err.count(str(bad)) == 1 and "can't decode byte 0xff" in err
+
+
+DEAD_RULE = "AB_2 -> AB_1"
+
+
+@pytest.mark.parametrize("command", ["validate-grammar", "gen-gold", "score", "roundtrip"])
+def test_rule_no_root_reaches_is_refused(workspace, tmp_path, capsys, command):
+    # The skirt grammar with one more valid rule, whose parent no root reaches.
+    grammars = tmp_path / "grammars"
+    shutil.copytree(FIXTURES / "grammars", grammars)
+    bad = grammars / "skirt.grammar"
+    bad.write_text(bad.read_text() + DEAD_RULE + "\n")
+    args = {
+        "validate-grammar": [bad],
+        "gen-gold": [bad],
+        "score": ["--corpus", workspace["corpus"], "--grammars", grammars,
+                  "--specs", workspace["specs"], "--out", workspace["out"]],
+        "roundtrip": ["--grammars", grammars],
+    }[command]
+    assert run(command, *args) == 1
+    captured = capsys.readouterr()
+    message = f"{DEAD_RULE}: no root reaches this rule"
+    if command == "validate-grammar":
+        assert captured.out == f"{bad}: INVALID\n  {message}\n"
+    else:
+        assert captured.err == f"error: {bad}: pattern 'skirt': invalid grammar: {message}\n"
+
+
+@pytest.mark.parametrize("error", [GrammarError, TreeError, LabelError, ValueError])
+def test_validation_error_from_a_command_exits_1(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("bad label")
+
+    monkeypatch.setattr(sewtree.cli, "cmd_validate_grammar", fail)
+    assert run("validate-grammar", FIXTURES / "grammars" / "skirt.grammar") == 1
+    assert capsys.readouterr().err == "error: bad label\n"
 
 
 def deep_skirt_doc(n_steps: int) -> dict:
@@ -322,7 +366,8 @@ class TestScore:
         assert "invalid grammar: root AB" in capsys.readouterr().err
 
     def test_grammar_that_fails_validation_is_named(self, workspace, tmp_path, capsys):
-        # Every rule parses, but BC_2 is a non-leaf label no rule expands.
+        # Every rule parses, but BC_2 is a non-leaf label no rule expands,
+        # and no root reaches either new rule.
         grammars = tmp_path / "grammars"
         shutil.copytree(FIXTURES / "grammars", grammars)
         bad = grammars / "skirt.grammar"
@@ -332,7 +377,8 @@ class TestScore:
         assert captured.out == ""
         assert captured.err == (
             f"error: {bad}: pattern 'skirt': invalid grammar: "
-            "BC_2: no rule expands this non-leaf label\n"
+            "BC_2: no rule expands this non-leaf label; BC -> B C: no root reaches this rule; "
+            "ABC_2 -> A BC_2: no root reaches this rule\n"
         )
 
     def test_thousand_step_document(self, workspace, capsys):

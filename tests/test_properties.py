@@ -23,7 +23,7 @@ from sewtree.labels import (
     parse_piece_label,
 )
 from sewtree.pipeline import build_forest, extract_document, linearize_gold_tree, placeholder_spec
-from sewtree.grammar import GrammarError, parse_grammar, validate_grammar
+from sewtree.grammar import GoldGrammar, GrammarError, parse_grammar, validate_grammar
 from sewtree.rng import SplitMix64
 from sewtree.synth import grammar_from_trees, grammar_to_text, random_inventory, random_tree
 from sewtree.tree import canonical_serialize, parse_serialized, subtrees_of
@@ -31,11 +31,13 @@ from sewtree.tree import canonical_serialize, parse_serialized, subtrees_of
 from helpers import (
     as_pair,
     check_grammar_properties,
+    check_rule_graph,
     glued_forest,
     gold_tree_oracle,
     make_random_grammar,
     node_oracle,
     rule_oracle,
+    validate_grammar_oracle,
 )
 
 
@@ -153,6 +155,33 @@ def test_parse_grammar_rejects_or_keeps_every_rule_valid(seed, n_pieces, noise, 
             assert node_oracle(rule.parent, rule.children) == []
             for label in (rule.parent, *rule.children):
                 assert label.piece_set <= parsed.inventory
+
+
+@given(hs.integers(0, 2**64 - 1), hs.integers(2, 6), hs.integers(1, 2), hs.data())
+def test_validate_grammar_matches_the_set_and_walk_oracle(seed, n_pieces, n_trees, data):
+    """On a synthetic grammar with rules dropped, valid perturbed rules
+    added and its roots redrawn from its labels, validate_grammar gives the
+    oracle's lines: the labels no rule expands, the rules a recursive walk
+    from the roots does not reach, the roots missing pieces."""
+    rng = SplitMix64(seed)
+    inventory = random_inventory(rng, n_pieces)
+    grammar = grammar_from_trees("fuzz", [random_tree(rng, inventory) for _ in range(n_trees)])
+    dropped = data.draw(hs.sets(hs.sampled_from(grammar.rules)), label="dropped")
+    rules = [rule for rule in grammar.rules if rule not in dropped]
+    for line in data.draw(perturbed_rules(grammar), label="perturbed"):
+        try:
+            rules.append(rule_oracle(0, line, grammar.inventory))
+        except GrammarError:
+            pass
+    labels = sorted({label for r in grammar.rules for label in (r.parent, *r.children)}, key=str)
+    roots = data.draw(hs.one_of(
+        hs.just(list(grammar.roots)),
+        hs.lists(hs.sampled_from(labels), min_size=1, max_size=3, unique=True),
+    ), label="roots")
+    text = grammar_to_text(GoldGrammar("fuzz", grammar.inventory, tuple(roots), tuple(rules)))
+    g = parse_grammar(text)
+    check_rule_graph(g)
+    assert validate_grammar(g) == validate_grammar_oracle(g)
 
 
 @given(hs.sets(piece_labels, min_size=1, max_size=6), hs.integers(1, 2), hs.data())
