@@ -25,14 +25,7 @@ from .experiments import (
     roundtrip_grammar,
     score_document,
 )
-from .grammar import (
-    DEFAULT_CAP,
-    GrammarError,
-    check_grammar,
-    enumerate_gold_trees,
-    parse_grammar,
-    validate_grammar,
-)
+from .grammar import DEFAULT_CAP, CapExceededError, GrammarError, enumerate_gold_trees, parse_grammar
 from .pipeline import (
     build_forest,
     extract_document,
@@ -132,25 +125,16 @@ def _add_extractor_args(parser) -> None:
     )
 
 
-def _grammar_call(path, grammar, fn, *args):
-    """``fn(grammar, *args)``, whose :class:`GrammarError` names the
-    grammar's file and pattern."""
-    try:
-        return fn(grammar, *args)
-    except GrammarError as exc:
-        raise GrammarError(f"{path}: pattern {grammar.pattern_id!r}: {exc}") from exc
-
-
 def cmd_gen_gold(args) -> int:
     if args.cap < 1:
         raise ValueError(f"--cap must be >= 1, got {args.cap}")
     path = Path(args.grammar)
     grammar = _load_grammar_file(path)
-    payload = {
-        "pattern_id": grammar.pattern_id,
-        "trees": list(_grammar_call(path, grammar, enumerate_gold_trees, args.cap)),
-    }
-    _write_json(payload, args.out)
+    try:
+        trees = enumerate_gold_trees(grammar, args.cap)
+    except CapExceededError as exc:
+        raise GrammarError(f"{path}: pattern {grammar.pattern_id!r}: {exc}") from exc
+    _write_json({"pattern_id": grammar.pattern_id, "trees": list(trees)}, args.out)
     return 0
 
 
@@ -159,14 +143,12 @@ def cmd_validate_grammar(args) -> int:
     for path in args.grammars:
         text = read_text(path)
         try:
-            violations = validate_grammar(parse_grammar(text))
+            parse_grammar(text)
         except GrammarError as exc:
-            violations = [str(exc)]
-        if violations:
             failed = True
             print(f"{path}: INVALID")
-            for v in violations:
-                print(f"  {v}")
+            for problem in exc.problems:
+                print(f"  {problem}")
         else:
             print(f"{path}: OK")
     return 1 if failed else 0
@@ -230,7 +212,6 @@ def cmd_score(args) -> int:
             raise ConfigError(f"no references in {args.refs}")
 
     extractor = _make_extractor(args)
-    checked = set()
     for doc in docs:
         if doc.pattern_id not in grammars:
             raise ConfigError(f"document {doc.doc_id}: no grammar for pattern {doc.pattern_id!r}")
@@ -238,11 +219,8 @@ def cmd_score(args) -> int:
             raise ConfigError(f"document {doc.doc_id}: no spec for pattern {doc.pattern_id!r}")
         if refs and doc.pattern_id not in refs:
             raise ConfigError(f"document {doc.doc_id}: no reference for pattern {doc.pattern_id!r}")
-        if doc.pattern_id not in checked:
-            _check_inventories(spec_paths[doc.pattern_id], specs[doc.pattern_id],
-                               grammar_paths[doc.pattern_id], grammars[doc.pattern_id])
-            _grammar_call(grammar_paths[doc.pattern_id], grammars[doc.pattern_id], check_grammar)
-            checked.add(doc.pattern_id)
+        _check_inventories(spec_paths[doc.pattern_id], specs[doc.pattern_id],
+                           grammar_paths[doc.pattern_id], grammars[doc.pattern_id])
     results = [
         score_document(
             doc,
@@ -314,10 +292,10 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    grammars, paths = _load_grammar_dir(Path(args.grammars))
+    grammars, _ = _load_grammar_dir(Path(args.grammars))
     failed = False
     for pattern_id in sorted(grammars):
-        failures = _grammar_call(paths[pattern_id], grammars[pattern_id], roundtrip_grammar)
+        failures = roundtrip_grammar(grammars[pattern_id])
         if failures:
             failed = True
             print(f"{pattern_id}: FAIL")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .grammar import GoldGrammar, check_grammar
+from .grammar import GoldGrammar
 from .labels import PieceLabel
 from .metrics import (
     bleu,
@@ -44,7 +44,7 @@ def score_document(
 ) -> tuple[dict, BuildReport]:
     """One scores-CSV row (as a dict) plus the underlying build report.
 
-    ``gold`` is a valid grammar, scored with :func:`grammar_score`, or the
+    ``gold`` is a checked grammar, scored with :func:`grammar_score`, or the
     sorted canonical texts of its gold trees, scored with :func:`tree_score`;
     both give the same row.
     """
@@ -154,8 +154,8 @@ def inject_errors(
 
 
 def roundtrip_grammar(grammar: GoldGrammar) -> list[str]:
-    """Check that every rule survives linearize, extract and rebuild, in
-    file order; returns failure messages.
+    """Check that every rule of a checked grammar survives linearize,
+    extract and rebuild, in file order; returns failure messages.
 
     A linearized step is a function of its rule alone, and the rebuild
     folds the steps in order, so a gold tree round-trips exactly when each
@@ -163,7 +163,6 @@ def roundtrip_grammar(grammar: GoldGrammar) -> list[str]:
     rule passes when its step emits that rule alone and leaves every piece
     of the parent in the parent's component.
     """
-    check_grammar(grammar)
     failures: list[str] = []
     spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
     for rule in grammar.rules:

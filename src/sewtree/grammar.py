@@ -35,7 +35,12 @@ from .tree import DepthOneSubtree, bracket
 
 
 class GrammarError(ValueError):
-    """A grammar file is malformed or inconsistent."""
+    """A grammar file is malformed or inconsistent; ``problems`` lists every
+    violation found, one line each."""
+
+    def __init__(self, message: str, problems: list[str] | None = None):
+        super().__init__(message)
+        self.problems = problems or [message]
 
 
 class CapExceededError(GrammarError):
@@ -61,14 +66,16 @@ DEFAULT_CAP = 100_000
 #   positions of the rule's children in ``labels``; empty for a label no
 #   rule expands (a leaf);
 # - ``roots``: positions of GoldGrammar.roots.
-# A grammar that passes :func:`validate_grammar` has no label the roots do
-# not reach.
+# Its readers take a checked grammar, which has no label the roots do not
+# reach.
 RuleGraph = namedtuple("RuleGraph", ["labels", "names", "expansions", "roots"])
 
 
 class GoldGrammar:
     """A pattern's gold trees as rules, each a depth-1 subtree that is a valid
-    assembly step over the inventory, as :func:`parse_grammar` checks."""
+    assembly step over the inventory.  A checked grammar is one that
+    :func:`parse_grammar` returned, or one built in memory that
+    :func:`validate_grammar` passes."""
 
     def __init__(
         self,
@@ -92,23 +99,21 @@ class GoldGrammar:
     @cached_property
     def rule_graph(self) -> RuleGraph:
         """Built once per grammar and shared by every caller: never mutate it."""
-        by_parent: dict[NodeLabel, list[DepthOneSubtree]] = {}
+        mentioned = set(self.roots)
         for rule in self.rules:
-            by_parent.setdefault(rule.parent, []).append(rule)
-        mentioned = {*self.roots, *by_parent, *(c for rule in self.rules for c in rule.children)}
+            mentioned.add(rule.parent)
+            mentioned.update(rule.children)
         labels = tuple(sorted(
             mentioned, key=lambda label: (len(label.pieces), label.self_attach, str(label))
         ))
         position = {label: p for p, label in enumerate(labels)}
-        expansions = tuple(
-            tuple(
-                (rule, tuple(position[c] for c in rule.children))
-                for rule in by_parent.get(label, ())
+        expansions: list[list] = [[] for _ in labels]
+        for rule in self.rules:
+            expansions[position[rule.parent]].append(
+                (rule, tuple([position[c] for c in rule.children]))
             )
-            for label in labels
-        )
         roots = tuple(position[root] for root in self.roots)
-        return RuleGraph(labels, tuple(map(str, labels)), expansions, roots)
+        return RuleGraph(labels, tuple(map(str, labels)), tuple(map(tuple, expansions)), roots)
 
 
 def _full_inventory_label(inventory: frozenset[PieceLabel], counter: int) -> NodeLabel:
@@ -118,8 +123,9 @@ def _full_inventory_label(inventory: frozenset[PieceLabel], counter: int) -> Nod
 def parse_grammar(text: str) -> GoldGrammar:
     """Parse a grammar file, checking each rule as it is read: 1 or 2
     children, pieces from the inventory and valid label arithmetic
-    (:func:`node_violations`).  Raises :class:`GrammarError` with the line
-    number.
+    (:func:`node_violations`), and then the grammar as a whole
+    (:func:`validate_grammar`).  Raises :class:`GrammarError` with the line
+    number, or naming the pattern and the first whole-grammar problems.
 
     Each distinct label text is parsed once per call, and checked against
     the inventory once: ``outside`` holds the labels with a piece the
@@ -174,15 +180,18 @@ def parse_grammar(text: str) -> GoldGrammar:
             if inv is None:
                 raise GrammarError(f"line {lineno}: rule before pieces header")
             try:
-                parsed = [label_of(t) for t in (lhs.strip(), *rhs.split())]
+                # A label seen before costs a lookup and no call.
+                parsed = [known.get(t) or label_of(t) for t in (lhs.strip(), *rhs.split())]
             except LabelError as exc:
                 raise GrammarError(f"line {lineno}: {exc}") from exc
             if not 2 <= len(parsed) <= 3:
                 raise GrammarError(f"line {lineno}: rules need 1 or 2 children")
-            for label in parsed:
-                if label in outside:
-                    names = ", ".join(sorted(str(p) for p in label.piece_set - inv))
-                    raise GrammarError(f"line {lineno}: unknown pieces {names}")
+            # Only this line's labels can be outside: an earlier one raised.
+            if outside:
+                for label in parsed:
+                    if label in outside:
+                        names = ", ".join(sorted(str(p) for p in label.piece_set - inv))
+                        raise GrammarError(f"line {lineno}: unknown pieces {names}")
             parent, *children = parsed
             # Child order in the file is presentational; canonicalize it.
             if len(children) == 2 and child_order_key(children[1]) < child_order_key(children[0]):
@@ -219,8 +228,13 @@ def parse_grammar(text: str) -> GoldGrammar:
         if root.piece_set - inv:
             raise GrammarError(f"line {lineno}: root {root} uses unknown pieces")
 
-    deduped_roots = tuple(dict.fromkeys(roots))
-    return GoldGrammar(pattern_id, inv, deduped_roots, tuple(rules))
+    g = GoldGrammar(pattern_id, inv, tuple(dict.fromkeys(roots)), tuple(rules))
+    problems = validate_grammar(g)
+    if problems:
+        raise GrammarError(
+            f"pattern {pattern_id!r}: invalid grammar: " + "; ".join(problems[:3]), problems
+        )
+    return g
 
 
 def validate_grammar(g: GoldGrammar) -> list[str]:
@@ -252,13 +266,6 @@ def validate_grammar(g: GoldGrammar) -> list[str]:
     return out
 
 
-def check_grammar(g: GoldGrammar) -> None:
-    """Raise :class:`GrammarError` naming the first violations, if any."""
-    problems = validate_grammar(g)
-    if problems:
-        raise GrammarError("invalid grammar: " + "; ".join(problems[:3]))
-
-
 def count_derivations(g: GoldGrammar) -> dict[NodeLabel, int]:
     """Derivation count per root via a DP over the rule graph.
 
@@ -276,16 +283,15 @@ def count_derivations(g: GoldGrammar) -> dict[NodeLabel, int]:
 
 
 def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, ...]:
-    """The canonical serializations of all derivation trees from all roots,
-    sorted.  Rules and roots are distinct, so distinct derivations are
-    distinct trees.
+    """The canonical serializations of all derivation trees from all roots
+    of a checked grammar, sorted.  Rules and roots are distinct, so distinct
+    derivations are distinct trees.
 
     Counts first and raises :class:`CapExceededError` rather than enumerating
     past ``cap``.  The texts are composed over the rule graph, children
     first: a leaf is its label, and a rule brackets every combination of its
     children's texts (the derivation semiring over strings).
     """
-    check_grammar(g)
     counts = count_derivations(g)
     total = sum(counts.values())
     if total > cap:

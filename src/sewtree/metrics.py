@@ -63,7 +63,7 @@ def tree_score(pred: frozenset[DepthOneSubtree], gold_texts) -> ScoreBreakdown:
 
 def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> ScoreBreakdown:
     """:func:`tree_score` over every tree ``grammar`` derives, without
-    enumerating them; the grammar must pass ``validate_grammar``.
+    enumerating them; takes a checked grammar.
 
     Node labels are unique within a tree, so a gold tree with g internal
     nodes, m of whose rules are predicted subtrees, scores F1 = 2m/(|P| + g).

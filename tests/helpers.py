@@ -27,7 +27,6 @@ from sewtree.grammar import (
     CapExceededError,
     GoldGrammar,
     GrammarError,
-    check_grammar,
     count_derivations,
     enumerate_gold_trees,
     parse_grammar,
@@ -291,7 +290,7 @@ def gold_tree_oracle(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[AssemblyNo
     """Every derivation of ``g`` built as an ``AssemblyNode`` tree, sorted by
     serialization: the reference for ``enumerate_gold_trees``'s texts, and
     the gold trees of tests that need trees."""
-    check_grammar(g)
+    assert validate_grammar(g) == [], g.pattern_id
     total = sum(count_derivations(g).values())
     if total > cap:
         raise CapExceededError(total, cap)

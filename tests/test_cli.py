@@ -172,14 +172,17 @@ DEAD_RULE = "AB_2 -> AB_1"
 
 @pytest.mark.parametrize("command", ["validate-grammar", "gen-gold", "score", "roundtrip"])
 def test_rule_no_root_reaches_is_refused(workspace, tmp_path, capsys, command):
-    # The skirt grammar with one more valid rule, whose parent no root reaches.
+    # The skirt grammar with one more valid rule, whose parent no root
+    # reaches.  It sorts after the other five, so the refusal comes before
+    # any output only if the grammars are checked as they are read.
     grammars = tmp_path / "grammars"
     shutil.copytree(FIXTURES / "grammars", grammars)
     bad = grammars / "skirt.grammar"
     bad.write_text(bad.read_text() + DEAD_RULE + "\n")
+    gold = tmp_path / "gold.json"
     args = {
         "validate-grammar": [bad],
-        "gen-gold": [bad],
+        "gen-gold": [bad, "--out", gold],
         "score": ["--corpus", workspace["corpus"], "--grammars", grammars,
                   "--specs", workspace["specs"], "--out", workspace["out"]],
         "roundtrip": ["--grammars", grammars],
@@ -190,7 +193,27 @@ def test_rule_no_root_reaches_is_refused(workspace, tmp_path, capsys, command):
     if command == "validate-grammar":
         assert captured.out == f"{bad}: INVALID\n  {message}\n"
     else:
+        assert captured.out == ""
         assert captured.err == f"error: {bad}: pattern 'skirt': invalid grammar: {message}\n"
+    assert not gold.exists() and not workspace["out"].exists()
+
+
+def test_score_refuses_an_invalid_grammar_no_document_uses(workspace, tmp_path, capsys):
+    # Every line of the shirt grammar parses, but BF_8 is a non-leaf label
+    # no rule expands; the corpus holds only a skirt document.
+    grammars = tmp_path / "grammars"
+    shutil.copytree(FIXTURES / "grammars", grammars)
+    bad = grammars / "shirt.grammar"
+    bad.write_text(bad.read_text() + "BF_9 -> BF_8\n")
+    assert run("score", "--corpus", workspace["corpus"], "--grammars", grammars,
+               "--specs", workspace["specs"], "--out", workspace["out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {bad}: pattern 'shirt': invalid grammar: "
+        "BF_8: no rule expands this non-leaf label; BF_9 -> BF_8: no root reaches this rule\n"
+    )
+    assert not workspace["out"].exists()
 
 
 @pytest.mark.parametrize("error", [GrammarError, TreeError, LabelError, ValueError])

@@ -6,6 +6,7 @@ import pytest
 import sewtree.grammar
 from sewtree.grammar import (
     CapExceededError,
+    GoldGrammar,
     GrammarError,
     count_derivations,
     enumerate_gold_trees,
@@ -13,7 +14,7 @@ from sewtree.grammar import (
     validate_grammar,
 )
 from sewtree.labels import _LABEL_MEMO_SIZE, parse_node_label
-from sewtree.tree import canonical_serialize, parse_serialized
+from sewtree.tree import DepthOneSubtree, canonical_serialize, parse_serialized
 
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import random_grammar
@@ -104,23 +105,36 @@ class TestValidateGrammar:
         assert validate_grammar(load_grammar(name)) == []
 
     def test_unary_counter_violation(self):
-        g = parse_grammar("pattern: x\npieces: A B\nroots: AB_2\nAB -> A B\nAB_2 -> AB_1\n")
-        assert any("no rule expands" in v for v in validate_grammar(g))
+        with pytest.raises(GrammarError) as exc:
+            parse_grammar("pattern: x\npieces: A B\nroots: AB_2\nAB -> A B\nAB_2 -> AB_1\n")
+        assert exc.value.problems == [
+            "AB_1: no rule expands this non-leaf label",
+            "AB -> A B: no root reaches this rule",
+        ]
 
     def test_root_coverage(self):
-        g = parse_grammar("pattern: x\npieces: A B C\nroots: AB\nAB -> A B\n")
-        assert any("does not cover" in v for v in validate_grammar(g))
+        with pytest.raises(GrammarError) as exc:
+            parse_grammar("pattern: x\npieces: A B C\nroots: AB\nAB -> A B\n")
+        assert exc.value.problems == ["root AB: does not cover the full piece inventory"]
+        assert str(exc.value) == (
+            "pattern 'x': invalid grammar: root AB: does not cover the full piece inventory"
+        )
 
     def test_rules_no_root_reaches_are_named_in_file_order(self):
-        g = parse_grammar(
-            "pattern: x\npieces: A B C\nroots: AB\nAB -> A B\nBC_1 -> BC\nAC -> A C\n"
-        )
-        assert validate_grammar(g) == [
+        with pytest.raises(GrammarError) as exc:
+            parse_grammar(
+                "pattern: x\npieces: A B C\nroots: AB\nAB -> A B\nBC_1 -> BC\nAC -> A C\n"
+            )
+        assert exc.value.problems == [
             "BC: no rule expands this non-leaf label",
             "BC_1 -> BC: no root reaches this rule",
             "AC -> A C: no root reaches this rule",
             "root AB: does not cover the full piece inventory",
         ]
+        # The message names the first three problems.
+        assert str(exc.value) == "pattern 'x': invalid grammar: " + "; ".join(
+            exc.value.problems[:3]
+        )
 
 
 # Expected enumerations, hand-derived by exhaustively expanding each fixture.
@@ -172,11 +186,17 @@ class TestEnumeration:
         assert enumerate_gold_trees(skirt_grammar) == enumerate_gold_trees(reordered)
 
     def test_rootless_count_is_zero(self):
-        g = parse_grammar("pattern: x\npieces: A B\nroots: AB_1\nAB -> A B\n")
-        # AB_1 has no expanding rule: zero derivations, and invalid to enumerate
+        # AB_1 has no expanding rule: zero derivations, and a grammar refused
+        # when read, so never enumerated
+        with pytest.raises(GrammarError) as exc:
+            parse_grammar("pattern: x\npieces: A B\nroots: AB_1\nAB -> A B\n")
+        assert exc.value.problems == [
+            "AB_1: no rule expands this non-leaf label",
+            "AB -> A B: no root reaches this rule",
+        ]
+        ab = DepthOneSubtree(N("AB"), (N("A"), N("B")))
+        g = GoldGrammar("x", frozenset(ab.parent.pieces), (N("AB_1"),), (ab,))
         assert count_derivations(g) == {N("AB_1"): 0}
-        with pytest.raises(GrammarError):
-            enumerate_gold_trees(g)
 
 
 @pytest.mark.parametrize("name", GRAMMAR_NAMES)

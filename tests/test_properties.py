@@ -130,9 +130,9 @@ def perturbed_rules(draw, grammar):
 def test_parse_grammar_rejects_or_keeps_every_rule_valid(seed, n_pieces, noise, data):
     """On a synthetic grammar file with lines added and deleted,
     parse_grammar raises GrammarError or returns a grammar whose every rule
-    is a valid assembly step over its inventory; a label that no rule
-    expands or a root that misses pieces is left to validate_grammar.  The
-    added lines are fuzz and perturbed copies of the grammar's own rules."""
+    is a valid assembly step over its inventory and that passes
+    validate_grammar.  The added lines are fuzz and perturbed copies of the
+    grammar's own rules."""
     rng = SplitMix64(seed)
     grammar = grammar_from_trees("fuzz", [random_tree(rng, random_inventory(rng, n_pieces))])
     lines = grammar_to_text(grammar).splitlines()
@@ -151,6 +151,7 @@ def test_parse_grammar_rejects_or_keeps_every_rule_valid(seed, n_pieces, noise, 
             parsed = parse_grammar(text)
         except GrammarError:
             continue
+        assert validate_grammar(parsed) == []
         for rule in parsed.rules:
             assert node_oracle(rule.parent, rule.children) == []
             for label in (rule.parent, *rule.children):
@@ -162,7 +163,8 @@ def test_validate_grammar_matches_the_set_and_walk_oracle(seed, n_pieces, n_tree
     """On a synthetic grammar with rules dropped, valid perturbed rules
     added and its roots redrawn from its labels, validate_grammar gives the
     oracle's lines: the labels no rule expands, the rules a recursive walk
-    from the roots does not reach, the roots missing pieces."""
+    from the roots does not reach, the roots missing pieces.  Its file
+    parses iff there are none, and is refused with all of them."""
     rng = SplitMix64(seed)
     inventory = random_inventory(rng, n_pieces)
     grammar = grammar_from_trees("fuzz", [random_tree(rng, inventory) for _ in range(n_trees)])
@@ -178,17 +180,25 @@ def test_validate_grammar_matches_the_set_and_walk_oracle(seed, n_pieces, n_tree
         hs.just(list(grammar.roots)),
         hs.lists(hs.sampled_from(labels), min_size=1, max_size=3, unique=True),
     ), label="roots")
-    text = grammar_to_text(GoldGrammar("fuzz", grammar.inventory, tuple(roots), tuple(rules)))
-    g = parse_grammar(text)
+    g = GoldGrammar("fuzz", grammar.inventory, tuple(roots), tuple(dict.fromkeys(rules)))
     check_rule_graph(g)
-    assert validate_grammar(g) == validate_grammar_oracle(g)
+    expected = validate_grammar_oracle(g)
+    assert validate_grammar(g) == expected
+    text = grammar_to_text(g)
+    if expected:
+        with pytest.raises(GrammarError) as exc:
+            parse_grammar(text)
+        assert exc.value.problems == expected
+    else:
+        assert parse_grammar(text) == g
 
 
 @given(hs.sets(piece_labels, min_size=1, max_size=6), hs.integers(1, 2), hs.data())
 def test_parse_grammar_accepts_a_rule_iff_it_is_a_valid_step(inventory, n_children, data):
-    """A one-rule grammar over labels from the inventory parses iff the
-    rule's label arithmetic holds, its children in canonical order (the
-    parser puts them in that order)."""
+    """A one-rule grammar over labels from the inventory has its rule
+    refused iff the rule's label arithmetic fails, its children in canonical
+    order (the parser puts them in that order); any other refusal is of the
+    grammar as a whole."""
     pieces = sorted(inventory)
 
     def draw_label(name):
@@ -201,8 +211,10 @@ def test_parse_grammar_accepts_a_rule_iff_it_is_a_valid_step(inventory, n_childr
             f"{parent} -> {' '.join(map(str, children))}\n")
     try:
         parse_grammar(text)
-    except GrammarError:
-        accepted = False
+    except GrammarError as exc:
+        accepted = not str(exc).startswith("line 4: ")
+        if accepted:
+            assert str(exc).startswith("pattern 'p': invalid grammar: ")
     else:
         accepted = True
     assert accepted == (node_oracle(parent, sorted(children, key=child_order_key)) == [])
@@ -285,15 +297,23 @@ def rule_lines(draw):
 @example("AB -> BA Q_0")  # a malformed label before any piece check
 @example("AB_1 -> A")  # a unary child with other pieces
 def test_parse_grammar_checks_rules_like_the_oracle(line):
-    """Each rule line gives the oracle's rule, or its error message."""
+    """Each rule line gives the oracle's rule, or its error message.
+
+    No rule line expands the root S, whose five pieces no drawn parent has,
+    so a file whose rules all pass is refused as a whole, and the refusal
+    names every rule in file order as one no root reaches."""
     inventory = frozenset(map(parse_piece_label, RULE_INVENTORY))
     lines = [*RULE_PRELUDE, line]
     text = f"pattern: p\npieces: {' '.join(RULE_INVENTORY)}\nroots: S\n" + "\n".join(lines)
+    with pytest.raises(GrammarError) as got:
+        parse_grammar(text)
     try:
         expected = [rule_oracle(lineno, l, inventory) for lineno, l in enumerate(lines, start=4)]
     except GrammarError as exc:
-        with pytest.raises(GrammarError) as got:
-            parse_grammar(text)
         assert str(got.value) == str(exc)
     else:
-        assert parse_grammar(text).rules == tuple(dict.fromkeys(expected))
+        rules = tuple(dict.fromkeys(expected))
+        unreached = [p for p in got.value.problems if p.endswith(": no root reaches this rule")]
+        assert unreached == [f"{rule}: no root reaches this rule" for rule in rules]
+        root = NodeLabel(tuple(sorted(inventory)), 0)
+        assert got.value.problems == validate_grammar(GoldGrammar("p", inventory, (root,), rules))
