@@ -4,10 +4,11 @@ Wire protocol: POST ``{"step": str, "inventory": [str]}`` to the configured
 endpoint; the backend answers ``{"pieces": [str]}``.  Returned labels are
 validated against the pattern inventory.
 
-The backend is taken to be a function of its request: within one run, the
-extractor from :func:`make_adapter_extractor` posts each distinct step and
-inventory once, so identical steps of one pattern are extracted identically,
-as the rule-based extractor guarantees.
+The backend is taken to be a function of its request: a CLI run wraps the
+extractor from :func:`make_adapter_extractor` in
+:func:`~sewtree.pipeline.extract_once_per_run`, so each distinct step and
+inventory is posted once and identical steps of one pattern are extracted
+identically, as the rule-based extractor guarantees.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import re
 
 from .labels import LabelError, parse_piece_label
-from .pipeline import PatternSpec, StepExtraction, extract_once_per_run, extract_pieces_rule_based
+from .pipeline import PatternSpec, StepExtraction, extract_pieces_rule_based
 
 
 class AdapterError(RuntimeError):
@@ -179,14 +180,9 @@ def extract_via_adapter(step: str, spec: PatternSpec, endpoint: AdapterConfig) -
 
 def make_adapter_extractor(endpoint: AdapterConfig):
     """An extractor ``(step, spec) -> StepExtraction``, like the rule-based
-    one, built on :func:`~sewtree.pipeline.extract_once_per_run`: each
-    distinct request (step text and inventory) is posted once per run and
-    every repeat gets the one extraction made from the validated reply,
-    shared, so it must not be mutated.  A fallback is not kept, so the next
-    occurrence of that step asks the backend again.
-    """
+    one, that makes one backend request per call."""
 
     def extract(step: str, spec: PatternSpec) -> StepExtraction:
         return extract_via_adapter(step, spec, endpoint)
 
-    return extract_once_per_run(extract)
+    return extract

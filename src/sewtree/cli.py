@@ -93,13 +93,16 @@ def _load_grammar_file(path: Path):
 
 
 def _load_grammar_dir(directory: Path) -> tuple[dict, dict]:
-    files = sorted(directory.glob("*.grammar")) + sorted(directory.glob("*.txt"))
+    files = sorted(directory.glob("*.grammar"))
     if not files:
         raise ConfigError(f"no grammar files in {directory}")
     return _load_keyed(files, _load_grammar_file, "pattern_id")
 
 
 def _make_extractor(args):
+    """The run's extractor, which extracts each distinct step and inventory
+    once (a successful adapter reply too, but no fallback)."""
+    extract = extract_pieces_rule_based
     if getattr(args, "extractor", "rule-based") == "adapter":
         if not args.adapter_url:
             raise ConfigError("--adapter-url is required with --extractor adapter")
@@ -109,8 +112,8 @@ def _make_extractor(args):
             retries=args.adapter_retries,
             fallback_to_rules=args.adapter_fallback,
         )
-        return make_adapter_extractor(config)
-    return extract_once_per_run(extract_pieces_rule_based)
+        extract = make_adapter_extractor(config)
+    return extract_once_per_run(extract)
 
 
 def _add_extractor_args(parser) -> None:

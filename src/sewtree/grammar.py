@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import cached_property
+from itertools import product
 
 from .labels import (
     LabelError,
@@ -307,13 +308,11 @@ def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, .
     gold: list[str] = []
     for p, (name, expansions) in enumerate(zip(graph.names, graph.expansions)):
         if expansions:
-            level = []
-            for _, kids in expansions:
-                if len(kids) == 1:
-                    level += [bracket(name, (t,)) for t in texts[kids[0]]]
-                else:
-                    a, b = kids
-                    level += [bracket(name, (ta, tb)) for ta in texts[a] for tb in texts[b]]
+            level = [
+                bracket(name, combo)
+                for _, kids in expansions
+                for combo in product(*[texts[c] for c in kids])
+            ]
         else:
             level = [name]
         texts.append(level)

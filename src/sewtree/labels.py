@@ -19,16 +19,11 @@ class LabelError(ValueError):
     """A piece or node label could not be parsed or combined."""
 
 
-PLAIN = "plain"
-LEFT = "left"
-RIGHT = "right"
-COPY = "copy"
-
-_VARIANT_RANK = {PLAIN: 0, LEFT: 1, RIGHT: 2, COPY: 3}
-_VARIANT_SUFFIX = {PLAIN: "", LEFT: "l", RIGHT: "r"}
-
-_PIECE_RE = re.compile(r"([A-Z])(l|r|[0-9]+)?")
-_PIECE_TEXT_RE = re.compile(r"[A-Z](?:l|r|[0-9]+)?")
+# The piece-label format: a base letter, then ``l``/``r`` or a copy number.
+_PIECE_RE = re.compile(r"[A-Z](?:l|r|[0-9]+)?")
+# A piece sorts by its base letter, then plain, left, right and copies
+# (rank 3), then by copy number.
+_SUFFIX_RANK = {"": 0, "l": 1, "r": 2}
 
 
 # Labels are hashed on every set and dict lookup of a rule, so each one
@@ -63,33 +58,32 @@ class _Frozen:
 
 
 class PieceLabel(_Frozen):
-    """One pattern piece: a base letter plus a mirror/copy variant."""
+    """One pattern piece, made from its text (``A``, ``Bl``, ``X3``), which
+    it checks; ``str`` gives the text back, so a copy number with a leading
+    zero is refused."""
 
-    __slots__ = ("base", "variant", "copy_index", "_key", "_hash", "_text")
+    __slots__ = ("_key", "_hash", "_text")
 
-    def __init__(self, base: str, variant: str = PLAIN, copy_index: int = 0) -> None:
-        if len(base) != 1 or not "A" <= base <= "Z":
-            raise LabelError(f"piece base must be one letter A-Z, got {base!r}")
-        rank = _VARIANT_RANK.get(variant)
+    def __init__(self, text: str) -> None:
+        if not text:
+            raise LabelError("empty piece label")
+        if _PIECE_RE.fullmatch(text) is None:
+            raise LabelError(f"malformed piece label {text!r}")
+        base, suffix = text[0], text[1:]
+        rank, index = _SUFFIX_RANK.get(suffix), 0
         if rank is None:
-            raise LabelError(f"unknown piece variant {variant!r}")
-        if variant == COPY:
-            if copy_index < 1:
-                raise LabelError(f"copy index must be >= 1, got {copy_index}")
-        elif copy_index != 0:
-            raise LabelError("copy_index is only meaningful for the copy variant")
+            rank, index = 3, int(suffix)
+            if index < 1:
+                raise LabelError(f"copy index must be >= 1 in {text!r}")
+            if suffix[0] == "0":
+                raise LabelError(f"copy index has a leading zero in {text!r}")
         set_slot = object.__setattr__
-        set_slot(self, "base", base)
-        set_slot(self, "variant", variant)
-        set_slot(self, "copy_index", copy_index)
-        # Base letter first; l/r and copy numbers only break ties within a base.
-        set_slot(self, "_key", (base, rank, copy_index))
-        set_slot(self, "_hash", hash((ord(base), rank, copy_index)))
-        suffix = str(copy_index) if variant == COPY else _VARIANT_SUFFIX[variant]
-        set_slot(self, "_text", base + suffix)
+        set_slot(self, "_key", (base, rank, index))
+        set_slot(self, "_hash", hash((ord(base), rank, index)))
+        set_slot(self, "_text", text)
 
     def __reduce__(self):
-        return self.__class__, (self.base, self.variant, self.copy_index)
+        return self.__class__, (self._text,)
 
     def __hash__(self) -> int:
         return self._hash
@@ -99,62 +93,23 @@ class PieceLabel(_Frozen):
             return self._key == other._key
         return NotImplemented
 
-    def sort_key(self) -> tuple[str, int, int]:
-        return self._key
-
     def __lt__(self, other: "PieceLabel") -> bool:
         if not isinstance(other, PieceLabel):
             return NotImplemented
         return self._key < other._key
 
-    def __le__(self, other: "PieceLabel") -> bool:
-        if not isinstance(other, PieceLabel):
-            return NotImplemented
-        return self._key <= other._key
-
-    def __gt__(self, other: "PieceLabel") -> bool:
-        if not isinstance(other, PieceLabel):
-            return NotImplemented
-        return self._key > other._key
-
-    def __ge__(self, other: "PieceLabel") -> bool:
-        if not isinstance(other, PieceLabel):
-            return NotImplemented
-        return self._key >= other._key
-
     def __str__(self) -> str:
         return self._text
 
     def __repr__(self) -> str:
-        return (
-            f"PieceLabel(base={self.base!r}, variant={self.variant!r}, "
-            f"copy_index={self.copy_index!r})"
-        )
+        return f"PieceLabel({self._text!r})"
 
 
 @lru_cache(maxsize=_LABEL_MEMO_SIZE)
 def parse_piece_label(text: str) -> PieceLabel:
-    """Parse one piece label; inverse of :func:`str` on :class:`PieceLabel`,
-    so a copy index with a leading zero is refused.  Memoized: equal texts
-    give one shared label (a bad text raises each time)."""
-    if not text:
-        raise LabelError("empty piece label")
-    m = _PIECE_RE.fullmatch(text)
-    if m is None:
-        raise LabelError(f"malformed piece label {text!r}")
-    base, suffix = m.group(1), m.group(2)
-    if suffix is None:
-        return PieceLabel(base)
-    if suffix == "l":
-        return PieceLabel(base, LEFT)
-    if suffix == "r":
-        return PieceLabel(base, RIGHT)
-    index = int(suffix)
-    if index < 1:
-        raise LabelError(f"copy index must be >= 1 in {text!r}")
-    if suffix[0] == "0":
-        raise LabelError(f"copy index has a leading zero in {text!r}")
-    return PieceLabel(base, COPY, index)
+    """:class:`PieceLabel` of ``text``, memoized: equal texts give one
+    shared label (a bad text raises each time)."""
+    return PieceLabel(text)
 
 
 class NodeLabel(_Frozen):
@@ -235,7 +190,7 @@ def parse_node_label(text: str) -> NodeLabel:
 
     # The matches tile the body iff their lengths add up to it; else the
     # scan finds the first position no piece starts at.
-    piece_texts = _PIECE_TEXT_RE.findall(body)
+    piece_texts = _PIECE_RE.findall(body)
     if sum(map(len, piece_texts)) != len(body):
         pos = 0
         while (m := _PIECE_RE.match(body, pos)) is not None:

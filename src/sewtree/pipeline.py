@@ -73,7 +73,7 @@ class PatternSpec:
     def to_json(self) -> dict:
         return {
             "pattern_id": self.pattern_id,
-            "pieces": {str(k): v for k, v in sorted(self.pieces.items(), key=lambda kv: kv[0].sort_key())},
+            "pieces": {str(k): v for k, v in sorted(self.pieces.items())},
         }
 
 

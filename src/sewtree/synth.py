@@ -6,9 +6,6 @@ import string
 
 from .grammar import GoldGrammar
 from .labels import (
-    COPY,
-    LEFT,
-    RIGHT,
     NodeLabel,
     PieceLabel,
     bump_self_attach,
@@ -28,11 +25,11 @@ def random_inventory(rng: SplitMix64, n_pieces: int) -> list[PieceLabel]:
             break
         kind = rng.randrange(4)
         if kind == 0 and len(pieces) + 2 <= n_pieces:
-            pieces.append(PieceLabel(letter, LEFT))
-            pieces.append(PieceLabel(letter, RIGHT))
+            pieces.append(PieceLabel(letter + "l"))
+            pieces.append(PieceLabel(letter + "r"))
         elif kind == 1 and len(pieces) + 2 <= n_pieces:
-            pieces.append(PieceLabel(letter, COPY, 1))
-            pieces.append(PieceLabel(letter, COPY, 2))
+            pieces.append(PieceLabel(letter + "1"))
+            pieces.append(PieceLabel(letter + "2"))
         else:
             pieces.append(PieceLabel(letter))
     return pieces

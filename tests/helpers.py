@@ -21,7 +21,6 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from sewtree.adapter import extract_via_adapter
 from sewtree.grammar import (
     DEFAULT_CAP,
     CapExceededError,
@@ -33,10 +32,6 @@ from sewtree.grammar import (
     validate_grammar,
 )
 from sewtree.labels import (
-    COPY,
-    LEFT,
-    PLAIN,
-    RIGHT,
     LabelError,
     NodeLabel,
     PieceLabel,
@@ -549,16 +544,6 @@ def glued_forest(report) -> tuple[str, ...]:
     return tuple(serialize_node(t) for t in glued)
 
 
-def per_step_adapter_extractor(endpoint):
-    """The adapter extractor without its memo: one backend request for
-    every step, the reference the memoized extractor is tested against."""
-
-    def extractor(step, spec):
-        return extract_via_adapter(step, spec, endpoint)
-
-    return extractor
-
-
 def urllib_post(endpoint, body: bytes) -> bytes:
     """POST ``body`` through ``urllib.request``, the transport that
     ``adapter._post`` replaced: the reference for its requests and replies
@@ -572,12 +557,11 @@ def urllib_post(endpoint, body: bytes) -> bytes:
 
 def label_text(value) -> str:
     """The text of a piece label, node label or depth-1 subtree, written
-    from its fields on every call: the oracle for ``str``, which returns
-    the text each label composed once."""
+    from its fields on every call (a piece's from its sort key): the oracle
+    for ``str``, which returns the text each label composed once."""
     if isinstance(value, PieceLabel):
-        if value.variant == COPY:
-            return f"{value.base}{value.copy_index}"
-        return value.base + {PLAIN: "", LEFT: "l", RIGHT: "r"}[value.variant]
+        base, rank, index = value._key
+        return base + (str(index) if index else ("", "l", "r")[rank])
     if isinstance(value, NodeLabel):
         body = "".join(label_text(p) for p in value.pieces)
         if value.self_attach:

@@ -29,7 +29,6 @@ from conftest import FIXTURES, _AdapterHandler, load_grammar, posted_requests, w
 from helpers import (
     as_pair,
     gold_tree_oracle,
-    per_step_adapter_extractor,
     run_fresh,
     urllib_post,
     wide_grammar,
@@ -214,6 +213,20 @@ def test_score_refuses_an_invalid_grammar_no_document_uses(workspace, tmp_path, 
         "BF_8: no rule expands this non-leaf label; BF_9 -> BF_8: no root reaches this rule\n"
     )
     assert not workspace["out"].exists()
+
+
+@pytest.mark.parametrize("command", ["score", "roundtrip"])
+def test_grammar_directory_reads_only_grammar_files(workspace, tmp_path, capsys, command):
+    grammars = tmp_path / "grammars"
+    shutil.copytree(FIXTURES / "grammars", grammars)
+    (grammars / "notes.txt").write_text("Notes on these grammars.\n")
+    outputs = []
+    for directory in (FIXTURES / "grammars", grammars):
+        score_args = ("--corpus", workspace["corpus"], "--specs", workspace["specs"], "--out", workspace["out"])
+        assert run(command, "--grammars", directory, *(score_args if command == "score" else ())) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0]
+    assert outputs[1].err == ""
 
 
 @pytest.mark.parametrize("error", [GrammarError, TreeError, LabelError, ValueError])
@@ -721,7 +734,7 @@ class TestAdapterMemo:
         n_steps = write_repeating_corpus(corpus)
         memoized = score_with_adapter(corpus, tmp_path / "memo", adapter_server, capsys)
         posted = posted_requests()
-        monkeypatch.setattr(sewtree.cli, "make_adapter_extractor", per_step_adapter_extractor)
+        monkeypatch.setattr(sewtree.cli, "extract_once_per_run", lambda extract: extract)
         reference = score_with_adapter(corpus, tmp_path / "reference", adapter_server, capsys)
 
         assert memoized == reference
@@ -1148,12 +1161,12 @@ class TestRoundtripCli:
     def test_two_grammars_with_one_pattern_are_rejected(self, tmp_path, capsys):
         grammars = tmp_path / "grammars"
         shutil.copytree(FIXTURES / "grammars", grammars)
-        shutil.copy(grammars / "skirt.grammar", grammars / "skirt-copy.txt")
+        shutil.copy(grammars / "skirt.grammar", grammars / "skirt-copy.grammar")
         assert run("roundtrip", "--grammars", grammars) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert str(grammars / "skirt.grammar") in captured.err
-        assert str(grammars / "skirt-copy.txt") in captured.err
+        assert str(grammars / "skirt-copy.grammar") in captured.err
 
     def test_unparsable_grammar_is_named(self, tmp_path, capsys):
         grammars, bad = grammars_with_an_unparsable_one(tmp_path)

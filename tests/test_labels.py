@@ -7,10 +7,6 @@ from hypothesis import example, given
 from hypothesis import strategies as hs
 
 from sewtree.labels import (
-    COPY,
-    LEFT,
-    PLAIN,
-    RIGHT,
     LabelError,
     NodeLabel,
     PieceLabel,
@@ -39,21 +35,37 @@ class TestParsePieceLabel:
     @pytest.mark.parametrize(
         "text,base,variant,index",
         [
-            ("A", "A", PLAIN, 0),
-            ("Bl", "B", LEFT, 0),
-            ("Br", "B", RIGHT, 0),
-            ("X3", "X", COPY, 3),
-            ("Z12", "Z", COPY, 12),
+            ("A", "A", "plain", 0),
+            ("Bl", "B", "left", 0),
+            ("Br", "B", "right", 0),
+            ("X3", "X", "copy", 3),
+            ("Z12", "Z", "copy", 12),
         ],
     )
     def test_valid(self, text, base, variant, index):
         piece = parse_piece_label(text)
-        assert (piece.base, piece.variant, piece.copy_index) == (base, variant, index)
+        assert piece._key == (base, ["plain", "left", "right", "copy"].index(variant), index)
+        assert repr(piece) == f"PieceLabel({text!r})"
 
     @pytest.mark.parametrize("bad", ["", "ab", "a", "AB", "A0", "Al2", "1A", "A-1", "Ax"])
     def test_invalid(self, bad):
         with pytest.raises(LabelError):
             parse_piece_label(bad)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("", "empty piece label"),
+            ("Ax", "malformed piece label 'Ax'"),
+            ("A0", "copy index must be >= 1 in 'A0'"),
+            ("A00", "copy index must be >= 1 in 'A00'"),
+            ("A01", "copy index has a leading zero in 'A01'"),
+        ],
+    )
+    def test_error_names_the_fault(self, bad, message):
+        with pytest.raises(LabelError) as info:
+            PieceLabel(bad)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("bad", ["A01", "A00", "X010", "Z007"])
     def test_copy_index_with_leading_zero_is_refused(self, bad):
@@ -93,6 +105,58 @@ class TestPieceOrdering:
         # transitivity
         if a < b and b < c:
             assert a < c
+
+
+piece_texts = hs.from_regex(r"[A-Z](l|r|[0-9]+)?", fullmatch=True)
+
+
+def refused(text: str) -> bool:
+    """Whether ``text`` names no piece: its copy number is 0 or has a
+    leading zero."""
+    number = text[1:]
+    return number.isdigit() and (int(number) == 0 or number[0] == "0")
+
+
+def oracle_key(text: str) -> tuple[str, int, int]:
+    """The order of a piece, from its text: base letter, then plain, left,
+    right and copies, then the copy number."""
+    suffix = text[1:]
+    if suffix in ("", "l", "r"):
+        return text[0], ["", "l", "r"].index(suffix), 0
+    return text[0], 3, int(suffix)
+
+
+piece_label_texts = piece_texts.filter(lambda t: not refused(t))
+
+
+class TestPieceLabelFromText:
+    @given(piece_texts)
+    @example("A0")
+    @example("A01")
+    def test_refused_iff_copy_number_is_zero_or_has_a_leading_zero(self, text):
+        if refused(text):
+            with pytest.raises(LabelError):
+                PieceLabel(text)
+        else:
+            PieceLabel(text)
+
+    @given(piece_label_texts)
+    def test_text_round_trips_and_parses_alike(self, text):
+        piece = PieceLabel(text)
+        assert str(piece) == text
+        assert piece == parse_piece_label(text)
+        assert hash(piece) == hash(parse_piece_label(text))
+
+    @given(piece_label_texts, piece_label_texts)
+    @example("B", "Bl")
+    @example("Br", "B1")
+    @example("B2", "B10")
+    def test_order_and_hash_match_the_oracle_key(self, a_text, b_text):
+        a, b = PieceLabel(a_text), PieceLabel(b_text)
+        key_a, key_b = oracle_key(a_text), oracle_key(b_text)
+        assert (a < b, a == b, b < a) == (key_a < key_b, key_a == key_b, key_b < key_a)
+        base, rank, index = key_a
+        assert hash(a) == hash((ord(base), rank, index))
 
 
 class TestNodeLabel:
@@ -302,9 +366,10 @@ class TestBumpSelfAttach:
         assert bump_self_attach(N("BlFl")) == N("BlFl_1")
 
 
-piece_labels = hs.one_of(
-    hs.builds(PieceLabel, hs.sampled_from("ABCDEFG"), hs.sampled_from([PLAIN, LEFT, RIGHT])),
-    hs.builds(PieceLabel, hs.sampled_from("ABCDEFG"), hs.just(COPY), hs.integers(1, 12)),
+piece_labels = hs.builds(
+    lambda letter, suffix: PieceLabel(letter + suffix),
+    hs.sampled_from("ABCDEFG"),
+    hs.sampled_from(["", "l", "r"]) | hs.integers(1, 12).map(str),
 )
 node_labels = hs.builds(
     lambda pieces, counter: NodeLabel(tuple(sorted(pieces)), counter),
@@ -359,7 +424,7 @@ class TestLabelIdentity:
         piece = label.pieces[0]
         rebuilt = [
             (label, NodeLabel(label.pieces, label.self_attach)),
-            (piece, PieceLabel(piece.base, piece.variant, piece.copy_index)),
+            (piece, PieceLabel(str(piece))),
             (subtree, DepthOneSubtree(subtree.parent, subtree.children)),
         ]
         for value, built in rebuilt:
@@ -372,10 +437,10 @@ class TestLabelIdentity:
 
     @pytest.mark.parametrize(
         "value,field",
-        [(PieceLabel("A"), "base"), (PieceLabel("X", COPY, 3), "copy_index"),
+        [(PieceLabel("A"), "_key"), (PieceLabel("X3"), "_text"),
          (NodeLabel((PieceLabel("A"),), 1), "self_attach"), (NodeLabel((PieceLabel("A"),)), "pieces"),
          (DepthOneSubtree(NodeLabel((PieceLabel("A"),), 1), (NodeLabel((PieceLabel("A"),)),)), "parent"),
-         (PieceLabel("A"), "_hash"), (PieceLabel("B", LEFT), "_text"),
+         (PieceLabel("A"), "_hash"), (PieceLabel("Bl"), "_text"),
          (NodeLabel((PieceLabel("A"), PieceLabel("B")), 2), "_text")],
     )
     def test_fields_cannot_be_assigned_or_deleted(self, value, field):

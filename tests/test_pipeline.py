@@ -464,10 +464,10 @@ class TestExtractorProtocol:
 
     @pytest.mark.parametrize("kind", ["rule-based", "adapter"])
     def test_repeat_gets_the_kept_extraction(self, request, skirt_spec, kind):
+        extract = extract_pieces_rule_based
         if kind == "adapter":
-            extractor = make_adapter_extractor(AdapterConfig(request.getfixturevalue("adapter_server")))
-        else:
-            extractor = extract_once_per_run(extract_pieces_rule_based)
+            extract = make_adapter_extractor(AdapterConfig(request.getfixturevalue("adapter_server")))
+        extractor = extract_once_per_run(extract)
         three = "Sew the Over Skirt (A), the Under Skirt (B) and the Waistband (C) together."
         doc = InstructionDoc("skirt", "d", ("Press the fabric.", three, three))
         _, x, repeat = extract_document(doc, skirt_spec, extractor)
@@ -479,7 +479,7 @@ class TestAdapterMemo:
 
     def test_same_step_under_two_inventories_is_posted_twice(self, adapter_server, skirt_spec):
         narrow = PatternSpec("skirt", {P("A"): "Over Skirt", P("B"): "Under Skirt"})
-        extractor = make_adapter_extractor(AdapterConfig(adapter_server))
+        extractor = extract_once_per_run(make_adapter_extractor(AdapterConfig(adapter_server)))
         for spec in [skirt_spec, narrow, skirt_spec, narrow]:
             assert labels(extractor(self.STEP, spec)) == ["A", "B"]
         assert posted_requests() == [
@@ -489,7 +489,7 @@ class TestAdapterMemo:
 
     def test_two_extractors_share_no_memo(self, adapter_server, skirt_spec):
         config = AdapterConfig(adapter_server)
-        for extractor in [make_adapter_extractor(config), make_adapter_extractor(config)]:
+        for extractor in [extract_once_per_run(make_adapter_extractor(config)) for _ in range(2)]:
             extractor(self.STEP, skirt_spec)
             extractor(self.STEP, skirt_spec)
         assert len(posted_requests()) == 2
@@ -497,7 +497,7 @@ class TestAdapterMemo:
     def test_fallback_is_not_kept(self, adapter_server, skirt_spec):
         _AdapterHandler.behavior = "slow"
         config = AdapterConfig(adapter_server, timeout=0.1, retries=0, fallback_to_rules=True)
-        extractor = make_adapter_extractor(config)
+        extractor = extract_once_per_run(make_adapter_extractor(config))
         assert [extractor(self.STEP, skirt_spec).source for _ in range(2)] == ["fallback"] * 2
         _AdapterHandler.behavior = "ok"
         assert extractor(self.STEP, skirt_spec).source == "adapter"

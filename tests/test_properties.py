@@ -12,10 +12,6 @@ from hypothesis import strategies as hs
 
 from sewtree.experiments import roundtrip_grammar
 from sewtree.labels import (
-    COPY,
-    LEFT,
-    PLAIN,
-    RIGHT,
     NodeLabel,
     PieceLabel,
     child_order_key,
@@ -66,9 +62,10 @@ def test_build_glue_equivalence_on_random_docs(index):
 
 
 letters = hs.sampled_from(string.ascii_uppercase)
-piece_labels = hs.one_of(
-    hs.builds(PieceLabel, letters, hs.sampled_from([PLAIN, LEFT, RIGHT])),
-    hs.builds(PieceLabel, letters, hs.just(COPY), hs.integers(1, 999)),
+piece_labels = hs.builds(
+    lambda letter, suffix: PieceLabel(letter + suffix),
+    letters,
+    hs.sampled_from(["", "l", "r"]) | hs.integers(1, 999).map(str),
 )
 
 
