@@ -154,7 +154,7 @@ def extract_via_adapter(step: str, spec: PatternSpec, endpoint: AdapterConfig) -
         try:
             data = json.loads(_post(endpoint, body))
             break
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             last_error = exc
     else:
         if endpoint.fallback_to_rules:

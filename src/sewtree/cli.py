@@ -266,12 +266,16 @@ def cmd_inject_errors(args) -> int:
 
 def _read_table(path, required: tuple[str, ...], unique: str | None = None) -> list[dict]:
     """Rows of a CSV file that must have the ``required`` columns and, if
-    given, no value twice in the column ``unique``."""
+    given, no value twice in the column ``unique``.  A line the reader
+    refuses (a field over its size limit) is named with its number."""
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
-    missing = [c for c in required if c not in (reader.fieldnames or ())]
-    if missing:
-        raise ValueError(f"{path}: missing column {missing[0]!r}")
-    rows = list(reader)
+    try:
+        missing = [c for c in required if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing column {missing[0]!r}")
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"{path} line {reader.reader.line_num}: {exc}") from exc
     if unique is not None:
         seen = set()
         for row in rows:

@@ -17,8 +17,7 @@ counter ``n``, unless S itself is an inventory piece.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from functools import cached_property
+from collections.abc import Iterable
 from itertools import product
 
 from .labels import (
@@ -56,39 +55,57 @@ class CapExceededError(GrammarError):
 DEFAULT_CAP = 100_000
 
 
-# The rule table as a DAG over every label the roots and rules mention,
-# children before parents, so a DP over derivations is one pass over
-# ``labels``:
-# - ``labels``: sorted by (piece count, counter, text).  Well-formed rules
-#   strictly shrink (pieces, then counter), so each child sorts before its
-#   parents, whatever the order of the rules;
-# - ``names``: str() of each label;
-# - ``expansions``: per label, each of its rules in rule order with the
-#   positions of the rule's children in ``labels``; empty for a label no
-#   rule expands (a leaf);
-# - ``roots``: positions of GoldGrammar.roots.
-# Its readers take a checked grammar, which has no label the roots do not
-# reach.
-RuleGraph = namedtuple("RuleGraph", ["labels", "names", "expansions", "roots"])
+def rule_graph(
+    roots: tuple[NodeLabel, ...], rules: tuple[DepthOneSubtree, ...]
+) -> tuple[tuple, tuple, tuple[int, ...]]:
+    """The rule table as a DAG over every label the roots and rules
+    mention, children before parents, so a DP over derivations is one pass
+    over the labels.  Returns ``(labels, expansions, root_positions)``:
+    - ``labels``: sorted by (piece count, counter, text).  Well-formed rules
+      strictly shrink (pieces, then counter), so each child sorts before its
+      parents, whatever the order of the rules;
+    - ``expansions``: per label, each of its rules in rule order with the
+      positions of the rule's children in ``labels``; empty for a label no
+      rule expands (a leaf);
+    - ``root_positions``: the positions of ``roots``.
+    Its readers take a checked grammar, which has no label the roots do not
+    reach."""
+    mentioned = set(roots)
+    for rule in rules:
+        mentioned.add(rule.parent)
+        mentioned.update(rule.children)
+    labels = tuple(sorted(
+        mentioned, key=lambda label: (len(label.pieces), label.self_attach, str(label))
+    ))
+    position = {label: p for p, label in enumerate(labels)}
+    expansions: list[list] = [[] for _ in labels]
+    for rule in rules:
+        expansions[position[rule.parent]].append(
+            (rule, tuple([position[c] for c in rule.children]))
+        )
+    return labels, tuple(map(tuple, expansions)), tuple(position[root] for root in roots)
 
 
 class GoldGrammar:
     """A pattern's gold trees as rules, each a depth-1 subtree that is a valid
-    assembly step over the inventory.  A checked grammar is one that
-    :func:`parse_grammar` returned, or one built in memory that
-    :func:`validate_grammar` passes."""
+    assembly step over the inventory.  It keeps each root and each rule once,
+    in first-seen order, so distinct derivations are distinct trees, and
+    holds its :func:`rule_graph` as ``labels``, ``expansions`` and
+    ``root_positions``.  A checked grammar is one that :func:`parse_grammar`
+    returned, or one built in memory that :func:`validate_grammar` passes."""
 
     def __init__(
         self,
         pattern_id: str,
         inventory: frozenset[PieceLabel],
-        roots: tuple[NodeLabel, ...],
-        rules: tuple[DepthOneSubtree, ...],
+        roots: Iterable[NodeLabel],
+        rules: Iterable[DepthOneSubtree],
     ) -> None:
         self.pattern_id = pattern_id
         self.inventory = inventory
-        self.roots = roots
-        self.rules = rules
+        self.roots: tuple[NodeLabel, ...] = tuple(dict.fromkeys(roots))
+        self.rules: tuple[DepthOneSubtree, ...] = tuple(dict.fromkeys(rules))
+        self.labels, self.expansions, self.root_positions = rule_graph(self.roots, self.rules)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
@@ -96,25 +113,6 @@ class GoldGrammar:
                 other.pattern_id, other.inventory, other.roots, other.rules
             )
         return NotImplemented
-
-    @cached_property
-    def rule_graph(self) -> RuleGraph:
-        """Built once per grammar and shared by every caller: never mutate it."""
-        mentioned = set(self.roots)
-        for rule in self.rules:
-            mentioned.add(rule.parent)
-            mentioned.update(rule.children)
-        labels = tuple(sorted(
-            mentioned, key=lambda label: (len(label.pieces), label.self_attach, str(label))
-        ))
-        position = {label: p for p, label in enumerate(labels)}
-        expansions: list[list] = [[] for _ in labels]
-        for rule in self.rules:
-            expansions[position[rule.parent]].append(
-                (rule, tuple([position[c] for c in rule.children]))
-            )
-        roots = tuple(position[root] for root in self.roots)
-        return RuleGraph(labels, tuple(map(str, labels)), tuple(map(tuple, expansions)), roots)
 
 
 def _full_inventory_label(inventory: frozenset[PieceLabel], counter: int) -> NodeLabel:
@@ -136,7 +134,7 @@ def parse_grammar(text: str) -> GoldGrammar:
     known: dict[str, NodeLabel] = {}
     outside: set[NodeLabel] = set()
     roots_line: tuple[int, str] | None = None
-    rules: dict[DepthOneSubtree, None] = {}
+    rules: list[DepthOneSubtree] = []
 
     def label_of(text: str) -> NodeLabel:
         label = known.get(text)
@@ -201,7 +199,7 @@ def parse_grammar(text: str) -> GoldGrammar:
             problems = node_violations(parent, rule.children)
             if problems:
                 raise GrammarError(f"line {lineno}: {rule}: {problems[0][1]}")
-            rules[rule] = None
+            rules.append(rule)
             continue
         raise GrammarError(f"line {lineno}: unrecognized line {line!r}")
 
@@ -229,7 +227,7 @@ def parse_grammar(text: str) -> GoldGrammar:
         if root.piece_set - inv:
             raise GrammarError(f"line {lineno}: root {root} uses unknown pieces")
 
-    g = GoldGrammar(pattern_id, inv, tuple(dict.fromkeys(roots)), tuple(rules))
+    g = GoldGrammar(pattern_id, inv, roots, rules)
     problems = validate_grammar(g)
     if problems:
         raise GrammarError(
@@ -242,24 +240,23 @@ def validate_grammar(g: GoldGrammar) -> list[str]:
     """Violations of the grammar as a whole (each rule was checked when it
     was parsed): non-leaf labels no rule expands, by name; rules whose
     parent no root reaches, in file order; roots missing pieces."""
-    graph = g.rule_graph
     # Children sit below their parents, so one pass down the positions
     # marks every label a root reaches.
-    reached = [False] * len(graph.labels)
-    for p in graph.roots:
+    reached = [False] * len(g.labels)
+    for p in g.root_positions:
         reached[p] = True
     for p in reversed(range(len(reached))):
         if reached[p]:
-            for _, kids in graph.expansions[p]:
+            for _, kids in g.expansions[p]:
                 for c in kids:
                     reached[c] = True
     unexpanded = [
-        name
-        for label, name, expansions in zip(graph.labels, graph.names, graph.expansions)
+        str(label)
+        for label, expansions in zip(g.labels, g.expansions)
         if not expansions and not (is_leaf(label) and label.pieces[0] in g.inventory)
     ]
     out = [f"{name}: no rule expands this non-leaf label" for name in sorted(unexpanded)]
-    unreached = {label for label, r in zip(graph.labels, reached) if not r}
+    unreached = {label for label, r in zip(g.labels, reached) if not r}
     out += [f"{rule}: no root reaches this rule" for rule in g.rules if rule.parent in unreached]
     for root in g.roots:
         if root.piece_set != g.inventory:
@@ -273,14 +270,13 @@ def count_derivations(g: GoldGrammar) -> dict[NodeLabel, int]:
     count(leaf) = 1; count(label) = sum over its rules of the product of the
     children's counts; an unexpandable label that is not a leaf counts 0.
     """
-    graph = g.rule_graph
     counts: list[int] = []
-    for label, expansions in zip(graph.labels, graph.expansions):
+    for label, expansions in zip(g.labels, g.expansions):
         if expansions:
             counts.append(sum(math.prod(counts[c] for c in kids) for _, kids in expansions))
         else:
             counts.append(1 if is_leaf(label) else 0)
-    return {root: counts[p] for root, p in zip(g.roots, graph.roots)}
+    return {root: counts[p] for root, p in zip(g.roots, g.root_positions)}
 
 
 def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, ...]:
@@ -298,15 +294,15 @@ def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, .
     if total > cap:
         raise CapExceededError(total, cap)
 
-    graph = g.rule_graph
     # A label's texts are dropped once its last parent is placed: on a unary
     # chain each label's texts contain its child's, and keeping them all
     # would hold characters quadratic in the chain's length.
-    last_parent = {c: p for p, rules in enumerate(graph.expansions) for _, kids in rules for c in kids}
-    roots = set(graph.roots)
+    last_parent = {c: p for p, rules in enumerate(g.expansions) for _, kids in rules for c in kids}
+    roots = set(g.root_positions)
     texts: list[list[str] | None] = []
     gold: list[str] = []
-    for p, (name, expansions) in enumerate(zip(graph.names, graph.expansions)):
+    for p, (label, expansions) in enumerate(zip(g.labels, g.expansions)):
+        name = str(label)
         if expansions:
             level = [
                 bracket(name, combo)

@@ -75,12 +75,11 @@ def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> Sco
     go to the smallest serialization, which is the lowest index in the
     sorted enumeration.  ``best_gold_tree`` holds that serialization.
     """
-    graph = grammar.rule_graph
-
     # tables[p]: g -> (max m, smallest serialization, (rule, child positions,
     # child g values) of the rule that built it, None for a leaf).
     tables: list[dict[int, tuple[int, str, tuple | None]]] = []
-    for name, expansions in zip(graph.names, graph.expansions):
+    for label, expansions in zip(grammar.labels, grammar.expansions):
+        name = str(label)
         if not expansions:
             tables.append({0: (0, name, None)})
             continue
@@ -113,7 +112,7 @@ def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> Sco
         tables.append(table)
 
     ranked = []
-    for root in graph.roots:
+    for root in grammar.root_positions:
         for g, (m, text, _) in tables[root].items():
             precision = m / len(pred) if pred else 0.0
             recall = m / g if g else 0.0

@@ -401,12 +401,17 @@ def read_text(path) -> str:
 
 def _load_json(path, from_json):
     """``from_json`` of a JSON file; errors name the file.  Text that is not
-    JSON stays a ``JSONDecodeError`` (an I/O error), a bad schema a
+    JSON stays a ``JSONDecodeError`` (an I/O error), as does a value nested
+    deeper than the decoder's recursion allows, and a bad schema a
     ``ValueError`` (a validation error)."""
+    text = read_text(path)
     try:
-        data = json.loads(read_text(path))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+    except RecursionError:
+        start = len(text) - len(text.lstrip())
+        raise json.JSONDecodeError(f"{path}: value nested too deeply", text, start) from None
     try:
         return from_json(data)
     except ValueError as exc:

@@ -13,7 +13,7 @@ from .labels import (
     merge_labels,
 )
 from .rng import SplitMix64
-from .tree import DepthOneSubtree, subtrees_of
+from .tree import subtrees_of
 
 
 def random_inventory(rng: SplitMix64, n_pieces: int) -> list[PieceLabel]:
@@ -73,16 +73,12 @@ def random_tree(
 
 
 def grammar_from_trees(pattern_id: str, trees) -> GoldGrammar:
-    """The grammar whose rules are exactly the depth-1 subtrees of the
+    """The grammar whose rules are exactly the depth-1 subtrees of a list of
     ``(root, children_of)`` trees."""
-    rules: dict[DepthOneSubtree, None] = {}
-    roots: dict[NodeLabel, None] = {}
-    inventory: set[PieceLabel] = set()
-    for tree in trees:
-        roots[tree[0]] = None
-        inventory.update(tree[0].pieces)
-        rules.update(dict.fromkeys(subtrees_of(tree)))
-    return GoldGrammar(pattern_id, frozenset(inventory), tuple(roots), tuple(rules))
+    roots = [root for root, _ in trees]
+    inventory = frozenset({piece for root in roots for piece in root.pieces})
+    rules = [rule for tree in trees for rule in subtrees_of(tree)]
+    return GoldGrammar(pattern_id, inventory, roots, rules)
 
 
 def random_grammar(

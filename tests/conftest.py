@@ -41,6 +41,10 @@ def skirt_doc():
     return InstructionDoc.from_json(data)
 
 
+# A reply nested deeper than the decoder's recursion allows.
+DEEP_REPLY = b'{"pieces": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+
+
 class _AdapterHandler(BaseHTTPRequestHandler):
     """Stub extraction backend shared by the pipeline and CLI tests.
 
@@ -67,7 +71,7 @@ class _AdapterHandler(BaseHTTPRequestHandler):
         else:
             # echo back labels present in the step text, in inventory order
             payload = {"pieces": [p for p in request["inventory"] if f"({p})" in request["step"]]}
-        body = json.dumps(payload).encode()
+        body = DEEP_REPLY if self.behavior == "deep-reply" else json.dumps(payload).encode()
         try:
             self.send_response(200)
             self.send_header("Content-Length", str(len(body)))

@@ -289,9 +289,8 @@ def gold_tree_oracle(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[AssemblyNo
     total = sum(count_derivations(g).values())
     if total > cap:
         raise CapExceededError(total, cap)
-    graph = g.rule_graph
     trees: list[tuple[AssemblyNode, ...]] = []
-    for label, expansions in zip(graph.labels, graph.expansions):
+    for label, expansions in zip(g.labels, g.expansions):
         if not expansions:
             trees.append((AssemblyNode(label),))
             continue
@@ -300,7 +299,7 @@ def gold_tree_oracle(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[AssemblyNo
             for _, kids in expansions
             for combo in itertools.product(*(trees[c] for c in kids))
         ))
-    return tuple(sorted((t for root in graph.roots for t in trees[root]), key=serialize_node))
+    return tuple(sorted((t for root in g.root_positions for t in trees[root]), key=serialize_node))
 
 
 def check_enumeration(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, ...]:
@@ -340,23 +339,22 @@ def rule_oracle(lineno: int, line: str, inventory: frozenset[PieceLabel]) -> Dep
 
 
 def check_rule_graph(g):
-    """``g.rule_graph`` against its contract: every label the roots and
-    rules mention, each child below its parents, each label's rules in rule
-    order with their children's positions, and labels that do not depend on
-    the order of the rules."""
-    graph = g.rule_graph
+    """``g``'s rule graph against its contract: each root and rule once,
+    every label the roots and rules mention, each child below its parents,
+    each label's rules in rule order with their children's positions, and
+    labels that do not depend on the order of the rules."""
+    assert len(set(g.roots)) == len(g.roots) and len(set(g.rules)) == len(g.rules)
     mentioned = {*g.roots, *(label for rule in g.rules for label in (rule.parent, *rule.children))}
-    assert len(graph.labels) == len(mentioned) and set(graph.labels) == mentioned
-    assert graph.names == tuple(map(str, graph.labels))
-    position = {label: p for p, label in enumerate(graph.labels)}
-    for p, (label, expansions) in enumerate(zip(graph.labels, graph.expansions)):
+    assert len(g.labels) == len(mentioned) and set(g.labels) == mentioned
+    position = {label: p for p, label in enumerate(g.labels)}
+    for p, (label, expansions) in enumerate(zip(g.labels, g.expansions)):
         assert [rule for rule, _ in expansions] == [rule for rule in g.rules if rule.parent == label]
         for rule, kids in expansions:
             assert kids == tuple(position[c] for c in rule.children)
             assert all(c < p for c in kids)
-    assert graph.roots == tuple(position[root] for root in g.roots)
+    assert g.root_positions == tuple(position[root] for root in g.roots)
     reversed_rules = GoldGrammar(g.pattern_id, g.inventory, g.roots, tuple(reversed(g.rules)))
-    assert reversed_rules.rule_graph.labels == graph.labels
+    assert reversed_rules.labels == g.labels
 
 
 def validate_grammar_oracle(g: GoldGrammar) -> list[str]:

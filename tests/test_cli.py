@@ -69,6 +69,9 @@ def run(*argv):
 
 UNPARSABLE_MESSAGE = "line 4: AB -> A A: children share pieces"
 
+# A JSON value nested deeper than the decoder's recursion allows.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
 
 def write_unparsable_grammar(directory: Path) -> Path:
     """A grammar file whose fourth line fails to parse with UNPARSABLE_MESSAGE."""
@@ -362,6 +365,17 @@ class TestScore:
         dirs = {k: workspace[k] for k in ("corpus", "grammars", "specs", "out")}
         dirs.update(paths)
         return ["score", *(arg for k, v in dirs.items() for arg in (f"--{k}", v))]
+
+    @pytest.mark.parametrize("kind", ["corpus", "specs", "refs"])
+    def test_json_nested_too_deeply_is_io_error(self, workspace, tmp_path, capsys, kind):
+        directory = tmp_path / f"deep-{kind}"
+        shutil.copytree(workspace[kind], directory)
+        bad = directory / ("skirt-demo.json" if kind == "corpus" else "skirt.json")
+        bad.write_text(DEEP_JSON)
+        assert run(*self.score_args(workspace, **{kind: directory})) == 2
+        printed, err = capsys.readouterr()
+        assert err == f"error: {bad}: value nested too deeply: line 1 column 1 (char 0)\n"
+        assert printed == "" and not workspace["out"].exists()
 
     def test_never_enumerates_gold_trees(self, workspace, monkeypatch):
         def refuse(*args, **kwargs):
@@ -990,6 +1004,18 @@ class TestOneDocumentCommands:
         assert printed == "" and not out.exists()
 
     @pytest.mark.parametrize("command", ONE_DOC_COMMANDS)
+    @pytest.mark.parametrize("kind", ["doc", "spec"])
+    def test_json_nested_too_deeply_is_io_error(self, tmp_path, capsys, command, kind):
+        doc, spec = FIXTURES / "docs" / "skirt-demo.json", FIXTURES / "specs" / "skirt.json"
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(" " + DEEP_JSON)
+        out = tmp_path / "out.json"
+        assert run_one_doc(command, *((bad, spec) if kind == "doc" else (doc, bad)), out) == 2
+        printed, err = capsys.readouterr()
+        assert err == f"error: {bad}: value nested too deeply: line 1 column 2 (char 1)\n"
+        assert printed == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ONE_DOC_COMMANDS)
     def test_spec_piece_name_that_is_not_a_string_is_validation_error(self, tmp_path, capsys, command):
         spec = tmp_path / "skirt.json"
         spec.write_text(json.dumps({"pattern_id": "skirt", "pieces": {"A": 5, "B": None, "C": ["x"]}}))
@@ -1150,6 +1176,31 @@ class TestCorrelateCli:
         assert run(command, flag, bad, *other) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize(
+        "command,flag,text,lineno",
+        [
+            ("correlate", "--scores", "doc_id,n_steps,{long}\nd0,10,1.0\n", 1),
+            ("correlate", "--scores", "doc_id,n_steps,tree_f1\nd0,10,1.0\nd1,10,{long}\n", 3),
+            ("aggregate-ratings", "--ratings",
+             "doc_id,step_index,question,rating\nd0,0,S1,4\nd0,1,{long},4\n", 3),
+        ],
+        ids=["correlate-header", "correlate-row", "aggregate-ratings-row"],
+    )
+    def test_field_over_the_csv_limit_names_the_line(self, tmp_path, capsys, command, flag,
+                                                     text, lineno):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text.format(long="x" * (csv.field_size_limit() + 1)))
+        errors = self.write_csv(tmp_path / "errors.csv", ["doc_id", "errors"], [["d0", 0]])
+        out = tmp_path / "o.csv"
+        other = ("--errors", errors) if command == "correlate" else ("--out", out)
+        assert run(command, flag, bad, *other) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (
+            f"error: {bad} line {lineno}: field larger than field limit"
+            f" ({csv.field_size_limit()})\n"
+        )
 
 
 class TestRoundtripCli:

@@ -198,6 +198,18 @@ class TestEnumeration:
         g = GoldGrammar("x", frozenset(ab.parent.pieces), (N("AB_1"),), (ab,))
         assert count_derivations(g) == {N("AB_1"): 0}
 
+    def test_repeated_roots_and_rules_are_kept_once(self):
+        # Derivations are trees only while roots and rules are distinct: a
+        # grammar built in memory keeps each once, in first-seen order.
+        shirt = load_grammar("shirt")
+        repeated = GoldGrammar(
+            "shirt", shirt.inventory, shirt.roots * 2, shirt.rules[:3] + shirt.rules
+        )
+        assert repeated == shirt
+        assert validate_grammar(repeated) == []
+        assert count_derivations(repeated) == count_derivations(shirt) == {N("BFSl_1"): 2}
+        assert check_enumeration(repeated) == enumerate_gold_trees(shirt)
+
 
 @pytest.mark.parametrize("name", GRAMMAR_NAMES)
 def test_fixture_enumeration_matches_tree_oracle(name):
@@ -228,7 +240,6 @@ def test_unary_chain_enumeration_memory_is_linear():
     # would peak near 6.6 MB here, against 0.2 MB when each is dropped
     # after its parent.
     g = chain_grammar(1200)
-    g.rule_graph  # built outside the measurement
     tracemalloc.start()
     try:
         enumerate_gold_trees(g)

@@ -80,6 +80,37 @@ def test_fixture_grammars_match_oracle(name):
     assert_matches_oracle(frozenset(), grammar, gold)
 
 
+# Two trees: the g=5 one has the smaller text, the g=4 one fewer nodes.
+ALL_TIE_GRAMMAR = """\
+pattern: p
+pieces: A B C D
+roots: ABCD_1
+ABCD_1 -> AD_1 BC
+AD_1 -> AD
+AD -> A D
+BC -> B C
+ABCD_1 -> AB_1 CD_1
+AB_1 -> AB
+AB -> A B
+CD_1 -> CD
+CD -> C D
+"""
+
+
+@pytest.mark.parametrize("predicted", ["", "(AC A C)"], ids=["empty", "disjoint"])
+def test_all_tie_keeps_the_smallest_text(predicted):
+    """When every gold tree scores F1 = 0, every tree ties and the smallest
+    text wins, whatever its node count: a DP that keeps only the trees with
+    the fewest nodes would pick the other one."""
+    predicted = subtree_set(predicted) if predicted else frozenset()
+    grammar = parse_grammar(ALL_TIE_GRAMMAR)
+    gold = enumerate_gold_trees(grammar)
+    assert [text.count("(") for text in gold] == [5, 4]
+    dp = grammar_score(predicted, grammar)
+    assert dp.f1 == 0.0
+    assert dp.best_gold_tree == gold[0] == tree_score(predicted, gold).best_gold_tree
+
+
 @pytest.mark.parametrize("block", range(6))
 def test_synthetic_grammars_match_oracle(block):
     # 6 blocks x 50 grammars of 2-8 pieces, 1-6 gold trees each: enough

@@ -404,6 +404,17 @@ class TestAdapter:
         with pytest.raises(AdapterError, match="'pieces' list"):
             extract_via_adapter("Sew (A).", skirt_spec, AdapterConfig(adapter_server))
 
+    def test_reply_nested_too_deeply_is_a_failed_attempt(self, adapter_server, skirt_spec):
+        _AdapterHandler.behavior = "deep-reply"
+        config = AdapterConfig(adapter_server, retries=1)
+        with pytest.raises(AdapterError, match="^extraction backend unreachable: maximum recursion"):
+            extract_via_adapter("Sew (A) to (B).", skirt_spec, config)
+        assert len(posted_requests()) == 2
+        fallback = AdapterConfig(adapter_server, retries=0, fallback_to_rules=True)
+        x = extract_via_adapter("Sew the Over Skirt (A) to the Under Skirt (B).", skirt_spec, fallback)
+        assert labels(x) == ["A", "B"]
+        assert x.source == "fallback"
+
     def test_timeout_fails_by_default(self, adapter_server, skirt_spec):
         _AdapterHandler.behavior = "slow"
         config = AdapterConfig(adapter_server, timeout=0.1, retries=0)

@@ -177,7 +177,7 @@ def test_validate_grammar_matches_the_set_and_walk_oracle(seed, n_pieces, n_tree
         hs.just(list(grammar.roots)),
         hs.lists(hs.sampled_from(labels), min_size=1, max_size=3, unique=True),
     ), label="roots")
-    g = GoldGrammar("fuzz", grammar.inventory, tuple(roots), tuple(dict.fromkeys(rules)))
+    g = GoldGrammar("fuzz", grammar.inventory, roots, rules)
     check_rule_graph(g)
     expected = validate_grammar_oracle(g)
     assert validate_grammar(g) == expected
