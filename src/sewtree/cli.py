@@ -59,14 +59,36 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
             writer.writerow([_fmt(row.get(c)) for c in columns])
 
 
+def _write(parts, path=None) -> None:
+    """The strings ``parts``, one after another, to the file ``path`` or,
+    without one, to stdout."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(parts)
+    else:
+        sys.stdout.writelines(parts)
+
+
 def _write_json(payload, path=None) -> None:
     """``payload`` as indented JSON with sorted keys, to the file ``path``
     or, without one, to stdout."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
+    _write((json.dumps(payload, indent=2, sort_keys=True) + "\n",), path)
+
+
+def _write_gold(pattern_id: str, trees, path=None) -> None:
+    """``{"pattern_id": pattern_id, "trees": trees}`` byte for byte as
+    :func:`_write_json` writes it, with the tree texts joined rather than
+    encoded: a tree text holds only label characters, brackets and spaces
+    (``[A-Za-z0-9_() ]``; ``PieceLabel`` checks every piece text and a
+    counter is written in ASCII digits), which JSON writes as they are, so
+    only the free-text ``pattern_id`` goes through the encoder.  Head, body
+    and tail are written one after another, so no copy of the whole output
+    is made."""
+    head = '{\n  "pattern_id": ' + json.dumps(pattern_id) + ',\n  "trees": ['
+    if trees:
+        _write((head + '\n    "', '",\n    "'.join(trees), '"\n  ]\n}\n'), path)
     else:
-        sys.stdout.write(text)
+        _write((head + "]\n}\n",), path)
 
 
 def _load_keyed(paths, load, key: str) -> tuple[dict, dict]:
@@ -137,7 +159,7 @@ def cmd_gen_gold(args) -> int:
         trees = enumerate_gold_trees(grammar, args.cap)
     except CapExceededError as exc:
         raise GrammarError(f"{path}: pattern {grammar.pattern_id!r}: {exc}") from exc
-    _write_json({"pattern_id": grammar.pattern_id, "trees": list(trees)}, args.out)
+    _write_gold(grammar.pattern_id, trees, args.out)
     return 0
 
 
@@ -246,6 +268,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_permute(args) -> int:
+    if args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
     doc = load_doc(args.doc)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

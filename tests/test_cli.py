@@ -1,11 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 import sewtree.adapter
 import sewtree.cli
@@ -23,9 +28,11 @@ from sewtree.grammar import (
 )
 from sewtree.labels import LabelError
 from sewtree.pipeline import InstructionDoc, linearize_gold_tree, load_doc, load_spec, placeholder_spec
+from sewtree.rng import SplitMix64
+from sewtree.synth import grammar_to_text, random_grammar
 from sewtree.tree import TreeError, parse_serialized
 
-from conftest import FIXTURES, _AdapterHandler, load_grammar, posted_requests, wait_for_posts
+from conftest import FIXTURES, GRAMMAR_NAMES, _AdapterHandler, load_grammar, posted_requests, wait_for_posts
 from helpers import (
     as_pair,
     gold_tree_oracle,
@@ -137,6 +144,55 @@ class TestGenGold:
         bad = write_unparsable_grammar(tmp_path)
         assert run("gen-gold", bad) == 1
         assert capsys.readouterr().err == f"error: {bad}: {UNPARSABLE_MESSAGE}\n"
+
+
+def assert_gold_output_is_json_dumps(grammar_path: Path, out: Path, trees=None) -> None:
+    """``gen-gold`` prints, and writes to ``out`` with ``--out``, exactly
+    what ``json.dumps`` with indent 2 and sorted keys gives for its payload,
+    plus a newline; ``trees`` defaults to the grammar's gold trees."""
+    grammar = parse_grammar(grammar_path.read_text(encoding="utf-8"))
+    if trees is None:
+        trees = enumerate_gold_trees(grammar)
+    payload = {"pattern_id": grammar.pattern_id, "trees": list(trees)}
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert run("gen-gold", grammar_path) == 0
+    assert printed.getvalue() == expected
+    assert run("gen-gold", grammar_path, "--out", out) == 0
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+class TestGenGoldBytes:
+    @pytest.mark.parametrize("name", GRAMMAR_NAMES)
+    def test_fixture_grammars(self, tmp_path, name):
+        path = FIXTURES / "grammars" / f"{name}.grammar"
+        assert_gold_output_is_json_dumps(path, tmp_path / "gold.json")
+
+    @given(hs.integers(0, 2**64 - 1), hs.integers(1, 12), hs.integers(1, 4), hs.integers(0, 60))
+    def test_synthetic_grammars(self, seed, n_pieces, n_trees, unary_percent):
+        grammar = random_grammar(SplitMix64(seed), "synth", n_pieces, n_trees, unary_percent)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "synth.grammar"
+            path.write_text(grammar_to_text(grammar), encoding="utf-8")
+            assert_gold_output_is_json_dumps(path, Path(tmp) / "gold.json")
+
+    def test_pattern_id_is_encoded(self, tmp_path):
+        # A quote and a backslash are escaped and a non-ASCII letter becomes
+        # a \u escape, as json.dumps does by default.
+        path = tmp_path / "quoted.grammar"
+        text = (FIXTURES / "grammars" / "skirt.grammar").read_text(encoding="utf-8")
+        path.write_text(text.replace("pattern: skirt", 'pattern: say "Ärmel" \\ skirt'),
+                        encoding="utf-8")
+        assert_gold_output_is_json_dumps(path, tmp_path / "gold.json")
+        written = (tmp_path / "gold.json").read_text(encoding="utf-8")
+        assert '"pattern_id": "say \\"\\u00c4rmel\\" \\\\ skirt"' in written
+
+    def test_no_trees(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sewtree.cli, "enumerate_gold_trees", lambda grammar, cap: ())
+        path = FIXTURES / "grammars" / "skirt.grammar"
+        assert_gold_output_is_json_dumps(path, tmp_path / "gold.json", trees=[])
+        assert (tmp_path / "gold.json").read_text().endswith('"trees": []\n}\n')
 
 
 class TestValidateGrammar:
@@ -1039,6 +1095,14 @@ class TestPermuteCli:
         assert code == 0
         files = sorted(out.glob("*.json"))
         assert len(files) == 3
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_refused(self, tmp_path, capsys, k):
+        out = tmp_path / "perms"
+        doc = FIXTURES / "docs" / "skirt-demo.json"
+        assert run("permute", "--doc", doc, "--seed", "1", "--k", k, "--out", out) == 1
+        assert capsys.readouterr() == ("", f"error: --k must be >= 1, got {k}\n")
+        assert not out.exists()
 
 
 class TestInjectErrorsCli:

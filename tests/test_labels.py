@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import re
 
 import pytest
 from hypothesis import example, given
@@ -17,7 +18,10 @@ from sewtree.labels import (
     parse_node_label,
     parse_piece_label,
 )
+from sewtree.grammar import enumerate_gold_trees
 from sewtree.pipeline import InstructionDoc, StepExtraction, build_forest, placeholder_spec
+from sewtree.rng import SplitMix64
+from sewtree.synth import random_grammar
 from sewtree.tree import DepthOneSubtree, parse_serialized
 
 from helpers import binary, label_text, leaf, node_oracle, run_fresh, serialize_node, unary
@@ -520,3 +524,18 @@ class TestLabelIdentity:
         for _ in range(3):
             with pytest.raises(LabelError):
                 parse(bad)
+
+
+# ``gen-gold`` writes tree texts into its JSON output without the encoder,
+# which holds only while every label and tree text is made of characters
+# that JSON writes as they are.
+JSON_PLAIN_TEXT = re.compile(r"[A-Za-z0-9_() ]+")
+
+
+@given(hs.integers(0, 2**64 - 1), hs.integers(1, 12), hs.integers(1, 4), hs.integers(0, 60))
+def test_label_and_gold_tree_texts_need_no_json_escaping(seed, n_pieces, n_trees, unary_percent):
+    grammar = random_grammar(SplitMix64(seed), "texts", n_pieces, n_trees, unary_percent)
+    texts = [str(label) for label in grammar.labels] + list(enumerate_gold_trees(grammar))
+    for text in texts:
+        assert JSON_PLAIN_TEXT.fullmatch(text), text
+        assert json.dumps(text) == f'"{text}"'
