@@ -44,7 +44,7 @@ def score_document(
 ) -> tuple[dict, BuildReport]:
     """One scores-CSV row (as a dict) plus the underlying build report.
 
-    ``gold`` is a checked grammar, scored with :func:`grammar_score`, or the
+    ``gold`` is a grammar, scored with :func:`grammar_score`, or the
     sorted canonical texts of its gold trees, scored with :func:`tree_score`;
     both give the same row.
     """
@@ -154,8 +154,8 @@ def inject_errors(
 
 
 def roundtrip_grammar(grammar: GoldGrammar) -> list[str]:
-    """Check that every rule of a checked grammar survives linearize,
-    extract and rebuild, in file order; returns failure messages.
+    """Check that every rule of a grammar survives linearize, extract and
+    rebuild, in file order; returns failure messages.
 
     A linearized step is a function of its rule alone, and the rebuild
     folds the steps in order, so a gold tree round-trips exactly when each

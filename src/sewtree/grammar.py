@@ -68,8 +68,8 @@ def rule_graph(
       positions of the rule's children in ``labels``; empty for a label no
       rule expands (a leaf);
     - ``root_positions``: the positions of ``roots``.
-    Its readers take a checked grammar, which has no label the roots do not
-    reach."""
+    :func:`validate_grammar` reads it before it knows the rules are
+    well-formed, so it is built whatever the rules are."""
     mentioned = set(roots)
     for rule in rules:
         mentioned.add(rule.parent)
@@ -91,8 +91,9 @@ class GoldGrammar:
     assembly step over the inventory.  It keeps each root and each rule once,
     in first-seen order, so distinct derivations are distinct trees, and
     holds its :func:`rule_graph` as ``labels``, ``expansions`` and
-    ``root_positions``.  A checked grammar is one that :func:`parse_grammar`
-    returned, or one built in memory that :func:`validate_grammar` passes."""
+    ``root_positions``.  It is valid however it was built: the constructor
+    runs :func:`validate_grammar` and raises :class:`GrammarError` naming
+    the pattern and the first three problems, all of them in ``problems``."""
 
     def __init__(
         self,
@@ -106,6 +107,11 @@ class GoldGrammar:
         self.roots: tuple[NodeLabel, ...] = tuple(dict.fromkeys(roots))
         self.rules: tuple[DepthOneSubtree, ...] = tuple(dict.fromkeys(rules))
         self.labels, self.expansions, self.root_positions = rule_graph(self.roots, self.rules)
+        problems = validate_grammar(self)
+        if problems:
+            raise GrammarError(
+                f"pattern {pattern_id!r}: invalid grammar: " + "; ".join(problems[:3]), problems
+            )
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
@@ -120,19 +126,14 @@ def _full_inventory_label(inventory: frozenset[PieceLabel], counter: int) -> Nod
 
 
 def parse_grammar(text: str) -> GoldGrammar:
-    """Parse a grammar file, checking each rule as it is read: 1 or 2
-    children, pieces from the inventory and valid label arithmetic
-    (:func:`node_violations`), and then the grammar as a whole
-    (:func:`validate_grammar`).  Raises :class:`GrammarError` with the line
-    number, or naming the pattern and the first whole-grammar problems.
-
-    Each distinct label text is parsed once per call, and checked against
-    the inventory once: ``outside`` holds the labels with a piece the
-    inventory lacks."""
+    """Parse a grammar file, refusing with the line number what reading a
+    line needs: the headers, label syntax, the ``S`` roots and each line's
+    shape.  The rest is the :class:`GoldGrammar` constructor's.  A binary
+    rule's children are put in canonical order, and each distinct label
+    text is parsed once per call."""
     pattern_id: str | None = None
     inv: frozenset[PieceLabel] | None = None
     known: dict[str, NodeLabel] = {}
-    outside: set[NodeLabel] = set()
     roots_line: tuple[int, str] | None = None
     rules: list[DepthOneSubtree] = []
 
@@ -140,8 +141,6 @@ def parse_grammar(text: str) -> GoldGrammar:
         label = known.get(text)
         if label is None:
             label = known[text] = parse_node_label(text)
-            if not inv.issuperset(label.pieces):
-                outside.add(label)
         return label
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -180,26 +179,14 @@ def parse_grammar(text: str) -> GoldGrammar:
                 raise GrammarError(f"line {lineno}: rule before pieces header")
             try:
                 # A label seen before costs a lookup and no call.
-                parsed = [known.get(t) or label_of(t) for t in (lhs.strip(), *rhs.split())]
+                labels = [known.get(t) or label_of(t) for t in (lhs.strip(), *rhs.split())]
             except LabelError as exc:
                 raise GrammarError(f"line {lineno}: {exc}") from exc
-            if not 2 <= len(parsed) <= 3:
-                raise GrammarError(f"line {lineno}: rules need 1 or 2 children")
-            # Only this line's labels can be outside: an earlier one raised.
-            if outside:
-                for label in parsed:
-                    if label in outside:
-                        names = ", ".join(sorted(str(p) for p in label.piece_set - inv))
-                        raise GrammarError(f"line {lineno}: unknown pieces {names}")
-            parent, *children = parsed
+            parent, *children = labels
             # Child order in the file is presentational; canonicalize it.
             if len(children) == 2 and child_order_key(children[1]) < child_order_key(children[0]):
                 children.reverse()
-            rule = DepthOneSubtree(parent, tuple(children))
-            problems = node_violations(parent, rule.children)
-            if problems:
-                raise GrammarError(f"line {lineno}: {rule}: {problems[0][1]}")
-            rules.append(rule)
+            rules.append(DepthOneSubtree(parent, tuple(children)))
             continue
         raise GrammarError(f"line {lineno}: unrecognized line {line!r}")
 
@@ -221,27 +208,38 @@ def parse_grammar(text: str) -> GoldGrammar:
                 roots.append(label_of(token))
         except LabelError as exc:
             raise GrammarError(f"line {lineno}: {exc}") from exc
-    if not roots:
-        raise GrammarError(f"line {lineno}: empty roots list")
-    for root in roots:
-        if root.piece_set - inv:
-            raise GrammarError(f"line {lineno}: root {root} uses unknown pieces")
-
-    g = GoldGrammar(pattern_id, inv, roots, rules)
-    problems = validate_grammar(g)
-    if problems:
-        raise GrammarError(
-            f"pattern {pattern_id!r}: invalid grammar: " + "; ".join(problems[:3]), problems
-        )
-    return g
+    return GoldGrammar(pattern_id, inv, roots, rules)
 
 
 def validate_grammar(g: GoldGrammar) -> list[str]:
-    """Violations of the grammar as a whole (each rule was checked when it
-    was parsed): non-leaf labels no rule expands, by name; rules whose
-    parent no root reaches, in file order; roots missing pieces."""
-    # Children sit below their parents, so one pass down the positions
-    # marks every label a root reaches.
+    """The problems of ``g``, one line each; empty iff it is valid.  The
+    :class:`GoldGrammar` constructor runs it, so it is the one judge of
+    validity.  First each root, then each rule, that is not a valid step
+    over the inventory, named: pieces the inventory lacks, not 1 or 2
+    children, label arithmetic that :func:`node_violations` refuses.  Only
+    if there are none, so that a bad rule has no follow-on problems: no
+    roots; non-leaf labels no rule expands, by name; rules no root reaches,
+    in rule order; roots missing pieces."""
+    # Each label's pieces are checked once, however many rules mention it.
+    unknown = {
+        label: ", ".join(sorted(str(p) for p in label.piece_set - g.inventory))
+        for label in g.labels
+        if not g.inventory.issuperset(label.pieces)
+    }
+    out = [f"root {root}: unknown pieces {unknown[root]}" for root in g.roots if root in unknown]
+    for rule in g.rules:
+        outside = unknown and [unknown[x] for x in (rule.parent, *rule.children) if x in unknown]
+        if outside:
+            out.append(f"{rule}: unknown pieces {outside[0]}")
+        elif not 1 <= len(rule.children) <= 2:
+            out.append(f"{rule}: rules need 1 or 2 children")
+        elif problems := node_violations(rule.parent, rule.children):
+            out.append(f"{rule}: {problems[0][1]}")
+    if out:
+        return out
+
+    # Every rule now strictly shrinks, so children sit below their parents
+    # and one pass down the positions marks every label a root reaches.
     reached = [False] * len(g.labels)
     for p in g.root_positions:
         reached[p] = True
@@ -253,9 +251,10 @@ def validate_grammar(g: GoldGrammar) -> list[str]:
     unexpanded = [
         str(label)
         for label, expansions in zip(g.labels, g.expansions)
-        if not expansions and not (is_leaf(label) and label.pieces[0] in g.inventory)
+        if not expansions and not is_leaf(label)
     ]
-    out = [f"{name}: no rule expands this non-leaf label" for name in sorted(unexpanded)]
+    out = [] if g.roots else ["no roots"]
+    out += [f"{name}: no rule expands this non-leaf label" for name in sorted(unexpanded)]
     unreached = {label for label, r in zip(g.labels, reached) if not r}
     out += [f"{rule}: no root reaches this rule" for rule in g.rules if rule.parent in unreached]
     for root in g.roots:
@@ -268,20 +267,17 @@ def count_derivations(g: GoldGrammar) -> dict[NodeLabel, int]:
     """Derivation count per root via a DP over the rule graph.
 
     count(leaf) = 1; count(label) = sum over its rules of the product of the
-    children's counts; an unexpandable label that is not a leaf counts 0.
+    children's counts.  A valid grammar expands every label but its leaves.
     """
     counts: list[int] = []
-    for label, expansions in zip(g.labels, g.expansions):
-        if expansions:
-            counts.append(sum(math.prod(counts[c] for c in kids) for _, kids in expansions))
-        else:
-            counts.append(1 if is_leaf(label) else 0)
+    for rules in g.expansions:
+        counts.append(sum(math.prod(counts[c] for c in kids) for _, kids in rules) if rules else 1)
     return {root: counts[p] for root, p in zip(g.roots, g.root_positions)}
 
 
 def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, ...]:
     """The canonical serializations of all derivation trees from all roots
-    of a checked grammar, sorted.  Rules and roots are distinct, so distinct
+    of the grammar, sorted.  Rules and roots are distinct, so distinct
     derivations are distinct trees.
 
     Counts first and raises :class:`CapExceededError` rather than enumerating

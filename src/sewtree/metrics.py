@@ -21,8 +21,8 @@ class ScoreBreakdown:
         precision: float,
         recall: float,
         f1: float,
-        matched: frozenset[DepthOneSubtree] = frozenset(),
-        best_gold_tree: str | None = None,
+        matched: frozenset[DepthOneSubtree],
+        best_gold_tree: str,
     ) -> None:
         self.precision = precision
         self.recall = recall
@@ -63,7 +63,7 @@ def tree_score(pred: frozenset[DepthOneSubtree], gold_texts) -> ScoreBreakdown:
 
 def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> ScoreBreakdown:
     """:func:`tree_score` over every tree ``grammar`` derives, without
-    enumerating them; takes a checked grammar.
+    enumerating them.
 
     Node labels are unique within a tree, so a gold tree with g internal
     nodes, m of whose rules are predicted subtrees, scores F1 = 2m/(|P| + g).

@@ -133,9 +133,6 @@ class Diagnostic:
             return vars(self) == vars(other)
         return NotImplemented
 
-    def __str__(self) -> str:
-        return f"step {self.step_index}: {self.kind}: {self.message}"
-
 
 class BuildReport:
     def __init__(
@@ -388,13 +385,14 @@ def placeholder_spec(pattern_id: str, inventory) -> PatternSpec:
 
 
 def read_text(path) -> str:
-    """The text of a UTF-8 file, line endings as they are.  Bytes that are
-    not UTF-8 raise an ``OSError`` naming the file: like a file that cannot
-    be opened, an I/O error."""
+    """The text of a UTF-8 file, line endings as they are, without the
+    byte-order mark that spreadsheet tools put first (a U+FEFF anywhere
+    else is content).  Bytes that are not UTF-8 raise an ``OSError`` naming
+    the file: like a file that cannot be opened, an I/O error."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not UTF-8: {exc}") from None
 

@@ -7,9 +7,9 @@ post, the reference for the adapter's HTTP/1.0 client; the label
 formatter, the reference for the texts labels write once; BLEU and
 ROUGE-L computed afresh per call, the references for the metrics'
 prepared reference side; the node check on piece sets, the reference
-for ``node_violations``; the rule check, the reference for the grammar
+for ``node_violations``; the rule reader, the reference for the grammar
 parser's label memo; the per-tree round-trip, the reference for the
-per-rule one; and the grammar check on label sets with a recursive walk
+per-rule one; and the grammar check on piece sets with a recursive walk
 from the roots, the reference for the one that reads the rule graph."""
 
 import itertools
@@ -29,7 +29,6 @@ from sewtree.grammar import (
     count_derivations,
     enumerate_gold_trees,
     parse_grammar,
-    validate_grammar,
 )
 from sewtree.labels import (
     LabelError,
@@ -285,7 +284,6 @@ def gold_tree_oracle(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[AssemblyNo
     """Every derivation of ``g`` built as an ``AssemblyNode`` tree, sorted by
     serialization: the reference for ``enumerate_gold_trees``'s texts, and
     the gold trees of tests that need trees."""
-    assert validate_grammar(g) == [], g.pattern_id
     total = sum(count_derivations(g).values())
     if total > cap:
         raise CapExceededError(total, cap)
@@ -311,11 +309,10 @@ def check_enumeration(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, ...]
     return texts
 
 
-def rule_oracle(lineno: int, line: str, inventory: frozenset[PieceLabel]) -> DepthOneSubtree:
-    """The rule on grammar line ``lineno``, a stripped ``->`` line over
-    ``inventory``, checked on its own with set operations: every label
-    parsed, then ``issuperset`` on each label's pieces, then
-    :func:`node_oracle` on the children in canonical order.  Raises
+def rule_oracle(lineno: int, line: str) -> DepthOneSubtree:
+    """The rule on grammar line ``lineno``, a stripped ``->`` line, read on
+    its own: every label parsed, and two children put in canonical order;
+    nothing about the rule is checked.  A label that does not parse raises
     :class:`GrammarError` with ``parse_grammar``'s message: the reference
     for its label memo."""
     lhs, rhs = line.split("->", 1)
@@ -323,19 +320,9 @@ def rule_oracle(lineno: int, line: str, inventory: frozenset[PieceLabel]) -> Dep
         parent, *children = map(parse_node_label, [lhs.strip(), *rhs.split()])
     except LabelError as exc:
         raise GrammarError(f"line {lineno}: {exc}") from exc
-    if not 1 <= len(children) <= 2:
-        raise GrammarError(f"line {lineno}: rules need 1 or 2 children")
-    for label in (parent, *children):
-        if not inventory.issuperset(label.pieces):
-            names = ", ".join(sorted(str(p) for p in label.piece_set - inventory))
-            raise GrammarError(f"line {lineno}: unknown pieces {names}")
     if len(children) == 2:
         children.sort(key=child_order_key)
-    rule = DepthOneSubtree(parent, tuple(children))
-    problems = node_oracle(rule.parent, rule.children)
-    if problems:
-        raise GrammarError(f"line {lineno}: {rule}: {problems[0][1]}")
-    return rule
+    return DepthOneSubtree(parent, tuple(children))
 
 
 def check_rule_graph(g):
@@ -357,39 +344,57 @@ def check_rule_graph(g):
     assert reversed_rules.labels == g.labels
 
 
-def validate_grammar_oracle(g: GoldGrammar) -> list[str]:
-    """``validate_grammar`` from label sets built from the rules and a
-    recursive walk from the roots: the reference for the one that reads
-    the rule graph."""
-    out: list[str] = []
-    expandable = {r.parent for r in g.rules}
-    mentioned = set(g.roots)
-    for rule in g.rules:
+def validate_grammar_oracle(inventory, roots, rules) -> list[str]:
+    """``validate_grammar`` of the grammar of ``inventory``, ``roots`` and
+    ``rules``, each root and rule taken once, from piece sets, label sets
+    built from the rules and a recursive walk from the roots: the reference
+    for the one that reads the rule graph.  First each root and rule that
+    is not a valid step over the inventory; only if there is none, the
+    problems of the grammar as a whole."""
+    roots = list(dict.fromkeys(roots))
+    rules = list(dict.fromkeys(rules))
+
+    def unknown(label: NodeLabel) -> str:
+        return ", ".join(sorted(str(p) for p in label.piece_set - inventory))
+
+    out = [f"root {root}: unknown pieces {unknown(root)}" for root in roots if unknown(root)]
+    for rule in rules:
+        outside = [unknown(label) for label in (rule.parent, *rule.children) if unknown(label)]
+        if outside:
+            out.append(f"{rule}: unknown pieces {outside[0]}")
+        elif len(rule.children) not in (1, 2):
+            out.append(f"{rule}: rules need 1 or 2 children")
+        elif node_oracle(rule.parent, rule.children):
+            out.append(f"{rule}: {node_oracle(rule.parent, rule.children)[0][1]}")
+    if out:
+        return out
+
+    out = [] if roots else ["no roots"]
+    expandable = {r.parent for r in rules}
+    mentioned = set(roots)
+    for rule in rules:
         mentioned.update(rule.children)
         mentioned.add(rule.parent)
     for label in sorted(mentioned, key=str):
-        if label in expandable:
-            continue
-        if not node_oracle(label, ()) and label.pieces[0] in g.inventory:
-            continue
-        out.append(f"{label}: no rule expands this non-leaf label")
+        if label not in expandable and node_oracle(label, ()):
+            out.append(f"{label}: no rule expands this non-leaf label")
 
     reached: set[NodeLabel] = set()
 
     def visit(label: NodeLabel) -> None:
         if label not in reached:
             reached.add(label)
-            for rule in g.rules:
+            for rule in rules:
                 if rule.parent == label:
                     for child in rule.children:
                         visit(child)
 
-    for root in g.roots:
+    for root in roots:
         visit(root)
-    out += [f"{rule}: no root reaches this rule" for rule in g.rules if rule.parent not in reached]
+    out += [f"{rule}: no root reaches this rule" for rule in rules if rule.parent not in reached]
 
-    for root in g.roots:
-        if root.piece_set != g.inventory:
+    for root in roots:
+        if root.piece_set != inventory:
             out.append(f"root {root}: does not cover the full piece inventory")
     return out
 
@@ -430,7 +435,6 @@ def make_chain_corpus():
 
 
 def check_grammar_properties(g: GoldGrammar, cap: int = 50_000) -> None:
-    assert validate_grammar(g) == [], f"{g.pattern_id}: invalid grammar"
     texts = check_enumeration(g, cap)
     trees = gold_tree_oracle(g, cap)
     assert len(trees) > 0

@@ -17,7 +17,7 @@ from sewtree.metrics import tokenize
 from sewtree.pipeline import InstructionDoc, linearize_gold_tree, load_doc, load_spec
 from sewtree.tree import parse_serialized
 
-from conftest import FIXTURES, load_grammar
+from conftest import FIXTURES, GRAMMAR_NAMES, load_grammar
 from helpers import run_fresh
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
@@ -48,8 +48,9 @@ def test_wrap_target_resolves(module, name):
 
 def test_traced_score_run_sees_every_layer(tmp_path):
     """A traced ``score --refs`` run on the fixtures, in a fresh
-    interpreter: every target resolves, the text metrics and extraction
-    take time, and the counts match the inputs."""
+    interpreter: every target resolves, grammar parsing, loading, the text
+    metrics, extraction and forest build take time, and the counts match
+    the inputs."""
     corpus, refs = tmp_path / "corpus", tmp_path / "refs"
     corpus.mkdir()
     refs.mkdir()
@@ -76,10 +77,30 @@ def test_traced_score_run_sees_every_layer(tmp_path):
     result = json.loads(report.read_text(encoding="utf-8"))
     assert result["exit"] == 0 and result["absent"] == []
     layers = result["layers"]
-    for layer in ("metrics.bleu_s", "metrics.rouge_l_s", "pipeline.extract_s"):
+    for layer in ("grammar.parse_s", "pipeline.load_s", "metrics.bleu_s", "metrics.rouge_l_s",
+                  "pipeline.extract_s", "pipeline.build_s"):
         assert layers[layer] > 0, layer
+    assert layers["grammar.rules"] == sum(len(load_grammar(name).rules) for name in GRAMMAR_NAMES)
     assert layers["pipeline.steps"] == sum(len(doc.steps) for doc in docs)
     assert layers["metrics.rouge_lcs_cells"] == sum(
         len(tokenize(join_steps(doc))) * len(tokenize(join_steps(references[doc.pattern_id])))
         for doc in docs
     )
+
+
+def test_traced_gen_gold_run_counts_every_gold_tree(tmp_path):
+    """A traced ``gen-gold`` run in a fresh interpreter: enumeration takes
+    time, and the gold trees it counts are the grammar's derivations."""
+    grammar = FIXTURES / "grammars" / "pants_combined.grammar"
+    report = tmp_path / "trace.json"
+    proc = run_fresh(
+        str(TRACED), "--trace", "1", "--report", str(report), "--",
+        "gen-gold", str(grammar), "--out", str(tmp_path / "gold.json"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(report.read_text(encoding="utf-8"))
+    assert result["exit"] == 0 and result["absent"] == []
+    layers = result["layers"]
+    assert layers["grammar.enumerate_s"] > 0
+    trees = len(enumerate_gold_trees(load_grammar("pants_combined")))
+    assert layers["grammar.gold_trees"] == layers["grammar.derivations"] == trees == 4

@@ -74,7 +74,7 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-UNPARSABLE_MESSAGE = "line 4: AB -> A A: children share pieces"
+UNPARSABLE_MESSAGE = "line 4: malformed node label 'a' at position 0"
 
 # A JSON value nested deeper than the decoder's recursion allows.
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
@@ -83,7 +83,7 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
 def write_unparsable_grammar(directory: Path) -> Path:
     """A grammar file whose fourth line fails to parse with UNPARSABLE_MESSAGE."""
     path = directory / "bad.grammar"
-    path.write_text("pattern: bad\npieces: A B\nroots: AB\nAB -> A A\n")
+    path.write_text("pattern: bad\npieces: A B\nroots: AB\nAB -> A a\n")
     return path
 
 
@@ -226,17 +226,19 @@ class TestValidateGrammar:
 
 
 DEAD_RULE = "AB_2 -> AB_1"
+# Rules that are not valid steps over the skirt grammar's pieces A B C.
+BAD_RULES = ("AB -> A A", "CQ -> C Q")
 
 
-@pytest.mark.parametrize("command", ["validate-grammar", "gen-gold", "score", "roundtrip"])
-def test_rule_no_root_reaches_is_refused(workspace, tmp_path, capsys, command):
-    # The skirt grammar with one more valid rule, whose parent no root
-    # reaches.  It sorts after the other five, so the refusal comes before
-    # any output only if the grammars are checked as they are read.
+def assert_skirt_with_rules_is_refused(workspace, tmp_path, capsys, command, rules, problems):
+    """``command`` on the fixture grammars, the skirt one with ``rules``
+    added, exits 1 naming ``problems`` before any output.  The skirt grammar
+    sorts after the other five, so the refusal comes before any output only
+    if the grammars are checked as they are read."""
     grammars = tmp_path / "grammars"
     shutil.copytree(FIXTURES / "grammars", grammars)
     bad = grammars / "skirt.grammar"
-    bad.write_text(bad.read_text() + DEAD_RULE + "\n")
+    bad.write_text(bad.read_text() + "".join(f"{rule}\n" for rule in rules))
     gold = tmp_path / "gold.json"
     args = {
         "validate-grammar": [bad],
@@ -247,13 +249,29 @@ def test_rule_no_root_reaches_is_refused(workspace, tmp_path, capsys, command):
     }[command]
     assert run(command, *args) == 1
     captured = capsys.readouterr()
-    message = f"{DEAD_RULE}: no root reaches this rule"
     if command == "validate-grammar":
-        assert captured.out == f"{bad}: INVALID\n  {message}\n"
+        assert captured.out == f"{bad}: INVALID\n" + "".join(f"  {p}\n" for p in problems)
     else:
         assert captured.out == ""
-        assert captured.err == f"error: {bad}: pattern 'skirt': invalid grammar: {message}\n"
+        assert captured.err == (
+            f"error: {bad}: pattern 'skirt': invalid grammar: " + "; ".join(problems) + "\n"
+        )
     assert not gold.exists() and not workspace["out"].exists()
+
+
+@pytest.mark.parametrize("command", ["validate-grammar", "gen-gold", "score", "roundtrip"])
+def test_rule_no_root_reaches_is_refused(workspace, tmp_path, capsys, command):
+    # One more valid rule, whose parent no root reaches.
+    assert_skirt_with_rules_is_refused(workspace, tmp_path, capsys, command, [DEAD_RULE],
+                                       [f"{DEAD_RULE}: no root reaches this rule"])
+
+
+@pytest.mark.parametrize("command", ["validate-grammar", "gen-gold", "score", "roundtrip"])
+def test_every_invalid_rule_is_named(workspace, tmp_path, capsys, command):
+    # Two more rules, neither a valid step: each is named, in file order,
+    # and nothing that follows from them is.
+    problems = [f"{BAD_RULES[0]}: children share pieces", f"{BAD_RULES[1]}: unknown pieces Q"]
+    assert_skirt_with_rules_is_refused(workspace, tmp_path, capsys, command, BAD_RULES, problems)
 
 
 def test_score_refuses_an_invalid_grammar_no_document_uses(workspace, tmp_path, capsys):
@@ -1413,6 +1431,67 @@ class TestAggregateRatingsCli:
         ratings.write_text("doc_id,step_index,rating\nd,0,4\n")
         assert run("aggregate-ratings", "--ratings", ratings, "--out", tmp_path / "o.csv") == 1
         assert capsys.readouterr().err == f"error: {ratings}: missing column 'question'\n"
+
+
+BOM = "\ufeff".encode("utf-8")
+
+
+def correlate_inputs(tmp_path):
+    scores = "doc_id,n_steps,tree_f1\n" + "".join(f"d{i},10,{1 - i / 10}\n" for i in range(5))
+    errors = "doc_id,errors\n" + "".join(f"d{i},{i * i}\n" for i in range(5))
+    files = {tmp_path / "scores.csv": scores, tmp_path / "errors.csv": errors}
+    return files, ["correlate", "--scores", tmp_path / "scores.csv", "--errors",
+                   tmp_path / "errors.csv", "--columns", "tree_f1", "--out", tmp_path / "out"]
+
+
+def ratings_inputs(tmp_path):
+    ratings = "doc_id,step_index,question,rating\n" + "".join(
+        f"d,{i},S1,{r}\n" for i, r in enumerate((1, 3, 5))
+    )
+    return {tmp_path / "ratings.csv": ratings}, [
+        "aggregate-ratings", "--ratings", tmp_path / "ratings.csv", "--out", tmp_path / "out"
+    ]
+
+
+def grammar_inputs(tmp_path):
+    grammar = (FIXTURES / "grammars" / "pants_combined.grammar").read_text(encoding="utf-8")
+    path = tmp_path / "pants.grammar"
+    return {path: grammar}, ["gen-gold", path, "--out", tmp_path / "out"]
+
+
+def doc_and_spec_inputs(tmp_path):
+    doc, spec = tmp_path / "doc.json", tmp_path / "spec.json"
+    files = {doc: (FIXTURES / "docs" / "skirt-demo.json").read_text(encoding="utf-8"),
+             spec: (FIXTURES / "specs" / "skirt.json").read_text(encoding="utf-8")}
+    return files, ["build", "--doc", doc, "--spec", spec, "--out", tmp_path / "out"]
+
+
+@pytest.mark.parametrize(
+    "inputs", [correlate_inputs, ratings_inputs, grammar_inputs, doc_and_spec_inputs],
+    ids=["correlate", "ratings", "grammar", "doc-and-spec"],
+)
+def test_a_leading_byte_order_mark_is_not_content(tmp_path, capsys, inputs):
+    # Spreadsheet tools save CSVs with a UTF-8 byte-order mark; an input
+    # file that starts with one gives what it gives without.
+    files, argv = inputs(tmp_path)
+    out = tmp_path / "out"
+    results = []
+    for prefix in (b"", BOM):
+        for path, text in files.items():
+            path.write_bytes(prefix + text.encode("utf-8"))
+        code = run(*argv)
+        results.append((code, capsys.readouterr(), out.read_bytes()))
+        out.unlink()
+    assert results[0][0] == 0
+    assert results[1] == results[0]
+
+
+def test_a_byte_order_mark_after_the_first_is_content(tmp_path, capsys):
+    grammar = tmp_path / "skirt.grammar"
+    grammar.write_bytes(BOM * 2 + (FIXTURES / "grammars" / "skirt.grammar").read_bytes())
+    assert run("validate-grammar", grammar) == 1
+    # The fixture's first line is a comment, so what is left of it is U+FEFF.
+    assert capsys.readouterr().out == f"{grammar}: INVALID\n  line 1: unrecognized line '\\ufeff'\n"
 
 
 class TestDeterminism:

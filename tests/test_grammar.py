@@ -13,14 +13,14 @@ from sewtree.grammar import (
     parse_grammar,
     validate_grammar,
 )
-from sewtree.labels import _LABEL_MEMO_SIZE, parse_node_label
+from sewtree.labels import _LABEL_MEMO_SIZE, parse_node_label, parse_piece_label
 from sewtree.tree import DepthOneSubtree, canonical_serialize, parse_serialized
 
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import random_grammar
 
 from conftest import GRAMMAR_NAMES, load_grammar
-from helpers import chain_grammar, check_enumeration, check_rule_graph
+from helpers import chain_grammar, check_enumeration, check_rule_graph, rule_oracle
 
 
 def N(text):
@@ -37,8 +37,12 @@ class TestParseGrammar:
         assert len(grammars["pants_b"].rules) == 5
 
     def test_rule_arithmetic_checked(self):
-        with pytest.raises(GrammarError, match="line 4"):
+        with pytest.raises(GrammarError) as exc:
             parse_grammar("pattern: x\npieces: A B C\nroots: ABC\nAB -> A C\n")
+        assert exc.value.problems == ["AB -> A C: children's pieces do not cover the parent"]
+        assert str(exc.value) == (
+            "pattern 'x': invalid grammar: AB -> A C: children's pieces do not cover the parent"
+        )
 
     def test_unknown_piece(self):
         with pytest.raises(GrammarError, match="unknown"):
@@ -137,6 +141,50 @@ class TestValidateGrammar:
         )
 
 
+# Grammars the constructor refuses, as (pieces, roots, rule lines, problems).
+# Before the constructor checked them, counting, enumeration and scoring of
+# the first raised IndexError (A_1 sorts before its child AB) and scoring
+# of the second ValueError (no gold tree).
+INVALID_GRAMMARS = {
+    "unary-child-with-other-pieces": (
+        "A B", "AB_1", ["AB_1 -> A_1 B", "A_1 -> AB", "AB -> A B"],
+        ["A_1 -> AB: unary child must have the same pieces"],
+    ),
+    "no-roots": ("A B", "", ["AB -> A B"], ["no roots", "AB -> A B: no root reaches this rule"]),
+    "no-children": ("A B", "AB", ["AB -> A B", "AB ->"], ["AB -> : rules need 1 or 2 children"]),
+    "three-children": (
+        "A B C", "ABC", ["ABC -> A B C"], ["ABC -> A B C: rules need 1 or 2 children"]
+    ),
+    "unknown-piece-in-a-rule": (
+        "A B", "AB", ["AB -> A B", "BQ -> B Q"], ["BQ -> B Q: unknown pieces Q"]
+    ),
+    "unknown-piece-in-a-root": ("A B", "AB ABQ", ["AB -> A B"], ["root ABQ: unknown pieces Q"]),
+    # Every bad rule is named, in rule order, and nothing that follows from
+    # them: AC, which no root reaches, is not.
+    "three-bad-rules": (
+        "A B C", "ABC_1",
+        ["ABC_1 -> AB_1 C", "AB_1 -> AB", "AB -> A C", "AB_1 -> A B", "AC -> A Q"],
+        ["AB -> A C: children's pieces do not cover the parent",
+         "AB_1 -> A B: parent counter must be the children's max",
+         "AC -> A Q: unknown pieces Q"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "pieces,roots,lines,problems", INVALID_GRAMMARS.values(), ids=INVALID_GRAMMARS
+)
+def test_invalid_grammar_is_refused_when_built_and_when_read(pieces, roots, lines, problems):
+    inventory = frozenset(map(parse_piece_label, pieces.split()))
+    with pytest.raises(GrammarError) as built:
+        GoldGrammar("x", inventory, map(N, roots.split()), [rule_oracle(0, line) for line in lines])
+    with pytest.raises(GrammarError) as read:
+        parse_grammar(f"pattern: x\npieces: {pieces}\nroots: {roots}\n" + "\n".join(lines))
+    for exc in (built, read):
+        assert exc.value.problems == problems
+        assert str(exc.value) == "pattern 'x': invalid grammar: " + "; ".join(problems[:3])
+
+
 # Expected enumerations, hand-derived by exhaustively expanding each fixture.
 EXPECTED_TREE_COUNTS = {
     "skirt": 1,
@@ -185,18 +233,21 @@ class TestEnumeration:
         reordered = parse_grammar(text)
         assert enumerate_gold_trees(skirt_grammar) == enumerate_gold_trees(reordered)
 
-    def test_rootless_count_is_zero(self):
-        # AB_1 has no expanding rule: zero derivations, and a grammar refused
-        # when read, so never enumerated
-        with pytest.raises(GrammarError) as exc:
-            parse_grammar("pattern: x\npieces: A B\nroots: AB_1\nAB -> A B\n")
-        assert exc.value.problems == [
+    def test_unexpanded_root_is_refused_when_read_and_when_built(self):
+        # AB_1 has no expanding rule, so it has no derivation: the grammar
+        # is refused whether it is read or built in memory, so it is never
+        # counted or enumerated
+        problems = [
             "AB_1: no rule expands this non-leaf label",
             "AB -> A B: no root reaches this rule",
         ]
+        with pytest.raises(GrammarError) as exc:
+            parse_grammar("pattern: x\npieces: A B\nroots: AB_1\nAB -> A B\n")
+        assert exc.value.problems == problems
         ab = DepthOneSubtree(N("AB"), (N("A"), N("B")))
-        g = GoldGrammar("x", frozenset(ab.parent.pieces), (N("AB_1"),), (ab,))
-        assert count_derivations(g) == {N("AB_1"): 0}
+        with pytest.raises(GrammarError) as exc:
+            GoldGrammar("x", frozenset(ab.parent.pieces), (N("AB_1"),), (ab,))
+        assert exc.value.problems == problems
 
     def test_repeated_roots_and_rules_are_kept_once(self):
         # Derivations are trees only while roots and rules are distinct: a

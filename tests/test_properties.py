@@ -5,12 +5,14 @@ acceptance suite.
 """
 
 import string
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as hs
 
 from sewtree.experiments import roundtrip_grammar
+from sewtree.metrics import grammar_score
 from sewtree.labels import (
     NodeLabel,
     PieceLabel,
@@ -22,10 +24,11 @@ from sewtree.pipeline import build_forest, extract_document, linearize_gold_tree
 from sewtree.grammar import GoldGrammar, GrammarError, parse_grammar, validate_grammar
 from sewtree.rng import SplitMix64
 from sewtree.synth import grammar_from_trees, grammar_to_text, random_inventory, random_tree
-from sewtree.tree import canonical_serialize, parse_serialized, subtrees_of
+from sewtree.tree import DepthOneSubtree, canonical_serialize, parse_serialized, subtrees_of
 
 from helpers import (
     as_pair,
+    check_enumeration,
     check_grammar_properties,
     check_rule_graph,
     glued_forest,
@@ -96,11 +99,16 @@ def grammar_lines():
     return hs.lists(hs.one_of(rule, header, hs.text(max_size=12)), max_size=8)
 
 
+# A piece outside every inventory random_inventory draws of fewer than 26 pieces.
+OUTSIDE_PIECE = PieceLabel("Z")
+
+
 @hs.composite
 def perturbed_rules(draw, grammar):
-    """Rules of ``grammar`` with a counter changed, or a child replaced,
-    dropped or joined by another of its labels: every line parses and uses
-    known pieces, and most break the label arithmetic."""
+    """Rules of ``grammar`` with a counter changed, a piece outside the
+    inventory added to a label, or a child replaced, dropped or joined by
+    another of its labels: every line parses, and most break the label
+    arithmetic, have 3 children or use an unknown piece."""
     rules = sorted(grammar.rules, key=str)
     if not rules:
         return []
@@ -109,10 +117,14 @@ def perturbed_rules(draw, grammar):
     for _ in range(draw(hs.integers(0, 4), label="perturbed rules")):
         rule = draw(hs.sampled_from(rules))
         nodes = [rule.parent, *rule.children]
-        change = draw(hs.sampled_from(["counter", "replace", "drop" if len(nodes) == 3 else "add"]))
+        changes = ["counter", "unknown", "replace", "add", *(["drop"] if len(nodes) == 3 else [])]
+        change = draw(hs.sampled_from(changes))
         if change == "counter":
             at = draw(hs.integers(0, len(nodes) - 1))
             nodes[at] = NodeLabel(nodes[at].pieces, draw(hs.integers(0, 3)))
+        elif change == "unknown":
+            at = draw(hs.integers(0, len(nodes) - 1))
+            nodes[at] = NodeLabel(nodes[at].pieces + (OUTSIDE_PIECE,), nodes[at].self_attach)
         elif change == "replace":
             nodes[draw(hs.integers(0, len(nodes) - 1))] = draw(hs.sampled_from(labels))
         elif change == "drop":
@@ -157,45 +169,53 @@ def test_parse_grammar_rejects_or_keeps_every_rule_valid(seed, n_pieces, noise, 
 
 @given(hs.integers(0, 2**64 - 1), hs.integers(2, 6), hs.integers(1, 2), hs.data())
 def test_validate_grammar_matches_the_set_and_walk_oracle(seed, n_pieces, n_trees, data):
-    """On a synthetic grammar with rules dropped, valid perturbed rules
-    added and its roots redrawn from its labels, validate_grammar gives the
-    oracle's lines: the labels no rule expands, the rules a recursive walk
-    from the roots does not reach, the roots missing pieces.  Its file
-    parses iff there are none, and is refused with all of them."""
+    """On a synthetic grammar with rules dropped, perturbed rules added
+    (unknown pieces, 3 children and broken label arithmetic among them) and
+    its roots redrawn, perhaps to none or to unknown pieces, the
+    constructor raises iff the oracle finds problems, with exactly the
+    oracle's list, and so does parse_grammar on the grammar's file.  A
+    grammar it makes counts, enumerates and scores."""
     rng = SplitMix64(seed)
     inventory = random_inventory(rng, n_pieces)
     grammar = grammar_from_trees("fuzz", [random_tree(rng, inventory) for _ in range(n_trees)])
     dropped = data.draw(hs.sets(hs.sampled_from(grammar.rules)), label="dropped")
     rules = [rule for rule in grammar.rules if rule not in dropped]
-    for line in data.draw(perturbed_rules(grammar), label="perturbed"):
-        try:
-            rules.append(rule_oracle(0, line, grammar.inventory))
-        except GrammarError:
-            pass
-    labels = sorted({label for r in grammar.rules for label in (r.parent, *r.children)}, key=str)
+    perturbed = data.draw(perturbed_rules(grammar), label="perturbed")
+    rules += [rule_oracle(0, line) for line in perturbed]
+    labels = sorted(
+        {label for r in (*grammar.rules, *rules) for label in (r.parent, *r.children)}, key=str
+    )
     roots = data.draw(hs.one_of(
         hs.just(list(grammar.roots)),
-        hs.lists(hs.sampled_from(labels), min_size=1, max_size=3, unique=True),
+        hs.just([NodeLabel(r.pieces + (OUTSIDE_PIECE,), r.self_attach) for r in grammar.roots]),
+        hs.lists(hs.sampled_from(labels), max_size=3, unique=True),
     ), label="roots")
-    g = GoldGrammar("fuzz", grammar.inventory, roots, rules)
-    check_rule_graph(g)
-    expected = validate_grammar_oracle(g)
-    assert validate_grammar(g) == expected
-    text = grammar_to_text(g)
+    text = grammar_to_text(
+        SimpleNamespace(pattern_id="fuzz", inventory=grammar.inventory, roots=roots, rules=rules)
+    )
+    expected = validate_grammar_oracle(grammar.inventory, roots, rules)
     if expected:
-        with pytest.raises(GrammarError) as exc:
-            parse_grammar(text)
-        assert exc.value.problems == expected
+        for make in (lambda: GoldGrammar("fuzz", grammar.inventory, roots, rules),
+                     lambda: parse_grammar(text)):
+            with pytest.raises(GrammarError) as exc:
+                make()
+            assert exc.value.problems == expected
+            assert str(exc.value) == "pattern 'fuzz': invalid grammar: " + "; ".join(expected[:3])
     else:
+        g = GoldGrammar("fuzz", grammar.inventory, roots, rules)
+        check_rule_graph(g)
+        assert validate_grammar(g) == []
         assert parse_grammar(text) == g
+        check_enumeration(g)
+        assert 0 < grammar_score(frozenset(g.rules), g).f1 <= 1
 
 
 @given(hs.sets(piece_labels, min_size=1, max_size=6), hs.integers(1, 2), hs.data())
 def test_parse_grammar_accepts_a_rule_iff_it_is_a_valid_step(inventory, n_children, data):
     """A one-rule grammar over labels from the inventory has its rule
-    refused iff the rule's label arithmetic fails, its children in canonical
-    order (the parser puts them in that order); any other refusal is of the
-    grammar as a whole."""
+    refused, alone and named with its children in canonical order (the
+    parser puts them in that order), iff the rule's label arithmetic fails;
+    any other refusal is of the grammar as a whole."""
     pieces = sorted(inventory)
 
     def draw_label(name):
@@ -206,15 +226,20 @@ def test_parse_grammar_accepts_a_rule_iff_it_is_a_valid_step(inventory, n_childr
     children = tuple(draw_label(f"child {i}") for i in range(n_children))
     text = (f"pattern: p\npieces: {' '.join(map(str, pieces))}\nroots: S\n"
             f"{parent} -> {' '.join(map(str, children))}\n")
+    rule = DepthOneSubtree(parent, tuple(sorted(children, key=child_order_key)))
     try:
         parse_grammar(text)
     except GrammarError as exc:
-        accepted = not str(exc).startswith("line 4: ")
-        if accepted:
-            assert str(exc).startswith("pattern 'p': invalid grammar: ")
+        problems = exc.problems
+        assert str(exc).startswith("pattern 'p': invalid grammar: ")
     else:
-        accepted = True
-    assert accepted == (node_oracle(parent, sorted(children, key=child_order_key)) == [])
+        problems = []
+    violations = node_oracle(rule.parent, rule.children)
+    if violations:
+        assert problems == [f"{rule}: {violations[0][1]}"]
+    else:
+        own = [p for p in problems if p.startswith(f"{rule}: ")]
+        assert own in ([], [f"{rule}: no root reaches this rule"])
 
 
 # The differential test's inventory, a mirrored pair among plain pieces so
@@ -294,7 +319,9 @@ def rule_lines(draw):
 @example("AB -> BA Q_0")  # a malformed label before any piece check
 @example("AB_1 -> A")  # a unary child with other pieces
 def test_parse_grammar_checks_rules_like_the_oracle(line):
-    """Each rule line gives the oracle's rule, or its error message.
+    """A rule line whose labels do not parse gives the oracle's line
+    message; otherwise the file is refused with the oracle's problems for
+    the rules it reads.
 
     No rule line expands the root S, whose five pieces no drawn parent has,
     so a file whose rules all pass is refused as a whole, and the refusal
@@ -305,12 +332,12 @@ def test_parse_grammar_checks_rules_like_the_oracle(line):
     with pytest.raises(GrammarError) as got:
         parse_grammar(text)
     try:
-        expected = [rule_oracle(lineno, l, inventory) for lineno, l in enumerate(lines, start=4)]
+        rules = [rule_oracle(lineno, l) for lineno, l in enumerate(lines, start=4)]
     except GrammarError as exc:
         assert str(got.value) == str(exc)
     else:
-        rules = tuple(dict.fromkeys(expected))
-        unreached = [p for p in got.value.problems if p.endswith(": no root reaches this rule")]
-        assert unreached == [f"{rule}: no root reaches this rule" for rule in rules]
         root = NodeLabel(tuple(sorted(inventory)), 0)
-        assert got.value.problems == validate_grammar(GoldGrammar("p", inventory, (root,), rules))
+        assert got.value.problems == validate_grammar_oracle(inventory, (root,), rules)
+        unreached = [p for p in got.value.problems if p.endswith(": no root reaches this rule")]
+        every_rule = [f"{rule}: no root reaches this rule" for rule in dict.fromkeys(rules)]
+        assert unreached in ([], every_rule)
