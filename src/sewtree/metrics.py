@@ -42,23 +42,41 @@ def _f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
+def _f1_lead(m: int, g: int, best_m: int, best_g: int, n: int) -> int:
+    """Positive when a gold tree of ``g`` rules, ``m`` of them among ``n``
+    predicted subtrees, scores a higher F1 = 2m/(n + g) than one of
+    ``best_g`` rules with ``best_m`` predicted, and 0 when the two F1s are
+    equal.  The fractions are compared exactly, by cross-multiplying in
+    integers: the float F1s of two equal fractions can differ in the last
+    bit.  (A zero denominator means n = 0, so both m are 0.)"""
+    return m * (n + best_g) - best_m * (n + g)
+
+
+def _breakdown(m: int, g: int, n: int, matched, text: str) -> ScoreBreakdown:
+    """The scores written out for a gold tree of ``g`` rules, ``m`` of them
+    among ``n`` predicted subtrees."""
+    precision = m / n if n else 0.0
+    recall = m / g if g else 0.0
+    return ScoreBreakdown(precision, recall, _f1(precision, recall), matched, text)
+
+
 def tree_score(pred: frozenset[DepthOneSubtree], gold_texts) -> ScoreBreakdown:
     """The best exact-match F1 of the predicted depth-1 subtree set against
     a gold tree's, over gold trees given as canonical serializations; ties
-    go to the lowest index.  ``best_gold_tree`` holds the best tree's text."""
-    best: ScoreBreakdown | None = None
+    on the exact F1 go to the lowest index.  ``best_gold_tree`` holds the
+    best tree's text."""
+    n = len(pred)
+    best = None
     for text in gold_texts:
         _, children_of = parse_serialized(text)
         gold = frozenset(DepthOneSubtree(p, kids) for p, kids in children_of.items())
         matched = gold & pred
-        precision = len(matched) / len(pred) if pred else 0.0
-        recall = len(matched) / len(gold) if gold else 0.0
-        f1 = _f1(precision, recall)
-        if best is None or f1 > best.f1:
-            best = ScoreBreakdown(precision, recall, f1, matched, text)
+        if best is None or _f1_lead(len(matched), len(gold), best[0], best[1], n) > 0:
+            best = (len(matched), len(gold), matched, text)
     if best is None:
         raise ValueError("gold set must be non-empty")
-    return best
+    m, g, matched, text = best
+    return _breakdown(m, g, n, matched, text)
 
 
 def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> ScoreBreakdown:
@@ -71,9 +89,10 @@ def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> Sco
     largest m and the smallest canonical serialization reaching it
     (serializations of one label are never prefixes of each other, so the
     smallest tree takes the smallest child serializations).  At the roots
-    the best F1, computed with ``tree_score``'s float expression, wins; ties
-    go to the smallest serialization, which is the lowest index in the
-    sorted enumeration.  ``best_gold_tree`` holds that serialization.
+    the best exact F1 wins, compared as ``tree_score`` compares it; ties go
+    to the smallest serialization, which is the lowest index in the sorted
+    enumeration.  ``best_gold_tree`` holds that serialization, and the
+    scores are ``tree_score``'s float expressions.
     """
     # tables[p]: g -> (max m, smallest serialization, (rule, child positions,
     # child g values) of the rule that built it, None for a leaf).
@@ -111,16 +130,19 @@ def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> Sco
                             table[g] = (m, text, (rule, kids, (g_a, g_b)))
         tables.append(table)
 
-    ranked = []
+    n = len(pred)
+    best = None
     for root in grammar.root_positions:
         for g, (m, text, _) in tables[root].items():
-            precision = m / len(pred) if pred else 0.0
-            recall = m / g if g else 0.0
-            ranked.append((-_f1(precision, recall), text, precision, recall, root, g))
-    neg_f1, text, precision, recall, root, g = min(ranked)
+            if best is not None:
+                lead = _f1_lead(m, g, best[0], best[1], n)
+                if lead < 0 or lead == 0 and text > best[2]:
+                    continue
+            best = (m, g, text, root)
+    best_m, best_g, text, root = best
 
     matched = []
-    stack = [(root, g)]
+    stack = [(root, best_g)]
     while stack:
         p, g = stack.pop()
         built = tables[p][g][2]
@@ -129,7 +151,7 @@ def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> Sco
             if rule in pred:
                 matched.append(rule)
             stack.extend(zip(kids, kid_gs))
-    return ScoreBreakdown(precision, recall, -neg_f1, frozenset(matched), text)
+    return _breakdown(best_m, best_g, n, frozenset(matched), text)
 
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")

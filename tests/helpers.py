@@ -9,8 +9,10 @@ ROUGE-L computed afresh per call, the references for the metrics'
 prepared reference side; the node check on piece sets, the reference
 for ``node_violations``; the rule reader, the reference for the grammar
 parser's label memo; the per-tree round-trip, the reference for the
-per-rule one; and the grammar check on piece sets with a recursive walk
-from the roots, the reference for the one that reads the rule graph."""
+per-rule one; the grammar check on piece sets with a recursive walk
+from the roots, the reference for the one that reads the rule graph; and
+the best gold tree by ``Fraction`` F1 over every derivation, the
+reference for both scorers' exact ranking."""
 
 import itertools
 import math
@@ -19,6 +21,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from sewtree.grammar import (
@@ -39,7 +42,7 @@ from sewtree.labels import (
     merge_labels,
     parse_node_label,
 )
-from sewtree.metrics import BLEU_EPSILON, BLEU_MAX_N, _f1, grammar_score, tokenize
+from sewtree.metrics import BLEU_EPSILON, BLEU_MAX_N, ScoreBreakdown, _f1, grammar_score, tokenize
 from sewtree.pipeline import (
     InstructionDoc,
     PatternSpec,
@@ -300,6 +303,25 @@ def gold_tree_oracle(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[AssemblyNo
     return tuple(sorted((t for root in g.root_positions for t in trees[root]), key=serialize_node))
 
 
+def best_tree_oracle(predicted: frozenset, g: GoldGrammar) -> ScoreBreakdown:
+    """The score of the gold tree with the highest F1 = 2m/(|P| + g), as a
+    ``Fraction`` (0 when m = 0), over every derivation built as a node tree;
+    ties go to the first in sorted order.  The values written out are the
+    float expressions m/|P|, m/g and ``_f1`` of the two."""
+    n = len(predicted)
+    best = None
+    for tree in gold_tree_oracle(g):
+        gold = frozenset(subtrees_of(as_pair(tree)))
+        matched = gold & predicted
+        f1 = Fraction(2 * len(matched), n + len(gold)) if matched else Fraction(0)
+        if best is None or f1 > best[0]:
+            best = (f1, matched, len(gold), serialize_node(tree))
+    _, matched, size, text = best
+    precision = len(matched) / n if n else 0.0
+    recall = len(matched) / size if size else 0.0
+    return ScoreBreakdown(precision, recall, _f1(precision, recall), matched, text)
+
+
 def check_enumeration(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, ...]:
     """``enumerate_gold_trees(g)``, checked against the tree oracle and
     against the derivation count: derivations and trees are in bijection."""
@@ -477,6 +499,20 @@ def tree_roundtrip(grammar: GoldGrammar, cap: int = DEFAULT_CAP) -> list[str]:
     return failures
 
 
+def split_rules(block) -> list[str]:
+    """The rule lines that join every subset of two or more of the
+    one-letter pieces ``block`` from every split of it into two parts, once
+    each: from the whole block, every binary tree over it."""
+    lines = []
+    for size in range(2, len(block) + 1):
+        for first, *others in itertools.combinations(block, size):
+            for k in range(size - 1):
+                for rest in itertools.combinations(others, k):
+                    right = "".join(p for p in others if p not in rest)
+                    lines.append(f"{first}{''.join(others)} -> {first}{''.join(rest)} {right}")
+    return lines
+
+
 def wide_grammar() -> tuple[str, AssemblyNode]:
     """The text of grammar ``wide`` and one of its gold trees.  Five blocks
     of four pieces, each block assembled in any of its 15 binary trees, then
@@ -486,13 +522,7 @@ def wide_grammar() -> tuple[str, AssemblyNode]:
     blocks = [pieces[i:i + 4] for i in range(0, 20, 4)]
     lines = ["pattern: wide", "pieces: " + " ".join(pieces), "roots: " + "".join(pieces)]
     for block in blocks:
-        for size in (2, 3, 4):
-            for first, *others in itertools.combinations(block, size):
-                # every split of the subset into two parts, once each
-                for k in range(size - 1):
-                    for rest in itertools.combinations(others, k):
-                        right = "".join(p for p in others if p not in rest)
-                        lines.append(f"{first}{''.join(others)} -> {first}{''.join(rest)} {right}")
+        lines.extend(split_rules(block))
     for i in range(1, len(blocks)):
         joined = "".join(p for b in blocks[:i] for p in b)
         lines.append(f"{joined}{''.join(blocks[i])} -> {joined} {''.join(blocks[i])}")

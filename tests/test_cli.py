@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import shutil
@@ -37,6 +38,7 @@ from helpers import (
     as_pair,
     gold_tree_oracle,
     run_fresh,
+    split_rules,
     urllib_post,
     wide_grammar,
 )
@@ -72,6 +74,11 @@ def workspace(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def files_under(directory: Path) -> dict[str, bytes]:
+    """Every file's bytes by its path under ``directory``."""
+    return {str(p.relative_to(directory)): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
 
 
 UNPARSABLE_MESSAGE = "line 4: malformed node label 'a' at position 0"
@@ -813,7 +820,7 @@ def score_with_adapter(corpus: Path, out: Path, url: str, capsys) -> dict[str, b
         "--extractor", "adapter", "--adapter-url", url,
     )
     assert code == 0, capsys.readouterr().err
-    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    return files_under(out)
 
 
 class TestAdapterMemo:
@@ -991,7 +998,7 @@ class TestRuleBasedMemo:
                 "--out", out,
             )
             assert code == 0, capsys.readouterr().err
-            return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            return files_under(out)
 
         monkeypatch.setattr(sewtree.cli, "extract_pieces_rule_based", counted)
         memoized = score(tmp_path / "memo")
@@ -1576,3 +1583,125 @@ def test_failing_adapter_exits_1_without_fallback(url, message):
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+class TestRun:
+    """``run`` is the ``sewtree`` process: ``main``, then ``gc.freeze()``
+    however ``main`` ended, then exit with its code."""
+
+    @pytest.fixture()
+    def freezes(self, monkeypatch):
+        freezes = []
+        monkeypatch.setattr(sewtree.cli.gc, "freeze", lambda: freezes.append(True))
+        return freezes
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_freezes_then_exits_with_the_code_of_main(self, monkeypatch, freezes, code):
+        monkeypatch.setattr(sewtree.cli, "main", lambda: code)
+        with pytest.raises(SystemExit) as exc:
+            sewtree.cli.run()
+        assert exc.value.code == code
+        assert freezes == [True]
+
+    @pytest.mark.parametrize("argv,code", [(["--help"], 0), (["validate-grammar", "--bogus", "x"], 2)],
+                             ids=["help", "unknown-option"])
+    def test_freezes_when_argparse_exits(self, monkeypatch, capsys, freezes, argv, code):
+        monkeypatch.setattr(sys, "argv", ["sewtree", *argv])
+        with pytest.raises(SystemExit) as exc:
+            sewtree.cli.run()
+        assert exc.value.code == code
+        assert freezes == [True]
+
+
+def one_run_of_each_command(tmp_path: Path) -> list[list]:
+    """Arguments that run each command once on the fixtures, to success."""
+    doc, spec = FIXTURES / "docs" / "skirt-demo.json", FIXTURES / "specs" / "skirt.json"
+    grammars = FIXTURES / "grammars"
+    scores, errors, ratings = tmp_path / "scores.csv", tmp_path / "errors.csv", tmp_path / "ratings.csv"
+    scores.write_text("doc_id,n_steps,tree_f1\nd0,4,1.0\nd1,4,0.5\nd2,4,0.2\n")
+    errors.write_text("doc_id,errors\nd0,0\nd1,1\nd2,3\n")
+    ratings.write_text("doc_id,step_index,question,rating\nd0,0,S1,4\nd0,1,S1,2\n")
+    return [
+        ["gen-gold", grammars / "skirt.grammar"],
+        ["validate-grammar", *sorted(grammars.glob("*.grammar"))],
+        ["extract", "--doc", doc, "--spec", spec],
+        ["build", "--doc", doc, "--spec", spec],
+        ["score", "--corpus", FIXTURES / "docs", "--grammars", grammars, "--specs",
+         FIXTURES / "specs", "--out", tmp_path / "run"],
+        ["permute", "--doc", doc, "--seed", "1", "--k", "2", "--out", tmp_path / "perms"],
+        ["inject-errors", "--doc", doc, "--spec", spec, "--seed", "1", "--swap", "1",
+         "--out", tmp_path / "corrupted.json"],
+        ["correlate", "--scores", scores, "--errors", errors],
+        ["roundtrip", "--grammars", grammars],
+        ["aggregate-ratings", "--ratings", ratings, "--out", tmp_path / "summary.csv"],
+    ]
+
+
+def test_main_never_freezes_the_heap(tmp_path, capsys):
+    """In-process callers of ``main`` (the tests, the benchmark's tracer)
+    keep every object in reach of the collector."""
+    for argv in one_run_of_each_command(tmp_path):
+        before = gc.get_freeze_count()
+        assert run(*argv) == 0, argv
+        assert gc.get_freeze_count() == before, argv
+
+
+def in_process(argv: list[str], capsys) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``main(argv)`` in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def process_cases(tmp_path: Path) -> dict[str, tuple[list[str], int]]:
+    bad = tmp_path / "bad.grammar"
+    bad.write_text("pattern: bad\npieces: A B C\nroots: ABC\nAB -> A A\nCQ -> C Q\n")
+    splits = tmp_path / "splits.grammar"
+    splits.write_text("pattern: splits\npieces: A B C D E F\nroots: ABCDEF\n"
+                      + "".join(f"{line}\n" for line in split_rules("ABCDEF")))
+    out = tmp_path / "out"
+    common = ["--grammars", str(FIXTURES / "grammars"), "--specs", str(FIXTURES / "specs"), "--out", str(out)]
+    return {
+        "score-refs": (["score", "--corpus", str(FIXTURES / "docs"), "--refs", str(FIXTURES / "docs"),
+                        *common], 0),
+        # 945 trees, about 50 KB through the buffered stdout.
+        "gen-gold-stdout": (["gen-gold", str(splits)], 0),
+        "invalid-grammar": (["validate-grammar", str(bad)], 1),
+        "missing-corpus": (["score", "--corpus", str(tmp_path / "none"), *common], 2),
+        "unknown-option": (["validate-grammar", "--bogus", str(bad)], 2),
+    }
+
+
+@pytest.mark.parametrize("case", ["score-refs", "gen-gold-stdout", "invalid-grammar", "missing-corpus",
+                                  "unknown-option"])
+def test_process_exits_as_main_returns(tmp_path, capsys, case):
+    """``python -m sewtree.cli`` (``run``) gives the exit code, stdout,
+    stderr and files that ``main`` gives in-process: freezing the heap
+    before shutdown loses no output."""
+    argv, code = process_cases(tmp_path)[case]
+    out = tmp_path / "out"
+    expected = (*in_process(argv, capsys), files_under(out) if out.exists() else None)
+    shutil.rmtree(out, ignore_errors=True)
+    proc = run_fresh("-m", "sewtree.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr, files_under(out) if out.exists() else None) == expected
+    assert expected[0] == code
+    if case == "gen-gold-stdout":
+        assert len(json.loads(proc.stdout)["trees"]) == 945
+
+
+def test_process_freezes_its_heap_before_exit():
+    """Run as a module, ``sewtree.cli`` exits through ``run``: by the time
+    ``atexit`` handlers run, the heap is frozen, and they still run."""
+    proc = run_fresh(
+        "-c",
+        "import atexit, gc, runpy, sys; "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)); "
+        "sys.argv = ['sewtree', *sys.argv[1:]]; runpy.run_module('sewtree.cli', run_name='__main__')",
+        "validate-grammar", str(FIXTURES / "grammars" / "skirt.grammar"),
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == f"{FIXTURES / 'grammars' / 'skirt.grammar'}: OK\n"
+    assert proc.stderr == "frozen True\n"

@@ -7,6 +7,8 @@ with the same float expression as the oracle, so any difference is a bug.
 import re
 import statistics
 import string
+from collections import defaultdict
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -14,7 +16,7 @@ from hypothesis import strategies as hs
 
 from sewtree.experiments import ErrorInjectionPlan, inject_errors, permute_doc, score_document
 from sewtree.grammar import GoldGrammar, enumerate_gold_trees, parse_grammar
-from sewtree.labels import NodeLabel, PieceLabel, child_order_key, parse_piece_label
+from sewtree.labels import NodeLabel, PieceLabel, bump_self_attach, child_order_key, parse_piece_label
 from sewtree.metrics import grammar_score, tree_score
 from sewtree.pipeline import (
     InstructionDoc,
@@ -32,10 +34,10 @@ from sewtree.synth import (
     random_inventory,
     random_tree,
 )
-from sewtree.tree import DepthOneSubtree, canonical_serialize, parse_serialized
+from sewtree.tree import DepthOneSubtree, canonical_serialize, parse_serialized, subtrees_of
 
 from conftest import GRAMMAR_NAMES, load_grammar
-from helpers import as_pair, gold_tree_oracle, subtree_set
+from helpers import as_pair, best_tree_oracle, gold_tree_oracle, subtree_set
 
 PLANS = (
     ErrorInjectionPlan(swap_adjacent=1),
@@ -176,6 +178,60 @@ def test_tie_on_f1_with_different_precision_and_recall():
     assert (result.precision, result.recall, result.f1) == (0.5, 0.5, 0.5)
     assert result.best_gold_tree == short
     assert_matches_oracle(predicted, grammar, gold)
+
+
+# Both roots derive one tree each, and both score F1 = 1/3 exactly against
+# the two predicted chain rules: (m, g) = (1, 4) under ABC_2 and (2, 10)
+# under ABC_8, whose float F1s are 0.3333333333333333 and 0.33333333333333337.
+ROUNDING_TIE_GRAMMAR = """\
+pattern: rounding
+pieces: A B C
+roots: ABC_2 ABC_8
+AB -> A B
+AB_1 -> AB
+ABC_1 -> AB_1 C
+""" + "".join(f"ABC_{i} -> ABC_{i - 1}\n" for i in range(2, 9))
+
+
+def test_equal_f1_that_rounds_apart_goes_to_the_smaller_text():
+    grammar = parse_grammar(ROUNDING_TIE_GRAMMAR)
+    gold = enumerate_gold_trees(grammar)
+    predicted = frozenset(r for r in grammar.rules if str(r) in ("ABC_2 -> ABC_1", "ABC_8 -> ABC_7"))
+    assert len(predicted) == 2
+    assert [tree_score(predicted, (t,)).f1 for t in gold] == [0.3333333333333333, 0.33333333333333337]
+    for result in (grammar_score(predicted, grammar), tree_score(predicted, gold)):
+        assert (result.precision, result.recall, result.f1) == (0.5, 0.25, 1 / 3)
+        assert result.best_gold_tree == gold[0] == "(ABC_2 (ABC_1 (AB_1 (AB A B)) C))"
+        assert [str(r) for r in result.matched] == ["ABC_2 -> ABC_1"]
+
+
+@given(hs.integers(0, 2**64 - 1), hs.integers(2, 5), hs.integers(1, 40))
+def test_both_scorers_rank_by_exact_f1(seed, n_pieces, height):
+    """Trees along one long unary chain over a random tree, and a random
+    part of their rules as the prediction.  Plain draws rarely tie on
+    exact F1, so where heights of different (m, g) tie, those trees are
+    the roots and the ranking meets a tie whose floats can differ;
+    otherwise the roots are the top of the chain and a random height."""
+    rng = SplitMix64(seed)
+    tree = random_tree(rng, random_inventory(rng, n_pieces))
+    trees = [tree]
+    label, children_of = tree
+    for _ in range(height):
+        child, label = label, bump_self_attach(label)
+        children_of = {**children_of, label: (child,)}
+        trees.append((label, children_of))
+    predicted = frozenset(rule for rule in subtrees_of(trees[-1]) if rng.randrange(3) == 0)
+    by_f1 = defaultdict(list)
+    for tree in trees:
+        m = len(predicted.intersection(subtrees_of(tree)))
+        if m:
+            by_f1[Fraction(2 * m, len(predicted) + len(tree[1]))].append((m, tree))
+    ties = [group for group in by_f1.values() if len({m for m, _ in group}) > 1]
+    roots = [tree for _, tree in rng.choice(ties)] if ties else [trees[-1], rng.choice(trees)]
+    grammar = grammar_from_trees("chains", roots)
+    expected = best_tree_oracle(predicted, grammar)
+    assert grammar_score(predicted, grammar) == expected
+    assert tree_score(predicted, enumerate_gold_trees(grammar)) == expected
 
 
 def test_score_document_same_row_for_grammar_and_tree_list(skirt_grammar, skirt_spec, skirt_doc):
