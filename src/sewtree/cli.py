@@ -289,21 +289,23 @@ def cmd_inject_errors(args) -> int:
     return 0
 
 
-def _read_table(path, required: tuple[str, ...], unique: str | None = None) -> list[dict]:
+def _read_table(path, required: tuple[str, ...], unique: str | None = None) -> list[tuple[int, dict]]:
     """Rows of a CSV file that must have the ``required`` columns and, if
-    given, no value twice in the column ``unique``.  A line the reader
-    refuses (a field over its size limit) is named with its number."""
+    given, no value twice in the column ``unique``, each with the number of
+    the line it ends on (blank lines are skipped and a quoted field can span
+    lines, so rows and lines need not match).  A line the reader refuses (a
+    field over its size limit) is named with its number."""
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     try:
         missing = [c for c in required if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path}: missing column {missing[0]!r}")
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:
         raise ValueError(f"{path} line {reader.reader.line_num}: {exc}") from exc
     if unique is not None:
         seen = set()
-        for row in rows:
+        for _, row in rows:
             if row[unique] in seen:
                 raise ValueError(f"{path}: {unique} {row[unique]!r} appears more than once")
             seen.add(row[unique])
@@ -311,8 +313,8 @@ def _read_table(path, required: tuple[str, ...], unique: str | None = None) -> l
 
 
 def cmd_correlate(args) -> int:
-    scores_rows = _read_table(args.scores, ("doc_id", "n_steps"), unique="doc_id")
-    errors_rows = _read_table(args.errors, ("doc_id", "errors"), unique="doc_id")
+    scores_rows = [row for _, row in _read_table(args.scores, ("doc_id", "n_steps"), unique="doc_id")]
+    errors_rows = [row for _, row in _read_table(args.errors, ("doc_id", "errors"), unique="doc_id")]
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     results = correlate_scores(scores_rows, errors_rows, columns)
     out_columns = ["column", "n", "r", "t", "p"]
@@ -341,7 +343,7 @@ def cmd_roundtrip(args) -> int:
 def cmd_aggregate_ratings(args) -> int:
     records = []
     required = ("doc_id", "step_index", "question", "rating")
-    for lineno, row in enumerate(_read_table(args.ratings, required), start=2):
+    for lineno, row in _read_table(args.ratings, required):
         try:
             records.append(
                 RatingRecord(

@@ -9,7 +9,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .grammar import GoldGrammar
-from .tree import DepthOneSubtree, bracket, parse_serialized
+from .tree import DepthOneSubtree, bracket, parse_serialized, subtrees_of
 
 BLEU_MAX_N = 4
 BLEU_EPSILON = 1e-9
@@ -68,8 +68,7 @@ def tree_score(pred: frozenset[DepthOneSubtree], gold_texts) -> ScoreBreakdown:
     n = len(pred)
     best = None
     for text in gold_texts:
-        _, children_of = parse_serialized(text)
-        gold = frozenset(DepthOneSubtree(p, kids) for p, kids in children_of.items())
+        gold = frozenset(subtrees_of(parse_serialized(text)))
         matched = gold & pred
         if best is None or _f1_lead(len(matched), len(gold), best[0], best[1], n) > 0:
             best = (len(matched), len(gold), matched, text)
@@ -85,28 +84,28 @@ def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> Sco
 
     Node labels are unique within a tree, so a gold tree with g internal
     nodes, m of whose rules are predicted subtrees, scores F1 = 2m/(|P| + g).
-    A max-plus DP over the rule graph keeps, per label and per g, the
+    A max-plus DP over the rule graph keeps, per label and per g, only the
     largest m and the smallest canonical serialization reaching it
     (serializations of one label are never prefixes of each other, so the
     smallest tree takes the smallest child serializations).  At the roots
     the best exact F1 wins, compared as ``tree_score`` compares it; ties go
     to the smallest serialization, which is the lowest index in the sorted
-    enumeration.  ``best_gold_tree`` holds that serialization, and the
-    scores are ``tree_score``'s float expressions.
+    enumeration.  That text names the winning tree, so ``matched`` is read
+    off it as ``tree_score`` reads it.  ``best_gold_tree`` holds the text,
+    and the scores are ``tree_score``'s float expressions.
     """
-    # tables[p]: g -> (max m, smallest serialization, (rule, child positions,
-    # child g values) of the rule that built it, None for a leaf).
-    tables: list[dict[int, tuple[int, str, tuple | None]]] = []
+    # tables[p]: g -> (max m, smallest serialization reaching it).
+    tables: list[dict[int, tuple[int, str]]] = []
     for label, expansions in zip(grammar.labels, grammar.expansions):
         name = str(label)
         if not expansions:
-            tables.append({0: (0, name, None)})
+            tables.append({0: (0, name)})
             continue
-        table: dict[int, tuple[int, str, tuple | None]] = {}
+        table: dict[int, tuple[int, str]] = {}
         for rule, kids in expansions:
             hit = int(rule in pred)
             if len(kids) == 1:
-                for g_kid, (m_kid, text_kid, _) in tables[kids[0]].items():
+                for g_kid, (m_kid, text_kid) in tables[kids[0]].items():
                     g = g_kid + 1
                     m = hit + m_kid
                     current = table.get(g)
@@ -114,12 +113,12 @@ def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> Sco
                         continue
                     text = bracket(name, (text_kid,))
                     if current is None or m > current[0] or text < current[1]:
-                        table[g] = (m, text, (rule, kids, (g_kid,)))
+                        table[g] = (m, text)
             else:
                 a, b = kids
                 b_items = tables[b].items()
-                for g_a, (m_a, text_a, _) in tables[a].items():
-                    for g_b, (m_b, text_b, _) in b_items:
+                for g_a, (m_a, text_a) in tables[a].items():
+                    for g_b, (m_b, text_b) in b_items:
                         g = 1 + g_a + g_b
                         m = hit + m_a + m_b
                         current = table.get(g)
@@ -127,31 +126,21 @@ def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> Sco
                             continue
                         text = bracket(name, (text_a, text_b))
                         if current is None or m > current[0] or text < current[1]:
-                            table[g] = (m, text, (rule, kids, (g_a, g_b)))
+                            table[g] = (m, text)
         tables.append(table)
 
     n = len(pred)
     best = None
     for root in grammar.root_positions:
-        for g, (m, text, _) in tables[root].items():
+        for g, (m, text) in tables[root].items():
             if best is not None:
                 lead = _f1_lead(m, g, best[0], best[1], n)
                 if lead < 0 or lead == 0 and text > best[2]:
                     continue
-            best = (m, g, text, root)
-    best_m, best_g, text, root = best
-
-    matched = []
-    stack = [(root, best_g)]
-    while stack:
-        p, g = stack.pop()
-        built = tables[p][g][2]
-        if built is not None:
-            rule, kids, kid_gs = built
-            if rule in pred:
-                matched.append(rule)
-            stack.extend(zip(kids, kid_gs))
-    return _breakdown(best_m, best_g, n, frozenset(matched), text)
+            best = (m, g, text)
+    m, g, text = best
+    matched = frozenset(subtrees_of(parse_serialized(text))) & pred
+    return _breakdown(m, g, n, matched, text)
 
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")

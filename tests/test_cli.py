@@ -1423,6 +1423,27 @@ class TestAggregateRatingsCli:
         ratings.write_text("doc_id,step_index,question,rating\nd,0,S1,9\n")
         assert run("aggregate-ratings", "--ratings", ratings, "--out", tmp_path / "o.csv") == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "doc_id,step_index,question,rating\nd,0,S1,4\n\nd,1,S1,x\n",
+            'doc_id,step_index,question,rating\n"d\nx",0,S1,4\nd,1,S1,x\n',
+        ],
+        ids=["blank-line", "quoted-newline"],
+    )
+    def test_bad_row_is_named_by_its_line_in_the_file(self, tmp_path, capsys, text):
+        """A skipped blank line and a field spanning two lines each put the
+        bad row on line 4, though it is the file's third record."""
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text(text, newline="")
+        out = tmp_path / "o.csv"
+        assert run("aggregate-ratings", "--ratings", ratings, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (
+            f"error: {ratings} line 4: invalid literal for int() with base 10: 'x'\n"
+        )
+
     @pytest.mark.parametrize("text", ["x,y\n", ""], ids=["other-columns", "empty"])
     def test_file_without_its_columns_is_rejected(self, tmp_path, capsys, text):
         ratings = tmp_path / "ratings.csv"
