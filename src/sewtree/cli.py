@@ -16,7 +16,6 @@ from pathlib import Path
 from .adapter import AdapterConfig, AdapterError, make_adapter_extractor
 from .experiments import (
     RATING_QUESTIONS,
-    SCORE_COLUMNS,
     ErrorInjectionPlan,
     RatingRecord,
     aggregate_ratings,
@@ -92,12 +91,17 @@ def _write_gold(pattern_id: str, trees, path=None) -> None:
         _write((head + "]\n}\n",), path)
 
 
-def _load_keyed(paths, load, key: str) -> tuple[dict, dict]:
-    """``load`` of each file in ``paths``, by its ``key`` attribute, and
-    the file of each key; two files with one key are a ``ConfigError``
-    naming both."""
+def _load_dir(directory, pattern: str, load, key: str, kind: str) -> tuple[dict, dict]:
+    """``load`` of each file in ``directory`` whose name matches
+    ``pattern``, by its ``key`` attribute, and the file of each key.  A
+    directory with no such file is a ``ConfigError`` (``no <kind> in
+    <directory>``), as are two files with one key, naming both."""
+    directory = Path(directory)
+    files = sorted(directory.glob(pattern))
+    if not files:
+        raise ConfigError(f"no {kind} in {directory}")
     items, origins = {}, {}
-    for path in paths:
+    for path in files:
         item = load(path)
         value = getattr(item, key)
         if value in origins:
@@ -115,38 +119,43 @@ def _load_grammar_file(path: Path):
         raise GrammarError(f"{path}: {exc}") from exc
 
 
-def _load_grammar_dir(directory: Path) -> tuple[dict, dict]:
-    files = sorted(directory.glob("*.grammar"))
-    if not files:
-        raise ConfigError(f"no grammar files in {directory}")
-    return _load_keyed(files, _load_grammar_file, "pattern_id")
+# The adapter options by the AdapterConfig argument each one sets.  They
+# have no defaults of their own, AdapterConfig's apply, so an option is on
+# the namespace exactly when it was given.
+_ADAPTER_OPTIONS = {
+    "url": "--adapter-url",
+    "timeout": "--adapter-timeout",
+    "retries": "--adapter-retries",
+    "fallback_to_rules": "--adapter-fallback",
+}
 
 
 def _make_extractor(args):
     """The run's extractor, which extracts each distinct step and inventory
-    once (a successful adapter reply too, but no fallback)."""
-    extract = extract_pieces_rule_based
-    if getattr(args, "extractor", "rule-based") == "adapter":
-        if not args.adapter_url:
-            raise ConfigError("--adapter-url is required with --extractor adapter")
-        config = AdapterConfig(
-            url=args.adapter_url,
-            timeout=args.adapter_timeout,
-            retries=args.adapter_retries,
-            fallback_to_rules=args.adapter_fallback,
-        )
-        extract = make_adapter_extractor(config)
-    return extract_once_per_run(extract)
+    once (a successful adapter reply too, but no fallback).  An adapter
+    option without ``--extractor adapter`` is a ``ConfigError`` naming it."""
+    given = {dest: getattr(args, dest) for dest in _ADAPTER_OPTIONS if hasattr(args, dest)}
+    if args.extractor != "adapter":
+        if given:
+            options = ", ".join(_ADAPTER_OPTIONS[dest] for dest in given)
+            raise ConfigError(f"{options} given without --extractor adapter")
+        return extract_once_per_run(extract_pieces_rule_based)
+    if not given.get("url"):
+        raise ConfigError("--adapter-url is required with --extractor adapter")
+    return extract_once_per_run(make_adapter_extractor(AdapterConfig(**given)))
 
 
 def _add_extractor_args(parser) -> None:
     parser.add_argument("--extractor", choices=["rule-based", "adapter"], default="rule-based")
-    parser.add_argument("--adapter-url", default=None)
-    parser.add_argument("--adapter-timeout", type=float, default=10.0)
-    parser.add_argument("--adapter-retries", type=int, default=1)
+    unset = argparse.SUPPRESS
+    parser.add_argument("--adapter-url", dest="url", default=unset)
+    parser.add_argument("--adapter-timeout", dest="timeout", type=float, default=unset)
+    parser.add_argument("--adapter-retries", dest="retries", type=int, default=unset)
     parser.add_argument(
         "--adapter-fallback",
+        dest="fallback_to_rules",
         action="store_true",
+        default=unset,
         help="fall back to rule-based extraction when the adapter fails",
     )
 
@@ -194,15 +203,17 @@ def _load_doc_and_spec(args):
 
 
 def cmd_extract(args) -> int:
+    extractor = _make_extractor(args)
     doc, spec = _load_doc_and_spec(args)
-    extractions = extract_document(doc, spec, _make_extractor(args))
+    extractions = extract_document(doc, spec, extractor)
     _write_json(extractions_to_json(doc, extractions), args.out)
     return 0
 
 
 def cmd_build(args) -> int:
+    extractor = _make_extractor(args)
     doc, spec = _load_doc_and_spec(args)
-    extractions = extract_document(doc, spec, _make_extractor(args))
+    extractions = extract_document(doc, spec, extractor)
     report = build_forest(doc, extractions, spec)
     _write_json({"doc_id": doc.doc_id, **report.to_json()}, args.out)
     return 0
@@ -224,20 +235,17 @@ def _check_inventories(spec_path, spec, grammar_path, grammar) -> None:
 
 
 def cmd_score(args) -> int:
-    corpus = Path(args.corpus)
-    by_id, _ = _load_keyed(sorted(corpus.glob("*.json")), load_doc, "doc_id")
-    if not by_id:
-        raise ConfigError(f"no documents in {corpus}")
+    extractor = _make_extractor(args)
+    by_id, _ = _load_dir(args.corpus, "*.json", load_doc, "doc_id", "documents")
     docs = [by_id[doc_id] for doc_id in sorted(by_id)]
-    grammars, grammar_paths = _load_grammar_dir(Path(args.grammars))
-    specs, spec_paths = _load_keyed(sorted(Path(args.specs).glob("*.json")), load_spec, "pattern_id")
+    grammars, grammar_paths = _load_dir(
+        args.grammars, "*.grammar", _load_grammar_file, "pattern_id", "grammar files"
+    )
+    specs, spec_paths = _load_dir(args.specs, "*.json", load_spec, "pattern_id", "specs")
     refs = {}
     if args.refs:
-        refs, _ = _load_keyed(sorted(Path(args.refs).glob("*.json")), load_doc, "pattern_id")
-        if not refs:
-            raise ConfigError(f"no references in {args.refs}")
+        refs, _ = _load_dir(args.refs, "*.json", load_doc, "pattern_id", "references")
 
-    extractor = _make_extractor(args)
     for doc in docs:
         if doc.pattern_id not in grammars:
             raise ConfigError(f"document {doc.doc_id}: no grammar for pattern {doc.pattern_id!r}")
@@ -263,7 +271,8 @@ def cmd_score(args) -> int:
     reports_dir.mkdir(parents=True, exist_ok=True)
     for doc, (_, report) in zip(docs, results):
         _write_json({"doc_id": doc.doc_id, **report.to_json()}, reports_dir / f"{doc.doc_id}.json")
-    _write_csv(out_dir / "scores.csv", SCORE_COLUMNS, [row for row, _ in results])
+    rows = [row for row, _ in results]
+    _write_csv(out_dir / "scores.csv", list(rows[0]), rows)
     print(f"scored {len(results)} documents -> {out_dir / 'scores.csv'}")
     return 0
 
@@ -317,16 +326,15 @@ def cmd_correlate(args) -> int:
     errors_rows = [row for _, row in _read_table(args.errors, ("doc_id", "errors"), unique="doc_id")]
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     results = correlate_scores(scores_rows, errors_rows, columns)
-    out_columns = ["column", "n", "r", "t", "p"]
     if args.out:
-        _write_csv(Path(args.out), out_columns, results)
+        _write_csv(Path(args.out), list(results[0]), results)
     for row in results:
         print(f"{row['column']}: r={row['r']:.4f} t={row['t']:.4f} p={row['p']:.6f} (n={row['n']})")
     return 0
 
 
 def cmd_roundtrip(args) -> int:
-    grammars, _ = _load_grammar_dir(Path(args.grammars))
+    grammars, _ = _load_dir(args.grammars, "*.grammar", _load_grammar_file, "pattern_id", "grammar files")
     failed = False
     for pattern_id in sorted(grammars):
         failures = roundtrip_grammar(grammars[pattern_id])

@@ -42,7 +42,8 @@ def score_document(
     reference: InstructionDoc | None = None,
     extractor=None,
 ) -> tuple[dict, BuildReport]:
-    """One scores-CSV row (as a dict) plus the underlying build report.
+    """One scores-CSV row (as a dict, whose keys in order are the CSV's
+    columns) plus the underlying build report.
 
     ``gold`` is a grammar, scored with :func:`grammar_score`, or the
     sorted canonical texts of its gold trees, scored with :func:`tree_score`;
@@ -67,20 +68,6 @@ def score_document(
         "diagnostics_count": len(report.diagnostics),
     }
     return row, report
-
-
-SCORE_COLUMNS = [
-    "doc_id",
-    "pattern_id",
-    "n_steps",
-    "tree_f1",
-    "tree_precision",
-    "tree_recall",
-    "best_gold_tree",
-    "bleu",
-    "rouge_l",
-    "diagnostics_count",
-]
 
 
 def permute_doc(doc: InstructionDoc, seed: int, k: int) -> list[InstructionDoc]:
@@ -244,7 +231,8 @@ def correlate_scores(scores_rows, errors_rows, columns) -> list[dict]:
 
     ``scores_rows`` are scores-CSV rows; ``errors_rows`` carry ``doc_id`` and
     ``errors``; the join key is ``doc_id``, which neither input may repeat.
-    ``columns`` must name at least one column, none twice.
+    ``columns`` must name at least one column, none twice.  Each result
+    row's keys, in order, are the columns of ``correlate --out``.
     """
     if not columns:
         raise ValueError("no columns to correlate")

@@ -48,8 +48,6 @@ class CapExceededError(GrammarError):
 
     def __init__(self, count: int, cap: int):
         super().__init__(f"grammar derives {count} trees, cap is {cap}")
-        self.count = count
-        self.cap = cap
 
 
 DEFAULT_CAP = 100_000

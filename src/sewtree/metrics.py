@@ -21,13 +21,11 @@ class ScoreBreakdown:
         precision: float,
         recall: float,
         f1: float,
-        matched: frozenset[DepthOneSubtree],
         best_gold_tree: str,
     ) -> None:
         self.precision = precision
         self.recall = recall
         self.f1 = f1
-        self.matched = matched
         self.best_gold_tree = best_gold_tree
 
     def __eq__(self, other) -> bool:
@@ -52,12 +50,12 @@ def _f1_lead(m: int, g: int, best_m: int, best_g: int, n: int) -> int:
     return m * (n + best_g) - best_m * (n + g)
 
 
-def _breakdown(m: int, g: int, n: int, matched, text: str) -> ScoreBreakdown:
+def _breakdown(m: int, g: int, n: int, text: str) -> ScoreBreakdown:
     """The scores written out for a gold tree of ``g`` rules, ``m`` of them
     among ``n`` predicted subtrees."""
     precision = m / n if n else 0.0
     recall = m / g if g else 0.0
-    return ScoreBreakdown(precision, recall, _f1(precision, recall), matched, text)
+    return ScoreBreakdown(precision, recall, _f1(precision, recall), text)
 
 
 def tree_score(pred: frozenset[DepthOneSubtree], gold_texts) -> ScoreBreakdown:
@@ -69,13 +67,13 @@ def tree_score(pred: frozenset[DepthOneSubtree], gold_texts) -> ScoreBreakdown:
     best = None
     for text in gold_texts:
         gold = frozenset(subtrees_of(parse_serialized(text)))
-        matched = gold & pred
-        if best is None or _f1_lead(len(matched), len(gold), best[0], best[1], n) > 0:
-            best = (len(matched), len(gold), matched, text)
+        m = len(gold & pred)
+        if best is None or _f1_lead(m, len(gold), best[0], best[1], n) > 0:
+            best = (m, len(gold), text)
     if best is None:
         raise ValueError("gold set must be non-empty")
-    m, g, matched, text = best
-    return _breakdown(m, g, n, matched, text)
+    m, g, text = best
+    return _breakdown(m, g, n, text)
 
 
 def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> ScoreBreakdown:
@@ -90,9 +88,9 @@ def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> Sco
     smallest tree takes the smallest child serializations).  At the roots
     the best exact F1 wins, compared as ``tree_score`` compares it; ties go
     to the smallest serialization, which is the lowest index in the sorted
-    enumeration.  That text names the winning tree, so ``matched`` is read
-    off it as ``tree_score`` reads it.  ``best_gold_tree`` holds the text,
-    and the scores are ``tree_score``'s float expressions.
+    enumeration.  ``best_gold_tree`` holds that text, and the scores are
+    ``tree_score``'s float expressions; a caller that needs the winning
+    tree's rules reads them off the text with ``parse_serialized``.
     """
     # tables[p]: g -> (max m, smallest serialization reaching it).
     tables: list[dict[int, tuple[int, str]]] = []
@@ -139,8 +137,7 @@ def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> Sco
                     continue
             best = (m, g, text)
     m, g, text = best
-    matched = frozenset(subtrees_of(parse_serialized(text))) & pred
-    return _breakdown(m, g, n, matched, text)
+    return _breakdown(m, g, n, text)
 
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")

@@ -312,14 +312,14 @@ def best_tree_oracle(predicted: frozenset, g: GoldGrammar) -> ScoreBreakdown:
     best = None
     for tree in gold_tree_oracle(g):
         gold = frozenset(subtrees_of(as_pair(tree)))
-        matched = gold & predicted
-        f1 = Fraction(2 * len(matched), n + len(gold)) if matched else Fraction(0)
+        m = len(gold & predicted)
+        f1 = Fraction(2 * m, n + len(gold)) if m else Fraction(0)
         if best is None or f1 > best[0]:
-            best = (f1, matched, len(gold), serialize_node(tree))
-    _, matched, size, text = best
-    precision = len(matched) / n if n else 0.0
-    recall = len(matched) / size if size else 0.0
-    return ScoreBreakdown(precision, recall, _f1(precision, recall), matched, text)
+            best = (f1, m, len(gold), serialize_node(tree))
+    _, m, size, text = best
+    precision = m / n if n else 0.0
+    recall = m / size if size else 0.0
+    return ScoreBreakdown(precision, recall, _f1(precision, recall), text)
 
 
 def check_enumeration(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, ...]:

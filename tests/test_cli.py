@@ -571,6 +571,30 @@ class TestScore:
         assert str(first) in err and str(second) in err
         assert not (workspace["out"] / "scores.csv").exists()
 
+    @pytest.mark.parametrize(
+        "kind,message",
+        [("corpus", "no documents in"), ("grammars", "no grammar files in"), ("specs", "no specs in")],
+    )
+    def test_directory_without_its_files_is_config_error(self, workspace, tmp_path, capsys, kind,
+                                                         message):
+        empty = tmp_path / f"empty-{kind}"
+        empty.mkdir()
+        assert run(*self.score_args(workspace, **{kind: empty})) == 2
+        printed, err = capsys.readouterr()
+        assert err == f"error: {message} {empty}\n"
+        assert printed == "" and not workspace["out"].exists()
+
+    def test_csv_header_and_row_bytes(self, workspace, capsys):
+        """The header is the row dict's keys, so its order is pinned here
+        byte for byte, with a fixture row under it."""
+        assert run(*self.score_args(workspace, refs=workspace["refs"])) == 0
+        assert (workspace["out"] / "scores.csv").read_bytes() == (
+            b"doc_id,pattern_id,n_steps,tree_f1,tree_precision,tree_recall,best_gold_tree,"
+            b"bleu,rouge_l,diagnostics_count\n"
+            b"skirt-demo,skirt,5,1.000000,1.000000,1.000000,(ABC_1 (AB_1 (AB A B)) C),"
+            b"0.192080,0.384236,2\n"
+        )
+
 
 class TestReferences:
     """With ``--refs``, every document needs its pattern's reference, or
@@ -771,6 +795,56 @@ class TestAdapterOptions:
             out, err = capsys.readouterr()
             assert err.startswith("error: ") and "not an http(s) URL" in err
             assert out == "" and not workspace["out"].exists()
+
+
+ADAPTER_ONLY_OPTIONS = [
+    pytest.param(("--adapter-url", "http://127.0.0.1:1/x"), "--adapter-url", id="url"),
+    pytest.param(("--adapter-timeout", "0"), "--adapter-timeout", id="zero-timeout"),
+    pytest.param(("--adapter-retries", "-3"), "--adapter-retries", id="negative-retries"),
+    pytest.param(("--adapter-fallback",), "--adapter-fallback", id="fallback"),
+    pytest.param(("--extractor", "rule-based", "--adapter-timeout", "10"), "--adapter-timeout",
+                 id="rule-based-named"),
+    pytest.param(("--adapter-url", "http://127.0.0.1:1/x", "--adapter-retries", "5", "--adapter-fallback"),
+                 "--adapter-url, --adapter-retries, --adapter-fallback", id="three"),
+]
+
+
+class TestAdapterOptionsWithoutAdapter:
+    """An adapter option without ``--extractor adapter`` would be ignored,
+    so it is refused, named, before any input is read or output written."""
+
+    def assert_refused(self, code, capsys, named):
+        assert code == 2
+        printed, err = capsys.readouterr()
+        assert err == f"error: {named} given without --extractor adapter\n"
+        assert printed == ""
+
+    @pytest.mark.parametrize("command", ["extract", "build"])
+    @pytest.mark.parametrize("options,named", ADAPTER_ONLY_OPTIONS)
+    def test_one_document_command(self, tmp_path, capsys, command, options, named):
+        out = tmp_path / "out.json"
+        code = run(command, "--doc", tmp_path / "missing.json", "--spec", FIXTURES / "specs" / "skirt.json",
+                   "--out", out, *options)
+        self.assert_refused(code, capsys, named)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("options,named", ADAPTER_ONLY_OPTIONS)
+    def test_score(self, workspace, capsys, options, named):
+        code = run(
+            "score",
+            "--corpus", workspace["corpus"],
+            "--grammars", workspace["grammars"],
+            "--specs", workspace["specs"],
+            "--out", workspace["out"],
+            *options,
+        )
+        self.assert_refused(code, capsys, named)
+        assert not workspace["out"].exists()
+
+    def test_checked_before_any_input_is_read(self, tmp_path, capsys):
+        code = run("score", "--corpus", tmp_path / "no-corpus", "--grammars", tmp_path / "no-grammars",
+                   "--specs", tmp_path / "no-specs", "--out", tmp_path / "out", "--adapter-fallback")
+        self.assert_refused(code, capsys, "--adapter-fallback")
 
 
 def write_repeating_corpus(corpus: Path) -> int:
@@ -1180,6 +1254,17 @@ class TestCorrelateCli:
         code = run("correlate", "--scores", scores, "--errors", errors, "--columns", "tree_f1")
         assert code == 0
         assert "r=-1.0000" in capsys.readouterr().out
+
+    def test_out_header_and_row_bytes(self, tmp_path, capsys):
+        """The header is the result rows' keys, so its order is pinned here
+        byte for byte, with one row under it."""
+        scores = self.write_csv(tmp_path / "scores.csv", ["doc_id", "n_steps", "tree_f1"],
+                                [["d0", 10, 1.0], ["d1", 10, 0.9], ["d2", 10, 0.7], ["d3", 10, 0.75]])
+        errors = self.write_csv(tmp_path / "errors.csv", ["doc_id", "errors"],
+                                [[f"d{i}", i] for i in range(4)])
+        out = tmp_path / "correlation.csv"
+        assert run("correlate", "--scores", scores, "--errors", errors, "--out", out) == 0
+        assert out.read_bytes() == b"column,n,r,t,p\ntree_f1,4,-0.890734,-2.771435,0.109266\n"
 
     def write_csv(self, path, header, rows):
         with open(path, "w", newline="") as fh:
