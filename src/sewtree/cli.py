@@ -91,6 +91,42 @@ def _write_gold(pattern_id: str, trees, path=None) -> None:
         _write((head + "]\n}\n",), path)
 
 
+def _json_list(items, indent: int) -> str:
+    """A JSON list of the already encoded ``items`` as ``json.dumps`` with
+    ``indent=2`` writes it when its opening bracket's line is indented by
+    ``indent`` spaces."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+
+
+def _write_report(doc_id: str, report, path=None) -> None:
+    """``{"doc_id": doc_id}`` and the build report ``report`` byte for byte
+    as :func:`_write_json` writes them (``diagnostics``, ``doc_id``,
+    ``forest`` with its ``isolated_leaves`` and ``trees``, and
+    ``subtree_trace``), composed rather than encoded: ``json.dumps`` with an
+    indent takes the pure-Python encoder and leaves a cycle of closures per
+    call for the collector.  Every string goes through ``json.dumps``, and
+    an int is written as its digits, as the encoder writes it."""
+    dumps = json.dumps
+    trees = [dumps(t) for t in report.forest if t.startswith("(")]
+    leaves = [dumps(t) for t in report.forest if not t.startswith("(")]
+    trace = [_json_list([str(i), dumps(str(st))], 4) for i, st in report.subtree_trace]
+    diagnostics = [
+        _json_list([str(d.step_index), dumps(d.kind), dumps(d.message)], 4)
+        for d in report.diagnostics
+    ]
+    _write((
+        '{\n  "diagnostics": ', _json_list(diagnostics, 2),
+        ',\n  "doc_id": ', dumps(doc_id),
+        ',\n  "forest": {\n    "isolated_leaves": ', _json_list(leaves, 4),
+        ',\n    "trees": ', _json_list(trees, 4),
+        '\n  },\n  "subtree_trace": ', _json_list(trace, 2),
+        "\n}\n",
+    ), path)
+
+
 def _load_dir(directory, pattern: str, load, key: str, kind: str) -> tuple[dict, dict]:
     """``load`` of each file in ``directory`` whose name matches
     ``pattern``, by its ``key`` attribute, and the file of each key.  A
@@ -215,7 +251,7 @@ def cmd_build(args) -> int:
     doc, spec = _load_doc_and_spec(args)
     extractions = extract_document(doc, spec, extractor)
     report = build_forest(doc, extractions, spec)
-    _write_json({"doc_id": doc.doc_id, **report.to_json()}, args.out)
+    _write_report(doc.doc_id, report, args.out)
     return 0
 
 
@@ -270,7 +306,7 @@ def cmd_score(args) -> int:
     reports_dir = out_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
     for doc, (_, report) in zip(docs, results):
-        _write_json({"doc_id": doc.doc_id, **report.to_json()}, reports_dir / f"{doc.doc_id}.json")
+        _write_report(doc.doc_id, report, reports_dir / f"{doc.doc_id}.json")
     rows = [row for row, _ in results]
     _write_csv(out_dir / "scores.csv", list(rows[0]), rows)
     print(f"scored {len(results)} documents -> {out_dir / 'scores.csv'}")
@@ -372,84 +408,109 @@ def cmd_aggregate_ratings(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The commands, in the order ``sewtree --help`` lists them.
+COMMANDS = ("gen-gold", "validate-grammar", "extract", "build", "score", "permute",
+            "inject-errors", "correlate", "roundtrip", "aggregate-ratings")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``sewtree`` parser with every command's subparser, or with only
+    the subparser of ``command``, one of :data:`COMMANDS`.  A run that
+    names its command needs no other, and the two parsers print the same
+    help, usage and errors for it: the command list in the top-level usage
+    line is written out in full.  (It is argparse's own text for the
+    choices; the full parser keeps no metavar, since argparse names the
+    missing command by it.)"""
     parser = argparse.ArgumentParser(
         prog="sewtree",
         description="Tree-based evaluation of step-by-step assembly instructions",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("gen-gold", help="enumerate the gold trees of a grammar")
-    p.add_argument("grammar")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_gen_gold)
+    if command in (None, "gen-gold"):
+        p = sub.add_parser("gen-gold", help="enumerate the gold trees of a grammar")
+        p.add_argument("grammar")
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_gen_gold)
 
-    p = sub.add_parser("validate-grammar", help="check grammar files")
-    p.add_argument("grammars", nargs="+")
-    p.set_defaults(func=cmd_validate_grammar)
+    if command in (None, "validate-grammar"):
+        p = sub.add_parser("validate-grammar", help="check grammar files")
+        p.add_argument("grammars", nargs="+")
+        p.set_defaults(func=cmd_validate_grammar)
 
-    p = sub.add_parser("extract", help="extract per-step piece mentions")
-    p.add_argument("--doc", required=True)
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out")
-    _add_extractor_args(p)
-    p.set_defaults(func=cmd_extract)
+    if command in (None, "extract"):
+        p = sub.add_parser("extract", help="extract per-step piece mentions")
+        p.add_argument("--doc", required=True)
+        p.add_argument("--spec", required=True)
+        p.add_argument("--out")
+        _add_extractor_args(p)
+        p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("build", help="build the predicted forest for a document")
-    p.add_argument("--doc", required=True)
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out")
-    _add_extractor_args(p)
-    p.set_defaults(func=cmd_build)
+    if command in (None, "build"):
+        p = sub.add_parser("build", help="build the predicted forest for a document")
+        p.add_argument("--doc", required=True)
+        p.add_argument("--spec", required=True)
+        p.add_argument("--out")
+        _add_extractor_args(p)
+        p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("score", help="score a corpus against its grammars")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--grammars", required=True)
-    p.add_argument("--specs", required=True)
-    p.add_argument("--refs", help="directory of gold reference documents for BLEU/ROUGE")
-    p.add_argument("--out", required=True)
-    _add_extractor_args(p)
-    p.set_defaults(func=cmd_score)
+    if command in (None, "score"):
+        p = sub.add_parser("score", help="score a corpus against its grammars")
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--grammars", required=True)
+        p.add_argument("--specs", required=True)
+        p.add_argument("--refs", help="directory of gold reference documents for BLEU/ROUGE")
+        p.add_argument("--out", required=True)
+        _add_extractor_args(p)
+        p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("permute", help="seeded step permutations of a document")
-    p.add_argument("--doc", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_permute)
+    if command in (None, "permute"):
+        p = sub.add_parser("permute", help="seeded step permutations of a document")
+        p.add_argument("--doc", required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_permute)
 
-    p = sub.add_parser("inject-errors", help="seeded mechanical corruption of a document")
-    p.add_argument("--doc", required=True)
-    p.add_argument("--spec", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--swap", type=int, default=0, help="adjacent step swaps")
-    p.add_argument("--drop", type=int, default=0, help="step deletions")
-    p.add_argument("--wrong-piece", type=int, default=0, help="piece-label relabelings")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_inject_errors)
+    if command in (None, "inject-errors"):
+        p = sub.add_parser("inject-errors", help="seeded mechanical corruption of a document")
+        p.add_argument("--doc", required=True)
+        p.add_argument("--spec", required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--swap", type=int, default=0, help="adjacent step swaps")
+        p.add_argument("--drop", type=int, default=0, help="step deletions")
+        p.add_argument("--wrong-piece", type=int, default=0, help="piece-label relabelings")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_inject_errors)
 
-    p = sub.add_parser("correlate", help="Pearson correlation of scores vs errors per step")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--errors", required=True)
-    p.add_argument("--columns", default="tree_f1")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_correlate)
+    if command in (None, "correlate"):
+        p = sub.add_parser("correlate", help="Pearson correlation of scores vs errors per step")
+        p.add_argument("--scores", required=True)
+        p.add_argument("--errors", required=True)
+        p.add_argument("--columns", default="tree_f1")
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("roundtrip", help="linearize-and-rebuild every rule of each grammar")
-    p.add_argument("--grammars", required=True)
-    p.set_defaults(func=cmd_roundtrip)
+    if command in (None, "roundtrip"):
+        p = sub.add_parser("roundtrip", help="linearize-and-rebuild every rule of each grammar")
+        p.add_argument("--grammars", required=True)
+        p.set_defaults(func=cmd_roundtrip)
 
-    p = sub.add_parser("aggregate-ratings", help="summarize step-level ratings per document")
-    p.add_argument("--ratings", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_aggregate_ratings)
+    if command in (None, "aggregate-ratings"):
+        p = sub.add_parser("aggregate-ratings", help="summarize step-level ratings per document")
+        p.add_argument("--ratings", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_aggregate_ratings)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

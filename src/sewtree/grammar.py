@@ -68,20 +68,30 @@ def rule_graph(
     - ``root_positions``: the positions of ``roots``.
     :func:`validate_grammar` reads it before it knows the rules are
     well-formed, so it is built whatever the rules are."""
-    mentioned = set(roots)
+    # Labels are keyed by their texts, which name them (``labels.py``).
+    by_text = {}
+    for root in roots:
+        by_text[root._text] = root
     for rule in rules:
-        mentioned.add(rule.parent)
-        mentioned.update(rule.children)
-    labels = tuple(sorted(
-        mentioned, key=lambda label: (len(label.pieces), label.self_attach, str(label))
-    ))
-    position = {label: p for p, label in enumerate(labels)}
-    expansions: list[list] = [[] for _ in labels]
+        by_text[rule.parent._text] = rule.parent
+        for child in rule.children:
+            by_text[child._text] = child
+    # Texts are distinct, so no two rows tie before the label.
+    rows = sorted([
+        (len(label.pieces), label.self_attach, text, label) for text, label in by_text.items()
+    ])
+    position = {row[2]: p for p, row in enumerate(rows)}
+    expansions: list[list] = [[] for _ in rows]
     for rule in rules:
-        expansions[position[rule.parent]].append(
-            (rule, tuple([position[c] for c in rule.children]))
-        )
-    return labels, tuple(map(tuple, expansions)), tuple(position[root] for root in roots)
+        kids = []
+        for child in rule.children:
+            kids.append(position[child._text])
+        expansions[position[rule.parent._text]].append((rule, tuple(kids)))
+    return (
+        tuple([row[3] for row in rows]),
+        tuple(map(tuple, expansions)),
+        tuple([position[root._text] for root in roots]),
+    )
 
 
 class GoldGrammar:
@@ -123,6 +133,18 @@ def _full_inventory_label(inventory: frozenset[PieceLabel], counter: int) -> Nod
     return NodeLabel(tuple(sorted(inventory)), counter)
 
 
+class _LabelMemo(dict):
+    """Node labels by text for one read of a grammar: each distinct text is
+    parsed on its first lookup, and a text seen before costs one dict
+    lookup and no Python call."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> NodeLabel:
+        label = self[text] = parse_node_label(text)
+        return label
+
+
 def parse_grammar(text: str) -> GoldGrammar:
     """Parse a grammar file, refusing with the line number what reading a
     line needs: the headers, label syntax, the ``S`` roots and each line's
@@ -131,19 +153,31 @@ def parse_grammar(text: str) -> GoldGrammar:
     text is parsed once per call."""
     pattern_id: str | None = None
     inv: frozenset[PieceLabel] | None = None
-    known: dict[str, NodeLabel] = {}
+    known = _LabelMemo()
     roots_line: tuple[int, str] | None = None
     rules: list[DepthOneSubtree] = []
 
-    def label_of(text: str) -> NodeLabel:
-        label = known.get(text)
-        if label is None:
-            label = known[text] = parse_node_label(text)
-        return label
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
+            continue
+        # Most lines are rules, so a rule is tried first; a header's value
+        # may hold "->" too.
+        if "->" in line and not line.startswith(("pattern:", "pieces:", "roots:")):
+            lhs, _, rhs = line.partition("->")
+            if inv is None:
+                raise GrammarError(f"line {lineno}: rule before pieces header")
+            try:
+                parent = known[lhs.strip()]
+                children = []
+                for token in rhs.split():
+                    children.append(known[token])
+            except LabelError as exc:
+                raise GrammarError(f"line {lineno}: {exc}") from exc
+            # Child order in the file is presentational; canonicalize it.
+            if len(children) == 2 and child_order_key(children[1]) < child_order_key(children[0]):
+                children.reverse()
+            rules.append(DepthOneSubtree(parent, tuple(children)))
             continue
         if line.startswith("pattern:"):
             value = line[len("pattern:"):].strip()
@@ -171,21 +205,6 @@ def parse_grammar(text: str) -> GoldGrammar:
                 raise GrammarError(f"line {lineno}: duplicate roots header")
             roots_line = (lineno, line[len("roots:"):].strip())
             continue
-        if "->" in line:
-            lhs, rhs = line.split("->", 1)
-            if inv is None:
-                raise GrammarError(f"line {lineno}: rule before pieces header")
-            try:
-                # A label seen before costs a lookup and no call.
-                labels = [known.get(t) or label_of(t) for t in (lhs.strip(), *rhs.split())]
-            except LabelError as exc:
-                raise GrammarError(f"line {lineno}: {exc}") from exc
-            parent, *children = labels
-            # Child order in the file is presentational; canonicalize it.
-            if len(children) == 2 and child_order_key(children[1]) < child_order_key(children[0]):
-                children.reverse()
-            rules.append(DepthOneSubtree(parent, tuple(children)))
-            continue
         raise GrammarError(f"line {lineno}: unrecognized line {line!r}")
 
     if pattern_id is None:
@@ -203,7 +222,7 @@ def parse_grammar(text: str) -> GoldGrammar:
             if body == "S" and PieceLabel("S") not in inv:
                 roots.append(_full_inventory_label(inv, counter))
             else:
-                roots.append(label_of(token))
+                roots.append(known[token])
         except LabelError as exc:
             raise GrammarError(f"line {lineno}: {exc}") from exc
     return GoldGrammar(pattern_id, inv, roots, rules)
@@ -218,12 +237,15 @@ def validate_grammar(g: GoldGrammar) -> list[str]:
     if there are none, so that a bad rule has no follow-on problems: no
     roots; non-leaf labels no rule expands, by name; rules no root reaches,
     in rule order; roots missing pieces."""
-    # Each label's pieces are checked once, however many rules mention it.
-    unknown = {
-        label: ", ".join(sorted(str(p) for p in label.piece_set - g.inventory))
-        for label in g.labels
-        if not g.inventory.issuperset(label.pieces)
-    }
+    # Each label's pieces are checked once, however many rules mention it,
+    # by their texts, which name them (``labels.py``).
+    inventory = {piece._text for piece in g.inventory}
+    unknown = {}
+    for label in g.labels:
+        for piece in label.pieces:
+            if piece._text not in inventory:
+                unknown[label] = ", ".join(sorted(str(p) for p in label.piece_set - g.inventory))
+                break
     out = [f"root {root}: unknown pieces {unknown[root]}" for root in g.roots if root in unknown]
     for rule in g.rules:
         outside = unknown and [unknown[x] for x in (rule.parent, *rule.children) if x in unknown]
@@ -253,8 +275,8 @@ def validate_grammar(g: GoldGrammar) -> list[str]:
     ]
     out = [] if g.roots else ["no roots"]
     out += [f"{name}: no rule expands this non-leaf label" for name in sorted(unexpanded)]
-    unreached = {label for label, r in zip(g.labels, reached) if not r}
-    out += [f"{rule}: no root reaches this rule" for rule in g.rules if rule.parent in unreached]
+    unreached = {label._text for label, r in zip(g.labels, reached) if not r}
+    out += [f"{rule}: no root reaches this rule" for rule in g.rules if rule.parent._text in unreached]
     for root in g.roots:
         if root.piece_set != g.inventory:
             out.append(f"root {root}: does not cover the full piece inventory")

@@ -20,7 +20,7 @@ class LabelError(ValueError):
 
 
 # The piece-label format: a base letter, then ``l``/``r`` or a copy number.
-_PIECE_RE = re.compile(r"[A-Z](?:l|r|[0-9]+)?")
+_PIECE_RE = re.compile(r"[A-Z](?:[lr]|[0-9]+)?")
 # A piece sorts by its base letter, then plain, left, right and copies
 # (rank 3), then by copy number.
 _SUFFIX_RANK = {"": 0, "l": 1, "r": 2}
@@ -31,10 +31,13 @@ _SUFFIX_RANK = {"": 0, "l": 1, "r": 2}
 # in every process, so a pickled or copied label keeps a valid hash whatever
 # PYTHONHASHSEED is.  Each one also writes its text once, at construction
 # (a node label from its pieces' texts), since every tree text and report
-# is written from label texts.  Slots keep a label small.  The label types
-# are written out by hand rather than as dataclasses: importing
-# ``dataclasses`` and running its decorators took over half of
-# ``import sewtree.cli``.
+# is written from label texts.  A label's text names it: equal labels have
+# equal texts and unequal labels unequal ones (a piece text is checked, and
+# each capital letter starts a piece), so a batch of labels can be keyed by
+# ``_text``, whose str hash is cached, where ``__hash__`` is a Python call.
+# Slots keep a label small.  The label types are written out by hand rather
+# than as dataclasses: importing ``dataclasses`` and running its decorators
+# took over half of ``import sewtree.cli``.
 
 # Distinct texts each label parser remembers; bounded, so a long run of
 # varied labels cannot grow the memo without end.
@@ -42,11 +45,11 @@ _LABEL_MEMO_SIZE = 4096
 
 
 class _Frozen:
-    """Base of the immutable value types: ``__init__`` sets the slots with
-    ``object.__setattr__``, and assignment or deletion afterwards raises
-    :class:`AttributeError`.  Each subclass pickles (and copies) by calling
-    its constructor again, through ``__reduce__``, since restoring the slots
-    one by one would assign to them."""
+    """Base of the immutable value types: ``__init__`` sets the slots
+    through :func:`_slot_setters`, and assignment or deletion afterwards
+    raises :class:`AttributeError`.  Each subclass pickles (and copies) by
+    calling its constructor again, through ``__reduce__``, since restoring
+    the slots one by one would assign to them."""
 
     __slots__ = ()
 
@@ -55,6 +58,13 @@ class _Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each slot of ``cls``, in ``__slots__`` order, for
+    its constructor: a slot's descriptor sets the slot directly, where
+    ``object.__setattr__`` first looks the name up on the type."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 class PieceLabel(_Frozen):
@@ -77,10 +87,9 @@ class PieceLabel(_Frozen):
                 raise LabelError(f"copy index must be >= 1 in {text!r}")
             if suffix[0] == "0":
                 raise LabelError(f"copy index has a leading zero in {text!r}")
-        set_slot = object.__setattr__
-        set_slot(self, "_key", (base, rank, index))
-        set_slot(self, "_hash", hash((ord(base), rank, index)))
-        set_slot(self, "_text", text)
+        _set_piece_key(self, (base, rank, index))
+        _set_piece_hash(self, hash((ord(base), rank, index)))
+        _set_piece_text(self, text)
 
     def __reduce__(self):
         return self.__class__, (self._text,)
@@ -105,6 +114,9 @@ class PieceLabel(_Frozen):
         return f"PieceLabel({self._text!r})"
 
 
+_set_piece_key, _set_piece_hash, _set_piece_text = _slot_setters(PieceLabel)
+
+
 @lru_cache(maxsize=_LABEL_MEMO_SIZE)
 def parse_piece_label(text: str) -> PieceLabel:
     """:class:`PieceLabel` of ``text``, memoized: equal texts give one
@@ -122,18 +134,22 @@ class NodeLabel(_Frozen):
             raise LabelError("node label needs at least one piece")
         if self_attach < 0:
             raise LabelError(f"negative self-attachment counter {self_attach}")
-        for prev, cur in zip(pieces, pieces[1:]):
-            if not prev._key < cur._key:
-                raise LabelError(
-                    f"pieces must be strictly sorted, got {prev} before {cur}"
-                )
-        set_slot = object.__setattr__
-        set_slot(self, "pieces", pieces)
-        set_slot(self, "self_attach", self_attach)
-        set_slot(self, "_hash", hash((*[p._hash for p in pieces], self_attach)))
+        # One pass over the pieces, in this frame: a comprehension or a
+        # ``map`` per field costs more than the loop.
+        hashes, texts, prev = [], [], None
+        for piece in pieces:
+            if prev is not None and not prev._key < piece._key:
+                raise LabelError(f"pieces must be strictly sorted, got {prev} before {piece}")
+            hashes.append(piece._hash)
+            texts.append(piece._text)
+            prev = piece
+        hashes.append(self_attach)
+        _set_pieces(self, pieces)
+        _set_self_attach(self, self_attach)
+        _set_node_hash(self, hash(tuple(hashes)))
         # A zero counter is written as no suffix.
-        body = "".join([p._text for p in pieces])
-        set_slot(self, "_text", f"{body}_{self_attach}" if self_attach else body)
+        body = "".join(texts)
+        _set_node_text(self, f"{body}_{self_attach}" if self_attach else body)
 
     def __reduce__(self):
         return self.__class__, (self.pieces, self.self_attach)
@@ -155,6 +171,9 @@ class NodeLabel(_Frozen):
 
     def __repr__(self) -> str:
         return f"NodeLabel(pieces={self.pieces!r}, self_attach={self.self_attach!r})"
+
+
+_set_pieces, _set_self_attach, _set_node_hash, _set_node_text = _slot_setters(NodeLabel)
 
 
 def is_leaf(label: NodeLabel) -> bool:
@@ -188,10 +207,10 @@ def parse_node_label(text: str) -> NodeLabel:
         raise LabelError("empty node label")
     body, counter = split_counter(text)
 
-    # The matches tile the body iff their lengths add up to it; else the
-    # scan finds the first position no piece starts at.
+    # The matches tile the body iff they join to it; else the scan finds
+    # the first position no piece starts at.
     piece_texts = _PIECE_RE.findall(body)
-    if sum(map(len, piece_texts)) != len(body):
+    if "".join(piece_texts) != body:
         pos = 0
         while (m := _PIECE_RE.match(body, pos)) is not None:
             pos = m.end()
@@ -213,7 +232,16 @@ def _join(a: NodeLabel, b: NodeLabel) -> tuple[tuple[PieceLabel, ...], int]:
     """The pieces and counter of a binary step over ``a`` and ``b``: both
     children's pieces in one sorted tuple, where a shared piece occurs
     twice, and the larger counter."""
-    return tuple(sorted(a.pieces + b.pieces, key=_piece_key)), max(a.self_attach, b.self_attach)
+    x, y = a.pieces, b.pieces
+    # Each side is strictly sorted, so sides that do not interleave join
+    # as they are; the sort is most of the cost of checking a binary rule.
+    if x[-1]._key < y[0]._key:
+        pieces = x + y
+    elif y[-1]._key < x[0]._key:
+        pieces = y + x
+    else:
+        pieces = tuple(sorted(x + y, key=_piece_key))
+    return pieces, max(a.self_attach, b.self_attach)
 
 
 def merge_labels(a: NodeLabel, b: NodeLabel) -> NodeLabel:

@@ -154,16 +154,6 @@ class BuildReport:
     def subtrees(self) -> frozenset[DepthOneSubtree]:
         return frozenset(st for _, st in self.subtree_trace)
 
-    def to_json(self) -> dict:
-        return {
-            "forest": {
-                "trees": [t for t in self.forest if t.startswith("(")],
-                "isolated_leaves": [t for t in self.forest if not t.startswith("(")],
-            },
-            "subtree_trace": [[i, str(st)] for i, st in self.subtree_trace],
-            "diagnostics": [[d.step_index, d.kind, d.message] for d in self.diagnostics],
-        }
-
 
 # Verbs that mark a step as an attachment; bare stems, matched as word
 # prefixes so inflections like "sewn" or "seams" count.

@@ -17,6 +17,7 @@ from .labels import (
     LabelError,
     NodeLabel,
     _Frozen,
+    _slot_setters,
     node_violations,
     parse_node_label,
 )
@@ -33,10 +34,12 @@ class DepthOneSubtree(_Frozen):
     __slots__ = ("parent", "children", "_hash")
 
     def __init__(self, parent: NodeLabel, children: tuple[NodeLabel, ...]) -> None:
-        set_slot = object.__setattr__
-        set_slot(self, "parent", parent)
-        set_slot(self, "children", children)
-        set_slot(self, "_hash", hash((parent._hash, *[c._hash for c in children])))
+        hashes = [parent._hash]
+        for child in children:
+            hashes.append(child._hash)
+        _set_parent(self, parent)
+        _set_children(self, children)
+        _set_hash(self, hash(tuple(hashes)))
 
     def __reduce__(self):
         return self.__class__, (self.parent, self.children)
@@ -55,6 +58,9 @@ class DepthOneSubtree(_Frozen):
 
     def __repr__(self) -> str:
         return f"DepthOneSubtree(parent={self.parent!r}, children={self.children!r})"
+
+
+_set_parent, _set_children, _set_hash = _slot_setters(DepthOneSubtree)
 
 
 def subtrees_of(tree: tuple[NodeLabel, Mapping[NodeLabel, tuple[NodeLabel, ...]]]):

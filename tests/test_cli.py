@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import gc
@@ -10,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hs
 
 import sewtree.adapter
@@ -28,7 +29,17 @@ from sewtree.grammar import (
     parse_grammar,
 )
 from sewtree.labels import LabelError
-from sewtree.pipeline import InstructionDoc, linearize_gold_tree, load_doc, load_spec, placeholder_spec
+from sewtree.pipeline import (
+    BuildReport,
+    Diagnostic,
+    InstructionDoc,
+    build_forest,
+    extract_document,
+    linearize_gold_tree,
+    load_doc,
+    load_spec,
+    placeholder_spec,
+)
 from sewtree.rng import SplitMix64
 from sewtree.synth import grammar_to_text, random_grammar
 from sewtree.tree import TreeError, parse_serialized
@@ -200,6 +211,63 @@ class TestGenGoldBytes:
         path = FIXTURES / "grammars" / "skirt.grammar"
         assert_gold_output_is_json_dumps(path, tmp_path / "gold.json", trees=[])
         assert (tmp_path / "gold.json").read_text().endswith('"trees": []\n}\n')
+
+
+def report_payload(doc_id: str, report: BuildReport) -> dict:
+    """The JSON value of a ``build`` or ``score`` report: the reference
+    that ``cli._write_report`` composes byte for byte."""
+    return {
+        "doc_id": doc_id,
+        "forest": {
+            "trees": [t for t in report.forest if t.startswith("(")],
+            "isolated_leaves": [t for t in report.forest if not t.startswith("(")],
+        },
+        "subtree_trace": [[i, str(st)] for i, st in report.subtree_trace],
+        "diagnostics": [[d.step_index, d.kind, d.message] for d in report.diagnostics],
+    }
+
+
+def dumped(payload) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+# Free text with what JSON must escape: quotes, backslashes, control and
+# non-ASCII characters.
+FREE_TEXT = hs.text(hs.one_of(hs.sampled_from('"\\\x00\x1f\x7f\n\tÄ€\u2028😀'), hs.characters()),
+                    max_size=12)
+SKIRT_RULES = sorted(load_grammar("skirt").rules, key=str)
+
+
+class TestReportBytes:
+    """``build`` and ``score`` write each report as ``json.dumps`` with
+    indent 2 and sorted keys would, plus a newline, without the encoder."""
+
+    def test_fixture_reports(self, workspace, tmp_path):
+        doc = load_doc(FIXTURES / "docs" / "skirt-demo.json")
+        spec = load_spec(FIXTURES / "specs" / "skirt.json")
+        report = build_forest(doc, extract_document(doc, spec), spec)
+        expected = dumped(report_payload(doc.doc_id, report))
+        assert run("build", "--doc", FIXTURES / "docs" / "skirt-demo.json",
+                   "--spec", FIXTURES / "specs" / "skirt.json", "--out", tmp_path / "build.json") == 0
+        assert (tmp_path / "build.json").read_bytes() == expected
+        assert run("score", "--corpus", workspace["corpus"], "--grammars", FIXTURES / "grammars",
+                   "--specs", FIXTURES / "specs", "--out", workspace["out"]) == 0
+        assert (workspace["out"] / "reports" / "skirt-demo.json").read_bytes() == expected
+
+    @given(
+        FREE_TEXT,
+        hs.lists(hs.one_of(FREE_TEXT.map("(".__add__), FREE_TEXT.filter(lambda t: not t.startswith("(")))),
+        hs.lists(hs.tuples(hs.integers(0, 10**6), hs.sampled_from(SKIRT_RULES))),
+        hs.lists(hs.builds(Diagnostic, hs.integers(0, 10**6), FREE_TEXT, FREE_TEXT)),
+    )
+    @example("d", [], [], [])
+    @example('say "\\Ärmel"\n', ["A"], [], [Diagnostic(0, "k\x00", "\x1f\u2028")])
+    def test_drawn_reports(self, doc_id, forest, trace, diagnostics):
+        report = BuildReport(tuple(forest), tuple(trace), tuple(diagnostics))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.json"
+            sewtree.cli._write_report(doc_id, report, path)
+            assert path.read_bytes() == dumped(report_payload(doc_id, report))
 
 
 class TestValidateGrammar:
@@ -1741,6 +1809,62 @@ def one_run_of_each_command(tmp_path: Path) -> list[list]:
         ["roundtrip", "--grammars", grammars],
         ["aggregate-ratings", "--ratings", ratings, "--out", tmp_path / "summary.csv"],
     ]
+
+
+def parse_outcome(parse, argv: list[str]) -> tuple[str, str, object]:
+    """Stdout, stderr and exit code of ``parse(argv)``, an argument parse
+    that argparse ends by exiting (``None`` if it returns)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+def parser_exits(tmp_path: Path) -> list[list[str]]:
+    """Argument lists that argparse ends with help or an error: each
+    command's ``--help``, its missing required arguments, an unknown
+    ``--cap x`` (a bad value for ``gen-gold``) and an extra argument after
+    a run's arguments (an option, since ``validate-grammar`` reads any
+    other word as one more file); no arguments, ``-h``, an unknown command
+    and ``score`` with an extra word."""
+    cases = [[], ["-h"], ["--help"], ["nosuch"], ["nosuch", "--help"], ["-h", "score"]]
+    runs = [[str(a) for a in argv] for argv in one_run_of_each_command(tmp_path)]
+    for argv in runs:
+        cases += [[argv[0], "--help"], [argv[0]], [*argv, "--cap", "x"], [*argv, "--extra"]]
+    return [*cases, [*runs[4], "extra"]]
+
+
+def test_main_builds_only_the_named_command_and_prints_what_the_full_parser_prints(tmp_path, monkeypatch):
+    """``main`` builds only the subparser its first argument names, and
+    its help, usage, error texts and exit codes are the all-commands
+    parser's, the command list in the top-level usage line included."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal's width
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    for argv in parser_exits(tmp_path):
+        expected = parse_outcome(sewtree.cli.build_parser().parse_args, argv)
+        assert expected[2] is not None, argv
+        built.clear()
+        assert parse_outcome(main, argv) == expected, argv
+        names_command = bool(argv) and argv[0] in sewtree.cli.COMMANDS
+        assert built == ([argv[0]] if names_command else list(sewtree.cli.COMMANDS)), argv
+    usage = "usage: sewtree [-h]\n               {" + ",".join(sewtree.cli.COMMANDS) + "}\n"
+    score_extra = parse_outcome(main, parser_exits(tmp_path)[-1])
+    assert score_extra[1].startswith(usage)
+    assert score_extra[1].endswith("sewtree: error: unrecognized arguments: extra\n")
+    assert parse_outcome(main, [])[1] == usage + (
+        "               ...\nsewtree: error: the following arguments are required: command\n"
+    )
 
 
 def test_main_never_freezes_the_heap(tmp_path, capsys):

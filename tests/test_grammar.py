@@ -84,6 +84,31 @@ class TestParseGrammar:
             parse_grammar(f"pattern: x\npieces: A B\nroots: {root}\nAB -> A B\nAB_1 -> AB\n")
         assert str(exc.value).startswith("line 3: ") and repr(root) in str(exc.value)
 
+    # A line is a rule when it holds "->" and is not a header: a header's
+    # value and a comment may hold "->" too, and tabs may surround it.
+    @pytest.mark.parametrize("text,pattern_id,rules", [
+        ("pattern: a->b\npieces: A B\nroots: AB\nAB -> A B\n", "a->b", ["AB -> A B"]),
+        ("pattern: p  # x -> y\npieces: A B\nroots: AB\n# AB -> B A\nAB -> A B  # AB -> A A\n",
+         "p", ["AB -> A B"]),
+        ("pattern: p\npieces: A B\nroots: AB\nAB\t->\tB\tA\n", "p", ["AB -> A B"]),
+    ], ids=["pattern-value", "comments", "tabs"])
+    def test_arrow_outside_a_rule(self, text, pattern_id, rules):
+        g = parse_grammar(text)
+        assert (g.pattern_id, [str(rule) for rule in g.rules]) == (pattern_id, rules)
+
+    @pytest.mark.parametrize("text,message", [
+        ("pattern: p\npieces: A -> B\nroots: AB\nAB -> A B\n", "line 2: malformed piece label '->'"),
+        ("pattern: p\npieces: A B\nroots: AB -> A\nAB -> A B\n",
+         "line 3: malformed node label '->' at position 0"),
+        ("pattern: p\npieces: A B\nroots: AB\npattern -> A B\n",
+         "line 4: malformed node label 'pattern' at position 0"),
+        ("AB -> A B\npattern: p\npieces: A B\nroots: AB\n", "line 1: rule before pieces header"),
+    ], ids=["pieces-value", "roots-value", "header-word-rule", "rule-first"])
+    def test_arrow_lines_refused_with_their_line(self, text, message):
+        with pytest.raises(GrammarError) as exc:
+            parse_grammar(text)
+        assert exc.value.problems == [message]
+
 
 def test_each_label_text_is_parsed_once_per_parse(monkeypatch):
     # A, B, AB and AB_1 to AB_5000: more texts than the label parser's own

@@ -318,6 +318,7 @@ def rule_lines(draw):
 @example("DlDr -> Dr Dl")
 @example("AB -> BA Q_0")  # a malformed label before any piece check
 @example("AB_1 -> A")  # a unary child with other pieces
+@example("AB\t->\tB\tA")  # tabs around the arrow and between the children
 def test_parse_grammar_checks_rules_like_the_oracle(line):
     """A rule line whose labels do not parse gives the oracle's line
     message; otherwise the file is refused with the oracle's problems for
