@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from functools import cached_property
 from itertools import product
 
 from .labels import (
@@ -127,6 +128,66 @@ class GoldGrammar:
                 other.pattern_id, other.inventory, other.roots, other.rules
             )
         return NotImplemented
+
+    # The tables below are what ``metrics.grammar_score`` reads.  Each is
+    # built on its first read, not by the constructor, so a grammar that is
+    # only read, checked or enumerated pays nothing for them, and none is
+    # changed once built.
+
+    @cached_property
+    def score_tables(self) -> tuple[tuple[int, ...], tuple[str, ...], tuple, dict]:
+        """``(bare_sizes, bare_texts, parent_positions, rule_positions)``,
+        built in one pass over the rule graph:
+        - ``bare_sizes`` and ``bare_texts``: per label, the number of rules
+          g and the text of its tree with the fewest rules, ties going to
+          the smallest text.  When no predicted rule lies on or below a
+          label, none of its trees matches one, and at a given number of
+          matches a tree over the label scores best through this one.
+          Serializations of one label are never prefixes of each other, so
+          this tree takes its children's;
+        - ``parent_positions``: per label, the positions of the labels with
+          a rule over it, in order (a label with two rules over one child
+          is listed twice);
+        - ``rule_positions``: per rule, its label's position."""
+        sizes: list[int] = []
+        texts: list[str] = []
+        parents: list[list[int]] = [[] for _ in self.labels]
+        rule_positions: dict[DepthOneSubtree, int] = {}
+        for p, (label, expansions) in enumerate(zip(self.labels, self.expansions)):
+            name = label._text
+            best_g, best_text = 0, name  # a leaf's, where no rule expands the label
+            for rule, kids in expansions:
+                rule_positions[rule] = p
+                g = 1
+                for c in kids:
+                    g += sizes[c]
+                    parents[c].append(p)
+                if best_g and g > best_g:
+                    continue
+                # ``tree.bracket``'s text, written out: the call and its join
+                # took half of this pass.
+                if len(kids) == 1:
+                    text = f"({name} {texts[kids[0]]})"
+                else:
+                    text = f"({name} {texts[kids[0]]} {texts[kids[1]]})"
+                if not best_g or g < best_g or text < best_text:
+                    best_g, best_text = g, text
+            sizes.append(best_g)
+            texts.append(best_text)
+        return tuple(sizes), tuple(texts), tuple(map(tuple, parents)), rule_positions
+
+    @cached_property
+    def smallest_tree(self) -> str:
+        """The smallest text of every tree the roots derive: the best gold
+        tree when every tree scores F1 = 0."""
+        smallest: list[str] = []
+        for label, expansions in zip(self.labels, self.expansions):
+            name = label._text
+            smallest.append(
+                min([bracket(name, [smallest[c] for c in kids]) for _, kids in expansions])
+                if expansions else name
+            )
+        return min([smallest[p] for p in self.root_positions])
 
 
 def _full_inventory_label(inventory: frozenset[PieceLabel], counter: int) -> NodeLabel:

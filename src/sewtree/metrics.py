@@ -9,7 +9,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .grammar import GoldGrammar
-from .tree import DepthOneSubtree, bracket, parse_serialized, subtrees_of
+from .tree import DepthOneSubtree, parse_serialized, subtrees_of
 
 BLEU_MAX_N = 4
 BLEU_EPSILON = 1e-9
@@ -81,56 +81,89 @@ def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> Sco
     enumerating them.
 
     Node labels are unique within a tree, so a gold tree with g internal
-    nodes, m of whose rules are predicted subtrees, scores F1 = 2m/(|P| + g).
-    A max-plus DP over the rule graph keeps, per label and per g, only the
-    largest m and the smallest canonical serialization reaching it
-    (serializations of one label are never prefixes of each other, so the
-    smallest tree takes the smallest child serializations).  At the roots
-    the best exact F1 wins, compared as ``tree_score`` compares it; ties go
-    to the smallest serialization, which is the lowest index in the sorted
-    enumeration.  ``best_gold_tree`` holds that text, and the scores are
+    nodes, m of whose rules are predicted subtrees, scores F1 = 2m/(|P| + g):
+    at a given m, fewer rules score higher.  A DP over the rule graph keeps,
+    per label and per m, the smallest g and the smallest canonical
+    serialization at that g (serializations of one label are never
+    prefixes of each other, so the smallest tree takes the smallest child
+    serializations).  Per document it recomputes only the labels on or
+    above a predicted rule of the grammar, children first, found through
+    the ``rule_positions`` and ``parent_positions`` of the grammar's
+    ``score_tables``; any other label holds no match, so it is read as its
+    one bare tree there, the fewest rules and then the smallest text, with
+    m = 0.  The grammar builds those tables on its first score and keeps
+    them, unchanged, for every later one.  At the roots the best
+    exact F1 wins, compared as ``tree_score`` compares it; ties go to the
+    smallest serialization, which is the lowest index in the sorted
+    enumeration.  When no predicted rule is in the grammar every tree
+    scores F1 = 0 and the grammar's ``smallest_tree`` wins.
+    ``best_gold_tree`` holds the winner's text, and the scores are
     ``tree_score``'s float expressions; a caller that needs the winning
     tree's rules reads them off the text with ``parse_serialized``.
     """
-    # tables[p]: g -> (max m, smallest serialization reaching it).
-    tables: list[dict[int, tuple[int, str]]] = []
-    for label, expansions in zip(grammar.labels, grammar.expansions):
-        name = str(label)
-        if not expansions:
-            tables.append({0: (0, name)})
-            continue
-        table: dict[int, tuple[int, str]] = {}
-        for rule, kids in expansions:
-            hit = int(rule in pred)
-            if len(kids) == 1:
-                for g_kid, (m_kid, text_kid) in tables[kids[0]].items():
-                    g = g_kid + 1
-                    m = hit + m_kid
-                    current = table.get(g)
-                    if current is not None and m < current[0]:
-                        continue
-                    text = bracket(name, (text_kid,))
-                    if current is None or m > current[0] or text < current[1]:
-                        table[g] = (m, text)
-            else:
-                a, b = kids
-                b_items = tables[b].items()
-                for g_a, (m_a, text_a) in tables[a].items():
-                    for g_b, (m_b, text_b) in b_items:
-                        g = 1 + g_a + g_b
-                        m = hit + m_a + m_b
-                        current = table.get(g)
-                        if current is not None and m < current[0]:
-                            continue
-                        text = bracket(name, (text_a, text_b))
-                        if current is None or m > current[0] or text < current[1]:
-                            table[g] = (m, text)
-        tables.append(table)
+    sizes, texts, parents, rule_positions = grammar.score_tables
+    # hits[p]: label p's predicted rules.
+    hits: dict[int, set[DepthOneSubtree]] = {}
+    for rule in pred:
+        p = rule_positions.get(rule)
+        if p is not None:
+            hits.setdefault(p, set()).add(rule)
+    if not hits:
+        return ScoreBreakdown(0.0, 0.0, 0.0, grammar.smallest_tree)
 
+    dirty = set(hits)
+    stack = list(hits)
+    while stack:
+        for q in parents[stack.pop()]:
+            if q not in dirty:
+                dirty.add(q)
+                stack.append(q)
+
+    labels = grammar.labels
+    expansions = grammar.expansions
+    # tables[p], for p on or above a hit: m -> (smallest g, smallest text at
+    # that g).  Any other label is read as its one tree, with m = 0.
+    tables: dict[int, dict[int, tuple[int, str]]] = {}
+    for p in sorted(dirty):
+        name = labels[p]._text
+        hit_rules = hits.get(p)
+        table: dict[int, tuple[int, str]] = {}
+        for rule, kids in expansions[p]:
+            hit = 1 if hit_rules and rule in hit_rules else 0
+            a = kids[0]
+            a_items = tables[a].items() if a in tables else ((0, (sizes[a], texts[a])),)
+            # ``tree.bracket``'s text, written out as in ``score_tables``.
+            if len(kids) == 1:
+                for m_a, (g_a, text_a) in a_items:
+                    m = hit + m_a
+                    g = 1 + g_a
+                    current = table.get(m)
+                    if current is not None and g > current[0]:
+                        continue
+                    text = f"({name} {text_a})"
+                    if current is None or g < current[0] or text < current[1]:
+                        table[m] = (g, text)
+            else:
+                b = kids[1]
+                b_items = tables[b].items() if b in tables else ((0, (sizes[b], texts[b])),)
+                for m_a, (g_a, text_a) in a_items:
+                    for m_b, (g_b, text_b) in b_items:
+                        m = hit + m_a + m_b
+                        g = 1 + g_a + g_b
+                        current = table.get(m)
+                        if current is not None and g > current[0]:
+                            continue
+                        text = f"({name} {text_a} {text_b})"
+                        if current is None or g < current[0] or text < current[1]:
+                            table[m] = (g, text)
+        tables[p] = table
+
+    # A hit's label is reached from a root, so some root's table holds a
+    # tree with m >= 1, which outranks every tree with m = 0.
     n = len(pred)
     best = None
     for root in grammar.root_positions:
-        for g, (m, text) in tables[root].items():
+        for m, (g, text) in tables.get(root, {}).items():
             if best is not None:
                 lead = _f1_lead(m, g, best[0], best[1], n)
                 if lead < 0 or lead == 0 and text > best[2]:

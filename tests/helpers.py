@@ -10,9 +10,11 @@ prepared reference side; the node check on piece sets, the reference
 for ``node_violations``; the rule reader, the reference for the grammar
 parser's label memo; the per-tree round-trip, the reference for the
 per-rule one; the grammar check on piece sets with a recursive walk
-from the roots, the reference for the one that reads the rule graph; and
+from the roots, the reference for the one that reads the rule graph;
 the best gold tree by ``Fraction`` F1 over every derivation, the
-reference for both scorers' exact ranking."""
+reference for both scorers' exact ranking; and the DP over every label's
+g-indexed table, the reference for ``grammar_score``'s sparse m-indexed
+one."""
 
 import itertools
 import math
@@ -42,7 +44,16 @@ from sewtree.labels import (
     merge_labels,
     parse_node_label,
 )
-from sewtree.metrics import BLEU_EPSILON, BLEU_MAX_N, ScoreBreakdown, _f1, grammar_score, tokenize
+from sewtree.metrics import (
+    BLEU_EPSILON,
+    BLEU_MAX_N,
+    ScoreBreakdown,
+    _breakdown,
+    _f1,
+    _f1_lead,
+    grammar_score,
+    tokenize,
+)
 from sewtree.pipeline import (
     InstructionDoc,
     PatternSpec,
@@ -53,7 +64,7 @@ from sewtree.pipeline import (
 )
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import random_grammar
-from sewtree.tree import _TOKEN_RE, DepthOneSubtree, TreeError, parse_serialized, subtrees_of
+from sewtree.tree import _TOKEN_RE, DepthOneSubtree, TreeError, bracket, parse_serialized, subtrees_of
 
 
 @dataclass(frozen=True)
@@ -320,6 +331,71 @@ def best_tree_oracle(predicted: frozenset, g: GoldGrammar) -> ScoreBreakdown:
     precision = m / n if n else 0.0
     recall = m / size if size else 0.0
     return ScoreBreakdown(precision, recall, _f1(precision, recall), text)
+
+
+def g_indexed_dp_oracle(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> ScoreBreakdown:
+    """``tree_score`` over every tree ``grammar`` derives, without
+    enumerating them, by a DP over every label's full table for every
+    document: the reference for ``grammar_score``'s sparse one.
+
+    Node labels are unique within a tree, so a gold tree with g internal
+    nodes, m of whose rules are predicted subtrees, scores F1 = 2m/(|P| + g).
+    A max-plus DP over the rule graph keeps, per label and per g, only the
+    largest m and the smallest canonical serialization reaching it
+    (serializations of one label are never prefixes of each other, so the
+    smallest tree takes the smallest child serializations).  At the roots
+    the best exact F1 wins, compared as ``tree_score`` compares it; ties go
+    to the smallest serialization, which is the lowest index in the sorted
+    enumeration.  ``best_gold_tree`` holds that text, and the scores are
+    ``tree_score``'s float expressions; a caller that needs the winning
+    tree's rules reads them off the text with ``parse_serialized``.
+    """
+    # tables[p]: g -> (max m, smallest serialization reaching it).
+    tables: list[dict[int, tuple[int, str]]] = []
+    for label, expansions in zip(grammar.labels, grammar.expansions):
+        name = str(label)
+        if not expansions:
+            tables.append({0: (0, name)})
+            continue
+        table: dict[int, tuple[int, str]] = {}
+        for rule, kids in expansions:
+            hit = int(rule in pred)
+            if len(kids) == 1:
+                for g_kid, (m_kid, text_kid) in tables[kids[0]].items():
+                    g = g_kid + 1
+                    m = hit + m_kid
+                    current = table.get(g)
+                    if current is not None and m < current[0]:
+                        continue
+                    text = bracket(name, (text_kid,))
+                    if current is None or m > current[0] or text < current[1]:
+                        table[g] = (m, text)
+            else:
+                a, b = kids
+                b_items = tables[b].items()
+                for g_a, (m_a, text_a) in tables[a].items():
+                    for g_b, (m_b, text_b) in b_items:
+                        g = 1 + g_a + g_b
+                        m = hit + m_a + m_b
+                        current = table.get(g)
+                        if current is not None and m < current[0]:
+                            continue
+                        text = bracket(name, (text_a, text_b))
+                        if current is None or m > current[0] or text < current[1]:
+                            table[g] = (m, text)
+        tables.append(table)
+
+    n = len(pred)
+    best = None
+    for root in grammar.root_positions:
+        for g, (m, text) in tables[root].items():
+            if best is not None:
+                lead = _f1_lead(m, g, best[0], best[1], n)
+                if lead < 0 or lead == 0 and text > best[2]:
+                    continue
+            best = (m, g, text)
+    m, g, text = best
+    return _breakdown(m, g, n, text)
 
 
 def check_enumeration(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, ...]:

@@ -37,7 +37,14 @@ from sewtree.synth import (
 from sewtree.tree import DepthOneSubtree, canonical_serialize, parse_serialized, subtrees_of
 
 from conftest import GRAMMAR_NAMES, load_grammar
-from helpers import as_pair, best_tree_oracle, gold_tree_oracle, subtree_set
+from helpers import (
+    as_pair,
+    best_tree_oracle,
+    chain_grammar,
+    g_indexed_dp_oracle,
+    gold_tree_oracle,
+    subtree_set,
+)
 
 PLANS = (
     ErrorInjectionPlan(swap_adjacent=1),
@@ -48,10 +55,12 @@ PLANS = (
 
 
 def assert_matches_oracle(predicted, grammar, gold):
-    """``grammar_score`` equals ``tree_score`` over the enumerated gold texts
-    and, field for field, the node-tree oracle, which never parses a text."""
+    """``grammar_score`` equals ``tree_score`` over the enumerated gold texts,
+    the DP that recomputes every label's g-indexed table and, field for
+    field, the node-tree oracle, which never parses a text."""
     dp = grammar_score(predicted, grammar)
     assert dp == tree_score(predicted, gold)
+    assert dp == g_indexed_dp_oracle(predicted, grammar)
     assert dp == best_tree_oracle(predicted, grammar)
 
 
@@ -111,6 +120,82 @@ def test_all_tie_keeps_the_smallest_text(predicted):
     dp = grammar_score(predicted, grammar)
     assert dp.f1 == 0.0
     assert dp.best_gold_tree == gold[0] == tree_score(predicted, gold).best_gold_tree
+
+
+# ALL_TIE_GRAMMAR's ABCD_1 under one more rule.  ABCD_1's tree with the
+# fewest rules is not its smallest text, so the m = 0 side of a rule with
+# a hit joins through the one and a tree with no hit through the other.
+UNDER_TIE_GRAMMAR = """\
+pattern: p
+pieces: A B C D E F
+roots: ABCDEF_1
+ABCDEF_1 -> ABCD_1 EF
+EF -> E F
+""" + ALL_TIE_GRAMMAR.split("roots: ABCD_1\n")[1]
+
+
+@pytest.mark.parametrize(
+    "predicted,best,f1",
+    [
+        ("(EF E F)", "(ABCDEF_1 (ABCD_1 (AD_1 (AD A D)) (BC B C)) (EF E F))", 2 / 7),
+        ("", "(ABCDEF_1 (ABCD_1 (AB_1 (AB A B)) (CD_1 (CD C D))) (EF E F))", 0.0),
+    ],
+    ids=["hit-joins-fewest-rules", "no-hit-takes-smallest-text"],
+)
+def test_clean_child_joins_a_hit_through_its_fewest_rules(predicted, best, f1):
+    """A child no predicted rule lies under joins a parent tree that holds a
+    hit through its tree with the fewest rules (F1 = 2m/(|P| + g) falls as
+    g grows), not through its smallest text; with no hit at all, every
+    tree ties at F1 = 0 and the smallest text wins."""
+    predicted = subtree_set(predicted) if predicted else frozenset()
+    grammar = parse_grammar(UNDER_TIE_GRAMMAR)
+    gold = enumerate_gold_trees(grammar)
+    assert [text.count("(") for text in gold] == [7, 6]
+    dp = grammar_score(predicted, grammar)
+    assert dp.best_gold_tree == best
+    assert dp.f1 == f1
+    assert_matches_oracle(predicted, grammar, gold)
+
+
+@given(hs.integers(0, 2**64 - 1), hs.booleans(), hs.integers(0, 100), hs.integers(0, 3))
+def test_sparse_dp_matches_the_full_dp(seed, chain, keep_percent, n_foreign):
+    """``grammar_score`` against the DP that recomputes every label's full
+    table, over a random part of the grammar's own rules plus the rules of
+    random trees, which may or may not be in it: so the labels on or above
+    a hit range from none (no predicted rule in the grammar, or none
+    predicted) to every label."""
+    rng = SplitMix64(seed)
+    if chain:
+        grammar = chain_grammar(1 + rng.randrange(30))
+    else:
+        grammar = random_grammar(rng, "g", 2 + rng.randrange(7), 1 + rng.randrange(6))
+    own = [rule for rule in grammar.rules if rng.randrange(100) < keep_percent]
+    foreign = [
+        rule
+        for _ in range(n_foreign)
+        for rule in subtrees_of(random_tree(rng, random_inventory(rng, 2 + rng.randrange(6))))
+    ]
+    predicted = frozenset(own + foreign)
+    expected = g_indexed_dp_oracle(predicted, grammar)
+    assert grammar_score(predicted, grammar) == expected
+    assert best_tree_oracle(predicted, grammar) == expected
+
+
+def test_score_tables_are_built_on_first_score_and_kept_unchanged():
+    """Reading a grammar builds none of the tables scoring keeps on it, and
+    scores on one grammar object do not depend on the documents scored
+    before: a, b, a scores as each does on a freshly read grammar."""
+    text = grammar_to_text(random_grammar(SplitMix64(derive_seed(30, "cache")), "c", 7, 5))
+    grammar = parse_grammar(text)
+    assert set(vars(grammar)) == {
+        "pattern_id", "inventory", "roots", "rules", "labels", "expansions", "root_positions"
+    }
+    rules = grammar.rules
+    docs = [frozenset(rules[::3]), frozenset(rules[1::4]) | subtree_set("(AB A B)"), frozenset()]
+    for predicted in (docs[0], docs[1], docs[0], docs[2], docs[1]):
+        assert grammar_score(predicted, grammar) == grammar_score(predicted, parse_grammar(text))
+    assert {"score_tables", "smallest_tree"} <= set(vars(grammar))
+    assert grammar_score(docs[0], grammar) != grammar_score(docs[1], grammar)
 
 
 @pytest.mark.parametrize("block", range(6))
