@@ -123,9 +123,13 @@ def _post(endpoint: AdapterConfig, body: bytes) -> bytes:
                 raise ValueError(f"reply has a transfer coding: {field!r}")
             if name == b"content-length":
                 value = value.strip()
-                if not value.isdigit() or length not in (None, int(value)):
-                    raise ValueError(f"reply has a bad Content-Length: {field!r}")
-                length = int(value)
+                # Past 18 significant digits a value is no length a reply
+                # could have, and int() refuses thousands of digits in words
+                # of its own; the field is named by its first bytes.
+                digits = value.lstrip(b"0") or b"0"
+                if not value.isdigit() or len(digits) > 18 or length not in (None, int(digits)):
+                    raise ValueError(f"reply has a bad Content-Length: {field[:80]!r}")
+                length = int(digits)
         data = bytearray(reply[end + 4 :])
         while length is None or len(data) < length:
             chunk = sock.recv(65536)

@@ -17,6 +17,7 @@ counter ``n``, unless S itself is an inventory piece.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterable
 from functools import cached_property
 from itertools import product
@@ -25,8 +26,8 @@ from .labels import (
     LabelError,
     NodeLabel,
     PieceLabel,
+    _piece_key,
     child_order_key,
-    is_leaf,
     node_violations,
     parse_node_label,
     parse_piece_label,
@@ -54,44 +55,79 @@ class CapExceededError(GrammarError):
 DEFAULT_CAP = 100_000
 
 
+# A label body cut before each capital letter.  Where every cut is the
+# text of an inventory piece, each of which ``labels._PIECE_RE`` matches
+# whole, the cuts are that regex's pieces; this one scans in half the time.
+_CUTS_RE = re.compile(r"[A-Z][lr0-9]*")
+
+
+class _LabelReader(dict):
+    """The facts (``labels.py``) of each label text of one grammar, its
+    masks over the inventory: a text is read on its first lookup, and a
+    text seen before costs one dict lookup and no Python call.
+    ``unknown`` maps each label with pieces outside the inventory to those
+    pieces' texts, sorted and joined for a message; such a label is only
+    ever named for them, so its mask is 0."""
+
+    __slots__ = ("bits", "unknown")
+
+    def __init__(self, inventory: frozenset[PieceLabel]) -> None:
+        super().__init__()
+        self.bits = {p._text: 1 << i for i, p in enumerate(sorted(inventory, key=_piece_key))}
+        self.unknown: dict[str, str] = {}
+
+    def __missing__(self, text: str) -> tuple[int, int, str, int]:
+        body, counter = split_counter(text) if "_" in text else (text, 0)
+        names = _CUTS_RE.findall(body)
+        bits = self.bits
+        # Pieces of the inventory in strictly ascending bits, which tile
+        # the body: a well-formed label over the inventory.
+        mask = 0
+        for name in names:
+            bit = bits.get(name, 0)
+            if bit <= mask:
+                break
+            mask |= bit
+        else:
+            if mask and "".join(names) == body:
+                facts = self[text] = (len(names), counter, text, mask)
+                return facts
+        # Any other text either is no label, and ``parse_node_label`` says
+        # why, or holds a piece outside the inventory.
+        names = [p._text for p in parse_node_label(text).pieces]
+        self.unknown[text] = ", ".join(sorted(name for name in names if name not in bits))
+        facts = self[text] = (len(names), counter, text, 0)
+        return facts
+
+
 def rule_graph(
-    roots: tuple[NodeLabel, ...], rules: tuple[DepthOneSubtree, ...]
-) -> tuple[tuple, tuple, tuple[int, ...]]:
+    facts: _LabelReader, roots: Iterable[str], rules: dict[str, tuple[str, ...]]
+) -> tuple[tuple[str, ...], tuple, tuple[int, ...]]:
     """The rule table as a DAG over every label the roots and rules
     mention, children before parents, so a DP over derivations is one pass
-    over the labels.  Returns ``(labels, expansions, root_positions)``:
-    - ``labels``: sorted by (piece count, counter, text).  Well-formed rules
-      strictly shrink (pieces, then counter), so each child sorts before its
-      parents, whatever the order of the rules;
-    - ``expansions``: per label, each of its rules in rule order with the
-      positions of the rule's children in ``labels``; empty for a label no
-      rule expands (a leaf);
-    - ``root_positions``: the positions of ``roots``.
+    over the labels.  ``facts`` holds the facts of exactly those labels,
+    ``roots`` their texts and ``rules`` each rule's parent and children
+    texts by the rule's text, in rule order.  Returns ``(labels,
+    expansions, root_positions)``:
+    - ``labels``: the texts, sorted by (piece count, counter, text).
+      Well-formed rules strictly shrink (pieces, then counter), so each
+      child sorts before its parents, whatever the order of the rules;
+    - ``expansions``: per label, each of its rules' texts in rule order
+      with the positions of the rule's children in ``labels``; empty for a
+      label no rule expands (a leaf);
+    - ``root_positions``: the positions of the roots, each once.
     :func:`validate_grammar` reads it before it knows the rules are
     well-formed, so it is built whatever the rules are."""
-    # Labels are keyed by their texts, which name them (``labels.py``).
-    by_text = {}
-    for root in roots:
-        by_text[root._text] = root
-    for rule in rules:
-        by_text[rule.parent._text] = rule.parent
-        for child in rule.children:
-            by_text[child._text] = child
-    # Texts are distinct, so no two rows tie before the label.
-    rows = sorted([
-        (len(label.pieces), label.self_attach, text, label) for text, label in by_text.items()
-    ])
-    position = {row[2]: p for p, row in enumerate(rows)}
-    expansions: list[list] = [[] for _ in rows]
-    for rule in rules:
-        kids = []
-        for child in rule.children:
-            kids.append(position[child._text])
-        expansions[position[rule.parent._text]].append((rule, tuple(kids)))
+    # Texts are distinct, so no two rows tie before the mask.
+    labels = tuple([row[2] for row in sorted(facts.values())])
+    position = {text: p for p, text in enumerate(labels)}
+    expansions: list[list] = [[] for _ in labels]
+    for text, (parent, *children) in rules.items():
+        expansions[position[parent]].append((text, tuple(map(position.__getitem__, children))))
     return (
-        tuple([row[3] for row in rows]),
+        labels,
         tuple(map(tuple, expansions)),
-        tuple([position[root._text] for root in roots]),
+        tuple(dict.fromkeys([position[root] for root in roots])),
     )
 
 
@@ -99,10 +135,14 @@ class GoldGrammar:
     """A pattern's gold trees as rules, each a depth-1 subtree that is a valid
     assembly step over the inventory.  It keeps each root and each rule once,
     in first-seen order, so distinct derivations are distinct trees, and
-    holds its :func:`rule_graph` as ``labels``, ``expansions`` and
-    ``root_positions``.  It is valid however it was built: the constructor
-    runs :func:`validate_grammar` and raises :class:`GrammarError` naming
-    the pattern and the first three problems, all of them in ``problems``."""
+    holds its :func:`rule_graph`, over label and rule texts, as ``labels``,
+    ``expansions`` and ``root_positions``.  ``roots`` and ``rules`` are
+    built as objects when first read.  Two grammars are equal when their
+    pattern ids, inventories, root texts and rule texts are.  It is valid
+    however it was built: the constructor runs :func:`validate_grammar`'s
+    check on the facts it has read and raises :class:`GrammarError` naming
+    the pattern and the first three problems, all of them in
+    ``problems``."""
 
     def __init__(
         self,
@@ -111,23 +151,64 @@ class GoldGrammar:
         roots: Iterable[NodeLabel],
         rules: Iterable[DepthOneSubtree],
     ) -> None:
+        # Objects are read through their texts, as :func:`parse_grammar`
+        # reads a file.
+        facts = _LabelReader(inventory)
+        root_texts = [facts[str(root)][2] for root in roots]
+        rule_texts: dict[str, tuple[str, ...]] = {}
+        for rule in rules:
+            parent, *children = [facts[str(label)][2] for label in (rule.parent, *rule.children)]
+            rule_texts.setdefault(f"{parent} -> {' '.join(children)}", (parent, *children))
+        self._build(pattern_id, inventory, facts, root_texts, rule_texts)
+
+    @classmethod
+    def _read(cls, pattern_id, inventory, facts, roots, rules) -> GoldGrammar:
+        """The grammar of texts whose facts ``facts`` has read, as
+        :func:`rule_graph` takes them."""
+        grammar = cls.__new__(cls)
+        grammar._build(pattern_id, inventory, facts, roots, rules)
+        return grammar
+
+    def _build(self, pattern_id, inventory, facts, roots, rules) -> None:
         self.pattern_id = pattern_id
         self.inventory = inventory
-        self.roots: tuple[NodeLabel, ...] = tuple(dict.fromkeys(roots))
-        self.rules: tuple[DepthOneSubtree, ...] = tuple(dict.fromkeys(rules))
-        self.labels, self.expansions, self.root_positions = rule_graph(self.roots, self.rules)
-        problems = validate_grammar(self)
+        self.labels, self.expansions, self.root_positions = rule_graph(facts, roots, rules)
+        self._rule_texts = tuple(rules)  # in rule order
+        problems = _problems(self, facts)
         if problems:
             raise GrammarError(
                 f"pattern {pattern_id!r}: invalid grammar: " + "; ".join(problems[:3]), problems
             )
 
+    def _texts(self) -> tuple:
+        labels = self.labels
+        return (
+            self.pattern_id,
+            self.inventory,
+            [labels[p] for p in self.root_positions],
+            self._rule_texts,
+        )
+
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
-            return (self.pattern_id, self.inventory, self.roots, self.rules) == (
-                other.pattern_id, other.inventory, other.roots, other.rules
-            )
+            return self._texts() == other._texts()
         return NotImplemented
+
+    @cached_property
+    def roots(self) -> tuple[NodeLabel, ...]:
+        """Each root label, in first-seen order."""
+        return tuple([parse_node_label(self.labels[p]) for p in self.root_positions])
+
+    @cached_property
+    def rules(self) -> tuple[DepthOneSubtree, ...]:
+        """Each rule, in first-seen order."""
+        nodes = [parse_node_label(text) for text in self.labels]
+        rules = {
+            text: DepthOneSubtree(nodes[p], tuple([nodes[c] for c in kids]))
+            for p, expansions in enumerate(self.expansions)
+            for text, kids in expansions
+        }
+        return tuple([rules[text] for text in self._rule_texts])
 
     # The tables below are what ``metrics.grammar_score`` reads.  Each is
     # built on its first read, not by the constructor, so a grammar that is
@@ -148,13 +229,12 @@ class GoldGrammar:
         - ``parent_positions``: per label, the positions of the labels with
           a rule over it, in order (a label with two rules over one child
           is listed twice);
-        - ``rule_positions``: per rule, its label's position."""
+        - ``rule_positions``: per rule text, its label's position."""
         sizes: list[int] = []
         texts: list[str] = []
         parents: list[list[int]] = [[] for _ in self.labels]
-        rule_positions: dict[DepthOneSubtree, int] = {}
-        for p, (label, expansions) in enumerate(zip(self.labels, self.expansions)):
-            name = label._text
+        rule_positions: dict[str, int] = {}
+        for p, (name, expansions) in enumerate(zip(self.labels, self.expansions)):
             best_g, best_text = 0, name  # a leaf's, where no rule expands the label
             for rule, kids in expansions:
                 rule_positions[rule] = p
@@ -181,8 +261,7 @@ class GoldGrammar:
         """The smallest text of every tree the roots derive: the best gold
         tree when every tree scores F1 = 0."""
         smallest: list[str] = []
-        for label, expansions in zip(self.labels, self.expansions):
-            name = label._text
+        for name, expansions in zip(self.labels, self.expansions):
             smallest.append(
                 min([bracket(name, [smallest[c] for c in kids]) for _, kids in expansions])
                 if expansions else name
@@ -190,33 +269,17 @@ class GoldGrammar:
         return min([smallest[p] for p in self.root_positions])
 
 
-def _full_inventory_label(inventory: frozenset[PieceLabel], counter: int) -> NodeLabel:
-    return NodeLabel(tuple(sorted(inventory)), counter)
-
-
-class _LabelMemo(dict):
-    """Node labels by text for one read of a grammar: each distinct text is
-    parsed on its first lookup, and a text seen before costs one dict
-    lookup and no Python call."""
-
-    __slots__ = ()
-
-    def __missing__(self, text: str) -> NodeLabel:
-        label = self[text] = parse_node_label(text)
-        return label
-
-
 def parse_grammar(text: str) -> GoldGrammar:
     """Parse a grammar file, refusing with the line number what reading a
     line needs: the headers, label syntax, the ``S`` roots and each line's
     shape.  The rest is the :class:`GoldGrammar` constructor's.  A binary
     rule's children are put in canonical order, and each distinct label
-    text is parsed once per call."""
+    text is read once per call, into its facts, and is made no object."""
     pattern_id: str | None = None
     inv: frozenset[PieceLabel] | None = None
-    known = _LabelMemo()
+    facts: _LabelReader | None = None
     roots_line: tuple[int, str] | None = None
-    rules: list[DepthOneSubtree] = []
+    rules: dict[str, tuple[str, ...]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
@@ -226,19 +289,33 @@ def parse_grammar(text: str) -> GoldGrammar:
         # may hold "->" too.
         if "->" in line and not line.startswith(("pattern:", "pieces:", "roots:")):
             lhs, _, rhs = line.partition("->")
-            if inv is None:
+            if facts is None:
                 raise GrammarError(f"line {lineno}: rule before pieces header")
+            parent = lhs.strip()
+            children = rhs.split()
             try:
-                parent = known[lhs.strip()]
-                children = []
-                for token in rhs.split():
-                    children.append(known[token])
+                facts[parent]
+                if len(children) == 2:
+                    a, b = children
+                    x, y = facts[a][3], facts[b][3]
+                else:
+                    for child in children:
+                        facts[child]
             except LabelError as exc:
                 raise GrammarError(f"line {lineno}: {exc}") from exc
             # Child order in the file is presentational; canonicalize it.
-            if len(children) == 2 and child_order_key(children[1]) < child_order_key(children[0]):
-                children.reverse()
-            rules.append(DepthOneSubtree(parent, tuple(children)))
+            if len(children) == 2:
+                if facts.unknown:
+                    # An unknown piece has no bit; its sort key orders it.
+                    x, y = (child_order_key(parse_node_label(t)) for t in children)
+                else:
+                    # The first piece is the lowest bit of a mask.
+                    x, y = x & -x, y & -y
+                if y < x:
+                    a, b = b, a
+                rules.setdefault(f"{parent} -> {a} {b}", (parent, a, b))
+            else:
+                rules.setdefault(f"{parent} -> {' '.join(children)}", (parent, *children))
             continue
         if line.startswith("pattern:"):
             value = line[len("pattern:"):].strip()
@@ -260,6 +337,7 @@ def parse_grammar(text: str) -> GoldGrammar:
             inv = frozenset(pieces)
             if len(inv) != len(pieces):
                 raise GrammarError(f"line {lineno}: duplicate pieces in inventory")
+            facts = _LabelReader(inv)
             continue
         if line.startswith("roots:"):
             if roots_line is not None:
@@ -276,52 +354,62 @@ def parse_grammar(text: str) -> GoldGrammar:
         raise GrammarError("missing roots header")
 
     lineno, roots_text = roots_line
-    roots: list[NodeLabel] = []
+    roots: list[str] = []
     for token in roots_text.split():
         try:
-            body, counter = split_counter(token)
-            if body == "S" and PieceLabel("S") not in inv:
-                roots.append(_full_inventory_label(inv, counter))
-            else:
-                roots.append(known[token])
+            if token == "S" or token.startswith("S_"):
+                _, counter = split_counter(token)
+                if "S" not in facts.bits:
+                    full = "".join(facts.bits)
+                    token = f"{full}_{counter}" if counter else full
+            facts[token]
         except LabelError as exc:
             raise GrammarError(f"line {lineno}: {exc}") from exc
-    return GoldGrammar(pattern_id, inv, roots, rules)
+        roots.append(token)
+    return GoldGrammar._read(pattern_id, inv, facts, roots, rules)
 
 
 def validate_grammar(g: GoldGrammar) -> list[str]:
-    """The problems of ``g``, one line each; empty iff it is valid.  The
-    :class:`GoldGrammar` constructor runs it, so it is the one judge of
-    validity.  First each root, then each rule, that is not a valid step
+    """The problems of ``g``, one line each; empty iff it is valid.  It
+    reads the facts of ``g``'s labels from their texts; the
+    :class:`GoldGrammar` constructor runs the same check on the facts it
+    has read, so it is the one judge of validity.  First each root, then each rule, that is not a valid step
     over the inventory, named: pieces the inventory lacks, not 1 or 2
     children, label arithmetic that :func:`node_violations` refuses.  Only
     if there are none, so that a bad rule has no follow-on problems: no
     roots; non-leaf labels no rule expands, by name; rules no root reaches,
     in rule order; roots missing pieces."""
-    # Each label's pieces are checked once, however many rules mention it,
-    # by their texts, which name them (``labels.py``).
-    inventory = {piece._text for piece in g.inventory}
-    unknown = {}
-    for label in g.labels:
-        for piece in label.pieces:
-            if piece._text not in inventory:
-                unknown[label] = ", ".join(sorted(str(p) for p in label.piece_set - g.inventory))
-                break
-    out = [f"root {root}: unknown pieces {unknown[root]}" for root in g.roots if root in unknown]
-    for rule in g.rules:
-        outside = unknown and [unknown[x] for x in (rule.parent, *rule.children) if x in unknown]
-        if outside:
-            out.append(f"{rule}: unknown pieces {outside[0]}")
-        elif not 1 <= len(rule.children) <= 2:
-            out.append(f"{rule}: rules need 1 or 2 children")
-        elif problems := node_violations(rule.parent, rule.children):
-            out.append(f"{rule}: {problems[0][1]}")
+    return _problems(g, _LabelReader(g.inventory))
+
+
+def _problems(g: GoldGrammar, reader: _LabelReader) -> list[str]:
+    """:func:`validate_grammar` of ``g``, whose labels' facts ``reader``
+    reads; the constructor passes the one that read its texts."""
+    labels, unknown = g.labels, reader.unknown
+    facts = [reader[text] for text in labels]
+    out = [
+        f"root {labels[p]}: unknown pieces {unknown[labels[p]]}"
+        for p in g.root_positions if labels[p] in unknown
+    ]
+    # Rules are checked label by label and named in rule order.
+    bad = {}
+    for p, expansions in enumerate(g.expansions):
+        for text, kids in expansions:
+            outside = unknown and [unknown[labels[q]] for q in (p, *kids) if labels[q] in unknown]
+            if outside:
+                bad[text] = f"{text}: unknown pieces {outside[0]}"
+            elif not 1 <= len(kids) <= 2:
+                bad[text] = f"{text}: rules need 1 or 2 children"
+            elif problems := node_violations(facts[p], tuple(map(facts.__getitem__, kids))):
+                bad[text] = f"{text}: {problems[0][1]}"
+    if bad:
+        out += [bad[text] for text in g._rule_texts if text in bad]
     if out:
         return out
 
     # Every rule now strictly shrinks, so children sit below their parents
     # and one pass down the positions marks every label a root reaches.
-    reached = [False] * len(g.labels)
+    reached = [False] * len(labels)
     for p in g.root_positions:
         reached[p] = True
     for p in reversed(range(len(reached))):
@@ -330,22 +418,26 @@ def validate_grammar(g: GoldGrammar) -> list[str]:
                 for c in kids:
                     reached[c] = True
     unexpanded = [
-        str(label)
-        for label, expansions in zip(g.labels, g.expansions)
-        if not expansions and not is_leaf(label)
+        labels[p]
+        for p, expansions in enumerate(g.expansions)
+        if not expansions and node_violations(facts[p], ())
     ]
-    out = [] if g.roots else ["no roots"]
+    out = [] if g.root_positions else ["no roots"]
     out += [f"{name}: no rule expands this non-leaf label" for name in sorted(unexpanded)]
-    unreached = {label._text for label, r in zip(g.labels, reached) if not r}
-    out += [f"{rule}: no root reaches this rule" for rule in g.rules if rule.parent._text in unreached]
-    for root in g.roots:
-        if root.piece_set != g.inventory:
-            out.append(f"root {root}: does not cover the full piece inventory")
+    unreached = {
+        text for p, expansions in enumerate(g.expansions) if not reached[p] for text, _ in expansions
+    }
+    if unreached:
+        out += [f"{text}: no root reaches this rule" for text in g._rule_texts if text in unreached]
+    full = (1 << len(g.inventory)) - 1
+    for p in g.root_positions:
+        if facts[p][3] != full:
+            out.append(f"root {labels[p]}: does not cover the full piece inventory")
     return out
 
 
-def count_derivations(g: GoldGrammar) -> dict[NodeLabel, int]:
-    """Derivation count per root via a DP over the rule graph.
+def _derivation_counts(g: GoldGrammar) -> list[int]:
+    """Derivation count per label via a DP over the rule graph.
 
     count(leaf) = 1; count(label) = sum over its rules of the product of the
     children's counts.  A valid grammar expands every label but its leaves.
@@ -353,6 +445,12 @@ def count_derivations(g: GoldGrammar) -> dict[NodeLabel, int]:
     counts: list[int] = []
     for rules in g.expansions:
         counts.append(sum(math.prod(counts[c] for c in kids) for _, kids in rules) if rules else 1)
+    return counts
+
+
+def count_derivations(g: GoldGrammar) -> dict[NodeLabel, int]:
+    """Derivation count per root label, by :func:`_derivation_counts`."""
+    counts = _derivation_counts(g)
     return {root: counts[p] for root, p in zip(g.roots, g.root_positions)}
 
 
@@ -366,8 +464,8 @@ def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, .
     first: a leaf is its label, and a rule brackets every combination of its
     children's texts (the derivation semiring over strings).
     """
-    counts = count_derivations(g)
-    total = sum(counts.values())
+    counts = _derivation_counts(g)
+    total = sum([counts[p] for p in g.root_positions])
     if total > cap:
         raise CapExceededError(total, cap)
 
@@ -378,8 +476,7 @@ def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, .
     roots = set(g.root_positions)
     texts: list[list[str] | None] = []
     gold: list[str] = []
-    for p, (label, expansions) in enumerate(zip(g.labels, g.expansions)):
-        name = str(label)
+    for p, (name, expansions) in enumerate(zip(g.labels, g.expansions)):
         if expansions:
             level = [
                 bracket(name, combo)

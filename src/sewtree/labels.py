@@ -11,6 +11,7 @@ displayed as a ``_n`` suffix and omitted when the counter is zero
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from operator import attrgetter
 
@@ -176,12 +177,6 @@ class NodeLabel(_Frozen):
 _set_pieces, _set_self_attach, _set_node_hash, _set_node_text = _slot_setters(NodeLabel)
 
 
-def is_leaf(label: NodeLabel) -> bool:
-    """Whether ``label`` is a leaf label: one piece, counter 0, as
-    :func:`node_violations` checks a node without children."""
-    return not node_violations(label, ())
-
-
 def split_counter(text: str) -> tuple[str, int]:
     """``text`` split at its ``_n`` self-attachment suffix: the text before
     it and n, or ``text`` and 0 without one.  n is positive and written
@@ -228,29 +223,22 @@ def parse_node_label(text: str) -> NodeLabel:
 _piece_key = attrgetter("_key")
 
 
-def _join(a: NodeLabel, b: NodeLabel) -> tuple[tuple[PieceLabel, ...], int]:
-    """The pieces and counter of a binary step over ``a`` and ``b``: both
-    children's pieces in one sorted tuple, where a shared piece occurs
-    twice, and the larger counter."""
+def merge_labels(a: NodeLabel, b: NodeLabel) -> NodeLabel:
+    """Label of the component formed by attaching two disjoint components:
+    their pieces in one sorted tuple and the larger counter, as
+    :func:`node_violations` checks a binary step."""
     x, y = a.pieces, b.pieces
     # Each side is strictly sorted, so sides that do not interleave join
-    # as they are; the sort is most of the cost of checking a binary rule.
+    # as they are.
     if x[-1]._key < y[0]._key:
         pieces = x + y
     elif y[-1]._key < x[0]._key:
         pieces = y + x
     else:
         pieces = tuple(sorted(x + y, key=_piece_key))
-    return pieces, max(a.self_attach, b.self_attach)
-
-
-def merge_labels(a: NodeLabel, b: NodeLabel) -> NodeLabel:
-    """Label of the component formed by attaching two disjoint components:
-    the binary step of :func:`node_violations`."""
-    pieces, counter = _join(a, b)
     try:
         # A shared piece occurs twice, so the pieces are not strictly sorted.
-        return NodeLabel(pieces, counter)
+        return NodeLabel(pieces, max(a.self_attach, b.self_attach))
     except LabelError:
         shared = ", ".join(sorted(str(p) for p in a.piece_set & b.piece_set))
         raise LabelError(f"cannot merge {a} and {b}: shared pieces {shared}") from None
@@ -267,40 +255,67 @@ def bump_self_attach(a: NodeLabel) -> NodeLabel:
     return NodeLabel(a.pieces, a.self_attach + 1)
 
 
+# The facts of a label, which is all that the label arithmetic reads:
+# ``(piece count, counter, text, mask)``, where bit i of the mask is the
+# i-th piece of an order of pieces shared by every label compared (a
+# grammar's inventory, or a tree's pieces), sorted as the pieces sort.  A
+# row of facts sorts by piece count, then counter, then text.
+
+
+def label_facts(labels: Iterable[NodeLabel]) -> dict[NodeLabel, tuple[int, int, str, int]]:
+    """The facts of each of ``labels``, their masks over the sorted union
+    of their pieces."""
+    labels = set(labels)
+    pieces = sorted({piece for label in labels for piece in label.pieces}, key=_piece_key)
+    bit = {piece: 1 << i for i, piece in enumerate(pieces)}.__getitem__
+    return {
+        label: (len(label.pieces), label.self_attach, label._text, sum(map(bit, label.pieces)))
+        for label in labels
+    }
+
+
+def is_leaf(label: NodeLabel) -> bool:
+    """Whether ``label`` is a leaf label: one piece, counter 0, as
+    :func:`node_violations` checks a node without children."""
+    n = len(label.pieces)
+    return not node_violations((n, label.self_attach, label._text, (1 << n) - 1), ())
+
+
 def node_violations(
-    label: NodeLabel, children: tuple[NodeLabel, ...]
+    label: tuple[int, int, str, int], children: Sequence[tuple[int, int, str, int]]
 ) -> list[tuple[str, str]]:
-    """The label arithmetic of one node of a tree or grammar, as ``(kind,
-    detail)`` pairs; empty iff the node is valid.
+    """The label arithmetic of one node of a tree or grammar, given as the
+    facts of its label and of its children's, as ``(kind, detail)`` pairs;
+    empty iff the node is valid.
 
     A leaf (no children) is one piece at counter 0.  A unary step sews a
     component to itself: same pieces, counter plus one.  A binary step joins
     two disjoint components that cover the parent, which takes the larger
-    counter, and its children are in canonical order.
+    counter, and its children are in canonical order, by first piece: the
+    lowest bit of each mask.
     """
     out: list[tuple[str, str]] = []
+    count, counter, _, mask = label
     if not children:
-        if len(label.pieces) != 1:
+        if count != 1:
             out.append(("leaf-pieces", "leaf must be a single piece"))
-        if label.self_attach != 0:
+        if counter != 0:
             out.append(("leaf-counter", "leaf counter must be 0"))
     elif len(children) == 1:
-        (child,) = children
-        if child.pieces != label.pieces:
+        _, child_counter, _, child_mask = children[0]
+        if child_mask != mask:
             out.append(("unary-pieces", "unary child must have the same pieces"))
-        if child.self_attach != label.self_attach - 1:
+        if child_counter != counter - 1:
             out.append(("unary-counter", "unary child counter must be parent's minus 1"))
     elif len(children) == 2:
-        a, b = children
-        pieces, counter = _join(a, b)
-        if pieces != label.pieces:
-            if a.piece_set & b.piece_set:
-                out.append(("binary-disjoint", "children share pieces"))
-            else:
-                out.append(("binary-union", "children's pieces do not cover the parent"))
-        if label.self_attach != counter:
+        (_, a_counter, _, a), (_, b_counter, _, b) = children
+        if a & b:
+            out.append(("binary-disjoint", "children share pieces"))
+        elif a | b != mask:
+            out.append(("binary-union", "children's pieces do not cover the parent"))
+        if counter != max(a_counter, b_counter):
             out.append(("binary-counter", "parent counter must be the children's max"))
-        if child_order_key(a) > child_order_key(b):
+        if a & -a > b & -b:
             out.append(("child-order", "children out of canonical order"))
     else:
         out.append(("arity", f"{len(children)} children, 1 or 2 allowed"))

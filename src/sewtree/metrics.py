@@ -88,10 +88,10 @@ def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> Sco
     prefixes of each other, so the smallest tree takes the smallest child
     serializations).  Per document it recomputes only the labels on or
     above a predicted rule of the grammar, children first, found through
-    the ``rule_positions`` and ``parent_positions`` of the grammar's
-    ``score_tables``; any other label holds no match, so it is read as its
-    one bare tree there, the fewest rules and then the smallest text, with
-    m = 0.  The grammar builds those tables on its first score and keeps
+    the ``rule_positions`` (by the rule's text) and ``parent_positions`` of
+    the grammar's ``score_tables``; any other label holds no match, so it
+    is read as its one bare tree there, the fewest rules and then the
+    smallest text, with m = 0.  The grammar builds those tables on its first score and keeps
     them, unchanged, for every later one.  At the roots the best
     exact F1 wins, compared as ``tree_score`` compares it; ties go to the
     smallest serialization, which is the lowest index in the sorted
@@ -102,12 +102,13 @@ def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> Sco
     tree's rules reads them off the text with ``parse_serialized``.
     """
     sizes, texts, parents, rule_positions = grammar.score_tables
-    # hits[p]: label p's predicted rules.
-    hits: dict[int, set[DepthOneSubtree]] = {}
+    # hits[p]: the texts of label p's predicted rules.
+    hits: dict[int, set[str]] = {}
     for rule in pred:
-        p = rule_positions.get(rule)
+        text = str(rule)
+        p = rule_positions.get(text)
         if p is not None:
-            hits.setdefault(p, set()).add(rule)
+            hits.setdefault(p, set()).add(text)
     if not hits:
         return ScoreBreakdown(0.0, 0.0, 0.0, grammar.smallest_tree)
 
@@ -125,7 +126,7 @@ def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> Sco
     # that g).  Any other label is read as its one tree, with m = 0.
     tables: dict[int, dict[int, tuple[int, str]]] = {}
     for p in sorted(dirty):
-        name = labels[p]._text
+        name = labels[p]
         hit_rules = hits.get(p)
         table: dict[int, tuple[int, str]] = {}
         for rule, kids in expansions[p]:

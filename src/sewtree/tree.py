@@ -18,6 +18,7 @@ from .labels import (
     NodeLabel,
     _Frozen,
     _slot_setters,
+    label_facts,
     node_violations,
     parse_node_label,
 )
@@ -53,8 +54,8 @@ class DepthOneSubtree(_Frozen):
         return NotImplemented
 
     def __str__(self) -> str:
-        kids = " ".join(str(c) for c in self.children)
-        return f"{self.parent} -> {kids}"
+        kids = " ".join([c._text for c in self.children])
+        return f"{self.parent._text} -> {kids}"
 
     def __repr__(self) -> str:
         return f"DepthOneSubtree(parent={self.parent!r}, children={self.children!r})"
@@ -117,8 +118,10 @@ def _violations(nodes: list[tuple[NodeLabel, list[NodeLabel]]]) -> list[str]:
     nodes in pre-order, node by node, then each repeated label."""
     out: list[str] = []
     seen: dict[NodeLabel, int] = {}
+    facts = label_facts(label for label, _ in nodes)
     for label, kids in nodes:
-        out.extend(f"{label}: {kind}: {detail}" for kind, detail in node_violations(label, tuple(kids)))
+        problems = node_violations(facts[label], [facts[kid] for kid in kids])
+        out.extend(f"{label}: {kind}: {detail}" for kind, detail in problems)
         seen[label] = seen.get(label, 0) + 1
     out.extend(f"{label}: unique-labels: label occurs {n} times" for label, n in seen.items() if n > 1)
     return out

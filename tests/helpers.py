@@ -7,10 +7,12 @@ post, the reference for the adapter's HTTP/1.0 client; the label
 formatter, the reference for the texts labels write once; BLEU and
 ROUGE-L computed afresh per call, the references for the metrics'
 prepared reference side; the node check on piece sets, the reference
-for ``node_violations``; the rule reader, the reference for the grammar
-parser's label memo; the per-tree round-trip, the reference for the
-per-rule one; the grammar check on piece sets with a recursive walk
-from the roots, the reference for the one that reads the rule graph;
+for ``node_violations``' masks; the object reader of rules and grammar
+files, the reference for the grammar parser's reading into label facts;
+the per-tree round-trip, the reference for the per-rule one; the grammar
+check on piece sets with a recursive walk from the roots, the reference
+for the one that reads the rule graph; the derivation count by a walk
+down the rules;
 the best gold tree by ``Fraction`` F1 over every derivation, the
 reference for both scorers' exact ranking; and the DP over every label's
 g-indexed table, the reference for ``grammar_score``'s sparse m-indexed
@@ -43,6 +45,7 @@ from sewtree.labels import (
     child_order_key,
     merge_labels,
     parse_node_label,
+    split_counter,
 )
 from sewtree.metrics import (
     BLEU_EPSILON,
@@ -302,7 +305,8 @@ def gold_tree_oracle(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[AssemblyNo
     if total > cap:
         raise CapExceededError(total, cap)
     trees: list[tuple[AssemblyNode, ...]] = []
-    for label, expansions in zip(g.labels, g.expansions):
+    for text, expansions in zip(g.labels, g.expansions):
+        label = parse_node_label(text)
         if not expansions:
             trees.append((AssemblyNode(label),))
             continue
@@ -352,14 +356,14 @@ def g_indexed_dp_oracle(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) 
     """
     # tables[p]: g -> (max m, smallest serialization reaching it).
     tables: list[dict[int, tuple[int, str]]] = []
-    for label, expansions in zip(grammar.labels, grammar.expansions):
-        name = str(label)
+    pred_texts = {str(rule) for rule in pred}
+    for name, expansions in zip(grammar.labels, grammar.expansions):
         if not expansions:
             tables.append({0: (0, name)})
             continue
         table: dict[int, tuple[int, str]] = {}
         for rule, kids in expansions:
-            hit = int(rule in pred)
+            hit = int(rule in pred_texts)
             if len(kids) == 1:
                 for g_kid, (m_kid, text_kid) in tables[kids[0]].items():
                     g = g_kid + 1
@@ -412,7 +416,7 @@ def rule_oracle(lineno: int, line: str) -> DepthOneSubtree:
     its own: every label parsed, and two children put in canonical order;
     nothing about the rule is checked.  A label that does not parse raises
     :class:`GrammarError` with ``parse_grammar``'s message: the reference
-    for its label memo."""
+    for its reading of a rule line."""
     lhs, rhs = line.split("->", 1)
     try:
         parent, *children = map(parse_node_label, [lhs.strip(), *rhs.split()])
@@ -425,21 +429,108 @@ def rule_oracle(lineno: int, line: str) -> DepthOneSubtree:
 
 def check_rule_graph(g):
     """``g``'s rule graph against its contract: each root and rule once,
-    every label the roots and rules mention, each child below its parents,
-    each label's rules in rule order with their children's positions, and
-    labels that do not depend on the order of the rules."""
-    assert len(set(g.roots)) == len(g.roots) and len(set(g.rules)) == len(g.rules)
-    mentioned = {*g.roots, *(label for rule in g.rules for label in (rule.parent, *rule.children))}
-    assert len(g.labels) == len(mentioned) and set(g.labels) == mentioned
+    every label text the roots and rules mention, sorted by piece count,
+    counter and text, so each child below its parents, each label's rule
+    texts in rule order with their children's positions, and labels that do
+    not depend on the order of the rules."""
+    roots, rules = g.roots, g.rules
+    assert len(set(roots)) == len(roots) and len(set(rules)) == len(rules)
+    mentioned = {*roots, *(label for rule in rules for label in (rule.parent, *rule.children))}
+    assert g.labels == tuple(
+        str(label) for label in sorted(mentioned, key=lambda l: (len(l.pieces), l.self_attach, str(l)))
+    )
     position = {label: p for p, label in enumerate(g.labels)}
     for p, (label, expansions) in enumerate(zip(g.labels, g.expansions)):
-        assert [rule for rule, _ in expansions] == [rule for rule in g.rules if rule.parent == label]
-        for rule, kids in expansions:
-            assert kids == tuple(position[c] for c in rule.children)
-            assert all(c < p for c in kids)
-    assert g.root_positions == tuple(position[root] for root in g.roots)
-    reversed_rules = GoldGrammar(g.pattern_id, g.inventory, g.roots, tuple(reversed(g.rules)))
+        assert expansions == tuple(
+            (str(rule), tuple(position[str(c)] for c in rule.children))
+            for rule in rules if str(rule.parent) == label
+        )
+        assert all(c < p for _, kids in expansions for c in kids)
+    assert g.root_positions == tuple(position[str(root)] for root in roots)
+    reversed_rules = GoldGrammar(g.pattern_id, g.inventory, roots, tuple(reversed(rules)))
     assert reversed_rules.labels == g.labels
+
+
+def read_grammar_oracle(text: str) -> tuple[str, frozenset, list[NodeLabel], list[DepthOneSubtree]]:
+    """The pattern id, inventory, roots and rules of a grammar file as
+    objects, read line by line: each rule line by :func:`rule_oracle`,
+    each root by ``parse_node_label`` (``S``/``S_n`` as the full
+    inventory), refusing what reading a line needs with the parser's
+    messages and checking nothing else: the reference for
+    ``parse_grammar``'s reading into label facts.  Roots and rules are
+    returned as written, repeats included."""
+    pattern_id = inventory = roots_line = None
+    rules: list[DepthOneSubtree] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        if "->" in line and not line.startswith(("pattern:", "pieces:", "roots:")):
+            if inventory is None:
+                raise GrammarError(f"line {lineno}: rule before pieces header")
+            rules.append(rule_oracle(lineno, line))
+        elif line.startswith("pattern:"):
+            value = line[len("pattern:"):].strip()
+            if pattern_id is not None and value != pattern_id:
+                raise GrammarError(f"line {lineno}: conflicting pattern header {value!r}")
+            if not value:
+                raise GrammarError(f"line {lineno}: empty pattern id")
+            pattern_id = value
+        elif line.startswith("pieces:"):
+            if inventory is not None:
+                raise GrammarError(f"line {lineno}: duplicate pieces header")
+            try:
+                pieces = [PieceLabel(t) for t in line[len("pieces:"):].split()]
+            except LabelError as exc:
+                raise GrammarError(f"line {lineno}: {exc}") from exc
+            if not pieces:
+                raise GrammarError(f"line {lineno}: empty piece inventory")
+            inventory = frozenset(pieces)
+            if len(inventory) != len(pieces):
+                raise GrammarError(f"line {lineno}: duplicate pieces in inventory")
+        elif line.startswith("roots:"):
+            if roots_line is not None:
+                raise GrammarError(f"line {lineno}: duplicate roots header")
+            roots_line = (lineno, line[len("roots:"):].strip())
+        else:
+            raise GrammarError(f"line {lineno}: unrecognized line {line!r}")
+    if pattern_id is None:
+        raise GrammarError("missing pattern header")
+    if inventory is None:
+        raise GrammarError("missing pieces header")
+    if roots_line is None:
+        raise GrammarError("missing roots header")
+    lineno, roots_text = roots_line
+    roots = []
+    for token in roots_text.split():
+        try:
+            body, counter = split_counter(token)
+            if body == "S" and PieceLabel("S") not in inventory:
+                roots.append(NodeLabel(tuple(sorted(inventory)), counter))
+            else:
+                roots.append(parse_node_label(token))
+        except LabelError as exc:
+            raise GrammarError(f"line {lineno}: {exc}") from exc
+    return pattern_id, inventory, roots, rules
+
+
+def count_derivations_oracle(roots, rules) -> dict[NodeLabel, int]:
+    """The derivations of each root, counted by a walk down the rules:
+    the reference for ``count_derivations``."""
+    by_parent: dict[NodeLabel, list[DepthOneSubtree]] = {}
+    for rule in dict.fromkeys(rules):
+        by_parent.setdefault(rule.parent, []).append(rule)
+    counts: dict[NodeLabel, int] = {}
+
+    def count(label: NodeLabel) -> int:
+        if label not in counts:
+            expansions = by_parent.get(label)
+            counts[label] = sum(
+                math.prod(count(c) for c in rule.children) for rule in expansions
+            ) if expansions else 1
+        return counts[label]
+
+    return {root: count(root) for root in dict.fromkeys(roots)}
 
 
 def validate_grammar_oracle(inventory, roots, rules) -> list[str]:

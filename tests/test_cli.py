@@ -8,6 +8,7 @@ import shutil
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import sewtree.adapter
 import sewtree.cli
 import sewtree.grammar
 import sewtree.tree
-from sewtree.adapter import MAX_TIMEOUT_S
+from sewtree.adapter import MAX_TIMEOUT_S, AdapterConfig, AdapterError, extract_via_adapter
 from sewtree.cli import main
 from sewtree.experiments import ErrorInjectionPlan, inject_errors, permute_doc
 from sewtree.grammar import (
@@ -40,7 +41,7 @@ from sewtree.pipeline import (
     load_spec,
     placeholder_spec,
 )
-from sewtree.rng import SplitMix64
+from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import grammar_to_text, random_grammar
 from sewtree.tree import TreeError, parse_serialized
 
@@ -1115,6 +1116,70 @@ class TestAdapterTransport:
         code = build_with_adapter(tmp_path, [STEP], scripted_server.url, "--adapter-timeout", "5")
         assert code == 0, capsys.readouterr().err
         assert time.monotonic() - start < 2.5
+
+
+def mutated_reply(rng: SplitMix64) -> bytes:
+    """``AB_REPLY`` with one seeded change to its bytes: cut inside its
+    head or body, a byte flipped in the status line, a header or the
+    ``Content-Length`` value, a body that is not UTF-8, or a
+    ``Content-Length`` thousands of digits long."""
+    head, _, body = AB_REPLY.partition(b"\r\n\r\n")
+    status_end = head.index(b"\r\n")
+    value_at = head.index(b"Content-Length: ") + len(b"Content-Length: ")
+    reply = bytearray(AB_REPLY)
+    kind = rng.randrange(7)
+    if kind == 0:
+        return bytes(reply[:rng.randrange(len(head) + 4)])
+    if kind == 1:
+        return bytes(reply[:len(head) + 4 + rng.randrange(len(body))])
+    if kind in (2, 3, 4):
+        low, high = [(0, status_end), (status_end, len(head)), (value_at, len(head))][kind - 2]
+        reply[low + rng.randrange(high - low)] ^= 1 + rng.randrange(255)
+        return bytes(reply)
+    if kind == 5:
+        junk = bytes(0x80 + rng.randrange(128) for _ in range(1 + rng.randrange(len(body))))
+        junk = body[:rng.randrange(len(body))] + junk
+        return http_reply(b"200 OK", b"Content-Length: %d" % len(junk), body=junk)
+    digits = bytes(48 + rng.randrange(10) for _ in range(1000 + rng.randrange(9000)))
+    if rng.randrange(2):
+        digits = digits.translate(bytes.maketrans(b"123456789", b"000000000")) + b"22"
+    return http_reply(b"200 OK", b"Content-Length: " + digits, body=AB_BODY)
+
+
+@pytest.mark.parametrize(
+    "retries,fallback,expected",
+    [(1, False, {"success", "retried"}), (0, False, {"success", "error"}),
+     (0, True, {"success", "fallback"})],
+    ids=["retry", "strict", "fallback"],
+)
+def test_mutated_reply_bytes_end_as_an_outcome_never_a_traceback(
+    scripted_server, retries, fallback, expected
+):
+    """Seeded byte mutations of a valid reply, each followed by the valid
+    reply: every post ends as a success, a failed attempt that is retried
+    and then answered, a fallback, or an ``AdapterError``; any other
+    exception fails the test."""
+    spec = load_spec(FIXTURES / "specs" / "skirt.json")
+    config = AdapterConfig(scripted_server.url, timeout=5.0, retries=retries, fallback_to_rules=fallback)
+    outcomes = Counter()
+    for seed in range(120):
+        scripted_server.replies = [mutated_reply(SplitMix64(derive_seed(31, "reply", str(seed)))), AB_REPLY]
+        scripted_server.requests.clear()
+        try:
+            result = extract_via_adapter(STEP, spec, config)
+        except AdapterError as exc:
+            # A line long: a Content-Length of thousands of digits is named
+            # as bad, not by int()'s limit on digits.
+            assert str(exc).startswith("extraction backend unreachable: ")
+            assert "int_max_str_digits" not in str(exc) and len(str(exc)) < 200
+            outcomes["error"] += 1
+            continue
+        if result.source == "fallback":
+            outcomes["fallback"] += 1
+        else:
+            assert [str(p) for p in result.mentions] == ["A", "B"]
+            outcomes["retried" if len(scripted_server.requests) == 2 else "success"] += 1
+    assert set(outcomes) == expected, outcomes
 
 
 class TestRuleBasedMemo:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 from collections import Counter
 
@@ -14,10 +16,11 @@ from sewtree.grammar import (
     validate_grammar,
 )
 from sewtree.labels import _LABEL_MEMO_SIZE, parse_node_label, parse_piece_label
+from sewtree.metrics import grammar_score
 from sewtree.tree import DepthOneSubtree, canonical_serialize, parse_serialized
 
 from sewtree.rng import SplitMix64, derive_seed
-from sewtree.synth import random_grammar
+from sewtree.synth import grammar_to_text, random_grammar
 
 from conftest import GRAMMAR_NAMES, load_grammar
 from helpers import chain_grammar, check_enumeration, check_rule_graph, rule_oracle
@@ -112,19 +115,30 @@ class TestParseGrammar:
 
 def test_each_label_text_is_parsed_once_per_parse(monkeypatch):
     # A, B, AB and AB_1 to AB_5000: more texts than the label parser's own
-    # bounded memo holds, each on two rule lines but parsed once.
-    parsed = Counter()
+    # bounded memo holds, each on two rule lines but read once, and made
+    # into no label object until a caller reads the roots or rules.
+    read, parsed = Counter(), Counter()
+    read_label = sewtree.grammar._LabelReader.__missing__
+
+    def counting_read(facts, text):
+        read[text] += 1
+        return read_label(facts, text)
 
     def counting_parse(text):
         parsed[text] += 1
         return parse_node_label(text)
 
+    monkeypatch.setattr(sewtree.grammar._LabelReader, "__missing__", counting_read)
     monkeypatch.setattr(sewtree.grammar, "parse_node_label", counting_parse)
     first = chain_grammar(5000)
-    assert len(parsed) == 5003 > _LABEL_MEMO_SIZE
-    assert set(parsed.values()) == {1}
-    parsed.clear()
+    assert len(read) == 5003 > _LABEL_MEMO_SIZE
+    assert set(read.values()) == {1}
+    assert not parsed
+    read.clear()
     assert chain_grammar(5000) == first
+    assert len(read) == 5003 and set(read.values()) == {1}
+    assert not parsed
+    assert [str(rule) for rule in first.rules[:2]] == ["AB -> A B", "AB_1 -> AB"]
     assert len(parsed) == 5003 and set(parsed.values()) == {1}
 
 
@@ -334,3 +348,46 @@ def test_rule_graph_puts_children_before_parents():
         )
     for g in grammars:
         check_rule_graph(g)
+
+
+def test_a_grammar_read_from_its_text_equals_it():
+    """A grammar written by ``grammar_to_text`` and read back equals the
+    grammar built in memory, rule graph and all; equality compares texts,
+    so a grammar is unequal to one that differs only in its pattern id or
+    in the order of its rules."""
+    for index in range(20):
+        rng = SplitMix64(derive_seed(31, "text", str(index)))
+        g = random_grammar(rng, f"g{index}", 2 + rng.randrange(7), 1 + rng.randrange(6))
+        text = grammar_to_text(g)
+        read = parse_grammar(text)
+        assert read == g and g == read
+        assert (read.labels, read.expansions, read.root_positions) == (g.labels, g.expansions, g.root_positions)
+        assert (read.roots, read.rules) == (g.roots, g.rules)
+        assert read != parse_grammar(text.replace(f"pattern: g{index}", "pattern: other"))
+        if len(g.rules) > 1:
+            assert read != GoldGrammar(g.pattern_id, g.inventory, g.roots, g.rules[::-1])
+    assert load_grammar("skirt") != "skirt"
+
+
+def _pickled(grammar):
+    return pickle.loads(pickle.dumps(grammar))
+
+
+@pytest.mark.parametrize("copy_of", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_copies_before_and_after_a_score_are_equal_and_score_alike(copy_of):
+    text = grammar_to_text(random_grammar(SplitMix64(derive_seed(31, "copy")), "c", 7, 5))
+    grammar = parse_grammar(text)
+    rules = parse_grammar(text).rules
+    docs = [frozenset(rules[::3]), frozenset(rules[1::4]), frozenset()]
+    before = copy_of(grammar)
+    scores = [grammar_score(doc, grammar) for doc in docs]
+    after = copy_of(grammar)
+    assert "score_tables" in vars(after) and "score_tables" not in vars(before)
+    for copied in (before, after):
+        assert copied == grammar
+        assert (copied.labels, copied.expansions, copied.root_positions) == (
+            grammar.labels, grammar.expansions, grammar.root_positions
+        )
+        assert [grammar_score(doc, copied) for doc in docs] == scores
+        assert enumerate_gold_trees(copied) == enumerate_gold_trees(grammar)
+        assert (copied.roots, copied.rules) == (grammar.roots, grammar.rules)

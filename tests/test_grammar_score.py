@@ -182,13 +182,15 @@ def test_sparse_dp_matches_the_full_dp(seed, chain, keep_percent, n_foreign):
 
 
 def test_score_tables_are_built_on_first_score_and_kept_unchanged():
-    """Reading a grammar builds none of the tables scoring keeps on it, and
-    scores on one grammar object do not depend on the documents scored
-    before: a, b, a scores as each does on a freshly read grammar."""
+    """Reading a grammar builds none of the tables scoring keeps on it, nor
+    its root and rule objects, and scores on one grammar object do not
+    depend on the documents scored before: a, b, a scores as each does on a
+    freshly read grammar."""
     text = grammar_to_text(random_grammar(SplitMix64(derive_seed(30, "cache")), "c", 7, 5))
     grammar = parse_grammar(text)
     assert set(vars(grammar)) == {
-        "pattern_id", "inventory", "roots", "rules", "labels", "expansions", "root_positions"
+        "pattern_id", "inventory", "labels", "expansions", "root_positions",
+        "_rule_texts",
     }
     rules = grammar.rules
     docs = [frozenset(rules[::3]), frozenset(rules[1::4]) | subtree_set("(AB A B)"), frozenset()]

@@ -13,6 +13,7 @@ from sewtree.labels import (
     PieceLabel,
     bump_self_attach,
     is_leaf,
+    label_facts,
     merge_labels,
     node_violations,
     parse_node_label,
@@ -277,8 +278,18 @@ class TestNodeViolations:
     @example((N("A"), (N("A"), N("A"))))  # one piece, shared
     @example((N("ABlBr_1"), (N("BlBr_1"), N("A"))))  # reversed children
     def test_equals_the_set_oracle(self, node):
+        # Masks over the node's own pieces, as a tree's are, and over a
+        # larger inventory, as a grammar's are, decide alike.
         label, children = node
-        assert node_violations(label, children) == node_oracle(label, children)
+        own = label_facts((label, *children))
+        bits = {p: 1 << i for i, p in enumerate(sorted(map(P, NODE_INVENTORY)))}
+        wide = {
+            x: (len(x.pieces), x.self_attach, str(x), sum(bits[p] for p in x.pieces))
+            for x in (label, *children)
+        }
+        for facts in (own, wide):
+            found = node_violations(facts[label], [facts[c] for c in children])
+            assert found == node_oracle(label, children)
 
     @pytest.mark.parametrize(
         "label,children,kinds",
@@ -303,7 +314,9 @@ class TestNodeViolations:
         ],
     )
     def test_kinds(self, label, children, kinds):
-        found = node_violations(N(label), tuple(map(N, children)))
+        label, children = N(label), [N(c) for c in children]
+        facts = label_facts((label, *children))
+        found = node_violations(facts[label], [facts[c] for c in children])
         assert [kind for kind, _ in found] == kinds
 
 

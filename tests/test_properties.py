@@ -4,6 +4,7 @@ A quick slice runs here; the full 1,000-grammar sweep lives in the
 acceptance suite.
 """
 
+import re
 import string
 from types import SimpleNamespace
 
@@ -21,20 +22,23 @@ from sewtree.labels import (
     parse_piece_label,
 )
 from sewtree.pipeline import build_forest, extract_document, linearize_gold_tree, placeholder_spec
-from sewtree.grammar import GoldGrammar, GrammarError, parse_grammar, validate_grammar
+from sewtree.grammar import GoldGrammar, GrammarError, count_derivations, parse_grammar, validate_grammar
 from sewtree.rng import SplitMix64
-from sewtree.synth import grammar_from_trees, grammar_to_text, random_inventory, random_tree
+from sewtree.synth import grammar_from_trees, grammar_to_text, random_grammar, random_inventory, random_tree
 from sewtree.tree import DepthOneSubtree, canonical_serialize, parse_serialized, subtrees_of
 
 from helpers import (
     as_pair,
+    chain_grammar,
     check_enumeration,
     check_grammar_properties,
     check_rule_graph,
+    count_derivations_oracle,
     glued_forest,
     gold_tree_oracle,
     make_random_grammar,
     node_oracle,
+    read_grammar_oracle,
     rule_oracle,
     validate_grammar_oracle,
 )
@@ -342,3 +346,179 @@ def test_parse_grammar_checks_rules_like_the_oracle(line):
         unreached = [p for p in got.value.problems if p.endswith(": no root reaches this rule")]
         every_rule = [f"{rule}: no root reaches this rule" for rule in dict.fromkeys(rules)]
         assert unreached in ([], every_rule)
+
+
+# Pieces that no random_inventory of fewer than 26 pieces holds: Z and Q
+# sort after its letters, A9 among the copies of A.
+OUTSIDE_TEXTS = ("Z", "Q", "A9")
+PIECE_TEXT = re.compile(r"[A-Z](?:[lr]|[0-9]+)?")
+DIGITS = re.compile(r"[0-9]*")
+LABEL_CHANGES = ("outside", "zero", "leading-zero", "non-digit", "swap", "repeat", "counter+1", "counter-1")
+
+
+@hs.composite
+def mutated_label(draw, text):
+    """``text`` with one change to its pieces or counter: a piece outside
+    the inventory anywhere, a ``_0``, leading-zero or non-digit counter,
+    two neighbouring pieces swapped, a piece repeated, or the counter one
+    off."""
+    body, _, counter = text.partition("_")
+    pieces = PIECE_TEXT.findall(body)
+    change = draw(hs.sampled_from(LABEL_CHANGES), label="label change")
+    if change == "outside":
+        at = draw(hs.integers(0, len(pieces)), label="at")
+        pieces.insert(at, draw(hs.sampled_from(OUTSIDE_TEXTS), label="piece"))
+    elif change == "zero":
+        counter = "0"
+    elif change == "leading-zero":
+        counter = "0" + (counter or "1")
+    elif change == "non-digit":
+        counter = draw(hs.sampled_from(["x", "1a", "", "²"]), label="counter")
+    elif change == "swap" and len(pieces) > 1:
+        at = draw(hs.integers(0, len(pieces) - 2), label="at")
+        pieces[at:at + 2] = pieces[at + 1], pieces[at]
+    elif change == "repeat":
+        pieces.insert(draw(hs.integers(0, len(pieces)), label="at"), draw(hs.sampled_from(pieces)))
+    elif change in ("counter+1", "counter-1") and DIGITS.fullmatch(counter):
+        n = int(counter or 0) + (1 if change == "counter+1" else -1)
+        counter = str(n) if n > 0 else ""
+    suffix = f"_{counter}" if counter or change == "non-digit" else ""
+    return "".join(pieces) + suffix
+
+
+GRAMMAR_CHANGES = (
+    "label", "reverse", "interleave", "share", "unary-off", "repeat-rule", "repeat-root", "S"
+)
+# Piece texts whose text order is not their sort order (A1 before Al, A10
+# before A2), for renaming an inventory.
+RENAMED_PIECES = ("A", "Al", "Ar", "A1", "A2", "A10", "B", "B3", "B12", "Cl", "Cr", "C")
+
+
+def sorted_label(pieces, counter: str) -> str:
+    """The label text of piece texts ``pieces``, put in sort order."""
+    body = "".join(sorted(pieces, key=lambda p: parse_piece_label(p)._key))
+    return f"{body}_{counter}" if counter else body
+
+
+def renamed_lines(lines, names) -> list[str]:
+    """A grammar file's lines with each piece renamed by ``names`` and
+    every label's pieces put back in sort order."""
+
+    def rename(token):
+        body, _, counter = token.partition("_")
+        return sorted_label([names[p] for p in PIECE_TEXT.findall(body)], counter)
+
+    out = lines[:1] + ["pieces: " + " ".join(names[p] for p in lines[1].split()[1:])]
+    out.append(" ".join(["roots:", *map(rename, lines[2].split()[1:])]))
+    for line in lines[3:]:
+        parent, kids = line.split(" -> ")
+        out.append(f"{rename(parent)} -> {' '.join(map(rename, kids.split()))}")
+    return out
+
+
+@hs.composite
+def mutated_grammar_texts(draw):
+    """The file of a random or chain grammar, its pieces perhaps renamed to
+    ones whose text order is not their sort order, with up to four changes:
+    a label changed on a rule or the roots line, a binary rule's children
+    reversed, replaced by two that interleave or made to share a piece, a
+    unary child's counter one off, a rule or root repeated, or the roots
+    line written with ``S``/``S_n``."""
+    seed = draw(hs.integers(0, 2**64 - 1), label="seed")
+    if draw(hs.booleans(), label="chain"):
+        grammar = chain_grammar(1 + SplitMix64(seed).randrange(12))
+    else:
+        rng = SplitMix64(seed)
+        grammar = random_grammar(rng, "m", 2 + rng.randrange(6), 1 + rng.randrange(4))
+    lines = grammar_to_text(grammar).splitlines()
+    if draw(hs.booleans(), label="renamed"):
+        pieces = lines[1].split()[1:]
+        names = draw(hs.permutations(RENAMED_PIECES), label="names")
+        lines = renamed_lines(lines, dict(zip(pieces, names)))
+    for _ in range(draw(hs.integers(0, 4), label="changes")):
+        change = draw(hs.sampled_from(GRAMMAR_CHANGES), label="change")
+        at = draw(hs.integers(3, len(lines) - 1), label="rule line")
+        parent, kids = lines[at].split(" -> ")
+        kids = kids.split()
+        roots = lines[2].split()[1:]
+        if change == "label":
+            if draw(hs.booleans(), label="on the roots line"):
+                i = draw(hs.integers(0, len(roots) - 1))
+                roots[i] = draw(mutated_label(roots[i]))
+            else:
+                tokens = [parent, *kids]
+                i = draw(hs.integers(0, len(tokens) - 1))
+                tokens[i] = draw(mutated_label(tokens[i]))
+                parent, *kids = tokens
+        elif change == "reverse":
+            kids.reverse()
+        elif change == "interleave":
+            body, _, counter = parent.partition("_")
+            pieces = PIECE_TEXT.findall(body)
+            if len(pieces) > 2:
+                kids = ["".join(pieces[0::2]) + (f"_{counter}" if counter else ""), "".join(pieces[1::2])]
+        elif change == "share" and len(kids) == 2:
+            # A piece of the first child added to the second: children that
+            # share a piece and whose union is still the parent's pieces.
+            first, _, _ = kids[0].partition("_")
+            body, _, counter = kids[1].partition("_")
+            shared = draw(hs.sampled_from(PIECE_TEXT.findall(first)), label="shared")
+            kids[1] = sorted_label([*PIECE_TEXT.findall(body), shared], counter)
+        elif change == "unary-off" and len(kids) == 1 and DIGITS.fullmatch(kids[0].partition("_")[2]):
+            body, _, counter = kids[0].partition("_")
+            n = int(counter or 0) + draw(hs.sampled_from([1, -1]), label="off by")
+            kids = [body + (f"_{n}" if n > 0 else "")]
+        elif change == "repeat-rule":
+            lines.insert(draw(hs.integers(3, len(lines))), lines[at])
+        elif change == "repeat-root":
+            roots.append(draw(hs.sampled_from(roots)))
+        elif change == "S":
+            counter = roots[0].partition("_")[2]
+            roots = [f"S_{counter}" if counter else "S"]
+        lines[2] = " ".join(["roots:", *roots])
+        lines[at] = f"{parent} -> {' '.join(kids)}"
+    return "\n".join(lines) + "\n"
+
+
+@given(mutated_grammar_texts())
+@example("pattern: p\npieces: A B\nroots: AB\nAB -> B A\nAB -> A B\n")
+@example("pattern: p\npieces: A B C\nroots: ABC ABQ\nAB_2 -> AB\nABC -> A C\nAB -> A B\n")
+@example("pattern: p\npieces: A B C\nroots: AQ\nAQ -> Q A\n")
+@example("pattern: p\npieces: A B C D\nroots: S_1\nABCD_1 -> AC_1 BD\nAC_1 -> AC\nAC -> A C\nBD -> D B\n")
+@example("pattern: p\npieces: B A1 Al\nroots: S\nAlA1B -> B AlA1\nAlA1 -> A1 Al\n")  # Al sorts before A1
+@example("pattern: p\npieces: A B\nroots: AB\nAB -> A B\nAB_1 -> BA\n")  # pieces out of order
+def test_parse_grammar_matches_the_object_oracle(text):
+    """``parse_grammar``, which reads labels into masks, against the object
+    reader and the set-and-walk validator: the same message and problems,
+    or else the same label texts, expansions, root positions, root and
+    rule objects and derivation counts, keyed by the root labels."""
+    try:
+        pattern_id, inventory, roots, rules = read_grammar_oracle(text)
+        problems = validate_grammar_oracle(inventory, roots, rules)
+        expected = problems and GrammarError(
+            f"pattern {pattern_id!r}: invalid grammar: " + "; ".join(problems[:3]), problems
+        )
+    except GrammarError as exc:
+        expected = exc
+    if expected:
+        with pytest.raises(GrammarError) as got:
+            parse_grammar(text)
+        assert (str(got.value), got.value.problems) == (str(expected), expected.problems)
+        return
+    g = parse_grammar(text)
+    roots, rules = list(dict.fromkeys(roots)), list(dict.fromkeys(rules))
+    assert (g.roots, g.rules) == (tuple(roots), tuple(rules))
+    labels = sorted(
+        {*roots, *(label for rule in rules for label in (rule.parent, *rule.children))},
+        key=lambda label: (len(label.pieces), label.self_attach, str(label)),
+    )
+    position = {label: p for p, label in enumerate(labels)}
+    assert g.labels == tuple(map(str, labels))
+    assert g.expansions == tuple(
+        tuple((str(rule), tuple(position[c] for c in rule.children)) for rule in rules if rule.parent == label)
+        for label in labels
+    )
+    assert g.root_positions == tuple(position[root] for root in roots)
+    counts = count_derivations(g)
+    assert counts == count_derivations_oracle(roots, rules)
+    assert list(counts) == roots and all(type(root) is NodeLabel for root in counts)
