@@ -158,6 +158,9 @@ def extract_via_adapter(step: str, spec: PatternSpec, endpoint: AdapterConfig) -
         try:
             data = json.loads(_post(endpoint, body))
             break
+        except UnicodeDecodeError as exc:
+            # ``json.loads`` decodes the reply body whole: it is ``exc.object``.
+            last_error = ValueError(f"reply body is not UTF-8 JSON: {exc.object[:80]!r}")
         except (OSError, ValueError, RecursionError) as exc:
             last_error = exc
     else:

@@ -112,7 +112,7 @@ def _write_report(doc_id: str, report, path=None) -> None:
     dumps = json.dumps
     trees = [dumps(t) for t in report.forest if t.startswith("(")]
     leaves = [dumps(t) for t in report.forest if not t.startswith("(")]
-    trace = [_json_list([str(i), dumps(str(st))], 4) for i, st in report.subtree_trace]
+    trace = [_json_list([str(i), dumps(text)], 4) for i, text in report.subtree_trace]
     diagnostics = [
         _json_list([str(d.step_index), dumps(d.kind), dumps(d.message)], 4)
         for d in report.diagnostics

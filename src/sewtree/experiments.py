@@ -7,7 +7,7 @@ import math
 from collections.abc import Sequence
 
 from .grammar import GoldGrammar
-from .labels import PieceLabel
+from .labels import PieceLabel, parse_node_label
 from .metrics import (
     bleu,
     grammar_score,
@@ -29,6 +29,7 @@ from .pipeline import (
     write_step,
 )
 from .rng import SplitMix64, derive_seed
+from .tree import rule_text
 
 
 def join_steps(doc: InstructionDoc) -> str:
@@ -153,13 +154,17 @@ def roundtrip_grammar(grammar: GoldGrammar) -> list[str]:
     failures: list[str] = []
     spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
     for rule in grammar.rules:
-        component_of = {p: c for c in rule.children for p in c.pieces}
-        x = extract_pieces_rule_based(write_step(rule.children, spec), spec)
-        emitted = apply_step(component_of, resolve_components(x.mentions, component_of))
-        left_in = [component_of[p] for p in rule.parent.pieces]
-        if emitted != [rule] or any(c != rule.parent for c in left_in):
-            subtrees = ", ".join(str(st) for st in emitted)
-            pieces = " ".join(f"{p}={c}" for p, c in zip(rule.parent.pieces, left_in))
+        parent_text, _, children_text = rule.partition(" -> ")
+        parent = parse_node_label(parent_text)
+        children = tuple(map(parse_node_label, children_text.split(" ")))
+        component_of = {p: c for c in children for p in c.pieces}
+        x = extract_pieces_rule_based(write_step(children, spec), spec)
+        resolved = resolve_components(x.mentions, component_of)
+        emitted = [rule_text(*step) for step in apply_step(component_of, resolved)]
+        left_in = [component_of[p] for p in parent.pieces]
+        if emitted != [rule] or any(c != parent for c in left_in):
+            subtrees = ", ".join(emitted)
+            pieces = " ".join(f"{p}={c}" for p, c in zip(parent.pieces, left_in))
             failures.append(
                 f"{grammar.pattern_id} rule {rule}: emitted [{subtrees}], pieces in {pieces}"
             )

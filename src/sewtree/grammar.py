@@ -24,7 +24,6 @@ from itertools import product
 
 from .labels import (
     LabelError,
-    NodeLabel,
     PieceLabel,
     _piece_key,
     child_order_key,
@@ -33,7 +32,7 @@ from .labels import (
     parse_piece_label,
     split_counter,
 )
-from .tree import DepthOneSubtree, bracket
+from .tree import bracket
 
 
 class GrammarError(ValueError):
@@ -133,33 +132,43 @@ def rule_graph(
 
 class GoldGrammar:
     """A pattern's gold trees as rules, each a depth-1 subtree that is a valid
-    assembly step over the inventory.  It keeps each root and each rule once,
-    in first-seen order, so distinct derivations are distinct trees, and
-    holds its :func:`rule_graph`, over label and rule texts, as ``labels``,
-    ``expansions`` and ``root_positions``.  ``roots`` and ``rules`` are
-    built as objects when first read.  Two grammars are equal when their
-    pattern ids, inventories, root texts and rule texts are.  It is valid
-    however it was built: the constructor runs :func:`validate_grammar`'s
-    check on the facts it has read and raises :class:`GrammarError` naming
-    the pattern and the first three problems, all of them in
-    ``problems``."""
+    assembly step over the inventory.  Its ``roots`` are label texts and its
+    ``rules`` rule texts (``tree.rule_text``), each kept once, in first-seen
+    order, so distinct derivations are distinct trees; it holds its
+    :func:`rule_graph` as ``labels``, ``expansions`` and
+    ``root_positions``.  Two grammars are equal when their pattern ids,
+    inventories, roots and rules are.  It is valid however it was built:
+    the constructor runs :func:`validate_grammar`'s check on the facts it
+    has read and raises :class:`GrammarError` naming the pattern and the
+    first three problems, all of them in ``problems``.  A root or rule
+    text that cannot be read at all is a :class:`GrammarError` naming the
+    text."""
 
     def __init__(
         self,
         pattern_id: str,
         inventory: frozenset[PieceLabel],
-        roots: Iterable[NodeLabel],
-        rules: Iterable[DepthOneSubtree],
+        roots: Iterable[str],
+        rules: Iterable[str],
     ) -> None:
-        # Objects are read through their texts, as :func:`parse_grammar`
-        # reads a file.
+        # The texts are read as :func:`parse_grammar` reads a file's, but
+        # each must be written as ``tree.rule_text`` writes it.
         facts = _LabelReader(inventory)
-        root_texts = [facts[str(root)][2] for root in roots]
-        rule_texts: dict[str, tuple[str, ...]] = {}
-        for rule in rules:
-            parent, *children = [facts[str(label)][2] for label in (rule.parent, *rule.children)]
-            rule_texts.setdefault(f"{parent} -> {' '.join(children)}", (parent, *children))
-        self._build(pattern_id, inventory, facts, root_texts, rule_texts)
+        roots = list(roots)
+        parts: dict[str, tuple[str, ...]] = {}
+        try:
+            for text in roots:
+                facts[text]
+            for text in rules:
+                parent, arrow, children = text.partition(" -> ")
+                if not arrow:
+                    raise LabelError("a rule is written 'parent -> children'")
+                parts[text] = labels = (parent, *(children.split(" ") if children else ()))
+                for label in labels:
+                    facts[label]
+        except LabelError as exc:
+            raise GrammarError(f"pattern {pattern_id!r}: {text!r}: {exc}") from exc
+        self._build(pattern_id, inventory, facts, roots, parts)
 
     @classmethod
     def _read(cls, pattern_id, inventory, facts, roots, rules) -> GoldGrammar:
@@ -173,42 +182,20 @@ class GoldGrammar:
         self.pattern_id = pattern_id
         self.inventory = inventory
         self.labels, self.expansions, self.root_positions = rule_graph(facts, roots, rules)
-        self._rule_texts = tuple(rules)  # in rule order
+        self.roots = tuple([self.labels[p] for p in self.root_positions])
+        self.rules = tuple(rules)
         problems = _problems(self, facts)
         if problems:
             raise GrammarError(
                 f"pattern {pattern_id!r}: invalid grammar: " + "; ".join(problems[:3]), problems
             )
 
-    def _texts(self) -> tuple:
-        labels = self.labels
-        return (
-            self.pattern_id,
-            self.inventory,
-            [labels[p] for p in self.root_positions],
-            self._rule_texts,
-        )
-
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
-            return self._texts() == other._texts()
+            return (self.pattern_id, self.inventory, self.roots, self.rules) == (
+                other.pattern_id, other.inventory, other.roots, other.rules
+            )
         return NotImplemented
-
-    @cached_property
-    def roots(self) -> tuple[NodeLabel, ...]:
-        """Each root label, in first-seen order."""
-        return tuple([parse_node_label(self.labels[p]) for p in self.root_positions])
-
-    @cached_property
-    def rules(self) -> tuple[DepthOneSubtree, ...]:
-        """Each rule, in first-seen order."""
-        nodes = [parse_node_label(text) for text in self.labels]
-        rules = {
-            text: DepthOneSubtree(nodes[p], tuple([nodes[c] for c in kids]))
-            for p, expansions in enumerate(self.expansions)
-            for text, kids in expansions
-        }
-        return tuple([rules[text] for text in self._rule_texts])
 
     # The tables below are what ``metrics.grammar_score`` reads.  Each is
     # built on its first read, not by the constructor, so a grammar that is
@@ -403,7 +390,7 @@ def _problems(g: GoldGrammar, reader: _LabelReader) -> list[str]:
             elif problems := node_violations(facts[p], tuple(map(facts.__getitem__, kids))):
                 bad[text] = f"{text}: {problems[0][1]}"
     if bad:
-        out += [bad[text] for text in g._rule_texts if text in bad]
+        out += [bad[text] for text in g.rules if text in bad]
     if out:
         return out
 
@@ -428,7 +415,7 @@ def _problems(g: GoldGrammar, reader: _LabelReader) -> list[str]:
         text for p, expansions in enumerate(g.expansions) if not reached[p] for text, _ in expansions
     }
     if unreached:
-        out += [f"{text}: no root reaches this rule" for text in g._rule_texts if text in unreached]
+        out += [f"{text}: no root reaches this rule" for text in g.rules if text in unreached]
     full = (1 << len(g.inventory)) - 1
     for p in g.root_positions:
         if facts[p][3] != full:
@@ -448,8 +435,8 @@ def _derivation_counts(g: GoldGrammar) -> list[int]:
     return counts
 
 
-def count_derivations(g: GoldGrammar) -> dict[NodeLabel, int]:
-    """Derivation count per root label, by :func:`_derivation_counts`."""
+def count_derivations(g: GoldGrammar) -> dict[str, int]:
+    """Derivation count per root label text, by :func:`_derivation_counts`."""
     counts = _derivation_counts(g)
     return {root: counts[p] for root, p in zip(g.roots, g.root_positions)}
 

@@ -27,10 +27,10 @@ _PIECE_RE = re.compile(r"[A-Z](?:[lr]|[0-9]+)?")
 _SUFFIX_RANK = {"": 0, "l": 1, "r": 2}
 
 
-# Labels are hashed on every set and dict lookup of a rule, so each one
-# hashes once, at construction, from ints only: an int tuple hashes the same
-# in every process, so a pickled or copied label keeps a valid hash whatever
-# PYTHONHASHSEED is.  Each one also writes its text once, at construction
+# Labels are hashed on every set and dict lookup of a build's components
+# or a tree's nodes, so each one hashes once, at construction, from ints
+# only: an int tuple hashes the same in every process, so a pickled or
+# copied label keeps a valid hash whatever PYTHONHASHSEED is.  Each one also writes its text once, at construction
 # (a node label from its pieces' texts), since every tree text and report
 # is written from label texts.  A label's text names it: equal labels have
 # equal texts and unequal labels unequal ones (a piece text is checked, and

@@ -9,7 +9,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .grammar import GoldGrammar
-from .tree import DepthOneSubtree, parse_serialized, subtrees_of
+from .tree import parse_serialized, subtrees_of
 
 BLEU_MAX_N = 4
 BLEU_EPSILON = 1e-9
@@ -58,11 +58,11 @@ def _breakdown(m: int, g: int, n: int, text: str) -> ScoreBreakdown:
     return ScoreBreakdown(precision, recall, _f1(precision, recall), text)
 
 
-def tree_score(pred: frozenset[DepthOneSubtree], gold_texts) -> ScoreBreakdown:
-    """The best exact-match F1 of the predicted depth-1 subtree set against
-    a gold tree's, over gold trees given as canonical serializations; ties
-    on the exact F1 go to the lowest index.  ``best_gold_tree`` holds the
-    best tree's text."""
+def tree_score(pred: frozenset[str], gold_texts) -> ScoreBreakdown:
+    """The best exact-match F1 of the predicted depth-1 subtrees, as rule
+    texts, against a gold tree's, over gold trees given as canonical
+    serializations; ties on the exact F1 go to the lowest index.
+    ``best_gold_tree`` holds the best tree's text."""
     n = len(pred)
     best = None
     for text in gold_texts:
@@ -76,7 +76,7 @@ def tree_score(pred: frozenset[DepthOneSubtree], gold_texts) -> ScoreBreakdown:
     return _breakdown(m, g, n, text)
 
 
-def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> ScoreBreakdown:
+def grammar_score(pred: frozenset[str], grammar: GoldGrammar) -> ScoreBreakdown:
     """:func:`tree_score` over every tree ``grammar`` derives, without
     enumerating them.
 
@@ -104,8 +104,7 @@ def grammar_score(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> Sco
     sizes, texts, parents, rule_positions = grammar.score_tables
     # hits[p]: the texts of label p's predicted rules.
     hits: dict[int, set[str]] = {}
-    for rule in pred:
-        text = str(rule)
+    for text in pred:
         p = rule_positions.get(text)
         if p is not None:
             hits.setdefault(p, set()).add(text)

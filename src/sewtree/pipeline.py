@@ -12,7 +12,8 @@ and folds each step into a growing forest: two resolved components merge,
 one resolved component self-attaches, none leaves the state untouched.  It
 alone numbers the steps, and writes every diagnostic and trace entry from
 that position.  The forest is written as text, each tree in canonical
-bracket form, from the depth-1 subtrees the steps emit.
+bracket form, from the depth-1 subtrees the steps emit; the trace holds
+each subtree as its rule text (``tree.rule_text``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .labels import (
     merge_labels,
     parse_piece_label,
 )
-from .tree import DepthOneSubtree, canonical_serialize
+from .tree import canonical_serialize, rule_text
 
 
 _JSON_TYPE_NAMES = {str: "a string", list: "a list", dict: "an object"}
@@ -138,7 +139,7 @@ class BuildReport:
     def __init__(
         self,
         forest: tuple[str, ...],
-        subtree_trace: tuple[tuple[int, DepthOneSubtree], ...],
+        subtree_trace: tuple[tuple[int, str], ...],
         diagnostics: tuple[Diagnostic, ...],
     ) -> None:
         # Each root's canonical serialization, sorted; an isolated leaf is its label.
@@ -151,8 +152,8 @@ class BuildReport:
             return vars(self) == vars(other)
         return NotImplemented
 
-    def subtrees(self) -> frozenset[DepthOneSubtree]:
-        return frozenset(st for _, st in self.subtree_trace)
+    def subtrees(self) -> frozenset[str]:
+        return frozenset(text for _, text in self.subtree_trace)
 
 
 # Verbs that mark a step as an attachment; bare stems, matched as word
@@ -263,24 +264,24 @@ def resolve_components(
 
 def apply_step(
     component_of: dict[PieceLabel, NodeLabel], resolved: list[NodeLabel]
-) -> list[DepthOneSubtree]:
+) -> list[tuple[NodeLabel, tuple[NodeLabel, ...]]]:
     """Fold one step's resolved components into ``component_of`` and return
-    the subtrees the step emits.
+    the subtrees the step emits, each as its parent and children labels.
 
     One component self-attaches, two merge, three or more left-fold into a
     chain of merges.  Mutates ``component_of``.
     """
-    subtrees: list[DepthOneSubtree] = []
+    subtrees: list[tuple[NodeLabel, tuple[NodeLabel, ...]]] = []
     if not resolved:
         return subtrees
     acc = resolved[0]
     if len(resolved) == 1:
         acc = bump_self_attach(acc)
-        subtrees.append(DepthOneSubtree(acc, (resolved[0],)))
+        subtrees.append((acc, (resolved[0],)))
     for label in resolved[1:]:
         children = tuple(sorted((acc, label), key=child_order_key))
         acc = merge_labels(acc, label)
-        subtrees.append(DepthOneSubtree(acc, children))
+        subtrees.append((acc, children))
     for piece in acc.pieces:
         component_of[piece] = acc
     return subtrees
@@ -294,7 +295,8 @@ def build_forest(
     if len(extractions) != len(doc.steps):
         raise ValueError("one extraction per step required")
     component_of: dict[PieceLabel, NodeLabel] = {}
-    trace: list[tuple[int, DepthOneSubtree]] = []
+    children_of: dict[NodeLabel, tuple[NodeLabel, ...]] = {}
+    trace: list[tuple[int, str]] = []
     diagnostics: list[Diagnostic] = []
     for step_index, x in enumerate(extractions):
         for token in x.unknown:
@@ -314,14 +316,15 @@ def build_forest(
         if len(resolved) > 2:
             message = f"{len(resolved)} components in one step, folding left to right"
             diagnostics.append(Diagnostic(step_index, "multi-component", message))
-        trace.extend((step_index, st) for st in apply_step(component_of, resolved))
+        for parent, children in apply_step(component_of, resolved):
+            children_of[parent] = children
+            trace.append((step_index, rule_text(parent, children)))
 
     # Each label is the parent of at most one subtree and the child of at
     # most one, so the final components are the roots and each root's text
     # is written once, top down: a child's text is never copied into its
     # parent's, which on a long chain would copy characters quadratic in
     # its length.
-    children_of = {st.parent: st.children for _, st in trace}
     components = dict.fromkeys(component_of.values())
     roots = [canonical_serialize(label, children_of) for label in components]
     roots.extend(str(p) for p in spec.inventory if p not in component_of)

@@ -78,7 +78,7 @@ def grammar_from_trees(pattern_id: str, trees) -> GoldGrammar:
     roots = [root for root, _ in trees]
     inventory = frozenset({piece for root in roots for piece in root.pieces})
     rules = [rule for tree in trees for rule in subtrees_of(tree)]
-    return GoldGrammar(pattern_id, inventory, roots, rules)
+    return GoldGrammar(pattern_id, inventory, [str(root) for root in roots], rules)
 
 
 def random_grammar(
@@ -101,7 +101,7 @@ def grammar_to_text(g: GoldGrammar) -> str:
     lines = [
         f"pattern: {g.pattern_id}",
         "pieces: " + " ".join(str(p) for p in sorted(g.inventory)),
-        "roots: " + " ".join(str(r) for r in g.roots),
+        "roots: " + " ".join(g.roots),
+        *g.rules,
     ]
-    lines.extend(str(rule) for rule in g.rules)
     return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
-"""Assembly trees as label maps, their text form, and depth-1 subtrees.
+"""Assembly trees as label maps, their text form, and their depth-1
+subtrees as rule texts.
 
 Trees are unary/binary: a binary node joins two disjoint components, a unary
 node is one self-attachment of its child, and leaves are single pieces with a
@@ -13,59 +14,21 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Mapping
 
-from .labels import (
-    LabelError,
-    NodeLabel,
-    _Frozen,
-    _slot_setters,
-    label_facts,
-    node_violations,
-    parse_node_label,
-)
+from .labels import LabelError, NodeLabel, label_facts, node_violations, parse_node_label
 
 
 class TreeError(ValueError):
     """A serialized tree could not be parsed or violates tree constraints."""
 
 
-class DepthOneSubtree(_Frozen):
-    """A parent label together with its immediate children's labels.
-    Hashed once, from its labels' hashes, like the labels themselves."""
-
-    __slots__ = ("parent", "children", "_hash")
-
-    def __init__(self, parent: NodeLabel, children: tuple[NodeLabel, ...]) -> None:
-        hashes = [parent._hash]
-        for child in children:
-            hashes.append(child._hash)
-        _set_parent(self, parent)
-        _set_children(self, children)
-        _set_hash(self, hash(tuple(hashes)))
-
-    def __reduce__(self):
-        return self.__class__, (self.parent, self.children)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.parent == other.parent and self.children == other.children
-        return NotImplemented
-
-    def __str__(self) -> str:
-        kids = " ".join([c._text for c in self.children])
-        return f"{self.parent._text} -> {kids}"
-
-    def __repr__(self) -> str:
-        return f"DepthOneSubtree(parent={self.parent!r}, children={self.children!r})"
-
-
-_set_parent, _set_children, _set_hash = _slot_setters(DepthOneSubtree)
+def rule_text(parent: NodeLabel | str, children: Iterable[NodeLabel | str]) -> str:
+    """The text of the depth-1 subtree, or rule, of ``parent`` over
+    ``children``, as a grammar file writes it: ``AB -> A B``."""
+    return f"{parent} -> {' '.join(map(str, children))}"
 
 
 def subtrees_of(tree: tuple[NodeLabel, Mapping[NodeLabel, tuple[NodeLabel, ...]]]):
-    """Yield the depth-1 subtree of every internal label of ``tree``, a
+    """Yield the :func:`rule_text` of every internal label of ``tree``, a
     ``(root, children_of)`` pair: parent first, children left to right."""
     root, children_of = tree
     stack = [root]
@@ -73,7 +36,7 @@ def subtrees_of(tree: tuple[NodeLabel, Mapping[NodeLabel, tuple[NodeLabel, ...]]
         label = stack.pop()
         kids = children_of.get(label)
         if kids:
-            yield DepthOneSubtree(label, kids)
+            yield rule_text(label, kids)
             stack.extend(reversed(kids))
 
 

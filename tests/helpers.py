@@ -67,7 +67,7 @@ from sewtree.pipeline import (
 )
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import random_grammar
-from sewtree.tree import _TOKEN_RE, DepthOneSubtree, TreeError, bracket, parse_serialized, subtrees_of
+from sewtree.tree import _TOKEN_RE, TreeError, bracket, parse_serialized, rule_text, subtrees_of
 
 
 @dataclass(frozen=True)
@@ -293,8 +293,17 @@ def recursive_linearization(tree: AssemblyNode, spec: PatternSpec) -> Instructio
 
 
 def subtree_set(text: str) -> frozenset:
-    """The depth-1 subtrees of the tree serialized as ``text``."""
+    """The rule texts of the depth-1 subtrees of the tree serialized as
+    ``text``."""
     return frozenset(subtrees_of(parse_serialized(text)))
+
+
+def rule_labels(text: str) -> tuple[NodeLabel, tuple[NodeLabel, ...]]:
+    """The parent and children labels of the rule text ``text``, each read
+    by ``parse_node_label``: a rule as the oracles take it, the form of a
+    ``children_of`` entry."""
+    parent, children = text.split(" -> ")
+    return parse_node_label(parent), tuple(map(parse_node_label, children.split(" ")))
 
 
 def gold_tree_oracle(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[AssemblyNode, ...]:
@@ -337,7 +346,7 @@ def best_tree_oracle(predicted: frozenset, g: GoldGrammar) -> ScoreBreakdown:
     return ScoreBreakdown(precision, recall, _f1(precision, recall), text)
 
 
-def g_indexed_dp_oracle(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) -> ScoreBreakdown:
+def g_indexed_dp_oracle(pred: frozenset[str], grammar: GoldGrammar) -> ScoreBreakdown:
     """``tree_score`` over every tree ``grammar`` derives, without
     enumerating them, by a DP over every label's full table for every
     document: the reference for ``grammar_score``'s sparse one.
@@ -356,14 +365,13 @@ def g_indexed_dp_oracle(pred: frozenset[DepthOneSubtree], grammar: GoldGrammar) 
     """
     # tables[p]: g -> (max m, smallest serialization reaching it).
     tables: list[dict[int, tuple[int, str]]] = []
-    pred_texts = {str(rule) for rule in pred}
     for name, expansions in zip(grammar.labels, grammar.expansions):
         if not expansions:
             tables.append({0: (0, name)})
             continue
         table: dict[int, tuple[int, str]] = {}
         for rule, kids in expansions:
-            hit = int(rule in pred_texts)
+            hit = int(rule in pred)
             if len(kids) == 1:
                 for g_kid, (m_kid, text_kid) in tables[kids[0]].items():
                     g = g_kid + 1
@@ -411,12 +419,13 @@ def check_enumeration(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, ...]
     return texts
 
 
-def rule_oracle(lineno: int, line: str) -> DepthOneSubtree:
+def rule_oracle(lineno: int, line: str) -> tuple[NodeLabel, tuple[NodeLabel, ...]]:
     """The rule on grammar line ``lineno``, a stripped ``->`` line, read on
-    its own: every label parsed, and two children put in canonical order;
-    nothing about the rule is checked.  A label that does not parse raises
-    :class:`GrammarError` with ``parse_grammar``'s message: the reference
-    for its reading of a rule line."""
+    its own as its parent and children labels: every label parsed, and two
+    children put in canonical order; nothing about the rule is checked.  A
+    label that does not parse raises :class:`GrammarError` with
+    ``parse_grammar``'s message: the reference for its reading of a rule
+    line."""
     lhs, rhs = line.split("->", 1)
     try:
         parent, *children = map(parse_node_label, [lhs.strip(), *rhs.split()])
@@ -424,7 +433,7 @@ def rule_oracle(lineno: int, line: str) -> DepthOneSubtree:
         raise GrammarError(f"line {lineno}: {exc}") from exc
     if len(children) == 2:
         children.sort(key=child_order_key)
-    return DepthOneSubtree(parent, tuple(children))
+    return parent, tuple(children)
 
 
 def check_rule_graph(g):
@@ -435,32 +444,36 @@ def check_rule_graph(g):
     not depend on the order of the rules."""
     roots, rules = g.roots, g.rules
     assert len(set(roots)) == len(roots) and len(set(rules)) == len(rules)
-    mentioned = {*roots, *(label for rule in rules for label in (rule.parent, *rule.children))}
+    read = {rule: rule_labels(rule) for rule in rules}
+    mentioned = {
+        *map(parse_node_label, roots),
+        *(label for parent, children in read.values() for label in (parent, *children)),
+    }
     assert g.labels == tuple(
         str(label) for label in sorted(mentioned, key=lambda l: (len(l.pieces), l.self_attach, str(l)))
     )
     position = {label: p for p, label in enumerate(g.labels)}
     for p, (label, expansions) in enumerate(zip(g.labels, g.expansions)):
         assert expansions == tuple(
-            (str(rule), tuple(position[str(c)] for c in rule.children))
-            for rule in rules if str(rule.parent) == label
+            (rule, tuple(position[str(c)] for c in read[rule][1]))
+            for rule in rules if str(read[rule][0]) == label
         )
         assert all(c < p for _, kids in expansions for c in kids)
-    assert g.root_positions == tuple(position[str(root)] for root in roots)
+    assert g.root_positions == tuple(position[root] for root in roots)
     reversed_rules = GoldGrammar(g.pattern_id, g.inventory, roots, tuple(reversed(rules)))
     assert reversed_rules.labels == g.labels
 
 
-def read_grammar_oracle(text: str) -> tuple[str, frozenset, list[NodeLabel], list[DepthOneSubtree]]:
+def read_grammar_oracle(text: str) -> tuple[str, frozenset, list[NodeLabel], list[tuple]]:
     """The pattern id, inventory, roots and rules of a grammar file as
-    objects, read line by line: each rule line by :func:`rule_oracle`,
+    labels, read line by line: each rule line by :func:`rule_oracle`,
     each root by ``parse_node_label`` (``S``/``S_n`` as the full
     inventory), refusing what reading a line needs with the parser's
     messages and checking nothing else: the reference for
     ``parse_grammar``'s reading into label facts.  Roots and rules are
     returned as written, repeats included."""
     pattern_id = inventory = roots_line = None
-    rules: list[DepthOneSubtree] = []
+    rules: list[tuple[NodeLabel, tuple[NodeLabel, ...]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
         if not line:
@@ -514,30 +527,32 @@ def read_grammar_oracle(text: str) -> tuple[str, frozenset, list[NodeLabel], lis
     return pattern_id, inventory, roots, rules
 
 
-def count_derivations_oracle(roots, rules) -> dict[NodeLabel, int]:
-    """The derivations of each root, counted by a walk down the rules:
-    the reference for ``count_derivations``."""
-    by_parent: dict[NodeLabel, list[DepthOneSubtree]] = {}
-    for rule in dict.fromkeys(rules):
-        by_parent.setdefault(rule.parent, []).append(rule)
+def count_derivations_oracle(roots, rules) -> dict[str, int]:
+    """The derivations of each root label, by its text, counted by a walk
+    down the rules, each its parent and children labels: the reference for
+    ``count_derivations``."""
+    by_parent: dict[NodeLabel, list[tuple[NodeLabel, ...]]] = {}
+    for parent, children in dict.fromkeys(rules):
+        by_parent.setdefault(parent, []).append(children)
     counts: dict[NodeLabel, int] = {}
 
     def count(label: NodeLabel) -> int:
         if label not in counts:
             expansions = by_parent.get(label)
             counts[label] = sum(
-                math.prod(count(c) for c in rule.children) for rule in expansions
+                math.prod(count(c) for c in children) for children in expansions
             ) if expansions else 1
         return counts[label]
 
-    return {root: count(root) for root in dict.fromkeys(roots)}
+    return {str(root): count(root) for root in dict.fromkeys(roots)}
 
 
 def validate_grammar_oracle(inventory, roots, rules) -> list[str]:
     """``validate_grammar`` of the grammar of ``inventory``, ``roots`` and
     ``rules``, each root and rule taken once, from piece sets, label sets
     built from the rules and a recursive walk from the roots: the reference
-    for the one that reads the rule graph.  First each root and rule that
+    for the one that reads the rule graph.  Roots are labels and rules
+    their parent and children labels.  First each root and rule that
     is not a valid step over the inventory; only if there is none, the
     problems of the grammar as a whole."""
     roots = list(dict.fromkeys(roots))
@@ -547,23 +562,24 @@ def validate_grammar_oracle(inventory, roots, rules) -> list[str]:
         return ", ".join(sorted(str(p) for p in label.piece_set - inventory))
 
     out = [f"root {root}: unknown pieces {unknown(root)}" for root in roots if unknown(root)]
-    for rule in rules:
-        outside = [unknown(label) for label in (rule.parent, *rule.children) if unknown(label)]
+    for parent, children in rules:
+        outside = [unknown(label) for label in (parent, *children) if unknown(label)]
+        text = rule_text(parent, children)
         if outside:
-            out.append(f"{rule}: unknown pieces {outside[0]}")
-        elif len(rule.children) not in (1, 2):
-            out.append(f"{rule}: rules need 1 or 2 children")
-        elif node_oracle(rule.parent, rule.children):
-            out.append(f"{rule}: {node_oracle(rule.parent, rule.children)[0][1]}")
+            out.append(f"{text}: unknown pieces {outside[0]}")
+        elif len(children) not in (1, 2):
+            out.append(f"{text}: rules need 1 or 2 children")
+        elif node_oracle(parent, children):
+            out.append(f"{text}: {node_oracle(parent, children)[0][1]}")
     if out:
         return out
 
     out = [] if roots else ["no roots"]
-    expandable = {r.parent for r in rules}
+    expandable = {parent for parent, _ in rules}
     mentioned = set(roots)
-    for rule in rules:
-        mentioned.update(rule.children)
-        mentioned.add(rule.parent)
+    for parent, children in rules:
+        mentioned.update(children)
+        mentioned.add(parent)
     for label in sorted(mentioned, key=str):
         if label not in expandable and node_oracle(label, ()):
             out.append(f"{label}: no rule expands this non-leaf label")
@@ -573,14 +589,17 @@ def validate_grammar_oracle(inventory, roots, rules) -> list[str]:
     def visit(label: NodeLabel) -> None:
         if label not in reached:
             reached.add(label)
-            for rule in rules:
-                if rule.parent == label:
-                    for child in rule.children:
+            for parent, children in rules:
+                if parent == label:
+                    for child in children:
                         visit(child)
 
     for root in roots:
         visit(root)
-    out += [f"{rule}: no root reaches this rule" for rule in rules if rule.parent not in reached]
+    out += [
+        f"{rule_text(parent, children)}: no root reaches this rule"
+        for parent, children in rules if parent not in reached
+    ]
 
     for root in roots:
         if root.piece_set != inventory:
@@ -705,19 +724,20 @@ def wide_grammar() -> tuple[str, AssemblyNode]:
 def glue_subtrees(
     subtrees, isolated: tuple[NodeLabel, ...] = ()
 ) -> tuple[AssemblyNode, ...]:
-    """Rebuild a forest, its trees sorted by serialization, from depth-1
-    subtrees by gluing equal labels.
+    """Rebuild a forest, its trees sorted by serialization, from the rule
+    texts of depth-1 subtrees by gluing equal labels.
 
     Labels that never appear as a parent become leaves; labels that never
     appear as a child become roots; ``isolated`` labels become one-leaf trees.
     """
     children_of: dict[NodeLabel, tuple[NodeLabel, ...]] = {}
     child_labels: set[NodeLabel] = set()
-    for st in subtrees:
-        if st.parent in children_of and children_of[st.parent] != st.children:
-            raise TreeError(f"conflicting subtrees for parent {st.parent}")
-        children_of[st.parent] = st.children
-        child_labels.update(st.children)
+    for text in subtrees:
+        parent, children = rule_labels(text)
+        if parent in children_of and children_of[parent] != children:
+            raise TreeError(f"conflicting subtrees for parent {parent}")
+        children_of[parent] = children
+        child_labels.update(children)
 
     def build(label: NodeLabel, pending: frozenset[NodeLabel]) -> AssemblyNode:
         if label in pending:
@@ -739,7 +759,7 @@ def glued_forest(report) -> tuple[str, ...]:
     """The report's trace and isolated leaves glued back into trees by
     ``glue_subtrees``, serialized: the oracle for ``report.forest``."""
     isolated = tuple(parse_node_label(t) for t in report.forest if not t.startswith("("))
-    glued = glue_subtrees((st for _, st in report.subtree_trace), isolated)
+    glued = glue_subtrees((text for _, text in report.subtree_trace), isolated)
     return tuple(serialize_node(t) for t in glued)
 
 
@@ -755,18 +775,16 @@ def urllib_post(endpoint, body: bytes) -> bytes:
 
 
 def label_text(value) -> str:
-    """The text of a piece label, node label or depth-1 subtree, written
-    from its fields on every call (a piece's from its sort key): the oracle
-    for ``str``, which returns the text each label composed once."""
+    """The text of a piece or node label, written from its fields on every
+    call (a piece's from its sort key): the oracle for ``str``, which
+    returns the text each label composed once."""
     if isinstance(value, PieceLabel):
         base, rank, index = value._key
         return base + (str(index) if index else ("", "l", "r")[rank])
-    if isinstance(value, NodeLabel):
-        body = "".join(label_text(p) for p in value.pieces)
-        if value.self_attach:
-            return f"{body}_{value.self_attach}"
-        return body
-    return f"{label_text(value.parent)} -> {' '.join(label_text(c) for c in value.children)}"
+    body = "".join(label_text(p) for p in value.pieces)
+    if value.self_attach:
+        return f"{body}_{value.self_attach}"
+    return body
 
 
 def quadratic_lcs_length(a, b):

@@ -223,7 +223,7 @@ def report_payload(doc_id: str, report: BuildReport) -> dict:
             "trees": [t for t in report.forest if t.startswith("(")],
             "isolated_leaves": [t for t in report.forest if not t.startswith("(")],
         },
-        "subtree_trace": [[i, str(st)] for i, st in report.subtree_trace],
+        "subtree_trace": [list(entry) for entry in report.subtree_trace],
         "diagnostics": [[d.step_index, d.kind, d.message] for d in report.diagnostics],
     }
 
@@ -236,7 +236,7 @@ def dumped(payload) -> bytes:
 # non-ASCII characters.
 FREE_TEXT = hs.text(hs.one_of(hs.sampled_from('"\\\x00\x1f\x7f\n\tÄ€\u2028😀'), hs.characters()),
                     max_size=12)
-SKIRT_RULES = sorted(load_grammar("skirt").rules, key=str)
+SKIRT_RULES = sorted(load_grammar("skirt").rules)
 
 
 class TestReportBytes:
@@ -258,7 +258,7 @@ class TestReportBytes:
     @given(
         FREE_TEXT,
         hs.lists(hs.one_of(FREE_TEXT.map("(".__add__), FREE_TEXT.filter(lambda t: not t.startswith("(")))),
-        hs.lists(hs.tuples(hs.integers(0, 10**6), hs.sampled_from(SKIRT_RULES))),
+        hs.lists(hs.tuples(hs.integers(0, 10**6), hs.one_of(hs.sampled_from(SKIRT_RULES), FREE_TEXT))),
         hs.lists(hs.builds(Diagnostic, hs.integers(0, 10**6), FREE_TEXT, FREE_TEXT)),
     )
     @example("d", [], [], [])
@@ -1118,32 +1118,33 @@ class TestAdapterTransport:
         assert time.monotonic() - start < 2.5
 
 
-def mutated_reply(rng: SplitMix64) -> bytes:
-    """``AB_REPLY`` with one seeded change to its bytes: cut inside its
-    head or body, a byte flipped in the status line, a header or the
-    ``Content-Length`` value, a body that is not UTF-8, or a
-    ``Content-Length`` thousands of digits long."""
+def mutated_reply(rng: SplitMix64) -> tuple[int, bytes]:
+    """The kind of one seeded change to ``AB_REPLY``'s bytes and the reply
+    it makes: cut inside its head (0) or body (1), a byte flipped in the
+    status line (2), a header (3) or the ``Content-Length`` value (4), a
+    body that is not UTF-8 (5), or a ``Content-Length`` thousands of digits
+    long (6)."""
     head, _, body = AB_REPLY.partition(b"\r\n\r\n")
     status_end = head.index(b"\r\n")
     value_at = head.index(b"Content-Length: ") + len(b"Content-Length: ")
     reply = bytearray(AB_REPLY)
     kind = rng.randrange(7)
     if kind == 0:
-        return bytes(reply[:rng.randrange(len(head) + 4)])
+        return kind, bytes(reply[:rng.randrange(len(head) + 4)])
     if kind == 1:
-        return bytes(reply[:len(head) + 4 + rng.randrange(len(body))])
+        return kind, bytes(reply[:len(head) + 4 + rng.randrange(len(body))])
     if kind in (2, 3, 4):
         low, high = [(0, status_end), (status_end, len(head)), (value_at, len(head))][kind - 2]
         reply[low + rng.randrange(high - low)] ^= 1 + rng.randrange(255)
-        return bytes(reply)
+        return kind, bytes(reply)
     if kind == 5:
         junk = bytes(0x80 + rng.randrange(128) for _ in range(1 + rng.randrange(len(body))))
         junk = body[:rng.randrange(len(body))] + junk
-        return http_reply(b"200 OK", b"Content-Length: %d" % len(junk), body=junk)
+        return kind, http_reply(b"200 OK", b"Content-Length: %d" % len(junk), body=junk)
     digits = bytes(48 + rng.randrange(10) for _ in range(1000 + rng.randrange(9000)))
     if rng.randrange(2):
         digits = digits.translate(bytes.maketrans(b"123456789", b"000000000")) + b"22"
-    return http_reply(b"200 OK", b"Content-Length: " + digits, body=AB_BODY)
+    return kind, http_reply(b"200 OK", b"Content-Length: " + digits, body=AB_BODY)
 
 
 @pytest.mark.parametrize(
@@ -1158,12 +1159,14 @@ def test_mutated_reply_bytes_end_as_an_outcome_never_a_traceback(
     """Seeded byte mutations of a valid reply, each followed by the valid
     reply: every post ends as a success, a failed attempt that is retried
     and then answered, a fallback, or an ``AdapterError``; any other
-    exception fails the test."""
+    exception fails the test.  A body that is not UTF-8 is named as such,
+    by its first bytes."""
     spec = load_spec(FIXTURES / "specs" / "skirt.json")
     config = AdapterConfig(scripted_server.url, timeout=5.0, retries=retries, fallback_to_rules=fallback)
     outcomes = Counter()
     for seed in range(120):
-        scripted_server.replies = [mutated_reply(SplitMix64(derive_seed(31, "reply", str(seed)))), AB_REPLY]
+        kind, reply = mutated_reply(SplitMix64(derive_seed(31, "reply", str(seed))))
+        scripted_server.replies = [reply, AB_REPLY]
         scripted_server.requests.clear()
         try:
             result = extract_via_adapter(STEP, spec, config)
@@ -1172,6 +1175,11 @@ def test_mutated_reply_bytes_end_as_an_outcome_never_a_traceback(
             # as bad, not by int()'s limit on digits.
             assert str(exc).startswith("extraction backend unreachable: ")
             assert "int_max_str_digits" not in str(exc) and len(str(exc)) < 200
+            if kind == 5:
+                body = reply.partition(b"\r\n\r\n")[2]
+                reason = f"reply body is not UTF-8 JSON: {body[:80]!r}"
+                assert str(exc) == f"extraction backend unreachable: {reason}"
+                outcomes["not UTF-8"] += 1
             outcomes["error"] += 1
             continue
         if result.source == "fallback":
@@ -1179,7 +1187,8 @@ def test_mutated_reply_bytes_end_as_an_outcome_never_a_traceback(
         else:
             assert [str(p) for p in result.mentions] == ["A", "B"]
             outcomes["retried" if len(scripted_server.requests) == 2 else "success"] += 1
-    assert set(outcomes) == expected, outcomes
+    assert set(outcomes) - {"not UTF-8"} == expected, outcomes
+    assert ("not UTF-8" in outcomes) == ("error" in expected), outcomes
 
 
 class TestRuleBasedMemo:

@@ -17,7 +17,7 @@ from sewtree.grammar import (
 )
 from sewtree.labels import _LABEL_MEMO_SIZE, parse_node_label, parse_piece_label
 from sewtree.metrics import grammar_score
-from sewtree.tree import DepthOneSubtree, canonical_serialize, parse_serialized
+from sewtree.tree import canonical_serialize, parse_serialized, rule_text
 
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import grammar_to_text, random_grammar
@@ -34,7 +34,7 @@ class TestParseGrammar:
     def test_skirt(self, skirt_grammar):
         assert skirt_grammar.pattern_id == "skirt"
         assert len(skirt_grammar.rules) == 3
-        assert skirt_grammar.roots == (N("ABC_1"),)
+        assert skirt_grammar.roots == ("ABC_1",)
 
     def test_pants_b_five_rules(self, grammars):
         assert len(grammars["pants_b"].rules) == 5
@@ -70,7 +70,7 @@ class TestParseGrammar:
         assert len(g.rules) == 1
 
     def test_s_alias_expands_to_full_inventory(self, grammars):
-        assert set(grammars["jumpsuit"].roots) == {N("ABCD_1"), N("ABCD_2")}
+        assert set(grammars["jumpsuit"].roots) == {"ABCD_1", "ABCD_2"}
 
     @pytest.mark.parametrize("root", ["S_", "S_x", "AB_"])
     def test_malformed_root_counter(self, root):
@@ -97,7 +97,7 @@ class TestParseGrammar:
     ], ids=["pattern-value", "comments", "tabs"])
     def test_arrow_outside_a_rule(self, text, pattern_id, rules):
         g = parse_grammar(text)
-        assert (g.pattern_id, [str(rule) for rule in g.rules]) == (pattern_id, rules)
+        assert (g.pattern_id, list(g.rules)) == (pattern_id, rules)
 
     @pytest.mark.parametrize("text,message", [
         ("pattern: p\npieces: A -> B\nroots: AB\nAB -> A B\n", "line 2: malformed piece label '->'"),
@@ -116,7 +116,7 @@ class TestParseGrammar:
 def test_each_label_text_is_parsed_once_per_parse(monkeypatch):
     # A, B, AB and AB_1 to AB_5000: more texts than the label parser's own
     # bounded memo holds, each on two rule lines but read once, and made
-    # into no label object until a caller reads the roots or rules.
+    # into no label object, also when a caller reads the roots or rules.
     read, parsed = Counter(), Counter()
     read_label = sewtree.grammar._LabelReader.__missing__
 
@@ -138,8 +138,8 @@ def test_each_label_text_is_parsed_once_per_parse(monkeypatch):
     assert chain_grammar(5000) == first
     assert len(read) == 5003 and set(read.values()) == {1}
     assert not parsed
-    assert [str(rule) for rule in first.rules[:2]] == ["AB -> A B", "AB_1 -> AB"]
-    assert len(parsed) == 5003 and set(parsed.values()) == {1}
+    assert (first.roots, first.rules[:2]) == (("AB_5000",), ("AB -> A B", "AB_1 -> AB"))
+    assert not parsed
 
 
 class TestValidateGrammar:
@@ -216,12 +216,34 @@ INVALID_GRAMMARS = {
 def test_invalid_grammar_is_refused_when_built_and_when_read(pieces, roots, lines, problems):
     inventory = frozenset(map(parse_piece_label, pieces.split()))
     with pytest.raises(GrammarError) as built:
-        GoldGrammar("x", inventory, map(N, roots.split()), [rule_oracle(0, line) for line in lines])
+        GoldGrammar("x", inventory, roots.split(), [rule_text(*rule_oracle(0, line)) for line in lines])
     with pytest.raises(GrammarError) as read:
         parse_grammar(f"pattern: x\npieces: {pieces}\nroots: {roots}\n" + "\n".join(lines))
     for exc in (built, read):
         assert exc.value.problems == problems
         assert str(exc.value) == "pattern 'x': invalid grammar: " + "; ".join(problems[:3])
+
+
+# Root and rule texts the constructor cannot read, as (roots, rules,
+# message): each is named, in a GrammarError and never a bare LabelError.
+# Three children read well, and are refused as an invalid rule.
+UNREADABLE_TEXTS = {
+    "no-arrow": (["AB"], ["AB <- A B"], "'AB <- A B': a rule is written 'parent -> children'"),
+    "bad-child": (["AB"], ["AB -> A Bx"], "'AB -> A Bx': malformed node label 'Bx' at position 1"),
+    "double-space": (["AB"], ["AB -> A  B"], "'AB -> A  B': empty node label"),
+    "bad-parent": (["AB"], ["AB_0 -> A B"],
+                   "'AB_0 -> A B': self-attachment counter is 0 or has a leading zero in 'AB_0'"),
+    "bad-root": (["BA"], ["AB -> A B"], "'BA': 'BA': pieces must be strictly sorted, got B before A"),
+    "three-children": (["ABC"], ["ABC -> A B C"], "invalid grammar: ABC -> A B C: rules need 1 or 2 children"),
+}
+
+
+@pytest.mark.parametrize("roots,rules,message", UNREADABLE_TEXTS.values(), ids=UNREADABLE_TEXTS)
+def test_a_text_the_constructor_cannot_read_is_named(roots, rules, message):
+    inventory = frozenset(map(parse_piece_label, "A B C".split()))
+    with pytest.raises(GrammarError) as exc:
+        GoldGrammar("x", inventory, roots, rules)
+    assert str(exc.value) == f"pattern 'x': {message}"
 
 
 # Expected enumerations, hand-derived by exhaustively expanding each fixture.
@@ -252,7 +274,7 @@ class TestEnumeration:
 
     def test_combined_roots_two_each(self, grammars):
         counts = count_derivations(grammars["pants_combined"])
-        assert counts == {N("BlBrFlFr_1"): 2, N("BlBrFlFr_2"): 2}
+        assert counts == {"BlBrFlFr_1": 2, "BlBrFlFr_2": 2}
 
     @pytest.mark.parametrize("name", GRAMMAR_NAMES)
     def test_count_matches_enumeration(self, name):
@@ -283,9 +305,8 @@ class TestEnumeration:
         with pytest.raises(GrammarError) as exc:
             parse_grammar("pattern: x\npieces: A B\nroots: AB_1\nAB -> A B\n")
         assert exc.value.problems == problems
-        ab = DepthOneSubtree(N("AB"), (N("A"), N("B")))
         with pytest.raises(GrammarError) as exc:
-            GoldGrammar("x", frozenset(ab.parent.pieces), (N("AB_1"),), (ab,))
+            GoldGrammar("x", frozenset(N("AB").pieces), ("AB_1",), ("AB -> A B",))
         assert exc.value.problems == problems
 
     def test_repeated_roots_and_rules_are_kept_once(self):
@@ -297,7 +318,7 @@ class TestEnumeration:
         )
         assert repeated == shirt
         assert validate_grammar(repeated) == []
-        assert count_derivations(repeated) == count_derivations(shirt) == {N("BFSl_1"): 2}
+        assert count_derivations(repeated) == count_derivations(shirt) == {"BFSl_1": 2}
         assert check_enumeration(repeated) == enumerate_gold_trees(shirt)
 
 

@@ -16,7 +16,14 @@ from hypothesis import strategies as hs
 
 from sewtree.experiments import ErrorInjectionPlan, inject_errors, permute_doc, score_document
 from sewtree.grammar import GoldGrammar, enumerate_gold_trees, parse_grammar
-from sewtree.labels import NodeLabel, PieceLabel, bump_self_attach, child_order_key, parse_piece_label
+from sewtree.labels import (
+    NodeLabel,
+    PieceLabel,
+    bump_self_attach,
+    child_order_key,
+    parse_node_label,
+    parse_piece_label,
+)
 from sewtree.metrics import grammar_score, tree_score
 from sewtree.pipeline import (
     InstructionDoc,
@@ -34,7 +41,7 @@ from sewtree.synth import (
     random_inventory,
     random_tree,
 )
-from sewtree.tree import DepthOneSubtree, canonical_serialize, parse_serialized, subtrees_of
+from sewtree.tree import canonical_serialize, parse_serialized, rule_text, subtrees_of
 
 from conftest import GRAMMAR_NAMES, load_grammar
 from helpers import (
@@ -43,6 +50,7 @@ from helpers import (
     chain_grammar,
     g_indexed_dp_oracle,
     gold_tree_oracle,
+    rule_labels,
     subtree_set,
 )
 
@@ -182,15 +190,13 @@ def test_sparse_dp_matches_the_full_dp(seed, chain, keep_percent, n_foreign):
 
 
 def test_score_tables_are_built_on_first_score_and_kept_unchanged():
-    """Reading a grammar builds none of the tables scoring keeps on it, nor
-    its root and rule objects, and scores on one grammar object do not
-    depend on the documents scored before: a, b, a scores as each does on a
-    freshly read grammar."""
+    """Reading a grammar builds none of the tables scoring keeps on it, and
+    scores on one grammar object do not depend on the documents scored
+    before: a, b, a scores as each does on a freshly read grammar."""
     text = grammar_to_text(random_grammar(SplitMix64(derive_seed(30, "cache")), "c", 7, 5))
     grammar = parse_grammar(text)
     assert set(vars(grammar)) == {
-        "pattern_id", "inventory", "labels", "expansions", "root_positions",
-        "_rule_texts",
+        "pattern_id", "inventory", "labels", "expansions", "root_positions", "roots", "rules",
     }
     rules = grammar.rules
     docs = [frozenset(rules[::3]), frozenset(rules[1::4]) | subtree_set("(AB A B)"), frozenset()]
@@ -224,7 +230,9 @@ def test_rule_order_is_presentation(block):
         grammar = random_grammar(rng, f"g{index}", 2 + rng.randrange(7), 1 + rng.randrange(6))
         text = grammar_to_text(grammar)
         # Reversing every rule's children swaps those of the binary rules.
-        rule_lines = [str(DepthOneSubtree(r.parent, r.children[::-1])) for r in grammar.rules]
+        rule_lines = [
+            rule_text(parent, children[::-1]) for parent, children in map(rule_labels, grammar.rules)
+        ]
         rng.shuffle(rule_lines)
         original = parse_grammar(text)
         reordered = parse_grammar("\n".join(text.splitlines()[:3] + rule_lines))
@@ -283,7 +291,7 @@ ABC_1 -> AB_1 C
 def test_equal_f1_that_rounds_apart_goes_to_the_smaller_text():
     grammar = parse_grammar(ROUNDING_TIE_GRAMMAR)
     gold = enumerate_gold_trees(grammar)
-    predicted = frozenset(r for r in grammar.rules if str(r) in ("ABC_2 -> ABC_1", "ABC_8 -> ABC_7"))
+    predicted = frozenset(r for r in grammar.rules if r in ("ABC_2 -> ABC_1", "ABC_8 -> ABC_7"))
     assert len(predicted) == 2
     assert [tree_score(predicted, (t,)).f1 for t in gold] == [0.3333333333333333, 0.33333333333333337]
     for result in (grammar_score(predicted, grammar), tree_score(predicted, gold)):
@@ -424,25 +432,26 @@ def renamed_label(label: NodeLabel, letters: dict) -> NodeLabel:
     return NodeLabel(tuple(sorted(renamed_piece(p, letters) for p in label.pieces)), label.self_attach)
 
 
-def renamed_step(parent: NodeLabel, kids, letters: dict) -> DepthOneSubtree:
-    """One rule or tree node renamed, its children back in canonical order."""
+def renamed_step(parent: NodeLabel, kids, letters: dict) -> tuple[NodeLabel, tuple[NodeLabel, ...]]:
+    """One rule or tree node renamed, as its parent and children labels,
+    its children back in canonical order."""
     new_kids = sorted((renamed_label(k, letters) for k in kids), key=child_order_key)
-    return DepthOneSubtree(renamed_label(parent, letters), tuple(new_kids))
+    return renamed_label(parent, letters), tuple(new_kids)
 
 
 def renamed_grammar(grammar: GoldGrammar, letters: dict) -> GoldGrammar:
     return GoldGrammar(
         grammar.pattern_id,
         frozenset(renamed_piece(p, letters) for p in grammar.inventory),
-        tuple(renamed_label(r, letters) for r in grammar.roots),
-        tuple(renamed_step(r.parent, r.children, letters) for r in grammar.rules),
+        tuple(str(renamed_label(parse_node_label(r), letters)) for r in grammar.roots),
+        tuple(rule_text(*renamed_step(*rule_labels(r), letters)) for r in grammar.rules),
     )
 
 
 def renamed_tree_text(text: str, letters: dict) -> str:
     root, children_of = parse_serialized(text)
     steps = [renamed_step(p, kids, letters) for p, kids in children_of.items()]
-    return canonical_serialize(renamed_label(root, letters), {s.parent: s.children for s in steps})
+    return canonical_serialize(renamed_label(root, letters), dict(steps))
 
 
 def renamed_doc(doc: InstructionDoc, letters: dict) -> InstructionDoc:

@@ -20,10 +20,10 @@ from sewtree.labels import (
     parse_piece_label,
 )
 from sewtree.grammar import enumerate_gold_trees
-from sewtree.pipeline import InstructionDoc, StepExtraction, build_forest, placeholder_spec
+from sewtree.pipeline import apply_step, resolve_components
 from sewtree.rng import SplitMix64
 from sewtree.synth import random_grammar
-from sewtree.tree import DepthOneSubtree, parse_serialized
+from sewtree.tree import parse_serialized
 
 from helpers import binary, label_text, leaf, node_oracle, run_fresh, serialize_node, unary
 
@@ -397,7 +397,7 @@ node_labels = hs.builds(
 
 def equal_labels_built_every_way(label: NodeLabel) -> list[NodeLabel]:
     """``label`` rebuilt from its text, by label arithmetic, from a parsed
-    tree text and from a build's trace."""
+    tree text and by a build's fold of steps."""
     first, *rest = label.pieces
     counter = label.self_attach
     bumped = NodeLabel(label.pieces, 0)
@@ -414,13 +414,13 @@ def equal_labels_built_every_way(label: NodeLabel) -> list[NodeLabel]:
         node = unary(node)
     out.append(parse_serialized(serialize_node(node))[0])
 
-    steps = [StepExtraction(label.pieces)] if rest else []
-    steps += [StepExtraction((first,)) for _ in range(counter)]
+    steps = [label.pieces] if rest else []
+    steps += [(first,)] * counter
     if steps:
-        report = build_forest(
-            InstructionDoc("p", "d", ("",) * len(steps)), steps, placeholder_spec("p", label.pieces)
-        )
-        out.append(report.subtree_trace[-1][1].parent)
+        component_of = {}
+        for mentions in steps:
+            apply_step(component_of, resolve_components(mentions, component_of))
+        out.append(component_of[first])
     return out
 
 
@@ -437,26 +437,24 @@ class TestLabelIdentity:
 
     @given(node_labels)
     def test_pickle_and_replace_keep_equality_and_hash(self, label):
-        subtree = DepthOneSubtree(bump_self_attach(label), (label,))
         piece = label.pieces[0]
         rebuilt = [
             (label, NodeLabel(label.pieces, label.self_attach)),
             (piece, PieceLabel(str(piece))),
-            (subtree, DepthOneSubtree(subtree.parent, subtree.children)),
         ]
         for value, built in rebuilt:
             for other in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value), built):
                 assert other == value
                 assert hash(other) == hash(value)
         bumped = NodeLabel(label.pieces, self_attach=label.self_attach + 1)
-        assert bumped == subtree.parent
-        assert hash(bumped) == hash(subtree.parent)
+        assert bumped == bump_self_attach(label)
+        assert hash(bumped) == hash(bump_self_attach(label))
 
     @pytest.mark.parametrize(
         "value,field",
         [(PieceLabel("A"), "_key"), (PieceLabel("X3"), "_text"),
          (NodeLabel((PieceLabel("A"),), 1), "self_attach"), (NodeLabel((PieceLabel("A"),)), "pieces"),
-         (DepthOneSubtree(NodeLabel((PieceLabel("A"),), 1), (NodeLabel((PieceLabel("A"),)),)), "parent"),
+         (NodeLabel((PieceLabel("A"),), 1), "_hash"),
          (PieceLabel("A"), "_hash"), (PieceLabel("Bl"), "_text"),
          (NodeLabel((PieceLabel("A"), PieceLabel("B")), 2), "_text")],
     )
@@ -472,12 +470,7 @@ class TestLabelIdentity:
 
     @given(node_labels)
     def test_text_is_the_formatters_also_after_pickle_and_copy(self, label):
-        subtree = DepthOneSubtree(bump_self_attach(label), (label,))
-        values = [label, subtree, *label.pieces]
-        if len(label.pieces) > 1:
-            halves = NodeLabel(label.pieces[:1], 0), NodeLabel(label.pieces[1:], label.self_attach)
-            values.append(DepthOneSubtree(merge_labels(*halves), halves))
-        for value in values:
+        for value in (label, *label.pieces):
             expected = label_text(value)
             for other in (value, pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
                 assert str(other) == expected
@@ -493,25 +486,16 @@ class TestLabelIdentity:
         nodes = {"A": -2004518817575257537, "AB_1": 6367332764960557605,
                  "ABlBr": 4850574509383860923, "BlBrFlFr_2": 5397783538776168086,
                  "X3Y12_7": -3481288177973403176}
-        subtrees = {("AB", "A B"): 4452306862240095665, ("AB_1", "AB"): 7953972255112099730,
-                    ("ABlBr_2", "ABlBr_1"): -1842331895786858656,
-                    ("ABCDlDr", "ABC DlDr"): 7500801053723699139}
         assert {t: hash(P(t)) for t in pieces} == pieces
         assert {t: hash(N(t)) for t in nodes} == nodes
-        assert {
-            (parent, kids): hash(DepthOneSubtree(N(parent), tuple(N(k) for k in kids.split())))
-            for parent, kids in subtrees
-        } == subtrees
 
     def test_hash_is_the_same_in_every_process(self):
         texts = ["A", "ABlBr", "BlBrFlFr_2", "X3Y12_7"]
         code = (
             "import json, sys\n"
             "from sewtree.labels import parse_node_label, parse_piece_label\n"
-            "from sewtree.tree import DepthOneSubtree\n"
             "labels = [parse_node_label(t) for t in sys.argv[1:]]\n"
             "hashes = [hash(l) for l in labels] + [hash(parse_piece_label('Bl'))]\n"
-            "hashes.append(hash(DepthOneSubtree(labels[1], (labels[0],))))\n"
             "print(json.dumps(hashes))\n"
         )
         outputs = []
@@ -521,7 +505,6 @@ class TestLabelIdentity:
             outputs.append(json.loads(proc.stdout))
         labels = [parse_node_label(t) for t in texts]
         here = [hash(l) for l in labels] + [hash(parse_piece_label("Bl"))]
-        here.append(hash(DepthOneSubtree(labels[1], (labels[0],))))
         assert outputs == [here, here]
 
     @pytest.mark.parametrize("parse", [parse_piece_label, parse_node_label])

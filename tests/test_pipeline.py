@@ -23,7 +23,7 @@ from sewtree.pipeline import (
 )
 from sewtree.rng import SplitMix64
 from sewtree.synth import random_inventory
-from sewtree.tree import DepthOneSubtree, bracket, canonical_serialize, subtrees_of
+from sewtree.tree import bracket, canonical_serialize, subtrees_of
 
 from conftest import GRAMMAR_NAMES, _AdapterHandler, load_grammar, posted_requests, wait_for_posts
 from helpers import (
@@ -35,6 +35,7 @@ from helpers import (
     leaf,
     random_node_tree,
     recursive_linearization,
+    rule_labels,
     serialize_node,
     unary,
 )
@@ -127,7 +128,7 @@ class TestApplyStep:
     def test_binary(self):
         state = {}
         subtrees = apply_step(state, [N("A"), N("B")])
-        assert [str(s) for s in subtrees] == ["AB -> A B"]
+        assert subtrees == [(N("AB"), (N("A"), N("B")))]
         assert build_mentions((P("A"), P("B"))).diagnostics == ()
         assert state[P("A")] == N("AB")
 
@@ -135,7 +136,7 @@ class TestApplyStep:
         state = {}
         apply_step(state, [N("A"), N("B")])
         subtrees = apply_step(state, [N("AB")])
-        assert [str(s) for s in subtrees] == ["AB_1 -> AB"]
+        assert subtrees == [(N("AB_1"), (N("AB"),))]
 
     def test_empty(self):
         state = {}
@@ -145,7 +146,7 @@ class TestApplyStep:
     def test_three_components_fold_with_diagnostic(self):
         state = {}
         subtrees = apply_step(state, [N("A"), N("B"), N("C")])
-        assert [str(s) for s in subtrees] == ["AB -> A B", "ABC -> AB C"]
+        assert subtrees == [(N("AB"), (N("A"), N("B"))), (N("ABC"), (N("AB"), N("C")))]
         report = build_mentions((), (P("A"), P("B"), P("C")))
         assert [(d.step_index, d.kind) for d in report.diagnostics] == [(1, "multi-component")]
 
@@ -180,6 +181,11 @@ class TestBuildForest:
         assert runs[0] == runs[1]
 
 
+def node_rule_text(node: AssemblyNode) -> str:
+    """The rule text of a tree node over its children: ``AB -> A B``."""
+    return f"{node.label} -> {' '.join(str(c.label) for c in node.children)}"
+
+
 class ReferenceState:
     """The reference build: it keeps the tree node of every component built
     so far, next to which component contains each piece."""
@@ -211,7 +217,7 @@ class ReferenceState:
             child = self.node_for(resolved[0])
             node = unary(child)
             register(node)
-            subtrees.append(DepthOneSubtree(node.label, (child.label,)))
+            subtrees.append(node_rule_text(node))
             return subtrees, diagnostics
         if len(resolved) > 2:
             diagnostics.append(
@@ -224,7 +230,7 @@ class ReferenceState:
         acc = self.node_for(resolved[0])
         for label in resolved[1:]:
             node = binary(acc, self.node_for(label))
-            subtrees.append(DepthOneSubtree(node.label, tuple(c.label for c in node.children)))
+            subtrees.append(node_rule_text(node))
             acc = node
         register(acc)
         return subtrees, diagnostics
@@ -308,11 +314,11 @@ def folded_forest(trace, spec) -> tuple[str, ...]:
     """``build_forest``'s texts as it once wrote them: folded over the trace,
     children first, each parent's text copied from its children's."""
     texts: dict[NodeLabel, str] = {}
-    for _, st in trace:
-        texts[st.parent] = bracket(
-            st.parent, [texts.pop(c) if c in texts else str(c) for c in st.children]
-        )
-    touched = {piece for _, st in trace for piece in st.parent.pieces}
+    touched = set()
+    for _, rule in trace:
+        parent, children = rule_labels(rule)
+        texts[parent] = bracket(parent, [texts.pop(c) if c in texts else str(c) for c in children])
+        touched.update(parent.pieces)
     roots = list(texts.values())
     roots.extend(str(p) for p in spec.inventory if p not in touched)
     return tuple(sorted(roots))

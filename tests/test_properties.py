@@ -25,7 +25,7 @@ from sewtree.pipeline import build_forest, extract_document, linearize_gold_tree
 from sewtree.grammar import GoldGrammar, GrammarError, count_derivations, parse_grammar, validate_grammar
 from sewtree.rng import SplitMix64
 from sewtree.synth import grammar_from_trees, grammar_to_text, random_grammar, random_inventory, random_tree
-from sewtree.tree import DepthOneSubtree, canonical_serialize, parse_serialized, subtrees_of
+from sewtree.tree import canonical_serialize, parse_serialized, rule_text, subtrees_of
 
 from helpers import (
     as_pair,
@@ -39,6 +39,7 @@ from helpers import (
     make_random_grammar,
     node_oracle,
     read_grammar_oracle,
+    rule_labels,
     rule_oracle,
     validate_grammar_oracle,
 )
@@ -113,14 +114,14 @@ def perturbed_rules(draw, grammar):
     inventory added to a label, or a child replaced, dropped or joined by
     another of its labels: every line parses, and most break the label
     arithmetic, have 3 children or use an unknown piece."""
-    rules = sorted(grammar.rules, key=str)
+    rules = [rule_labels(rule) for rule in sorted(grammar.rules)]
     if not rules:
         return []
-    labels = sorted({label for rule in rules for label in (rule.parent, *rule.children)}, key=str)
+    labels = sorted({label for parent, children in rules for label in (parent, *children)}, key=str)
     lines = []
     for _ in range(draw(hs.integers(0, 4), label="perturbed rules")):
-        rule = draw(hs.sampled_from(rules))
-        nodes = [rule.parent, *rule.children]
+        parent, children = draw(hs.sampled_from(rules))
+        nodes = [parent, *children]
         changes = ["counter", "unknown", "replace", "add", *(["drop"] if len(nodes) == 3 else [])]
         change = draw(hs.sampled_from(changes))
         if change == "counter":
@@ -166,8 +167,9 @@ def test_parse_grammar_rejects_or_keeps_every_rule_valid(seed, n_pieces, noise, 
             continue
         assert validate_grammar(parsed) == []
         for rule in parsed.rules:
-            assert node_oracle(rule.parent, rule.children) == []
-            for label in (rule.parent, *rule.children):
+            parent, children = rule_labels(rule)
+            assert node_oracle(parent, children) == []
+            for label in (parent, *children):
                 assert label.piece_set <= parsed.inventory
 
 
@@ -182,31 +184,34 @@ def test_validate_grammar_matches_the_set_and_walk_oracle(seed, n_pieces, n_tree
     rng = SplitMix64(seed)
     inventory = random_inventory(rng, n_pieces)
     grammar = grammar_from_trees("fuzz", [random_tree(rng, inventory) for _ in range(n_trees)])
-    dropped = data.draw(hs.sets(hs.sampled_from(grammar.rules)), label="dropped")
-    rules = [rule for rule in grammar.rules if rule not in dropped]
+    grammar_rules = [rule_labels(rule) for rule in grammar.rules]
+    dropped = data.draw(hs.sets(hs.sampled_from(grammar_rules)), label="dropped")
+    rules = [rule for rule in grammar_rules if rule not in dropped]
     perturbed = data.draw(perturbed_rules(grammar), label="perturbed")
     rules += [rule_oracle(0, line) for line in perturbed]
     labels = sorted(
-        {label for r in (*grammar.rules, *rules) for label in (r.parent, *r.children)}, key=str
+        {label for parent, children in (*grammar_rules, *rules) for label in (parent, *children)}, key=str
     )
+    grammar_roots = list(map(parse_node_label, grammar.roots))
     roots = data.draw(hs.one_of(
-        hs.just(list(grammar.roots)),
-        hs.just([NodeLabel(r.pieces + (OUTSIDE_PIECE,), r.self_attach) for r in grammar.roots]),
+        hs.just(grammar_roots),
+        hs.just([NodeLabel(r.pieces + (OUTSIDE_PIECE,), r.self_attach) for r in grammar_roots]),
         hs.lists(hs.sampled_from(labels), max_size=3, unique=True),
     ), label="roots")
-    text = grammar_to_text(
-        SimpleNamespace(pattern_id="fuzz", inventory=grammar.inventory, roots=roots, rules=rules)
-    )
+    root_texts, rule_texts = list(map(str, roots)), [rule_text(*rule) for rule in rules]
+    text = grammar_to_text(SimpleNamespace(
+        pattern_id="fuzz", inventory=grammar.inventory, roots=root_texts, rules=rule_texts
+    ))
     expected = validate_grammar_oracle(grammar.inventory, roots, rules)
     if expected:
-        for make in (lambda: GoldGrammar("fuzz", grammar.inventory, roots, rules),
+        for make in (lambda: GoldGrammar("fuzz", grammar.inventory, root_texts, rule_texts),
                      lambda: parse_grammar(text)):
             with pytest.raises(GrammarError) as exc:
                 make()
             assert exc.value.problems == expected
             assert str(exc.value) == "pattern 'fuzz': invalid grammar: " + "; ".join(expected[:3])
     else:
-        g = GoldGrammar("fuzz", grammar.inventory, roots, rules)
+        g = GoldGrammar("fuzz", grammar.inventory, root_texts, rule_texts)
         check_rule_graph(g)
         assert validate_grammar(g) == []
         assert parse_grammar(text) == g
@@ -230,7 +235,8 @@ def test_parse_grammar_accepts_a_rule_iff_it_is_a_valid_step(inventory, n_childr
     children = tuple(draw_label(f"child {i}") for i in range(n_children))
     text = (f"pattern: p\npieces: {' '.join(map(str, pieces))}\nroots: S\n"
             f"{parent} -> {' '.join(map(str, children))}\n")
-    rule = DepthOneSubtree(parent, tuple(sorted(children, key=child_order_key)))
+    kids = tuple(sorted(children, key=child_order_key))
+    rule = rule_text(parent, kids)
     try:
         parse_grammar(text)
     except GrammarError as exc:
@@ -238,7 +244,7 @@ def test_parse_grammar_accepts_a_rule_iff_it_is_a_valid_step(inventory, n_childr
         assert str(exc).startswith("pattern 'p': invalid grammar: ")
     else:
         problems = []
-    violations = node_oracle(rule.parent, rule.children)
+    violations = node_oracle(parent, kids)
     if violations:
         assert problems == [f"{rule}: {violations[0][1]}"]
     else:
@@ -344,7 +350,7 @@ def test_parse_grammar_checks_rules_like_the_oracle(line):
         root = NodeLabel(tuple(sorted(inventory)), 0)
         assert got.value.problems == validate_grammar_oracle(inventory, (root,), rules)
         unreached = [p for p in got.value.problems if p.endswith(": no root reaches this rule")]
-        every_rule = [f"{rule}: no root reaches this rule" for rule in dict.fromkeys(rules)]
+        every_rule = [f"{rule_text(*rule)}: no root reaches this rule" for rule in dict.fromkeys(rules)]
         assert unreached in ([], every_rule)
 
 
@@ -491,7 +497,7 @@ def test_parse_grammar_matches_the_object_oracle(text):
     """``parse_grammar``, which reads labels into masks, against the object
     reader and the set-and-walk validator: the same message and problems,
     or else the same label texts, expansions, root positions, root and
-    rule objects and derivation counts, keyed by the root labels."""
+    rule texts and derivation counts, keyed by the root texts."""
     try:
         pattern_id, inventory, roots, rules = read_grammar_oracle(text)
         problems = validate_grammar_oracle(inventory, roots, rules)
@@ -507,18 +513,34 @@ def test_parse_grammar_matches_the_object_oracle(text):
         return
     g = parse_grammar(text)
     roots, rules = list(dict.fromkeys(roots)), list(dict.fromkeys(rules))
-    assert (g.roots, g.rules) == (tuple(roots), tuple(rules))
+    assert (g.roots, g.rules) == (tuple(map(str, roots)), tuple(rule_text(*rule) for rule in rules))
     labels = sorted(
-        {*roots, *(label for rule in rules for label in (rule.parent, *rule.children))},
+        {*roots, *(label for parent, children in rules for label in (parent, *children))},
         key=lambda label: (len(label.pieces), label.self_attach, str(label)),
     )
     position = {label: p for p, label in enumerate(labels)}
     assert g.labels == tuple(map(str, labels))
     assert g.expansions == tuple(
-        tuple((str(rule), tuple(position[c] for c in rule.children)) for rule in rules if rule.parent == label)
+        tuple((rule_text(parent, children), tuple(position[c] for c in children))
+              for parent, children in rules if parent == label)
         for label in labels
     )
     assert g.root_positions == tuple(position[root] for root in roots)
     counts = count_derivations(g)
     assert counts == count_derivations_oracle(roots, rules)
-    assert list(counts) == roots and all(type(root) is NodeLabel for root in counts)
+    assert list(counts) == list(map(str, roots))
+
+
+@given(hs.integers(0, 2**64 - 1), hs.integers(1, 8), hs.integers(1, 3))
+def test_a_grammar_built_from_rule_texts_is_its_file_read_back(seed, n_pieces, n_trees):
+    """A grammar built from the root texts and the rule texts of random
+    trees keeps each once, in first-seen order, and equals the grammar
+    ``parse_grammar`` reads from its file."""
+    rng = SplitMix64(seed)
+    inventory = random_inventory(rng, n_pieces)
+    trees = [random_tree(rng, inventory) for _ in range(n_trees)]
+    roots = [str(root) for root, _ in trees]
+    rules = [rule for tree in trees for rule in subtrees_of(tree)]
+    g = GoldGrammar("p", frozenset(inventory), roots, rules)
+    assert (g.roots, g.rules) == (tuple(dict.fromkeys(roots)), tuple(dict.fromkeys(rules)))
+    assert parse_grammar(grammar_to_text(g)) == g

@@ -7,10 +7,10 @@ from sewtree.rng import SplitMix64
 from sewtree.synth import random_inventory, random_tree
 from sewtree.tree import (
     _TOKEN_RE,
-    DepthOneSubtree,
     TreeError,
     canonical_serialize,
     parse_serialized,
+    rule_text,
     subtrees_of,
 )
 
@@ -88,12 +88,12 @@ class TestValidateTree:
 
 class TestDepthOneSubtrees:
     def test_skirt_tree(self):
-        expected = [
-            DepthOneSubtree(N("ABC_1"), (N("AB_1"), N("C"))),
-            DepthOneSubtree(N("AB_1"), (N("AB"),)),
-            DepthOneSubtree(N("AB"), (N("A"), N("B"))),
-        ]
+        expected = ["ABC_1 -> AB_1 C", "AB_1 -> AB", "AB -> A B"]
         assert list(subtrees_of(parse_serialized(SKIRT))) == expected
+
+    def test_rule_text_is_a_grammar_line(self):
+        assert rule_text(N("ABC_1"), (N("AB_1"), N("C"))) == "ABC_1 -> AB_1 C"
+        assert rule_text("AB_1", ["AB"]) == "AB_1 -> AB"
 
     def test_single_leaf(self):
         assert list(subtrees_of((N("A"), {}))) == []
@@ -217,7 +217,7 @@ def test_walk_and_serialize_match_recursive_reference(seed, n_pieces, unary_perc
         tree = unary(tree)
     pair = as_pair(tree)
     assert list(subtrees_of(pair)) == [
-        DepthOneSubtree(n.label, tuple(c.label for c in n.children))
+        f"{n.label} -> {' '.join(str(c.label) for c in n.children)}"
         for n in recursive_walk(tree)
         if n.children
     ]
