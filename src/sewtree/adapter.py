@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 
-from .labels import LabelError, parse_piece_label
+from .labels import LabelError, piece_key
 from .pipeline import PatternSpec, StepExtraction, extract_pieces_rule_based
 
 
@@ -150,8 +150,7 @@ def extract_via_adapter(step: str, spec: PatternSpec, endpoint: AdapterConfig) -
     either fails the document or, with ``fallback_to_rules``, degrades to the
     rule-based extractor with a diagnostic marker.
     """
-    inventory = sorted(spec.inventory)
-    payload = {"step": step, "inventory": [str(p) for p in inventory]}
+    payload = {"step": step, "inventory": sorted(spec.inventory, key=piece_key)}
     body = json.dumps(payload).encode()
     last_error: Exception | None = None
     for _ in range(endpoint.retries + 1):
@@ -174,8 +173,9 @@ def extract_via_adapter(step: str, spec: PatternSpec, endpoint: AdapterConfig) -
         raise AdapterError(f"backend response missing 'pieces' list: {data!r}")
     mentions = []
     for token in raw:
+        piece = str(token)
         try:
-            piece = parse_piece_label(str(token))
+            piece_key(piece)
         except LabelError as exc:
             raise AdapterError(f"backend returned malformed label {token!r}") from exc
         if piece not in spec.inventory:

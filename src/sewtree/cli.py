@@ -26,6 +26,7 @@ from .experiments import (
     score_document,
 )
 from .grammar import DEFAULT_CAP, CapExceededError, GrammarError, enumerate_gold_trees, parse_grammar
+from .labels import piece_key
 from .pipeline import (
     build_forest,
     extract_document,
@@ -79,8 +80,9 @@ def _write_gold(pattern_id: str, trees, path=None) -> None:
     """``{"pattern_id": pattern_id, "trees": trees}`` byte for byte as
     :func:`_write_json` writes it, with the tree texts joined rather than
     encoded: a tree text holds only label characters, brackets and spaces
-    (``[A-Za-z0-9_() ]``; ``PieceLabel`` checks every piece text and a
-    counter is written in ASCII digits), which JSON writes as they are, so
+    (``[A-Za-z0-9_() ]``: a label is its text, ``labels.piece_key``
+    checks every piece text of a grammar, and a counter is written in ASCII
+    digits), which JSON writes as they are, so
     only the free-text ``pattern_id`` goes through the encoder.  Head, body
     and tail are written one after another, so no copy of the whole output
     is made."""
@@ -261,7 +263,7 @@ def _check_inventories(spec_path, spec, grammar_path, grammar) -> None:
     if spec.inventory == grammar.inventory:
         return
     only = [
-        f"only in the {kind}: " + ", ".join(str(p) for p in sorted(pieces))
+        f"only in the {kind}: " + ", ".join(sorted(pieces, key=piece_key))
         for kind, pieces in (("spec", spec.inventory - grammar.inventory),
                              ("grammar", grammar.inventory - spec.inventory))
         if pieces

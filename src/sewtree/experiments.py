@@ -7,7 +7,7 @@ import math
 from collections.abc import Sequence
 
 from .grammar import GoldGrammar
-from .labels import PieceLabel, parse_node_label
+from .labels import piece_key
 from .metrics import (
     bleu,
     grammar_score,
@@ -120,9 +120,9 @@ def inject_errors(
         del steps[rng.randrange(len(steps))]
         applied += 1
 
-    inventory = sorted(spec.inventory)
+    inventory = sorted(spec.inventory, key=piece_key)
     for _ in range(plan.wrong_piece):
-        sites: list[tuple[int, int, int, PieceLabel]] = []
+        sites: list[tuple[int, int, int, str]] = []
         for step_index, step in enumerate(steps):
             for piece, m in piece_mentions(step):
                 if piece in spec.inventory:
@@ -153,18 +153,19 @@ def roundtrip_grammar(grammar: GoldGrammar) -> list[str]:
     """
     failures: list[str] = []
     spec = placeholder_spec(grammar.pattern_id, grammar.inventory)
+    reader = spec.reader
     for rule in grammar.rules:
-        parent_text, _, children_text = rule.partition(" -> ")
-        parent = parse_node_label(parent_text)
-        children = tuple(map(parse_node_label, children_text.split(" ")))
-        component_of = {p: c for c in children for p in c.pieces}
+        parent, _, children_text = rule.partition(" -> ")
+        children = tuple(children_text.split(" "))
+        component_of = {p: reader[c] for c in children for p in reader.pieces(reader[c][3])}
         x = extract_pieces_rule_based(write_step(children, spec), spec)
-        resolved = resolve_components(x.mentions, component_of)
-        emitted = [rule_text(*step) for step in apply_step(component_of, resolved)]
-        left_in = [component_of[p] for p in parent.pieces]
+        resolved = resolve_components(x.mentions, component_of, reader)
+        emitted = [rule_text(*step) for step in apply_step(component_of, resolved, reader)]
+        parent_pieces = reader.pieces(reader[parent][3])
+        left_in = [component_of[p][2] for p in parent_pieces]
         if emitted != [rule] or any(c != parent for c in left_in):
             subtrees = ", ".join(emitted)
-            pieces = " ".join(f"{p}={c}" for p, c in zip(parent.pieces, left_in))
+            pieces = " ".join(f"{p}={c}" for p, c in zip(parent_pieces, left_in))
             failures.append(
                 f"{grammar.pattern_id} rule {rule}: emitted [{subtrees}], pieces in {pieces}"
             )

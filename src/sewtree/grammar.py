@@ -17,21 +17,11 @@ counter ``n``, unless S itself is an inventory piece.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Iterable
 from functools import cached_property
 from itertools import product
 
-from .labels import (
-    LabelError,
-    PieceLabel,
-    _piece_key,
-    child_order_key,
-    node_violations,
-    parse_node_label,
-    parse_piece_label,
-    split_counter,
-)
+from .labels import LabelError, LabelReader, label_pieces, node_violations, piece_key, split_counter
 from .tree import bracket
 
 
@@ -54,53 +44,8 @@ class CapExceededError(GrammarError):
 DEFAULT_CAP = 100_000
 
 
-# A label body cut before each capital letter.  Where every cut is the
-# text of an inventory piece, each of which ``labels._PIECE_RE`` matches
-# whole, the cuts are that regex's pieces; this one scans in half the time.
-_CUTS_RE = re.compile(r"[A-Z][lr0-9]*")
-
-
-class _LabelReader(dict):
-    """The facts (``labels.py``) of each label text of one grammar, its
-    masks over the inventory: a text is read on its first lookup, and a
-    text seen before costs one dict lookup and no Python call.
-    ``unknown`` maps each label with pieces outside the inventory to those
-    pieces' texts, sorted and joined for a message; such a label is only
-    ever named for them, so its mask is 0."""
-
-    __slots__ = ("bits", "unknown")
-
-    def __init__(self, inventory: frozenset[PieceLabel]) -> None:
-        super().__init__()
-        self.bits = {p._text: 1 << i for i, p in enumerate(sorted(inventory, key=_piece_key))}
-        self.unknown: dict[str, str] = {}
-
-    def __missing__(self, text: str) -> tuple[int, int, str, int]:
-        body, counter = split_counter(text) if "_" in text else (text, 0)
-        names = _CUTS_RE.findall(body)
-        bits = self.bits
-        # Pieces of the inventory in strictly ascending bits, which tile
-        # the body: a well-formed label over the inventory.
-        mask = 0
-        for name in names:
-            bit = bits.get(name, 0)
-            if bit <= mask:
-                break
-            mask |= bit
-        else:
-            if mask and "".join(names) == body:
-                facts = self[text] = (len(names), counter, text, mask)
-                return facts
-        # Any other text either is no label, and ``parse_node_label`` says
-        # why, or holds a piece outside the inventory.
-        names = [p._text for p in parse_node_label(text).pieces]
-        self.unknown[text] = ", ".join(sorted(name for name in names if name not in bits))
-        facts = self[text] = (len(names), counter, text, 0)
-        return facts
-
-
 def rule_graph(
-    facts: _LabelReader, roots: Iterable[str], rules: dict[str, tuple[str, ...]]
+    facts: LabelReader, roots: Iterable[str], rules: dict[str, tuple[str, ...]]
 ) -> tuple[tuple[str, ...], tuple, tuple[int, ...]]:
     """The rule table as a DAG over every label the roots and rules
     mention, children before parents, so a DP over derivations is one pass
@@ -132,7 +77,8 @@ def rule_graph(
 
 class GoldGrammar:
     """A pattern's gold trees as rules, each a depth-1 subtree that is a valid
-    assembly step over the inventory.  Its ``roots`` are label texts and its
+    assembly step over the inventory, a set of piece texts.  Its ``roots``
+    are label texts and its
     ``rules`` rule texts (``tree.rule_text``), each kept once, in first-seen
     order, so distinct derivations are distinct trees; it holds its
     :func:`rule_graph` as ``labels``, ``expansions`` and
@@ -140,23 +86,25 @@ class GoldGrammar:
     inventories, roots and rules are.  It is valid however it was built:
     the constructor runs :func:`validate_grammar`'s check on the facts it
     has read and raises :class:`GrammarError` naming the pattern and the
-    first three problems, all of them in ``problems``.  A root or rule
-    text that cannot be read at all is a :class:`GrammarError` naming the
-    text."""
+    first three problems, all of them in ``problems``.  A piece, root or
+    rule text that cannot be read at all is a :class:`GrammarError` naming
+    the text."""
 
     def __init__(
         self,
         pattern_id: str,
-        inventory: frozenset[PieceLabel],
+        inventory: frozenset[str],
         roots: Iterable[str],
         rules: Iterable[str],
     ) -> None:
         # The texts are read as :func:`parse_grammar` reads a file's, but
         # each must be written as ``tree.rule_text`` writes it.
-        facts = _LabelReader(inventory)
         roots = list(roots)
         parts: dict[str, tuple[str, ...]] = {}
         try:
+            for text in inventory:
+                piece_key(text)
+            facts = LabelReader(inventory)
             for text in roots:
                 facts[text]
             for text in rules:
@@ -263,8 +211,8 @@ def parse_grammar(text: str) -> GoldGrammar:
     rule's children are put in canonical order, and each distinct label
     text is read once per call, into its facts, and is made no object."""
     pattern_id: str | None = None
-    inv: frozenset[PieceLabel] | None = None
-    facts: _LabelReader | None = None
+    inv: frozenset[str] | None = None
+    facts: LabelReader | None = None
     roots_line: tuple[int, str] | None = None
     rules: dict[str, tuple[str, ...]] = {}
 
@@ -294,7 +242,7 @@ def parse_grammar(text: str) -> GoldGrammar:
             if len(children) == 2:
                 if facts.unknown:
                     # An unknown piece has no bit; its sort key orders it.
-                    x, y = (child_order_key(parse_node_label(t)) for t in children)
+                    x, y = (piece_key(label_pieces(t)[0][0]) for t in children)
                 else:
                     # The first piece is the lowest bit of a mask.
                     x, y = x & -x, y & -y
@@ -315,8 +263,10 @@ def parse_grammar(text: str) -> GoldGrammar:
         if line.startswith("pieces:"):
             if inv is not None:
                 raise GrammarError(f"line {lineno}: duplicate pieces header")
+            pieces = line[len("pieces:"):].split()
             try:
-                pieces = [parse_piece_label(t) for t in line[len("pieces:"):].split()]
+                for piece in pieces:
+                    piece_key(piece)
             except LabelError as exc:
                 raise GrammarError(f"line {lineno}: {exc}") from exc
             if not pieces:
@@ -324,7 +274,7 @@ def parse_grammar(text: str) -> GoldGrammar:
             inv = frozenset(pieces)
             if len(inv) != len(pieces):
                 raise GrammarError(f"line {lineno}: duplicate pieces in inventory")
-            facts = _LabelReader(inv)
+            facts = LabelReader(inv)
             continue
         if line.startswith("roots:"):
             if roots_line is not None:
@@ -366,10 +316,10 @@ def validate_grammar(g: GoldGrammar) -> list[str]:
     if there are none, so that a bad rule has no follow-on problems: no
     roots; non-leaf labels no rule expands, by name; rules no root reaches,
     in rule order; roots missing pieces."""
-    return _problems(g, _LabelReader(g.inventory))
+    return _problems(g, LabelReader(g.inventory))
 
 
-def _problems(g: GoldGrammar, reader: _LabelReader) -> list[str]:
+def _problems(g: GoldGrammar, reader: LabelReader) -> list[str]:
     """:func:`validate_grammar` of ``g``, whose labels' facts ``reader``
     reads; the constructor passes the one that read its texts."""
     labels, unknown = g.labels, reader.unknown

@@ -6,6 +6,10 @@ for a mirrored pair or with a positive integer for unmirrored copies
 concatenation of distinct piece labels plus a self-attachment counter,
 displayed as a ``_n`` suffix and omitted when the counter is zero
 (``ABlBr``, ``AB_1``).
+
+A label is its text: :func:`piece_key` and :func:`label_pieces` check a
+text, and :class:`LabelReader` reads texts into the facts that all label
+arithmetic reads.
 """
 
 from __future__ import annotations
@@ -13,11 +17,10 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from operator import attrgetter
 
 
 class LabelError(ValueError):
-    """A piece or node label could not be parsed or combined."""
+    """A piece or node label text is not a label's text."""
 
 
 # The piece-label format: a base letter, then ``l``/``r`` or a copy number.
@@ -27,154 +30,31 @@ _PIECE_RE = re.compile(r"[A-Z](?:[lr]|[0-9]+)?")
 _SUFFIX_RANK = {"": 0, "l": 1, "r": 2}
 
 
-# Labels are hashed on every set and dict lookup of a build's components
-# or a tree's nodes, so each one hashes once, at construction, from ints
-# only: an int tuple hashes the same in every process, so a pickled or
-# copied label keeps a valid hash whatever PYTHONHASHSEED is.  Each one also writes its text once, at construction
-# (a node label from its pieces' texts), since every tree text and report
-# is written from label texts.  A label's text names it: equal labels have
-# equal texts and unequal labels unequal ones (a piece text is checked, and
-# each capital letter starts a piece), so a batch of labels can be keyed by
-# ``_text``, whose str hash is cached, where ``__hash__`` is a Python call.
-# Slots keep a label small.  The label types are written out by hand rather
-# than as dataclasses: importing ``dataclasses`` and running its decorators
-# took over half of ``import sewtree.cli``.
-
-# Distinct texts each label parser remembers; bounded, so a long run of
+# Distinct texts each label reader remembers; bounded, so a long run of
 # varied labels cannot grow the memo without end.
 _LABEL_MEMO_SIZE = 4096
 
 
-class _Frozen:
-    """Base of the immutable value types: ``__init__`` sets the slots
-    through :func:`_slot_setters`, and assignment or deletion afterwards
-    raises :class:`AttributeError`.  Each subclass pickles (and copies) by
-    calling its constructor again, through ``__reduce__``, since restoring
-    the slots one by one would assign to them."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _slot_setters(cls: type) -> tuple:
-    """The ``__set__`` of each slot of ``cls``, in ``__slots__`` order, for
-    its constructor: a slot's descriptor sets the slot directly, where
-    ``object.__setattr__`` first looks the name up on the type."""
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
-
-
-class PieceLabel(_Frozen):
-    """One pattern piece, made from its text (``A``, ``Bl``, ``X3``), which
-    it checks; ``str`` gives the text back, so a copy number with a leading
-    zero is refused."""
-
-    __slots__ = ("_key", "_hash", "_text")
-
-    def __init__(self, text: str) -> None:
-        if not text:
-            raise LabelError("empty piece label")
-        if _PIECE_RE.fullmatch(text) is None:
-            raise LabelError(f"malformed piece label {text!r}")
-        base, suffix = text[0], text[1:]
-        rank, index = _SUFFIX_RANK.get(suffix), 0
-        if rank is None:
-            rank, index = 3, int(suffix)
-            if index < 1:
-                raise LabelError(f"copy index must be >= 1 in {text!r}")
-            if suffix[0] == "0":
-                raise LabelError(f"copy index has a leading zero in {text!r}")
-        _set_piece_key(self, (base, rank, index))
-        _set_piece_hash(self, hash((ord(base), rank, index)))
-        _set_piece_text(self, text)
-
-    def __reduce__(self):
-        return self.__class__, (self._text,)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self._key == other._key
-        return NotImplemented
-
-    def __lt__(self, other: "PieceLabel") -> bool:
-        if not isinstance(other, PieceLabel):
-            return NotImplemented
-        return self._key < other._key
-
-    def __str__(self) -> str:
-        return self._text
-
-    def __repr__(self) -> str:
-        return f"PieceLabel({self._text!r})"
-
-
-_set_piece_key, _set_piece_hash, _set_piece_text = _slot_setters(PieceLabel)
-
-
 @lru_cache(maxsize=_LABEL_MEMO_SIZE)
-def parse_piece_label(text: str) -> PieceLabel:
-    """:class:`PieceLabel` of ``text``, memoized: equal texts give one
-    shared label (a bad text raises each time)."""
-    return PieceLabel(text)
-
-
-class NodeLabel(_Frozen):
-    """A component label: sorted distinct pieces plus a self-attachment counter."""
-
-    __slots__ = ("pieces", "self_attach", "_hash", "_text")
-
-    def __init__(self, pieces: tuple[PieceLabel, ...], self_attach: int = 0) -> None:
-        if not pieces:
-            raise LabelError("node label needs at least one piece")
-        if self_attach < 0:
-            raise LabelError(f"negative self-attachment counter {self_attach}")
-        # One pass over the pieces, in this frame: a comprehension or a
-        # ``map`` per field costs more than the loop.
-        hashes, texts, prev = [], [], None
-        for piece in pieces:
-            if prev is not None and not prev._key < piece._key:
-                raise LabelError(f"pieces must be strictly sorted, got {prev} before {piece}")
-            hashes.append(piece._hash)
-            texts.append(piece._text)
-            prev = piece
-        hashes.append(self_attach)
-        _set_pieces(self, pieces)
-        _set_self_attach(self, self_attach)
-        _set_node_hash(self, hash(tuple(hashes)))
-        # A zero counter is written as no suffix.
-        body = "".join(texts)
-        _set_node_text(self, f"{body}_{self_attach}" if self_attach else body)
-
-    def __reduce__(self):
-        return self.__class__, (self.pieces, self.self_attach)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.self_attach == other.self_attach and self.pieces == other.pieces
-        return NotImplemented
-
-    @property
-    def piece_set(self) -> frozenset[PieceLabel]:
-        return frozenset(self.pieces)
-
-    def __str__(self) -> str:
-        return self._text
-
-    def __repr__(self) -> str:
-        return f"NodeLabel(pieces={self.pieces!r}, self_attach={self.self_attach!r})"
-
-
-_set_pieces, _set_self_attach, _set_node_hash, _set_node_text = _slot_setters(NodeLabel)
+def piece_key(text: str) -> tuple[str, int, int]:
+    """The sort key of the piece label ``text``, which it checks: base
+    letter, then plain, left, right and copies, then copy number.  A copy
+    number with a leading zero is refused, so a piece has one text.
+    Memoized: a text seen before costs one C-level lookup (a bad text
+    raises each time)."""
+    if not text:
+        raise LabelError("empty piece label")
+    if _PIECE_RE.fullmatch(text) is None:
+        raise LabelError(f"malformed piece label {text!r}")
+    base, suffix = text[0], text[1:]
+    rank, index = _SUFFIX_RANK.get(suffix), 0
+    if rank is None:
+        rank, index = 3, int(suffix)
+        if index < 1:
+            raise LabelError(f"copy index must be >= 1 in {text!r}")
+        if suffix[0] == "0":
+            raise LabelError(f"copy index has a leading zero in {text!r}")
+    return base, rank, index
 
 
 def split_counter(text: str) -> tuple[str, int]:
@@ -187,72 +67,46 @@ def split_counter(text: str) -> tuple[str, int]:
     if not (counter_text.isascii() and counter_text.isdigit()):
         raise LabelError(f"malformed self-attachment counter in {text!r}")
     # A zero counter is written as no suffix, and a counter as its digits
-    # alone: any other text would not be what ``str`` gives the label.
+    # alone: any other text would be a second text of the label.
     if counter_text[0] == "0":
         raise LabelError(f"self-attachment counter is 0 or has a leading zero in {text!r}")
     return body, int(counter_text)
 
 
 @lru_cache(maxsize=_LABEL_MEMO_SIZE)
-def parse_node_label(text: str) -> NodeLabel:
-    """Parse a concatenated node label such as ``ABlBr`` or ``BlBrFlFr_2``;
-    inverse of :func:`str` on :class:`NodeLabel`.  Memoized like
-    :func:`parse_piece_label`."""
+def label_pieces(text: str) -> tuple[tuple[str, ...], int]:
+    """The piece texts and counter of the node label ``text``, such as
+    ``ABlBr`` or ``BlBrFlFr_2``, which it checks: every piece, then that
+    the pieces are strictly sorted.  Memoized like :func:`piece_key`."""
     if not text:
         raise LabelError("empty node label")
     body, counter = split_counter(text)
 
     # The matches tile the body iff they join to it; else the scan finds
     # the first position no piece starts at.
-    piece_texts = _PIECE_RE.findall(body)
-    if "".join(piece_texts) != body:
+    pieces = tuple(_PIECE_RE.findall(body))
+    if "".join(pieces) != body:
         pos = 0
         while (m := _PIECE_RE.match(body, pos)) is not None:
             pos = m.end()
         raise LabelError(f"malformed node label {text!r} at position {pos}")
-    if not piece_texts:
+    if not pieces:
         raise LabelError(f"node label {text!r} has no pieces")
     try:
-        return NodeLabel(tuple(map(parse_piece_label, piece_texts)), counter)
+        keys = list(map(piece_key, pieces))
+        for i in range(1, len(keys)):
+            if not keys[i - 1] < keys[i]:
+                low, high = pieces[i - 1], pieces[i]
+                raise LabelError(f"pieces must be strictly sorted, got {low} before {high}")
     except LabelError as exc:
         raise LabelError(f"{text!r}: {exc}") from exc
+    return pieces, counter
 
 
-# Pieces sort by their keys, a C-level lookup, rather than through
-# ``PieceLabel.__lt__``.
-_piece_key = attrgetter("_key")
-
-
-def merge_labels(a: NodeLabel, b: NodeLabel) -> NodeLabel:
-    """Label of the component formed by attaching two disjoint components:
-    their pieces in one sorted tuple and the larger counter, as
-    :func:`node_violations` checks a binary step."""
-    x, y = a.pieces, b.pieces
-    # Each side is strictly sorted, so sides that do not interleave join
-    # as they are.
-    if x[-1]._key < y[0]._key:
-        pieces = x + y
-    elif y[-1]._key < x[0]._key:
-        pieces = y + x
-    else:
-        pieces = tuple(sorted(x + y, key=_piece_key))
-    try:
-        # A shared piece occurs twice, so the pieces are not strictly sorted.
-        return NodeLabel(pieces, max(a.self_attach, b.self_attach))
-    except LabelError:
-        shared = ", ".join(sorted(str(p) for p in a.piece_set & b.piece_set))
-        raise LabelError(f"cannot merge {a} and {b}: shared pieces {shared}") from None
-
-
-def child_order_key(label: NodeLabel) -> tuple[str, int, int]:
-    """Sort key that puts the two children of a merge in canonical order:
-    by their first piece."""
-    return label.pieces[0]._key
-
-
-def bump_self_attach(a: NodeLabel) -> NodeLabel:
-    """Label after sewing the component to itself once."""
-    return NodeLabel(a.pieces, a.self_attach + 1)
+# A label body cut before each capital letter.  Where every cut is the
+# text of an inventory piece, each of which ``_PIECE_RE`` matches whole,
+# the cuts are that regex's pieces; this one scans in half the time.
+_CUTS_RE = re.compile(r"[A-Z][lr0-9]*")
 
 
 # The facts of a label, which is all that the label arithmetic reads:
@@ -262,23 +116,73 @@ def bump_self_attach(a: NodeLabel) -> NodeLabel:
 # row of facts sorts by piece count, then counter, then text.
 
 
-def label_facts(labels: Iterable[NodeLabel]) -> dict[NodeLabel, tuple[int, int, str, int]]:
-    """The facts of each of ``labels``, their masks over the sorted union
-    of their pieces."""
+class LabelReader(dict):
+    """The facts of each label text over one inventory of piece texts,
+    their masks over it: a text is read on its first lookup, and a text
+    seen before costs one dict lookup and no Python call.  ``unknown``
+    maps each label with pieces outside the inventory to those pieces'
+    texts, sorted and joined for a message; such a label is only ever
+    named for them, so its mask is 0.  :meth:`join` and :meth:`bump`
+    compose the facts of a step's parent from its children's."""
+
+    __slots__ = ("bits", "unknown")
+
+    def __init__(self, inventory: Iterable[str]) -> None:
+        super().__init__()
+        self.bits = {p: 1 << i for i, p in enumerate(sorted(inventory, key=piece_key))}
+        self.unknown: dict[str, str] = {}
+
+    def __missing__(self, text: str) -> tuple[int, int, str, int]:
+        body, counter = split_counter(text) if "_" in text else (text, 0)
+        names = _CUTS_RE.findall(body)
+        bits = self.bits
+        # Pieces of the inventory in strictly ascending bits, which tile
+        # the body: a well-formed label over the inventory.
+        mask = 0
+        for name in names:
+            bit = bits.get(name, 0)
+            if bit <= mask:
+                break
+            mask |= bit
+        else:
+            if mask and "".join(names) == body:
+                facts = self[text] = (len(names), counter, text, mask)
+                return facts
+        # Any other text either is no label, and ``label_pieces`` says
+        # why, or holds a piece outside the inventory.
+        names = label_pieces(text)[0]
+        self.unknown[text] = ", ".join(sorted(name for name in names if name not in bits))
+        facts = self[text] = (len(names), counter, text, 0)
+        return facts
+
+    def pieces(self, mask: int) -> list[str]:
+        """The texts of the pieces of ``mask``, in order."""
+        return [name for name, bit in self.bits.items() if bit & mask]
+
+    def join(self, a, b) -> tuple[tuple[int, int, str, int], tuple]:
+        """The facts of the component formed by attaching the disjoint
+        components ``a`` and ``b``, and the two in canonical order: their
+        pieces together and the larger counter, the child with the lowest
+        bit first, as :func:`node_violations` checks a binary step."""
+        count_a, counter_a, _, x = a
+        count_b, counter_b, _, y = b
+        counter = max(counter_a, counter_b)
+        body = "".join(self.pieces(x | y))
+        parent = (count_a + count_b, counter, f"{body}_{counter}" if counter else body, x | y)
+        return parent, ((b, a) if y & -y < x & -x else (a, b))
+
+    def bump(self, a) -> tuple[int, int, str, int]:
+        """The facts of the component ``a`` after sewing it to itself once."""
+        count, counter, text, mask = a
+        return count, counter + 1, f"{text.partition('_')[0]}_{counter + 1}", mask
+
+
+def label_facts(labels: Iterable[str]) -> dict[str, tuple[int, int, str, int]]:
+    """The facts of each of the label texts ``labels``, their masks over
+    the sorted union of their pieces."""
     labels = set(labels)
-    pieces = sorted({piece for label in labels for piece in label.pieces}, key=_piece_key)
-    bit = {piece: 1 << i for i, piece in enumerate(pieces)}.__getitem__
-    return {
-        label: (len(label.pieces), label.self_attach, label._text, sum(map(bit, label.pieces)))
-        for label in labels
-    }
-
-
-def is_leaf(label: NodeLabel) -> bool:
-    """Whether ``label`` is a leaf label: one piece, counter 0, as
-    :func:`node_violations` checks a node without children."""
-    n = len(label.pieces)
-    return not node_violations((n, label.self_attach, label._text, (1 << n) - 1), ())
+    reader = LabelReader({piece for text in labels for piece in label_pieces(text)[0]})
+    return {text: reader[text] for text in labels}
 
 
 def node_violations(

@@ -7,7 +7,8 @@ answers every repeat of a step with the one extraction it kept, so an
 extraction is shared and must not be mutated.
 
 :func:`build_forest` walks a document's extractions in order, mapping
-mentioned pieces to the intermediate component currently containing them,
+mentioned pieces to the facts (``labels.py``) of the intermediate component
+currently containing them, read by the spec's :class:`~sewtree.labels.LabelReader`,
 and folds each step into a growing forest: two resolved components merge,
 one resolved component self-attaches, none leaves the state untouched.  It
 alone numbers the steps, and writes every diagnostic and trace entry from
@@ -21,16 +22,7 @@ from __future__ import annotations
 import json
 import re
 
-from .labels import (
-    LabelError,
-    NodeLabel,
-    PieceLabel,
-    bump_self_attach,
-    child_order_key,
-    is_leaf,
-    merge_labels,
-    parse_piece_label,
-)
+from .labels import LabelError, LabelReader, label_pieces, piece_key
 from .tree import canonical_serialize, rule_text
 
 
@@ -49,16 +41,18 @@ def _field(data, key: str, kind: type):
 
 
 class PatternSpec:
-    """Piece inventory of one pattern with human-readable piece names."""
+    """Piece inventory of one pattern, its piece texts, with human-readable
+    piece names, and the reader of its labels' facts."""
 
-    def __init__(self, pattern_id: str, pieces: dict[PieceLabel, str]) -> None:
+    def __init__(self, pattern_id: str, pieces: dict[str, str]) -> None:
         if not pieces:
             raise ValueError(f"pattern {pattern_id!r} has no pieces")
         self.pattern_id = pattern_id
         self.pieces = pieces
         self.inventory = frozenset(pieces)
+        self.reader = LabelReader(self.inventory)
 
-    def name_of(self, piece: PieceLabel) -> str:
+    def name_of(self, piece: str) -> str:
         return self.pieces.get(piece, f"Piece {piece}")
 
     @classmethod
@@ -68,13 +62,14 @@ class PatternSpec:
         for key, name in _field(data, "pieces", dict).items():
             if not isinstance(name, str):
                 raise ValueError(f"piece {key!r}: name must be a string, got {json.dumps(name)}")
-            pieces[parse_piece_label(key)] = name
+            piece_key(key)
+            pieces[key] = name
         return cls(pattern_id, pieces)
 
     def to_json(self) -> dict:
         return {
             "pattern_id": self.pattern_id,
-            "pieces": {str(k): v for k, v in sorted(self.pieces.items())},
+            "pieces": {k: self.pieces[k] for k in sorted(self.pieces, key=piece_key)},
         }
 
 
@@ -112,9 +107,9 @@ class StepExtraction:
 
     def __init__(
         self,
-        mentions: tuple[PieceLabel, ...],
+        mentions: tuple[str, ...],
         unknown: tuple[str, ...] = (),
-        dropped: tuple[PieceLabel, ...] = (),
+        dropped: tuple[str, ...] = (),
         source: str = "rule",
     ) -> None:
         self.mentions = mentions
@@ -174,11 +169,12 @@ def _has_attachment_verb(sentence: str) -> bool:
 
 
 def piece_mentions(text: str):
-    """Each parenthesized token of ``text`` that parses as a piece label, as
+    """Each parenthesized token of ``text`` that is a piece label, as
     ``(piece, match)`` in text order; parenthetical prose is skipped."""
     for m in _MENTION_RE.finditer(text):
+        piece = m.group(1)
         try:
-            piece = parse_piece_label(m.group(1))
+            piece_key(piece)
         except LabelError:
             continue  # parenthetical prose, not a label
         yield piece, m
@@ -192,7 +188,7 @@ def extract_pieces_rule_based(step: str, spec: PatternSpec) -> StepExtraction:
     without attaching anything and must contribute no subtree.
     """
     inventory = spec.inventory
-    mentions: list[PieceLabel] = []
+    mentions: list[str] = []
     unknown: list[str] = []
     gate_open = False
     for sentence in _SENTENCE_SPLIT_RE.split(step):
@@ -202,8 +198,8 @@ def extract_pieces_rule_based(step: str, spec: PatternSpec) -> StepExtraction:
                 sentence_has_mention = True
                 if piece not in mentions:
                     mentions.append(piece)
-            elif m.group(1) not in unknown:
-                unknown.append(m.group(1))
+            elif piece not in unknown:
+                unknown.append(piece)
         if sentence_has_mention and _has_attachment_verb(sentence):
             gate_open = True
     if gate_open:
@@ -216,7 +212,7 @@ def extract_once_per_run(extract):
     step text and inventory, for its own lifetime (one run), and answers a
     repeat with the extraction it kept, shared.  A fallback is not kept, so
     the next occurrence of that step is extracted again."""
-    kept: dict[tuple[str, frozenset[PieceLabel]], StepExtraction] = {}
+    kept: dict[tuple[str, frozenset[str]], StepExtraction] = {}
 
     def extractor(step: str, spec: PatternSpec) -> StepExtraction:
         key = (step, spec.inventory)
@@ -240,49 +236,49 @@ def extract_document(doc: InstructionDoc, spec: PatternSpec, extractor=None) -> 
 def extractions_to_json(doc: InstructionDoc, extractions: list[StepExtraction]) -> dict:
     return {
         "doc_id": doc.doc_id,
-        "pieces_per_step": [[str(p) for p in x.mentions] for x in extractions],
+        "pieces_per_step": [list(x.mentions) for x in extractions],
     }
 
 
-def resolve_components(
-    mentions: tuple[PieceLabel, ...], component_of: dict[PieceLabel, NodeLabel]
-) -> list[NodeLabel]:
-    """Map each mention to its containing component, then deduplicate.
+def resolve_components(mentions: tuple[str, ...], component_of: dict, reader: LabelReader) -> list:
+    """Map each mention to the facts of its containing component, then
+    deduplicate.
 
-    ``component_of`` maps each piece attached so far to the label of the
-    component that now contains it; an unattached piece is its own leaf.
+    ``component_of`` maps each piece attached so far to the facts of the
+    component that now contains it; an unattached piece is its own leaf,
+    whose facts ``reader`` reads.
     """
-    resolved: list[NodeLabel] = []
+    resolved = []
     for piece in mentions:
         label = component_of.get(piece)
         if label is None:
-            label = NodeLabel((piece,), 0)
+            label = reader[piece]
         if label not in resolved:
             resolved.append(label)
     return resolved
 
 
 def apply_step(
-    component_of: dict[PieceLabel, NodeLabel], resolved: list[NodeLabel]
-) -> list[tuple[NodeLabel, tuple[NodeLabel, ...]]]:
+    component_of: dict, resolved: list, reader: LabelReader
+) -> list[tuple[str, tuple[str, ...]]]:
     """Fold one step's resolved components into ``component_of`` and return
-    the subtrees the step emits, each as its parent and children labels.
+    the subtrees the step emits, each as its parent and children label
+    texts; ``reader`` composes the parents' facts.
 
     One component self-attaches, two merge, three or more left-fold into a
     chain of merges.  Mutates ``component_of``.
     """
-    subtrees: list[tuple[NodeLabel, tuple[NodeLabel, ...]]] = []
+    subtrees: list[tuple[str, tuple[str, ...]]] = []
     if not resolved:
         return subtrees
     acc = resolved[0]
     if len(resolved) == 1:
-        acc = bump_self_attach(acc)
-        subtrees.append((acc, (resolved[0],)))
+        acc = reader.bump(acc)
+        subtrees.append((acc[2], (resolved[0][2],)))
     for label in resolved[1:]:
-        children = tuple(sorted((acc, label), key=child_order_key))
-        acc = merge_labels(acc, label)
-        subtrees.append((acc, children))
-    for piece in acc.pieces:
+        acc, (a, b) = reader.join(acc, label)
+        subtrees.append((acc[2], (a[2], b[2])))
+    for piece in reader.pieces(acc[3]):
         component_of[piece] = acc
     return subtrees
 
@@ -294,8 +290,9 @@ def build_forest(
     forest from them as text."""
     if len(extractions) != len(doc.steps):
         raise ValueError("one extraction per step required")
-    component_of: dict[PieceLabel, NodeLabel] = {}
-    children_of: dict[NodeLabel, tuple[NodeLabel, ...]] = {}
+    reader = spec.reader
+    component_of: dict[str, tuple[int, int, str, int]] = {}
+    children_of: dict[str, tuple[str, ...]] = {}
     trace: list[tuple[int, str]] = []
     diagnostics: list[Diagnostic] = []
     for step_index, x in enumerate(extractions):
@@ -304,7 +301,7 @@ def build_forest(
                 Diagnostic(step_index, "unknown-label", f"({token}) is not in the inventory")
             )
         if x.dropped:
-            names = ", ".join(str(p) for p in x.dropped)
+            names = ", ".join(x.dropped)
             diagnostics.append(
                 Diagnostic(step_index, "no-attachment-verb", f"ignored mentions [{names}]")
             )
@@ -312,11 +309,11 @@ def build_forest(
             diagnostics.append(
                 Diagnostic(step_index, "adapter-fallback", "adapter failed, used rule-based extraction")
             )
-        resolved = resolve_components(x.mentions, component_of)
+        resolved = resolve_components(x.mentions, component_of, reader)
         if len(resolved) > 2:
             message = f"{len(resolved)} components in one step, folding left to right"
             diagnostics.append(Diagnostic(step_index, "multi-component", message))
-        for parent, children in apply_step(component_of, resolved):
+        for parent, children in apply_step(component_of, resolved, reader):
             children_of[parent] = children
             trace.append((step_index, rule_text(parent, children)))
 
@@ -325,22 +322,22 @@ def build_forest(
     # is written once, top down: a child's text is never copied into its
     # parent's, which on a long chain would copy characters quadratic in
     # its length.
-    components = dict.fromkeys(component_of.values())
+    components = {facts[2] for facts in component_of.values()}
     roots = [canonical_serialize(label, children_of) for label in components]
-    roots.extend(str(p) for p in spec.inventory if p not in component_of)
+    roots.extend(p for p in spec.inventory if p not in component_of)
     roots.sort()
     return BuildReport(tuple(roots), tuple(trace), tuple(diagnostics))
 
 
-def _mention(label: NodeLabel, spec: PatternSpec) -> str:
-    piece = label.pieces[0]
+def _mention(label: str, spec: PatternSpec) -> str:
+    piece = label_pieces(label)[0][0]
     name = spec.name_of(piece)
-    if is_leaf(label):
+    if label == piece:  # a leaf is its one piece
         return f"{name} ({piece})"
     return f"component containing the {name} ({piece})"
 
 
-def write_step(children: tuple[NodeLabel, ...], spec: PatternSpec) -> str:
+def write_step(children: tuple[str, ...], spec: PatternSpec) -> str:
     """The templated step that sews a rule's one or two ``children`` into
     its parent.
 
@@ -355,12 +352,13 @@ def write_step(children: tuple[NodeLabel, ...], spec: PatternSpec) -> str:
 
 def linearize_gold_tree(tree, spec: PatternSpec) -> InstructionDoc:
     """Emit templated steps, bottom-up, that rebuild exactly ``tree``, a
-    ``(root, children_of)`` pair: one :func:`write_step` per internal label.
+    ``(root, children_of)`` pair of label texts: one :func:`write_step` per
+    internal label.
     """
     root, children_of = tree
     # Parents before children, right before left: the reverse of the
     # children-first, left-to-right order the steps go in.
-    internal: list[NodeLabel] = []
+    internal: list[str] = []
     stack = [root]
     while stack:
         label = stack.pop()
@@ -374,7 +372,7 @@ def linearize_gold_tree(tree, spec: PatternSpec) -> InstructionDoc:
 
 def placeholder_spec(pattern_id: str, inventory) -> PatternSpec:
     """Spec with generic piece names, for grammars without a pattern spec."""
-    return PatternSpec(pattern_id, {p: f"Piece {p}" for p in sorted(inventory)})
+    return PatternSpec(pattern_id, {p: f"Piece {p}" for p in sorted(inventory, key=piece_key)})
 
 
 def read_text(path) -> str:

@@ -5,33 +5,25 @@ from __future__ import annotations
 import string
 
 from .grammar import GoldGrammar
-from .labels import (
-    NodeLabel,
-    PieceLabel,
-    bump_self_attach,
-    child_order_key,
-    merge_labels,
-)
+from .labels import LabelReader, label_pieces, piece_key
 from .rng import SplitMix64
 from .tree import subtrees_of
 
 
-def random_inventory(rng: SplitMix64, n_pieces: int) -> list[PieceLabel]:
-    """An inventory of roughly ``n_pieces`` pieces mixing plain pieces,
-    mirrored pairs, and numbered copies."""
-    pieces: list[PieceLabel] = []
+def random_inventory(rng: SplitMix64, n_pieces: int) -> list[str]:
+    """An inventory of roughly ``n_pieces`` piece texts mixing plain
+    pieces, mirrored pairs, and numbered copies, in piece order."""
+    pieces: list[str] = []
     for letter in string.ascii_uppercase:
         if len(pieces) >= n_pieces:
             break
         kind = rng.randrange(4)
         if kind == 0 and len(pieces) + 2 <= n_pieces:
-            pieces.append(PieceLabel(letter + "l"))
-            pieces.append(PieceLabel(letter + "r"))
+            pieces += (letter + "l", letter + "r")
         elif kind == 1 and len(pieces) + 2 <= n_pieces:
-            pieces.append(PieceLabel(letter + "1"))
-            pieces.append(PieceLabel(letter + "2"))
+            pieces += (letter + "1", letter + "2")
         else:
-            pieces.append(PieceLabel(letter))
+            pieces.append(letter)
     return pieces
 
 
@@ -40,17 +32,18 @@ def random_tree(
     pieces,
     unary_prob_percent: int = 25,
     chain: bool = False,
-) -> tuple[NodeLabel, dict[NodeLabel, tuple[NodeLabel, ...]]]:
-    """A random valid assembly tree over the given pieces, as its root
-    label and the map from each internal label to its children.
+) -> tuple[str, dict[str, tuple[str, ...]]]:
+    """A random valid assembly tree over the given piece texts, as its root
+    label and the map from each internal label to its children, all texts.
 
     ``chain=True`` builds a caterpillar (each merge extends one growing
     component), which admits exactly one assembly order; useful for
     permutation experiments where reordered steps must actually break.
     """
-    labels = [NodeLabel((p,), 0) for p in pieces]
+    reader = LabelReader(pieces)
+    labels = [reader[p] for p in pieces]
     rng.shuffle(labels)
-    children_of: dict[NodeLabel, tuple[NodeLabel, ...]] = {}
+    children_of: dict[str, tuple[str, ...]] = {}
     while len(labels) > 1:
         if chain:
             i, j = 0, 1
@@ -63,22 +56,22 @@ def random_tree(
         b = labels[j]
         for idx in sorted((i, j), reverse=True):
             del labels[idx]
-        label = merge_labels(a, b)
-        children_of[label] = tuple(sorted((a, b), key=child_order_key))
+        label, (a, b) = reader.join(a, b)
+        children_of[label[2]] = (a[2], b[2])
         while rng.randrange(100) < unary_prob_percent:
-            child, label = label, bump_self_attach(label)
-            children_of[label] = (child,)
+            child, label = label, reader.bump(label)
+            children_of[label[2]] = (child[2],)
         labels.insert(0, label)
-    return labels[0], children_of
+    return labels[0][2], children_of
 
 
 def grammar_from_trees(pattern_id: str, trees) -> GoldGrammar:
     """The grammar whose rules are exactly the depth-1 subtrees of a list of
     ``(root, children_of)`` trees."""
     roots = [root for root, _ in trees]
-    inventory = frozenset({piece for root in roots for piece in root.pieces})
+    inventory = frozenset({piece for root in roots for piece in label_pieces(root)[0]})
     rules = [rule for tree in trees for rule in subtrees_of(tree)]
-    return GoldGrammar(pattern_id, inventory, [str(root) for root in roots], rules)
+    return GoldGrammar(pattern_id, inventory, roots, rules)
 
 
 def random_grammar(
@@ -100,7 +93,7 @@ def grammar_to_text(g: GoldGrammar) -> str:
     """Render back into the grammar file format."""
     lines = [
         f"pattern: {g.pattern_id}",
-        "pieces: " + " ".join(str(p) for p in sorted(g.inventory)),
+        "pieces: " + " ".join(sorted(g.inventory, key=piece_key)),
         "roots: " + " ".join(g.roots),
         *g.rules,
     ]

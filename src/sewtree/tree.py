@@ -4,8 +4,8 @@ subtrees as rule texts.
 Trees are unary/binary: a binary node joins two disjoint components, a unary
 node is one self-attachment of its child, and leaves are single pieces with a
 zero counter.  Labels are unique within a valid tree, so a tree is the pair
-``(root, children_of)``: its root label and a map from each internal label
-to its children's labels; a label without an entry is a leaf.
+``(root, children_of)``: its root label's text and a map from each internal
+label's text to its children's; a label without an entry is a leaf.
 Serialization uses bracket notation, e.g. ``(ABC_1 (AB_1 (AB A B)) C)``.
 """
 
@@ -14,20 +14,20 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Mapping
 
-from .labels import LabelError, NodeLabel, label_facts, node_violations, parse_node_label
+from .labels import LabelError, label_facts, label_pieces, node_violations
 
 
 class TreeError(ValueError):
     """A serialized tree could not be parsed or violates tree constraints."""
 
 
-def rule_text(parent: NodeLabel | str, children: Iterable[NodeLabel | str]) -> str:
+def rule_text(parent: str, children: Iterable[str]) -> str:
     """The text of the depth-1 subtree, or rule, of ``parent`` over
     ``children``, as a grammar file writes it: ``AB -> A B``."""
-    return f"{parent} -> {' '.join(map(str, children))}"
+    return f"{parent} -> {' '.join(children)}"
 
 
-def subtrees_of(tree: tuple[NodeLabel, Mapping[NodeLabel, tuple[NodeLabel, ...]]]):
+def subtrees_of(tree: tuple[str, Mapping[str, tuple[str, ...]]]):
     """Yield the :func:`rule_text` of every internal label of ``tree``, a
     ``(root, children_of)`` pair: parent first, children left to right."""
     root, children_of = tree
@@ -40,47 +40,48 @@ def subtrees_of(tree: tuple[NodeLabel, Mapping[NodeLabel, tuple[NodeLabel, ...]]
             stack.extend(reversed(kids))
 
 
-def bracket(label: NodeLabel | str, kid_texts: Iterable[str]) -> str:
+def bracket(label: str, kid_texts: Iterable[str]) -> str:
     """The bracket text of a node labelled ``label`` over its children's
     texts: ``(AB A B)``."""
     return f"({label} {' '.join(kid_texts)})"
 
 
-def canonical_serialize(root: NodeLabel, children_of: Mapping[NodeLabel, tuple[NodeLabel, ...]]) -> str:
+def canonical_serialize(root: str, children_of: Mapping[str, tuple[str, ...]]) -> str:
     """The canonical serialization of the tree ``(root, children_of)``;
     equal trees have equal serializations.  Iterative, and each token is
-    written once, so the time is linear in the text however deep the tree."""
+    written once, so the time is linear in the text however deep the tree.
+    The stack holds label texts and the ``")"`` and ``" "`` between them,
+    which are never labels."""
     parts: list[str] = []
-    stack: list = [root]
+    stack = [root]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif item in children_of:
+        if item in children_of:
             parts.append(f"({item}")
             stack.append(")")
             for kid in reversed(children_of[item]):
                 stack += (kid, " ")
         else:
-            parts.append(str(item))
+            parts.append(item)
     return "".join(parts)
 
 
 _TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 
 
-def _parse_label(token: str) -> NodeLabel:
+def _parse_label(token: str) -> str:
     try:
-        return parse_node_label(token)
+        label_pieces(token)
     except LabelError as exc:
         raise TreeError(str(exc)) from exc
+    return token
 
 
-def _violations(nodes: list[tuple[NodeLabel, list[NodeLabel]]]) -> list[str]:
+def _violations(nodes: list[tuple[str, list[str]]]) -> list[str]:
     """Every broken constraint of a tree given as its ``(label, kids)``
     nodes in pre-order, node by node, then each repeated label."""
     out: list[str] = []
-    seen: dict[NodeLabel, int] = {}
+    seen: dict[str, int] = {}
     facts = label_facts(label for label, _ in nodes)
     for label, kids in nodes:
         problems = node_violations(facts[label], [facts[kid] for kid in kids])
@@ -90,15 +91,15 @@ def _violations(nodes: list[tuple[NodeLabel, list[NodeLabel]]]) -> list[str]:
     return out
 
 
-def parse_serialized(text: str) -> tuple[NodeLabel, dict[NodeLabel, tuple[NodeLabel, ...]]]:
-    """Parse bracket notation into a validated ``(root, children_of)`` pair.
-    Iterative, so a tree of any depth parses."""
+def parse_serialized(text: str) -> tuple[str, dict[str, tuple[str, ...]]]:
+    """Parse bracket notation into a validated ``(root, children_of)`` pair
+    of label texts.  Iterative, so a tree of any depth parses."""
     tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise TreeError("empty tree text")
     # Every node in pre-order, as its label and the children parsed so far,
     # and the indices of the open brackets' nodes, outermost first.
-    nodes: list[tuple[NodeLabel, list[NodeLabel]]] = []
+    nodes: list[tuple[str, list[str]]] = []
     open_nodes: list[int] = []
     pos = 0
     while True:

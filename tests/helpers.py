@@ -1,10 +1,12 @@
 """Shared checks for the randomized-grammar property suite, and the
+test-side label: a tuple of piece texts sorted by :func:`oracle_key` and a
+counter, with its own merge and bump, the reference for ``labels.py``'s
+reading of texts into facts and its label arithmetic; the
 node-tree oracles: ``AssemblyNode`` trees with their validator, parser,
 serializer, generator and linearization, the references that the
 label-map code in ``sewtree`` is tested against; the per-step adapter
 extractor, the reference for the memoized one; the ``urllib.request``
-post, the reference for the adapter's HTTP/1.0 client; the label
-formatter, the reference for the texts labels write once; BLEU and
+post, the reference for the adapter's HTTP/1.0 client; BLEU and
 ROUGE-L computed afresh per call, the references for the metrics'
 prepared reference side; the node check on piece sets, the reference
 for ``node_violations``' masks; the object reader of rules and grammar
@@ -27,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from sewtree.grammar import (
     DEFAULT_CAP,
@@ -37,16 +40,7 @@ from sewtree.grammar import (
     enumerate_gold_trees,
     parse_grammar,
 )
-from sewtree.labels import (
-    LabelError,
-    NodeLabel,
-    PieceLabel,
-    bump_self_attach,
-    child_order_key,
-    merge_labels,
-    parse_node_label,
-    split_counter,
-)
+from sewtree.labels import LabelError, label_pieces, piece_key, split_counter
 from sewtree.metrics import (
     BLEU_EPSILON,
     BLEU_MAX_N,
@@ -70,11 +64,58 @@ from sewtree.synth import random_grammar
 from sewtree.tree import _TOKEN_RE, TreeError, bracket, parse_serialized, rule_text, subtrees_of
 
 
+def oracle_key(text: str) -> tuple[str, int, int]:
+    """The order of a piece, from its text: base letter, then plain, left,
+    right and copies, then the copy number."""
+    suffix = text[1:]
+    if suffix in ("", "l", "r"):
+        return text[0], ["", "l", "r"].index(suffix), 0
+    return text[0], 3, int(suffix)
+
+
+class Label(NamedTuple):
+    """A node label on the test side: its piece texts, sorted by
+    :func:`oracle_key`, and its self-attachment counter; ``str`` writes
+    its text."""
+
+    pieces: tuple[str, ...]
+    self_attach: int = 0
+
+    def __str__(self) -> str:
+        body = "".join(self.pieces)
+        return f"{body}_{self.self_attach}" if self.self_attach else body
+
+    @property
+    def piece_set(self) -> frozenset[str]:
+        return frozenset(self.pieces)
+
+
+def label_of(text: str) -> Label:
+    """The test-side label of ``text``, which ``label_pieces`` checks."""
+    return Label(*label_pieces(text))
+
+
+def merge(a: Label, b: Label) -> Label:
+    """The label of two disjoint components attached: their pieces in one
+    sorted tuple and the larger counter."""
+    return Label(tuple(sorted(a.pieces + b.pieces, key=oracle_key)), max(a.self_attach, b.self_attach))
+
+
+def bump(a: Label) -> Label:
+    """The label of ``a`` sewn to itself once."""
+    return Label(a.pieces, a.self_attach + 1)
+
+
+def first_piece(label: Label) -> tuple[str, int, int]:
+    """The order of the two children of a merge: by their first piece."""
+    return oracle_key(label.pieces[0])
+
+
 @dataclass(frozen=True)
 class AssemblyNode:
     """One node of an assembly tree with 0, 1, or 2 children."""
 
-    label: NodeLabel
+    label: Label
     children: tuple["AssemblyNode", ...] = ()
 
     def is_leaf(self) -> bool:
@@ -89,26 +130,26 @@ class AssemblyNode:
             stack.extend(reversed(node.children))
 
 
-def leaf(piece: PieceLabel) -> AssemblyNode:
-    return AssemblyNode(NodeLabel((piece,), 0))
+def leaf(piece: str) -> AssemblyNode:
+    return AssemblyNode(Label((piece,), 0))
 
 
 def unary(child: AssemblyNode) -> AssemblyNode:
     """Self-attachment node over ``child``."""
-    return AssemblyNode(bump_self_attach(child.label), (child,))
+    return AssemblyNode(bump(child.label), (child,))
 
 
 def binary(a: AssemblyNode, b: AssemblyNode) -> AssemblyNode:
     """Attachment node joining two disjoint components, children in canonical order."""
-    label = merge_labels(a.label, b.label)
-    children = tuple(sorted((a, b), key=lambda n: child_order_key(n.label)))
-    return AssemblyNode(label, children)
+    children = tuple(sorted((a, b), key=lambda n: first_piece(n.label)))
+    return AssemblyNode(merge(a.label, b.label), children)
 
 
-def as_pair(root: AssemblyNode) -> tuple[NodeLabel, dict[NodeLabel, tuple[NodeLabel, ...]]]:
-    """The ``(root, children_of)`` pair of a node tree with unique labels."""
-    return root.label, {
-        n.label: tuple(c.label for c in n.children) for n in root.walk() if n.children
+def as_pair(root: AssemblyNode) -> tuple[str, dict[str, tuple[str, ...]]]:
+    """The ``(root, children_of)`` pair of label texts of a node tree with
+    unique labels."""
+    return str(root.label), {
+        str(n.label): tuple(str(c.label) for c in n.children) for n in root.walk() if n.children
     }
 
 
@@ -142,7 +183,7 @@ class Violation:
         return f"{self.node}: {self.rule}: {self.detail}"
 
 
-def node_oracle(label: NodeLabel, children) -> list[tuple[str, str]]:
+def node_oracle(label: Label, children) -> list[tuple[str, str]]:
     """The label arithmetic of one node on piece sets, as ``(kind, detail)``
     pairs, every kind and message written out: the reference for
     ``node_violations``."""
@@ -166,7 +207,7 @@ def node_oracle(label: NodeLabel, children) -> list[tuple[str, str]]:
             out.append(("binary-union", "children's pieces do not cover the parent"))
         if label.self_attach != max(a.self_attach, b.self_attach):
             out.append(("binary-counter", "parent counter must be the children's max"))
-        if min(a.piece_set) > min(b.piece_set):
+        if min(map(oracle_key, a.piece_set)) > min(map(oracle_key, b.piece_set)):
             out.append(("child-order", "children out of canonical order"))
     else:
         out.append(("arity", f"{len(children)} children, 1 or 2 allowed"))
@@ -177,7 +218,7 @@ def validate_tree(root: AssemblyNode) -> list[Violation]:
     """All constraint violations in the tree; empty iff the tree is valid:
     the reference for the checks ``parse_serialized`` runs."""
     out: list[Violation] = []
-    seen: dict[NodeLabel, int] = {}
+    seen: dict[Label, int] = {}
     for node in root.walk():
         kids = tuple(c.label for c in node.children)
         for kind, detail in node_oracle(node.label, kids):
@@ -197,9 +238,9 @@ def recursive_parse(text: str) -> AssemblyNode:
         raise TreeError("empty tree text")
     pos = 0
 
-    def label_of(tok):
+    def read(tok):
         try:
-            return parse_node_label(tok)
+            return label_of(tok)
         except LabelError as exc:
             raise TreeError(str(exc)) from exc
 
@@ -212,10 +253,10 @@ def recursive_parse(text: str) -> AssemblyNode:
         if tok == ")":
             raise TreeError("unexpected ')'")
         if tok != "(":
-            return AssemblyNode(label_of(tok))
+            return AssemblyNode(read(tok))
         if pos >= len(tokens) or tokens[pos] in "()":
             raise TreeError("expected node label after '('")
-        label = label_of(tokens[pos])
+        label = read(tokens[pos])
         pos += 1
         children = []
         while pos < len(tokens) and tokens[pos] != ")":
@@ -298,12 +339,16 @@ def subtree_set(text: str) -> frozenset:
     return frozenset(subtrees_of(parse_serialized(text)))
 
 
-def rule_labels(text: str) -> tuple[NodeLabel, tuple[NodeLabel, ...]]:
+def label_rule(parent: Label, children) -> str:
+    """The rule text of ``parent`` over ``children``, test-side labels."""
+    return rule_text(str(parent), map(str, children))
+
+
+def rule_labels(text: str) -> tuple[Label, tuple[Label, ...]]:
     """The parent and children labels of the rule text ``text``, each read
-    by ``parse_node_label``: a rule as the oracles take it, the form of a
-    ``children_of`` entry."""
+    by :func:`label_of`: a rule as the oracles take it."""
     parent, children = text.split(" -> ")
-    return parse_node_label(parent), tuple(map(parse_node_label, children.split(" ")))
+    return label_of(parent), tuple(map(label_of, children.split(" ")))
 
 
 def gold_tree_oracle(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[AssemblyNode, ...]:
@@ -315,7 +360,7 @@ def gold_tree_oracle(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[AssemblyNo
         raise CapExceededError(total, cap)
     trees: list[tuple[AssemblyNode, ...]] = []
     for text, expansions in zip(g.labels, g.expansions):
-        label = parse_node_label(text)
+        label = label_of(text)
         if not expansions:
             trees.append((AssemblyNode(label),))
             continue
@@ -419,7 +464,7 @@ def check_enumeration(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, ...]
     return texts
 
 
-def rule_oracle(lineno: int, line: str) -> tuple[NodeLabel, tuple[NodeLabel, ...]]:
+def rule_oracle(lineno: int, line: str) -> tuple[Label, tuple[Label, ...]]:
     """The rule on grammar line ``lineno``, a stripped ``->`` line, read on
     its own as its parent and children labels: every label parsed, and two
     children put in canonical order; nothing about the rule is checked.  A
@@ -428,11 +473,11 @@ def rule_oracle(lineno: int, line: str) -> tuple[NodeLabel, tuple[NodeLabel, ...
     line."""
     lhs, rhs = line.split("->", 1)
     try:
-        parent, *children = map(parse_node_label, [lhs.strip(), *rhs.split()])
+        parent, *children = map(label_of, [lhs.strip(), *rhs.split()])
     except LabelError as exc:
         raise GrammarError(f"line {lineno}: {exc}") from exc
     if len(children) == 2:
-        children.sort(key=child_order_key)
+        children.sort(key=first_piece)
     return parent, tuple(children)
 
 
@@ -446,7 +491,7 @@ def check_rule_graph(g):
     assert len(set(roots)) == len(roots) and len(set(rules)) == len(rules)
     read = {rule: rule_labels(rule) for rule in rules}
     mentioned = {
-        *map(parse_node_label, roots),
+        *map(label_of, roots),
         *(label for parent, children in read.values() for label in (parent, *children)),
     }
     assert g.labels == tuple(
@@ -464,16 +509,16 @@ def check_rule_graph(g):
     assert reversed_rules.labels == g.labels
 
 
-def read_grammar_oracle(text: str) -> tuple[str, frozenset, list[NodeLabel], list[tuple]]:
+def read_grammar_oracle(text: str) -> tuple[str, frozenset, list[Label], list[tuple]]:
     """The pattern id, inventory, roots and rules of a grammar file as
     labels, read line by line: each rule line by :func:`rule_oracle`,
-    each root by ``parse_node_label`` (``S``/``S_n`` as the full
+    each root by :func:`label_of` (``S``/``S_n`` as the full
     inventory), refusing what reading a line needs with the parser's
     messages and checking nothing else: the reference for
     ``parse_grammar``'s reading into label facts.  Roots and rules are
     returned as written, repeats included."""
     pattern_id = inventory = roots_line = None
-    rules: list[tuple[NodeLabel, tuple[NodeLabel, ...]]] = []
+    rules: list[tuple[Label, tuple[Label, ...]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
         if not line:
@@ -492,8 +537,10 @@ def read_grammar_oracle(text: str) -> tuple[str, frozenset, list[NodeLabel], lis
         elif line.startswith("pieces:"):
             if inventory is not None:
                 raise GrammarError(f"line {lineno}: duplicate pieces header")
+            pieces = line[len("pieces:"):].split()
             try:
-                pieces = [PieceLabel(t) for t in line[len("pieces:"):].split()]
+                for piece in pieces:
+                    piece_key(piece)
             except LabelError as exc:
                 raise GrammarError(f"line {lineno}: {exc}") from exc
             if not pieces:
@@ -518,10 +565,10 @@ def read_grammar_oracle(text: str) -> tuple[str, frozenset, list[NodeLabel], lis
     for token in roots_text.split():
         try:
             body, counter = split_counter(token)
-            if body == "S" and PieceLabel("S") not in inventory:
-                roots.append(NodeLabel(tuple(sorted(inventory)), counter))
+            if body == "S" and "S" not in inventory:
+                roots.append(Label(tuple(sorted(inventory, key=oracle_key)), counter))
             else:
-                roots.append(parse_node_label(token))
+                roots.append(label_of(token))
         except LabelError as exc:
             raise GrammarError(f"line {lineno}: {exc}") from exc
     return pattern_id, inventory, roots, rules
@@ -531,12 +578,12 @@ def count_derivations_oracle(roots, rules) -> dict[str, int]:
     """The derivations of each root label, by its text, counted by a walk
     down the rules, each its parent and children labels: the reference for
     ``count_derivations``."""
-    by_parent: dict[NodeLabel, list[tuple[NodeLabel, ...]]] = {}
+    by_parent: dict[Label, list[tuple[Label, ...]]] = {}
     for parent, children in dict.fromkeys(rules):
         by_parent.setdefault(parent, []).append(children)
-    counts: dict[NodeLabel, int] = {}
+    counts: dict[Label, int] = {}
 
-    def count(label: NodeLabel) -> int:
+    def count(label: Label) -> int:
         if label not in counts:
             expansions = by_parent.get(label)
             counts[label] = sum(
@@ -558,13 +605,13 @@ def validate_grammar_oracle(inventory, roots, rules) -> list[str]:
     roots = list(dict.fromkeys(roots))
     rules = list(dict.fromkeys(rules))
 
-    def unknown(label: NodeLabel) -> str:
-        return ", ".join(sorted(str(p) for p in label.piece_set - inventory))
+    def unknown(label: Label) -> str:
+        return ", ".join(sorted(label.piece_set - inventory))
 
     out = [f"root {root}: unknown pieces {unknown(root)}" for root in roots if unknown(root)]
     for parent, children in rules:
         outside = [unknown(label) for label in (parent, *children) if unknown(label)]
-        text = rule_text(parent, children)
+        text = label_rule(parent, children)
         if outside:
             out.append(f"{text}: unknown pieces {outside[0]}")
         elif len(children) not in (1, 2):
@@ -584,9 +631,9 @@ def validate_grammar_oracle(inventory, roots, rules) -> list[str]:
         if label not in expandable and node_oracle(label, ()):
             out.append(f"{label}: no rule expands this non-leaf label")
 
-    reached: set[NodeLabel] = set()
+    reached: set[Label] = set()
 
-    def visit(label: NodeLabel) -> None:
+    def visit(label: Label) -> None:
         if label not in reached:
             reached.add(label)
             for parent, children in rules:
@@ -597,7 +644,7 @@ def validate_grammar_oracle(inventory, roots, rules) -> list[str]:
     for root in roots:
         visit(root)
     out += [
-        f"{rule_text(parent, children)}: no root reaches this rule"
+        f"{label_rule(parent, children)}: no root reaches this rule"
         for parent, children in rules if parent not in reached
     ]
 
@@ -714,15 +761,15 @@ def wide_grammar() -> tuple[str, AssemblyNode]:
         lines.append(f"{joined}{''.join(blocks[i])} -> {joined} {''.join(blocks[i])}")
     tree = None
     for block in blocks:
-        sub = leaf(PieceLabel(block[0]))
+        sub = leaf(block[0])
         for piece in block[1:]:
-            sub = binary(sub, leaf(PieceLabel(piece)))
+            sub = binary(sub, leaf(piece))
         tree = sub if tree is None else binary(tree, sub)
     return "\n".join(lines) + "\n", tree
 
 
 def glue_subtrees(
-    subtrees, isolated: tuple[NodeLabel, ...] = ()
+    subtrees, isolated: tuple[Label, ...] = ()
 ) -> tuple[AssemblyNode, ...]:
     """Rebuild a forest, its trees sorted by serialization, from the rule
     texts of depth-1 subtrees by gluing equal labels.
@@ -730,8 +777,8 @@ def glue_subtrees(
     Labels that never appear as a parent become leaves; labels that never
     appear as a child become roots; ``isolated`` labels become one-leaf trees.
     """
-    children_of: dict[NodeLabel, tuple[NodeLabel, ...]] = {}
-    child_labels: set[NodeLabel] = set()
+    children_of: dict[Label, tuple[Label, ...]] = {}
+    child_labels: set[Label] = set()
     for text in subtrees:
         parent, children = rule_labels(text)
         if parent in children_of and children_of[parent] != children:
@@ -739,7 +786,7 @@ def glue_subtrees(
         children_of[parent] = children
         child_labels.update(children)
 
-    def build(label: NodeLabel, pending: frozenset[NodeLabel]) -> AssemblyNode:
+    def build(label: Label, pending: frozenset[Label]) -> AssemblyNode:
         if label in pending:
             raise TreeError(f"cycle through label {label}")
         kids = children_of.get(label)
@@ -758,7 +805,7 @@ def glue_subtrees(
 def glued_forest(report) -> tuple[str, ...]:
     """The report's trace and isolated leaves glued back into trees by
     ``glue_subtrees``, serialized: the oracle for ``report.forest``."""
-    isolated = tuple(parse_node_label(t) for t in report.forest if not t.startswith("("))
+    isolated = tuple(label_of(t) for t in report.forest if not t.startswith("("))
     glued = glue_subtrees((text for _, text in report.subtree_trace), isolated)
     return tuple(serialize_node(t) for t in glued)
 
@@ -772,19 +819,6 @@ def urllib_post(endpoint, body: bytes) -> bytes:
     request = urllib.request.Request(endpoint.url, body, {"Content-Type": "application/json"})
     with urllib.request.urlopen(request, timeout=endpoint.timeout) as response:
         return response.read()
-
-
-def label_text(value) -> str:
-    """The text of a piece or node label, written from its fields on every
-    call (a piece's from its sort key): the oracle for ``str``, which
-    returns the text each label composed once."""
-    if isinstance(value, PieceLabel):
-        base, rank, index = value._key
-        return base + (str(index) if index else ("", "l", "r")[rank])
-    body = "".join(label_text(p) for p in value.pieces)
-    if value.self_attach:
-        return f"{body}_{value.self_attach}"
-    return body
 
 
 def quadratic_lcs_length(a, b):

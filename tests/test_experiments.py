@@ -108,10 +108,10 @@ def skip_unary_update(monkeypatch) -> None:
     """``apply_step`` leaves the components as they were after a unary step."""
     original = sewtree.pipeline.apply_step
 
-    def apply_step(component_of, resolved):
+    def apply_step(component_of, resolved, reader):
         if len(resolved) == 1:
             component_of = dict(component_of)
-        return original(component_of, resolved)
+        return original(component_of, resolved, reader)
 
     patch_pipeline(monkeypatch, "apply_step", apply_step)
 
@@ -121,8 +121,8 @@ def drop_unary_subtree(monkeypatch) -> None:
     no subtree for it."""
     original = sewtree.pipeline.apply_step
 
-    def apply_step(component_of, resolved):
-        subtrees = original(component_of, resolved)
+    def apply_step(component_of, resolved, reader):
+        subtrees = original(component_of, resolved, reader)
         return subtrees if len(resolved) != 1 else []
 
     patch_pipeline(monkeypatch, "apply_step", apply_step)
@@ -131,7 +131,10 @@ def drop_unary_subtree(monkeypatch) -> None:
 def resolve_to_leaves(monkeypatch) -> None:
     """``resolve_components`` ignores the components built so far."""
     original = sewtree.pipeline.resolve_components
-    patch_pipeline(monkeypatch, "resolve_components", lambda mentions, component_of: original(mentions, {}))
+    patch_pipeline(
+        monkeypatch, "resolve_components",
+        lambda mentions, component_of, reader: original(mentions, {}, reader),
+    )
 
 
 def repeat_first_child(monkeypatch) -> None:

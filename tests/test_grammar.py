@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-import sewtree.grammar
+import sewtree.labels
 from sewtree.grammar import (
     CapExceededError,
     GoldGrammar,
@@ -15,19 +15,15 @@ from sewtree.grammar import (
     parse_grammar,
     validate_grammar,
 )
-from sewtree.labels import _LABEL_MEMO_SIZE, parse_node_label, parse_piece_label
+from sewtree.labels import _LABEL_MEMO_SIZE, label_pieces
 from sewtree.metrics import grammar_score
-from sewtree.tree import canonical_serialize, parse_serialized, rule_text
+from sewtree.tree import canonical_serialize, parse_serialized
 
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import grammar_to_text, random_grammar
 
 from conftest import GRAMMAR_NAMES, load_grammar
-from helpers import chain_grammar, check_enumeration, check_rule_graph, rule_oracle
-
-
-def N(text):
-    return parse_node_label(text)
+from helpers import chain_grammar, check_enumeration, check_rule_graph, label_rule, rule_oracle
 
 
 class TestParseGrammar:
@@ -115,10 +111,11 @@ class TestParseGrammar:
 
 def test_each_label_text_is_parsed_once_per_parse(monkeypatch):
     # A, B, AB and AB_1 to AB_5000: more texts than the label parser's own
-    # bounded memo holds, each on two rule lines but read once, and made
-    # into no label object, also when a caller reads the roots or rules.
+    # bounded memo holds, each on two rule lines but read once, into its
+    # facts, and never through the checking parser ``label_pieces``, also
+    # when a caller reads the roots or rules.
     read, parsed = Counter(), Counter()
-    read_label = sewtree.grammar._LabelReader.__missing__
+    read_label = sewtree.labels.LabelReader.__missing__
 
     def counting_read(facts, text):
         read[text] += 1
@@ -126,10 +123,10 @@ def test_each_label_text_is_parsed_once_per_parse(monkeypatch):
 
     def counting_parse(text):
         parsed[text] += 1
-        return parse_node_label(text)
+        return label_pieces(text)
 
-    monkeypatch.setattr(sewtree.grammar._LabelReader, "__missing__", counting_read)
-    monkeypatch.setattr(sewtree.grammar, "parse_node_label", counting_parse)
+    monkeypatch.setattr(sewtree.labels.LabelReader, "__missing__", counting_read)
+    monkeypatch.setattr(sewtree.labels, "label_pieces", counting_parse)
     first = chain_grammar(5000)
     assert len(read) == 5003 > _LABEL_MEMO_SIZE
     assert set(read.values()) == {1}
@@ -214,9 +211,8 @@ INVALID_GRAMMARS = {
     "pieces,roots,lines,problems", INVALID_GRAMMARS.values(), ids=INVALID_GRAMMARS
 )
 def test_invalid_grammar_is_refused_when_built_and_when_read(pieces, roots, lines, problems):
-    inventory = frozenset(map(parse_piece_label, pieces.split()))
     with pytest.raises(GrammarError) as built:
-        GoldGrammar("x", inventory, roots.split(), [rule_text(*rule_oracle(0, line)) for line in lines])
+        GoldGrammar("x", frozenset(pieces.split()), roots.split(), [label_rule(*rule_oracle(0, line)) for line in lines])
     with pytest.raises(GrammarError) as read:
         parse_grammar(f"pattern: x\npieces: {pieces}\nroots: {roots}\n" + "\n".join(lines))
     for exc in (built, read):
@@ -224,25 +220,30 @@ def test_invalid_grammar_is_refused_when_built_and_when_read(pieces, roots, line
         assert str(exc.value) == "pattern 'x': invalid grammar: " + "; ".join(problems[:3])
 
 
-# Root and rule texts the constructor cannot read, as (roots, rules,
-# message): each is named, in a GrammarError and never a bare LabelError.
-# Three children read well, and are refused as an invalid rule.
+# Piece, root and rule texts the constructor cannot read, as (pieces,
+# roots, rules, message): each is named, in a GrammarError and never a
+# bare LabelError.  Three children read well, and are refused as an
+# invalid rule.
+ABC = ["A", "B", "C"]
 UNREADABLE_TEXTS = {
-    "no-arrow": (["AB"], ["AB <- A B"], "'AB <- A B': a rule is written 'parent -> children'"),
-    "bad-child": (["AB"], ["AB -> A Bx"], "'AB -> A Bx': malformed node label 'Bx' at position 1"),
-    "double-space": (["AB"], ["AB -> A  B"], "'AB -> A  B': empty node label"),
-    "bad-parent": (["AB"], ["AB_0 -> A B"],
+    "no-arrow": (ABC, ["AB"], ["AB <- A B"], "'AB <- A B': a rule is written 'parent -> children'"),
+    "bad-child": (ABC, ["AB"], ["AB -> A Bx"], "'AB -> A Bx': malformed node label 'Bx' at position 1"),
+    "double-space": (ABC, ["AB"], ["AB -> A  B"], "'AB -> A  B': empty node label"),
+    "bad-parent": (ABC, ["AB"], ["AB_0 -> A B"],
                    "'AB_0 -> A B': self-attachment counter is 0 or has a leading zero in 'AB_0'"),
-    "bad-root": (["BA"], ["AB -> A B"], "'BA': 'BA': pieces must be strictly sorted, got B before A"),
-    "three-children": (["ABC"], ["ABC -> A B C"], "invalid grammar: ABC -> A B C: rules need 1 or 2 children"),
+    "bad-root": (ABC, ["BA"], ["AB -> A B"], "'BA': 'BA': pieces must be strictly sorted, got B before A"),
+    "three-children": (ABC, ["ABC"], ["ABC -> A B C"],
+                       "invalid grammar: ABC -> A B C: rules need 1 or 2 children"),
+    "lowercase-piece": (["A", "B", "a"], ["AB"], ["AB -> A B"], "'a': malformed piece label 'a'"),
+    "zero-copy-piece": (["A", "B", "A0"], ["AB"], ["AB -> A B"], "'A0': copy index must be >= 1 in 'A0'"),
+    "empty-piece": (["A", "B", ""], ["AB"], ["AB -> A B"], "'': empty piece label"),
 }
 
 
-@pytest.mark.parametrize("roots,rules,message", UNREADABLE_TEXTS.values(), ids=UNREADABLE_TEXTS)
-def test_a_text_the_constructor_cannot_read_is_named(roots, rules, message):
-    inventory = frozenset(map(parse_piece_label, "A B C".split()))
+@pytest.mark.parametrize("pieces,roots,rules,message", UNREADABLE_TEXTS.values(), ids=UNREADABLE_TEXTS)
+def test_a_text_the_constructor_cannot_read_is_named(pieces, roots, rules, message):
     with pytest.raises(GrammarError) as exc:
-        GoldGrammar("x", inventory, roots, rules)
+        GoldGrammar("x", frozenset(pieces), roots, rules)
     assert str(exc.value) == f"pattern 'x': {message}"
 
 
@@ -306,7 +307,7 @@ class TestEnumeration:
             parse_grammar("pattern: x\npieces: A B\nroots: AB_1\nAB -> A B\n")
         assert exc.value.problems == problems
         with pytest.raises(GrammarError) as exc:
-            GoldGrammar("x", frozenset(N("AB").pieces), ("AB_1",), ("AB -> A B",))
+            GoldGrammar("x", frozenset({"A", "B"}), ("AB_1",), ("AB -> A B",))
         assert exc.value.problems == problems
 
     def test_repeated_roots_and_rules_are_kept_once(self):

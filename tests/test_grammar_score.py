@@ -16,14 +16,6 @@ from hypothesis import strategies as hs
 
 from sewtree.experiments import ErrorInjectionPlan, inject_errors, permute_doc, score_document
 from sewtree.grammar import GoldGrammar, enumerate_gold_trees, parse_grammar
-from sewtree.labels import (
-    NodeLabel,
-    PieceLabel,
-    bump_self_attach,
-    child_order_key,
-    parse_node_label,
-    parse_piece_label,
-)
 from sewtree.metrics import grammar_score, tree_score
 from sewtree.pipeline import (
     InstructionDoc,
@@ -45,11 +37,17 @@ from sewtree.tree import canonical_serialize, parse_serialized, rule_text, subtr
 
 from conftest import GRAMMAR_NAMES, load_grammar
 from helpers import (
+    Label,
     as_pair,
     best_tree_oracle,
+    bump,
     chain_grammar,
+    first_piece,
     g_indexed_dp_oracle,
     gold_tree_oracle,
+    label_of,
+    label_rule,
+    oracle_key,
     rule_labels,
     subtree_set,
 )
@@ -231,7 +229,7 @@ def test_rule_order_is_presentation(block):
         text = grammar_to_text(grammar)
         # Reversing every rule's children swaps those of the binary rules.
         rule_lines = [
-            rule_text(parent, children[::-1]) for parent, children in map(rule_labels, grammar.rules)
+            label_rule(parent, children[::-1]) for parent, children in map(rule_labels, grammar.rules)
         ]
         rng.shuffle(rule_lines)
         original = parse_grammar(text)
@@ -311,7 +309,7 @@ def test_both_scorers_rank_by_exact_f1(seed, n_pieces, height):
     trees = [tree]
     label, children_of = tree
     for _ in range(height):
-        child, label = label, bump_self_attach(label)
+        child, label = label, str(bump(label_of(label)))
         children_of = {**children_of, label: (child,)}
         trees.append((label, children_of))
     predicted = frozenset(rule for rule in subtrees_of(trees[-1]) if rng.randrange(3) == 0)
@@ -423,40 +421,40 @@ def test_f1_below_one_when_a_step_precedes_a_step_it_depends_on(seed, n_pieces, 
         assert score_linearization(moved, spec, grammar).f1 < 1.0
 
 
-def renamed_piece(piece: PieceLabel, letters: dict) -> PieceLabel:
-    text = str(piece)
-    return PieceLabel(letters[text[0]] + text[1:])
+def renamed_piece(piece: str, letters: dict) -> str:
+    return letters[piece[0]] + piece[1:]
 
 
-def renamed_label(label: NodeLabel, letters: dict) -> NodeLabel:
-    return NodeLabel(tuple(sorted(renamed_piece(p, letters) for p in label.pieces)), label.self_attach)
+def renamed_label(label: Label, letters: dict) -> Label:
+    pieces = sorted((renamed_piece(p, letters) for p in label.pieces), key=oracle_key)
+    return Label(tuple(pieces), label.self_attach)
 
 
-def renamed_step(parent: NodeLabel, kids, letters: dict) -> tuple[NodeLabel, tuple[NodeLabel, ...]]:
-    """One rule or tree node renamed, as its parent and children labels,
-    its children back in canonical order."""
-    new_kids = sorted((renamed_label(k, letters) for k in kids), key=child_order_key)
-    return renamed_label(parent, letters), tuple(new_kids)
+def renamed_step(parent: Label, kids, letters: dict) -> tuple[str, tuple[str, ...]]:
+    """One rule or tree node renamed, as its parent and children label
+    texts, its children back in canonical order."""
+    new_kids = sorted((renamed_label(k, letters) for k in kids), key=first_piece)
+    return str(renamed_label(parent, letters)), tuple(map(str, new_kids))
 
 
 def renamed_grammar(grammar: GoldGrammar, letters: dict) -> GoldGrammar:
     return GoldGrammar(
         grammar.pattern_id,
         frozenset(renamed_piece(p, letters) for p in grammar.inventory),
-        tuple(str(renamed_label(parse_node_label(r), letters)) for r in grammar.roots),
+        tuple(str(renamed_label(label_of(r), letters)) for r in grammar.roots),
         tuple(rule_text(*renamed_step(*rule_labels(r), letters)) for r in grammar.rules),
     )
 
 
 def renamed_tree_text(text: str, letters: dict) -> str:
     root, children_of = parse_serialized(text)
-    steps = [renamed_step(p, kids, letters) for p, kids in children_of.items()]
-    return canonical_serialize(renamed_label(root, letters), dict(steps))
+    steps = [renamed_step(label_of(p), map(label_of, kids), letters) for p, kids in children_of.items()]
+    return canonical_serialize(str(renamed_label(label_of(root), letters)), dict(steps))
 
 
 def renamed_doc(doc: InstructionDoc, letters: dict) -> InstructionDoc:
     def rename(m):
-        return f"({renamed_piece(parse_piece_label(m[1]), letters)})"
+        return f"({renamed_piece(m[1], letters)})"
 
     steps = tuple(re.sub(r"\(([A-Z][0-9lr]*)\)", rename, step) for step in doc.steps)
     return InstructionDoc(doc.pattern_id, doc.doc_id, steps)
@@ -478,7 +476,7 @@ def test_tree_columns_invariant_under_renaming(seed, n_pieces, n_gold, order_pre
     if rng.randrange(2) and plan.drop_step + plan.swap_adjacent < len(doc.steps):
         doc = inject_errors(doc, plan, seed, spec)[0]
 
-    used = sorted({str(p)[0] for p in inventory})
+    used = sorted({p[0] for p in inventory})
     targets = list(string.ascii_uppercase)
     rng.shuffle(targets)
     targets = targets[:len(used)]

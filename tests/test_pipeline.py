@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as hs
 
 from sewtree.adapter import AdapterConfig, AdapterError, extract_via_adapter, make_adapter_extractor
-from sewtree.labels import NodeLabel, PieceLabel, parse_node_label, parse_piece_label
+from sewtree.labels import LabelReader
 from sewtree.pipeline import (
     BuildReport,
     Diagnostic,
@@ -28,6 +28,7 @@ from sewtree.tree import bracket, canonical_serialize, subtrees_of
 from conftest import GRAMMAR_NAMES, _AdapterHandler, load_grammar, posted_requests, wait_for_posts
 from helpers import (
     AssemblyNode,
+    Label,
     as_pair,
     binary,
     glued_forest,
@@ -41,16 +42,16 @@ from helpers import (
 )
 
 
-def P(text):
-    return parse_piece_label(text)
+READER = LabelReader(["A", "B", "C"])
 
 
-def N(text):
-    return parse_node_label(text)
+def F(text):
+    """The facts of the label ``text`` over pieces A-C."""
+    return READER[text]
 
 
 def labels(extraction):
-    return [str(p) for p in extraction.mentions]
+    return list(extraction.mentions)
 
 
 class TestRuleBasedExtraction:
@@ -71,7 +72,7 @@ class TestRuleBasedExtraction:
     def test_finishing_step_dropped_with_diagnostic_info(self, skirt_spec):
         x = extract_pieces_rule_based("Fold the Waistband (C) over. Press flat.", skirt_spec)
         assert x.mentions == ()
-        assert x.dropped == (P("C"),)
+        assert x.dropped == ("C",)
 
     def test_unknown_label_recorded(self, skirt_spec):
         x = extract_pieces_rule_based("Sew the Yoke (Q) to the Over Skirt (A).", skirt_spec)
@@ -97,57 +98,57 @@ class TestRuleBasedExtraction:
 class TestResolveComponents:
     def test_identity_on_fresh_state(self):
         state = {}
-        assert resolve_components((P("A"), P("B")), state) == [N("A"), N("B")]
+        assert resolve_components(("A", "B"), state, READER) == [F("A"), F("B")]
 
     def test_resolution_then_dedup(self):
         state = {}
-        apply_step(state, [N("A"), N("B")])
-        assert resolve_components((P("A"), P("B")), state) == [N("AB")]
+        apply_step(state, [F("A"), F("B")], READER)
+        assert resolve_components(("A", "B"), state, READER) == [F("AB")]
 
     def test_mixed_resolution(self):
         state = {}
-        apply_step(state, [N("A"), N("B")])
-        apply_step(state, [N("AB")])
-        assert resolve_components((P("C"), P("A"), P("B")), state) == [N("C"), N("AB_1")]
+        apply_step(state, [F("A"), F("B")], READER)
+        apply_step(state, [F("AB")], READER)
+        assert resolve_components(("C", "A", "B"), state, READER) == [F("C"), F("AB_1")]
 
     def test_idempotent_on_component_labels(self):
         state = {}
-        apply_step(state, [N("A"), N("B")])
-        resolved = resolve_components((P("A"),), state)
-        assert resolved == [N("AB")]
+        apply_step(state, [F("A"), F("B")], READER)
+        resolved = resolve_components(("A",), state, READER)
+        assert resolved == [F("AB")]
 
 
-def build_mentions(*steps: tuple[PieceLabel, ...]) -> BuildReport:
+def build_mentions(*steps: tuple[str, ...]) -> BuildReport:
     """``build_forest`` over pieces A-C, one extraction per tuple of mentions."""
     extractions = [StepExtraction(mentions) for mentions in steps]
     doc = InstructionDoc("p", "d", ("",) * len(extractions))
-    return build_forest(doc, extractions, placeholder_spec("p", [P("A"), P("B"), P("C")]))
+    return build_forest(doc, extractions, placeholder_spec("p", ["A", "B", "C"]))
 
 
 class TestApplyStep:
     def test_binary(self):
         state = {}
-        subtrees = apply_step(state, [N("A"), N("B")])
-        assert subtrees == [(N("AB"), (N("A"), N("B")))]
-        assert build_mentions((P("A"), P("B"))).diagnostics == ()
-        assert state[P("A")] == N("AB")
+        subtrees = apply_step(state, [F("A"), F("B")], READER)
+        assert subtrees == [("AB", ("A", "B"))]
+        assert build_mentions(("A", "B")).diagnostics == ()
+        assert state["A"] == F("AB")
 
     def test_unary(self):
         state = {}
-        apply_step(state, [N("A"), N("B")])
-        subtrees = apply_step(state, [N("AB")])
-        assert subtrees == [(N("AB_1"), (N("AB"),))]
+        apply_step(state, [F("A"), F("B")], READER)
+        subtrees = apply_step(state, [F("AB")], READER)
+        assert subtrees == [("AB_1", ("AB",))]
 
     def test_empty(self):
         state = {}
-        subtrees = apply_step(state, [])
+        subtrees = apply_step(state, [], READER)
         assert subtrees == [] and build_mentions(()).diagnostics == ()
 
     def test_three_components_fold_with_diagnostic(self):
         state = {}
-        subtrees = apply_step(state, [N("A"), N("B"), N("C")])
-        assert subtrees == [(N("AB"), (N("A"), N("B"))), (N("ABC"), (N("AB"), N("C")))]
-        report = build_mentions((), (P("A"), P("B"), P("C")))
+        subtrees = apply_step(state, [F("A"), F("B"), F("C")], READER)
+        assert subtrees == [("AB", ("A", "B")), ("ABC", ("AB", "C"))]
+        report = build_mentions((), ("A", "B", "C"))
         assert [(d.step_index, d.kind) for d in report.diagnostics] == [(1, "multi-component")]
 
 
@@ -191,10 +192,10 @@ class ReferenceState:
     so far, next to which component contains each piece."""
 
     def __init__(self) -> None:
-        self.component_of: dict[PieceLabel, NodeLabel] = {}
-        self.built: dict[NodeLabel, AssemblyNode] = {}
+        self.component_of: dict[str, Label] = {}
+        self.built: dict[Label, AssemblyNode] = {}
 
-    def node_for(self, label: NodeLabel) -> AssemblyNode:
+    def node_for(self, label: Label) -> AssemblyNode:
         node = self.built.get(label)
         if node is None:
             if len(label.pieces) != 1 or label.self_attach != 0:
@@ -247,7 +248,7 @@ def reference_build_forest(extractions, spec) -> BuildReport:
                 Diagnostic(step_index, "unknown-label", f"({token}) is not in the inventory")
             )
         if x.dropped:
-            names = ", ".join(str(p) for p in x.dropped)
+            names = ", ".join(x.dropped)
             diagnostics.append(
                 Diagnostic(step_index, "no-attachment-verb", f"ignored mentions [{names}]")
             )
@@ -257,7 +258,7 @@ def reference_build_forest(extractions, spec) -> BuildReport:
             )
         resolved = []
         for piece in x.mentions:
-            label = state.component_of.get(piece, NodeLabel((piece,), 0))
+            label = state.component_of.get(piece, Label((piece,), 0))
             if label not in resolved:
                 resolved.append(label)
         subtrees, step_diags = state.apply_step(resolved, step_index)
@@ -265,7 +266,7 @@ def reference_build_forest(extractions, spec) -> BuildReport:
         diagnostics.extend(step_diags)
     components = dict.fromkeys(state.component_of.values())
     roots = [state.built[label] for label in components]
-    roots.extend(leaf(p) for p in sorted(spec.inventory) if p not in state.component_of)
+    roots.extend(leaf(p) for p in spec.inventory if p not in state.component_of)
     forest = tuple(sorted(serialize_node(root) for root in roots))
     return BuildReport(forest, tuple(trace), tuple(diagnostics))
 
@@ -277,7 +278,7 @@ def extraction_sequences(draw):
     self-attaches, leaf or not), or join three or more components; some
     carry unknown tokens, dropped mentions or an adapter fallback."""
     letters = draw(hs.sets(hs.sampled_from("ABCDEFG"), min_size=2, max_size=7))
-    pieces = [PieceLabel(letter) for letter in sorted(letters)]
+    pieces = sorted(letters)
     extractions = []
     for _ in range(draw(hs.integers(0, 12))):
         extractions.append(StepExtraction(
@@ -313,21 +314,21 @@ class TestBuildMatchesReference:
 def folded_forest(trace, spec) -> tuple[str, ...]:
     """``build_forest``'s texts as it once wrote them: folded over the trace,
     children first, each parent's text copied from its children's."""
-    texts: dict[NodeLabel, str] = {}
+    texts: dict[Label, str] = {}
     touched = set()
     for _, rule in trace:
         parent, children = rule_labels(rule)
-        texts[parent] = bracket(parent, [texts.pop(c) if c in texts else str(c) for c in children])
+        texts[parent] = bracket(str(parent), [texts.pop(c) if c in texts else str(c) for c in children])
         touched.update(parent.pieces)
     roots = list(texts.values())
-    roots.extend(str(p) for p in spec.inventory if p not in touched)
+    roots.extend(p for p in spec.inventory if p not in touched)
     return tuple(sorted(roots))
 
 
 def chain_extractions(n: int) -> list[StepExtraction]:
     """One merge of A and B, then n - 1 self-attachments of their component."""
-    merge = StepExtraction((P("A"), P("B")))
-    return [merge, *(StepExtraction((P("A"),)) for _ in range(1, n))]
+    merge = StepExtraction(("A", "B"))
+    return [merge, *(StepExtraction(("A",)) for _ in range(1, n))]
 
 
 class TestForestTextMatchesFold:
@@ -385,8 +386,8 @@ class TestLinearization:
         assert linearize_gold_tree(as_pair(tree), spec) == recursive_linearization(tree, spec)
 
     def test_single_leaf_zero_steps(self):
-        spec = placeholder_spec("one", [P("A")])
-        doc = linearize_gold_tree((N("A"), {}), spec)
+        spec = placeholder_spec("one", ["A"])
+        doc = linearize_gold_tree(("A", {}), spec)
         assert doc.steps == ()
 
 
@@ -495,7 +496,7 @@ class TestAdapterMemo:
     STEP = "Sew the Over Skirt (A) to the Under Skirt (B)."
 
     def test_same_step_under_two_inventories_is_posted_twice(self, adapter_server, skirt_spec):
-        narrow = PatternSpec("skirt", {P("A"): "Over Skirt", P("B"): "Under Skirt"})
+        narrow = PatternSpec("skirt", {"A": "Over Skirt", "B": "Under Skirt"})
         extractor = extract_once_per_run(make_adapter_extractor(AdapterConfig(adapter_server)))
         for spec in [skirt_spec, narrow, skirt_spec, narrow]:
             assert labels(extractor(self.STEP, spec)) == ["A", "B"]

@@ -14,30 +14,29 @@ from hypothesis import strategies as hs
 
 from sewtree.experiments import roundtrip_grammar
 from sewtree.metrics import grammar_score
-from sewtree.labels import (
-    NodeLabel,
-    PieceLabel,
-    child_order_key,
-    parse_node_label,
-    parse_piece_label,
-)
+from sewtree.labels import label_pieces
 from sewtree.pipeline import build_forest, extract_document, linearize_gold_tree, placeholder_spec
 from sewtree.grammar import GoldGrammar, GrammarError, count_derivations, parse_grammar, validate_grammar
 from sewtree.rng import SplitMix64
 from sewtree.synth import grammar_from_trees, grammar_to_text, random_grammar, random_inventory, random_tree
-from sewtree.tree import canonical_serialize, parse_serialized, rule_text, subtrees_of
+from sewtree.tree import canonical_serialize, parse_serialized, subtrees_of
 
 from helpers import (
+    Label,
     as_pair,
     chain_grammar,
     check_enumeration,
     check_grammar_properties,
     check_rule_graph,
     count_derivations_oracle,
+    first_piece,
     glued_forest,
     gold_tree_oracle,
+    label_of,
+    label_rule,
     make_random_grammar,
     node_oracle,
+    oracle_key,
     read_grammar_oracle,
     rule_labels,
     rule_oracle,
@@ -71,7 +70,7 @@ def test_build_glue_equivalence_on_random_docs(index):
 
 letters = hs.sampled_from(string.ascii_uppercase)
 piece_labels = hs.builds(
-    lambda letter, suffix: PieceLabel(letter + suffix),
+    lambda letter, suffix: letter + suffix,
     letters,
     hs.sampled_from(["", "l", "r"]) | hs.integers(1, 999).map(str),
 )
@@ -79,8 +78,8 @@ piece_labels = hs.builds(
 
 @given(hs.sets(piece_labels, min_size=1, max_size=8), hs.integers(0, 120))
 def test_node_label_format_parse_roundtrip(pieces, counter):
-    label = NodeLabel(tuple(sorted(pieces)), counter)
-    assert parse_node_label(str(label)) == label
+    label = Label(tuple(sorted(pieces, key=oracle_key)), counter)
+    assert label_pieces(str(label)) == (label.pieces, counter)
 
 
 @given(hs.integers(0, 2**64 - 1), hs.integers(1, 12), hs.integers(0, 60), hs.booleans())
@@ -105,7 +104,7 @@ def grammar_lines():
 
 
 # A piece outside every inventory random_inventory draws of fewer than 26 pieces.
-OUTSIDE_PIECE = PieceLabel("Z")
+OUTSIDE_PIECE = "Z"
 
 
 @hs.composite
@@ -126,10 +125,10 @@ def perturbed_rules(draw, grammar):
         change = draw(hs.sampled_from(changes))
         if change == "counter":
             at = draw(hs.integers(0, len(nodes) - 1))
-            nodes[at] = NodeLabel(nodes[at].pieces, draw(hs.integers(0, 3)))
+            nodes[at] = Label(nodes[at].pieces, draw(hs.integers(0, 3)))
         elif change == "unknown":
             at = draw(hs.integers(0, len(nodes) - 1))
-            nodes[at] = NodeLabel(nodes[at].pieces + (OUTSIDE_PIECE,), nodes[at].self_attach)
+            nodes[at] = Label(nodes[at].pieces + (OUTSIDE_PIECE,), nodes[at].self_attach)
         elif change == "replace":
             nodes[draw(hs.integers(0, len(nodes) - 1))] = draw(hs.sampled_from(labels))
         elif change == "drop":
@@ -192,13 +191,13 @@ def test_validate_grammar_matches_the_set_and_walk_oracle(seed, n_pieces, n_tree
     labels = sorted(
         {label for parent, children in (*grammar_rules, *rules) for label in (parent, *children)}, key=str
     )
-    grammar_roots = list(map(parse_node_label, grammar.roots))
+    grammar_roots = list(map(label_of, grammar.roots))
     roots = data.draw(hs.one_of(
         hs.just(grammar_roots),
-        hs.just([NodeLabel(r.pieces + (OUTSIDE_PIECE,), r.self_attach) for r in grammar_roots]),
+        hs.just([Label(r.pieces + (OUTSIDE_PIECE,), r.self_attach) for r in grammar_roots]),
         hs.lists(hs.sampled_from(labels), max_size=3, unique=True),
     ), label="roots")
-    root_texts, rule_texts = list(map(str, roots)), [rule_text(*rule) for rule in rules]
+    root_texts, rule_texts = list(map(str, roots)), [label_rule(*rule) for rule in rules]
     text = grammar_to_text(SimpleNamespace(
         pattern_id="fuzz", inventory=grammar.inventory, roots=root_texts, rules=rule_texts
     ))
@@ -225,18 +224,18 @@ def test_parse_grammar_accepts_a_rule_iff_it_is_a_valid_step(inventory, n_childr
     refused, alone and named with its children in canonical order (the
     parser puts them in that order), iff the rule's label arithmetic fails;
     any other refusal is of the grammar as a whole."""
-    pieces = sorted(inventory)
+    pieces = sorted(inventory, key=oracle_key)
 
     def draw_label(name):
         chosen = data.draw(hs.sets(hs.sampled_from(pieces), min_size=1), label=name)
-        return NodeLabel(tuple(sorted(chosen)), data.draw(hs.integers(0, 2), label=f"{name} counter"))
+        return Label(tuple(sorted(chosen, key=oracle_key)), data.draw(hs.integers(0, 2), label=f"{name} counter"))
 
     parent = draw_label("parent")
     children = tuple(draw_label(f"child {i}") for i in range(n_children))
-    text = (f"pattern: p\npieces: {' '.join(map(str, pieces))}\nroots: S\n"
+    text = (f"pattern: p\npieces: {' '.join(pieces)}\nroots: S\n"
             f"{parent} -> {' '.join(map(str, children))}\n")
-    kids = tuple(sorted(children, key=child_order_key))
-    rule = rule_text(parent, kids)
+    kids = tuple(sorted(children, key=first_piece))
+    rule = label_rule(parent, kids)
     try:
         parse_grammar(text)
     except GrammarError as exc:
@@ -262,7 +261,7 @@ MALFORMED_LABELS = ("BA", "AA", "A_0", "AB_01", "a", "_1", "A0")
 
 
 def node_text(pieces, counter: int) -> str:
-    return str(NodeLabel(tuple(sorted(map(parse_piece_label, pieces))), counter))
+    return str(Label(tuple(sorted(pieces, key=oracle_key)), counter))
 
 
 @hs.composite
@@ -337,7 +336,7 @@ def test_parse_grammar_checks_rules_like_the_oracle(line):
     No rule line expands the root S, whose five pieces no drawn parent has,
     so a file whose rules all pass is refused as a whole, and the refusal
     names every rule in file order as one no root reaches."""
-    inventory = frozenset(map(parse_piece_label, RULE_INVENTORY))
+    inventory = frozenset(RULE_INVENTORY)
     lines = [*RULE_PRELUDE, line]
     text = f"pattern: p\npieces: {' '.join(RULE_INVENTORY)}\nroots: S\n" + "\n".join(lines)
     with pytest.raises(GrammarError) as got:
@@ -347,10 +346,10 @@ def test_parse_grammar_checks_rules_like_the_oracle(line):
     except GrammarError as exc:
         assert str(got.value) == str(exc)
     else:
-        root = NodeLabel(tuple(sorted(inventory)), 0)
+        root = Label(tuple(sorted(inventory, key=oracle_key)), 0)
         assert got.value.problems == validate_grammar_oracle(inventory, (root,), rules)
         unreached = [p for p in got.value.problems if p.endswith(": no root reaches this rule")]
-        every_rule = [f"{rule_text(*rule)}: no root reaches this rule" for rule in dict.fromkeys(rules)]
+        every_rule = [f"{label_rule(*rule)}: no root reaches this rule" for rule in dict.fromkeys(rules)]
         assert unreached in ([], every_rule)
 
 
@@ -402,7 +401,7 @@ RENAMED_PIECES = ("A", "Al", "Ar", "A1", "A2", "A10", "B", "B3", "B12", "Cl", "C
 
 def sorted_label(pieces, counter: str) -> str:
     """The label text of piece texts ``pieces``, put in sort order."""
-    body = "".join(sorted(pieces, key=lambda p: parse_piece_label(p)._key))
+    body = "".join(sorted(pieces, key=oracle_key))
     return f"{body}_{counter}" if counter else body
 
 
@@ -513,7 +512,7 @@ def test_parse_grammar_matches_the_object_oracle(text):
         return
     g = parse_grammar(text)
     roots, rules = list(dict.fromkeys(roots)), list(dict.fromkeys(rules))
-    assert (g.roots, g.rules) == (tuple(map(str, roots)), tuple(rule_text(*rule) for rule in rules))
+    assert (g.roots, g.rules) == (tuple(map(str, roots)), tuple(label_rule(*rule) for rule in rules))
     labels = sorted(
         {*roots, *(label for parent, children in rules for label in (parent, *children))},
         key=lambda label: (len(label.pieces), label.self_attach, str(label)),
@@ -521,7 +520,7 @@ def test_parse_grammar_matches_the_object_oracle(text):
     position = {label: p for p, label in enumerate(labels)}
     assert g.labels == tuple(map(str, labels))
     assert g.expansions == tuple(
-        tuple((rule_text(parent, children), tuple(position[c] for c in children))
+        tuple((label_rule(parent, children), tuple(position[c] for c in children))
               for parent, children in rules if parent == label)
         for label in labels
     )
@@ -539,7 +538,7 @@ def test_a_grammar_built_from_rule_texts_is_its_file_read_back(seed, n_pieces, n
     rng = SplitMix64(seed)
     inventory = random_inventory(rng, n_pieces)
     trees = [random_tree(rng, inventory) for _ in range(n_trees)]
-    roots = [str(root) for root, _ in trees]
+    roots = [root for root, _ in trees]
     rules = [rule for tree in trees for rule in subtrees_of(tree)]
     g = GoldGrammar("p", frozenset(inventory), roots, rules)
     assert (g.roots, g.rules) == (tuple(dict.fromkeys(roots)), tuple(dict.fromkeys(rules)))

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
 
-from sewtree.labels import NodeLabel, parse_node_label, parse_piece_label
 from sewtree.rng import SplitMix64
 from sewtree.synth import random_inventory, random_tree
 from sewtree.tree import (
@@ -16,9 +15,11 @@ from sewtree.tree import (
 
 from helpers import (
     AssemblyNode,
+    Label,
     as_pair,
     binary,
     glue_subtrees,
+    label_of,
     leaf,
     random_node_tree,
     recursive_parse,
@@ -30,12 +31,8 @@ from helpers import (
 SKIRT = "(ABC_1 (AB_1 (AB A B)) C)"
 
 
-def N(text):
-    return parse_node_label(text)
-
-
 def node(label, *children):
-    return AssemblyNode(N(label), tuple(children))
+    return AssemblyNode(label_of(label), tuple(children))
 
 
 def broken_rules(tree: AssemblyNode) -> set[str]:
@@ -55,13 +52,13 @@ def broken_rules(tree: AssemblyNode) -> set[str]:
 
 class TestValidateTree:
     def test_simple_binary_valid(self):
-        t = binary(leaf(parse_piece_label("A")), leaf(parse_piece_label("B")))
+        t = binary(leaf("A"), leaf("B"))
         assert broken_rules(t) == set()
 
     def test_skirt_tree_valid(self):
         assert parse_serialized(SKIRT) == (
-            N("ABC_1"),
-            {N("ABC_1"): (N("AB_1"), N("C")), N("AB_1"): (N("AB"),), N("AB"): (N("A"), N("B"))},
+            "ABC_1",
+            {"ABC_1": ("AB_1", "C"), "AB_1": ("AB",), "AB": ("A", "B")},
         )
 
     def test_counter_must_be_max(self):
@@ -70,11 +67,11 @@ class TestValidateTree:
         assert "binary-counter" in broken_rules(t)
 
     def test_union_mismatch(self):
-        t = AssemblyNode(N("AB"), (node("A"), node("C")))
+        t = node("AB", node("A"), node("C"))
         assert "binary-union" in broken_rules(t)
 
     def test_unary_counter(self):
-        t = AssemblyNode(N("AB_2"), (node("AB"),))
+        t = node("AB_2", node("AB"))
         assert "unary-counter" in broken_rules(t)
 
     def test_leaf_constraints(self):
@@ -82,7 +79,7 @@ class TestValidateTree:
         assert broken_rules(node("A_1")) == {"leaf-counter"}
 
     def test_child_order(self):
-        t = AssemblyNode(N("AB"), (node("B"), node("A")))
+        t = node("AB", node("B"), node("A"))
         assert "child-order" in broken_rules(t)
 
 
@@ -92,11 +89,11 @@ class TestDepthOneSubtrees:
         assert list(subtrees_of(parse_serialized(SKIRT))) == expected
 
     def test_rule_text_is_a_grammar_line(self):
-        assert rule_text(N("ABC_1"), (N("AB_1"), N("C"))) == "ABC_1 -> AB_1 C"
+        assert rule_text("ABC_1", ("AB_1", "C")) == "ABC_1 -> AB_1 C"
         assert rule_text("AB_1", ["AB"]) == "AB_1 -> AB"
 
     def test_single_leaf(self):
-        assert list(subtrees_of((N("A"), {}))) == []
+        assert list(subtrees_of(("A", {}))) == []
 
     def test_count_equals_non_leaf_nodes(self):
         tree = parse_serialized(SKIRT)
@@ -105,7 +102,7 @@ class TestDepthOneSubtrees:
 
 class TestSerialization:
     def test_leaf(self):
-        assert canonical_serialize(N("A"), {}) == "A"
+        assert canonical_serialize("A", {}) == "A"
 
     @pytest.mark.parametrize(
         "text",
@@ -179,7 +176,7 @@ def test_parse_five_thousand_deep_chain():
     depth = 5000
     text = "".join(f"(AB_{i} " for i in range(depth, 0, -1)) + "(AB A B)" + ")" * depth
     root, children_of = parse_serialized(text)
-    assert root == N(f"AB_{depth}")
+    assert root == f"AB_{depth}"
     assert canonical_serialize(root, children_of) == text
 
 
@@ -248,7 +245,7 @@ def corrupted(tree, rng, percent):
         if rng.randrange(100) < percent:
             kind = rng.randrange(3)
             if kind == 0:
-                label = NodeLabel(label.pieces, label.self_attach + 1)
+                label = Label(label.pieces, label.self_attach + 1)
             else:
                 kids = kids[::-1] if kind == 1 else kids[1:]
         new[id(node)] = AssemblyNode(label, kids)
@@ -285,6 +282,6 @@ class TestGlue:
         assert glued == (recursive_parse(SKIRT),)
 
     def test_isolated_leaves_kept(self):
-        f = glue_subtrees(subtrees_of(parse_serialized("(AB A B)")), (N("C"),))
-        assert tuple(tree.label for tree in f if tree.is_leaf()) == (N("C"),)
+        f = glue_subtrees(subtrees_of(parse_serialized("(AB A B)")), (label_of("C"),))
+        assert tuple(tree.label for tree in f if tree.is_leaf()) == (label_of("C"),)
         assert len(f) == 2
