@@ -150,7 +150,7 @@ def extract_via_adapter(step: str, spec: PatternSpec, endpoint: AdapterConfig) -
     either fails the document or, with ``fallback_to_rules``, degrades to the
     rule-based extractor with a diagnostic marker.
     """
-    payload = {"step": step, "inventory": sorted(spec.inventory, key=piece_key)}
+    payload = {"step": step, "inventory": list(spec.inventory)}
     body = json.dumps(payload).encode()
     last_error: Exception | None = None
     for _ in range(endpoint.retries + 1):
@@ -178,7 +178,7 @@ def extract_via_adapter(step: str, spec: PatternSpec, endpoint: AdapterConfig) -
             piece_key(piece)
         except LabelError as exc:
             raise AdapterError(f"backend returned malformed label {token!r}") from exc
-        if piece not in spec.inventory:
+        if piece not in spec.pieces:
             raise AdapterError(f"backend returned {token!r}, not in the inventory")
         if piece not in mentions:
             mentions.append(piece)

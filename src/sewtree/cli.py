@@ -26,7 +26,6 @@ from .experiments import (
     score_document,
 )
 from .grammar import DEFAULT_CAP, CapExceededError, GrammarError, enumerate_gold_trees, parse_grammar
-from .labels import piece_key
 from .pipeline import (
     build_forest,
     extract_document,
@@ -80,9 +79,9 @@ def _write_gold(pattern_id: str, trees, path=None) -> None:
     """``{"pattern_id": pattern_id, "trees": trees}`` byte for byte as
     :func:`_write_json` writes it, with the tree texts joined rather than
     encoded: a tree text holds only label characters, brackets and spaces
-    (``[A-Za-z0-9_() ]``: a label is its text, ``labels.piece_key``
-    checks every piece text of a grammar, and a counter is written in ASCII
-    digits), which JSON writes as they are, so
+    (``[A-Za-z0-9_() ]``: a label is its text, the grammar's
+    ``labels.LabelReader`` checks every piece text of its inventory, and a
+    counter is written in ASCII digits), which JSON writes as they are, so
     only the free-text ``pattern_id`` goes through the encoder.  Head, body
     and tail are written one after another, so no copy of the whole output
     is made."""
@@ -262,10 +261,11 @@ def _check_inventories(spec_path, spec, grammar_path, grammar) -> None:
     naming both files and the pieces found in only one of them."""
     if spec.inventory == grammar.inventory:
         return
+    in_grammar = set(grammar.inventory)
     only = [
-        f"only in the {kind}: " + ", ".join(sorted(pieces, key=piece_key))
-        for kind, pieces in (("spec", spec.inventory - grammar.inventory),
-                             ("grammar", grammar.inventory - spec.inventory))
+        f"only in the {kind}: " + ", ".join(pieces)
+        for kind, pieces in (("spec", [p for p in spec.inventory if p not in in_grammar]),
+                             ("grammar", [p for p in grammar.inventory if p not in spec.pieces]))
         if pieces
     ]
     raise ConfigError(f"{spec_path} and {grammar_path} have different pieces "

@@ -7,7 +7,6 @@ import math
 from collections.abc import Sequence
 
 from .grammar import GoldGrammar
-from .labels import piece_key
 from .metrics import (
     bleu,
     grammar_score,
@@ -120,17 +119,16 @@ def inject_errors(
         del steps[rng.randrange(len(steps))]
         applied += 1
 
-    inventory = sorted(spec.inventory, key=piece_key)
     for _ in range(plan.wrong_piece):
         sites: list[tuple[int, int, int, str]] = []
         for step_index, step in enumerate(steps):
             for piece, m in piece_mentions(step):
-                if piece in spec.inventory:
+                if piece in spec.pieces:
                     sites.append((step_index, m.start(), m.end(), piece))
         if not sites:
             raise ValueError(f"{doc.doc_id}: no piece mentions left to relabel")
         step_index, start, end, piece = sites[rng.randrange(len(sites))]
-        others = [p for p in inventory if p != piece]
+        others = [p for p in spec.inventory if p != piece]
         if not others:
             raise ValueError(f"{doc.doc_id}: inventory has no alternative piece")
         replacement = others[rng.randrange(len(others))]
@@ -157,12 +155,12 @@ def roundtrip_grammar(grammar: GoldGrammar) -> list[str]:
     for rule in grammar.rules:
         parent, _, children_text = rule.partition(" -> ")
         children = tuple(children_text.split(" "))
-        component_of = {p: reader[c] for c in children for p in reader.pieces(reader[c][3])}
+        component_of = {p: c for c in children for p in reader.pieces(c)}
         x = extract_pieces_rule_based(write_step(children, spec), spec)
-        resolved = resolve_components(x.mentions, component_of, reader)
+        resolved = resolve_components(x.mentions, component_of)
         emitted = [rule_text(*step) for step in apply_step(component_of, resolved, reader)]
-        parent_pieces = reader.pieces(reader[parent][3])
-        left_in = [component_of[p][2] for p in parent_pieces]
+        parent_pieces = reader.pieces(parent)
+        left_in = [component_of[p] for p in parent_pieces]
         if emitted != [rule] or any(c != parent for c in left_in):
             subtrees = ", ".join(emitted)
             pieces = " ".join(f"{p}={c}" for p, c in zip(parent_pieces, left_in))

@@ -17,7 +17,7 @@ counter ``n``, unless S itself is an inventory piece.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from functools import cached_property
 from itertools import product
 
@@ -77,8 +77,8 @@ def rule_graph(
 
 class GoldGrammar:
     """A pattern's gold trees as rules, each a depth-1 subtree that is a valid
-    assembly step over the inventory, a set of piece texts.  Its ``roots``
-    are label texts and its
+    assembly step over the inventory, a tuple of piece texts in piece order
+    (as its label reader holds them).  Its ``roots`` are label texts and its
     ``rules`` rule texts (``tree.rule_text``), each kept once, in first-seen
     order, so distinct derivations are distinct trees; it holds its
     :func:`rule_graph` as ``labels``, ``expansions`` and
@@ -93,7 +93,7 @@ class GoldGrammar:
     def __init__(
         self,
         pattern_id: str,
-        inventory: frozenset[str],
+        inventory: Collection[str],
         roots: Iterable[str],
         rules: Iterable[str],
     ) -> None:
@@ -116,19 +116,19 @@ class GoldGrammar:
                     facts[label]
         except LabelError as exc:
             raise GrammarError(f"pattern {pattern_id!r}: {text!r}: {exc}") from exc
-        self._build(pattern_id, inventory, facts, roots, parts)
+        self._build(pattern_id, facts, roots, parts)
 
     @classmethod
-    def _read(cls, pattern_id, inventory, facts, roots, rules) -> GoldGrammar:
+    def _read(cls, pattern_id, facts, roots, rules) -> GoldGrammar:
         """The grammar of texts whose facts ``facts`` has read, as
-        :func:`rule_graph` takes them."""
+        :func:`rule_graph` takes them, over ``facts``' inventory."""
         grammar = cls.__new__(cls)
-        grammar._build(pattern_id, inventory, facts, roots, rules)
+        grammar._build(pattern_id, facts, roots, rules)
         return grammar
 
-    def _build(self, pattern_id, inventory, facts, roots, rules) -> None:
+    def _build(self, pattern_id, facts, roots, rules) -> None:
         self.pattern_id = pattern_id
-        self.inventory = inventory
+        self.inventory = tuple(facts.bits)
         self.labels, self.expansions, self.root_positions = rule_graph(facts, roots, rules)
         self.roots = tuple([self.labels[p] for p in self.root_positions])
         self.rules = tuple(rules)
@@ -211,7 +211,6 @@ def parse_grammar(text: str) -> GoldGrammar:
     rule's children are put in canonical order, and each distinct label
     text is read once per call, into its facts, and is made no object."""
     pattern_id: str | None = None
-    inv: frozenset[str] | None = None
     facts: LabelReader | None = None
     roots_line: tuple[int, str] | None = None
     rules: dict[str, tuple[str, ...]] = {}
@@ -261,20 +260,17 @@ def parse_grammar(text: str) -> GoldGrammar:
             pattern_id = value
             continue
         if line.startswith("pieces:"):
-            if inv is not None:
+            if facts is not None:
                 raise GrammarError(f"line {lineno}: duplicate pieces header")
             pieces = line[len("pieces:"):].split()
             try:
-                for piece in pieces:
-                    piece_key(piece)
+                facts = LabelReader(pieces)
             except LabelError as exc:
                 raise GrammarError(f"line {lineno}: {exc}") from exc
             if not pieces:
                 raise GrammarError(f"line {lineno}: empty piece inventory")
-            inv = frozenset(pieces)
-            if len(inv) != len(pieces):
+            if len(facts.bits) != len(pieces):
                 raise GrammarError(f"line {lineno}: duplicate pieces in inventory")
-            facts = LabelReader(inv)
             continue
         if line.startswith("roots:"):
             if roots_line is not None:
@@ -285,7 +281,7 @@ def parse_grammar(text: str) -> GoldGrammar:
 
     if pattern_id is None:
         raise GrammarError("missing pattern header")
-    if inv is None:
+    if facts is None:
         raise GrammarError("missing pieces header")
     if roots_line is None:
         raise GrammarError("missing roots header")
@@ -303,7 +299,7 @@ def parse_grammar(text: str) -> GoldGrammar:
         except LabelError as exc:
             raise GrammarError(f"line {lineno}: {exc}") from exc
         roots.append(token)
-    return GoldGrammar._read(pattern_id, inv, facts, roots, rules)
+    return GoldGrammar._read(pattern_id, facts, roots, rules)
 
 
 def validate_grammar(g: GoldGrammar) -> list[str]:

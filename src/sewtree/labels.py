@@ -119,11 +119,15 @@ _CUTS_RE = re.compile(r"[A-Z][lr0-9]*")
 class LabelReader(dict):
     """The facts of each label text over one inventory of piece texts,
     their masks over it: a text is read on its first lookup, and a text
-    seen before costs one dict lookup and no Python call.  ``unknown``
-    maps each label with pieces outside the inventory to those pieces'
-    texts, sorted and joined for a message; such a label is only ever
-    named for them, so its mask is 0.  :meth:`join` and :meth:`bump`
-    compose the facts of a step's parent from its children's."""
+    seen before costs one dict lookup and no Python call.  ``bits`` maps
+    each piece to its bit in piece order, the one order of pieces: every
+    inventory is held in it.  ``unknown`` maps each label with pieces
+    outside the inventory to those pieces' texts, in order and joined for
+    a message; such a label is only ever named for them, so its mask is 0.
+    :meth:`pieces`, :meth:`join` and :meth:`bump` take and return texts;
+    the last two keep the facts of the parent they compose, so a spec's
+    reader remembers each distinct label its run's builds make (fewer than
+    the trace entries a scoring run holds)."""
 
     __slots__ = ("bits", "unknown")
 
@@ -151,30 +155,34 @@ class LabelReader(dict):
         # Any other text either is no label, and ``label_pieces`` says
         # why, or holds a piece outside the inventory.
         names = label_pieces(text)[0]
-        self.unknown[text] = ", ".join(sorted(name for name in names if name not in bits))
+        self.unknown[text] = ", ".join([name for name in names if name not in bits])
         facts = self[text] = (len(names), counter, text, 0)
         return facts
 
-    def pieces(self, mask: int) -> list[str]:
-        """The texts of the pieces of ``mask``, in order."""
+    def pieces(self, text: str) -> list[str]:
+        """The texts of the pieces of the label ``text``, in piece order."""
+        mask = self[text][3]
         return [name for name, bit in self.bits.items() if bit & mask]
 
-    def join(self, a, b) -> tuple[tuple[int, int, str, int], tuple]:
-        """The facts of the component formed by attaching the disjoint
+    def join(self, a: str, b: str) -> tuple[str, tuple[str, str]]:
+        """The label of the component formed by attaching the disjoint
         components ``a`` and ``b``, and the two in canonical order: their
         pieces together and the larger counter, the child with the lowest
         bit first, as :func:`node_violations` checks a binary step."""
-        count_a, counter_a, _, x = a
-        count_b, counter_b, _, y = b
-        counter = max(counter_a, counter_b)
-        body = "".join(self.pieces(x | y))
-        parent = (count_a + count_b, counter, f"{body}_{counter}" if counter else body, x | y)
+        count_a, counter_a, _, x = self[a]
+        count_b, counter_b, _, y = self[b]
+        counter, mask = max(counter_a, counter_b), x | y
+        body = "".join([name for name, bit in self.bits.items() if bit & mask])
+        parent = f"{body}_{counter}" if counter else body
+        self[parent] = (count_a + count_b, counter, parent, mask)
         return parent, ((b, a) if y & -y < x & -x else (a, b))
 
-    def bump(self, a) -> tuple[int, int, str, int]:
-        """The facts of the component ``a`` after sewing it to itself once."""
-        count, counter, text, mask = a
-        return count, counter + 1, f"{text.partition('_')[0]}_{counter + 1}", mask
+    def bump(self, a: str) -> str:
+        """The label of the component ``a`` after sewing it to itself once."""
+        count, counter, text, mask = self[a]
+        parent = f"{text.partition('_')[0]}_{counter + 1}"
+        self[parent] = (count, counter + 1, parent, mask)
+        return parent
 
 
 def label_facts(labels: Iterable[str]) -> dict[str, tuple[int, int, str, int]]:

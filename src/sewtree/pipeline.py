@@ -7,14 +7,14 @@ answers every repeat of a step with the one extraction it kept, so an
 extraction is shared and must not be mutated.
 
 :func:`build_forest` walks a document's extractions in order, mapping
-mentioned pieces to the facts (``labels.py``) of the intermediate component
-currently containing them, read by the spec's :class:`~sewtree.labels.LabelReader`,
-and folds each step into a growing forest: two resolved components merge,
-one resolved component self-attaches, none leaves the state untouched.  It
-alone numbers the steps, and writes every diagnostic and trace entry from
-that position.  The forest is written as text, each tree in canonical
-bracket form, from the depth-1 subtrees the steps emit; the trace holds
-each subtree as its rule text (``tree.rule_text``).
+mentioned pieces to the label text of the intermediate component currently
+containing them, and folds each step into a growing forest, a fold over label
+texts whose parents the spec's :class:`~sewtree.labels.LabelReader` composes:
+two resolved components merge, one self-attaches, none leaves the state
+untouched.  It alone numbers the steps, and writes every diagnostic and
+trace entry from that position.  The forest is written as text, each tree
+in canonical bracket form, from the depth-1 subtrees the steps emit; the
+trace holds each subtree as its rule text (``tree.rule_text``).
 """
 
 from __future__ import annotations
@@ -41,16 +41,16 @@ def _field(data, key: str, kind: type):
 
 
 class PatternSpec:
-    """Piece inventory of one pattern, its piece texts, with human-readable
-    piece names, and the reader of its labels' facts."""
+    """Piece inventory of one pattern, its piece texts in piece order, with
+    their human-readable names in ``pieces``, and the reader of its labels."""
 
     def __init__(self, pattern_id: str, pieces: dict[str, str]) -> None:
         if not pieces:
             raise ValueError(f"pattern {pattern_id!r} has no pieces")
         self.pattern_id = pattern_id
-        self.pieces = pieces
-        self.inventory = frozenset(pieces)
-        self.reader = LabelReader(self.inventory)
+        self.reader = LabelReader(pieces)
+        self.inventory = tuple(self.reader.bits)
+        self.pieces = {p: pieces[p] for p in self.inventory}
 
     def name_of(self, piece: str) -> str:
         return self.pieces.get(piece, f"Piece {piece}")
@@ -69,7 +69,7 @@ class PatternSpec:
     def to_json(self) -> dict:
         return {
             "pattern_id": self.pattern_id,
-            "pieces": {k: self.pieces[k] for k in sorted(self.pieces, key=piece_key)},
+            "pieces": dict(self.pieces),
         }
 
 
@@ -187,14 +187,14 @@ def extract_pieces_rule_based(step: str, spec: PatternSpec) -> StepExtraction:
     and an attachment verb; finishing steps (hem, fold, press) mention pieces
     without attaching anything and must contribute no subtree.
     """
-    inventory = spec.inventory
+    known = spec.pieces
     mentions: list[str] = []
     unknown: list[str] = []
     gate_open = False
     for sentence in _SENTENCE_SPLIT_RE.split(step):
         sentence_has_mention = False
         for piece, m in piece_mentions(sentence):
-            if piece in inventory:
+            if piece in known:
                 sentence_has_mention = True
                 if piece not in mentions:
                     mentions.append(piece)
@@ -212,7 +212,7 @@ def extract_once_per_run(extract):
     step text and inventory, for its own lifetime (one run), and answers a
     repeat with the extraction it kept, shared.  A fallback is not kept, so
     the next occurrence of that step is extracted again."""
-    kept: dict[tuple[str, frozenset[str]], StepExtraction] = {}
+    kept: dict[tuple[str, tuple[str, ...]], StepExtraction] = {}
 
     def extractor(step: str, spec: PatternSpec) -> StepExtraction:
         key = (step, spec.inventory)
@@ -240,30 +240,28 @@ def extractions_to_json(doc: InstructionDoc, extractions: list[StepExtraction]) 
     }
 
 
-def resolve_components(mentions: tuple[str, ...], component_of: dict, reader: LabelReader) -> list:
-    """Map each mention to the facts of its containing component, then
+def resolve_components(mentions: tuple[str, ...], component_of: dict[str, str]) -> list[str]:
+    """Map each mention to the label of its containing component, then
     deduplicate.
 
-    ``component_of`` maps each piece attached so far to the facts of the
+    ``component_of`` maps each piece attached so far to the label of the
     component that now contains it; an unattached piece is its own leaf,
-    whose facts ``reader`` reads.
+    whose label is the piece's text.
     """
     resolved = []
     for piece in mentions:
-        label = component_of.get(piece)
-        if label is None:
-            label = reader[piece]
+        label = component_of.get(piece, piece)
         if label not in resolved:
             resolved.append(label)
     return resolved
 
 
 def apply_step(
-    component_of: dict, resolved: list, reader: LabelReader
+    component_of: dict[str, str], resolved: list[str], reader: LabelReader
 ) -> list[tuple[str, tuple[str, ...]]]:
     """Fold one step's resolved components into ``component_of`` and return
     the subtrees the step emits, each as its parent and children label
-    texts; ``reader`` composes the parents' facts.
+    texts; ``reader`` composes the parents' texts.
 
     One component self-attaches, two merge, three or more left-fold into a
     chain of merges.  Mutates ``component_of``.
@@ -274,11 +272,11 @@ def apply_step(
     acc = resolved[0]
     if len(resolved) == 1:
         acc = reader.bump(acc)
-        subtrees.append((acc[2], (resolved[0][2],)))
+        subtrees.append((acc, (resolved[0],)))
     for label in resolved[1:]:
-        acc, (a, b) = reader.join(acc, label)
-        subtrees.append((acc[2], (a[2], b[2])))
-    for piece in reader.pieces(acc[3]):
+        acc, children = reader.join(acc, label)
+        subtrees.append((acc, children))
+    for piece in reader.pieces(acc):
         component_of[piece] = acc
     return subtrees
 
@@ -290,8 +288,7 @@ def build_forest(
     forest from them as text."""
     if len(extractions) != len(doc.steps):
         raise ValueError("one extraction per step required")
-    reader = spec.reader
-    component_of: dict[str, tuple[int, int, str, int]] = {}
+    component_of: dict[str, str] = {}
     children_of: dict[str, tuple[str, ...]] = {}
     trace: list[tuple[int, str]] = []
     diagnostics: list[Diagnostic] = []
@@ -309,11 +306,11 @@ def build_forest(
             diagnostics.append(
                 Diagnostic(step_index, "adapter-fallback", "adapter failed, used rule-based extraction")
             )
-        resolved = resolve_components(x.mentions, component_of, reader)
+        resolved = resolve_components(x.mentions, component_of)
         if len(resolved) > 2:
             message = f"{len(resolved)} components in one step, folding left to right"
             diagnostics.append(Diagnostic(step_index, "multi-component", message))
-        for parent, children in apply_step(component_of, resolved, reader):
+        for parent, children in apply_step(component_of, resolved, spec.reader):
             children_of[parent] = children
             trace.append((step_index, rule_text(parent, children)))
 
@@ -322,7 +319,7 @@ def build_forest(
     # is written once, top down: a child's text is never copied into its
     # parent's, which on a long chain would copy characters quadratic in
     # its length.
-    components = {facts[2] for facts in component_of.values()}
+    components = set(component_of.values())
     roots = [canonical_serialize(label, children_of) for label in components]
     roots.extend(p for p in spec.inventory if p not in component_of)
     roots.sort()
@@ -372,7 +369,7 @@ def linearize_gold_tree(tree, spec: PatternSpec) -> InstructionDoc:
 
 def placeholder_spec(pattern_id: str, inventory) -> PatternSpec:
     """Spec with generic piece names, for grammars without a pattern spec."""
-    return PatternSpec(pattern_id, {p: f"Piece {p}" for p in sorted(inventory, key=piece_key)})
+    return PatternSpec(pattern_id, {p: f"Piece {p}" for p in inventory})
 
 
 def read_text(path) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import string
 
 from .grammar import GoldGrammar
-from .labels import LabelReader, label_pieces, piece_key
+from .labels import LabelReader, label_pieces
 from .rng import SplitMix64
 from .tree import subtrees_of
 
@@ -41,7 +41,7 @@ def random_tree(
     permutation experiments where reordered steps must actually break.
     """
     reader = LabelReader(pieces)
-    labels = [reader[p] for p in pieces]
+    labels = list(pieces)
     rng.shuffle(labels)
     children_of: dict[str, tuple[str, ...]] = {}
     while len(labels) > 1:
@@ -56,13 +56,13 @@ def random_tree(
         b = labels[j]
         for idx in sorted((i, j), reverse=True):
             del labels[idx]
-        label, (a, b) = reader.join(a, b)
-        children_of[label[2]] = (a[2], b[2])
+        label, children = reader.join(a, b)
+        children_of[label] = children
         while rng.randrange(100) < unary_prob_percent:
             child, label = label, reader.bump(label)
-            children_of[label[2]] = (child[2],)
+            children_of[label] = (child,)
         labels.insert(0, label)
-    return labels[0][2], children_of
+    return labels[0], children_of
 
 
 def grammar_from_trees(pattern_id: str, trees) -> GoldGrammar:
@@ -93,7 +93,7 @@ def grammar_to_text(g: GoldGrammar) -> str:
     """Render back into the grammar file format."""
     lines = [
         f"pattern: {g.pattern_id}",
-        "pieces: " + " ".join(sorted(g.inventory, key=piece_key)),
+        "pieces: " + " ".join(g.inventory),
         "roots: " + " ".join(g.roots),
         *g.rules,
     ]

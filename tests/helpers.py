@@ -606,7 +606,7 @@ def validate_grammar_oracle(inventory, roots, rules) -> list[str]:
     rules = list(dict.fromkeys(rules))
 
     def unknown(label: Label) -> str:
-        return ", ".join(sorted(label.piece_set - inventory))
+        return ", ".join(sorted(label.piece_set - inventory, key=oracle_key))
 
     out = [f"root {root}: unknown pieces {unknown(root)}" for root in roots if unknown(root)]
     for parent, children in rules:

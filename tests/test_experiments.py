@@ -133,7 +133,7 @@ def resolve_to_leaves(monkeypatch) -> None:
     original = sewtree.pipeline.resolve_components
     patch_pipeline(
         monkeypatch, "resolve_components",
-        lambda mentions, component_of, reader: original(mentions, {}, reader),
+        lambda mentions, component_of: original(mentions, {}),
     )
 
 

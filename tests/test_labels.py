@@ -202,9 +202,9 @@ class TestNodeLabel:
 
     def test_format_omits_zero_counter(self):
         reader = LabelReader(["A", "B"])
-        joined, _ = reader.join(reader["A"], reader["B"])
-        assert joined[2] == "AB"
-        assert reader.bump(joined)[2] == "AB_1"
+        joined, _ = reader.join("A", "B")
+        assert joined == "AB"
+        assert reader.bump(joined) == "AB_1"
 
     @given(
         hs.lists(
@@ -319,12 +319,13 @@ class TestDifferentialAgainstTheTestLabel:
         a, b = labels
         reader = LabelReader(ORDER_INVENTORY)
         joined = merge(a, b)
-        parent, children = reader.join(reader[str(a)], reader[str(b)])
-        assert parent == reader[str(joined)]
-        assert [c[2] for c in children] == [str(x) for x in sorted(labels, key=first_piece)]
-        assert reader.join(reader[str(b)], reader[str(a)]) == (parent, children)
-        assert reader.bump(parent) == reader[str(bump(joined))]
-        assert reader.bump(reader[str(a)]) == reader[str(bump(a))]
+        parent, children = reader.join(str(a), str(b))
+        assert parent == str(joined)
+        assert list(children) == [str(x) for x in sorted(labels, key=first_piece)]
+        assert reader.join(str(b), str(a)) == (parent, children)
+        assert reader.bump(parent) == str(bump(joined))
+        assert reader.bump(str(a)) == str(bump(a))
+        assert reader.pieces(parent) == list(joined.pieces)
 
     @given(hs.lists(hs.sets(hs.sampled_from(ORDER_INVENTORY), min_size=1, max_size=4),
                     min_size=1, max_size=4),
@@ -419,8 +420,7 @@ class TestNodeViolations:
 
 
 def joined_text(a: str, b: str, inventory=NODE_INVENTORY) -> str:
-    reader = LabelReader(inventory)
-    return reader.join(reader[a], reader[b])[0][2]
+    return LabelReader(inventory).join(a, b)[0]
 
 
 class TestMergeLabels:
@@ -434,7 +434,7 @@ class TestMergeLabels:
     )
     def test_valid(self, a, b, expected):
         reader = LabelReader(["A", "B", "Bl", "Br", "C", "D"])
-        assert reader.join(reader[a], reader[b])[0] == reader[expected]
+        assert reader.join(a, b) == (expected, (a, b))
 
     @given(
         hs.sets(hs.sampled_from(["A", "B", "C", "Dl", "Dr", "E"]), min_size=1, max_size=5),
@@ -447,12 +447,12 @@ class TestMergeLabels:
             return
         cut = len(pieces) // 2
         reader = LabelReader(pieces)
-        a = reader[str(Label(tuple(pieces[:cut]), na))]
-        b = reader[str(Label(tuple(pieces[cut:]), nb))]
+        a = str(Label(tuple(pieces[:cut]), na))
+        b = str(Label(tuple(pieces[cut:]), nb))
         merged, _ = reader.join(a, b)
         assert merged == reader.join(b, a)[0]
-        assert merged[1] == max(na, nb)
-        assert merged[0] == a[0] + b[0]
+        assert label_pieces(merged)[1] == max(na, nb)
+        assert reader.pieces(merged) == pieces
 
     @given(hs.sets(hs.sampled_from(NODE_INVENTORY), min_size=1, max_size=4),
            hs.sets(hs.sampled_from(NODE_INVENTORY), min_size=1, max_size=4),
@@ -471,13 +471,13 @@ class TestBumpSelfAttach:
     @pytest.mark.parametrize("label", ["AB", "A", "BlFl"])
     def test_increments_by_one(self, label):
         reader = LabelReader(["A", "B", "Bl", "Fl"])
-        count, counter, _, mask = reader[label]
-        assert reader.bump(reader[label]) == (count, counter + 1, f"{label}_1", mask)
+        assert reader.bump(label) == f"{label}_1"
+        assert reader.pieces(reader.bump(label)) == reader.pieces(label)
 
     def test_from_table_examples(self):
         reader = LabelReader(["A", "B", "Bl", "Fl"])
-        assert reader.bump(reader["AB"]) == reader["AB_1"]
-        assert reader.bump(reader["BlFl_1"]) == reader["BlFl_2"]
+        assert reader.bump("AB") == "AB_1"
+        assert reader.bump("BlFl_1") == "BlFl_2"
 
 
 node_labels = hs.builds(
@@ -501,12 +501,12 @@ def equal_labels_built_every_way(label: Label) -> list[str]:
     first, *rest = label.pieces
     counter = label.self_attach
     reader = LabelReader(label.pieces)
-    composed = reader[first]
+    composed = first
     for piece in rest:
-        composed, _ = reader.join(reader[piece], composed)
+        composed, _ = reader.join(piece, composed)
     for _ in range(counter):
         composed = reader.bump(composed)
-    out = [str(label_of(str(label))), composed[2]]
+    out = [str(label_of(str(label))), composed]
 
     node = leaf(first)
     for piece in rest:
@@ -520,8 +520,8 @@ def equal_labels_built_every_way(label: Label) -> list[str]:
     if steps:
         component_of = {}
         for mentions in steps:
-            apply_step(component_of, resolve_components(mentions, component_of, reader), reader)
-        out.append(component_of[first][2])
+            apply_step(component_of, resolve_components(mentions, component_of), reader)
+        out.append(component_of[first])
     return out
 
 

@@ -2,18 +2,20 @@
 pieces ``B10 A B2 Bl B``, whose piece order is ``A B Bl B2 B10`` and whose
 text order is ``A B B10 B2 Bl``.
 
-A label is its text, so each place that sorts piece texts must sort them
-by ``labels.piece_key``.  The outputs below are pinned byte for byte (the
+A label is its text, and ``labels.LabelReader`` holds the one order of
+pieces: every inventory is held in it, so nothing else sorts pieces.  The
+outputs below are pinned byte for byte (the
 longer ones by their SHA-256, next to the parts that order decides), as
 the commands wrote them when labels were objects that sorted by piece.
 """
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
-from sewtree.grammar import parse_grammar
+from sewtree.grammar import GoldGrammar, parse_grammar
 from sewtree.pipeline import PatternSpec, placeholder_spec
 from sewtree.synth import grammar_to_text
 
@@ -213,3 +215,36 @@ def test_specs_and_grammars_are_written_in_piece_order():
     grammar = parse_grammar(GRAMMAR)
     assert grammar_to_text(grammar).splitlines()[1] == "pieces: " + " ".join(PIECE_ORDER)
     assert grammar.roots == ("ABBlB2B10_1",)
+
+
+def test_unknown_pieces_are_named_in_piece_order(tmp_path):
+    path = tmp_path / "unknown.grammar"
+    path.write_text("pattern: x\npieces: A\nroots: AB2B10\nAB2B10 -> A B2B10\n")
+    assert cli("validate-grammar", path) == (1, (
+        f"{path}: INVALID\n"
+        "  root AB2B10: unknown pieces B2, B10\n"
+        "  AB2B10 -> A B2B10: unknown pieces B2, B10\n"
+    ), "")
+
+
+# Input orders of the pieces: text order, reversed piece order, and every
+# 23rd permutation of the order the pattern lists them in.
+INPUT_ORDERS = [sorted(SPEC["pieces"]), PIECE_ORDER[::-1],
+                *map(list, itertools.islice(itertools.permutations(SPEC["pieces"]), 0, None, 23))]
+
+
+@pytest.mark.parametrize("order", INPUT_ORDERS, ids="-".join)
+def test_inventories_are_held_in_piece_order_whatever_the_input_order(order):
+    names = {p: SPEC["pieces"][p] for p in order}
+    specs = [PatternSpec("order", names), PatternSpec.from_json({"pattern_id": "order", "pieces": names})]
+    text = GRAMMAR.replace("pieces: B10 A B2 Bl B", "pieces: " + " ".join(order))
+    reference = parse_grammar(GRAMMAR)
+    grammars = [parse_grammar(text), GoldGrammar("order", order, reference.roots, reference.rules)]
+    for spec in specs:
+        assert spec.inventory == tuple(PIECE_ORDER)
+        assert list(spec.pieces) == PIECE_ORDER
+        assert spec.pieces == SPEC["pieces"]
+    for grammar in grammars:
+        assert grammar.inventory == tuple(PIECE_ORDER)
+        assert grammar == reference
+    assert placeholder_spec("order", order).inventory == tuple(PIECE_ORDER)

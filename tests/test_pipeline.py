@@ -45,11 +45,6 @@ from helpers import (
 READER = LabelReader(["A", "B", "C"])
 
 
-def F(text):
-    """The facts of the label ``text`` over pieces A-C."""
-    return READER[text]
-
-
 def labels(extraction):
     return list(extraction.mentions)
 
@@ -98,24 +93,24 @@ class TestRuleBasedExtraction:
 class TestResolveComponents:
     def test_identity_on_fresh_state(self):
         state = {}
-        assert resolve_components(("A", "B"), state, READER) == [F("A"), F("B")]
+        assert resolve_components(("A", "B"), state) == ["A", "B"]
 
     def test_resolution_then_dedup(self):
         state = {}
-        apply_step(state, [F("A"), F("B")], READER)
-        assert resolve_components(("A", "B"), state, READER) == [F("AB")]
+        apply_step(state, ["A", "B"], READER)
+        assert resolve_components(("A", "B"), state) == ["AB"]
 
     def test_mixed_resolution(self):
         state = {}
-        apply_step(state, [F("A"), F("B")], READER)
-        apply_step(state, [F("AB")], READER)
-        assert resolve_components(("C", "A", "B"), state, READER) == [F("C"), F("AB_1")]
+        apply_step(state, ["A", "B"], READER)
+        apply_step(state, ["AB"], READER)
+        assert resolve_components(("C", "A", "B"), state) == ["C", "AB_1"]
 
     def test_idempotent_on_component_labels(self):
         state = {}
-        apply_step(state, [F("A"), F("B")], READER)
-        resolved = resolve_components(("A",), state, READER)
-        assert resolved == [F("AB")]
+        apply_step(state, ["A", "B"], READER)
+        resolved = resolve_components(("A",), state)
+        assert resolved == ["AB"]
 
 
 def build_mentions(*steps: tuple[str, ...]) -> BuildReport:
@@ -128,15 +123,15 @@ def build_mentions(*steps: tuple[str, ...]) -> BuildReport:
 class TestApplyStep:
     def test_binary(self):
         state = {}
-        subtrees = apply_step(state, [F("A"), F("B")], READER)
+        subtrees = apply_step(state, ["A", "B"], READER)
         assert subtrees == [("AB", ("A", "B"))]
         assert build_mentions(("A", "B")).diagnostics == ()
-        assert state["A"] == F("AB")
+        assert state == {"A": "AB", "B": "AB"}
 
     def test_unary(self):
         state = {}
-        apply_step(state, [F("A"), F("B")], READER)
-        subtrees = apply_step(state, [F("AB")], READER)
+        apply_step(state, ["A", "B"], READER)
+        subtrees = apply_step(state, ["AB"], READER)
         assert subtrees == [("AB_1", ("AB",))]
 
     def test_empty(self):
@@ -146,7 +141,7 @@ class TestApplyStep:
 
     def test_three_components_fold_with_diagnostic(self):
         state = {}
-        subtrees = apply_step(state, [F("A"), F("B"), F("C")], READER)
+        subtrees = apply_step(state, ["A", "B", "C"], READER)
         assert subtrees == [("AB", ("A", "B")), ("ABC", ("AB", "C"))]
         report = build_mentions((), ("A", "B", "C"))
         assert [(d.step_index, d.kind) for d in report.diagnostics] == [(1, "multi-component")]

@@ -169,7 +169,7 @@ def test_parse_grammar_rejects_or_keeps_every_rule_valid(seed, n_pieces, noise, 
             parent, children = rule_labels(rule)
             assert node_oracle(parent, children) == []
             for label in (parent, *children):
-                assert label.piece_set <= parsed.inventory
+                assert label.piece_set <= frozenset(parsed.inventory)
 
 
 @given(hs.integers(0, 2**64 - 1), hs.integers(2, 6), hs.integers(1, 2), hs.data())
@@ -201,7 +201,7 @@ def test_validate_grammar_matches_the_set_and_walk_oracle(seed, n_pieces, n_tree
     text = grammar_to_text(SimpleNamespace(
         pattern_id="fuzz", inventory=grammar.inventory, roots=root_texts, rules=rule_texts
     ))
-    expected = validate_grammar_oracle(grammar.inventory, roots, rules)
+    expected = validate_grammar_oracle(frozenset(grammar.inventory), roots, rules)
     if expected:
         for make in (lambda: GoldGrammar("fuzz", grammar.inventory, root_texts, rule_texts),
                      lambda: parse_grammar(text)):
