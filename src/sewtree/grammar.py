@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections.abc import Collection, Iterable
 from functools import cached_property
-from itertools import product
 
 from .labels import LabelError, LabelReader, label_pieces, node_violations, piece_key, split_counter
 from .tree import bracket
@@ -88,7 +87,7 @@ class GoldGrammar:
     has read and raises :class:`GrammarError` naming the pattern and the
     first three problems, all of them in ``problems``.  A piece, root or
     rule text that cannot be read at all is a :class:`GrammarError` naming
-    the text."""
+    the text, and so is a piece the inventory repeats."""
 
     def __init__(
         self,
@@ -105,6 +104,14 @@ class GoldGrammar:
             for text in inventory:
                 piece_key(text)
             facts = LabelReader(inventory)
+            if len(facts.bits) != len(inventory):
+                # A repeat would take a second bit and leave a gap in the
+                # full mask.
+                pieces = list(inventory)
+                repeated = ", ".join([p for p in facts.bits if pieces.count(p) > 1])
+                raise GrammarError(
+                    f"pattern {pattern_id!r}: duplicate pieces in inventory: {repeated}"
+                )
             for text in roots:
                 facts[text]
             for text in rules:
@@ -179,8 +186,8 @@ class GoldGrammar:
                     parents[c].append(p)
                 if best_g and g > best_g:
                     continue
-                # ``tree.bracket``'s text, written out: the call and its join
-                # took half of this pass.
+                # The bracket text written out, as ``tree.bracket`` writes
+                # it: the call and its join took half of this pass.
                 if len(kids) == 1:
                     text = f"({name} {texts[kids[0]]})"
                 else:
@@ -396,6 +403,13 @@ def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, .
     past ``cap``.  The texts are composed over the rule graph, children
     first: a leaf is its label, and a rule brackets every combination of its
     children's texts (the derivation semiring over strings).
+
+    Each label's texts are sorted as they are stored, for speed: texts of
+    one label are never prefixes of each other, so over sorted children a
+    rule's texts come out sorted, by first child and then by second, and
+    the sort of a label only merges its rules' runs.  The final sort, which
+    the result's order rests on, then only merges the roots' runs; roots
+    cannot simply be concatenated, since ``(X_10 `` sorts before ``(X_2 ``.
     """
     counts = _derivation_counts(g)
     total = sum([counts[p] for p in g.root_positions])
@@ -411,11 +425,16 @@ def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, .
     gold: list[str] = []
     for p, (name, expansions) in enumerate(zip(g.labels, g.expansions)):
         if expansions:
-            level = [
-                bracket(name, combo)
-                for _, kids in expansions
-                for combo in product(*[texts[c] for c in kids])
-            ]
+            level: list[str] = []
+            # The bracket text written out, as ``tree.bracket`` writes it,
+            # with no call per text.
+            for _, kids in expansions:
+                if len(kids) == 1:
+                    level += [f"({name} {a})" for a in texts[kids[0]]]
+                else:
+                    b_texts = texts[kids[1]]
+                    level += [f"({name} {a} {b})" for a in texts[kids[0]] for b in b_texts]
+            level.sort()
         else:
             level = [name]
         texts.append(level)
@@ -425,4 +444,5 @@ def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, .
             for c in kids:
                 if last_parent[c] == p:
                     texts[c] = None
-    return tuple(sorted(gold))
+    gold.sort()
+    return tuple(gold)

@@ -132,7 +132,7 @@ def grammar_score(pred: frozenset[str], grammar: GoldGrammar) -> ScoreBreakdown:
             hit = 1 if hit_rules and rule in hit_rules else 0
             a = kids[0]
             a_items = tables[a].items() if a in tables else ((0, (sizes[a], texts[a])),)
-            # ``tree.bracket``'s text, written out as in ``score_tables``.
+            # The bracket text written out, as in ``score_tables``.
             if len(kids) == 1:
                 for m_a, (g_a, text_a) in a_items:
                     m = hit + m_a

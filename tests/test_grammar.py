@@ -247,6 +247,18 @@ def test_a_text_the_constructor_cannot_read_is_named(pieces, roots, rules, messa
     assert str(exc.value) == f"pattern 'x': {message}"
 
 
+@pytest.mark.parametrize("pieces", [["A", "A", "B"], ["A", "B", "A"]])
+def test_a_repeated_piece_is_named_when_built_and_when_read(pieces):
+    # A repeat would take a second bit, and no root could cover the
+    # inventory; it is named instead.
+    with pytest.raises(GrammarError) as built:
+        GoldGrammar("p", pieces, ["AB"], ["AB -> A B"])
+    assert str(built.value) == "pattern 'p': duplicate pieces in inventory: A"
+    with pytest.raises(GrammarError) as read:
+        parse_grammar(f"pattern: p\npieces: {' '.join(pieces)}\nroots: AB\nAB -> A B\n")
+    assert str(read.value) == "line 2: duplicate pieces in inventory"
+
+
 # Expected enumerations, hand-derived by exhaustively expanding each fixture.
 EXPECTED_TREE_COUNTS = {
     "skirt": 1,
@@ -256,6 +268,30 @@ EXPECTED_TREE_COUNTS = {
     "shirt": 2,
     "jumpsuit": 4,
 }
+
+# Grammars whose texts the enumeration composes out of order before it
+# merges them, checked beside the fixtures.
+ORDER_GRAMMARS = {
+    # Roots ABC_2 and ABC_10 of two trees each: label order puts ABC_2
+    # first, text order "(ABC_10 ".
+    "root-counters": "\n".join(
+        ["pattern: root-counters", "pieces: A B C", "roots: ABC_10 ABC_2",
+         "AB -> A B", "BC -> B C", "ABC -> AB C", "ABC -> A BC", "ABC_1 -> ABC"]
+        + [f"ABC_{i} -> ABC_{i - 1}" for i in range(2, 11)]
+    ),
+    # Two rules of ABCDE_1 over ABC_1, which has two trees: their blocks
+    # interleave, (ABC_1 a) with DE, then with DE_1, then (ABC_1 b) with each.
+    "interleaved-blocks": "\n".join(
+        ["pattern: interleaved-blocks", "pieces: A B C D E", "roots: ABCDE_1",
+         "AB -> A B", "BC -> B C", "ABC -> AB C", "ABC -> A BC", "ABC_1 -> ABC",
+         "DE -> D E", "DE_1 -> DE", "ABCDE_1 -> ABC_1 DE", "ABCDE_1 -> ABC_1 DE_1"]
+    ),
+}
+ENUMERATION_CASES = GRAMMAR_NAMES + list(ORDER_GRAMMARS)
+
+
+def enumeration_case(name: str) -> GoldGrammar:
+    return parse_grammar(ORDER_GRAMMARS[name]) if name in ORDER_GRAMMARS else load_grammar(name)
 
 
 class TestEnumeration:
@@ -277,9 +313,9 @@ class TestEnumeration:
         counts = count_derivations(grammars["pants_combined"])
         assert counts == {"BlBrFlFr_1": 2, "BlBrFlFr_2": 2}
 
-    @pytest.mark.parametrize("name", GRAMMAR_NAMES)
+    @pytest.mark.parametrize("name", ENUMERATION_CASES)
     def test_count_matches_enumeration(self, name):
-        g = load_grammar(name)
+        g = enumeration_case(name)
         assert sum(count_derivations(g).values()) == len(enumerate_gold_trees(g))
 
     def test_cap_exceeded_reports_count(self, grammars):
@@ -323,9 +359,9 @@ class TestEnumeration:
         assert check_enumeration(repeated) == enumerate_gold_trees(shirt)
 
 
-@pytest.mark.parametrize("name", GRAMMAR_NAMES)
+@pytest.mark.parametrize("name", ENUMERATION_CASES)
 def test_fixture_enumeration_matches_tree_oracle(name):
-    check_enumeration(load_grammar(name))
+    check_enumeration(enumeration_case(name))
 
 
 @pytest.mark.parametrize("block", range(4))
