@@ -158,45 +158,27 @@ class GoldGrammar:
     # changed once built.
 
     @cached_property
-    def score_tables(self) -> tuple[tuple[int, ...], tuple[str, ...], tuple, dict]:
-        """``(bare_sizes, bare_texts, parent_positions, rule_positions)``,
-        built in one pass over the rule graph:
-        - ``bare_sizes`` and ``bare_texts``: per label, the number of rules
-          g and the text of its tree with the fewest rules, ties going to
-          the smallest text.  When no predicted rule lies on or below a
-          label, none of its trees matches one, and at a given number of
-          matches a tree over the label scores best through this one.
-          Serializations of one label are never prefixes of each other, so
-          this tree takes its children's;
+    def score_tables(self) -> tuple[tuple[tuple, ...], tuple, dict]:
+        """``(bare_tables, parent_positions, rule_positions)``:
+        - ``bare_tables``: per label, its :func:`fill_tables` table when no
+          rule is predicted, one ``(0, g, text)`` entry: its tree with the
+          fewest rules, ties going to the smallest text.  When no predicted
+          rule lies on or below a label, none of its trees matches one, so
+          the table a document's DP fills for it is this one;
         - ``parent_positions``: per label, the positions of the labels with
           a rule over it, in order (a label with two rules over one child
           is listed twice);
         - ``rule_positions``: per rule text, its label's position."""
-        sizes: list[int] = []
-        texts: list[str] = []
         parents: list[list[int]] = [[] for _ in self.labels]
         rule_positions: dict[str, int] = {}
-        for p, (name, expansions) in enumerate(zip(self.labels, self.expansions)):
-            best_g, best_text = 0, name  # a leaf's, where no rule expands the label
+        for p, expansions in enumerate(self.expansions):
             for rule, kids in expansions:
                 rule_positions[rule] = p
-                g = 1
                 for c in kids:
-                    g += sizes[c]
                     parents[c].append(p)
-                if best_g and g > best_g:
-                    continue
-                # The bracket text written out, as ``tree.bracket`` writes
-                # it: the call and its join took half of this pass.
-                if len(kids) == 1:
-                    text = f"({name} {texts[kids[0]]})"
-                else:
-                    text = f"({name} {texts[kids[0]]} {texts[kids[1]]})"
-                if not best_g or g < best_g or text < best_text:
-                    best_g, best_text = g, text
-            sizes.append(best_g)
-            texts.append(best_text)
-        return tuple(sizes), tuple(texts), tuple(map(tuple, parents)), rule_positions
+        bare: list = [None] * len(self.labels)
+        fill_tables(self, range(len(bare)), {}, bare)
+        return tuple(bare), tuple(map(tuple, parents)), rule_positions
 
     @cached_property
     def smallest_tree(self) -> str:
@@ -209,6 +191,57 @@ class GoldGrammar:
                 if expansions else name
             )
         return min([smallest[p] for p in self.root_positions])
+
+
+def fill_tables(
+    grammar: GoldGrammar, positions: Iterable[int], hits: dict[int, set[str]], tables: list
+) -> None:
+    """The DP over derivations that ``metrics.grammar_score`` runs, over
+    the labels at ``positions``, ascending.  It sets ``tables[p]`` to a
+    tuple of ``(m, g, text)`` entries, one per m: the fewest rules g of any
+    tree of the label with m predicted rules, and the smallest text at that
+    g.  ``hits`` maps a position to the predicted texts of its label's
+    rules; a label with none is filled as if nothing were predicted.  A
+    child's table is read from ``tables``: a child sits at a lower position,
+    so it was filled earlier in the call or before it.  A leaf's table is
+    ``((0, 0, name),)``.
+
+    Texts of one label are never prefixes of each other, so the smallest
+    tree at (m, g) is built from its children's smallest texts, and a
+    candidate with more rules than the entry at its m is dropped before its
+    text is composed."""
+    labels, expansions = grammar.labels, grammar.expansions
+    for p in positions:
+        name = labels[p]
+        hit_rules = hits.get(p)
+        table: dict[int, tuple[int, int, str]] = {}
+        for rule, kids in expansions[p]:
+            hit = 1 if hit_rules and rule in hit_rules else 0
+            # The bracket text written out, as ``tree.bracket`` writes it:
+            # the call and its join took half of the DP.
+            if len(kids) == 1:
+                for m_a, g_a, text_a in tables[kids[0]]:
+                    m = hit + m_a
+                    g = 1 + g_a
+                    current = table.get(m)
+                    if current is not None and g > current[1]:
+                        continue
+                    text = f"({name} {text_a})"
+                    if current is None or g < current[1] or text < current[2]:
+                        table[m] = (m, g, text)
+            else:
+                b_entries = tables[kids[1]]
+                for m_a, g_a, text_a in tables[kids[0]]:
+                    for m_b, g_b, text_b in b_entries:
+                        m = hit + m_a + m_b
+                        g = 1 + g_a + g_b
+                        current = table.get(m)
+                        if current is not None and g > current[1]:
+                            continue
+                        text = f"({name} {text_a} {text_b})"
+                        if current is None or g < current[1] or text < current[2]:
+                            table[m] = (m, g, text)
+        tables[p] = tuple(table.values()) if table else ((0, 0, name),)
 
 
 def parse_grammar(text: str) -> GoldGrammar:

@@ -8,7 +8,7 @@ import re
 from collections import Counter
 from functools import lru_cache
 
-from .grammar import GoldGrammar
+from .grammar import GoldGrammar, fill_tables
 from .tree import parse_serialized, subtrees_of
 
 BLEU_MAX_N = 4
@@ -82,26 +82,24 @@ def grammar_score(pred: frozenset[str], grammar: GoldGrammar) -> ScoreBreakdown:
 
     Node labels are unique within a tree, so a gold tree with g internal
     nodes, m of whose rules are predicted subtrees, scores F1 = 2m/(|P| + g):
-    at a given m, fewer rules score higher.  A DP over the rule graph keeps,
+    at a given m, fewer rules score higher.  :func:`fill_tables` keeps,
     per label and per m, the smallest g and the smallest canonical
-    serialization at that g (serializations of one label are never
-    prefixes of each other, so the smallest tree takes the smallest child
-    serializations).  Per document it recomputes only the labels on or
-    above a predicted rule of the grammar, children first, found through
-    the ``rule_positions`` (by the rule's text) and ``parent_positions`` of
-    the grammar's ``score_tables``; any other label holds no match, so it
-    is read as its one bare tree there, the fewest rules and then the
-    smallest text, with m = 0.  The grammar builds those tables on its first score and keeps
-    them, unchanged, for every later one.  At the roots the best
-    exact F1 wins, compared as ``tree_score`` compares it; ties go to the
-    smallest serialization, which is the lowest index in the sorted
-    enumeration.  When no predicted rule is in the grammar every tree
-    scores F1 = 0 and the grammar's ``smallest_tree`` wins.
+    serialization at that g.  A label with no predicted rule on or below it
+    holds no match, so its table is the grammar's bare one, from its
+    ``score_tables``, which the grammar builds on its first score and keeps,
+    unchanged, for every later one.  Per document the DP refills only the
+    labels on or above a predicted rule of the grammar, children first,
+    found through the ``rule_positions`` (by the rule's text) and
+    ``parent_positions`` of those tables, in a copy of the bare list.  At
+    the roots the best exact F1 wins, compared as ``tree_score`` compares
+    it; ties go to the smallest serialization, which is the lowest index in
+    the sorted enumeration.  When no predicted rule is in the grammar every
+    tree scores F1 = 0 and the grammar's ``smallest_tree`` wins.
     ``best_gold_tree`` holds the winner's text, and the scores are
     ``tree_score``'s float expressions; a caller that needs the winning
     tree's rules reads them off the text with ``parse_serialized``.
     """
-    sizes, texts, parents, rule_positions = grammar.score_tables
+    bare, parents, rule_positions = grammar.score_tables
     # hits[p]: the texts of label p's predicted rules.
     hits: dict[int, set[str]] = {}
     for text in pred:
@@ -118,52 +116,15 @@ def grammar_score(pred: frozenset[str], grammar: GoldGrammar) -> ScoreBreakdown:
             if q not in dirty:
                 dirty.add(q)
                 stack.append(q)
-
-    labels = grammar.labels
-    expansions = grammar.expansions
-    # tables[p], for p on or above a hit: m -> (smallest g, smallest text at
-    # that g).  Any other label is read as its one tree, with m = 0.
-    tables: dict[int, dict[int, tuple[int, str]]] = {}
-    for p in sorted(dirty):
-        name = labels[p]
-        hit_rules = hits.get(p)
-        table: dict[int, tuple[int, str]] = {}
-        for rule, kids in expansions[p]:
-            hit = 1 if hit_rules and rule in hit_rules else 0
-            a = kids[0]
-            a_items = tables[a].items() if a in tables else ((0, (sizes[a], texts[a])),)
-            # The bracket text written out, as in ``score_tables``.
-            if len(kids) == 1:
-                for m_a, (g_a, text_a) in a_items:
-                    m = hit + m_a
-                    g = 1 + g_a
-                    current = table.get(m)
-                    if current is not None and g > current[0]:
-                        continue
-                    text = f"({name} {text_a})"
-                    if current is None or g < current[0] or text < current[1]:
-                        table[m] = (g, text)
-            else:
-                b = kids[1]
-                b_items = tables[b].items() if b in tables else ((0, (sizes[b], texts[b])),)
-                for m_a, (g_a, text_a) in a_items:
-                    for m_b, (g_b, text_b) in b_items:
-                        m = hit + m_a + m_b
-                        g = 1 + g_a + g_b
-                        current = table.get(m)
-                        if current is not None and g > current[0]:
-                            continue
-                        text = f"({name} {text_a} {text_b})"
-                        if current is None or g < current[0] or text < current[1]:
-                            table[m] = (g, text)
-        tables[p] = table
+    tables = list(bare)
+    fill_tables(grammar, sorted(dirty), hits, tables)
 
     # A hit's label is reached from a root, so some root's table holds a
     # tree with m >= 1, which outranks every tree with m = 0.
     n = len(pred)
     best = None
     for root in grammar.root_positions:
-        for m, (g, text) in tables.get(root, {}).items():
+        for m, g, text in tables[root]:
             if best is not None:
                 lead = _f1_lead(m, g, best[0], best[1], n)
                 if lead < 0 or lead == 0 and text > best[2]:
@@ -227,12 +188,6 @@ def _clipped_precisions(cand: list[str], ref_grams) -> list[float]:
                 clipped += count if count < ref_count else ref_count
         precisions.append(clipped / total)
     return precisions
-
-
-def ngram_precisions(candidate: str, reference: str, max_n: int = BLEU_MAX_N) -> list[float]:
-    """Modified (clipped) n-gram precisions for n = 1..max_n, unsmoothed."""
-    ref = tokenize(reference)
-    return _clipped_precisions(tokenize(candidate), [_ngrams(ref, n) for n in range(1, max_n + 1)])
 
 
 def bleu(candidate: str, reference: str) -> float:

@@ -8,7 +8,8 @@ label-map code in ``sewtree`` is tested against; the per-step adapter
 extractor, the reference for the memoized one; the ``urllib.request``
 post, the reference for the adapter's HTTP/1.0 client; BLEU and
 ROUGE-L computed afresh per call, the references for the metrics'
-prepared reference side; the node check on piece sets, the reference
+prepared reference side; the clipped n-gram precisions along ``bleu``'s
+path, which only tests read; the node check on piece sets, the reference
 for ``node_violations``' masks; the object reader of rules and grammar
 files, the reference for the grammar parser's reading into label facts;
 the per-tree round-trip, the reference for the per-rule one; the grammar
@@ -46,8 +47,10 @@ from sewtree.metrics import (
     BLEU_MAX_N,
     ScoreBreakdown,
     _breakdown,
+    _clipped_precisions,
     _f1,
     _f1_lead,
+    _ngrams,
     grammar_score,
     tokenize,
 )
@@ -834,6 +837,13 @@ def quadratic_lcs_length(a, b):
     return prev[-1]
 
 
+def ngram_precisions(candidate: str, reference: str, max_n: int = BLEU_MAX_N) -> list[float]:
+    """Modified (clipped) n-gram precisions for n = 1..max_n, unsmoothed,
+    as ``bleu`` clips them."""
+    ref = tokenize(reference)
+    return _clipped_precisions(tokenize(candidate), [_ngrams(ref, n) for n in range(1, max_n + 1)])
+
+
 def _counter_ngrams(tokens, n):
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
@@ -867,14 +877,15 @@ def quadratic_rouge_l(candidate: str, reference: str) -> float:
     return _f1(lcs / len(cand), lcs / len(ref))
 
 
+def fresh_env(**env: str) -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout,
+    with ``env`` added."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **env}
+
+
 def run_fresh(*args: str, **env: str) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh interpreter that imports this checkout,
     with ``env`` added to the environment."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path, **env},
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=fresh_env(**env))

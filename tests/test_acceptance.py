@@ -21,7 +21,7 @@ from sewtree.experiments import (
     score_document,
 )
 from sewtree.grammar import count_derivations, enumerate_gold_trees
-from sewtree.metrics import bleu, ngram_precisions, pearson, rouge_l, BLEU_EPSILON
+from sewtree.metrics import bleu, pearson, rouge_l, BLEU_EPSILON
 from sewtree.pipeline import InstructionDoc, build_forest, extract_document
 
 import helpers
@@ -100,11 +100,11 @@ def test_criterion_4_permutation_robustness(chain_corpus):
             assert row["tree_f1"] == 1.0, grammar.pattern_id
 
             reference = " ".join(doc.steps)
-            base_p1 = ngram_precisions(reference, reference, 1)[0]
+            base_p1 = helpers.ngram_precisions(reference, reference, 1)[0]
             for variant in permute_doc(doc, 42, 20):
                 row, _ = score_document(variant, gold, spec)
                 permuted_scores.append(row["tree_f1"])
-                p1 = ngram_precisions(" ".join(variant.steps), reference, 1)[0]
+                p1 = helpers.ngram_precisions(" ".join(variant.steps), reference, 1)[0]
                 assert p1 == base_p1
 
         assert sum(permuted_scores) / len(permuted_scores) < 0.9

@@ -187,6 +187,19 @@ def test_sparse_dp_matches_the_full_dp(seed, chain, keep_percent, n_foreign):
     assert best_tree_oracle(predicted, grammar) == expected
 
 
+def test_sixteen_piece_grammar_matches_the_full_dp():
+    """At scale: the 16-piece grammar of 2,000 trees against the subtree
+    sets of 16 random trees over its inventory, drawn in turn from one
+    generator.  Each dirties thousands of labels, whose refilled tables
+    join the bare tables of the clean labels around them."""
+    grammar = random_grammar(SplitMix64(derive_seed(1, "huge")), "huge", 16, 2000)
+    rng = SplitMix64(7)
+    inventory = sorted(grammar.inventory)
+    for _ in range(16):
+        predicted = frozenset(subtrees_of(random_tree(rng, inventory)))
+        assert grammar_score(predicted, grammar) == g_indexed_dp_oracle(predicted, grammar)
+
+
 def test_score_tables_are_built_on_first_score_and_kept_unchanged():
     """Reading a grammar builds none of the tables scoring keeps on it, and
     scores on one grammar object do not depend on the documents scored

@@ -12,14 +12,19 @@ from sewtree.metrics import (
     _lcs_length,
     _lcs_masks,
     bleu,
-    ngram_precisions,
     pearson,
     rouge_l,
     tokenize,
     tree_score,
 )
 
-from helpers import counter_bleu, quadratic_lcs_length, quadratic_rouge_l, subtree_set
+from helpers import (
+    counter_bleu,
+    ngram_precisions,
+    quadratic_lcs_length,
+    quadratic_rouge_l,
+    subtree_set,
+)
 
 SKIRT = "(ABC_1 (AB_1 (AB A B)) C)"
 
