@@ -347,7 +347,8 @@ def validate_grammar(g: GoldGrammar) -> list[str]:
     reads the facts of ``g``'s labels from their texts; the
     :class:`GoldGrammar` constructor runs the same check on the facts it
     has read, so it is the one judge of validity.  First each root, then each rule, that is not a valid step
-    over the inventory, named: pieces the inventory lacks, not 1 or 2
+    over the inventory, named: pieces the inventory lacks (for a rule, those
+    of all its labels, in piece order), not 1 or 2
     children, label arithmetic that :func:`node_violations` refuses.  Only
     if there are none, so that a bad rule has no follow-on problems: no
     roots; non-leaf labels no rule expands, by name; rules no root reaches,
@@ -361,16 +362,16 @@ def _problems(g: GoldGrammar, reader: LabelReader) -> list[str]:
     labels, unknown = g.labels, reader.unknown
     facts = [reader[text] for text in labels]
     out = [
-        f"root {labels[p]}: unknown pieces {unknown[labels[p]]}"
+        f"root {labels[p]}: unknown pieces {', '.join(unknown[labels[p]])}"
         for p in g.root_positions if labels[p] in unknown
     ]
     # Rules are checked label by label and named in rule order.
     bad = {}
     for p, expansions in enumerate(g.expansions):
         for text, kids in expansions:
-            outside = unknown and [unknown[labels[q]] for q in (p, *kids) if labels[q] in unknown]
+            outside = unknown and {name for q in (p, *kids) for name in unknown.get(labels[q], ())}
             if outside:
-                bad[text] = f"{text}: unknown pieces {outside[0]}"
+                bad[text] = f"{text}: unknown pieces {', '.join(sorted(outside, key=piece_key))}"
             elif not 1 <= len(kids) <= 2:
                 bad[text] = f"{text}: rules need 1 or 2 children"
             elif problems := node_violations(facts[p], tuple(map(facts.__getitem__, kids))):

@@ -122,8 +122,8 @@ class LabelReader(dict):
     seen before costs one dict lookup and no Python call.  ``bits`` maps
     each piece to its bit in piece order, the one order of pieces: every
     inventory is held in it.  ``unknown`` maps each label with pieces
-    outside the inventory to those pieces' texts, in order and joined for
-    a message; such a label is only ever named for them, so its mask is 0.
+    outside the inventory to those pieces' texts, in piece order; such a
+    label is only ever named for them, so its mask is 0.
     :meth:`pieces`, :meth:`join` and :meth:`bump` take and return texts;
     the last two keep the facts of the parent they compose, so a spec's
     reader remembers each distinct label its run's builds make (fewer than
@@ -134,7 +134,7 @@ class LabelReader(dict):
     def __init__(self, inventory: Iterable[str]) -> None:
         super().__init__()
         self.bits = {p: 1 << i for i, p in enumerate(sorted(inventory, key=piece_key))}
-        self.unknown: dict[str, str] = {}
+        self.unknown: dict[str, tuple[str, ...]] = {}
 
     def __missing__(self, text: str) -> tuple[int, int, str, int]:
         body, counter = split_counter(text) if "_" in text else (text, 0)
@@ -155,7 +155,7 @@ class LabelReader(dict):
         # Any other text either is no label, and ``label_pieces`` says
         # why, or holds a piece outside the inventory.
         names = label_pieces(text)[0]
-        self.unknown[text] = ", ".join([name for name in names if name not in bits])
+        self.unknown[text] = tuple([name for name in names if name not in bits])
         facts = self[text] = (len(names), counter, text, 0)
         return facts
 

@@ -157,15 +157,12 @@ DEFAULT_ATTACHMENT_VERBS = frozenset({"sew", "stitch", "attach", "join", "close"
 
 _MENTION_RE = re.compile(r"\(([A-Za-z0-9]+)\)")
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?;]")
-_WORD_RE = re.compile(r"[a-z]+")
+# A verb at the start of a word, a run of the letters a-z.
+_ATTACHMENT_VERB_RE = re.compile(f"(?<![a-z])(?:{'|'.join(sorted(DEFAULT_ATTACHMENT_VERBS))})")
 
 
 def _has_attachment_verb(sentence: str) -> bool:
-    for word in _WORD_RE.findall(sentence.lower()):
-        for verb in DEFAULT_ATTACHMENT_VERBS:
-            if word.startswith(verb):
-                return True
-    return False
+    return _ATTACHMENT_VERB_RE.search(sentence.lower()) is not None
 
 
 def piece_mentions(text: str):

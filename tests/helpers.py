@@ -12,7 +12,8 @@ prepared reference side; the clipped n-gram precisions along ``bleu``'s
 path, which only tests read; the node check on piece sets, the reference
 for ``node_violations``' masks; the object reader of rules and grammar
 files, the reference for the grammar parser's reading into label facts;
-the per-tree round-trip, the reference for the per-rule one; the grammar
+the per-tree round-trip, the reference for the per-rule one; the word
+loop of the attachment-verb gate, the reference for its regex; the grammar
 check on piece sets with a recursive walk from the roots, the reference
 for the one that reads the rule graph; the derivation count by a walk
 down the rules;
@@ -24,6 +25,7 @@ one."""
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -55,6 +57,7 @@ from sewtree.metrics import (
     tokenize,
 )
 from sewtree.pipeline import (
+    DEFAULT_ATTACHMENT_VERBS,
     InstructionDoc,
     PatternSpec,
     build_forest,
@@ -608,15 +611,16 @@ def validate_grammar_oracle(inventory, roots, rules) -> list[str]:
     roots = list(dict.fromkeys(roots))
     rules = list(dict.fromkeys(rules))
 
-    def unknown(label: Label) -> str:
-        return ", ".join(sorted(label.piece_set - inventory, key=oracle_key))
+    def unknown(*labels: Label) -> str:
+        pieces = set().union(*(label.piece_set for label in labels)) - inventory
+        return ", ".join(sorted(pieces, key=oracle_key))
 
     out = [f"root {root}: unknown pieces {unknown(root)}" for root in roots if unknown(root)]
     for parent, children in rules:
-        outside = [unknown(label) for label in (parent, *children) if unknown(label)]
+        outside = unknown(parent, *children)
         text = label_rule(parent, children)
         if outside:
-            out.append(f"{text}: unknown pieces {outside[0]}")
+            out.append(f"{text}: unknown pieces {outside}")
         elif len(children) not in (1, 2):
             out.append(f"{text}: rules need 1 or 2 children")
         elif node_oracle(parent, children):
@@ -811,6 +815,17 @@ def glued_forest(report) -> tuple[str, ...]:
     isolated = tuple(label_of(t) for t in report.forest if not t.startswith("("))
     glued = glue_subtrees((text for _, text in report.subtree_trace), isolated)
     return tuple(serialize_node(t) for t in glued)
+
+
+def has_attachment_verb_oracle(sentence: str) -> bool:
+    """Whether a word of the lowercased ``sentence``, a run of the letters
+    a-z, starts with an attachment verb, word by word and verb by verb: the
+    reference for the rule-based extractor's one regex."""
+    for word in re.findall("[a-z]+", sentence.lower()):
+        for verb in DEFAULT_ATTACHMENT_VERBS:
+            if word.startswith(verb):
+                return True
+    return False
 
 
 def urllib_post(endpoint, body: bytes) -> bytes:

@@ -293,6 +293,27 @@ class TestValidateGrammar:
         )
         assert captured.err == ""
 
+    # Label arithmetic on piece masks: an unknown root piece, a unary
+    # counter and a binary union.  A rule is named with the unknown pieces
+    # of all its labels.
+    PROBLEMS = {
+        "masks": (
+            "pattern: masks\npieces: A B C\nroots: ABC ABQ\nAB_2 -> AB\nABC -> A C\nAB -> A B\n",
+            ["root ABQ: unknown pieces Q", "AB_2 -> AB: unary child counter must be parent's minus 1",
+             "ABC -> A C: children's pieces do not cover the parent"],
+        ),
+        "unknown-pieces-of-two-labels": (
+            "pattern: x\npieces: A B\nroots: AB\nAB -> Q R\n", ["AB -> Q R: unknown pieces Q, R"],
+        ),
+    }
+
+    @pytest.mark.parametrize("text,problems", PROBLEMS.values(), ids=PROBLEMS)
+    def test_each_problem_is_named(self, tmp_path, capsys, text, problems):
+        bad = tmp_path / "bad.grammar"
+        bad.write_text(text)
+        assert run("validate-grammar", bad) == 1
+        assert capsys.readouterr() == (f"{bad}: INVALID\n" + "".join(f"  {p}\n" for p in problems), "")
+
     def test_grammar_that_is_not_utf8_is_named(self, tmp_path, capsys):
         bad = tmp_path / "bad.grammar"
         bad.write_bytes(b"pattern: x\npieces: A B\nroots: AB\nAB -> A B # \xff\n")
@@ -1915,8 +1936,8 @@ def parser_exits(tmp_path: Path) -> list[list[str]]:
 def test_main_builds_only_the_named_command_and_prints_what_the_full_parser_prints(tmp_path, monkeypatch):
     """``main`` builds only the subparser its first argument names, and
     its help, usage, error texts and exit codes are the all-commands
-    parser's, the command list in the top-level usage line included."""
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal's width
+    parser's, the command list in the top-level usage line included, which
+    argparse wraps at 80 columns and writes on one line at 200."""
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -1925,20 +1946,23 @@ def test_main_builds_only_the_named_command_and_prints_what_the_full_parser_prin
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    for argv in parser_exits(tmp_path):
-        expected = parse_outcome(sewtree.cli.build_parser().parse_args, argv)
-        assert expected[2] is not None, argv
-        built.clear()
-        assert parse_outcome(main, argv) == expected, argv
-        names_command = bool(argv) and argv[0] in sewtree.cli.COMMANDS
-        assert built == ([argv[0]] if names_command else list(sewtree.cli.COMMANDS)), argv
-    usage = "usage: sewtree [-h]\n               {" + ",".join(sewtree.cli.COMMANDS) + "}\n"
-    score_extra = parse_outcome(main, parser_exits(tmp_path)[-1])
-    assert score_extra[1].startswith(usage)
-    assert score_extra[1].endswith("sewtree: error: unrecognized arguments: extra\n")
-    assert parse_outcome(main, [])[1] == usage + (
-        "               ...\nsewtree: error: the following arguments are required: command\n"
-    )
+    commands = "{" + ",".join(sewtree.cli.COMMANDS) + "}"
+    usages = {"80": f"usage: sewtree [-h]\n               {commands}\n               ...\n",
+              "200": f"usage: sewtree [-h] {commands} ...\n"}
+    for columns, usage in usages.items():
+        monkeypatch.setenv("COLUMNS", columns)  # argparse wraps usage to the terminal's width
+        for argv in parser_exits(tmp_path):
+            expected = parse_outcome(sewtree.cli.build_parser().parse_args, argv)
+            assert expected[2] is not None, argv
+            built.clear()
+            assert parse_outcome(main, argv) == expected, argv
+            names_command = bool(argv) and argv[0] in sewtree.cli.COMMANDS
+            assert built == ([argv[0]] if names_command else list(sewtree.cli.COMMANDS)), argv
+        _, err, code = parse_outcome(main, parser_exits(tmp_path)[-1])
+        assert (code, err) == (2, usage + "sewtree: error: unrecognized arguments: extra\n")
+        assert parse_outcome(main, []) == (
+            "", usage + "sewtree: error: the following arguments are required: command\n", 2
+        )
 
 
 def test_main_never_freezes_the_heap(tmp_path, capsys):

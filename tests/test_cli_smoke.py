@@ -2,8 +2,19 @@
 in fresh interpreters, as a shell would, since exit codes, stderr and the
 bytes left on disk are the contract.  Among them are the output-side
 failures: a full device, an ``--out`` under a regular file and a reader
-that closes its pipe early each end in exit 2 and one ``error:`` line."""
+that closes its pipe early each end in exit 2 and one ``error:`` line.
 
+The CLI contract lives in tier-1, each check once: the tests here and in
+``test_cli.py`` and ``test_piece_order.py`` hold every command's scores,
+report bytes, exit codes and one-line errors, and
+``test_cli.test_process_exits_as_main_returns`` pins that the process
+exits, prints and writes as ``main`` does in-process.  The workflow only
+installs, runs tier-1, runs the installed console script and the
+benchmark smoke; the last test here reads every source file as the
+oldest Python of its matrix does."""
+
+import ast
+import json
 import shutil
 import subprocess
 import sys
@@ -11,12 +22,14 @@ from pathlib import Path
 
 import pytest
 
+from sewtree.cli import COMMANDS
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import grammar_to_text, random_grammar
 
 from conftest import FIXTURES
 from helpers import fresh_env, run_fresh
 
+ROOT = Path(__file__).resolve().parent.parent
 GRAMMARS, SPECS = FIXTURES / "grammars", FIXTURES / "specs"
 SKIRT_GRAMMAR = GRAMMARS / "skirt.grammar"
 SKIRT_DOC = FIXTURES / "docs" / "skirt-demo.json"
@@ -101,3 +114,48 @@ def test_gen_gold_into_a_pipe_closed_after_one_byte(tmp_path):
         proc.stdout.close()
         stderr = proc.stderr.read()
     assert (proc.returncode, stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+# Each command's help text, in the order ``sewtree --help`` lists them.
+HELP = {
+    "gen-gold": "enumerate the gold trees of a grammar",
+    "validate-grammar": "check grammar files",
+    "extract": "extract per-step piece mentions",
+    "build": "build the predicted forest for a document",
+    "score": "score a corpus against its grammars",
+    "permute": "seeded step permutations of a document",
+    "inject-errors": "seeded mechanical corruption of a document",
+    "correlate": "Pearson correlation of scores vs errors per step",
+    "roundtrip": "linearize-and-rebuild every rule of each grammar",
+    "aggregate-ratings": "summarize step-level ratings per document",
+}
+
+
+def test_help_lists_every_command_with_its_help():
+    """A run builds only the parser of its command, yet ``--help`` lists
+    all ten, each beside its help text."""
+    proc = run_fresh("-m", "sewtree.cli", "--help", COLUMNS="80")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert list(HELP) == list(COMMANDS)
+    assert "".join(f"    {command:<20}{text}\n" for command, text in HELP.items()) in proc.stdout
+
+
+def test_build_traces_the_grammars_rule_lines_in_file_order(tmp_path):
+    """A rule is its text: building the skirt demo traces the lines of
+    ``skirt.grammar``'s rules, in the order the file lists them."""
+    out = tmp_path / "build.json"
+    proc = cli("build", "--doc", SKIRT_DOC, "--spec", SKIRT_SPEC, "--out", out)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    trace = [text for _, text in json.loads(out.read_bytes())["subtree_trace"]]
+    rules = [line for line in SKIRT_GRAMMAR.read_text(encoding="utf-8").splitlines() if " -> " in line]
+    assert trace == rules
+
+
+def test_every_source_file_is_in_the_oldest_supported_grammar():
+    """``requires-python = ">=3.10"``, the workflow's oldest leg: every
+    module of the package, its tests and the benchmark parses as 3.10's
+    grammar, which refuses ``except*`` and ``type X = int``."""
+    paths = sorted(path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

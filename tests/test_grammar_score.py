@@ -11,11 +11,12 @@ from collections import defaultdict
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as hs
 
 from sewtree.experiments import ErrorInjectionPlan, inject_errors, permute_doc, score_document
 from sewtree.grammar import GoldGrammar, enumerate_gold_trees, parse_grammar
+from sewtree.labels import split_counter
 from sewtree.metrics import grammar_score, tree_score
 from sewtree.pipeline import (
     InstructionDoc,
@@ -161,6 +162,60 @@ def test_clean_child_joins_a_hit_through_its_fewest_rules(predicted, best, f1):
     assert dp.best_gold_tree == best
     assert dp.f1 == f1
     assert_matches_oracle(predicted, grammar, gold)
+
+
+# AB_2's binary rule comes first; its unary rule then derives a tree with
+# one more rule and the smaller text, since "(AB_1" sorts before "(A_2".
+UNARY_AFTER_BINARY_GRAMMAR = """\
+pattern: p
+pieces: A B C
+roots: ABC_2
+ABC_2 -> AB_2 C
+AB_2 -> A_2 B
+AB_2 -> AB_1
+AB_1 -> A_1 B_1
+A_2 -> A_1
+A_1 -> A
+B_1 -> B
+"""
+
+
+def test_a_unary_rule_keeps_its_fewest_rules_over_a_smaller_text():
+    """At the same m, a unary rule's tree with more rules does not replace
+    the entry an earlier binary rule left, though its text is smaller."""
+    grammar = parse_grammar(UNARY_AFTER_BINARY_GRAMMAR)
+    predicted = frozenset({"ABC_2 -> AB_2 C"})
+    dp = grammar_score(predicted, grammar)
+    assert (dp.f1, dp.best_gold_tree) == (0.4, "(ABC_2 (AB_2 (A_2 (A_1 A)) B) C)")
+    assert_matches_oracle(predicted, grammar, enumerate_gold_trees(grammar))
+
+
+@given(hs.integers(0, 2**64 - 1))
+def test_a_label_keeps_its_fewest_rules_over_a_smaller_text(seed):
+    """A random tree and its variant with one leaf child of a binary node
+    bumped, ``C`` under ``(C_1 C)``, beside a sibling whose counter is 1 or
+    more, so that their parent keeps its label: at the same m, the variant's
+    tree of that label has one more rule and, since ``(`` sorts before any
+    capital, the smaller text.  With a random half of the rules predicted,
+    ``grammar_score`` matches the full DP only if it keeps the entry with
+    the fewest rules."""
+    rng = SplitMix64(seed)
+    root, children_of = random_tree(rng, random_inventory(rng, 3 + rng.randrange(6)), 40)
+    bumpable = [
+        (parent, i)
+        for parent, kids in children_of.items() if len(kids) == 2
+        for i in (0, 1) if kids[i] not in children_of and split_counter(kids[1 - i])[1] >= 1
+    ]
+    assume(bumpable)
+    parent, i = bumpable[rng.randrange(len(bumpable))]
+    kids = list(children_of[parent])
+    leaf, kids[i] = kids[i], f"{kids[i]}_1"
+    variant = {**children_of, parent: tuple(kids), kids[i]: (leaf,)}
+    grammar = grammar_from_trees("g", [(root, children_of), (root, variant)])
+    rules = list(grammar.rules)
+    rng.shuffle(rules)
+    predicted = frozenset(rules[: len(rules) // 2])
+    assert grammar_score(predicted, grammar) == g_indexed_dp_oracle(predicted, grammar)
 
 
 @given(hs.integers(0, 2**64 - 1), hs.booleans(), hs.integers(0, 100), hs.integers(0, 3))

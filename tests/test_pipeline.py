@@ -1,17 +1,19 @@
 import inspect
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hs
 
 from sewtree.adapter import AdapterConfig, AdapterError, extract_via_adapter, make_adapter_extractor
 from sewtree.labels import LabelReader
 from sewtree.pipeline import (
+    DEFAULT_ATTACHMENT_VERBS,
     BuildReport,
     Diagnostic,
     InstructionDoc,
     PatternSpec,
     StepExtraction,
+    _has_attachment_verb,
     apply_step,
     build_forest,
     extract_document,
@@ -33,6 +35,7 @@ from helpers import (
     binary,
     glued_forest,
     gold_tree_oracle,
+    has_attachment_verb_oracle,
     leaf,
     random_node_tree,
     recursive_linearization,
@@ -88,6 +91,21 @@ class TestRuleBasedExtraction:
             skirt_spec,
         )
         assert labels(x) == ["C", "A"]
+
+
+# Sentences of verb stems, letters and capitals, among them capitals that
+# lowercase to two characters (İ) or to a-z (the Kelvin sign), digits and
+# punctuation, and any other character.
+SENTENCE_PARTS = hs.sampled_from([*sorted(DEFAULT_ATTACHMENT_VERBS), "n", "un", "ed", "Sew", "JOIN", "İ", "Å",
+                                  "\u212a", "7", " ", "-", "'", "(A)"])
+
+
+@given(hs.lists(hs.one_of(SENTENCE_PARTS, hs.characters()), max_size=12).map("".join))
+@example("Sewn the (A) to (B)")
+@example("Unsew the (A)")
+@example("İsew the (A)")
+def test_the_verb_gate_is_the_word_loop(sentence):
+    assert _has_attachment_verb(sentence) == has_attachment_verb_oracle(sentence)
 
 
 class TestResolveComponents:
