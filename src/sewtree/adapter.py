@@ -20,8 +20,9 @@ from .labels import LabelError, piece_key
 from .pipeline import PatternSpec, StepExtraction, extract_pieces_rule_based
 
 
-class AdapterError(RuntimeError):
-    """The extraction backend failed or returned an invalid response."""
+class AdapterError(ValueError):
+    """The extraction backend failed or returned an invalid response: a
+    validation failure, like every ``ValueError`` the CLI reports."""
 
 
 # socket.settimeout holds a timeout as 64-bit nanoseconds and overflows past

@@ -1,42 +1,61 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O or configuration error.
+
+``gen-gold`` and ``validate-grammar`` load only the grammar: this module's
+body imports ``grammar``, ``tree`` and ``labels`` and no other module of
+the package.  The names that only the eight other commands read are listed
+in :data:`_DEFERRED`, and :func:`main` binds them before it runs one of
+those commands; so does the first lookup of such a name on this module.  A
+name already bound here when that happens is kept, so a name bound on
+``sewtree.cli`` before :func:`main` (a wrapper or a test's stand-in) is
+the one its command calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import io
 import json
 import sys
 from pathlib import Path
 
-from .adapter import AdapterConfig, AdapterError, make_adapter_extractor
-from .experiments import (
-    RATING_QUESTIONS,
-    ErrorInjectionPlan,
-    RatingRecord,
-    aggregate_ratings,
-    correlate_scores,
-    inject_errors,
-    permute_doc,
-    roundtrip_grammar,
-    score_document,
-)
 from .grammar import DEFAULT_CAP, CapExceededError, GrammarError, enumerate_gold_trees, parse_grammar
-from .pipeline import (
-    build_forest,
-    extract_document,
-    extract_once_per_run,
-    extract_pieces_rule_based,
-    extractions_to_json,
-    load_doc,
-    load_spec,
-    read_text,
-)
+from .labels import read_text
 from .tree import canonical_serialize  # noqa: F401  (unused; perfbench/traced.py wraps it by name)
+
+# The names only the commands past ``validate-grammar`` read, by the module
+# that supplies them; a module's own name binds the module.
+_DEFERRED = {
+    "csv": ("csv",),
+    "io": ("io",),
+    "sewtree.adapter": ("AdapterConfig", "make_adapter_extractor"),
+    "sewtree.experiments": ("RATING_QUESTIONS", "ErrorInjectionPlan", "RatingRecord", "aggregate_ratings",
+                            "correlate_scores", "inject_errors", "permute_doc", "roundtrip_grammar",
+                            "score_document"),
+    "sewtree.pipeline": ("build_forest", "extract_document", "extract_once_per_run",
+                         "extract_pieces_rule_based", "extractions_to_json", "load_doc", "load_spec"),
+}
+
+
+def _bind_deferred() -> None:
+    """Import the modules of :data:`_DEFERRED` and bind each of their names
+    here that is not bound yet."""
+    namespace = globals()
+    for module_name, names in _DEFERRED.items():
+        __import__(module_name)
+        module = sys.modules[module_name]
+        for name in names:
+            namespace.setdefault(name, module if name == module_name else getattr(module, name))
+
+
+def __getattr__(name: str):
+    """A deferred name looked up on this module before :func:`main` bound
+    it, as ``getattr(sewtree.cli, "score_document")`` does (PEP 562)."""
+    if any(name in names for names in _DEFERRED.values()):
+        _bind_deferred()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(Exception):
@@ -514,12 +533,14 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
+    if args.command not in ("gen-gold", "validate-grammar"):
+        _bind_deferred()
     try:
         return args.func(args)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AdapterError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

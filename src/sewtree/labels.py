@@ -10,6 +10,9 @@ displayed as a ``_n`` suffix and omitted when the counter is zero
 A label is its text: :func:`piece_key` and :func:`label_pieces` check a
 text, and :class:`LabelReader` reads texts into the facts that all label
 arithmetic reads.
+
+:func:`read_text`, the reader of every input file's text, lives here too:
+every command loads this module, and nothing else of its own.
 """
 
 from __future__ import annotations
@@ -232,3 +235,21 @@ def node_violations(
     else:
         out.append(("arity", f"{len(children)} children, 1 or 2 allowed"))
     return out
+
+
+_BYTE_ORDER_MARK = b"\xef\xbb\xbf"
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file, line endings as they are, without the
+    byte-order mark that spreadsheet tools put first (a U+FEFF anywhere
+    else is content).  Bytes that are not UTF-8 raise an ``OSError`` naming
+    the file: like a file that cannot be opened, an I/O error.  The mark is
+    cut here rather than by the ``utf-8-sig`` codec, whose module a run
+    would otherwise import for it; the text and the error are the same."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.removeprefix(_BYTE_ORDER_MARK).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8: {exc}") from None

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 
-from .labels import LabelError, LabelReader, label_pieces, piece_key
+from .labels import LabelError, LabelReader, label_pieces, piece_key, read_text
 from .tree import canonical_serialize, rule_text
 
 
@@ -367,19 +367,6 @@ def linearize_gold_tree(tree, spec: PatternSpec) -> InstructionDoc:
 def placeholder_spec(pattern_id: str, inventory) -> PatternSpec:
     """Spec with generic piece names, for grammars without a pattern spec."""
     return PatternSpec(pattern_id, {p: f"Piece {p}" for p in inventory})
-
-
-def read_text(path) -> str:
-    """The text of a UTF-8 file, line endings as they are, without the
-    byte-order mark that spreadsheet tools put first (a U+FEFF anywhere
-    else is content).  Bytes that are not UTF-8 raise an ``OSError`` naming
-    the file: like a file that cannot be opened, an I/O error."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise OSError(f"{path}: not UTF-8: {exc}") from None
 
 
 def _load_json(path, from_json):

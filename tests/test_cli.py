@@ -1,10 +1,12 @@
 import argparse
+import builtins
 import contextlib
 import csv
 import gc
 import io
 import json
 import shutil
+import symtable
 import sys
 import tempfile
 import time
@@ -1834,6 +1836,63 @@ def test_adapter_run_loads_no_http_stack(adapter_server):
     loaded = set(proc.stderr.split())
     assert "socket" in loaded
     assert loaded.isdisjoint({"http.client", "urllib.request", "email", "ssl"})
+
+
+# What ``gen-gold`` and ``validate-grammar`` load of the package, and what
+# they must not load: the other commands' modules, and the codec module a
+# byte-order mark would cost.
+GRAMMAR_TIER = {"sewtree", "sewtree.cli", "sewtree.grammar", "sewtree.labels", "sewtree.tree"}
+SCORING_TIER = {"sewtree.pipeline", "sewtree.experiments", "sewtree.metrics", "sewtree.rng",
+                "sewtree.adapter", "csv", "encodings.utf_8_sig"}
+
+
+def modules_after_main(*argv) -> set[str]:
+    """The modules loaded after ``main(argv)`` in a fresh interpreter, which
+    must exit 0; with no ``argv``, after ``import sewtree.cli`` alone."""
+    code = "import sys; from sewtree.cli import main; "
+    if argv:
+        code += "assert main(sys.argv[1:]) == 0; "
+    proc = run_fresh("-c", code + "print(' '.join(sorted(sys.modules)), file=sys.stderr)", *map(str, argv))
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("gen-gold", FIXTURES / "grammars" / "pants_combined.grammar"),
+    ("validate-grammar", *sorted((FIXTURES / "grammars").glob("*.grammar"))),
+], ids=["import", "gen-gold", "validate-grammar"])
+def test_grammar_commands_load_only_the_grammar(argv):
+    loaded = modules_after_main(*argv)
+    assert {name for name in loaded if name.partition(".")[0] == "sewtree"} == GRAMMAR_TIER
+    assert loaded.isdisjoint(SCORING_TIER)
+
+
+def test_score_loads_the_scoring_modules(workspace):
+    loaded = modules_after_main(
+        "score", "--corpus", workspace["corpus"], "--grammars", workspace["grammars"],
+        "--specs", workspace["specs"], "--out", workspace["out"],
+    )
+    assert {"sewtree.experiments", "sewtree.pipeline", "sewtree.adapter", "csv"} <= loaded
+
+
+def test_every_global_name_cli_reads_is_bound():
+    """A name that ``cli.py``'s functions read as a global is bound by the
+    module body, is a builtin, or is one of ``_DEFERRED``'s, which are
+    bound when a command needs them; and every deferred name is read.  So
+    a name missing from the table fails here, not in a user's run."""
+    path = Path(sewtree.cli.__file__)
+    module = symtable.symtable(path.read_text(encoding="utf-8"), str(path), "exec")
+    bound = {s.get_name() for s in module.get_symbols() if s.is_assigned() or s.is_imported()}
+    deferred = {name for names in sewtree.cli._DEFERRED.values() for name in names}
+    read, tables = set(), list(module.get_children())
+    while tables:
+        table = tables.pop()
+        read.update(s.get_name() for s in table.get_symbols() if s.is_global() and s.is_referenced())
+        tables += table.get_children()
+    assert read - bound - deferred - set(dir(builtins)) == set()
+    assert deferred - read == set()
+    assert deferred & bound == set()
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from sewtree.labels import (
     label_pieces,
     node_violations,
     piece_key,
+    read_text,
 )
 from sewtree.grammar import enumerate_gold_trees
 from sewtree.pipeline import apply_step, resolve_components
@@ -562,3 +563,30 @@ def test_label_and_gold_tree_texts_need_no_json_escaping(seed, n_pieces, n_trees
     for text in texts:
         assert JSON_PLAIN_TEXT.fullmatch(text), text
         assert json.dumps(text) == f'"{text}"'
+
+
+# Byte strings built from these are mostly UTF-8 with a mark, or a piece of
+# one, at the start or further in, and some are not UTF-8: a bad byte, a
+# cut multibyte character, an encoded surrogate.
+TEXT_FRAGMENTS = (
+    b"\xef\xbb\xbf", b"\xef", b"\xef\xbb", b"\xbb\xbf", b"\xbf", b"\xff", b"\x80", b"\xc3",
+    b"\xc3\xa9", b"\xe2\x82", b"\xe2\x82\xac", b"\xf0\x9f\x98\x80", b"\xed\xa0\x80",
+    b"a", b"\n", b"\r\n",
+)
+
+
+@given(hs.lists(hs.sampled_from(TEXT_FRAGMENTS) | hs.binary(max_size=3), max_size=8).map(b"".join))
+def test_read_text_decodes_as_utf_8_sig(tmp_path_factory, data):
+    """``read_text`` cuts a leading byte-order mark itself, and gives the
+    text, or the error, that decoding as ``utf-8-sig`` gives."""
+    path = tmp_path_factory.mktemp("text") / "input.txt"
+    path.write_bytes(data)
+    try:
+        expected = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        expected = f"{path}: not UTF-8: {exc}"
+    try:
+        actual = read_text(path)
+    except OSError as exc:
+        actual = str(exc)
+    assert actual == expected

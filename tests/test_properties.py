@@ -103,16 +103,28 @@ def grammar_lines():
     return hs.lists(hs.one_of(rule, header, hs.text(max_size=12)), max_size=8)
 
 
-# A piece outside every inventory random_inventory draws of fewer than 26 pieces.
-OUTSIDE_PIECE = "Z"
+# Pieces outside every inventory random_inventory draws of fewer than 26
+# pieces, in piece order, which is not their text order (Z, Z10, Z2).  A
+# label's pieces all sort before them, so any of them added in this order
+# keep the label's pieces sorted.
+OUTSIDE_PIECES = ("Z", "Z2", "Z10")
+
+
+def with_outside(label: Label, outside) -> Label:
+    """``label`` with the pieces of ``OUTSIDE_PIECES`` that are in
+    ``outside`` added."""
+    return Label(label.pieces + tuple(p for p in OUTSIDE_PIECES if p in outside), label.self_attach)
+
+
+outside_pieces = hs.sets(hs.sampled_from(OUTSIDE_PIECES), min_size=1)
 
 
 @hs.composite
 def perturbed_rules(draw, grammar):
-    """Rules of ``grammar`` with a counter changed, a piece outside the
-    inventory added to a label, or a child replaced, dropped or joined by
-    another of its labels: every line parses, and most break the label
-    arithmetic, have 3 children or use an unknown piece."""
+    """Rules of ``grammar`` with a counter changed, pieces outside the
+    inventory added to one or two of its labels, or a child replaced,
+    dropped or joined by another of its labels: every line parses, and most
+    break the label arithmetic, have 3 children or use unknown pieces."""
     rules = [rule_labels(rule) for rule in sorted(grammar.rules)]
     if not rules:
         return []
@@ -127,8 +139,8 @@ def perturbed_rules(draw, grammar):
             at = draw(hs.integers(0, len(nodes) - 1))
             nodes[at] = Label(nodes[at].pieces, draw(hs.integers(0, 3)))
         elif change == "unknown":
-            at = draw(hs.integers(0, len(nodes) - 1))
-            nodes[at] = Label(nodes[at].pieces + (OUTSIDE_PIECE,), nodes[at].self_attach)
+            for at in draw(hs.sets(hs.integers(0, len(nodes) - 1), min_size=1, max_size=2)):
+                nodes[at] = with_outside(nodes[at], draw(outside_pieces, label="outside"))
         elif change == "replace":
             nodes[draw(hs.integers(0, len(nodes) - 1))] = draw(hs.sampled_from(labels))
         elif change == "drop":
@@ -194,7 +206,7 @@ def test_validate_grammar_matches_the_set_and_walk_oracle(seed, n_pieces, n_tree
     grammar_roots = list(map(label_of, grammar.roots))
     roots = data.draw(hs.one_of(
         hs.just(grammar_roots),
-        hs.just([Label(r.pieces + (OUTSIDE_PIECE,), r.self_attach) for r in grammar_roots]),
+        outside_pieces.map(lambda outside: [with_outside(r, outside) for r in grammar_roots]),
         hs.lists(hs.sampled_from(labels), max_size=3, unique=True),
     ), label="roots")
     root_texts, rule_texts = list(map(str, roots)), [label_rule(*rule) for rule in rules]
