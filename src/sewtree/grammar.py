@@ -152,13 +152,13 @@ class GoldGrammar:
             )
         return NotImplemented
 
-    # The tables below are what ``metrics.grammar_score`` reads.  Each is
-    # built on its first read, not by the constructor, so a grammar that is
-    # only read, checked or enumerated pays nothing for them, and none is
-    # changed once built.
+    # The tables below are what :meth:`best_tree`, the scorer's one entry
+    # point, reads.  Each is built on its first read, not by the
+    # constructor, so a grammar that is only read, checked or enumerated
+    # pays nothing for them, and none is changed once built.
 
     @cached_property
-    def score_tables(self) -> tuple[tuple[tuple, ...], tuple, dict]:
+    def score_tables(self) -> tuple[list, list, dict]:
         """``(bare_tables, parent_positions, rule_positions)``:
         - ``bare_tables``: per label, its :func:`fill_tables` table when no
           rule is predicted, one ``(0, g, text)`` entry: its tree with the
@@ -168,7 +168,8 @@ class GoldGrammar:
         - ``parent_positions``: per label, the positions of the labels with
           a rule over it, in order (a label with two rules over one child
           is listed twice);
-        - ``rule_positions``: per rule text, its label's position."""
+        - ``rule_positions``: per rule text, its label's position.
+        Only :meth:`best_tree` reads them, and it changes none of them."""
         parents: list[list[int]] = [[] for _ in self.labels]
         rule_positions: dict[str, int] = {}
         for p, expansions in enumerate(self.expansions):
@@ -178,7 +179,7 @@ class GoldGrammar:
                     parents[c].append(p)
         bare: list = [None] * len(self.labels)
         fill_tables(self, range(len(bare)), {}, bare)
-        return tuple(bare), tuple(map(tuple, parents)), rule_positions
+        return bare, parents, rule_positions
 
     @cached_property
     def smallest_tree(self) -> str:
@@ -192,19 +193,83 @@ class GoldGrammar:
             )
         return min([smallest[p] for p in self.root_positions])
 
+    def best_tree(self, pred: frozenset[str]) -> tuple[int, int, str]:
+        """``(m, g, text)`` of the tree the grammar derives that scores the
+        best F1 against the predicted rule texts ``pred``: its text, its
+        rule count g and how many of its rules, m, are in ``pred``.
+
+        Node labels are unique within a tree, so a gold tree with g rules,
+        m of them predicted, scores F1 = 2m/(|pred| + g): at a given m,
+        fewer rules score higher.  :func:`fill_tables` keeps, per label and
+        per m, the smallest g and the smallest text at that g.  A label with
+        no predicted rule on or below it holds no match, so its table is
+        the bare one of :attr:`score_tables`.  Only the labels on or above
+        a predicted rule are refilled, children first, in a copy of the
+        bare list: the rules are found by their text through
+        ``rule_positions``, and the labels above them through
+        ``parent_positions``.  At the roots the best exact F1 wins, by
+        :func:`f1_lead`; ties go to the smallest text, the lowest index in
+        the sorted enumeration.  When no predicted rule is in the grammar
+        every tree scores F1 = 0 and :attr:`smallest_tree` wins; each of
+        its internal nodes opens one bracket, so its g is its count of
+        ``(``."""
+        bare, parents, rule_positions = self.score_tables
+        # hits[p]: the texts of label p's predicted rules.
+        hits: dict[int, set[str]] = {}
+        for text in pred:
+            p = rule_positions.get(text)
+            if p is not None:
+                hits.setdefault(p, set()).add(text)
+        if not hits:
+            text = self.smallest_tree
+            return 0, text.count("("), text
+        dirty = set(hits)
+        stack = list(hits)
+        while stack:
+            for q in parents[stack.pop()]:
+                if q not in dirty:
+                    dirty.add(q)
+                    stack.append(q)
+        tables = list(bare)
+        fill_tables(self, sorted(dirty), hits, tables)
+
+        # A hit's label is reached from a root, so some root's table holds
+        # a tree with m >= 1, which outranks every tree with m = 0.
+        n = len(pred)
+        best = None
+        for root in self.root_positions:
+            for m, g, text in tables[root]:
+                if best is not None:
+                    lead = f1_lead(m, g, best[0], best[1], n)
+                    if lead < 0 or lead == 0 and text > best[2]:
+                        continue
+                best = (m, g, text)
+        return best
+
+
+def f1_lead(m: int, g: int, best_m: int, best_g: int, n: int) -> int:
+    """Positive when a gold tree of ``g`` rules, ``m`` of them among ``n``
+    predicted subtrees, scores a higher F1 = 2m/(n + g) than one of
+    ``best_g`` rules with ``best_m`` predicted, and 0 when the two F1s are
+    equal: the one comparator of trees.  The fractions are compared
+    exactly, by cross-multiplying in integers: the float F1s of two equal
+    fractions can differ in the last bit.  (A zero denominator means
+    n = 0, so both m are 0.)"""
+    return m * (n + best_g) - best_m * (n + g)
+
 
 def fill_tables(
     grammar: GoldGrammar, positions: Iterable[int], hits: dict[int, set[str]], tables: list
 ) -> None:
-    """The DP over derivations that ``metrics.grammar_score`` runs, over
-    the labels at ``positions``, ascending.  It sets ``tables[p]`` to a
-    tuple of ``(m, g, text)`` entries, one per m: the fewest rules g of any
-    tree of the label with m predicted rules, and the smallest text at that
-    g.  ``hits`` maps a position to the predicted texts of its label's
-    rules; a label with none is filled as if nothing were predicted.  A
-    child's table is read from ``tables``: a child sits at a lower position,
-    so it was filled earlier in the call or before it.  A leaf's table is
-    ``((0, 0, name),)``.
+    """The DP over derivations that :meth:`GoldGrammar.best_tree` runs,
+    over the labels at ``positions``, ascending.  It sets ``tables[p]`` to
+    a tuple of ``(m, g, text)`` entries, one per m: the fewest rules g of
+    any tree of the label with m predicted rules, and the smallest text at
+    that g.  ``hits`` maps a position to the predicted texts of its label's
+    rules; a label with none is filled as if nothing were predicted, with
+    no lookup per rule.  A child's table is read from ``tables``: a child
+    sits at a lower position, so it was filled earlier in the call or
+    before it.  A leaf's table is ``((0, 0, name),)``.
 
     Texts of one label are never prefixes of each other, so the smallest
     tree at (m, g) is built from its children's smallest texts, and a

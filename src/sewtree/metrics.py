@@ -8,7 +8,7 @@ import re
 from collections import Counter
 from functools import lru_cache
 
-from .grammar import GoldGrammar, fill_tables
+from .grammar import GoldGrammar, f1_lead
 from .tree import parse_serialized, subtrees_of
 
 BLEU_MAX_N = 4
@@ -40,16 +40,6 @@ def _f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _f1_lead(m: int, g: int, best_m: int, best_g: int, n: int) -> int:
-    """Positive when a gold tree of ``g`` rules, ``m`` of them among ``n``
-    predicted subtrees, scores a higher F1 = 2m/(n + g) than one of
-    ``best_g`` rules with ``best_m`` predicted, and 0 when the two F1s are
-    equal.  The fractions are compared exactly, by cross-multiplying in
-    integers: the float F1s of two equal fractions can differ in the last
-    bit.  (A zero denominator means n = 0, so both m are 0.)"""
-    return m * (n + best_g) - best_m * (n + g)
-
-
 def _breakdown(m: int, g: int, n: int, text: str) -> ScoreBreakdown:
     """The scores written out for a gold tree of ``g`` rules, ``m`` of them
     among ``n`` predicted subtrees."""
@@ -68,7 +58,7 @@ def tree_score(pred: frozenset[str], gold_texts) -> ScoreBreakdown:
     for text in gold_texts:
         gold = frozenset(subtrees_of(parse_serialized(text)))
         m = len(gold & pred)
-        if best is None or _f1_lead(m, len(gold), best[0], best[1], n) > 0:
+        if best is None or f1_lead(m, len(gold), best[0], best[1], n) > 0:
             best = (m, len(gold), text)
     if best is None:
         raise ValueError("gold set must be non-empty")
@@ -78,60 +68,14 @@ def tree_score(pred: frozenset[str], gold_texts) -> ScoreBreakdown:
 
 def grammar_score(pred: frozenset[str], grammar: GoldGrammar) -> ScoreBreakdown:
     """:func:`tree_score` over every tree ``grammar`` derives, without
-    enumerating them.
-
-    Node labels are unique within a tree, so a gold tree with g internal
-    nodes, m of whose rules are predicted subtrees, scores F1 = 2m/(|P| + g):
-    at a given m, fewer rules score higher.  :func:`fill_tables` keeps,
-    per label and per m, the smallest g and the smallest canonical
-    serialization at that g.  A label with no predicted rule on or below it
-    holds no match, so its table is the grammar's bare one, from its
-    ``score_tables``, which the grammar builds on its first score and keeps,
-    unchanged, for every later one.  Per document the DP refills only the
-    labels on or above a predicted rule of the grammar, children first,
-    found through the ``rule_positions`` (by the rule's text) and
-    ``parent_positions`` of those tables, in a copy of the bare list.  At
-    the roots the best exact F1 wins, compared as ``tree_score`` compares
-    it; ties go to the smallest serialization, which is the lowest index in
-    the sorted enumeration.  When no predicted rule is in the grammar every
-    tree scores F1 = 0 and the grammar's ``smallest_tree`` wins.
-    ``best_gold_tree`` holds the winner's text, and the scores are
-    ``tree_score``'s float expressions; a caller that needs the winning
-    tree's rules reads them off the text with ``parse_serialized``.
-    """
-    bare, parents, rule_positions = grammar.score_tables
-    # hits[p]: the texts of label p's predicted rules.
-    hits: dict[int, set[str]] = {}
-    for text in pred:
-        p = rule_positions.get(text)
-        if p is not None:
-            hits.setdefault(p, set()).add(text)
-    if not hits:
-        return ScoreBreakdown(0.0, 0.0, 0.0, grammar.smallest_tree)
-
-    dirty = set(hits)
-    stack = list(hits)
-    while stack:
-        for q in parents[stack.pop()]:
-            if q not in dirty:
-                dirty.add(q)
-                stack.append(q)
-    tables = list(bare)
-    fill_tables(grammar, sorted(dirty), hits, tables)
-
-    # A hit's label is reached from a root, so some root's table holds a
-    # tree with m >= 1, which outranks every tree with m = 0.
-    n = len(pred)
-    best = None
-    for root in grammar.root_positions:
-        for m, g, text in tables[root]:
-            if best is not None:
-                lead = _f1_lead(m, g, best[0], best[1], n)
-                if lead < 0 or lead == 0 and text > best[2]:
-                    continue
-            best = (m, g, text)
-    m, g, text = best
-    return _breakdown(m, g, n, text)
+    enumerating them: the scores of :meth:`GoldGrammar.best_tree`, the
+    scorer's one entry point, which finds the winning tree, ranked and
+    tie-broken as ``tree_score`` ranks them.  ``best_gold_tree`` holds the
+    winner's text, and the scores are ``tree_score``'s float expressions;
+    a caller that needs the winning tree's rules reads them off the text
+    with ``parse_serialized``."""
+    m, g, text = grammar.best_tree(pred)
+    return _breakdown(m, g, len(pred), text)
 
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")

@@ -41,6 +41,7 @@ from sewtree.grammar import (
     GrammarError,
     count_derivations,
     enumerate_gold_trees,
+    f1_lead,
     parse_grammar,
 )
 from sewtree.labels import LabelError, label_pieces, piece_key, split_counter
@@ -51,7 +52,6 @@ from sewtree.metrics import (
     _breakdown,
     _clipped_precisions,
     _f1,
-    _f1_lead,
     _ngrams,
     grammar_score,
     tokenize,
@@ -453,7 +453,7 @@ def g_indexed_dp_oracle(pred: frozenset[str], grammar: GoldGrammar) -> ScoreBrea
     for root in grammar.root_positions:
         for g, (m, text) in tables[root].items():
             if best is not None:
-                lead = _f1_lead(m, g, best[0], best[1], n)
+                lead = f1_lead(m, g, best[0], best[1], n)
                 if lead < 0 or lead == 0 and text > best[2]:
                     continue
             best = (m, g, text)

@@ -4,16 +4,19 @@ Precision, recall and F1 must be equal with ``==``: the DP computes them
 with the same float expression as the oracle, so any difference is a bug.
 """
 
+import ast
 import re
 import statistics
 import string
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as hs
 
+import sewtree.grammar
 from sewtree.experiments import ErrorInjectionPlan, inject_errors, permute_doc, score_document
 from sewtree.grammar import GoldGrammar, enumerate_gold_trees, parse_grammar
 from sewtree.labels import split_counter
@@ -219,12 +222,15 @@ def test_a_label_keeps_its_fewest_rules_over_a_smaller_text(seed):
 
 
 @given(hs.integers(0, 2**64 - 1), hs.booleans(), hs.integers(0, 100), hs.integers(0, 3))
+@example(1, False, 0, 0)
+@example(2, False, 0, 2)
 def test_sparse_dp_matches_the_full_dp(seed, chain, keep_percent, n_foreign):
     """``grammar_score`` against the DP that recomputes every label's full
     table, over a random part of the grammar's own rules plus the rules of
     random trees, which may or may not be in it: so the labels on or above
     a hit range from none (no predicted rule in the grammar, or none
-    predicted) to every label."""
+    predicted) to every label.  ``best_tree``'s m and g are its tree's,
+    read off its text, also when nothing hits and the scores are all 0."""
     rng = SplitMix64(seed)
     if chain:
         grammar = chain_grammar(1 + rng.randrange(30))
@@ -240,6 +246,37 @@ def test_sparse_dp_matches_the_full_dp(seed, chain, keep_percent, n_foreign):
     expected = g_indexed_dp_oracle(predicted, grammar)
     assert grammar_score(predicted, grammar) == expected
     assert best_tree_oracle(predicted, grammar) == expected
+    m, g, text = grammar.best_tree(predicted)
+    assert g == text.count("(")
+    assert m == len(set(subtrees_of(parse_serialized(text))) & predicted)
+
+
+def test_only_the_grammar_module_names_the_scoring_dp():
+    """The per-document DP lives in ``grammar.py`` behind
+    ``GoldGrammar.best_tree``: no other source module names its tables,
+    its index or its DP function.  Keyword names are a call's own
+    (``mkdir(parents=True)``), so they are left out."""
+    dp_names = {"score_tables", "fill_tables", "smallest_tree", "parents", "rule_positions"}
+    named = set()
+    for path in sorted(Path(sewtree.grammar.__file__).parent.glob("*.py")):
+        if path.name == "grammar.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.asname or node.name
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+            elif isinstance(node, ast.arg):
+                name = node.arg
+            else:
+                continue
+            if name in dp_names:
+                named.add(f"{path.name}:{node.lineno}: {name}")
+    assert not named, sorted(named)
 
 
 def test_sixteen_piece_grammar_matches_the_full_dp():
