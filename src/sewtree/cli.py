@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -556,9 +557,18 @@ def run() -> None:
     Only cyclic garbage left at exit goes uncollected, which Python does not
     promise to finalize; every file a command writes is closed before
     ``main`` returns.  ``main`` never freezes, so in-process callers keep
-    their heap as it is."""
+    their heap as it is.  Stdout's last buffer is flushed here, not left to
+    shutdown: a flush that fails is ``error:`` and one line, exit 2, as
+    ``main`` reports a failed write, and stdout is pointed at the null
+    device so shutdown has nothing left to fail on."""
     try:
         code = main()
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            code = 2
     finally:
         gc.freeze()
     sys.exit(code)

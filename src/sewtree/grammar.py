@@ -45,33 +45,82 @@ DEFAULT_CAP = 100_000
 
 def rule_graph(
     facts: LabelReader, roots: Iterable[str], rules: dict[str, tuple[str, ...]]
-) -> tuple[tuple[str, ...], tuple, tuple[int, ...]]:
+) -> tuple[tuple[str, ...], tuple, tuple[int, ...], list[str]]:
     """The rule table as a DAG over every label the roots and rules
     mention, children before parents, so a DP over derivations is one pass
-    over the labels.  ``facts`` holds the facts of exactly those labels,
-    ``roots`` their texts and ``rules`` each rule's parent and children
-    texts by the rule's text, in rule order.  Returns ``(labels,
-    expansions, root_positions)``:
+    over the labels, and its problems, found in the same walk over the
+    rules.  ``facts`` holds the facts of exactly those labels, ``roots``
+    their texts and ``rules`` each rule's parent and children texts by the
+    rule's text, in rule order.  Returns ``(labels, expansions,
+    root_positions, problems)``:
     - ``labels``: the texts, sorted by (piece count, counter, text).
       Well-formed rules strictly shrink (pieces, then counter), so each
       child sorts before its parents, whatever the order of the rules;
     - ``expansions``: per label, each of its rules' texts in rule order
       with the positions of the rule's children in ``labels``; empty for a
       label no rule expands (a leaf);
-    - ``root_positions``: the positions of the roots, each once.
-    :func:`validate_grammar` reads it before it knows the rules are
-    well-formed, so it is built whatever the rules are."""
+    - ``root_positions``: the positions of the roots, each once;
+    - ``problems``: one line each; empty iff the grammar is valid.  First
+      each root, then each rule, that is not a valid step over the
+      inventory, named: pieces the inventory lacks (for a rule, those of
+      all its labels, in piece order), not 1 or 2 children, label
+      arithmetic that :func:`node_violations` refuses.  Only if there are
+      none, so that a bad rule has no follow-on problems: no roots;
+      non-leaf labels no rule expands, by name; rules no root reaches, in
+      rule order; roots missing pieces.
+    The graph is built whatever the rules are, since it is built before
+    they are known to be well-formed."""
     # Texts are distinct, so no two rows tie before the mask.
-    labels = tuple([row[2] for row in sorted(facts.values())])
+    rows = sorted(facts.values())
+    labels = tuple([row[2] for row in rows])
     position = {text: p for p, text in enumerate(labels)}
+    root_positions = tuple(dict.fromkeys([position[root] for root in roots]))
+    unknown = facts.unknown
+    problems = [
+        f"root {labels[p]}: unknown pieces {', '.join(unknown[labels[p]])}"
+        for p in root_positions if labels[p] in unknown
+    ]
     expansions: list[list] = [[] for _ in labels]
     for text, (parent, *children) in rules.items():
-        expansions[position[parent]].append((text, tuple(map(position.__getitem__, children))))
-    return (
-        labels,
-        tuple(map(tuple, expansions)),
-        tuple(dict.fromkeys([position[root] for root in roots])),
-    )
+        p = position[parent]
+        kids = tuple(map(position.__getitem__, children))
+        expansions[p].append((text, kids))
+        outside = unknown and {name for label in (parent, *children) for name in unknown.get(label, ())}
+        if outside:
+            problems.append(f"{text}: unknown pieces {', '.join(sorted(outside, key=piece_key))}")
+        elif not 1 <= len(kids) <= 2:
+            problems.append(f"{text}: rules need 1 or 2 children")
+        elif violations := node_violations(rows[p], [rows[c] for c in kids]):
+            problems.append(f"{text}: {violations[0][1]}")
+    expansions = tuple(map(tuple, expansions))
+    if problems:
+        return labels, expansions, root_positions, problems
+
+    # Every rule now strictly shrinks, so children sit below their parents
+    # and one pass down the positions marks every label a root reaches.
+    reached = [False] * len(labels)
+    for p in root_positions:
+        reached[p] = True
+    for p in reversed(range(len(reached))):
+        if reached[p]:
+            for _, kids in expansions[p]:
+                for c in kids:
+                    reached[c] = True
+    problems = [] if root_positions else ["no roots"]
+    unexpanded = [
+        labels[p] for p in range(len(labels)) if not expansions[p] and node_violations(rows[p], ())
+    ]
+    problems += [f"{name}: no rule expands this non-leaf label" for name in sorted(unexpanded)]
+    problems += [
+        f"{text}: no root reaches this rule"
+        for text, (parent, *_) in rules.items() if not reached[position[parent]]
+    ]
+    full = (1 << len(facts.bits)) - 1
+    problems += [
+        f"root {labels[p]}: does not cover the full piece inventory"
+        for p in root_positions if rows[p][3] != full
+    ]
+    return labels, expansions, root_positions, problems
 
 
 class GoldGrammar:
@@ -83,9 +132,9 @@ class GoldGrammar:
     :func:`rule_graph` as ``labels``, ``expansions`` and
     ``root_positions``.  Two grammars are equal when their pattern ids,
     inventories, roots and rules are.  It is valid however it was built:
-    the constructor runs :func:`validate_grammar`'s check on the facts it
-    has read and raises :class:`GrammarError` naming the pattern and the
-    first three problems, all of them in ``problems``.  A piece, root or
+    the constructor raises :class:`GrammarError` on the problems that
+    :func:`rule_graph` finds, naming the pattern and the first three of
+    them, all of them in ``problems``.  A piece, root or
     rule text that cannot be read at all is a :class:`GrammarError` naming
     the text, and so is a piece the inventory repeats."""
 
@@ -136,10 +185,9 @@ class GoldGrammar:
     def _build(self, pattern_id, facts, roots, rules) -> None:
         self.pattern_id = pattern_id
         self.inventory = tuple(facts.bits)
-        self.labels, self.expansions, self.root_positions = rule_graph(facts, roots, rules)
+        self.labels, self.expansions, self.root_positions, problems = rule_graph(facts, roots, rules)
         self.roots = tuple([self.labels[p] for p in self.root_positions])
         self.rules = tuple(rules)
-        problems = _problems(self, facts)
         if problems:
             raise GrammarError(
                 f"pattern {pattern_id!r}: invalid grammar: " + "; ".join(problems[:3]), problems
@@ -407,72 +455,18 @@ def parse_grammar(text: str) -> GoldGrammar:
     return GoldGrammar._read(pattern_id, facts, roots, rules)
 
 
-def validate_grammar(g: GoldGrammar) -> list[str]:
-    """The problems of ``g``, one line each; empty iff it is valid.  It
-    reads the facts of ``g``'s labels from their texts; the
-    :class:`GoldGrammar` constructor runs the same check on the facts it
-    has read, so it is the one judge of validity.  First each root, then each rule, that is not a valid step
-    over the inventory, named: pieces the inventory lacks (for a rule, those
-    of all its labels, in piece order), not 1 or 2
-    children, label arithmetic that :func:`node_violations` refuses.  Only
-    if there are none, so that a bad rule has no follow-on problems: no
-    roots; non-leaf labels no rule expands, by name; rules no root reaches,
-    in rule order; roots missing pieces."""
-    return _problems(g, LabelReader(g.inventory))
-
-
-def _problems(g: GoldGrammar, reader: LabelReader) -> list[str]:
-    """:func:`validate_grammar` of ``g``, whose labels' facts ``reader``
-    reads; the constructor passes the one that read its texts."""
-    labels, unknown = g.labels, reader.unknown
-    facts = [reader[text] for text in labels]
-    out = [
-        f"root {labels[p]}: unknown pieces {', '.join(unknown[labels[p]])}"
-        for p in g.root_positions if labels[p] in unknown
-    ]
-    # Rules are checked label by label and named in rule order.
-    bad = {}
-    for p, expansions in enumerate(g.expansions):
-        for text, kids in expansions:
-            outside = unknown and {name for q in (p, *kids) for name in unknown.get(labels[q], ())}
-            if outside:
-                bad[text] = f"{text}: unknown pieces {', '.join(sorted(outside, key=piece_key))}"
-            elif not 1 <= len(kids) <= 2:
-                bad[text] = f"{text}: rules need 1 or 2 children"
-            elif problems := node_violations(facts[p], tuple(map(facts.__getitem__, kids))):
-                bad[text] = f"{text}: {problems[0][1]}"
-    if bad:
-        out += [bad[text] for text in g.rules if text in bad]
-    if out:
-        return out
-
-    # Every rule now strictly shrinks, so children sit below their parents
-    # and one pass down the positions marks every label a root reaches.
-    reached = [False] * len(labels)
-    for p in g.root_positions:
-        reached[p] = True
-    for p in reversed(range(len(reached))):
-        if reached[p]:
-            for _, kids in g.expansions[p]:
-                for c in kids:
-                    reached[c] = True
-    unexpanded = [
-        labels[p]
-        for p, expansions in enumerate(g.expansions)
-        if not expansions and node_violations(facts[p], ())
-    ]
-    out = [] if g.root_positions else ["no roots"]
-    out += [f"{name}: no rule expands this non-leaf label" for name in sorted(unexpanded)]
-    unreached = {
-        text for p, expansions in enumerate(g.expansions) if not reached[p] for text, _ in expansions
-    }
-    if unreached:
-        out += [f"{text}: no root reaches this rule" for text in g.rules if text in unreached]
-    full = (1 << len(g.inventory)) - 1
-    for p in g.root_positions:
-        if facts[p][3] != full:
-            out.append(f"root {labels[p]}: does not cover the full piece inventory")
-    return out
+def validate_grammar(g) -> list[str]:
+    """The problems of the grammar of ``g``'s pattern id, inventory, roots
+    and rule texts, one line each; empty iff it is valid.  It is the
+    :class:`GoldGrammar` constructor's verdict on those texts, the one
+    judge of validity: the ``problems`` of the :class:`GrammarError` it
+    raises (those :func:`rule_graph` finds, or the one text it cannot
+    read), or none."""
+    try:
+        GoldGrammar(g.pattern_id, g.inventory, g.roots, g.rules)
+    except GrammarError as exc:
+        return exc.problems
+    return []
 
 
 def _derivation_counts(g: GoldGrammar) -> list[int]:

@@ -894,10 +894,12 @@ def quadratic_rouge_l(candidate: str, reference: str) -> float:
 
 def fresh_env(**env: str) -> dict[str, str]:
     """The environment of a fresh interpreter that imports this checkout,
-    with ``env`` added."""
+    with ``env`` added.  ``PYTHONUNBUFFERED`` is dropped, so stdout is
+    buffered as it is in a shell that does not set it."""
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path, **env}
+    inherited = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**inherited, "PYTHONPATH": path, **env}
 
 
 def run_fresh(*args: str, **env: str) -> subprocess.CompletedProcess:

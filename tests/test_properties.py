@@ -190,8 +190,9 @@ def test_validate_grammar_matches_the_set_and_walk_oracle(seed, n_pieces, n_tree
     (unknown pieces, 3 children and broken label arithmetic among them) and
     its roots redrawn, perhaps to none or to unknown pieces, the
     constructor raises iff the oracle finds problems, with exactly the
-    oracle's list, and so does parse_grammar on the grammar's file.  A
-    grammar it makes counts, enumerates and scores."""
+    oracle's list, and so does parse_grammar on the grammar's file;
+    validate_grammar of the texts returns that list.  A grammar it makes
+    counts, enumerates and scores."""
     rng = SplitMix64(seed)
     inventory = random_inventory(rng, n_pieces)
     grammar = grammar_from_trees("fuzz", [random_tree(rng, inventory) for _ in range(n_trees)])
@@ -221,6 +222,9 @@ def test_validate_grammar_matches_the_set_and_walk_oracle(seed, n_pieces, n_tree
                 make()
             assert exc.value.problems == expected
             assert str(exc.value) == "pattern 'fuzz': invalid grammar: " + "; ".join(expected[:3])
+        assert validate_grammar(SimpleNamespace(
+            pattern_id="fuzz", inventory=grammar.inventory, roots=root_texts, rules=rule_texts
+        )) == expected
     else:
         g = GoldGrammar("fuzz", grammar.inventory, root_texts, rule_texts)
         check_rule_graph(g)
