@@ -89,10 +89,35 @@ def _write(parts, path=None) -> None:
         sys.stdout.writelines(parts)
 
 
+def _dumps(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the values the
+    commands write: dicts with text keys, lists, tuples (named ones too),
+    texts and ints; any other type is a ``TypeError``.  ``pad`` starts the
+    lines of the enclosing level.  Only texts go through ``json.dumps``: with
+    an indent it takes the pure-Python encoder, which leaves a cycle of
+    closures per call for the collector."""
+    if isinstance(value, str):
+        return json.dumps(value)
+    if type(value) is int:
+        return str(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        opening, closing = "[]"
+        items = [_dumps(item, inner) for item in value]
+    elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        opening, closing = "{}"
+        items = [json.dumps(key) + ": " + _dumps(value[key], inner) for key in sorted(value)]
+    else:
+        raise TypeError(f"a {type(value).__name__} is not written as JSON")
+    if not items:
+        return opening + closing
+    return opening + inner + ("," + inner).join(items) + pad + closing
+
+
 def _write_json(payload, path=None) -> None:
     """``payload`` as indented JSON with sorted keys, to the file ``path``
     or, without one, to stdout."""
-    _write((json.dumps(payload, indent=2, sort_keys=True) + "\n",), path)
+    _write((_dumps(payload) + "\n",), path)
 
 
 def _write_gold(pattern_id: str, trees, path=None) -> None:
@@ -102,9 +127,10 @@ def _write_gold(pattern_id: str, trees, path=None) -> None:
     (``[A-Za-z0-9_() ]``: a label is its text, the grammar's
     ``labels.LabelReader`` checks every piece text of its inventory, and a
     counter is written in ASCII digits), which JSON writes as they are, so
-    only the free-text ``pattern_id`` goes through the encoder.  Head, body
-    and tail are written one after another, so no copy of the whole output
-    is made."""
+    only the free-text ``pattern_id`` goes through the encoder
+    (:func:`_dumps` would encode every tree text, several times as slowly
+    on a large gold set).  Head, body and tail are written one after
+    another, so no copy of the whole output is made."""
     head = '{\n  "pattern_id": ' + json.dumps(pattern_id) + ',\n  "trees": ['
     if trees:
         _write((head + '\n    "', '",\n    "'.join(trees), '"\n  ]\n}\n'), path)
@@ -112,40 +138,19 @@ def _write_gold(pattern_id: str, trees, path=None) -> None:
         _write((head + "]\n}\n",), path)
 
 
-def _json_list(items, indent: int) -> str:
-    """A JSON list of the already encoded ``items`` as ``json.dumps`` with
-    ``indent=2`` writes it when its opening bracket's line is indented by
-    ``indent`` spaces."""
-    if not items:
-        return "[]"
-    pad = "\n" + " " * (indent + 2)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
-
-
 def _write_report(doc_id: str, report, path=None) -> None:
-    """``{"doc_id": doc_id}`` and the build report ``report`` byte for byte
-    as :func:`_write_json` writes them (``diagnostics``, ``doc_id``,
-    ``forest`` with its ``isolated_leaves`` and ``trees``, and
-    ``subtree_trace``), composed rather than encoded: ``json.dumps`` with an
-    indent takes the pure-Python encoder and leaves a cycle of closures per
-    call for the collector.  Every string goes through ``json.dumps``, and
-    an int is written as its digits, as the encoder writes it."""
-    dumps = json.dumps
-    trees = [dumps(t) for t in report.forest if t.startswith("(")]
-    leaves = [dumps(t) for t in report.forest if not t.startswith("(")]
-    trace = [_json_list([str(i), dumps(text)], 4) for i, text in report.subtree_trace]
-    diagnostics = [
-        _json_list([str(d.step_index), dumps(d.kind), dumps(d.message)], 4)
-        for d in report.diagnostics
-    ]
-    _write((
-        '{\n  "diagnostics": ', _json_list(diagnostics, 2),
-        ',\n  "doc_id": ', dumps(doc_id),
-        ',\n  "forest": {\n    "isolated_leaves": ', _json_list(leaves, 4),
-        ',\n    "trees": ', _json_list(trees, 4),
-        '\n  },\n  "subtree_trace": ', _json_list(trace, 2),
-        "\n}\n",
-    ), path)
+    """``doc_id`` and the build report ``report`` as :func:`_write_json`
+    writes them, each diagnostic as ``[step_index, kind, message]`` and each
+    trace entry as ``[i, text]``."""
+    _write_json({
+        "diagnostics": report.diagnostics,
+        "doc_id": doc_id,
+        "forest": {
+            "isolated_leaves": [t for t in report.forest if not t.startswith("(")],
+            "trees": [t for t in report.forest if t.startswith("(")],
+        },
+        "subtree_trace": report.subtree_trace,
+    }, path)
 
 
 def _load_dir(directory, pattern: str, load, key: str, kind: str) -> tuple[dict, dict]:
@@ -558,11 +563,15 @@ def run() -> None:
     promise to finalize; every file a command writes is closed before
     ``main`` returns.  ``main`` never freezes, so in-process callers keep
     their heap as it is.  Stdout's last buffer is flushed here, not left to
-    shutdown: a flush that fails is ``error:`` and one line, exit 2, as
-    ``main`` reports a failed write, and stdout is pointed at the null
-    device so shutdown has nothing left to fail on."""
+    shutdown, also after argparse's ``SystemExit`` (``--help``): a flush
+    that fails is ``error:`` and one line, exit 2, as ``main`` reports a
+    failed write, and stdout is pointed at the null device so shutdown has
+    nothing left to fail on."""
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
         try:
             sys.stdout.flush()
         except OSError as exc:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .grammar import GoldGrammar, f1_lead
@@ -15,23 +15,7 @@ BLEU_MAX_N = 4
 BLEU_EPSILON = 1e-9
 
 
-class ScoreBreakdown:
-    def __init__(
-        self,
-        precision: float,
-        recall: float,
-        f1: float,
-        best_gold_tree: str,
-    ) -> None:
-        self.precision = precision
-        self.recall = recall
-        self.f1 = f1
-        self.best_gold_tree = best_gold_tree
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return vars(self) == vars(other)
-        return NotImplemented
+ScoreBreakdown = namedtuple("ScoreBreakdown", "precision recall f1 best_gold_tree")
 
 
 def _f1(precision: float, recall: float) -> float:

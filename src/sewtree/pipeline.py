@@ -4,7 +4,7 @@ An extractor is a callable ``(step, spec) -> StepExtraction``: a function
 of the step's text and the pattern's inventory alone, never of where the
 step stands in its document.  :func:`extract_once_per_run` therefore
 answers every repeat of a step with the one extraction it kept, so an
-extraction is shared and must not be mutated.
+extraction is shared, and it is a named tuple, which cannot be mutated.
 
 :func:`build_forest` walks a document's extractions in order, mapping
 mentioned pieces to the label text of the intermediate component currently
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 
 from .labels import LabelError, LabelReader, label_pieces, piece_key, read_text
 from .tree import canonical_serialize, rule_text
@@ -73,16 +74,8 @@ class PatternSpec:
         }
 
 
-class InstructionDoc:
-    def __init__(self, pattern_id: str, doc_id: str, steps: tuple[str, ...]) -> None:
-        self.pattern_id = pattern_id
-        self.doc_id = doc_id
-        self.steps = steps
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return vars(self) == vars(other)
-        return NotImplemented
+class InstructionDoc(namedtuple("InstructionDoc", "pattern_id doc_id steps")):
+    __slots__ = ()
 
     @classmethod
     def from_json(cls, data: dict) -> "InstructionDoc":
@@ -100,52 +93,21 @@ class InstructionDoc:
         return {"pattern_id": self.pattern_id, "doc_id": self.doc_id, "steps": list(self.steps)}
 
 
-class StepExtraction:
+class StepExtraction(namedtuple("StepExtraction", "mentions unknown dropped source",
+                                defaults=((), (), "rule"))):
     """Pieces mentioned in one step, in first-mention order, deduplicated.
-    A run shares one extraction among all repeats of a step, so it is never
-    mutated."""
+    A run shares one extraction among all repeats of a step, so it is
+    immutable."""
 
-    def __init__(
-        self,
-        mentions: tuple[str, ...],
-        unknown: tuple[str, ...] = (),
-        dropped: tuple[str, ...] = (),
-        source: str = "rule",
-    ) -> None:
-        self.mentions = mentions
-        self.unknown = unknown
-        self.dropped = dropped
-        self.source = source
+    __slots__ = ()
 
 
-class Diagnostic:
-    def __init__(self, step_index: int, kind: str, message: str) -> None:
-        self.step_index = step_index
-        self.kind = kind
-        self.message = message
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return vars(self) == vars(other)
-        return NotImplemented
+Diagnostic = namedtuple("Diagnostic", "step_index kind message")
 
 
-class BuildReport:
-    def __init__(
-        self,
-        forest: tuple[str, ...],
-        subtree_trace: tuple[tuple[int, str], ...],
-        diagnostics: tuple[Diagnostic, ...],
-    ) -> None:
-        # Each root's canonical serialization, sorted; an isolated leaf is its label.
-        self.forest = forest
-        self.subtree_trace = subtree_trace
-        self.diagnostics = diagnostics
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return vars(self) == vars(other)
-        return NotImplemented
+class BuildReport(namedtuple("BuildReport", "forest subtree_trace diagnostics")):
+    # forest: each root's canonical serialization, sorted; an isolated leaf is its label.
+    __slots__ = ()
 
     def subtrees(self) -> frozenset[str]:
         return frozenset(text for _, text in self.subtree_trace)

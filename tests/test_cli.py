@@ -32,10 +32,12 @@ from sewtree.grammar import (
     parse_grammar,
 )
 from sewtree.labels import LabelError
+from sewtree.metrics import ScoreBreakdown
 from sewtree.pipeline import (
     BuildReport,
     Diagnostic,
     InstructionDoc,
+    StepExtraction,
     build_forest,
     extract_document,
     linearize_gold_tree,
@@ -271,6 +273,34 @@ class TestReportBytes:
             path = Path(tmp) / "report.json"
             sewtree.cli._write_report(doc_id, report, path)
             assert path.read_bytes() == dumped(report_payload(doc_id, report))
+
+
+RECORD_TYPES = (InstructionDoc, StepExtraction, Diagnostic, BuildReport, ScoreBreakdown)
+# What the commands write: dicts with text keys, lists, tuples, the
+# records, texts and ints, nested; empty containers included.
+JSON_VALUES = hs.recursive(
+    FREE_TEXT | hs.integers(),
+    lambda children: hs.one_of(
+        hs.lists(children, max_size=4),
+        hs.lists(children, max_size=4).map(tuple),
+        hs.dictionaries(FREE_TEXT, children, max_size=4),
+        *(hs.tuples(*[children] * len(record._fields)).map(record._make) for record in RECORD_TYPES),
+    ),
+    max_leaves=24,
+)
+
+
+@given(JSON_VALUES, hs.sampled_from([0.5, None, True, False]))
+@example({}, None)
+@example([[], (), {"b": "", "a": 1}, -1], 0.0)
+def test_dumps_is_json_dumps(value, foreign):
+    """``_dumps`` writes what ``json.dumps`` with indent 2 and sorted keys
+    writes, and refuses a float, ``None`` or a bool at any depth, and a key
+    that is not a text."""
+    assert sewtree.cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+    for wrapped in (foreign, [value, foreign], {"a": value, "b": {"c": foreign}}, {foreign: value}):
+        with pytest.raises(TypeError):
+            sewtree.cli._dumps(wrapped)
 
 
 class TestValidateGrammar:

@@ -81,12 +81,15 @@ def test_out_on_a_full_device(argv):
 
 @needs_dev_full
 def test_stdout_on_a_full_device():
-    with DEV_FULL.open("wb") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "sewtree.cli", "gen-gold", str(SKIRT_GRAMMAR)],
-            stdout=full, stderr=subprocess.PIPE, text=True, env=fresh_env(),
-        )
-    assert (proc.returncode, proc.stderr) == (2, NO_SPACE)
+    """Stdout buffered, as a shell without ``PYTHONUNBUFFERED`` runs it: the
+    last buffer is flushed before exit, also after argparse's exit."""
+    for argv in (["gen-gold", SKIRT_GRAMMAR], ["--help"], ["gen-gold", "--help"]):
+        with DEV_FULL.open("wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sewtree.cli", *map(str, argv)],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=fresh_env(),
+            )
+        assert (proc.returncode, proc.stderr) == (2, NO_SPACE), argv
 
 
 def test_score_out_under_a_regular_file(tmp_path):

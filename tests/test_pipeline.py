@@ -1,4 +1,6 @@
+import copy
 import inspect
+import pickle
 
 import pytest
 from hypothesis import example, given
@@ -6,6 +8,7 @@ from hypothesis import strategies as hs
 
 from sewtree.adapter import AdapterConfig, AdapterError, extract_via_adapter, make_adapter_extractor
 from sewtree.labels import LabelReader
+from sewtree.metrics import ScoreBreakdown
 from sewtree.pipeline import (
     DEFAULT_ATTACHMENT_VERBS,
     BuildReport,
@@ -534,3 +537,29 @@ class TestAdapterMemo:
         assert extractor(self.STEP, skirt_spec).source == "adapter"
         assert extractor(self.STEP, skirt_spec).source == "adapter"
         assert wait_for_posts(3) == [(self.STEP, ("A", "B", "C"))] * 3
+
+
+# One record of each type, with the names of its fields.
+RECORDS = {
+    "InstructionDoc": (InstructionDoc("skirt", "d", ("Sew (A) to (B).",)), ("pattern_id", "doc_id", "steps")),
+    "StepExtraction": (StepExtraction(("A", "B"), ("Q",)), ("mentions", "unknown", "dropped", "source")),
+    "Diagnostic": (Diagnostic(0, "unknown-label", "(Q) is not in the inventory"),
+                   ("step_index", "kind", "message")),
+    "BuildReport": (BuildReport(("(AB A B)", "C"), ((0, "AB -> A B"),), (Diagnostic(1, "k", "m"),)),
+                    ("forest", "subtree_trace", "diagnostics")),
+    "ScoreBreakdown": (ScoreBreakdown(0.5, 1.0, 2 / 3, "(AB A B)"), ("precision", "recall", "f1", "best_gold_tree")),
+}
+
+
+@pytest.mark.parametrize("record,fields", RECORDS.values(), ids=RECORDS)
+def test_a_record_is_immutable_and_copies_equal(record, fields):
+    """A record is shared (an extraction among a step's repeats), so no
+    field can be set and no attribute added; a pickled or deep-copied
+    record equals the original, and hashes as it does."""
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.note = "added"
+    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(twin) is type(record) and twin == record and hash(twin) == hash(record)
