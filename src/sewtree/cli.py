@@ -440,6 +440,16 @@ COMMANDS = ("gen-gold", "validate-grammar", "extract", "build", "score", "permut
             "inject-errors", "correlate", "roundtrip", "aggregate-ratings")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose help raises the ``OSError`` of a failed
+    write: argparse's own ``_print_message`` drops it, so ``--help`` into a
+    full device with stdout unbuffered would exit 0 having written nothing.
+    Subparsers are made of the same class."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``sewtree`` parser with every command's subparser, or with only
     the subparser of ``command``, one of :data:`COMMANDS`.  A run that
@@ -448,7 +458,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     line is written out in full.  (It is argparse's own text for the
     choices; the full parser keeps no metavar, since argparse names the
     missing command by it.)"""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sewtree",
         description="Tree-based evaluation of step-by-step assembly instructions",
     )
@@ -538,10 +548,10 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
-    if args.command not in ("gen-gold", "validate-grammar"):
-        _bind_deferred()
     try:
+        args = parser.parse_args(argv)
+        if args.command not in ("gen-gold", "validate-grammar"):
+            _bind_deferred()
         return args.func(args)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,100 +43,21 @@ class CapExceededError(GrammarError):
 DEFAULT_CAP = 100_000
 
 
-def rule_graph(
-    facts: LabelReader, roots: Iterable[str], rules: dict[str, tuple[str, ...]]
-) -> tuple[tuple[str, ...], tuple, tuple[int, ...], list[str]]:
-    """The rule table as a DAG over every label the roots and rules
-    mention, children before parents, so a DP over derivations is one pass
-    over the labels, and its problems, found in the same walk over the
-    rules.  ``facts`` holds the facts of exactly those labels, ``roots``
-    their texts and ``rules`` each rule's parent and children texts by the
-    rule's text, in rule order.  Returns ``(labels, expansions,
-    root_positions, problems)``:
-    - ``labels``: the texts, sorted by (piece count, counter, text).
-      Well-formed rules strictly shrink (pieces, then counter), so each
-      child sorts before its parents, whatever the order of the rules;
-    - ``expansions``: per label, each of its rules' texts in rule order
-      with the positions of the rule's children in ``labels``; empty for a
-      label no rule expands (a leaf);
-    - ``root_positions``: the positions of the roots, each once;
-    - ``problems``: one line each; empty iff the grammar is valid.  First
-      each root, then each rule, that is not a valid step over the
-      inventory, named: pieces the inventory lacks (for a rule, those of
-      all its labels, in piece order), not 1 or 2 children, label
-      arithmetic that :func:`node_violations` refuses.  Only if there are
-      none, so that a bad rule has no follow-on problems: no roots;
-      non-leaf labels no rule expands, by name; rules no root reaches, in
-      rule order; roots missing pieces.
-    The graph is built whatever the rules are, since it is built before
-    they are known to be well-formed."""
-    # Texts are distinct, so no two rows tie before the mask.
-    rows = sorted(facts.values())
-    labels = tuple([row[2] for row in rows])
-    position = {text: p for p, text in enumerate(labels)}
-    root_positions = tuple(dict.fromkeys([position[root] for root in roots]))
-    unknown = facts.unknown
-    problems = [
-        f"root {labels[p]}: unknown pieces {', '.join(unknown[labels[p]])}"
-        for p in root_positions if labels[p] in unknown
-    ]
-    expansions: list[list] = [[] for _ in labels]
-    for text, (parent, *children) in rules.items():
-        p = position[parent]
-        kids = tuple(map(position.__getitem__, children))
-        expansions[p].append((text, kids))
-        outside = unknown and {name for label in (parent, *children) for name in unknown.get(label, ())}
-        if outside:
-            problems.append(f"{text}: unknown pieces {', '.join(sorted(outside, key=piece_key))}")
-        elif not 1 <= len(kids) <= 2:
-            problems.append(f"{text}: rules need 1 or 2 children")
-        elif violations := node_violations(rows[p], [rows[c] for c in kids]):
-            problems.append(f"{text}: {violations[0][1]}")
-    expansions = tuple(map(tuple, expansions))
-    if problems:
-        return labels, expansions, root_positions, problems
-
-    # Every rule now strictly shrinks, so children sit below their parents
-    # and one pass down the positions marks every label a root reaches.
-    reached = [False] * len(labels)
-    for p in root_positions:
-        reached[p] = True
-    for p in reversed(range(len(reached))):
-        if reached[p]:
-            for _, kids in expansions[p]:
-                for c in kids:
-                    reached[c] = True
-    problems = [] if root_positions else ["no roots"]
-    unexpanded = [
-        labels[p] for p in range(len(labels)) if not expansions[p] and node_violations(rows[p], ())
-    ]
-    problems += [f"{name}: no rule expands this non-leaf label" for name in sorted(unexpanded)]
-    problems += [
-        f"{text}: no root reaches this rule"
-        for text, (parent, *_) in rules.items() if not reached[position[parent]]
-    ]
-    full = (1 << len(facts.bits)) - 1
-    problems += [
-        f"root {labels[p]}: does not cover the full piece inventory"
-        for p in root_positions if rows[p][3] != full
-    ]
-    return labels, expansions, root_positions, problems
-
-
 class GoldGrammar:
     """A pattern's gold trees as rules, each a depth-1 subtree that is a valid
     assembly step over the inventory, a tuple of piece texts in piece order
     (as its label reader holds them).  Its ``roots`` are label texts and its
     ``rules`` rule texts (``tree.rule_text``), each kept once, in first-seen
-    order, so distinct derivations are distinct trees; it holds its
-    :func:`rule_graph` as ``labels``, ``expansions`` and
-    ``root_positions``.  Two grammars are equal when their pattern ids,
-    inventories, roots and rules are.  It is valid however it was built:
-    the constructor raises :class:`GrammarError` on the problems that
-    :func:`rule_graph` finds, naming the pattern and the first three of
-    them, all of them in ``problems``.  A piece, root or
-    rule text that cannot be read at all is a :class:`GrammarError` naming
-    the text, and so is a piece the inventory repeats."""
+    order, so distinct derivations are distinct trees.  The constructor's
+    one walk over the rules, :meth:`_build`, reads them into the grammar's
+    one index: ``labels``, ``expansions``, ``root_positions``, ``parents``
+    and ``rule_positions``.  Two grammars are equal when their pattern
+    ids, inventories, roots and rules are.  It is valid however it was
+    built: the constructor raises :class:`GrammarError` on the problems
+    that walk finds, naming the pattern and the first three of them, all
+    of them in ``problems``.  A piece, root or rule text that cannot be
+    read at all is a :class:`GrammarError` naming the text, and so is a
+    piece the inventory repeats."""
 
     def __init__(
         self,
@@ -177,17 +98,96 @@ class GoldGrammar:
     @classmethod
     def _read(cls, pattern_id, facts, roots, rules) -> GoldGrammar:
         """The grammar of texts whose facts ``facts`` has read, as
-        :func:`rule_graph` takes them, over ``facts``' inventory."""
+        :meth:`_build` takes them, over ``facts``' inventory."""
         grammar = cls.__new__(cls)
         grammar._build(pattern_id, facts, roots, rules)
         return grammar
 
     def _build(self, pattern_id, facts, roots, rules) -> None:
+        """Read the rule table into the grammar's index, a DAG over every
+        label the roots and rules mention, children before parents, so a DP
+        over derivations is one pass over the labels, and judge it in the
+        same walk over the rules.  ``facts`` holds the facts of exactly
+        those labels, ``roots`` their texts and ``rules`` each rule's parent
+        and children texts by the rule's text, in rule order.  It sets:
+        - ``labels``: the texts, sorted by (piece count, counter, text).
+          Well-formed rules strictly shrink (pieces, then counter), so each
+          child sorts before its parents, whatever the order of the rules;
+        - ``expansions``: per label, each of its rules' texts in rule order
+          with the positions of the rule's children in ``labels``; empty
+          for a label no rule expands (a leaf);
+        - ``root_positions``: the positions of the roots, each once, and
+          ``roots`` their texts;
+        - ``rule_positions``: per rule text, in rule order, its label's
+          position, and ``rules`` those texts;
+        - ``parents``: per label, the positions of the labels with a rule
+          over it, highest first, so ``parents[c][0]`` is ``c``'s last
+          parent (a label under two rules of one parent is listed twice).
+        It raises :class:`GrammarError` on the problems, one line each.
+        First each root, then each rule, that is not a valid step over the
+        inventory, named: pieces the inventory lacks (for a rule, those of
+        all its labels, in piece order), not 1 or 2 children, label
+        arithmetic that :func:`node_violations` refuses.  Only if there are
+        none, so that a bad rule has no follow-on problems: no roots;
+        non-leaf labels no rule expands, by name; rules no root reaches, in
+        rule order; roots missing pieces.  The rest of the index is built
+        before the rules are known to be well-formed, whatever they are;
+        ``parents`` only once they are."""
         self.pattern_id = pattern_id
         self.inventory = tuple(facts.bits)
-        self.labels, self.expansions, self.root_positions, problems = rule_graph(facts, roots, rules)
-        self.roots = tuple([self.labels[p] for p in self.root_positions])
-        self.rules = tuple(rules)
+        # Texts are distinct, so no two rows tie before the mask.
+        rows = sorted(facts.values())
+        self.labels = labels = tuple([row[2] for row in rows])
+        position = {text: p for p, text in enumerate(labels)}
+        self.root_positions = root_positions = tuple(dict.fromkeys([position[root] for root in roots]))
+        self.roots = tuple([labels[p] for p in root_positions])
+        unknown = facts.unknown
+        problems = [
+            f"root {labels[p]}: unknown pieces {', '.join(unknown[labels[p]])}"
+            for p in root_positions if labels[p] in unknown
+        ]
+        expansions: list[list] = [[] for _ in labels]
+        self.rule_positions = rule_positions = {}
+        for text, (parent, *children) in rules.items():
+            rule_positions[text] = p = position[parent]
+            kids = tuple(map(position.__getitem__, children))
+            expansions[p].append((text, kids))
+            outside = unknown and {name for label in (parent, *children) for name in unknown.get(label, ())}
+            if outside:
+                problems.append(f"{text}: unknown pieces {', '.join(sorted(outside, key=piece_key))}")
+            elif not 1 <= len(kids) <= 2:
+                problems.append(f"{text}: rules need 1 or 2 children")
+            elif violations := node_violations(rows[p], [rows[c] for c in kids]):
+                problems.append(f"{text}: {violations[0][1]}")
+        self.expansions = expansions = tuple(map(tuple, expansions))
+        self.rules = tuple(rule_positions)
+        if not problems:
+            # Every rule now strictly shrinks, so children sit below their
+            # parents, and one pass down the positions lists each label's
+            # parents and marks every label a root reaches.
+            parents: list[list[int]] = [[] for _ in labels]
+            reached = [False] * len(labels)
+            for p in root_positions:
+                reached[p] = True
+            for p in reversed(range(len(labels))):
+                for _, kids in expansions[p]:
+                    for c in kids:
+                        parents[c].append(p)
+                        reached[c] |= reached[p]
+            self.parents = tuple(map(tuple, parents))
+            problems = [] if root_positions else ["no roots"]
+            unexpanded = [
+                labels[p] for p in range(len(labels)) if not expansions[p] and node_violations(rows[p], ())
+            ]
+            problems += [f"{name}: no rule expands this non-leaf label" for name in sorted(unexpanded)]
+            problems += [
+                f"{text}: no root reaches this rule" for text, p in rule_positions.items() if not reached[p]
+            ]
+            full = (1 << len(facts.bits)) - 1
+            problems += [
+                f"root {labels[p]}: does not cover the full piece inventory"
+                for p in root_positions if rows[p][3] != full
+            ]
         if problems:
             raise GrammarError(
                 f"pattern {pattern_id!r}: invalid grammar: " + "; ".join(problems[:3]), problems
@@ -206,28 +206,16 @@ class GoldGrammar:
     # pays nothing for them, and none is changed once built.
 
     @cached_property
-    def score_tables(self) -> tuple[list, list, dict]:
-        """``(bare_tables, parent_positions, rule_positions)``:
-        - ``bare_tables``: per label, its :func:`fill_tables` table when no
-          rule is predicted, one ``(0, g, text)`` entry: its tree with the
-          fewest rules, ties going to the smallest text.  When no predicted
-          rule lies on or below a label, none of its trees matches one, so
-          the table a document's DP fills for it is this one;
-        - ``parent_positions``: per label, the positions of the labels with
-          a rule over it, in order (a label with two rules over one child
-          is listed twice);
-        - ``rule_positions``: per rule text, its label's position.
-        Only :meth:`best_tree` reads them, and it changes none of them."""
-        parents: list[list[int]] = [[] for _ in self.labels]
-        rule_positions: dict[str, int] = {}
-        for p, expansions in enumerate(self.expansions):
-            for rule, kids in expansions:
-                rule_positions[rule] = p
-                for c in kids:
-                    parents[c].append(p)
+    def score_tables(self) -> list:
+        """The bare tables: per label, its :func:`fill_tables` table when
+        no rule is predicted, one ``(0, g, text)`` entry: its tree with the
+        fewest rules, ties going to the smallest text.  When no predicted
+        rule lies on or below a label, none of its trees matches one, so
+        the table a document's DP fills for it is this one.  Only
+        :meth:`best_tree` reads them, and it changes none of them."""
         bare: list = [None] * len(self.labels)
         fill_tables(self, range(len(bare)), {}, bare)
-        return bare, parents, rule_positions
+        return bare
 
     @cached_property
     def smallest_tree(self) -> str:
@@ -255,17 +243,16 @@ class GoldGrammar:
         a predicted rule are refilled, children first, in a copy of the
         bare list: the rules are found by their text through
         ``rule_positions``, and the labels above them through
-        ``parent_positions``.  At the roots the best exact F1 wins, by
+        ``parents``.  At the roots the best exact F1 wins, by
         :func:`f1_lead`; ties go to the smallest text, the lowest index in
         the sorted enumeration.  When no predicted rule is in the grammar
         every tree scores F1 = 0 and :attr:`smallest_tree` wins; each of
         its internal nodes opens one bracket, so its g is its count of
         ``(``."""
-        bare, parents, rule_positions = self.score_tables
         # hits[p]: the texts of label p's predicted rules.
         hits: dict[int, set[str]] = {}
         for text in pred:
-            p = rule_positions.get(text)
+            p = self.rule_positions.get(text)
             if p is not None:
                 hits.setdefault(p, set()).add(text)
         if not hits:
@@ -274,11 +261,11 @@ class GoldGrammar:
         dirty = set(hits)
         stack = list(hits)
         while stack:
-            for q in parents[stack.pop()]:
+            for q in self.parents[stack.pop()]:
                 if q not in dirty:
                     dirty.add(q)
                     stack.append(q)
-        tables = list(bare)
+        tables = list(self.score_tables)
         fill_tables(self, sorted(dirty), hits, tables)
 
         # A hit's label is reached from a root, so some root's table holds
@@ -460,8 +447,8 @@ def validate_grammar(g) -> list[str]:
     and rule texts, one line each; empty iff it is valid.  It is the
     :class:`GoldGrammar` constructor's verdict on those texts, the one
     judge of validity: the ``problems`` of the :class:`GrammarError` it
-    raises (those :func:`rule_graph` finds, or the one text it cannot
-    read), or none."""
+    raises (those its walk over the rules finds, or the one text it
+    cannot read), or none."""
     try:
         GoldGrammar(g.pattern_id, g.inventory, g.roots, g.rules)
     except GrammarError as exc:
@@ -512,7 +499,7 @@ def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, .
     # A label's texts are dropped once its last parent is placed: on a unary
     # chain each label's texts contain its child's, and keeping them all
     # would hold characters quadratic in the chain's length.
-    last_parent = {c: p for p, rules in enumerate(g.expansions) for _, kids in rules for c in kids}
+    parents = g.parents
     roots = set(g.root_positions)
     texts: list[list[str] | None] = []
     gold: list[str] = []
@@ -535,7 +522,7 @@ def enumerate_gold_trees(g: GoldGrammar, cap: int = DEFAULT_CAP) -> tuple[str, .
             gold.extend(level)
         for _, kids in expansions:
             for c in kids:
-                if last_parent[c] == p:
+                if parents[c][0] == p:
                     texts[c] = None
     gold.sort()
     return tuple(gold)

@@ -491,8 +491,10 @@ def check_rule_graph(g):
     """``g``'s rule graph against its contract: each root and rule once,
     every label text the roots and rules mention, sorted by piece count,
     counter and text, so each child below its parents, each label's rule
-    texts in rule order with their children's positions, and labels that do
-    not depend on the order of the rules."""
+    texts in rule order with their children's positions, each rule's
+    label's position by its text, each label's parents' positions, once per
+    rule over it and highest first, and labels that do not depend on the
+    order of the rules."""
     roots, rules = g.roots, g.rules
     assert len(set(roots)) == len(roots) and len(set(rules)) == len(rules)
     read = {rule: rule_labels(rule) for rule in rules}
@@ -511,6 +513,15 @@ def check_rule_graph(g):
         )
         assert all(c < p for _, kids in expansions for c in kids)
     assert g.root_positions == tuple(position[root] for root in roots)
+    label_at = {rule: position[str(parent)] for rule, (parent, _) in read.items()}
+    assert tuple(g.rule_positions) == rules and g.rule_positions == label_at
+    assert g.parents == tuple(
+        tuple(sorted(
+            [label_at[rule] for rule, (_, children) in read.items() for c in children if str(c) == label],
+            reverse=True,
+        ))
+        for label in g.labels
+    )
     reversed_rules = GoldGrammar(g.pattern_id, g.inventory, roots, tuple(reversed(rules)))
     assert reversed_rules.labels == g.labels
 

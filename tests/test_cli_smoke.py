@@ -80,14 +80,16 @@ def test_out_on_a_full_device(argv):
 
 
 @needs_dev_full
-def test_stdout_on_a_full_device():
+@pytest.mark.parametrize("env", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+def test_stdout_on_a_full_device(env):
     """Stdout buffered, as a shell without ``PYTHONUNBUFFERED`` runs it: the
-    last buffer is flushed before exit, also after argparse's exit."""
+    last buffer is flushed before exit, also after argparse's exit.
+    Unbuffered, each write fails as it is made, help's included."""
     for argv in (["gen-gold", SKIRT_GRAMMAR], ["--help"], ["gen-gold", "--help"]):
         with DEV_FULL.open("wb") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "sewtree.cli", *map(str, argv)],
-                stdout=full, stderr=subprocess.PIPE, text=True, env=fresh_env(),
+                stdout=full, stderr=subprocess.PIPE, text=True, env=fresh_env(**env),
             )
         assert (proc.returncode, proc.stderr) == (2, NO_SPACE), argv
 

@@ -398,7 +398,11 @@ def test_unary_chain_enumeration_memory_is_linear():
 
 
 def test_rule_graph_puts_children_before_parents():
-    grammars = [load_grammar(name) for name in GRAMMAR_NAMES]
+    grammars = [enumeration_case(name) for name in ENUMERATION_CASES]
+    # ABC_1 sits under two rules of ABCDE_1, so it lists that parent twice.
+    interleaved = grammars[ENUMERATION_CASES.index("interleaved-blocks")]
+    top = interleaved.labels.index("ABCDE_1")
+    assert interleaved.parents[interleaved.labels.index("ABC_1")] == (top, top)
     for index in range(60):
         rng = SplitMix64(derive_seed(31, "rule-graph", str(index)))
         grammars.append(

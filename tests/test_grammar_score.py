@@ -300,6 +300,7 @@ def test_score_tables_are_built_on_first_score_and_kept_unchanged():
     grammar = parse_grammar(text)
     assert set(vars(grammar)) == {
         "pattern_id", "inventory", "labels", "expansions", "root_positions", "roots", "rules",
+        "parents", "rule_positions",
     }
     rules = grammar.rules
     docs = [frozenset(rules[::3]), frozenset(rules[1::4]) | subtree_set("(AB A B)"), frozenset()]
