@@ -43,6 +43,13 @@ class CapExceededError(GrammarError):
 DEFAULT_CAP = 100_000
 
 
+def _repeated_pieces(facts: LabelReader, inventory: Collection[str]) -> str:
+    """The problem of an ``inventory`` that repeats a piece, read by
+    ``facts``: the repeated pieces named in piece order."""
+    pieces = list(inventory)
+    return "duplicate pieces in inventory: " + ", ".join([p for p in facts.bits if pieces.count(p) > 1])
+
+
 class GoldGrammar:
     """A pattern's gold trees as rules, each a depth-1 subtree that is a valid
     assembly step over the inventory, a tuple of piece texts in piece order
@@ -77,11 +84,7 @@ class GoldGrammar:
             if len(facts.bits) != len(inventory):
                 # A repeat would take a second bit and leave a gap in the
                 # full mask.
-                pieces = list(inventory)
-                repeated = ", ".join([p for p in facts.bits if pieces.count(p) > 1])
-                raise GrammarError(
-                    f"pattern {pattern_id!r}: duplicate pieces in inventory: {repeated}"
-                )
+                raise GrammarError(f"pattern {pattern_id!r}: {_repeated_pieces(facts, inventory)}")
             for text in roots:
                 facts[text]
             for text in rules:
@@ -410,7 +413,7 @@ def parse_grammar(text: str) -> GoldGrammar:
             if not pieces:
                 raise GrammarError(f"line {lineno}: empty piece inventory")
             if len(facts.bits) != len(pieces):
-                raise GrammarError(f"line {lineno}: duplicate pieces in inventory")
+                raise GrammarError(f"line {lineno}: {_repeated_pieces(facts, pieces)}")
             continue
         if line.startswith("roots:"):
             if roots_line is not None:

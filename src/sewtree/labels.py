@@ -115,7 +115,7 @@ _CUTS_RE = re.compile(r"[A-Z][lr0-9]*")
 # The facts of a label, which is all that the label arithmetic reads:
 # ``(piece count, counter, text, mask)``, where bit i of the mask is the
 # i-th piece of an order of pieces shared by every label compared (a
-# grammar's inventory, or a tree's pieces), sorted as the pieces sort.  A
+# grammar's inventory, or a spec's), sorted as the pieces sort.  A
 # row of facts sorts by piece count, then counter, then text.
 
 
@@ -186,14 +186,6 @@ class LabelReader(dict):
         parent = f"{text.partition('_')[0]}_{counter + 1}"
         self[parent] = (count, counter + 1, parent, mask)
         return parent
-
-
-def label_facts(labels: Iterable[str]) -> dict[str, tuple[int, int, str, int]]:
-    """The facts of each of the label texts ``labels``, their masks over
-    the sorted union of their pieces."""
-    labels = set(labels)
-    reader = LabelReader({piece for text in labels for piece in label_pieces(text)[0]})
-    return {text: reader[text] for text in labels}
 
 
 def node_violations(

@@ -34,9 +34,9 @@ def _breakdown(m: int, g: int, n: int, text: str) -> ScoreBreakdown:
 
 def tree_score(pred: frozenset[str], gold_texts) -> ScoreBreakdown:
     """The best exact-match F1 of the predicted depth-1 subtrees, as rule
-    texts, against a gold tree's, over gold trees given as canonical
-    serializations; ties on the exact F1 go to the lowest index.
-    ``best_gold_tree`` holds the best tree's text."""
+    texts, against a gold tree's, over gold trees given as the program's
+    own canonical serializations, read back unchecked; ties on the exact
+    F1 go to the lowest index.  ``best_gold_tree`` holds the best tree's text."""
     n = len(pred)
     best = None
     for text in gold_texts:
@@ -57,7 +57,7 @@ def grammar_score(pred: frozenset[str], grammar: GoldGrammar) -> ScoreBreakdown:
     tie-broken as ``tree_score`` ranks them.  ``best_gold_tree`` holds the
     winner's text, and the scores are ``tree_score``'s float expressions;
     a caller that needs the winning tree's rules reads them off the text
-    with ``parse_serialized``."""
+    with ``subtrees_of(parse_serialized(text))``."""
     m, g, text = grammar.best_tree(pred)
     return _breakdown(m, g, len(pred), text)
 

@@ -6,19 +6,15 @@ node is one self-attachment of its child, and leaves are single pieces with a
 zero counter.  Labels are unique within a valid tree, so a tree is the pair
 ``(root, children_of)``: its root label's text and a map from each internal
 label's text to its children's; a label without an entry is a leaf.
-Serialization uses bracket notation, e.g. ``(ABC_1 (AB_1 (AB A B)) C)``.
+Serialization uses bracket notation, e.g. ``(ABC_1 (AB_1 (AB A B)) C)``;
+:func:`parse_serialized` reads back only texts the program wrote, and
+checks nothing.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
-
-from .labels import LabelError, label_facts, label_pieces, node_violations
-
-
-class TreeError(ValueError):
-    """A serialized tree could not be parsed or violates tree constraints."""
 
 
 def rule_text(parent: str, children: Iterable[str]) -> str:
@@ -66,69 +62,27 @@ def canonical_serialize(root: str, children_of: Mapping[str, tuple[str, ...]]) -
     return "".join(parts)
 
 
-_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
-
-
-def _parse_label(token: str) -> str:
-    try:
-        label_pieces(token)
-    except LabelError as exc:
-        raise TreeError(str(exc)) from exc
-    return token
-
-
-def _violations(nodes: list[tuple[str, list[str]]]) -> list[str]:
-    """Every broken constraint of a tree given as its ``(label, kids)``
-    nodes in pre-order, node by node, then each repeated label."""
-    out: list[str] = []
-    seen: dict[str, int] = {}
-    facts = label_facts(label for label, _ in nodes)
-    for label, kids in nodes:
-        problems = node_violations(facts[label], [facts[kid] for kid in kids])
-        out.extend(f"{label}: {kind}: {detail}" for kind, detail in problems)
-        seen[label] = seen.get(label, 0) + 1
-    out.extend(f"{label}: unique-labels: label occurs {n} times" for label, n in seen.items() if n > 1)
-    return out
+# An opening bracket with its node's label, a leaf's label, or a closing
+# bracket.
+_TOKEN_RE = re.compile(r"\(?[^\s()]+|\)")
 
 
 def parse_serialized(text: str) -> tuple[str, dict[str, tuple[str, ...]]]:
-    """Parse bracket notation into a validated ``(root, children_of)`` pair
-    of label texts.  Iterative, so a tree of any depth parses."""
-    tokens = _TOKEN_RE.findall(text)
-    if not tokens:
-        raise TreeError("empty tree text")
-    # Every node in pre-order, as its label and the children parsed so far,
-    # and the indices of the open brackets' nodes, outermost first.
-    nodes: list[tuple[str, list[str]]] = []
-    open_nodes: list[int] = []
-    pos = 0
-    while True:
-        if pos == len(tokens):
-            raise TreeError("missing ')'")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            if pos == len(tokens) or tokens[pos] in "()":
-                raise TreeError("expected node label after '('")
-            open_nodes.append(len(nodes))
-            nodes.append((_parse_label(tokens[pos]), []))
-            pos += 1
-            continue
-        if tok == ")":
-            if not open_nodes:
-                raise TreeError("unexpected ')'")
-            label, children = nodes[open_nodes.pop()]
-            if not children:
-                raise TreeError(f"bracketed node {label} has no children")
+    """The ``(root, children_of)`` pair of a tree text as
+    :func:`canonical_serialize` writes it.  Only the program's own texts
+    reach it (gold trees it enumerated or picked), so nothing is checked.
+    Iterative, so a tree of any depth reads."""
+    children_of: dict[str, tuple[str, ...]] = {}
+    # The open nodes, outermost first, each its label and the children read
+    # so far, over a sentinel whose one kid is the root.
+    stack: list[tuple[str, list[str]]] = [("", [])]
+    for token in _TOKEN_RE.findall(text):
+        if token == ")":
+            label, kids = stack.pop()
+            children_of[label] = tuple(kids)
+            stack[-1][1].append(label)
+        elif token[0] == "(":
+            stack.append((token[1:], []))
         else:
-            label = _parse_label(tok)
-            nodes.append((label, []))
-        if not open_nodes:
-            break
-        nodes[open_nodes[-1]][1].append(label)
-    if pos != len(tokens):
-        raise TreeError(f"trailing input after tree: {tokens[pos]!r}")
-    violations = _violations(nodes)
-    if violations:
-        raise TreeError("; ".join(violations))
-    return nodes[0][0], {label: tuple(kids) for label, kids in nodes if kids}
+            stack[-1][1].append(token)
+    return stack[0][1][0], children_of

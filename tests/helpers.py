@@ -67,7 +67,7 @@ from sewtree.pipeline import (
 )
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import random_grammar
-from sewtree.tree import _TOKEN_RE, TreeError, bracket, parse_serialized, rule_text, subtrees_of
+from sewtree.tree import bracket, parse_serialized, rule_text, subtrees_of
 
 
 def oracle_key(text: str) -> tuple[str, int, int]:
@@ -221,8 +221,8 @@ def node_oracle(label: Label, children) -> list[tuple[str, str]]:
 
 
 def validate_tree(root: AssemblyNode) -> list[Violation]:
-    """All constraint violations in the tree; empty iff the tree is valid:
-    the reference for the checks ``parse_serialized`` runs."""
+    """All constraint violations in the tree, node by node in pre-order,
+    then each repeated label; empty iff the tree is valid."""
     out: list[Violation] = []
     seen: dict[Label, int] = {}
     for node in root.walk():
@@ -236,10 +236,20 @@ def validate_tree(root: AssemblyNode) -> list[Violation]:
     return out
 
 
+class TreeError(ValueError):
+    """A tree text the test-side parser or gluer cannot make a valid tree
+    of."""
+
+
+# A bracket or a label: the test side's own tokens.
+_TREE_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+
+
 def recursive_parse(text: str) -> AssemblyNode:
     """The recursive descent parser into a node tree, checked by
-    ``validate_tree``: the reference for ``parse_serialized``."""
-    tokens = _TOKEN_RE.findall(text)
+    ``validate_tree``: the reference for ``parse_serialized``, with whose
+    reader it shares no code."""
+    tokens = _TREE_TOKEN_RE.findall(text)
     if not tokens:
         raise TreeError("empty tree text")
     pos = 0
@@ -564,7 +574,8 @@ def read_grammar_oracle(text: str) -> tuple[str, frozenset, list[Label], list[tu
                 raise GrammarError(f"line {lineno}: empty piece inventory")
             inventory = frozenset(pieces)
             if len(inventory) != len(pieces):
-                raise GrammarError(f"line {lineno}: duplicate pieces in inventory")
+                repeated = sorted({p for p in pieces if pieces.count(p) > 1}, key=oracle_key)
+                raise GrammarError(f"line {lineno}: duplicate pieces in inventory: {', '.join(repeated)}")
         elif line.startswith("roots:"):
             if roots_line is not None:
                 raise GrammarError(f"line {lineno}: duplicate roots header")

@@ -47,7 +47,7 @@ from sewtree.pipeline import (
 )
 from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import grammar_to_text, random_grammar
-from sewtree.tree import TreeError, parse_serialized
+from sewtree.tree import parse_serialized
 
 from conftest import FIXTURES, GRAMMAR_NAMES, _AdapterHandler, load_grammar, posted_requests, wait_for_posts
 from helpers import (
@@ -435,7 +435,7 @@ def test_grammar_directory_reads_only_grammar_files(workspace, tmp_path, capsys,
     assert outputs[1].err == ""
 
 
-@pytest.mark.parametrize("error", [GrammarError, TreeError, LabelError, ValueError])
+@pytest.mark.parametrize("error", [GrammarError, LabelError, ValueError])
 def test_validation_error_from_a_command_exits_1(monkeypatch, capsys, error):
     def fail(args):
         raise error("bad label")
@@ -2060,6 +2060,27 @@ def test_main_builds_only_the_named_command_and_prints_what_the_full_parser_prin
         assert parse_outcome(main, []) == (
             "", usage + "sewtree: error: the following arguments are required: command\n", 2
         )
+
+
+def test_no_command_reads_a_tree_text(tmp_path, monkeypatch):
+    """Every tree text a command handles is one the program wrote, and no
+    command reads one back: each runs once with ``parse_serialized``, which
+    checks nothing, refused in every sewtree module that binds it."""
+    # Load every module that binds the name, so that each is patched.
+    import sewtree.experiments
+    import sewtree.metrics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command read a tree text")
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sewtree" and hasattr(module, "parse_serialized"):
+            monkeypatch.setattr(module, "parse_serialized", refuse)
+            patched.add(name)
+    assert {"sewtree.tree", "sewtree.metrics"} <= patched
+    for argv in one_run_of_each_command(tmp_path):
+        assert run(*argv) == 0, argv
 
 
 def test_main_never_freezes_the_heap(tmp_path, capsys):

@@ -23,7 +23,15 @@ from sewtree.rng import SplitMix64, derive_seed
 from sewtree.synth import grammar_to_text, random_grammar
 
 from conftest import GRAMMAR_NAMES, load_grammar
-from helpers import chain_grammar, check_enumeration, check_rule_graph, label_rule, rule_oracle
+from helpers import (
+    chain_grammar,
+    check_enumeration,
+    check_rule_graph,
+    label_rule,
+    recursive_parse,
+    rule_oracle,
+    validate_tree,
+)
 
 
 class TestParseGrammar:
@@ -256,7 +264,7 @@ def test_a_repeated_piece_is_named_when_built_and_when_read(pieces):
     assert str(built.value) == "pattern 'p': duplicate pieces in inventory: A"
     with pytest.raises(GrammarError) as read:
         parse_grammar(f"pattern: p\npieces: {' '.join(pieces)}\nroots: AB\nAB -> A B\n")
-    assert str(read.value) == "line 2: duplicate pieces in inventory"
+    assert str(read.value) == "line 2: duplicate pieces in inventory: A"
 
 
 # Expected enumerations, hand-derived by exhaustively expanding each fixture.
@@ -305,8 +313,10 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("name", GRAMMAR_NAMES)
     def test_all_trees_valid(self, name):
-        # parse_serialized raises on a tree that breaks any constraint
+        # the test-side parser and validator judge each text; the reader
+        # checks nothing, and only round-trips it
         for text in enumerate_gold_trees(load_grammar(name)):
+            assert validate_tree(recursive_parse(text)) == []
             assert canonical_serialize(*parse_serialized(text)) == text
 
     def test_combined_roots_two_each(self, grammars):

@@ -8,7 +8,6 @@ from hypothesis import strategies as hs
 from sewtree.labels import (
     LabelError,
     LabelReader,
-    label_facts,
     label_pieces,
     node_violations,
     piece_key,
@@ -199,7 +198,7 @@ class TestNodeLabel:
 
     @pytest.mark.parametrize("text,leaf", [("A", True), ("D12", True), ("A_1", False), ("AB", False)])
     def test_is_leaf_is_one_piece_with_counter_zero(self, text, leaf):
-        assert (not node_violations(label_facts([text])[text], ())) is leaf
+        assert (not node_violations(own_reader([text])[text], ())) is leaf
 
     def test_format_omits_zero_counter(self):
         reader = LabelReader(["A", "B"])
@@ -279,6 +278,12 @@ def disjoint_labels(draw):
     )
 
 
+def own_reader(texts) -> LabelReader:
+    """A reader over the pieces of the label texts ``texts`` alone: masks
+    over a node's own pieces, where a grammar's are over its inventory."""
+    return LabelReader({piece for text in texts for piece in label_pieces(text)[0]})
+
+
 def oracle_facts(labels) -> dict[str, tuple[int, int, str, int]]:
     """The facts of each label, its mask over the sorted union of the
     labels' pieces, from piece sets."""
@@ -335,7 +340,9 @@ class TestDifferentialAgainstTheTestLabel:
         labels = {
             Label(tuple(sorted(s, key=oracle_key)), c) for s, c in zip(piece_sets, counters)
         }
-        assert label_facts(map(str, labels)) == oracle_facts(labels)
+        texts = [str(label) for label in labels]
+        reader = own_reader(texts)
+        assert {text: reader[text] for text in texts} == oracle_facts(labels)
 
 
 # A mirrored pair and numbered copies, so that string order and piece order
@@ -386,7 +393,7 @@ class TestNodeViolations:
         # Masks over the node's own pieces, as a tree's are, and over a
         # larger inventory, as a grammar's are, decide alike.
         label, children = node
-        own = label_facts(str(x) for x in (label, *children))
+        own = own_reader([str(x) for x in (label, *children)])
         wide = LabelReader(NODE_INVENTORY)
         for facts in (own, wide):
             found = node_violations(facts[str(label)], [facts[str(c)] for c in children])
@@ -415,7 +422,7 @@ class TestNodeViolations:
         ],
     )
     def test_kinds(self, label, children, kinds):
-        facts = label_facts((label, *children))
+        facts = own_reader((label, *children))
         found = node_violations(facts[label], [facts[c] for c in children])
         assert [kind for kind, _ in found] == kinds
 
